@@ -6,11 +6,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <sstream>
 #include <utility>
 
+#include "bag/bag_io.h"
 #include "server/protocol.h"
 
 namespace bagc {
@@ -32,18 +34,16 @@ Status WriteAll(int fd, const std::string& data) {
   return Status::OK();
 }
 
-// The wire format reserves '#' (comment to end of line) and whitespace
-// (token separators) in every position, so a value containing them would
-// be silently truncated or split server-side — the one corruption the
-// receiver cannot detect (the framing still parses). Refuse to send it.
-Status ValidateWireValue(const std::string& value) {
-  if (value.empty() ||
-      value.find_first_of("# \t\r\n") != std::string::npos) {
-    return Status::InvalidArgument(
-        "value '" + value +
-        "' is not representable on the wire (empty, or contains '#' or "
-        "whitespace)");
-  }
+// Appends the next bytes the server sent to *inbuf.
+Status ReadMore(int fd, std::string* inbuf) {
+  char chunk[4096];
+  ssize_t n;
+  do {
+    n = ::read(fd, chunk, sizeof(chunk));
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) return Status::Internal(std::string("read(): ") + std::strerror(errno));
+  if (n == 0) return Status::Internal("server closed the connection");
+  inbuf->append(chunk, static_cast<size_t>(n));
   return Status::OK();
 }
 
@@ -123,14 +123,7 @@ Result<std::string> BagcdClient::ReadLine() {
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }
-    char chunk[4096];
-    ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) {
-      return Status::Internal(std::string("read(): ") + std::strerror(errno));
-    }
-    if (n == 0) return Status::Internal("server closed the connection");
-    inbuf_.append(chunk, static_cast<size_t>(n));
+    BAGC_RETURN_NOT_OK(ReadMore(fd_, &inbuf_));
   }
 }
 
@@ -161,110 +154,26 @@ Result<std::pair<uint8_t, std::string>> BagcdClient::ReadFrame() {
         return std::make_pair(opcode, std::move(payload));
       }
     }
-    char chunk[4096];
-    ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) {
-      return Status::Internal(std::string("read(): ") + std::strerror(errno));
-    }
-    if (n == 0) return Status::Internal("server closed the connection");
-    inbuf_.append(chunk, static_cast<size_t>(n));
+    BAGC_RETURN_NOT_OK(ReadMore(fd_, &inbuf_));
   }
 }
 
-Result<std::vector<std::string>> BagcdClient::FrameToLines(
-    uint8_t opcode, const std::string& payload) {
-  // Mirrors the server's TextSink rendering exactly, so a script driven
-  // through the binary framing yields byte-identical response lines.
-  WireCursor cur(payload);
+Result<std::vector<std::string>> BagcdClient::ReadReplyLines() {
   std::vector<std::string> lines;
-  switch (opcode) {
-    case kFrameOk:
-      lines.push_back("OK " + payload);
-      return lines;
-    case kFrameErr: {
-      uint8_t tag = 0;
-      if (!cur.U8(&tag)) return Status::Internal("malformed Err frame");
-      BAGC_ASSIGN_OR_RETURN(WireError error, WireErrorFromTag(tag));
-      lines.push_back(WireErrLine(
-          error, payload.substr(1)));
-      return lines;
-    }
-    case kFrameVerdict: {
-      uint8_t consistent = 0;
-      uint32_t n = 0;
-      if (!cur.U8(&consistent) || !cur.U32(&n)) {
-        return Status::Internal("malformed Verdict frame");
-      }
-      std::string line = consistent ? "OK CONSISTENT" : "OK INCONSISTENT";
-      for (uint32_t t = 0; t < n; ++t) {
-        uint32_t index = 0;
-        if (!cur.U32(&index)) return Status::Internal("malformed Verdict frame");
-        line += " " + std::to_string(index);
-      }
-      if (!cur.AtEnd()) return Status::Internal("malformed Verdict frame");
-      lines.push_back(std::move(line));
-      return lines;
-    }
-    case kFrameWitnessBag: {
-      uint8_t present = 0;
-      if (!cur.U8(&present)) return Status::Internal("malformed Witness frame");
-      if (present == 0) {
-        if (!cur.AtEnd()) return Status::Internal("malformed Witness frame");
-        lines.push_back("OK NONE");
-        return lines;
-      }
-      uint32_t arity = 0;
-      if (!cur.U32(&arity)) return Status::Internal("malformed Witness frame");
-      std::string header = "bag";
-      for (uint32_t c = 0; c < arity; ++c) {
-        std::string_view name;
-        if (!cur.String(&name)) return Status::Internal("malformed Witness frame");
-        header += " " + std::string(name);
-      }
-      uint64_t nrows = 0;
-      if (!cur.U64(&nrows)) return Status::Internal("malformed Witness frame");
-      lines.push_back("OK WITNESS " + std::to_string(nrows));
-      lines.push_back(std::move(header));
-      for (uint64_t r = 0; r < nrows; ++r) {
-        std::string row;
-        for (uint32_t c = 0; c < arity; ++c) {
-          std::string_view value;
-          if (!cur.String(&value)) {
-            return Status::Internal("malformed Witness frame");
-          }
-          row += std::string(value) + " ";
-        }
-        uint64_t mult = 0;
-        if (!cur.U64(&mult)) return Status::Internal("malformed Witness frame");
-        row += ": " + std::to_string(mult);
-        lines.push_back(std::move(row));
-      }
-      if (!cur.AtEnd()) return Status::Internal("malformed Witness frame");
-      lines.emplace_back("end");
-      lines.emplace_back(kWireEnd);
-      return lines;
-    }
-    case kFrameStats: {
-      uint32_t n = 0;
-      if (!cur.U32(&n)) return Status::Internal("malformed Stats frame");
-      lines.push_back("OK STATS");
-      for (uint32_t t = 0; t < n; ++t) {
-        std::string_view key;
-        uint64_t value = 0;
-        if (!cur.String(&key) || !cur.U64(&value)) {
-          return Status::Internal("malformed Stats frame");
-        }
-        lines.push_back(std::string(key) + " " + std::to_string(value));
-      }
-      if (!cur.AtEnd()) return Status::Internal("malformed Stats frame");
-      lines.emplace_back(kWireEnd);
-      return lines;
-    }
-    default:
-      return Status::Internal("unexpected server frame opcode " +
-                              std::to_string(opcode));
+  BAGC_ASSIGN_OR_RETURN(std::string first, ReadLine());
+  bool body = WireResponseHasBody(first);
+  lines.push_back(std::move(first));
+  while (body) {
+    BAGC_ASSIGN_OR_RETURN(std::string line, ReadLine());
+    body = line != kWireEnd;
+    lines.push_back(std::move(line));
   }
+  return lines;
+}
+
+Result<Response> BagcdClient::ReadReplyFrame() {
+  BAGC_ASSIGN_OR_RETURN(auto frame, ReadFrame());
+  return DecodeResponseFrame(frame.first, frame.second);
 }
 
 Result<std::vector<std::string>> BagcdClient::Command(
@@ -281,13 +190,13 @@ Result<std::vector<std::string>> BagcdClient::Command(
           "' carries a body; ship a DICT/ROWS frame in binary mode");
     }
     BAGC_RETURN_NOT_OK(SendFrame(kFrameCmd, command));
-    auto frame_result = ReadFrame();
-    BAGC_RETURN_NOT_OK(frame_result.status());
-    auto& [opcode, payload] = *frame_result;
+    BAGC_ASSIGN_OR_RETURN(Response response, ReadReplyFrame());
     // CMD TEXT's Ok frame is the last frame on the wire: the connection
     // is line-oriented again from the next byte.
-    if (opcode == kFrameOk && payload == "TEXT") binary_ = false;
-    return FrameToLines(opcode, payload);
+    if (response.kind == Response::Kind::kOk && response.text == "TEXT") binary_ = false;
+    std::string text;
+    AppendResponseText(response, &text);
+    return WireSplitLines(text);
   }
   std::string request = command + "\n";
   if (has_body) {
@@ -295,34 +204,42 @@ Result<std::vector<std::string>> BagcdClient::Command(
     request += std::string(kWireEnd) + "\n";
   }
   BAGC_RETURN_NOT_OK(WriteAll(fd_, request));
-  std::vector<std::string> response;
-  BAGC_ASSIGN_OR_RETURN(std::string first, ReadLine());
-  response.push_back(first);
-  if (WireResponseHasBody(first)) {
-    while (true) {
-      BAGC_ASSIGN_OR_RETURN(std::string line, ReadLine());
-      bool end = line == kWireEnd;
-      response.push_back(std::move(line));
-      if (end) break;
-    }
-  }
+  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, ReadReplyLines());
   // A successful text-mode UPGRADE flips this client to frames too.
-  if (command == "UPGRADE BINARY" && first == "OK UPGRADE BINARY") {
+  if (command == "UPGRADE BINARY" && response.front() == "OK UPGRADE BINARY") {
     binary_ = true;
   }
   return response;
 }
 
-Result<std::pair<int, int>> BagcdClient::Hello() {
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Command("HELLO"));
-  BAGC_RETURN_NOT_OK(ExpectOk(response));
-  std::vector<std::string> tokens = WireTokens(response.front());
-  if (tokens.size() != 6 || tokens[1] != "HELLO" || tokens[2] != "proto" ||
-      tokens[4] != "frames") {
-    return Status::Internal("bad HELLO response: '" + response.front() + "'");
+Result<Response> BagcdClient::Call(const Request& request, Response::Kind expected) {
+  Response response;
+  if (binary_) {
+    BAGC_ASSIGN_OR_RETURN(std::string frame, EncodeRequestFrame(request));
+    BAGC_RETURN_NOT_OK(WriteAll(fd_, frame));
+    BAGC_ASSIGN_OR_RETURN(response, ReadReplyFrame());
+  } else {
+    BAGC_RETURN_NOT_OK(WriteAll(fd_, EncodeTextRequest(request)));
+    BAGC_ASSIGN_OR_RETURN(std::vector<std::string> lines, ReadReplyLines());
+    BAGC_ASSIGN_OR_RETURN(response, DecodeResponseLines(lines));
   }
-  BAGC_ASSIGN_OR_RETURN(uint64_t proto, WireParseUint(tokens[3]));
-  BAGC_ASSIGN_OR_RETURN(uint64_t frames, WireParseUint(tokens[5]));
+  if (response.kind == expected) return response;
+  std::string text;
+  AppendResponseText(response, &text);
+  return Status::Internal("server said: " + text.substr(0, text.find('\n')));
+}
+
+Result<std::pair<int, int>> BagcdClient::Hello() {
+  Request request;
+  request.verb = Verb::kHello;
+  BAGC_ASSIGN_OR_RETURN(Response response, Call(request, Response::Kind::kOk));
+  std::vector<std::string> tokens = WireTokens(response.text);
+  if (tokens.size() != 5 || tokens[0] != "HELLO" || tokens[1] != "proto" ||
+      tokens[3] != "frames") {
+    return Status::Internal("bad HELLO response: 'OK " + response.text + "'");
+  }
+  BAGC_ASSIGN_OR_RETURN(uint64_t proto, WireParseUint(tokens[2]));
+  BAGC_ASSIGN_OR_RETURN(uint64_t frames, WireParseUint(tokens[4]));
   return std::make_pair(static_cast<int>(proto), static_cast<int>(frames));
 }
 
@@ -339,74 +256,21 @@ Status BagcdClient::DowngradeText() {
   return ExpectOk(response);  // Command() flipped binary_ on the OK
 }
 
-Result<std::string> BagcdClient::RoundTripOk(uint8_t opcode,
-                                             std::string_view payload) {
-  BAGC_RETURN_NOT_OK(SendFrame(opcode, payload));
-  auto frame_result = ReadFrame();
-  BAGC_RETURN_NOT_OK(frame_result.status());
-  auto& [got_opcode, got_payload] = *frame_result;
-  if (got_opcode == kFrameOk) return std::move(got_payload);
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> lines,
-                        FrameToLines(got_opcode, got_payload));
-  return Status::Internal("server said: " + lines.front());
-}
-
-Result<std::pair<bool, std::vector<size_t>>> BagcdClient::RoundTripVerdict(
-    uint8_t opcode, std::string_view payload) {
-  BAGC_RETURN_NOT_OK(SendFrame(opcode, payload));
-  auto frame_result = ReadFrame();
-  BAGC_RETURN_NOT_OK(frame_result.status());
-  auto& [got_opcode, got_payload] = *frame_result;
-  if (got_opcode != kFrameVerdict) {
-    BAGC_ASSIGN_OR_RETURN(std::vector<std::string> lines,
-                          FrameToLines(got_opcode, got_payload));
-    return Status::Internal("server said: " + lines.front());
-  }
-  WireCursor cur(got_payload);
-  uint8_t consistent = 0;
-  uint32_t n = 0;
-  if (!cur.U8(&consistent) || !cur.U32(&n)) {
-    return Status::Internal("malformed Verdict frame");
-  }
-  std::vector<size_t> indices;
-  indices.reserve(n);
-  for (uint32_t t = 0; t < n; ++t) {
-    uint32_t index = 0;
-    if (!cur.U32(&index)) return Status::Internal("malformed Verdict frame");
-    indices.push_back(index);
-  }
-  if (!cur.AtEnd()) return Status::Internal("malformed Verdict frame");
-  return std::make_pair(consistent == 1, std::move(indices));
-}
-
 Status BagcdClient::ShipDictionaries(const DictionarySet& dicts,
                                      const Schema& schema,
                                      const AttributeCatalog& catalog) {
   for (AttrId attr : schema.attrs()) {
-    bool already = false;
-    for (AttrId s : shipped_) already = already || s == attr;
-    if (already) continue;
+    if (std::find(shipped_.begin(), shipped_.end(), attr) != shipped_.end()) continue;
     const ValueDictionary* dict = dicts.find_dict(attr);
     if (dict == nullptr) continue;  // nothing to ship for this attribute
     for (const std::string& value : dict->externals()) {
-      BAGC_RETURN_NOT_OK(ValidateWireValue(value));
+      BAGC_RETURN_NOT_OK(WireValidateValue(value));
     }
-    if (binary_) {
-      std::string payload;
-      WireAppendString(&payload, catalog.Name(attr));
-      WireAppendU32(&payload, static_cast<uint32_t>(dict->size()));
-      for (const std::string& value : dict->externals()) {
-        WireAppendString(&payload, value);
-      }
-      BAGC_RETURN_NOT_OK(RoundTripOk(kFrameDict, payload).status());
-    } else {
-      BAGC_ASSIGN_OR_RETURN(
-          std::vector<std::string> response,
-          Command("DICT " + catalog.Name(attr) + " " +
-                      std::to_string(dict->size()),
-                  dict->externals()));
-      BAGC_RETURN_NOT_OK(ExpectOk(response));
-    }
+    Request request;
+    request.verb = Verb::kDict;
+    request.name = catalog.Name(attr);
+    request.lines = dict->externals();
+    BAGC_RETURN_NOT_OK(Call(request, Response::Kind::kOk).status());
     shipped_.push_back(attr);
   }
   return Status::OK();
@@ -414,198 +278,108 @@ Status BagcdClient::ShipDictionaries(const DictionarySet& dicts,
 
 Status BagcdClient::LoadBagU32(const std::string& name, const Bag& bag,
                                const AttributeCatalog& catalog) {
-  if (binary_) {
-    const Schema& schema = bag.schema();
-    std::string payload;
-    // Header + fixed-width row block; sized up front so row streaming is
-    // one append per integer into preallocated storage.
-    payload.reserve(64 + bag.SupportSize() * (schema.arity() * 4 + 8));
-    WireAppendString(&payload, name);
-    WireAppendU32(&payload, static_cast<uint32_t>(schema.arity()));
-    for (AttrId attr : schema.attrs()) {
-      WireAppendString(&payload, catalog.Name(attr));
-    }
-    WireAppendU64(&payload, bag.SupportSize());
-    for (size_t e = 0; e < bag.SupportSize(); ++e) {
-      for (size_t i = 0; i < schema.arity(); ++i) {
-        WireAppendU32(&payload, bag.IdAt(e, i));
-      }
-      WireAppendU64(&payload, bag.MultiplicityAt(e));
-    }
-    return RoundTripOk(kFrameRows, payload).status();
+  const size_t arity = bag.schema().arity();
+  const size_t rows = bag.SupportSize();
+  Request request;
+  request.verb = Verb::kLoadU32;
+  request.name = name;
+  for (AttrId attr : bag.schema().attrs()) request.columns.push_back(catalog.Name(attr));
+  request.ids.resize(arity * rows);
+  request.counts.resize(rows);
+  for (size_t e = 0; e < rows; ++e) {
+    for (size_t i = 0; i < arity; ++i) request.ids[i * rows + e] = bag.IdAt(e, i);
+    request.counts[e] = bag.MultiplicityAt(e);
   }
-  std::string header = "LOADU32 " + name;
-  for (AttrId attr : bag.schema().attrs()) header += " " + catalog.Name(attr);
-  std::vector<std::string> rows;
-  rows.reserve(bag.SupportSize());
-  for (size_t e = 0; e < bag.SupportSize(); ++e) {
-    std::string row;
-    for (size_t i = 0; i < bag.schema().arity(); ++i) {
-      row += std::to_string(bag.IdAt(e, i)) + " ";
-    }
-    row += ": " + std::to_string(bag.MultiplicityAt(e));
-    rows.push_back(std::move(row));
-  }
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Command(header, rows));
-  return ExpectOk(response);
+  return Call(request, Response::Kind::kOk).status();
 }
 
 Status BagcdClient::LoadBagText(const std::string& name, const Bag& bag,
                                 const AttributeCatalog& catalog,
                                 const DictionarySet& dicts) {
-  if (binary_) {
-    // The binary framing has no string-row frame (it exists to avoid
-    // exactly that decode/re-intern cycle); the raw-id path is LoadBagU32.
-    return Status::FailedPrecondition(
-        "LOAD blocks require text mode; use LoadBagU32 in binary mode");
-  }
-  std::string header = "LOAD " + name;
-  for (AttrId attr : bag.schema().attrs()) header += " " + catalog.Name(attr);
-  std::vector<std::string> rows;
-  rows.reserve(bag.SupportSize());
+  Request request;
+  request.verb = Verb::kLoad;
+  request.name = name;
+  for (AttrId attr : bag.schema().attrs()) request.columns.push_back(catalog.Name(attr));
+  request.lines.reserve(bag.SupportSize());
   for (size_t e = 0; e < bag.SupportSize(); ++e) {
     BAGC_ASSIGN_OR_RETURN(std::vector<std::string> tokens,
                           dicts.DecodeRow(bag.schema(), bag.RowAt(e)));
     std::string row;
     for (const std::string& token : tokens) {
-      BAGC_RETURN_NOT_OK(ValidateWireValue(token));
+      BAGC_RETURN_NOT_OK(WireValidateValue(token));
       row += token + " ";
     }
     row += ": " + std::to_string(bag.MultiplicityAt(e));
-    rows.push_back(std::move(row));
+    request.lines.push_back(std::move(row));
   }
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Command(header, rows));
-  return ExpectOk(response);
+  return Call(request, Response::Kind::kOk).status();
 }
 
 Result<size_t> BagcdClient::Seal(bool canonical, size_t threads) {
-  std::string command = "SEAL";
-  if (canonical) command += " CANONICAL";
-  if (threads > 1) command += " THREADS " + std::to_string(threads);
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Command(command));
-  BAGC_RETURN_NOT_OK(ExpectOk(response));
-  std::vector<std::string> tokens = WireTokens(response.front());
-  if (tokens.size() != 4 || tokens[1] != "SEAL") {
-    return Status::Internal("bad SEAL response: '" + response.front() + "'");
+  Request request;
+  request.verb = Verb::kSeal;
+  request.canonical = canonical;
+  request.threads = std::max<size_t>(threads, 1);
+  BAGC_ASSIGN_OR_RETURN(Response response, Call(request, Response::Kind::kOk));
+  // "SEAL <m> bags [<r> reused]"
+  std::vector<std::string> tokens = WireTokens(response.text);
+  if (tokens.size() < 3 || tokens[0] != "SEAL" || tokens[2] != "bags") {
+    return Status::Internal("bad SEAL response: 'OK " + response.text + "'");
   }
-  BAGC_ASSIGN_OR_RETURN(uint64_t bags, WireParseUint(tokens[2]));
+  BAGC_ASSIGN_OR_RETURN(uint64_t bags, WireParseUint(tokens[1]));
   return static_cast<size_t>(bags);
 }
 
 Result<bool> BagcdClient::TwoBag(size_t i, size_t j) {
-  if (binary_) {
-    std::string payload;
-    WireAppendU32(&payload, static_cast<uint32_t>(i));
-    WireAppendU32(&payload, static_cast<uint32_t>(j));
-    BAGC_ASSIGN_OR_RETURN(auto verdict, RoundTripVerdict(kFrameTwoBag, payload));
-    return verdict.first;
-  }
-  BAGC_ASSIGN_OR_RETURN(
-      std::vector<std::string> response,
-      Command("TWOBAG " + std::to_string(i) + " " + std::to_string(j)));
-  BAGC_RETURN_NOT_OK(ExpectOk(response));
-  return response.front() == "OK CONSISTENT";
+  Request request;
+  request.verb = Verb::kTwoBag;
+  request.bag_i = std::to_string(i);
+  request.bag_j = std::to_string(j);
+  BAGC_ASSIGN_OR_RETURN(Response response, Call(request, Response::Kind::kVerdict));
+  return response.consistent;
 }
 
 Result<std::optional<std::pair<size_t, size_t>>> BagcdClient::Pairwise() {
-  if (binary_) {
-    BAGC_ASSIGN_OR_RETURN(auto verdict, RoundTripVerdict(kFramePairwise, {}));
-    if (verdict.first) return std::optional<std::pair<size_t, size_t>>();
-    if (verdict.second.size() != 2) {
-      return Status::Internal("bad PAIRWISE verdict frame");
-    }
-    return std::optional<std::pair<size_t, size_t>>(
-        std::make_pair(verdict.second[0], verdict.second[1]));
-  }
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Command("PAIRWISE"));
-  BAGC_RETURN_NOT_OK(ExpectOk(response));
-  std::vector<std::string> tokens = WireTokens(response.front());
-  if (tokens.size() == 2 && tokens[1] == "CONSISTENT") {
-    return std::optional<std::pair<size_t, size_t>>();
-  }
-  if (tokens.size() == 4 && tokens[1] == "INCONSISTENT") {
-    BAGC_ASSIGN_OR_RETURN(uint64_t i, WireParseUint(tokens[2]));
-    BAGC_ASSIGN_OR_RETURN(uint64_t j, WireParseUint(tokens[3]));
-    return std::optional<std::pair<size_t, size_t>>(
-        std::make_pair(static_cast<size_t>(i), static_cast<size_t>(j)));
-  }
-  return Status::Internal("bad PAIRWISE response: '" + response.front() + "'");
+  Request request;
+  request.verb = Verb::kPairwise;
+  BAGC_ASSIGN_OR_RETURN(Response response, Call(request, Response::Kind::kVerdict));
+  if (response.consistent) return std::optional<std::pair<size_t, size_t>>();
+  if (response.indices.size() != 2) return Status::Internal("bad PAIRWISE verdict");
+  return std::optional<std::pair<size_t, size_t>>(
+      std::make_pair(response.indices[0], response.indices[1]));
 }
 
 Result<bool> BagcdClient::Global() {
-  if (binary_) {
-    BAGC_ASSIGN_OR_RETURN(auto verdict, RoundTripVerdict(kFrameGlobal, {}));
-    return verdict.first;
-  }
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Command("GLOBAL"));
-  BAGC_RETURN_NOT_OK(ExpectOk(response));
-  return response.front() == "OK CONSISTENT";
+  Request request;
+  request.verb = Verb::kGlobal;
+  BAGC_ASSIGN_OR_RETURN(Response response, Call(request, Response::Kind::kVerdict));
+  return response.consistent;
 }
 
 Result<std::optional<std::vector<size_t>>> BagcdClient::KWise(size_t k) {
-  if (binary_) {
-    std::string payload;
-    WireAppendU32(&payload, static_cast<uint32_t>(k));
-    BAGC_ASSIGN_OR_RETURN(auto verdict, RoundTripVerdict(kFrameKWise, payload));
-    if (verdict.first) return std::optional<std::vector<size_t>>();
-    return std::optional<std::vector<size_t>>(std::move(verdict.second));
-  }
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response,
-                        Command("KWISE " + std::to_string(k)));
-  BAGC_RETURN_NOT_OK(ExpectOk(response));
-  std::vector<std::string> tokens = WireTokens(response.front());
-  if (tokens.size() == 2 && tokens[1] == "CONSISTENT") {
-    return std::optional<std::vector<size_t>>();
-  }
-  if (tokens.size() >= 3 && tokens[1] == "INCONSISTENT") {
-    std::vector<size_t> subset;
-    for (size_t t = 2; t < tokens.size(); ++t) {
-      BAGC_ASSIGN_OR_RETURN(uint64_t index, WireParseUint(tokens[t]));
-      subset.push_back(static_cast<size_t>(index));
-    }
-    return std::optional<std::vector<size_t>>(std::move(subset));
-  }
-  return Status::Internal("bad KWISE response: '" + response.front() + "'");
+  Request request;
+  request.verb = Verb::kKWise;
+  request.k = k;
+  BAGC_ASSIGN_OR_RETURN(Response response, Call(request, Response::Kind::kVerdict));
+  if (response.consistent) return std::optional<std::vector<size_t>>();
+  return std::optional<std::vector<size_t>>(std::move(response.indices));
 }
 
 Result<std::optional<std::vector<std::string>>> BagcdClient::Witness(
     size_t i, size_t j, bool minimal) {
-  if (binary_) {
-    std::string payload;
-    WireAppendU32(&payload, static_cast<uint32_t>(i));
-    WireAppendU32(&payload, static_cast<uint32_t>(j));
-    payload.push_back(minimal ? '\1' : '\0');
-    BAGC_RETURN_NOT_OK(SendFrame(kFrameWitness, payload));
-    auto frame_result = ReadFrame();
-    BAGC_RETURN_NOT_OK(frame_result.status());
-    auto& [opcode, frame_payload] = *frame_result;
-    BAGC_ASSIGN_OR_RETURN(std::vector<std::string> lines,
-                          FrameToLines(opcode, frame_payload));
-    if (opcode != kFrameWitnessBag) {
-      return Status::Internal("server said: " + lines.front());
-    }
-    if (lines.front() == "OK NONE") {
-      return std::optional<std::vector<std::string>>();
-    }
-    // FrameToLines renders the text framing exactly: OK line, bag block
-    // lines, END. Strip the envelope, as the text arm below does.
-    return std::optional<std::vector<std::string>>(
-        std::vector<std::string>(lines.begin() + 1, lines.end() - 1));
-  }
-  std::string command =
-      "WITNESS " + std::to_string(i) + " " + std::to_string(j);
-  if (minimal) command += " MINIMAL";
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Command(command));
-  BAGC_RETURN_NOT_OK(ExpectOk(response));
-  if (response.front() == "OK NONE") {
-    return std::optional<std::vector<std::string>>();
-  }
-  if (response.front().rfind("OK WITNESS", 0) != 0 || response.size() < 2 ||
-      response.back() != kWireEnd) {
-    return Status::Internal("bad WITNESS response: '" + response.front() + "'");
-  }
-  return std::optional<std::vector<std::string>>(std::vector<std::string>(
-      response.begin() + 1, response.end() - 1));
+  Request request;
+  request.verb = Verb::kWitness;
+  request.bag_i = std::to_string(i);
+  request.bag_j = std::to_string(j);
+  request.minimal = minimal;
+  BAGC_ASSIGN_OR_RETURN(Response response, Call(request, Response::Kind::kWitness));
+  if (!response.found) return std::optional<std::vector<std::string>>();
+  // The bag block is the text rendering between the OK line and END.
+  std::string text;
+  AppendResponseText(response, &text);
+  std::vector<std::string> lines = WireSplitLines(text);
+  return std::optional<std::vector<std::string>>(
+      std::vector<std::string>(lines.begin() + 1, lines.end() - 1));
 }
 
 namespace {
@@ -686,7 +460,7 @@ Result<size_t> ReplayTranscript(const std::string& host, uint16_t port,
           return Status::Internal(at + ": transcript mismatch\n-" + expected +
                                   "\n+" + got);
         }
-      } else if (WireStrip(line).empty()) {
+      } else if (StripCommentView(line).empty()) {
         continue;  // comment or blank
       } else {
         return Status::InvalidArgument(

@@ -4,11 +4,14 @@
 // CLI and the protocol conformance test use to run the annotated
 // transcript in docs/PROTOCOL.md verbatim against a live server.
 //
-// A client starts in the text framing and may negotiate the binary
-// framing (UpgradeBinary / DowngradeText). Every typed helper — and
-// Command(), which re-renders binary responses as the exact text lines
-// the text framing would have produced — works transparently in either
-// mode, so callers switch framings without changing call sites.
+// Request -> Response, on the server's own codec (server/protocol.h): a
+// typed helper builds a Request, encodes it for the negotiated framing
+// (text lines, or one frame after UpgradeBinary), and decodes the reply
+// into a Response. The helpers therefore never branch on the framing,
+// and callers switch framings (UpgradeBinary / DowngradeText) without
+// changing call sites. Command() sends a raw line and returns the text
+// lines of the reply; in binary mode it renders the reply frame through
+// the server's text encoder, so the lines are byte-identical either way.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "bag/bag.h"
+#include "server/protocol.h"
 #include "tuple/attribute.h"
 #include "tuple/value_dictionary.h"
 #include "util/result.h"
@@ -53,7 +57,7 @@ class BagcdClient {
   /// Returns all response lines; the first is the OK/ERR line. In binary
   /// mode the command travels as a CMD frame (body-carrying commands are
   /// rejected — ship DICT/ROWS frames instead) and the response frame is
-  /// re-rendered as the byte-identical text lines.
+  /// rendered as the byte-identical text lines.
   Result<std::vector<std::string>> Command(const std::string& command,
                                            const std::vector<std::string>& body = {});
 
@@ -120,17 +124,14 @@ class BagcdClient {
  private:
   BagcdClient() = default;
 
-  // Sends `frame_payload` under `opcode`, expects an Ok frame back, and
-  // returns its payload (the OK line sans prefix); an Err frame becomes
-  // the same Status the text path would produce.
-  Result<std::string> RoundTripOk(uint8_t opcode, std::string_view payload);
-  // As RoundTripOk for verdict-shaped queries: (consistent, indices).
-  Result<std::pair<bool, std::vector<size_t>>> RoundTripVerdict(
-      uint8_t opcode, std::string_view payload);
-  // Re-renders one server frame as the text lines the text framing would
-  // have produced for the same response (byte-identical).
-  Result<std::vector<std::string>> FrameToLines(uint8_t opcode,
-                                                const std::string& payload);
+  // One typed round trip in the current framing. A reply of any kind but
+  // `expected` — an Err above all — becomes the Status
+  // "server said: <its first text line>".
+  Result<Response> Call(const Request& request, Response::Kind expected);
+  // Reads one text response: the first line, through END for bodies.
+  Result<std::vector<std::string>> ReadReplyLines();
+  // Reads and decodes one server frame.
+  Result<Response> ReadReplyFrame();
 
   int fd_ = -1;
   std::string banner_;

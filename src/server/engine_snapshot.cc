@@ -1,11 +1,11 @@
 #include "server/engine_snapshot.h"
 
-#include <cctype>
 #include <charconv>
 #include <utility>
 
 #include "bag/bag_io.h"
 #include "core/collection.h"
+#include "server/protocol.h"
 
 namespace bagc {
 
@@ -54,15 +54,6 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::Build(
   return std::shared_ptr<const EngineSnapshot>(std::move(snapshot));
 }
 
-Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::BuildDelta(
-    const std::shared_ptr<const EngineSnapshot>& previous, size_t bag_index,
-    const std::vector<BagDelta>& deltas, uint64_t seq, DeltaOutcome* outcome) {
-  DeltaBatch batch(1);
-  batch[0].bag_index = bag_index;
-  batch[0].deltas = deltas;
-  return BuildDeltaBatch(previous, batch, seq, outcome);
-}
-
 Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::BuildDeltaBatch(
     const std::shared_ptr<const EngineSnapshot>& previous,
     const DeltaBatch& batch, uint64_t seq, DeltaOutcome* outcome) {
@@ -94,11 +85,7 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::BuildDeltaBatch(
 }
 
 Result<size_t> EngineSnapshot::ResolveBag(const std::string& token) const {
-  bool digits = !token.empty();
-  for (char c : token) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) digits = false;
-  }
-  if (digits) {
+  if (WireIsIndex(token)) {
     uint64_t index = 0;
     auto [ptr, ec] =
         std::from_chars(token.data(), token.data() + token.size(), index);

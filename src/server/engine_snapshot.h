@@ -69,28 +69,19 @@ class EngineSnapshot {
   static Result<std::shared_ptr<const EngineSnapshot>> Build(BuildInputs inputs,
                                                              uint64_t seq);
 
-  /// Derives the next generation from `previous` by one bag's delta
-  /// stream (ConsistencyEngine::MakeDelta): every untouched bag's sealed
-  /// state — column stores, marginal slots, cached pair verdicts — is
-  /// adopted by refcount bump, the mutated bag's dirty marginal slots are
-  /// adjusted in place, and the fresh pairwise sweep re-compares only the
-  /// dirty pairs. Catalog, names, and the dictionary clone are shared
-  /// with `previous` (the caller must guarantee no value was interned in
-  /// between). `outcome`, when non-null, receives the dirty pair set and
-  /// changed-slot count. `previous` is untouched: readers mid-query on it
-  /// finish bit-identically. Fails without side effects when the delta is
-  /// invalid (a DELETE below zero multiplicity is OutOfRange).
-  static Result<std::shared_ptr<const EngineSnapshot>> BuildDelta(
-      const std::shared_ptr<const EngineSnapshot>& previous, size_t bag_index,
-      const std::vector<BagDelta>& deltas, uint64_t seq,
-      DeltaOutcome* outcome = nullptr);
-
-  /// BuildDelta generalized to an atomic multi-bag batch
-  /// (ConsistencyEngine::MakeDeltaBatch): one published generation
-  /// carries every listed bag's deltas, with the same adoption/
-  /// invalidation contract per bag, and a failure in any bag builds
-  /// nothing. This is the COMMIT verb's builder and the WAL replay
-  /// unit — one WAL record becomes one BuildDeltaBatch call.
+  /// Derives the next generation from `previous` by an atomic batch of
+  /// per-bag delta streams (ConsistencyEngine::MakeDeltaBatch): every
+  /// untouched bag's sealed state — column stores, marginal slots, cached
+  /// pair verdicts — is adopted by refcount bump, each mutated bag's
+  /// dirty marginal slots are adjusted in place, and the fresh pairwise
+  /// sweep re-compares only the dirty pairs. Catalog, names, and the
+  /// dictionary clone are shared with `previous` (the caller must
+  /// guarantee no value was interned in between). `outcome`, when
+  /// non-null, receives the dirty pair set and changed-slot count.
+  /// `previous` is untouched: readers mid-query on it finish
+  /// bit-identically. A failure in any bag builds nothing (a DELETE below
+  /// zero multiplicity is OutOfRange). This is the INSERT/DELETE/COMMIT
+  /// builder and the WAL replay unit — one WAL record becomes one call.
   static Result<std::shared_ptr<const EngineSnapshot>> BuildDeltaBatch(
       const std::shared_ptr<const EngineSnapshot>& previous,
       const DeltaBatch& batch, uint64_t seq, DeltaOutcome* outcome = nullptr);
@@ -125,7 +116,7 @@ class EngineSnapshot {
 
   uint64_t seq() const { return seq_; }
   /// The catalog/dictionaries the snapshot decodes results through —
-  /// for encoders (binary witness frames) that mirror WriteBagText.
+  /// for the session's witness responses, which mirror WriteBagText.
   const AttributeCatalog& catalog() const { return catalog_; }
   const DictionarySet* dictionaries() const { return dicts_.get(); }
   size_t num_bags() const { return names_.size(); }

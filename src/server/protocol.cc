@@ -1,7 +1,10 @@
 #include "server/protocol.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstring>
+#include <iterator>
+#include <limits>
 
 #include "bag/bag_io.h"
 
@@ -23,19 +26,6 @@ std::string_view WireErrorCode(WireError error) {
   return "E_INTERNAL";
 }
 
-std::string WireErrLine(WireError error, const std::string& message) {
-  std::string flat;
-  flat.reserve(message.size());
-  for (char c : message) flat.push_back(c == '\n' || c == '\r' ? ' ' : c);
-  std::string out = "ERR ";
-  out += WireErrorCode(error);
-  if (!flat.empty()) {
-    out += ' ';
-    out += flat;
-  }
-  return out;
-}
-
 WireError WireErrorForStatus(const Status& status) {
   switch (status.code()) {
     case StatusCode::kOutOfRange:
@@ -52,33 +42,45 @@ WireError WireErrorForStatus(const Status& status) {
   }
 }
 
-std::string WireErrLineForStatus(const Status& status) {
-  return WireErrLine(WireErrorForStatus(status), status.message());
-}
+namespace {
 
-std::string WireStrip(const std::string& line) {
-  // One lexer for the whole system: command lines use exactly the rules
-  // bag IO rows use (bag/bag_io.h).
-  return std::string(StripCommentView(line));
-}
-
-std::vector<std::string> WireTokens(const std::string& line) {
-  // Manual scan, not istringstream: command tokenization sits on the
-  // per-request hot path and stream extraction costs an allocation plus
-  // locale machinery per token.
-  std::vector<std::string> out;
-  std::string_view s = StripCommentView(line);
+// Appends the whitespace-separated tokens of a comment-stripped line as
+// views — the bag IO lexer's rules (bag/bag_io.h), so the whole system
+// has one. A manual scan, not istringstream: tokenizing sits on the
+// per-request and per-row hot paths.
+void SpanTokens(std::string_view s, std::vector<std::string_view>* out) {
+  out->clear();
   size_t i = 0;
   while (i < s.size()) {
     while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
     size_t begin = i;
     while (i < s.size() && s[i] != ' ' && s[i] != '\t') ++i;
-    if (i > begin) out.emplace_back(s.substr(begin, i - begin));
+    if (i > begin) out->push_back(s.substr(begin, i - begin));
   }
-  return out;
 }
 
-bool WireCommandHasBody(const std::string& command) {
+}  // namespace
+
+std::vector<std::string> WireTokens(std::string_view line) {
+  std::vector<std::string_view> spans;
+  SpanTokens(StripCommentView(line), &spans);
+  return std::vector<std::string>(spans.begin(), spans.end());
+}
+
+std::vector<std::string> WireSplitLines(std::string_view text) {
+  std::vector<std::string> lines;
+  size_t begin = 0;
+  while (begin < text.size()) {
+    size_t nl = std::min(text.find('\n', begin), text.size());
+    std::string_view line = text.substr(begin, nl - begin);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    lines.emplace_back(line);
+    begin = nl + 1;
+  }
+  return lines;
+}
+
+bool WireCommandHasBody(std::string_view command) {
   return command == "DICT" || command == "LOAD" || command == "LOADU32" ||
          command == "INSERT" || command == "DELETE";
 }
@@ -88,13 +90,29 @@ bool WireResponseHasBody(const std::string& first_line) {
          first_line.rfind("OK STATS", 0) == 0;
 }
 
-Result<uint64_t> WireParseUint(const std::string& token) {
+Result<uint64_t> WireParseUint(std::string_view token) {
   uint64_t value = 0;
   auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
   if (ec != std::errc() || ptr != token.data() + token.size()) {
-    return Status::InvalidArgument("not a non-negative integer: '" + token + "'");
+    return Status::InvalidArgument("not a non-negative integer: '" +
+                                   std::string(token) + "'");
   }
   return value;
+}
+
+Status WireValidateValue(std::string_view value) {
+  if (value.empty() || value.find_first_of("# \t\r\n") != std::string_view::npos) {
+    return Status::InvalidArgument(
+        "value '" + std::string(value) +
+        "' is not representable on the wire (empty, or contains '#' or "
+        "whitespace)");
+  }
+  return Status::OK();
+}
+
+bool WireIsIndex(std::string_view token) {
+  return !token.empty() &&
+         std::all_of(token.begin(), token.end(), [](char c) { return c >= '0' && c <= '9'; });
 }
 
 uint8_t WireErrorTag(WireError error) { return static_cast<uint8_t>(error); }
@@ -104,11 +122,6 @@ Result<WireError> WireErrorFromTag(uint8_t tag) {
     return Status::InvalidArgument("unknown error tag " + std::to_string(tag));
   }
   return static_cast<WireError>(tag);
-}
-
-void WireAppendU16(std::string* out, uint16_t v) {
-  char b[2] = {static_cast<char>(v & 0xff), static_cast<char>(v >> 8)};
-  out->append(b, sizeof(b));
 }
 
 void WireAppendU32(std::string* out, uint32_t v) {
@@ -157,24 +170,701 @@ bool CursorLoad(std::string_view data, size_t* pos, bool* ok, T* v) {
 }  // namespace
 
 bool WireCursor::U8(uint8_t* v) { return CursorLoad(data_, &pos_, &ok_, v); }
-bool WireCursor::U16(uint16_t* v) { return CursorLoad(data_, &pos_, &ok_, v); }
 bool WireCursor::U32(uint32_t* v) { return CursorLoad(data_, &pos_, &ok_, v); }
 bool WireCursor::U64(uint64_t* v) { return CursorLoad(data_, &pos_, &ok_, v); }
 
-bool WireCursor::Bytes(size_t n, std::string_view* v) {
-  if (!ok_ || data_.size() - pos_ < n) {
+bool WireCursor::String(std::string_view* v) {
+  uint32_t len = 0;
+  if (!U32(&len) || data_.size() - pos_ < len) {
     ok_ = false;
     return false;
   }
-  *v = data_.substr(pos_, n);
-  pos_ += n;
+  *v = data_.substr(pos_, len);
+  pos_ += len;
   return true;
 }
 
-bool WireCursor::String(std::string_view* v) {
-  uint32_t len = 0;
-  if (!U32(&len)) return false;
-  return Bytes(len, v);
+// ---- Requests -------------------------------------------------------------
+
+namespace {
+
+// Ceiling for SEAL THREADS <n>: generous for any real host, small
+// enough that thread-spawn can't exhaust process resources.
+constexpr uint64_t kMaxSealThreads = 64;
+
+// Indexed by Verb.
+constexpr std::string_view kVerbNames[] = {
+    "HELLO", "UPGRADE", "TEXT",   "QUIT",   "SHUTDOWN", "DICT",     "LOAD",   "LOADU32",
+    "INSERT", "DELETE", "LOADSEG", "DROP",  "SEAL",     "RESET",    "ATTACH", "DETACH",
+    "BEGIN", "COMMIT",  "STATS",  "TWOBAG", "PAIRWISE", "GLOBAL",   "KWISE",  "WITNESS"};
+
+// The verbs with a frame of their own; every other verb travels as CMD.
+constexpr std::pair<uint8_t, Verb> kVerbFrames[] = {
+    {kFrameDict, Verb::kDict},         {kFrameRows, Verb::kLoadU32},
+    {kFrameTwoBag, Verb::kTwoBag},     {kFramePairwise, Verb::kPairwise},
+    {kFrameGlobal, Verb::kGlobal},     {kFrameKWise, Verb::kKWise},
+    {kFrameWitness, Verb::kWitness},   {kFrameInsert, Verb::kInsert},
+    {kFrameDelete, Verb::kDelete},     {kFrameBegin, Verb::kBegin},
+    {kFrameCommit, Verb::kCommit}};
+
+std::string FrameName(Verb verb) {
+  return verb == Verb::kLoadU32 ? "ROWS" : std::string(VerbName(verb));
+}
+
+Status Usage(const std::string& form) {
+  return Status::InvalidArgument("usage: " + form);
+}
+
+// The row-block grammar LOADU32 and INSERT/DELETE share in the text
+// framing: one "id... : count" line per row (blank and comment lines
+// skipped), one id per header column.
+Status DecodeTextRows(const std::vector<std::string>& body, Request* r) {
+  const size_t arity = r->columns.size();
+  std::vector<std::string_view> rows;
+  rows.reserve(body.size());
+  for (const std::string& raw : body) {
+    std::string_view line = StripCommentView(raw);
+    if (!line.empty()) rows.push_back(line);
+  }
+  r->ids.resize(arity * rows.size());
+  r->counts.resize(rows.size());
+  std::vector<std::string_view> tokens;
+  for (size_t row = 0; row < rows.size(); ++row) {
+    SpanTokens(rows[row], &tokens);
+    if (tokens.size() != arity + 2 || tokens[arity] != ":") {
+      return Status::InvalidArgument("bad tuple line: '" + std::string(rows[row]) + "'");
+    }
+    for (size_t c = 0; c < arity; ++c) {
+      BAGC_ASSIGN_OR_RETURN(uint64_t id, WireParseUint(tokens[c]));
+      if (id > std::numeric_limits<uint32_t>::max()) {
+        return Status::OutOfRange("row id " + std::string(tokens[c]) +
+                                  " is wider than a u32 id");
+      }
+      r->ids[c * rows.size() + row] = static_cast<uint32_t>(id);
+    }
+    BAGC_ASSIGN_OR_RETURN(r->counts[row], WireParseUint(tokens[arity + 1]));
+  }
+  return Status::OK();
+}
+
+// The ROWS payload grammar the ROWS, INSERT, and DELETE frames share:
+// String bag name, u32 arity, arity × String attributes, u64 nrows, then
+// exactly nrows × (arity × u32 ids, u64 count).
+Status DecodeFrameRows(WireCursor* cur, Request* r) {
+  const std::string frame = FrameName(r->verb);
+  std::string_view name;
+  uint32_t ncols = 0;
+  if (!cur->String(&name) || !cur->U32(&ncols) || ncols == 0) {
+    return Status::InvalidArgument("malformed " + frame + " frame header");
+  }
+  r->name = name;
+  // Every column costs at least its 4-byte length: a hostile arity must
+  // not size an allocation the payload cannot back.
+  r->columns.reserve(std::min<size_t>(ncols, cur->remaining() / 4));
+  for (uint32_t c = 0; c < ncols; ++c) {
+    std::string_view col;
+    if (!cur->String(&col)) {
+      return Status::InvalidArgument("malformed " + frame + " frame header");
+    }
+    r->columns.emplace_back(col);
+  }
+  uint64_t nrows = 0;
+  if (!cur->U64(&nrows)) {
+    return Status::InvalidArgument("malformed " + frame + " frame header");
+  }
+  const uint64_t row_bytes = uint64_t{ncols} * 4 + 8;
+  if (nrows != cur->remaining() / row_bytes || cur->remaining() % row_bytes != 0) {
+    return Status::InvalidArgument(frame + " frame declares " + std::to_string(nrows) +
+                                   " rows but carries " +
+                                   std::to_string(cur->remaining()) +
+                                   " bytes of row data");
+  }
+  r->ids.resize(ncols * nrows);
+  r->counts.resize(nrows);
+  for (uint64_t row = 0; row < nrows; ++row) {
+    for (uint32_t c = 0; c < ncols; ++c) cur->U32(&r->ids[c * nrows + row]);
+    cur->U64(&r->counts[row]);
+  }
+  return Status::OK();
+}
+
+// The command line of a request (no newline): what a text client sends,
+// and the payload of a CMD frame.
+std::string RequestLine(const Request& r) {
+  std::string line(VerbName(r.verb));
+  auto arg = [&line](std::string_view token) {
+    line += ' ';
+    line += token;
+  };
+  switch (r.verb) {
+    case Verb::kUpgrade:
+      arg("BINARY");
+      break;
+    case Verb::kReset:
+      if (r.hard) arg("HARD");
+      break;
+    case Verb::kSeal:
+      if (r.canonical) arg("CANONICAL");
+      if (r.full) arg("FULL");
+      if (r.threads != 1) arg("THREADS " + std::to_string(r.threads));
+      break;
+    case Verb::kTwoBag:
+    case Verb::kWitness:
+      arg(r.bag_i);
+      arg(r.bag_j);
+      if (r.minimal) arg("MINIMAL");
+      break;
+    case Verb::kKWise:
+      arg(std::to_string(r.k));
+      break;
+    case Verb::kDict:
+      arg(r.name);
+      arg(std::to_string(r.lines.size()));
+      break;
+    case Verb::kLoad:
+    case Verb::kLoadU32:
+    case Verb::kInsert:
+    case Verb::kDelete:
+      arg(r.name);
+      for (const std::string& col : r.columns) arg(col);
+      break;
+    default:  // ATTACH, DROP, LOADSEG, STATS [<collection>]
+      if (!r.name.empty()) arg(r.name);
+  }
+  return line;
+}
+
+}  // namespace
+
+std::string_view VerbName(Verb verb) { return kVerbNames[static_cast<size_t>(verb)]; }
+
+Result<Request> DecodeTextRequest(const std::vector<std::string>& tokens,
+                                  std::vector<std::string> body) {
+  const std::string& cmd = tokens[0];
+  const size_t n = tokens.size();
+  const auto* name = std::find(std::begin(kVerbNames), std::end(kVerbNames), cmd);
+  if (name == std::end(kVerbNames)) {
+    return Status::InvalidArgument("unknown command '" + cmd + "'");
+  }
+  Request r;
+  r.verb = static_cast<Verb>(name - std::begin(kVerbNames));
+  switch (r.verb) {
+    case Verb::kText:
+    case Verb::kQuit:
+    case Verb::kShutdown:
+    case Verb::kPairwise:
+    case Verb::kGlobal:
+      break;  // protocol v1 ignores any operands here
+    case Verb::kHello:
+    case Verb::kDetach:
+    case Verb::kBegin:
+    case Verb::kCommit:
+      if (n != 1) return Usage(cmd);
+      break;
+    case Verb::kUpgrade:
+      if (n != 2 || tokens[1] != "BINARY") return Usage("UPGRADE BINARY");
+      break;
+    case Verb::kReset:
+      r.hard = n == 2 && tokens[1] == "HARD";
+      if (n > 2 || (n == 2 && !r.hard)) return Usage("RESET [HARD]");
+      break;
+    case Verb::kAttach:
+    case Verb::kDrop:
+    case Verb::kLoadSeg:
+      if (n != 2) {
+        return Usage(cmd + (r.verb == Verb::kAttach ? " <collection>"
+                            : r.verb == Verb::kDrop ? " <bag-name>"
+                                                    : " <path>"));
+      }
+      r.name = tokens[1];
+      break;
+    case Verb::kStats:
+      if (n > 2) return Usage("STATS [<collection>]");
+      if (n == 2) r.name = tokens[1];
+      break;
+    case Verb::kSeal:
+      for (size_t i = 1; i < n; ++i) {
+        if (tokens[i] == "CANONICAL") {
+          r.canonical = true;
+        } else if (tokens[i] == "FULL") {
+          r.full = true;
+        } else if (tokens[i] == "THREADS" && i + 1 < n) {
+          Result<uint64_t> threads = WireParseUint(tokens[++i]);
+          if (!threads.ok() || *threads == 0) {
+            return Status::InvalidArgument("THREADS needs a positive integer");
+          }
+          // One protocol line must not be able to crash the daemon:
+          // spawning an absurd worker count throws std::system_error out
+          // of std::thread and terminates the process for every client.
+          if (*threads > kMaxSealThreads) {
+            return Status::OutOfRange("THREADS must be at most " +
+                                      std::to_string(kMaxSealThreads));
+          }
+          r.threads = *threads;
+        } else {
+          return Usage("SEAL [CANONICAL] [FULL] [THREADS <n>]");
+        }
+      }
+      break;
+    case Verb::kTwoBag:
+    case Verb::kWitness:
+      r.minimal = r.verb == Verb::kWitness && n == 4 && tokens[3] == "MINIMAL";
+      if (n != 3 && !r.minimal) {
+        return Usage(r.verb == Verb::kTwoBag ? "TWOBAG <i> <j>" : "WITNESS <i> <j> [MINIMAL]");
+      }
+      r.bag_i = tokens[1];
+      r.bag_j = tokens[2];
+      break;
+    case Verb::kKWise: {
+      if (n != 2) return Usage("KWISE <k>");
+      BAGC_ASSIGN_OR_RETURN(r.k, WireParseUint(tokens[1]));
+      break;
+    }
+    case Verb::kDict: {
+      if (n != 3) return Usage("DICT <attribute> <count>");
+      r.name = tokens[1];
+      BAGC_ASSIGN_OR_RETURN(uint64_t count, WireParseUint(tokens[2]));
+      for (const std::string& raw : body) {
+        std::vector<std::string> value = WireTokens(raw);
+        if (value.empty()) continue;  // blank / comment line
+        if (value.size() != 1) {
+          return Status::InvalidArgument("dictionary values are one token per line");
+        }
+        r.lines.push_back(std::move(value[0]));
+      }
+      if (r.lines.size() != count) {
+        return Status::InvalidArgument("DICT " + r.name + " declared " +
+                                       std::to_string(count) + " values but shipped " +
+                                       std::to_string(r.lines.size()));
+      }
+      break;
+    }
+    case Verb::kLoad:
+    case Verb::kLoadU32:
+    case Verb::kInsert:
+    case Verb::kDelete:
+      if (n < 3) return Usage(cmd + " <bag-name> <attribute...>");
+      r.name = tokens[1];
+      r.columns.assign(tokens.begin() + 2, tokens.end());
+      if (r.verb == Verb::kLoad) {
+        r.lines = std::move(body);
+      } else {
+        BAGC_RETURN_NOT_OK(DecodeTextRows(body, &r));
+      }
+      break;
+  }
+  return r;
+}
+
+Result<Request> DecodeRequestFrame(uint8_t opcode, std::string_view payload) {
+  if (opcode == kFrameCmd) {
+    std::vector<std::string> tokens = WireTokens(payload);
+    if (tokens.empty()) return Status::InvalidArgument("empty command frame");
+    if (WireCommandHasBody(tokens[0])) {
+      // Bodies are line-framed; inside the binary framing they travel as
+      // DICT/ROWS/INSERT/DELETE frames instead.
+      const std::string& cmd = tokens[0];
+      return Status::FailedPrecondition(
+          cmd + " blocks are not available in binary mode; ship a " +
+          (cmd == "LOAD" || cmd == "LOADU32" ? "ROWS" : cmd) + " frame");
+    }
+    return DecodeTextRequest(tokens);
+  }
+  const auto* entry = std::find_if(std::begin(kVerbFrames), std::end(kVerbFrames),
+                                   [opcode](const auto& e) { return e.first == opcode; });
+  if (entry == std::end(kVerbFrames)) {
+    // The frame boundary is still known, so the stream can continue.
+    return Status::InvalidArgument("unknown frame opcode " + std::to_string(opcode));
+  }
+  Request r;
+  r.verb = entry->second;
+  WireCursor cur(payload);
+  switch (r.verb) {
+    case Verb::kDict: {
+      std::string_view attr;
+      uint32_t count = 0;
+      if (!cur.String(&attr) || !cur.U32(&count)) {
+        return Status::InvalidArgument("malformed DICT frame header");
+      }
+      r.name = attr;
+      r.lines.reserve(std::min<size_t>(count, cur.remaining() / 4));
+      for (std::string_view value; r.lines.size() < count && cur.String(&value);) {
+        r.lines.emplace_back(value);
+      }
+      if (r.lines.size() != count) {
+        return Status::InvalidArgument("DICT " + r.name + " declared " +
+                                       std::to_string(count) + " values but shipped " +
+                                       std::to_string(r.lines.size()));
+      }
+      if (!cur.AtEnd()) return Status::InvalidArgument("trailing bytes in DICT frame");
+      // Later text-mode responses decode through this dictionary, so a
+      // frame may carry only what the text framing could.
+      BAGC_RETURN_NOT_OK(WireValidateValue(r.name));
+      for (const std::string& value : r.lines) BAGC_RETURN_NOT_OK(WireValidateValue(value));
+      break;
+    }
+    case Verb::kLoadU32:
+    case Verb::kInsert:
+    case Verb::kDelete:
+      BAGC_RETURN_NOT_OK(DecodeFrameRows(&cur, &r));
+      break;
+    case Verb::kTwoBag:
+    case Verb::kWitness: {
+      uint32_t i = 0, j = 0;
+      uint8_t minimal = 0;
+      const bool witness = r.verb == Verb::kWitness;
+      if (!cur.U32(&i) || !cur.U32(&j) || (witness && !cur.U8(&minimal)) ||
+          !cur.AtEnd() || minimal > 1) {
+        return Status::InvalidArgument(witness ? "WITNESS frame carries u32 i, u32 j, u8 minimal"
+                                               : "TWOBAG frame carries u32 i, u32 j");
+      }
+      r.bag_i = std::to_string(i);
+      r.bag_j = std::to_string(j);
+      r.minimal = minimal == 1;
+      break;
+    }
+    case Verb::kKWise: {
+      uint32_t k = 0;
+      if (!cur.U32(&k) || !cur.AtEnd()) {
+        return Status::InvalidArgument("KWISE frame carries u32 k");
+      }
+      r.k = k;
+      break;
+    }
+    default:  // PAIRWISE, GLOBAL, BEGIN, COMMIT
+      if (!payload.empty()) {
+        return Status::InvalidArgument(FrameName(r.verb) + " frame carries no payload");
+      }
+  }
+  return r;
+}
+
+std::string EncodeTextRequest(const Request& r) {
+  std::string out = RequestLine(r);
+  out += '\n';
+  if (!WireCommandHasBody(VerbName(r.verb))) return out;
+  for (const std::string& line : r.lines) {
+    out += line;
+    out += '\n';
+  }
+  const size_t rows = r.num_rows();
+  for (size_t row = 0; row < rows; ++row) {
+    for (size_t c = 0; c < r.columns.size(); ++c) {
+      out += std::to_string(r.ids[c * rows + row]);
+      out += ' ';
+    }
+    out += ": " + std::to_string(r.counts[row]) + "\n";
+  }
+  out += kWireEnd;
+  out += '\n';
+  return out;
+}
+
+Result<std::string> EncodeRequestFrame(const Request& r) {
+  if (r.verb == Verb::kLoad) {
+    // The binary framing has no string-row frame (it exists to avoid
+    // exactly that decode/re-intern cycle); the raw-id path is LOADU32.
+    return Status::FailedPrecondition(
+        "LOAD blocks require text mode; use LoadBagU32 in binary mode");
+  }
+  const auto* entry = std::find_if(std::begin(kVerbFrames), std::end(kVerbFrames),
+                                   [&r](const auto& e) { return e.second == r.verb; });
+  const uint8_t opcode = entry == std::end(kVerbFrames) ? kFrameCmd : entry->first;
+  std::string payload;
+  auto index = [](const std::string& ref) -> Result<uint32_t> {
+    Result<uint64_t> i = WireParseUint(ref);
+    if (!i.ok() || *i > std::numeric_limits<uint32_t>::max()) {
+      return Status::InvalidArgument("frames address bags by u32 index, not '" + ref + "'");
+    }
+    return static_cast<uint32_t>(*i);
+  };
+  switch (r.verb) {
+    case Verb::kDict:
+      WireAppendString(&payload, r.name);
+      WireAppendU32(&payload, static_cast<uint32_t>(r.lines.size()));
+      for (const std::string& value : r.lines) WireAppendString(&payload, value);
+      break;
+    case Verb::kLoadU32:
+    case Verb::kInsert:
+    case Verb::kDelete: {
+      const size_t rows = r.num_rows();
+      // Sized up front: row streaming is one append per integer.
+      payload.reserve(64 + rows * (r.columns.size() * 4 + 8));
+      WireAppendString(&payload, r.name);
+      WireAppendU32(&payload, static_cast<uint32_t>(r.columns.size()));
+      for (const std::string& col : r.columns) WireAppendString(&payload, col);
+      WireAppendU64(&payload, rows);
+      for (size_t row = 0; row < rows; ++row) {
+        for (size_t c = 0; c < r.columns.size(); ++c) {
+          WireAppendU32(&payload, r.ids[c * rows + row]);
+        }
+        WireAppendU64(&payload, r.counts[row]);
+      }
+      break;
+    }
+    case Verb::kTwoBag:
+    case Verb::kWitness: {
+      BAGC_ASSIGN_OR_RETURN(uint32_t i, index(r.bag_i));
+      BAGC_ASSIGN_OR_RETURN(uint32_t j, index(r.bag_j));
+      WireAppendU32(&payload, i);
+      WireAppendU32(&payload, j);
+      if (r.verb == Verb::kWitness) payload.push_back(r.minimal ? '\1' : '\0');
+      break;
+    }
+    case Verb::kKWise:
+      if (r.k > std::numeric_limits<uint32_t>::max()) {
+        return Status::InvalidArgument("KWISE frames carry a u32 k");
+      }
+      WireAppendU32(&payload, static_cast<uint32_t>(r.k));
+      break;
+    default:  // empty-payload frames, or a CMD frame carrying the line
+      if (opcode == kFrameCmd) payload = RequestLine(r);
+  }
+  std::string frame;
+  WireAppendFrame(&frame, opcode, payload);
+  return frame;
+}
+
+// ---- Responses ------------------------------------------------------------
+
+Response Response::Ok(std::string text) {
+  Response r;
+  r.text = std::move(text);
+  return r;
+}
+
+Response Response::Err(WireError error, std::string message) {
+  Response r;
+  r.kind = Kind::kErr;
+  r.error = error;
+  r.text = std::move(message);
+  return r;
+}
+
+Response Response::Error(const Status& status) {
+  return Err(WireErrorForStatus(status), status.message());
+}
+
+Response Response::Verdict(bool consistent, std::vector<size_t> indices) {
+  Response r;
+  r.kind = Kind::kVerdict;
+  r.consistent = consistent;
+  r.indices = std::move(indices);
+  return r;
+}
+
+void AppendResponseText(const Response& r, std::string* out) {
+  switch (r.kind) {
+    case Response::Kind::kOk:
+      *out += "OK ";
+      *out += r.text;
+      break;
+    case Response::Kind::kErr:
+      // "ERR <code> <message>", the message flattened to one line.
+      *out += "ERR ";
+      *out += WireErrorCode(r.error);
+      if (!r.text.empty()) *out += ' ';
+      for (char c : r.text) out->push_back(c == '\n' || c == '\r' ? ' ' : c);
+      break;
+    case Response::Kind::kVerdict:
+      *out += r.consistent ? "OK CONSISTENT" : "OK INCONSISTENT";
+      for (size_t index : r.indices) *out += " " + std::to_string(index);
+      break;
+    case Response::Kind::kWitness: {
+      if (!r.found) {
+        *out += "OK NONE";
+        break;
+      }
+      // The bag IO block (WriteBag's layout) between the OK line and END.
+      *out += "OK WITNESS " + std::to_string(r.mults.size()) + "\nbag";
+      for (const std::string& attr : r.attrs) *out += " " + attr;
+      for (size_t row = 0; row < r.mults.size(); ++row) {
+        *out += '\n';
+        for (size_t c = 0; c < r.attrs.size(); ++c) {
+          *out += r.values[row * r.attrs.size() + c];
+          *out += ' ';
+        }
+        *out += ": " + std::to_string(r.mults[row]);
+      }
+      *out += "\nend\n";
+      *out += kWireEnd;
+      break;
+    }
+    case Response::Kind::kStats:
+      *out += "OK STATS";
+      for (const auto& [key, value] : r.stats) {
+        *out += "\n" + key + " " + std::to_string(value);
+      }
+      *out += '\n';
+      *out += kWireEnd;
+      break;
+  }
+  *out += '\n';
+}
+
+void AppendResponseFrame(const Response& r, std::string* out) {
+  std::string payload;
+  uint8_t opcode = kFrameOk;
+  switch (r.kind) {
+    case Response::Kind::kOk:
+      WireAppendFrame(out, kFrameOk, r.text);
+      return;
+    case Response::Kind::kErr:
+      opcode = kFrameErr;
+      payload.push_back(static_cast<char>(WireErrorTag(r.error)));
+      payload += r.text;
+      break;
+    case Response::Kind::kVerdict:
+      opcode = kFrameVerdict;
+      payload.push_back(r.consistent ? '\1' : '\0');
+      WireAppendU32(&payload, static_cast<uint32_t>(r.indices.size()));
+      for (size_t index : r.indices) WireAppendU32(&payload, static_cast<uint32_t>(index));
+      break;
+    case Response::Kind::kWitness:
+      opcode = kFrameWitnessBag;
+      payload.push_back(r.found ? '\1' : '\0');
+      if (!r.found) break;
+      WireAppendU32(&payload, static_cast<uint32_t>(r.attrs.size()));
+      for (const std::string& attr : r.attrs) WireAppendString(&payload, attr);
+      WireAppendU64(&payload, r.mults.size());
+      for (size_t row = 0; row < r.mults.size(); ++row) {
+        for (size_t c = 0; c < r.attrs.size(); ++c) {
+          WireAppendString(&payload, r.values[row * r.attrs.size() + c]);
+        }
+        WireAppendU64(&payload, r.mults[row]);
+      }
+      break;
+    case Response::Kind::kStats:
+      opcode = kFrameStats;
+      WireAppendU32(&payload, static_cast<uint32_t>(r.stats.size()));
+      for (const auto& [key, value] : r.stats) {
+        WireAppendString(&payload, key);
+        WireAppendU64(&payload, value);
+      }
+      break;
+  }
+  WireAppendFrame(out, opcode, payload);
+}
+
+Result<Response> DecodeResponseLines(const std::vector<std::string>& lines) {
+  const std::string first = lines.empty() ? std::string() : lines.front();
+  const Status malformed = Status::Internal("malformed response: '" + first + "'");
+  const std::vector<std::string> head = WireTokens(first);
+  if (head.size() >= 2 && head[0] == "ERR") {
+    for (uint8_t tag = 0; tag <= WireErrorTag(WireError::kInternal); ++tag) {
+      const WireError error = static_cast<WireError>(tag);
+      if (WireErrorCode(error) != head[1]) continue;
+      const size_t space = first.find(' ', 4);
+      return Response::Err(error, space == std::string::npos ? "" : first.substr(space + 1));
+    }
+    return malformed;
+  }
+  if (head.size() < 2 || head[0] != "OK") return malformed;
+  if (head[1] == "CONSISTENT" || head[1] == "INCONSISTENT") {
+    Response verdict = Response::Verdict(head[1] == "CONSISTENT");
+    for (size_t t = 2; t < head.size(); ++t) {
+      BAGC_ASSIGN_OR_RETURN(uint64_t index, WireParseUint(head[t]));
+      verdict.indices.push_back(static_cast<size_t>(index));
+    }
+    return verdict;
+  }
+  Response r;
+  if (first == "OK NONE" || (head[1] == "WITNESS" && head.size() == 3)) {
+    r.kind = Response::Kind::kWitness;
+    r.found = first != "OK NONE";
+    if (!r.found) return r;
+    // OK line, "bag <attrs...>", rows, "end", END.
+    std::vector<std::string> header = lines.size() >= 4 ? WireTokens(lines[1]) : head;
+    if (header[0] != "bag" || lines[lines.size() - 2] != "end" || lines.back() != kWireEnd) {
+      return malformed;
+    }
+    r.attrs.assign(header.begin() + 1, header.end());
+    const size_t arity = r.attrs.size();
+    for (size_t l = 2; l + 2 < lines.size(); ++l) {
+      std::vector<std::string> row = WireTokens(lines[l]);
+      if (row.size() != arity + 2 || row[arity] != ":") return malformed;
+      BAGC_ASSIGN_OR_RETURN(uint64_t mult, WireParseUint(row.back()));
+      r.values.insert(r.values.end(), row.begin(), row.begin() + arity);
+      r.mults.push_back(mult);
+    }
+    return r;
+  }
+  if (first == "OK STATS") {
+    r.kind = Response::Kind::kStats;
+    if (lines.back() != kWireEnd) return malformed;
+    for (size_t l = 1; l + 1 < lines.size(); ++l) {
+      std::vector<std::string> kv = WireTokens(lines[l]);
+      if (kv.size() != 2) return malformed;
+      BAGC_ASSIGN_OR_RETURN(uint64_t value, WireParseUint(kv[1]));
+      r.stats.emplace_back(kv[0], value);
+    }
+    return r;
+  }
+  return Response::Ok(first.substr(3));
+}
+
+Result<Response> DecodeResponseFrame(uint8_t opcode, std::string_view payload) {
+  WireCursor cur(payload);
+  Response r;
+  switch (opcode) {
+    case kFrameOk:
+      return Response::Ok(std::string(payload));
+    case kFrameErr: {
+      uint8_t tag = 0;
+      if (!cur.U8(&tag)) break;
+      BAGC_ASSIGN_OR_RETURN(WireError error, WireErrorFromTag(tag));
+      return Response::Err(error, std::string(payload.substr(1)));
+    }
+    case kFrameVerdict: {
+      uint8_t consistent = 0;
+      uint32_t n = 0;
+      if (!cur.U8(&consistent) || !cur.U32(&n) || n > cur.remaining() / 4) break;
+      r = Response::Verdict(consistent == 1);
+      for (uint32_t index = 0; r.indices.size() < n && cur.U32(&index);) {
+        r.indices.push_back(index);
+      }
+      if (cur.AtEnd()) return r;
+      break;
+    }
+    case kFrameWitnessBag: {
+      uint8_t found = 0;
+      uint32_t arity = 0;
+      uint64_t rows = 0;
+      r.kind = Response::Kind::kWitness;
+      if (!cur.U8(&found)) break;
+      r.found = found == 1;
+      if (!r.found) {
+        if (cur.AtEnd()) return r;
+        break;
+      }
+      std::string_view s;
+      if (!cur.U32(&arity)) break;
+      while (r.attrs.size() < arity && cur.String(&s)) r.attrs.emplace_back(s);
+      if (!cur.U64(&rows)) break;
+      for (uint64_t row = 0; row < rows && cur.ok(); ++row) {
+        for (uint32_t c = 0; c < arity && cur.String(&s); ++c) r.values.emplace_back(s);
+        uint64_t mult = 0;
+        if (cur.U64(&mult)) r.mults.push_back(mult);
+      }
+      if (cur.AtEnd()) return r;
+      break;
+    }
+    case kFrameStats: {
+      uint32_t n = 0;
+      r.kind = Response::Kind::kStats;
+      if (!cur.U32(&n)) break;
+      std::string_view key;
+      uint64_t value = 0;
+      while (r.stats.size() < n && cur.String(&key) && cur.U64(&value)) {
+        r.stats.emplace_back(std::string(key), value);
+      }
+      if (cur.AtEnd()) return r;
+      break;
+    }
+    default:
+      return Status::Internal("unexpected server frame opcode " + std::to_string(opcode));
+  }
+  return Status::Internal("malformed server frame (opcode " + std::to_string(opcode) + ")");
 }
 
 }  // namespace bagc

@@ -1,29 +1,27 @@
-// Wire-level vocabulary of the bagcd session protocol (version 1). The
-// protocol is line-oriented text over a byte stream: one command per
-// line, space-separated tokens, body-carrying commands (DICT / LOAD /
-// LOADU32) followed by raw lines up to a terminating "END". Responses
-// are a single "OK ..." or "ERR <code> ..." line, except WITNESS and
-// STATS whose OK form opens a body that also ends with "END". The
-// multi-tenant verbs — ATTACH/DETACH (bind a session to a named
-// collection), DROP (unload one staged bag), per-collection STATS, and
-// the SEAL FULL opt-out of incremental re-seals — are additive: a v1
-// client never sends them and sees byte-identical responses. The full
-// grammar, the session lifecycle, and an annotated transcript live in
-// docs/PROTOCOL.md — this header is the single in-code source of the
-// literal strings both sides (ServerSession, BagcdClient) must agree on.
+// Wire-level vocabulary of the bagcd session protocol (version 1), and
+// the one codec both ends use.
 //
-// A session may also negotiate the *binary framing* ("UPGRADE BINARY"):
-// after the OK, both directions switch from lines to length-prefixed
-// little-endian frames ([u32 payload length][u8 opcode][payload]). The
-// frame vocabulary — opcodes, integer widths, payload grammars — lives
-// here too, as shared append/read helpers, so the server-side encoder
-// (session.cc) and the client-side decoder (client.cc) cannot drift.
-// "CMD TEXT" (a kFrameCmd carrying the verb TEXT) drops back to lines.
+// Request -> dispatch -> Response. The protocol has two framings of one
+// message set: line-oriented text (one command per line, body-carrying
+// commands followed by raw lines up to "END") and, after "UPGRADE
+// BINARY", length-prefixed little-endian frames ([u32 payload length]
+// [u8 opcode][payload]). A text command (with its body) and a frame both
+// decode into a Request; the server dispatches it once and answers with
+// one Response, which the negotiated framing encodes. BagcdClient runs
+// the same codec the other way round — it encodes Requests and decodes
+// replies into Responses — so neither the two framings nor the two ends
+// can drift. "CMD TEXT" (a kFrameCmd carrying the verb TEXT) drops back
+// to lines.
+//
+// The full grammar, the session lifecycle, and annotated transcripts
+// live in docs/PROTOCOL.md; this header is the single in-code source of
+// the literal strings and byte layouts both sides must agree on.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/result.h"
@@ -52,39 +50,42 @@ enum class WireError {
 /// The wire token of a WireError ("E_PARSE", "E_STATE", ...).
 std::string_view WireErrorCode(WireError error);
 
-/// Formats an ERR response line: "ERR <code> <message>". The message is
-/// flattened to one line (newlines become spaces; the framing is
-/// line-oriented).
-std::string WireErrLine(WireError error, const std::string& message);
-
 /// Maps a Status from the engine/IO layers onto the wire error class a
 /// client should see: OutOfRange -> E_RANGE, InvalidArgument -> E_PARSE,
 /// FailedPrecondition/NotFound -> E_STATE, everything else -> E_ENGINE.
 WireError WireErrorForStatus(const Status& status);
 
-/// Formats the ERR line for a non-OK status.
-std::string WireErrLineForStatus(const Status& status);
-
 /// Whitespace tokenizer with '#'-to-end-of-line comment stripping — the
 /// same lexical rules as the bag IO format, applied to command lines.
-std::vector<std::string> WireTokens(const std::string& line);
+std::vector<std::string> WireTokens(std::string_view line);
 
-/// Strips a trailing comment and surrounding whitespace; an empty result
-/// means the line carries nothing (ignored in command position).
-std::string WireStrip(const std::string& line);
+/// Splits '\n'-terminated text into lines (a trailing '\r' is dropped).
+std::vector<std::string> WireSplitLines(std::string_view text);
 
 /// True for commands whose request carries a body up to "END": DICT,
-/// LOAD, LOADU32. The server always consumes the body of such a command
-/// before responding, even when the header is invalid, so one bad header
-/// cannot desynchronize the stream.
-bool WireCommandHasBody(const std::string& command);
+/// LOAD, LOADU32, INSERT, DELETE. The server always consumes the body of
+/// such a command before responding, even when the header is invalid, so
+/// one bad header cannot desynchronize the stream.
+bool WireCommandHasBody(std::string_view command);
 
 /// True for response first-lines that open a body up to "END":
 /// "OK WITNESS ..." and "OK STATS".
 bool WireResponseHasBody(const std::string& first_line);
 
 /// Parses a non-negative integer token (no sign, no suffix).
-Result<uint64_t> WireParseUint(const std::string& token);
+Result<uint64_t> WireParseUint(std::string_view token);
+
+/// A dictionary value or name the text framing can carry: non-empty, no
+/// whitespace, no '#'. Anything else would be split or truncated by the
+/// line lexer — a corruption the receiver cannot detect — so the client
+/// refuses to send it and the server refuses it in frames
+/// (InvalidArgument).
+Status WireValidateValue(std::string_view value);
+
+/// True for a non-empty all-digits token: the wire form of a bag index.
+/// Bag and collection names must not have this shape, so a reference is
+/// never ambiguous.
+bool WireIsIndex(std::string_view token);
 
 // ---- Binary framing ------------------------------------------------------
 //
@@ -133,7 +134,6 @@ uint8_t WireErrorTag(WireError error);
 Result<WireError> WireErrorFromTag(uint8_t tag);
 
 /// Little-endian integer appenders (unaligned).
-void WireAppendU16(std::string* out, uint16_t v);
 void WireAppendU32(std::string* out, uint32_t v);
 void WireAppendU64(std::string* out, uint64_t v);
 
@@ -153,13 +153,10 @@ class WireCursor {
   explicit WireCursor(std::string_view payload) : data_(payload) {}
 
   bool U8(uint8_t* v);
-  bool U16(uint16_t* v);
   bool U32(uint32_t* v);
   bool U64(uint64_t* v);
   /// Reads a u32 length prefix, then that many bytes (view into payload).
   bool String(std::string_view* v);
-  /// Reads exactly n raw bytes (view into payload).
-  bool Bytes(size_t n, std::string_view* v);
 
   /// True while no read has run past the end.
   bool ok() const { return ok_; }
@@ -173,5 +170,106 @@ class WireCursor {
   size_t pos_ = 0;
   bool ok_ = true;
 };
+
+// ---- Requests -------------------------------------------------------------
+
+/// Every verb of protocol v1.
+enum class Verb : uint8_t {
+  kHello, kUpgrade, kText, kQuit, kShutdown,
+  kDict, kLoad, kLoadU32, kInsert, kDelete, kLoadSeg, kDrop,
+  kSeal, kReset, kAttach, kDetach, kBegin, kCommit, kStats,
+  kTwoBag, kPairwise, kGlobal, kKWise, kWitness,
+};
+
+/// The verb's command word ("LOADU32", ...).
+std::string_view VerbName(Verb verb);
+
+/// \brief One request, whichever framing carried it.
+struct Request {
+  Verb verb = Verb::kHello;
+  /// The name operand: attribute (DICT), bag (LOAD, LOADU32, INSERT,
+  /// DELETE, DROP), collection (ATTACH, STATS <name>), path (LOADSEG).
+  std::string name;
+  /// TWOBAG/WITNESS bag references: an index (WireIsIndex) or a name.
+  std::string bag_i, bag_j;
+  bool minimal = false;    ///< WITNESS ... MINIMAL
+  bool hard = false;       ///< RESET HARD
+  bool canonical = false;  ///< SEAL CANONICAL
+  bool full = false;       ///< SEAL FULL
+  uint64_t threads = 1;    ///< SEAL THREADS <n>
+  uint64_t k = 0;          ///< KWISE <k>
+  /// DICT values in id order, or LOAD's raw row lines (interned when
+  /// applied).
+  std::vector<std::string> lines;
+  /// The row block of LOADU32 (the ROWS frame) and INSERT/DELETE:
+  /// attribute names, the u32 ids column-major
+  /// (ids[c * num_rows() + row]), and one count per row.
+  std::vector<std::string> columns;
+  std::vector<uint32_t> ids;
+  std::vector<uint64_t> counts;
+
+  size_t num_rows() const { return counts.size(); }
+};
+
+/// Decodes a text request: the tokens of its command line and, for a body
+/// verb, the body lines before END. A decoder owns only the grammar —
+/// usage, integer operands, and the DICT/row-block syntax (E_PARSE; a row
+/// id wider than u32 is E_RANGE); everything else is the dispatcher's.
+Result<Request> DecodeTextRequest(const std::vector<std::string>& tokens,
+                                  std::vector<std::string> body = {});
+
+/// Decodes one client frame. A CMD frame's line goes through
+/// DecodeTextRequest; a body verb inside one is E_STATE (ship its frame).
+Result<Request> DecodeRequestFrame(uint8_t opcode, std::string_view payload);
+
+/// Encodes a request in the text framing: the command line and, for a
+/// body verb, its body and END; every line '\n'-terminated.
+std::string EncodeTextRequest(const Request& request);
+
+/// Encodes a request as one client frame: the verb's own frame where it
+/// has one, else a CMD frame. LOAD (string rows) has no frame.
+Result<std::string> EncodeRequestFrame(const Request& request);
+
+// ---- Responses ------------------------------------------------------------
+
+/// \brief One answer, whichever framing will carry it.
+struct Response {
+  enum class Kind : uint8_t { kOk, kErr, kVerdict, kWitness, kStats };
+  Kind kind = Kind::kOk;
+  /// kOk: the line after "OK " ("SEAL 2 bags"); kErr: the message.
+  std::string text;
+  WireError error = WireError::kInternal;
+  /// kVerdict: the verdict and its failing bag indices (the pair for
+  /// PAIRWISE, the subset for KWISE, none otherwise).
+  bool consistent = false;
+  std::vector<size_t> indices;
+  /// kWitness: `found` is false for "OK NONE"; otherwise the attribute
+  /// names, the decoded values row-major, and one multiplicity per row.
+  bool found = false;
+  std::vector<std::string> attrs;
+  std::vector<std::string> values;
+  std::vector<uint64_t> mults;
+  /// kStats: key/value pairs in wire order.
+  std::vector<std::pair<std::string, uint64_t>> stats;
+
+  static Response Ok(std::string text);
+  static Response Err(WireError error, std::string message);
+  /// The Err for a non-OK status (WireErrorForStatus picks the class).
+  static Response Error(const Status& status);
+  static Response Verdict(bool consistent, std::vector<size_t> indices = {});
+};
+
+/// Text encoder: appends the response's lines, each '\n'-terminated. Its
+/// output is pinned byte-for-byte by the docs/PROTOCOL.md transcripts.
+void AppendResponseText(const Response& response, std::string* out);
+
+/// Binary encoder: appends the response as one server frame.
+void AppendResponseFrame(const Response& response, std::string* out);
+
+/// Decodes one complete text response: its lines, first through END.
+Result<Response> DecodeResponseLines(const std::vector<std::string>& lines);
+
+/// Decodes one server frame.
+Result<Response> DecodeResponseFrame(uint8_t opcode, std::string_view payload);
 
 }  // namespace bagc

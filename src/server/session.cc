@@ -4,7 +4,6 @@
 #include <future>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "bag/bag_io.h"
@@ -14,14 +13,10 @@ namespace bagc {
 
 namespace {
 
-// Ceiling for SEAL THREADS <n>: generous for any real host, small
-// enough that thread-spawn can't exhaust process resources.
-constexpr uint64_t kMaxSealThreads = 64;
-
 // Ceilings on one buffered request body (DICT/LOAD/LOADU32 block): line
 // count AND total bytes — the byte cap is what actually bounds a
 // session's memory (4M near-max-length lines would otherwise buffer
-// terabytes). Same hardening class as kMaxSealThreads: no single request
+// terabytes). Same hardening class as the SEAL THREADS cap: no single request
 // may take the daemon down. Overflowing blocks answer E_RANGE.
 constexpr size_t kMaxBodyLines = size_t{1} << 22;  // ~4.2M rows per block
 constexpr size_t kMaxBodyBytes = size_t{1} << 28;  // 256 MiB per block
@@ -57,148 +52,37 @@ auto RunOn(ThreadPool* pool, Fn&& fn) -> decltype(fn()) {
   return future.get();
 }
 
-// Splits serialized bag text into response body lines (drops the final
-// empty fragment from the trailing newline).
-std::vector<std::string> SplitBody(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream iss(text);
-  std::string line;
-  while (std::getline(iss, line)) lines.push_back(line);
-  return lines;
+Response VerdictOrError(const Result<bool>& verdict) {
+  return verdict.ok() ? Response::Verdict(*verdict) : Response::Error(verdict.status());
 }
 
-// The protocol-v1 text encoder. Its output is pinned byte-for-byte by
-// the docs/PROTOCOL.md transcript replay — change nothing here without
-// changing the transcript.
-class TextSink final : public ServerSession::ResponseSink {
- public:
-  explicit TextSink(std::vector<std::string>* out) : out_(out) {}
-
-  void Ok(const std::string& rest) override { out_->push_back("OK " + rest); }
-
-  void Err(WireError error, const std::string& message) override {
-    out_->push_back(WireErrLine(error, message));
+// A witness with its values decoded through the snapshot's dictionaries
+// — the externals both framings print: under SEAL CANONICAL the
+// snapshot's id space differs from the session's, so raw ids would be
+// undecodable client-side.
+Response WitnessResponse(const Bag& bag, const EngineSnapshot& snapshot) {
+  Response r;
+  r.kind = Response::Kind::kWitness;
+  r.found = true;
+  const Schema& schema = bag.schema();
+  const DictionarySet* dicts = snapshot.dictionaries();
+  std::vector<const ValueDictionary*> slot_dict(schema.arity(), nullptr);
+  for (size_t i = 0; i < schema.arity(); ++i) {
+    r.attrs.push_back(snapshot.catalog().Name(schema.at(i)));
+    if (dicts != nullptr) slot_dict[i] = dicts->find_dict(schema.at(i));
   }
-
-  void Verdict(bool consistent, const std::vector<size_t>& indices) override {
-    if (consistent) {
-      out_->push_back("OK CONSISTENT");
-      return;
-    }
-    std::string line = "OK INCONSISTENT";
-    for (size_t index : indices) line += " " + std::to_string(index);
-    out_->push_back(std::move(line));
-  }
-
-  void WitnessNone() override { out_->push_back("OK NONE"); }
-
-  void WitnessBag(const Bag& bag, const EngineSnapshot& snapshot) override {
-    out_->push_back("OK WITNESS " + std::to_string(bag.SupportSize()));
-    for (std::string& line : SplitBody(snapshot.WriteBagText(bag))) {
-      out_->push_back(std::move(line));
-    }
-    out_->push_back(std::string(kWireEnd));
-  }
-
-  void Stats(const std::vector<std::pair<std::string, uint64_t>>& kv) override {
-    out_->push_back("OK STATS");
-    for (const auto& [key, value] : kv) {
-      out_->push_back(key + " " + std::to_string(value));
-    }
-    out_->push_back(std::string(kWireEnd));
-  }
-
- private:
-  std::vector<std::string>* out_;
-};
-
-// The binary encoder: one frame per response, appended straight into
-// the transport's output buffer (no per-response allocation on the
-// query path beyond the payload scratch).
-class BinarySink final : public ServerSession::ResponseSink {
- public:
-  explicit BinarySink(std::string* out) : out_(out) {}
-
-  void Ok(const std::string& rest) override {
-    WireAppendFrame(out_, kFrameOk, rest);
-  }
-
-  void Err(WireError error, const std::string& message) override {
-    std::string payload;
-    payload.reserve(1 + message.size());
-    payload.push_back(static_cast<char>(WireErrorTag(error)));
-    payload += message;
-    WireAppendFrame(out_, kFrameErr, payload);
-  }
-
-  void Verdict(bool consistent, const std::vector<size_t>& indices) override {
-    std::string payload;
-    payload.reserve(5 + 4 * indices.size());
-    payload.push_back(consistent ? '\1' : '\0');
-    WireAppendU32(&payload, static_cast<uint32_t>(indices.size()));
-    for (size_t index : indices) {
-      WireAppendU32(&payload, static_cast<uint32_t>(index));
-    }
-    WireAppendFrame(out_, kFrameVerdict, payload);
-  }
-
-  void WitnessNone() override {
-    WireAppendFrame(out_, kFrameWitnessBag, std::string_view("\0", 1));
-  }
-
-  void WitnessBag(const Bag& bag, const EngineSnapshot& snapshot) override {
-    // Rows ship as decoded externals, exactly the values the text body
-    // prints: under SEAL CANONICAL the snapshot's id space differs from
-    // the session's, so raw ids would be undecodable client-side.
-    const Schema& schema = bag.schema();
-    const DictionarySet* dicts = snapshot.dictionaries();
-    std::vector<const ValueDictionary*> slot_dict(schema.arity(), nullptr);
+  r.values.reserve(bag.SupportSize() * schema.arity());
+  for (size_t e = 0; e < bag.SupportSize(); ++e) {
+    Tuple tuple = bag.RowAt(e);  // witness decode: designated cold path
     for (size_t i = 0; i < schema.arity(); ++i) {
-      if (dicts != nullptr) slot_dict[i] = dicts->find_dict(schema.at(i));
+      const ValueDictionary* d = slot_dict[i];
+      r.values.push_back(d != nullptr && tuple.id(i) < d->size()
+                             ? d->ExternalOf(tuple.id(i))
+                             : std::to_string(tuple.at(i)));
     }
-    std::string payload;
-    payload.push_back('\1');
-    WireAppendU32(&payload, static_cast<uint32_t>(schema.arity()));
-    for (size_t i = 0; i < schema.arity(); ++i) {
-      WireAppendString(&payload, snapshot.catalog().Name(schema.at(i)));
-    }
-    WireAppendU64(&payload, bag.SupportSize());
-    for (size_t e = 0; e < bag.SupportSize(); ++e) {
-      Tuple tuple = bag.RowAt(e);  // witness decode: designated cold path
-      for (size_t i = 0; i < schema.arity(); ++i) {
-        const ValueDictionary* d = slot_dict[i];
-        if (d != nullptr && tuple.id(i) < d->size()) {
-          WireAppendString(&payload, d->ExternalOf(tuple.id(i)));
-        } else {
-          WireAppendString(&payload, std::to_string(tuple.at(i)));
-        }
-      }
-      WireAppendU64(&payload, bag.MultiplicityAt(e));
-    }
-    WireAppendFrame(out_, kFrameWitnessBag, payload);
+    r.mults.push_back(bag.MultiplicityAt(e));
   }
-
-  void Stats(const std::vector<std::pair<std::string, uint64_t>>& kv) override {
-    std::string payload;
-    WireAppendU32(&payload, static_cast<uint32_t>(kv.size()));
-    for (const auto& [key, value] : kv) {
-      WireAppendString(&payload, key);
-      WireAppendU64(&payload, value);
-    }
-    WireAppendFrame(out_, kFrameStats, payload);
-  }
-
- private:
-  std::string* out_;
-};
-
-// Server-side twin of the client's wire-value validation: a dictionary
-// value that a binary DICT frame can carry but the text framing cannot
-// represent (whitespace, '#', empty) would corrupt every later text
-// response that decodes it, so it is refused at the boundary.
-bool WireRepresentable(std::string_view value) {
-  return !value.empty() &&
-         value.find_first_of("# \t\r\n") == std::string_view::npos;
+  return r;
 }
 
 }  // namespace
@@ -227,23 +111,18 @@ ServerSession::Outcome ServerSession::HandleData(std::string_view data,
       // slip through just because it parsed as a whole line.
       if (nl == std::string::npos ? inbuf_.size() - consumed > kMaxLineBytes
                                   : nl - consumed > kMaxLineBytes) {
-        *out += WireErrLine(WireError::kRange,
-                            "input line exceeds " +
-                                std::to_string(kMaxLineBytes) + " bytes");
-        *out += '\n';
+        AppendResponseText(
+            Response::Err(WireError::kRange,
+                          "input line exceeds " + std::to_string(kMaxLineBytes) + " bytes"),
+            out);
         outcome = Outcome::kCloseConnection;
         break;
       }
       if (nl == std::string::npos) break;
-      std::string line = inbuf_.substr(consumed, nl - consumed);
+      std::string_view line = std::string_view(inbuf_).substr(consumed, nl - consumed);
       consumed = nl + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      std::vector<std::string> responses;
-      outcome = HandleLine(line, &responses);
-      for (const std::string& response : responses) {
-        *out += response;
-        *out += '\n';
-      }
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      outcome = HandleTextLine(line, out);
       // A successful UPGRADE flips mode_ mid-buffer; the loop re-checks
       // it each iteration, so bytes already received parse as frames.
     } else {
@@ -256,10 +135,11 @@ ServerSession::Outcome ServerSession::HandleData(std::string_view data,
       header.U8(&opcode);
       if (payload_len > kWireMaxFramePayload) {
         // No resync is possible mid-frame; refuse and close.
-        BinarySink sink(out);
-        sink.Err(WireError::kRange,
-                 "frame payload exceeds " +
-                     std::to_string(kWireMaxFramePayload) + " bytes");
+        AppendResponseFrame(
+            Response::Err(WireError::kRange, "frame payload exceeds " +
+                                                 std::to_string(kWireMaxFramePayload) +
+                                                 " bytes"),
+            out);
         outcome = Outcome::kCloseConnection;
         break;
       }
@@ -267,697 +147,310 @@ ServerSession::Outcome ServerSession::HandleData(std::string_view data,
       std::string_view payload(inbuf_.data() + consumed + kWireFrameHeaderBytes,
                                payload_len);
       consumed += kWireFrameHeaderBytes + payload_len;
-      BinarySink sink(out);
-      outcome = HandleFrame(opcode, payload, &sink);
+      outcome = Serve(DecodeRequestFrame(opcode, payload), out);
     }
   }
   inbuf_.erase(0, consumed);
   return outcome;
 }
 
-ServerSession::Outcome ServerSession::HandleLine(const std::string& line,
-                                                 std::vector<std::string>* out) {
-  TextSink sink(out);
-  if (body_ != Body::kNone) {
-    if (WireStrip(line) == kWireEnd) {
-      FinishBody(&sink);
-    } else if (body_lines_.size() >= kMaxBodyLines ||
-               body_bytes_ + line.size() > kMaxBodyBytes) {
-      body_overflow_ = true;  // keep consuming, stop buffering
-    } else {
-      body_bytes_ += line.size();
-      body_lines_.push_back(line);
+ServerSession::Outcome ServerSession::HandleTextLine(std::string_view line,
+                                                     std::string* out) {
+  if (!body_header_.empty()) {
+    if (StripCommentView(line) != kWireEnd) {
+      if (body_lines_.size() >= kMaxBodyLines ||
+          body_bytes_ + line.size() > kMaxBodyBytes) {
+        body_overflow_ = true;  // keep consuming, stop buffering
+      } else {
+        body_bytes_ += line.size();
+        body_lines_.emplace_back(line);
+      }
+      return Outcome::kContinue;
     }
-    return Outcome::kContinue;
+    std::vector<std::string> header = std::move(body_header_);
+    std::vector<std::string> body = std::move(body_lines_);
+    body_header_.clear();
+    body_lines_.clear();
+    body_bytes_ = 0;
+    if (std::exchange(body_overflow_, false)) {
+      return Serve(Status::OutOfRange("request body exceeds " +
+                                      std::to_string(kMaxBodyLines) + " lines or " +
+                                      std::to_string(kMaxBodyBytes) + " bytes"),
+                   out);
+    }
+    return Serve(DecodeTextRequest(header, std::move(body)), out);
   }
   std::vector<std::string> tokens = WireTokens(line);
   if (tokens.empty()) return Outcome::kContinue;  // blank / comment line
-  return HandleCommand(tokens, &sink);
-}
-
-std::vector<std::string> ServerSession::HandleScript(const std::string& text) {
-  std::vector<std::string> out;
-  std::istringstream iss(text);
-  std::string line;
-  while (std::getline(iss, line)) {
-    if (HandleLine(line, &out) != Outcome::kContinue) break;
-  }
-  return out;
-}
-
-ServerSession::Outcome ServerSession::HandleCommand(
-    const std::vector<std::string>& tokens, ResponseSink* sink) {
-  const std::string& cmd = tokens[0];
-  // A transaction pins the bag set and the bound collection: only the
-  // delta verbs, queries, and framing commands run while one is open.
-  // RESET stays legal (it discards the transaction with everything
-  // else); body-carrying commands are refused in FinishBody so their
-  // blocks are still consumed through END.
-  if (txn_active_ && (cmd == "SEAL" || cmd == "LOADSEG" || cmd == "DROP" ||
-                      cmd == "ATTACH" || cmd == "DETACH")) {
-    sink->Err(WireError::kState,
-              cmd + " is not allowed inside a transaction; COMMIT or RESET "
-                    "first");
-    return Outcome::kContinue;
-  }
-  if (WireCommandHasBody(cmd)) {
-    if (mode_ == Mode::kBinary) {
-      // Bodies are line-framed; inside the binary framing they travel as
-      // DICT/ROWS frames instead.
-      const std::string frame =
-          cmd == "DICT" ? "DICT"
-                        : (cmd == "INSERT" || cmd == "DELETE" ? cmd : "ROWS");
-      sink->Err(WireError::kState,
-                cmd + " blocks are not available in binary mode; ship a " +
-                    frame + " frame");
-      return Outcome::kContinue;
-    }
+  if (WireCommandHasBody(tokens[0])) {
     // Enter body mode even on a bad header: the body is always consumed
     // through END before the (possibly ERR) response, so a bad header
     // can never desynchronize the line stream.
-    body_ = cmd == "DICT"     ? Body::kDict
-            : cmd == "LOAD"   ? Body::kLoadText
-            : cmd == "INSERT" ? Body::kInsert
-            : cmd == "DELETE" ? Body::kDelete
-                              : Body::kLoadU32;
-    body_header_ = tokens;
-    body_lines_.clear();
+    body_header_ = std::move(tokens);
     return Outcome::kContinue;
   }
-  if (cmd == "SEAL") {
-    HandleSeal(tokens, sink);
-  } else if (cmd == "BEGIN") {
-    HandleBegin(tokens, sink);
-  } else if (cmd == "COMMIT") {
-    HandleCommit(tokens, sink);
-  } else if (cmd == "TWOBAG") {
-    HandleTwoBag(tokens, sink);
-  } else if (cmd == "PAIRWISE") {
-    HandlePairwise(sink);
-  } else if (cmd == "GLOBAL") {
-    HandleGlobal(sink);
-  } else if (cmd == "KWISE") {
-    HandleKWise(tokens, sink);
-  } else if (cmd == "WITNESS") {
-    HandleWitness(tokens, sink);
-  } else if (cmd == "STATS") {
-    HandleStats(tokens, sink);
-  } else if (cmd == "RESET") {
-    HandleReset(tokens, sink);
-  } else if (cmd == "ATTACH") {
-    HandleAttach(tokens, sink);
-  } else if (cmd == "DETACH") {
-    HandleDetach(tokens, sink);
-  } else if (cmd == "DROP") {
-    HandleDrop(tokens, sink);
-  } else if (cmd == "HELLO") {
-    HandleHello(tokens, sink);
-  } else if (cmd == "UPGRADE") {
-    HandleUpgrade(tokens, sink);
-  } else if (cmd == "TEXT") {
-    // Idempotent downgrade: the OK is the last frame (or a plain text
-    // line when already in text mode); everything after is lines.
-    sink->Ok("TEXT");
-    mode_ = Mode::kText;
-  } else if (cmd == "LOADSEG") {
-    HandleLoadSeg(tokens, sink);
-  } else if (cmd == "QUIT") {
-    sink->Ok("BYE");
-    return Outcome::kCloseConnection;
-  } else if (cmd == "SHUTDOWN") {
-    sink->Ok("BYE");
-    return Outcome::kShutdownServer;
-  } else {
-    sink->Err(WireError::kParse, "unknown command '" + cmd + "'");
-  }
-  return Outcome::kContinue;
+  return Serve(DecodeTextRequest(tokens), out);
 }
 
-ServerSession::Outcome ServerSession::HandleFrame(uint8_t opcode,
-                                                  std::string_view payload,
-                                                  ResponseSink* sink) {
-  switch (opcode) {
-    case kFrameCmd: {
-      std::vector<std::string> tokens = WireTokens(std::string(payload));
-      if (tokens.empty()) {
-        sink->Err(WireError::kParse, "empty command frame");
-        return Outcome::kContinue;
+std::vector<std::string> ServerSession::HandleScript(const std::string& text) {
+  std::string out;
+  if (HandleData(text, &out) == Outcome::kContinue && !text.empty() &&
+      text.back() != '\n') {
+    HandleData("\n", &out);
+  }
+  return WireSplitLines(out);
+}
+
+ServerSession::Outcome ServerSession::Serve(Result<Request>&& request,
+                                            std::string* out) {
+  // UPGRADE and TEXT answer in the framing they arrived in; the switch
+  // applies from the next request on.
+  const Mode reply_mode = mode_;
+  Outcome outcome = Outcome::kContinue;
+  Response response = request.ok() ? Dispatch(*request, &outcome)
+                                   : Response::Error(request.status());
+  if (reply_mode == Mode::kBinary) {
+    AppendResponseFrame(response, out);
+  } else {
+    AppendResponseText(response, out);
+  }
+  return outcome;
+}
+
+Response ServerSession::Dispatch(Request& request, Outcome* outcome) {
+  switch (request.verb) {
+    case Verb::kSeal:
+    case Verb::kLoadSeg:
+    case Verb::kDrop:
+    case Verb::kAttach:
+    case Verb::kDetach:
+    case Verb::kDict:
+    case Verb::kLoad:
+    case Verb::kLoadU32:
+      // A transaction pins the bag set and the bound collection: only the
+      // delta verbs, queries, and framing commands run while one is open.
+      // RESET stays legal (it discards the transaction with everything
+      // else).
+      if (txn_active_) {
+        return Response::Err(WireError::kState,
+                             std::string(VerbName(request.verb)) +
+                                 " is not allowed inside a transaction; COMMIT or "
+                                 "RESET first");
       }
-      return HandleCommand(tokens, sink);
-    }
-    case kFrameDict:
-      HandleDictFrame(payload, sink);
-      return Outcome::kContinue;
-    case kFrameRows:
-      HandleRowsFrame(payload, sink);
-      return Outcome::kContinue;
-    case kFrameInsert:
-    case kFrameDelete:
-      HandleMutateFrame(opcode == kFrameInsert, payload, sink);
-      return Outcome::kContinue;
-    case kFrameBegin:
-      if (!payload.empty()) {
-        sink->Err(WireError::kParse, "BEGIN frame carries no payload");
-        return Outcome::kContinue;
-      }
-      HandleBegin({"BEGIN"}, sink);
-      return Outcome::kContinue;
-    case kFrameCommit:
-      if (!payload.empty()) {
-        sink->Err(WireError::kParse, "COMMIT frame carries no payload");
-        return Outcome::kContinue;
-      }
-      HandleCommit({"COMMIT"}, sink);
-      return Outcome::kContinue;
-    case kFrameTwoBag: {
-      WireCursor cur(payload);
-      uint32_t i = 0, j = 0;
-      if (!cur.U32(&i) || !cur.U32(&j) || !cur.AtEnd()) {
-        sink->Err(WireError::kParse, "TWOBAG frame carries u32 i, u32 j");
-        return Outcome::kContinue;
-      }
-      QueryTwoBag(i, j, sink);
-      return Outcome::kContinue;
-    }
-    case kFramePairwise:
-      if (!payload.empty()) {
-        sink->Err(WireError::kParse, "PAIRWISE frame carries no payload");
-        return Outcome::kContinue;
-      }
-      HandlePairwise(sink);
-      return Outcome::kContinue;
-    case kFrameGlobal:
-      if (!payload.empty()) {
-        sink->Err(WireError::kParse, "GLOBAL frame carries no payload");
-        return Outcome::kContinue;
-      }
-      HandleGlobal(sink);
-      return Outcome::kContinue;
-    case kFrameKWise: {
-      WireCursor cur(payload);
-      uint32_t k = 0;
-      if (!cur.U32(&k) || !cur.AtEnd()) {
-        sink->Err(WireError::kParse, "KWISE frame carries u32 k");
-        return Outcome::kContinue;
-      }
-      QueryKWise(k, sink);
-      return Outcome::kContinue;
-    }
-    case kFrameWitness: {
-      WireCursor cur(payload);
-      uint32_t i = 0, j = 0;
-      uint8_t minimal = 0;
-      if (!cur.U32(&i) || !cur.U32(&j) || !cur.U8(&minimal) || !cur.AtEnd() ||
-          minimal > 1) {
-        sink->Err(WireError::kParse,
-                  "WITNESS frame carries u32 i, u32 j, u8 minimal");
-        return Outcome::kContinue;
-      }
-      QueryWitness(i, j, minimal == 1, sink);
-      return Outcome::kContinue;
-    }
+      break;
     default:
-      // The frame boundary is still known, so the stream can continue.
-      sink->Err(WireError::kParse,
-                "unknown frame opcode " + std::to_string(opcode));
-      return Outcome::kContinue;
+      break;
   }
+  switch (request.verb) {
+    case Verb::kHello:
+      return Response::Ok("HELLO proto " + std::to_string(kWireProtocolVersion) +
+                          " frames " + std::to_string(kWireFrameVersion));
+    case Verb::kUpgrade:
+      if (mode_ == Mode::kBinary) {
+        return Response::Err(WireError::kState, "session is already in binary mode");
+      }
+      mode_ = Mode::kBinary;  // the OK is the last text line
+      return Response::Ok("UPGRADE BINARY");
+    case Verb::kText:
+      // Idempotent downgrade: the OK is the last frame (or a plain text
+      // line when already in text mode); everything after is lines.
+      mode_ = Mode::kText;
+      return Response::Ok("TEXT");
+    case Verb::kQuit:
+      *outcome = Outcome::kCloseConnection;
+      return Response::Ok("BYE");
+    case Verb::kShutdown:
+      *outcome = Outcome::kShutdownServer;
+      return Response::Ok("BYE");
+    case Verb::kDict:
+      return HandleDict(request);
+    case Verb::kLoad:
+    case Verb::kLoadU32:
+      return HandleLoad(request);
+    case Verb::kInsert:
+    case Verb::kDelete:
+      return HandleMutate(request);
+    case Verb::kLoadSeg:
+      return HandleLoadSeg(request);
+    case Verb::kDrop:
+      return HandleDrop(request);
+    case Verb::kSeal:
+      return HandleSeal(request);
+    case Verb::kReset:
+      return HandleReset(request);
+    case Verb::kAttach:
+      return HandleAttach(request);
+    case Verb::kDetach:
+      if (collection_.get() != registry_->Default().get()) {
+        collection_ = registry_->Default();
+        ForgetSealLineage();
+      }
+      return Response::Ok("DETACH");
+    case Verb::kBegin:
+      if (txn_active_) {
+        return Response::Err(WireError::kState,
+                             "a transaction is already open; COMMIT or RESET first");
+      }
+      txn_active_ = true;  // COMMIT and RESET left the buffer empty
+      return Response::Ok("BEGIN");
+    case Verb::kCommit:
+      return HandleCommit();
+    case Verb::kStats:
+      return HandleStats(request);
+    case Verb::kTwoBag:
+    case Verb::kPairwise:
+    case Verb::kGlobal:
+    case Verb::kKWise:
+    case Verb::kWitness:
+      return HandleQuery(request);
+  }
+  return Response::Err(WireError::kInternal, "unhandled verb");
 }
 
-void ServerSession::FinishBody(ResponseSink* sink) {
-  Body body = body_;
-  body_ = Body::kNone;
-  if (body_overflow_) {
-    body_overflow_ = false;
-    sink->Err(WireError::kRange,
-              "request body exceeds " + std::to_string(kMaxBodyLines) +
-                  " lines or " + std::to_string(kMaxBodyBytes) + " bytes");
-  } else if (txn_active_ && body != Body::kInsert && body != Body::kDelete) {
-    // The block was consumed through END (stream stays in sync); only
-    // the application is refused.
-    sink->Err(WireError::kState,
-              body_header_[0] +
-                  " is not allowed inside a transaction; COMMIT or RESET "
-                  "first");
-  } else if (body == Body::kDict) {
-    FinishDict(sink);
-  } else if (body == Body::kInsert || body == Body::kDelete) {
-    FinishMutate(body == Body::kInsert, sink);
-  } else {
-    FinishLoad(sink);
-  }
-  body_header_.clear();
-  body_lines_.clear();
-  body_bytes_ = 0;
+Response ServerSession::HandleDict(const Request& request) {
+  AttrId attr = catalog_.Intern(request.name);
+  Status loaded = dicts_->dict(attr).BulkLoad(request.lines);
+  if (!loaded.ok()) return Response::Error(loaded);
+  return Response::Ok("DICT " + request.name + " " + std::to_string(request.lines.size()));
 }
 
-void ServerSession::FinishDict(ResponseSink* sink) {
-  if (body_header_.size() != 3) {
-    sink->Err(WireError::kParse, "usage: DICT <attribute> <count>");
-    return;
+Status ServerSession::CheckNewBagName(const std::string& name) const {
+  if (name.empty() || WireIsIndex(name)) {
+    return Status::InvalidArgument("bag name '" + name +
+                                   "' must not be all digits (reserved for indices)");
   }
-  const std::string& attr_name = body_header_[1];
-  Result<uint64_t> count = WireParseUint(body_header_[2]);
-  if (!count.ok()) {
-    sink->ErrStatus(count.status());
-    return;
+  if (FindBag(name) != bag_names_.size()) {
+    return Status::FailedPrecondition("bag '" + name + "' is already loaded");
   }
-  std::vector<std::string> values;
-  values.reserve(body_lines_.size());
-  for (const std::string& raw : body_lines_) {
-    std::vector<std::string> tokens = WireTokens(raw);
-    if (tokens.empty()) continue;  // blank / comment line
-    if (tokens.size() != 1) {
-      sink->Err(WireError::kParse, "dictionary values are one token per line");
-      return;
+  return Status::OK();
+}
+
+Response ServerSession::HandleLoad(Request& request) {
+  if (Status named = CheckNewBagName(request.name); !named.ok()) {
+    return Response::Error(named);
+  }
+  Result<Bag> bag = [&]() -> Result<Bag> {
+    if (request.verb == Verb::kLoadU32) {
+      // Raw u32 ids: the shared columnar ingest validates them against
+      // the shipped dictionaries with no string work at all.
+      const size_t rows = request.num_rows();
+      std::vector<const ValueId*> ptrs(request.columns.size());
+      for (size_t c = 0; c < ptrs.size(); ++c) ptrs[c] = request.ids.data() + c * rows;
+      return BagFromU32Columns(request.columns, ColumnView(std::move(ptrs), rows),
+                               request.counts.data(), &catalog_, *dicts_);
     }
-    values.push_back(std::move(tokens[0]));
-  }
-  if (values.size() != *count) {
-    sink->Err(WireError::kParse,
-              "DICT " + attr_name + " declared " + std::to_string(*count) +
-                  " values but shipped " + std::to_string(values.size()));
-    return;
-  }
-  AttrId attr = catalog_.Intern(attr_name);
-  Status loaded = dicts_->dict(attr).BulkLoad(values);
-  if (!loaded.ok()) {
-    sink->ErrStatus(loaded);
-    return;
-  }
-  sink->Ok("DICT " + attr_name + " " + std::to_string(values.size()));
-}
-
-bool ServerSession::CheckNewBagName(const std::string& name,
-                                    ResponseSink* sink) {
-  bool all_digits = !name.empty();
-  for (char c : name) all_digits = all_digits && c >= '0' && c <= '9';
-  if (name.empty() || all_digits) {
-    sink->Err(WireError::kParse,
-              "bag name '" + name +
-                  "' must not be all digits (reserved for indices)");
-    return false;
-  }
-  if (HasBag(name)) {
-    sink->Err(WireError::kState, "bag '" + name + "' is already loaded");
-    return false;
-  }
-  return true;
-}
-
-void ServerSession::FinishLoad(ResponseSink* sink) {
-  bool raw_ids = body_header_[0] == "LOADU32";
-  if (body_header_.size() < 3) {
-    sink->Err(WireError::kParse,
-              "usage: " + body_header_[0] + " <bag-name> <attribute...>");
-    return;
-  }
-  const std::string& name = body_header_[1];
-  if (!CheckNewBagName(name, sink)) return;
-  // Reassemble a bag IO block and hand it to the matching parser arm.
-  std::vector<std::string> lines;
-  lines.reserve(body_lines_.size() + 2);
-  std::string header = "bag";
-  for (size_t i = 2; i < body_header_.size(); ++i) header += " " + body_header_[i];
-  lines.push_back(std::move(header));
-  // Move, don't copy: body_lines_ is discarded by FinishBody right after,
-  // and a second per-row string copy here would undo the allocation-free
-  // row scanning one layer down.
-  for (std::string& raw : body_lines_) lines.push_back(std::move(raw));
-  lines.emplace_back("end");
-  size_t pos = 0;
-  Result<Bag> bag =
-      raw_ids ? ParseBagU32(lines, &pos, &catalog_, *dicts_)
-              : ParseBag(lines, &pos, &catalog_, dicts_.get());
-  if (!bag.ok()) {
-    sink->ErrStatus(bag.status());
-    return;
-  }
-  if (pos != lines.size()) {
-    // A stray lowercase "end" row terminated the block early.
-    sink->Err(WireError::kParse,
-              "unexpected content after 'end' in a row block");
-    return;
-  }
+    // External string rows: reassemble a bag IO block for the interning
+    // parser. Moved, not copied — the request dies right after.
+    std::vector<std::string> lines;
+    lines.reserve(request.lines.size() + 2);
+    std::string header = "bag";
+    for (const std::string& col : request.columns) header += " " + col;
+    lines.push_back(std::move(header));
+    for (std::string& raw : request.lines) lines.push_back(std::move(raw));
+    lines.emplace_back("end");
+    size_t pos = 0;
+    BAGC_ASSIGN_OR_RETURN(Bag parsed, ParseBag(lines, &pos, &catalog_, dicts_.get()));
+    if (pos != lines.size()) {
+      // A stray lowercase "end" row terminated the block early.
+      return Status::InvalidArgument("unexpected content after 'end' in a row block");
+    }
+    return parsed;
+  }();
+  if (!bag.ok()) return Response::Error(bag.status());
   size_t support = bag->SupportSize();
-  AddBag(name, std::move(bag).value());
-  sink->Ok(body_header_[0] + " " + name + " " + std::to_string(support) +
-           " rows");
+  AddBag(request.name, std::move(bag).value());
+  return Response::Ok(std::string(VerbName(request.verb)) + " " + request.name + " " +
+                      std::to_string(support) + " rows");
 }
 
-void ServerSession::HandleDictFrame(std::string_view payload,
-                                    ResponseSink* sink) {
-  WireCursor cur(payload);
-  std::string_view attr_view;
-  uint32_t count = 0;
-  if (!cur.String(&attr_view) || !cur.U32(&count)) {
-    sink->Err(WireError::kParse, "malformed DICT frame header");
-    return;
+Response ServerSession::HandleMutate(const Request& request) {
+  const std::string label = std::string(VerbName(request.verb)) + " " + request.name;
+  const size_t bag_index = FindBag(request.name);
+  if (bag_index == bag_names_.size()) {
+    return Response::Err(WireError::kState,
+                         "bag '" + request.name + "' is not loaded in this session; " +
+                             std::string(VerbName(request.verb)) +
+                             " mutates loaded bags (LOAD, LOADU32, or LOADSEG it first)");
   }
-  if (!WireRepresentable(attr_view)) {
-    sink->Err(WireError::kParse,
-              "attribute name is not representable on the wire");
-    return;
-  }
-  std::vector<std::string> values;
-  values.reserve(count);
-  for (uint32_t v = 0; v < count; ++v) {
-    std::string_view value;
-    if (!cur.String(&value)) {
-      sink->Err(WireError::kParse,
-                "DICT frame declared " + std::to_string(count) +
-                    " values but carries " + std::to_string(v));
-      return;
-    }
-    if (!WireRepresentable(value)) {
-      sink->Err(WireError::kParse,
-                "value '" + std::string(value) +
-                    "' is not representable on the wire");
-      return;
-    }
-    values.emplace_back(value);
-  }
-  if (!cur.AtEnd()) {
-    sink->Err(WireError::kParse, "trailing bytes in DICT frame");
-    return;
-  }
-  std::string attr_name(attr_view);
-  AttrId attr = catalog_.Intern(attr_name);
-  Status loaded = dicts_->dict(attr).BulkLoad(values);
-  if (!loaded.ok()) {
-    sink->ErrStatus(loaded);
-    return;
-  }
-  sink->Ok("DICT " + attr_name + " " + std::to_string(values.size()));
-}
-
-void ServerSession::HandleRowsFrame(std::string_view payload,
-                                    ResponseSink* sink) {
-  WireCursor cur(payload);
-  std::string_view name_view;
-  uint32_t ncols = 0;
-  if (!cur.String(&name_view) || !cur.U32(&ncols) || ncols == 0) {
-    sink->Err(WireError::kParse, "malformed ROWS frame header");
-    return;
-  }
-  std::vector<std::string> col_names;
-  col_names.reserve(ncols);
-  for (uint32_t c = 0; c < ncols; ++c) {
-    std::string_view col;
-    if (!cur.String(&col)) {
-      sink->Err(WireError::kParse, "malformed ROWS frame header");
-      return;
-    }
-    col_names.emplace_back(col);
-  }
-  uint64_t nrows = 0;
-  if (!cur.U64(&nrows)) {
-    sink->Err(WireError::kParse, "malformed ROWS frame header");
-    return;
-  }
-  // Fixed-width remainder: exactly nrows × (ncols ids + one mult).
-  uint64_t row_bytes = uint64_t{ncols} * 4 + 8;
-  if (nrows != cur.remaining() / row_bytes ||
-      cur.remaining() % row_bytes != 0) {
-    sink->Err(WireError::kParse,
-              "ROWS frame declares " + std::to_string(nrows) +
-                  " rows but carries " + std::to_string(cur.remaining()) +
-                  " bytes of row data");
-    return;
-  }
-  std::string name(name_view);
-  if (!CheckNewBagName(name, sink)) return;
-  // Scatter the row-major wire layout into column-major scratch so the
-  // shared columnar ingest (and its validation) runs on it directly.
-  std::vector<ValueId> cols(size_t{ncols} * nrows);
-  std::vector<uint64_t> mults(nrows);
-  for (uint64_t r = 0; r < nrows; ++r) {
-    for (uint32_t c = 0; c < ncols; ++c) {
-      uint32_t id = 0;
-      cur.U32(&id);
-      cols[size_t{c} * nrows + r] = id;
-    }
-    cur.U64(&mults[r]);
-  }
-  std::vector<const ValueId*> ptrs(ncols);
-  for (uint32_t c = 0; c < ncols; ++c) ptrs[c] = cols.data() + size_t{c} * nrows;
-  ColumnView view(std::move(ptrs), nrows);
-  Result<Bag> bag =
-      BagFromU32Columns(col_names, view, mults.data(), &catalog_, *dicts_);
-  if (!bag.ok()) {
-    sink->ErrStatus(bag.status());
-    return;
-  }
-  size_t support = bag->SupportSize();
-  AddBag(name, std::move(bag).value());
-  sink->Ok("LOADU32 " + name + " " + std::to_string(support) + " rows");
-}
-
-// Resolves an INSERT/DELETE column header against the loaded bag: the
-// named attributes must spell exactly the bag's schema (any order), every
-// attribute needs a dictionary (same rule as LOADU32), and
-// slot_of_column[c] maps wire column c to its schema slot. Emits the
-// error and returns false when unusable.
-static bool ResolveMutateColumns(AttributeCatalog* catalog,
-                                 const DictionarySet& dicts,
-                                 const Schema& bag_schema,
-                                 const std::vector<std::string>& col_names,
-                                 std::vector<const ValueDictionary*>* column_dict,
-                                 std::vector<size_t>* slot_of_column,
-                                 ServerSession::ResponseSink* sink) {
+  // The header must spell exactly the bag's schema (any order), and every
+  // column needs a dictionary (the LOADU32 rule); slot_of_column[c] maps
+  // wire column c to its schema slot.
+  const size_t arity = request.columns.size();
   std::vector<AttrId> attrs;
-  attrs.reserve(col_names.size());
-  for (const std::string& n : col_names) attrs.push_back(catalog->Intern(n));
+  attrs.reserve(arity);
+  for (const std::string& col : request.columns) attrs.push_back(catalog_.Intern(col));
   Schema schema{attrs};
-  if (schema.arity() != attrs.size()) {
-    sink->Err(WireError::kParse, "duplicate attribute in delta header");
-    return false;
+  if (schema.arity() != arity) {
+    return Response::Err(WireError::kParse, "duplicate attribute in delta header");
   }
-  if (schema != bag_schema) {
-    sink->Err(WireError::kParse,
-              "delta attributes do not match the bag's schema");
-    return false;
+  if (schema != bags_[bag_index].schema()) {
+    return Response::Err(WireError::kParse,
+                         "delta attributes do not match the bag's schema");
   }
-  column_dict->assign(attrs.size(), nullptr);
-  slot_of_column->assign(attrs.size(), 0);
-  for (size_t c = 0; c < attrs.size(); ++c) {
-    (*column_dict)[c] = dicts.find_dict(attrs[c]);
-    if ((*column_dict)[c] == nullptr) {
-      sink->Err(WireError::kState,
-                "u32 rows require a dictionary for attribute '" + col_names[c] +
-                    "'; ship its DICT block first");
-      return false;
+  std::vector<const ValueDictionary*> column_dict(arity);
+  std::vector<size_t> slot_of_column(arity);
+  for (size_t c = 0; c < arity; ++c) {
+    column_dict[c] = dicts_->find_dict(attrs[c]);
+    if (column_dict[c] == nullptr) {
+      return Response::Err(WireError::kState,
+                           "u32 rows require a dictionary for attribute '" +
+                               request.columns[c] + "'; ship its DICT block first");
     }
-    (*slot_of_column)[c] = *schema.IndexOf(attrs[c]);
+    slot_of_column[c] = *schema.IndexOf(attrs[c]);
   }
-  return true;
-}
-
-void ServerSession::FinishMutate(bool insert, ResponseSink* sink) {
-  const std::string verb = insert ? "INSERT" : "DELETE";
-  if (body_header_.size() < 3) {
-    sink->Err(WireError::kParse,
-              "usage: " + verb + " <bag-name> <attribute...>");
-    return;
-  }
-  const std::string& name = body_header_[1];
-  size_t bag_index = bag_names_.size();
-  for (size_t i = 0; i < bag_names_.size(); ++i) {
-    if (bag_names_[i] == name) {
-      bag_index = i;
-      break;
-    }
-  }
-  if (bag_index == bag_names_.size()) {
-    sink->Err(WireError::kState,
-              "bag '" + name + "' is not loaded in this session; " + verb +
-                  " mutates loaded bags (LOAD, LOADU32, or LOADSEG it first)");
-    return;
-  }
-  std::vector<std::string> col_names(body_header_.begin() + 2,
-                                     body_header_.end());
-  std::vector<const ValueDictionary*> column_dict;
-  std::vector<size_t> slot_of_column;
-  if (!ResolveMutateColumns(&catalog_, *dicts_, bags_[bag_index].schema(),
-                            col_names, &column_dict, &slot_of_column, sink)) {
-    return;
-  }
-  const size_t arity = col_names.size();
-  std::vector<BagDelta> deltas;
-  size_t rows = 0;
+  const size_t rows = request.num_rows();
+  const int64_t sign = request.verb == Verb::kInsert ? 1 : -1;
+  BagDeltas entry;
+  entry.bag_index = bag_index;
   std::vector<ValueId> row(arity);
-  for (const std::string& raw : body_lines_) {
-    std::vector<std::string> tokens = WireTokens(raw);
-    if (tokens.empty()) continue;  // blank / comment line
-    if (tokens.size() != arity + 2 || tokens[arity] != ":") {
-      sink->Err(WireError::kParse, verb + " rows are '<" +
-                                       std::to_string(arity) +
-                                       " ids> : <count>'");
-      return;
-    }
+  for (size_t e = 0; e < rows; ++e) {
     for (size_t c = 0; c < arity; ++c) {
-      Result<uint64_t> id = WireParseUint(tokens[c]);
-      if (!id.ok() || *id > std::numeric_limits<uint32_t>::max()) {
-        sink->Err(WireError::kParse, "row ids are u32 integers");
-        return;
-      }
-      if (*id >= column_dict[c]->size()) {
-        sink->Err(WireError::kRange,
-                  "row id " + tokens[c] + " was never issued for attribute '" +
-                      col_names[c] + "' (dictionary has " +
-                      std::to_string(column_dict[c]->size()) + " values)");
-        return;
-      }
-      row[slot_of_column[c]] = static_cast<ValueId>(*id);
-    }
-    Result<uint64_t> count = WireParseUint(tokens[arity + 1]);
-    if (!count.ok()) {
-      sink->ErrStatus(count.status());
-      return;
-    }
-    if (*count > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
-      sink->Err(WireError::kRange, "delta count exceeds int64");
-      return;
-    }
-    ++rows;
-    if (*count == 0) continue;  // zero rows net nothing, as in LOADU32
-    int64_t amount = static_cast<int64_t>(*count);
-    deltas.push_back({Tuple::OfIds(row), insert ? amount : -amount});
-  }
-  CommitDelta(bag_index, insert, std::move(deltas), rows, sink);
-}
-
-void ServerSession::HandleMutateFrame(bool insert, std::string_view payload,
-                                      ResponseSink* sink) {
-  const std::string verb = insert ? "INSERT" : "DELETE";
-  WireCursor cur(payload);
-  std::string_view name_view;
-  uint32_t ncols = 0;
-  if (!cur.String(&name_view) || !cur.U32(&ncols) || ncols == 0) {
-    sink->Err(WireError::kParse, "malformed " + verb + " frame header");
-    return;
-  }
-  std::vector<std::string> col_names;
-  col_names.reserve(ncols);
-  for (uint32_t c = 0; c < ncols; ++c) {
-    std::string_view col;
-    if (!cur.String(&col)) {
-      sink->Err(WireError::kParse, "malformed " + verb + " frame header");
-      return;
-    }
-    col_names.emplace_back(col);
-  }
-  uint64_t nrows = 0;
-  if (!cur.U64(&nrows)) {
-    sink->Err(WireError::kParse, "malformed " + verb + " frame header");
-    return;
-  }
-  // Fixed-width remainder, exactly the ROWS frame grammar.
-  uint64_t row_bytes = uint64_t{ncols} * 4 + 8;
-  if (nrows != cur.remaining() / row_bytes ||
-      cur.remaining() % row_bytes != 0) {
-    sink->Err(WireError::kParse,
-              verb + " frame declares " + std::to_string(nrows) +
-                  " rows but carries " + std::to_string(cur.remaining()) +
-                  " bytes of row data");
-    return;
-  }
-  std::string name(name_view);
-  size_t bag_index = bag_names_.size();
-  for (size_t i = 0; i < bag_names_.size(); ++i) {
-    if (bag_names_[i] == name) {
-      bag_index = i;
-      break;
-    }
-  }
-  if (bag_index == bag_names_.size()) {
-    sink->Err(WireError::kState,
-              "bag '" + name + "' is not loaded in this session; " + verb +
-                  " mutates loaded bags (LOAD, LOADU32, or LOADSEG it first)");
-    return;
-  }
-  std::vector<const ValueDictionary*> column_dict;
-  std::vector<size_t> slot_of_column;
-  if (!ResolveMutateColumns(&catalog_, *dicts_, bags_[bag_index].schema(),
-                            col_names, &column_dict, &slot_of_column, sink)) {
-    return;
-  }
-  std::vector<BagDelta> deltas;
-  deltas.reserve(nrows);
-  std::vector<ValueId> row(ncols);
-  for (uint64_t r = 0; r < nrows; ++r) {
-    for (uint32_t c = 0; c < ncols; ++c) {
-      uint32_t id = 0;
-      cur.U32(&id);
+      const ValueId id = request.ids[c * rows + e];
       if (id >= column_dict[c]->size()) {
-        sink->Err(WireError::kRange,
-                  "row id " + std::to_string(id) +
-                      " was never issued for attribute '" + col_names[c] +
-                      "' (dictionary has " +
-                      std::to_string(column_dict[c]->size()) + " values)");
-        return;
+        return Response::Err(WireError::kRange,
+                             "row id " + std::to_string(id) +
+                                 " was never issued for attribute '" + request.columns[c] +
+                                 "' (dictionary has " +
+                                 std::to_string(column_dict[c]->size()) + " values)");
       }
       row[slot_of_column[c]] = id;
     }
-    uint64_t count = 0;
-    cur.U64(&count);
+    const uint64_t count = request.counts[e];
     if (count > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
-      sink->Err(WireError::kRange, "delta count exceeds int64");
-      return;
+      return Response::Err(WireError::kRange, "delta count exceeds int64");
     }
-    if (count == 0) continue;
-    int64_t amount = static_cast<int64_t>(count);
-    deltas.push_back({Tuple::OfIds(row), insert ? amount : -amount});
+    if (count == 0) continue;  // zero rows net nothing, as in LOADU32
+    entry.deltas.push_back({Tuple::OfIds(row), sign * static_cast<int64_t>(count)});
   }
-  CommitDelta(bag_index, insert, std::move(deltas),
-              static_cast<size_t>(nrows), sink);
+  if (!txn_active_) {
+    DeltaBatch batch;
+    batch.push_back(std::move(entry));
+    return CommitBatch(std::move(batch), rows, label);
+  }
+  // Inside BEGIN/COMMIT the delta only buffers; validation against
+  // multiplicities (and publication) happens atomically at COMMIT.
+  // Cumulative caps first: the body caps are per block, so only this
+  // check bounds a whole transaction's memory — and guarantees the batch
+  // encodes into ONE WAL record at COMMIT. A refused block leaves the
+  // transaction open and untouched: COMMIT what is buffered, or RESET.
+  const size_t row_cap = txn_row_cap_for_test_ > 0 ? txn_row_cap_for_test_ : kMaxTxnRows;
+  const size_t byte_cap =
+      txn_byte_cap_for_test_ > 0 ? txn_byte_cap_for_test_ : kMaxTxnWalBytes;
+  const size_t entry_bytes = 12 + entry.deltas.size() * (arity * 4 + 8);
+  if (txn_rows_ + rows > row_cap || txn_wal_bytes_ + entry_bytes > byte_cap) {
+    return Response::Err(WireError::kRange,
+                         "transaction exceeds " + std::to_string(row_cap) +
+                             " buffered rows or " + std::to_string(byte_cap) +
+                             " encoded bytes; COMMIT what is buffered or RESET");
+  }
+  txn_batch_.push_back(std::move(entry));
+  txn_rows_ += rows;
+  txn_wal_bytes_ += entry_bytes;
+  return Response::Ok(label + " " + std::to_string(rows) + " rows buffered");
 }
 
-void ServerSession::CommitDelta(size_t bag_index, bool insert,
-                                std::vector<BagDelta> deltas, size_t rows,
-                                ResponseSink* sink) {
-  const std::string verb = insert ? "INSERT" : "DELETE";
-  const std::string& name = bag_names_[bag_index];
-  if (txn_active_) {
-    // Inside BEGIN/COMMIT the delta only buffers; validation against
-    // multiplicities (and publication) happens atomically at COMMIT.
-    // Cumulative caps first: the body caps are per block, so only this
-    // check bounds a whole transaction's memory — and guarantees the
-    // batch encodes into ONE WAL record at COMMIT. A refused block
-    // leaves the transaction open and untouched: COMMIT what is
-    // buffered, or RESET.
-    const size_t row_cap = txn_row_cap_for_test_ > 0
-                               ? txn_row_cap_for_test_ : kMaxTxnRows;
-    const size_t byte_cap = txn_byte_cap_for_test_ > 0
-                                ? txn_byte_cap_for_test_ : kMaxTxnWalBytes;
-    const size_t arity = bags_[bag_index].schema().arity();
-    const size_t entry_bytes = 12 + deltas.size() * (arity * 4 + 8);
-    if (txn_rows_ + rows > row_cap ||
-        txn_wal_bytes_ + entry_bytes > byte_cap) {
-      sink->Err(WireError::kRange,
-                "transaction exceeds " + std::to_string(row_cap) +
-                    " buffered rows or " + std::to_string(byte_cap) +
-                    " encoded bytes; COMMIT what is buffered or RESET");
-      return;
-    }
-    BagDeltas entry;
-    entry.bag_index = bag_index;
-    entry.deltas = std::move(deltas);
-    txn_batch_.push_back(std::move(entry));
-    txn_rows_ += rows;
-    txn_wal_bytes_ += entry_bytes;
-    sink->Ok(verb + " " + name + " " + std::to_string(rows) +
-             " rows buffered");
-    return;
-  }
-  DeltaBatch batch(1);
-  batch[0].bag_index = bag_index;
-  batch[0].deltas = std::move(deltas);
-  CommitBatch(std::move(batch), rows, verb + " " + name, sink);
-}
-
-void ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
-                                const std::string& label, ResponseSink* sink) {
+Response ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
+                                    const std::string& label) {
   const std::string verb = label.substr(0, label.find(' '));
   // Incremental-publish lineage: the bound collection's chain currently
   // ends in the generation this session sealed, every loaded bag is
@@ -980,12 +473,11 @@ void ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
       // derive from, and a delta commit must not trigger a reload (Peek
       // semantics). Retryable: any query reloads the collection from its
       // segment, or SEAL republishes it fresh.
-      sink->Err(WireError::kState,
-                "collection '" + collection_->name() +
-                    "' is not resident; run a query (reload) or SEAL, then "
-                    "retry the " +
-                    verb);
-      return;
+      return Response::Err(WireError::kState,
+                           "collection '" + collection_->name() +
+                               "' is not resident; run a query (reload) or SEAL, "
+                               "then retry the " +
+                               verb);
     }
     DeltaOutcome outcome;
     Result<std::shared_ptr<const EngineSnapshot>> next =
@@ -995,16 +487,14 @@ void ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
       // A DELETE below zero multiplicity (E_RANGE) in ANY bag: nothing
       // was mutated or published — every loaded bag, the lineage, and
       // the served generation are all intact.
-      sink->ErrStatus(next.status());
-      return;
+      return Response::Error(next.status());
     }
     Status published =
         registry_->PublishDelta(collection_.get(), *next, batch);
     if (!published.ok()) {
       // A concurrent publication won the chain (retryable E_STATE);
       // readers are on the newer generation, this session is untouched.
-      sink->ErrStatus(published);
-      return;
+      return Response::Error(published);
     }
     // The session's staged copies now match the published generation, so
     // the next SEAL or delta keeps full reuse lineage.
@@ -1028,8 +518,7 @@ void ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
                        std::to_string(bags_.size()) + " bags";
     size_t reused = bags_.size() - mutated.size();
     if (reused > 0) rest += " " + std::to_string(reused) + " reused";
-    sink->Ok(rest);
-    return;
+    return Response::Ok(rest);
   }
   // No publishable lineage (nothing sealed yet, canonical seal,
   // dictionary growth, or a changed bag set): mutate the loaded bags
@@ -1043,8 +532,7 @@ void ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
     for (BagDelta& d : bd.deltas) {
       int64_t& slot = bag_net[std::move(d.row)];
       if (__builtin_add_overflow(slot, d.delta, &slot)) {
-        sink->Err(WireError::kRange, "delta for one row overflows int64");
-        return;
+        return Response::Err(WireError::kRange, "delta for one row overflows int64");
       }
     }
   }
@@ -1058,10 +546,8 @@ void ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
     if (bag_deltas.empty()) continue;
     Bag next_bag = bags_[bi];
     Status applied = next_bag.ApplyRowDeltas(bag_deltas);
-    if (!applied.ok()) {
-      sink->ErrStatus(applied);  // all-or-nothing: every loaded bag intact
-      return;
-    }
+    // All-or-nothing: every loaded bag is still intact.
+    if (!applied.ok()) return Response::Error(applied);
     staged.emplace(bi, std::move(next_bag));
   }
   for (auto& [bi, bag] : staged) {
@@ -1070,88 +556,32 @@ void ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
   }
   staged_seg_path_.clear();
   registry_->RecordDelta();
-  sink->Ok(label + " " + std::to_string(rows) + " rows staged");
+  return Response::Ok(label + " " + std::to_string(rows) + " rows staged");
 }
 
-void ServerSession::HandleBegin(const std::vector<std::string>& tokens,
-                                ResponseSink* sink) {
-  if (tokens.size() != 1) {
-    sink->Err(WireError::kParse, "usage: BEGIN");
-    return;
-  }
-  if (txn_active_) {
-    sink->Err(WireError::kState,
-              "a transaction is already open; COMMIT or RESET first");
-    return;
-  }
-  txn_active_ = true;
-  txn_batch_.clear();
-  txn_rows_ = 0;
-  txn_wal_bytes_ = 0;
-  sink->Ok("BEGIN");
-}
-
-void ServerSession::HandleCommit(const std::vector<std::string>& tokens,
-                                 ResponseSink* sink) {
-  if (tokens.size() != 1) {
-    sink->Err(WireError::kParse, "usage: COMMIT");
-    return;
-  }
+Response ServerSession::HandleCommit() {
   if (!txn_active_) {
-    sink->Err(WireError::kState, "no transaction is open; BEGIN first");
-    return;
+    return Response::Err(WireError::kState, "no transaction is open; BEGIN first");
   }
   // COMMIT ends the transaction either way: on an error the batch was
   // not applied anywhere (all-or-nothing) and the client re-BEGINs.
   DeltaBatch batch = std::move(txn_batch_);
   size_t rows = txn_rows_;
+  EndTransaction();
+  if (batch.empty()) return Response::Ok("COMMIT 0 rows");
+  return CommitBatch(std::move(batch), rows, "COMMIT");
+}
+
+void ServerSession::EndTransaction() {
   txn_active_ = false;
   txn_batch_.clear();
   txn_rows_ = 0;
   txn_wal_bytes_ = 0;
-  if (batch.empty()) {
-    sink->Ok("COMMIT 0 rows");
-    return;
-  }
-  CommitBatch(std::move(batch), rows, "COMMIT", sink);
 }
 
-void ServerSession::HandleHello(const std::vector<std::string>& tokens,
-                                ResponseSink* sink) {
-  if (tokens.size() != 1) {
-    sink->Err(WireError::kParse, "usage: HELLO");
-    return;
-  }
-  sink->Ok("HELLO proto " + std::to_string(kWireProtocolVersion) + " frames " +
-           std::to_string(kWireFrameVersion));
-}
-
-void ServerSession::HandleUpgrade(const std::vector<std::string>& tokens,
-                                  ResponseSink* sink) {
-  if (tokens.size() != 2 || tokens[1] != "BINARY") {
-    sink->Err(WireError::kParse, "usage: UPGRADE BINARY");
-    return;
-  }
-  if (mode_ == Mode::kBinary) {
-    sink->Err(WireError::kState, "session is already in binary mode");
-    return;
-  }
-  // The OK is the last text line; every byte after it frames.
-  sink->Ok("UPGRADE BINARY");
-  mode_ = Mode::kBinary;
-}
-
-void ServerSession::HandleLoadSeg(const std::vector<std::string>& tokens,
-                                  ResponseSink* sink) {
-  if (tokens.size() != 2) {
-    sink->Err(WireError::kParse, "usage: LOADSEG <path>");
-    return;
-  }
-  Result<SegmentReader> mapped = SegmentReader::Map(tokens[1]);
-  if (!mapped.ok()) {
-    sink->ErrStatus(mapped.status());
-    return;
-  }
+Response ServerSession::HandleLoadSeg(const Request& request) {
+  Result<SegmentReader> mapped = SegmentReader::Map(request.name);
+  if (!mapped.ok()) return Response::Error(mapped.status());
   // Shared so each borrowed bag pins the mapping: the loaded bags serve
   // the mmap'd columns in place (no row vector, no column copy) until a
   // mutation de-seals them. The reader dies with the last such bag.
@@ -1162,41 +592,31 @@ void ServerSession::HandleLoadSeg(const std::vector<std::string>& tokens,
   // against the segment's own dictionary set, BEFORE touching session
   // state: a failed LOADSEG leaves the session unchanged.
   std::vector<AttrId> attr_ids(reader->num_attrs());
-  std::vector<std::vector<std::string>> attr_values(reader->num_attrs());
   DictionarySet seg_dicts;
   for (size_t a = 0; a < reader->num_attrs(); ++a) {
     std::string name(reader->attr_name(a));
-    if (!WireRepresentable(name)) {
-      sink->Err(WireError::kParse,
-                "segment attribute name is not representable on the wire");
-      return;
+    if (!WireValidateValue(name).ok()) {
+      return Response::Err(WireError::kParse,
+                           "segment attribute name is not representable on the wire");
     }
     attr_ids[a] = catalog_.Intern(name);
     if (dicts_->find_dict(attr_ids[a]) != nullptr) {
-      sink->Err(WireError::kState,
-                "attribute '" + name +
-                    "' already has a dictionary in this session");
-      return;
+      return Response::Err(WireError::kState,
+                           "attribute '" + name +
+                               "' already has a dictionary in this session");
     }
-    attr_values[a] = reader->AttrValues(a);
-    Status loaded = seg_dicts.dict(attr_ids[a]).BulkLoad(attr_values[a]);
-    if (!loaded.ok()) {
-      sink->ErrStatus(loaded);
-      return;
-    }
+    Status loaded = seg_dicts.dict(attr_ids[a]).BulkLoad(reader->AttrValues(a));
+    if (!loaded.ok()) return Response::Error(loaded);
   }
   std::vector<std::string> new_names;
   std::vector<Bag> new_bags;
   size_t total_support = 0;
   for (size_t b = 0; b < reader->num_bags(); ++b) {
     std::string name(reader->bag_name(b));
-    if (!CheckNewBagName(name, sink)) return;
-    for (const std::string& prior : new_names) {
-      if (prior == name) {
-        sink->Err(WireError::kState,
-                  "bag '" + name + "' appears twice in the segment");
-        return;
-      }
+    if (Status named = CheckNewBagName(name); !named.ok()) return Response::Error(named);
+    if (std::find(new_names.begin(), new_names.end(), name) != new_names.end()) {
+      return Response::Err(WireError::kState,
+                           "bag '" + name + "' appears twice in the segment");
     }
     std::vector<std::string> col_names;
     col_names.reserve(reader->bag_arity(b));
@@ -1216,10 +636,7 @@ void ServerSession::HandleLoadSeg(const std::vector<std::string>& tokens,
       bag = BagFromU32Columns(col_names, columns.View(), reader->Mults(b),
                               &catalog_, seg_dicts);
     }
-    if (!bag.ok()) {
-      sink->ErrStatus(bag.status());
-      return;
-    }
+    if (!bag.ok()) return Response::Error(bag.status());
     total_support += bag->SupportSize();
     new_names.push_back(std::move(name));
     new_bags.push_back(std::move(bag).value());
@@ -1238,47 +655,16 @@ void ServerSession::HandleLoadSeg(const std::vector<std::string>& tokens,
   // When this segment IS the whole loaded state, a later SEAL can
   // register it as the collection's lazy reload source (a reload
   // re-derives bit-identical results); AddBag cleared any prior staging.
-  if (was_empty) staged_seg_path_ = tokens[1];
-  sink->Ok("LOADSEG " + std::to_string(reader->num_bags()) + " bags " +
-           std::to_string(total_support) + " rows");
+  if (was_empty) staged_seg_path_ = request.name;
+  return Response::Ok("LOADSEG " + std::to_string(reader->num_bags()) + " bags " +
+                      std::to_string(total_support) + " rows");
 }
 
-void ServerSession::HandleSeal(const std::vector<std::string>& tokens,
-                               ResponseSink* sink) {
-  bool canonical = false;
-  bool full = false;
-  size_t num_threads = 1;
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    if (tokens[i] == "CANONICAL") {
-      canonical = true;
-    } else if (tokens[i] == "FULL") {
-      full = true;
-    } else if (tokens[i] == "THREADS" && i + 1 < tokens.size()) {
-      Result<uint64_t> n = WireParseUint(tokens[i + 1]);
-      if (!n.ok() || *n == 0) {
-        sink->Err(WireError::kParse, "THREADS needs a positive integer");
-        return;
-      }
-      // One protocol line must not be able to crash the daemon: spawning
-      // an absurd worker count throws std::system_error out of
-      // std::thread and terminates the process for every client.
-      if (*n > kMaxSealThreads) {
-        sink->Err(WireError::kRange,
-                  "THREADS must be at most " + std::to_string(kMaxSealThreads));
-        return;
-      }
-      num_threads = static_cast<size_t>(*n);
-      ++i;
-    } else {
-      sink->Err(WireError::kParse,
-                "usage: SEAL [CANONICAL] [FULL] [THREADS <n>]");
-      return;
-    }
-  }
+Response ServerSession::HandleSeal(const Request& request) {
   if (bags_.empty()) {
-    sink->Err(WireError::kState, "no bags loaded; LOAD or LOADU32 first");
-    return;
+    return Response::Err(WireError::kState, "no bags loaded; LOAD or LOADU32 first");
   }
+  const bool canonical = request.canonical;
   EngineSnapshot::BuildInputs inputs;
   inputs.names = bag_names_;
   inputs.bags = bags_;  // the session keeps its copies for later re-seals
@@ -1296,7 +682,7 @@ void ServerSession::HandleSeal(const std::vector<std::string>& tokens,
     inputs.dicts = std::make_shared<DictionarySet>(dicts_->Clone());
   }
   std::shared_ptr<DictionarySet> seal_dicts = inputs.dicts;
-  inputs.num_threads = num_threads;
+  inputs.num_threads = static_cast<size_t>(request.threads);
   inputs.columnar_min_rows = registry_->options().columnar_min_rows;
   inputs.canonicalize = canonical;
   // Incremental re-seal: bags unchanged since the last generation this
@@ -1305,7 +691,7 @@ void ServerSession::HandleSeal(const std::vector<std::string>& tokens,
   // pairs instead of O(m²). Canonical seals on either side remap ids and
   // disqualify reuse; FULL opts out explicitly (benchmark baseline).
   size_t reused = 0;
-  if (!full && !canonical && !last_seal_canonical_ && last_sealed_ != nullptr) {
+  if (!request.full && !canonical && !last_seal_canonical_ && last_sealed_ != nullptr) {
     inputs.prev_bag.assign(bags_.size(), SealReuse::kNoPrev);
     for (size_t i = 0; i < bags_.size(); ++i) {
       if (bag_epochs_[i] > last_seal_epoch_) continue;  // changed since
@@ -1322,16 +708,10 @@ void ServerSession::HandleSeal(const std::vector<std::string>& tokens,
   }
   Result<std::shared_ptr<const EngineSnapshot>> snapshot =
       EngineSnapshot::Build(std::move(inputs), collection_->NextSeq());
-  if (!snapshot.ok()) {
-    sink->ErrStatus(snapshot.status());
-    return;
-  }
+  if (!snapshot.ok()) return Response::Error(snapshot.status());
   Status published = registry_->Publish(collection_.get(), *snapshot,
                                         staged_seg_path_, canonical);
-  if (!published.ok()) {
-    sink->ErrStatus(published);
-    return;
-  }
+  if (!published.ok()) return Response::Error(published);
   last_sealed_ = *snapshot;
   last_seal_epoch_ = epoch_counter_;
   last_seal_canonical_ = canonical;
@@ -1343,26 +723,17 @@ void ServerSession::HandleSeal(const std::vector<std::string>& tokens,
   // The suffix appears only on actual reuse, so full-seal responses stay
   // byte-identical to protocol v1.
   if (reused > 0) rest += " " + std::to_string(reused) + " reused";
-  sink->Ok(rest);
+  return Response::Ok(rest);
 }
 
-void ServerSession::HandleReset(const std::vector<std::string>& tokens,
-                                ResponseSink* sink) {
-  bool hard = tokens.size() == 2 && tokens[1] == "HARD";
-  if (tokens.size() > 2 || (tokens.size() == 2 && !hard)) {
-    sink->Err(WireError::kParse, "usage: RESET [HARD]");
-    return;
-  }
+Response ServerSession::HandleReset(const Request& request) {
   bag_names_.clear();
   bags_.clear();
   bag_epochs_.clear();
   ForgetSealLineage();
   // An open transaction dies with the bags it was staged against.
-  txn_active_ = false;
-  txn_batch_.clear();
-  txn_rows_ = 0;
-  txn_wal_bytes_ = 0;
-  if (hard) {
+  EndTransaction();
+  if (request.hard) {
     catalog_ = AttributeCatalog();
     dicts_ = std::make_shared<DictionarySet>();
   }
@@ -1370,91 +741,55 @@ void ServerSession::HandleReset(const std::vector<std::string>& tokens,
   // queries on this collection see no engine until the next SEAL.
   registry_->Clear(collection_.get());
   registry_->RecordReset();
-  sink->Ok(hard ? "RESET HARD" : "RESET");
+  return Response::Ok(request.hard ? "RESET HARD" : "RESET");
 }
 
-void ServerSession::HandleAttach(const std::vector<std::string>& tokens,
-                                 ResponseSink* sink) {
-  if (tokens.size() != 2) {
-    sink->Err(WireError::kParse, "usage: ATTACH <collection>");
-    return;
-  }
-  const std::string& name = tokens[1];
-  // Collection names share the bag-name shape rules: non-empty, not all
-  // digits (so STATS <name> and future addressing stay unambiguous).
-  bool all_digits = !name.empty();
-  for (char c : name) all_digits = all_digits && c >= '0' && c <= '9';
-  if (name.empty() || all_digits) {
-    sink->Err(WireError::kParse,
-              "collection name '" + name + "' must not be all digits");
-    return;
+Response ServerSession::HandleAttach(const Request& request) {
+  // Collection names share the bag-name shape rule (so STATS <name> and
+  // future addressing stay unambiguous).
+  if (WireIsIndex(request.name)) {
+    return Response::Err(WireError::kParse,
+                         "collection name '" + request.name + "' must not be all digits");
   }
   Result<std::shared_ptr<CollectionRegistry::Collection>> attached =
-      registry_->Attach(name);
-  if (!attached.ok()) {
-    sink->ErrStatus(attached.status());
-    return;
-  }
+      registry_->Attach(request.name);
+  if (!attached.ok()) return Response::Error(attached.status());
   if (attached->get() != collection_.get()) {
     collection_ = *std::move(attached);
     // The previous chain's generations mean nothing to the new one.
     ForgetSealLineage();
   }
-  sink->Ok("ATTACH " + name);
+  return Response::Ok("ATTACH " + request.name);
 }
 
-void ServerSession::HandleDetach(const std::vector<std::string>& tokens,
-                                 ResponseSink* sink) {
-  if (tokens.size() != 1) {
-    sink->Err(WireError::kParse, "usage: DETACH");
-    return;
+Response ServerSession::HandleDrop(const Request& request) {
+  const size_t i = FindBag(request.name);
+  if (i == bag_names_.size()) {
+    return Response::Err(WireError::kState, "bag '" + request.name + "' is not loaded");
   }
-  if (collection_.get() != registry_->Default().get()) {
-    collection_ = registry_->Default();
-    ForgetSealLineage();
-  }
-  sink->Ok("DETACH");
+  bag_names_.erase(bag_names_.begin() + i);
+  bags_.erase(bags_.begin() + i);
+  bag_epochs_.erase(bag_epochs_.begin() + i);
+  // The loaded set no longer matches any one segment; re-LOADing the
+  // same name gets a fresh epoch, which is what marks it changed for the
+  // next incremental SEAL.
+  staged_seg_path_.clear();
+  return Response::Ok("DROP " + request.name);
 }
 
-void ServerSession::HandleDrop(const std::vector<std::string>& tokens,
-                               ResponseSink* sink) {
-  if (tokens.size() != 2) {
-    sink->Err(WireError::kParse, "usage: DROP <bag-name>");
-    return;
-  }
-  const std::string& name = tokens[1];
-  for (size_t i = 0; i < bag_names_.size(); ++i) {
-    if (bag_names_[i] != name) continue;
-    bag_names_.erase(bag_names_.begin() + i);
-    bags_.erase(bags_.begin() + i);
-    bag_epochs_.erase(bag_epochs_.begin() + i);
-    // The loaded set no longer matches any one segment; re-LOADing the
-    // same name gets a fresh epoch, which is what marks it changed for
-    // the next incremental SEAL.
-    staged_seg_path_.clear();
-    sink->Ok("DROP " + name);
-    return;
-  }
-  sink->Err(WireError::kState, "bag '" + name + "' is not loaded");
-}
-
-void ServerSession::HandleStats(const std::vector<std::string>& tokens,
-                                ResponseSink* sink) {
-  if (tokens.size() > 2) {
-    sink->Err(WireError::kParse, "usage: STATS [<collection>]");
-    return;
-  }
-  if (tokens.size() == 2) {
+Response ServerSession::HandleStats(const Request& request) {
+  Response r;
+  r.kind = Response::Kind::kStats;
+  auto& kv = r.stats;
+  if (!request.name.empty()) {
     // Per-collection STATS: registry-level accounting, no snapshot
     // access (Peek semantics — reporting must not trigger a reload).
-    std::shared_ptr<CollectionRegistry::Collection> c =
-        registry_->Find(tokens[1]);
+    std::shared_ptr<CollectionRegistry::Collection> c = registry_->Find(request.name);
     if (c == nullptr) {
-      sink->Err(WireError::kState, "no collection named '" + tokens[1] + "'");
-      return;
+      return Response::Err(WireError::kState,
+                           "no collection named '" + request.name + "'");
     }
     CollectionRegistry::CollectionStats s = registry_->Stats(c.get());
-    std::vector<std::pair<std::string, uint64_t>> kv;
     kv.emplace_back("resident", s.resident ? 1 : 0);
     kv.emplace_back("reloadable", s.reloadable ? 1 : 0);
     kv.emplace_back("bytes", s.bytes);
@@ -1463,15 +798,13 @@ void ServerSession::HandleStats(const std::vector<std::string>& tokens,
     kv.emplace_back("hits", s.hits);
     kv.emplace_back("evictions", s.evictions);
     kv.emplace_back("reloads", s.reloads);
-    sink->Stats(kv);
-    return;
+    return r;
   }
   // Global STATS reports the bound collection's snapshot without LRU or
   // reload side effects; the first ten keys are pinned by protocol v1
   // (docs/PROTOCOL.md transcript), new registry keys append after them.
   std::shared_ptr<const EngineSnapshot> snapshot =
       registry_->Peek(collection_.get());
-  std::vector<std::pair<std::string, uint64_t>> kv;
   kv.emplace_back("proto", kWireProtocolVersion);
   kv.emplace_back("sessions", registry_->sessions_active());
   kv.emplace_back("seals", registry_->seals_total());
@@ -1493,29 +826,66 @@ void ServerSession::HandleStats(const std::vector<std::string>& tokens,
   kv.emplace_back("wal_bytes", registry_->wal_bytes_total());
   kv.emplace_back("replayed_generations",
                   registry_->replayed_generations_total());
-  sink->Stats(kv);
+  return r;
 }
 
-std::shared_ptr<const EngineSnapshot> ServerSession::SnapshotOrErr(
-    ResponseSink* sink) {
-  Result<std::shared_ptr<const EngineSnapshot>> snapshot =
+Response ServerSession::HandleQuery(const Request& request) {
+  Result<std::shared_ptr<const EngineSnapshot>> acquired =
       registry_->Acquire(collection_.get());
-  if (!snapshot.ok()) {
-    // Evicted with no reload source, or the segment reload failed.
-    sink->ErrStatus(snapshot.status());
-    return nullptr;
+  // Evicted with no reload source, or the segment reload failed.
+  if (!acquired.ok()) return Response::Error(acquired.status());
+  std::shared_ptr<const EngineSnapshot> snapshot = *std::move(acquired);
+  if (snapshot == nullptr) {
+    return Response::Err(WireError::kState, "no sealed engine; SEAL a collection first");
   }
-  if (*snapshot == nullptr) {
-    sink->Err(WireError::kState, "no sealed engine; SEAL a collection first");
+  size_t i = 0, j = 0;
+  if (request.verb == Verb::kTwoBag || request.verb == Verb::kWitness) {
+    Result<size_t> ri = snapshot->ResolveBag(request.bag_i);
+    Result<size_t> rj = snapshot->ResolveBag(request.bag_j);
+    if (!ri.ok()) return Response::Error(ri.status());
+    if (!rj.ok()) return Response::Error(rj.status());
+    i = *ri;
+    j = *rj;
   }
-  return *snapshot;
+  if (request.verb == Verb::kWitness) {
+    // Protocol v1 touches the collection twice per WITNESS (operand
+    // resolution, then the flow run); the LRU tick count is visible in
+    // STATS <collection> and pinned by the docs/PROTOCOL.md transcript.
+    (void)registry_->Acquire(collection_.get());
+  }
+  registry_->RecordQuery();
+  switch (request.verb) {
+    case Verb::kTwoBag:
+      return VerdictOrError(RunOn(query_pool_, [&] { return snapshot->TwoBag(i, j); }));
+    case Verb::kPairwise: {
+      const PairwiseVerdict& verdict = snapshot->Pairwise();  // sealed at Build
+      if (verdict.consistent) return Response::Verdict(true);
+      return Response::Verdict(false, {verdict.witness_pair.first, verdict.witness_pair.second});
+    }
+    case Verb::kGlobal:
+      return VerdictOrError(RunOn(query_pool_, [&] { return snapshot->Global(); }));
+    case Verb::kKWise: {
+      std::optional<std::vector<size_t>> failing;
+      Result<bool> verdict = RunOn(
+          query_pool_, [&] { return snapshot->KWise(static_cast<size_t>(request.k), &failing); });
+      if (!verdict.ok()) return Response::Error(verdict.status());
+      if (*verdict) return Response::Verdict(true);
+      return Response::Verdict(false, std::move(*failing));
+    }
+    default: {  // WITNESS
+      Result<std::optional<Bag>> witness =
+          RunOn(query_pool_, [&] { return snapshot->Witness(i, j, request.minimal); });
+      if (!witness.ok()) return Response::Error(witness.status());
+      if (witness->has_value()) return WitnessResponse(**witness, *snapshot);
+      Response none;
+      none.kind = Response::Kind::kWitness;
+      return none;
+    }
+  }
 }
 
-bool ServerSession::HasBag(const std::string& name) const {
-  for (const std::string& existing : bag_names_) {
-    if (existing == name) return true;
-  }
-  return false;
+size_t ServerSession::FindBag(const std::string& name) const {
+  return std::find(bag_names_.begin(), bag_names_.end(), name) - bag_names_.begin();
 }
 
 void ServerSession::AddBag(std::string name, Bag bag) {
@@ -1532,136 +902,6 @@ void ServerSession::ForgetSealLineage() {
   last_seal_canonical_ = false;
   last_seal_dicts_ = nullptr;
   staged_seg_path_.clear();
-}
-
-void ServerSession::HandleTwoBag(const std::vector<std::string>& tokens,
-                                 ResponseSink* sink) {
-  if (tokens.size() != 3) {
-    sink->Err(WireError::kParse, "usage: TWOBAG <i> <j>");
-    return;
-  }
-  std::shared_ptr<const EngineSnapshot> snapshot = SnapshotOrErr(sink);
-  if (snapshot == nullptr) return;
-  Result<size_t> i = snapshot->ResolveBag(tokens[1]);
-  Result<size_t> j = snapshot->ResolveBag(tokens[2]);
-  if (!i.ok() || !j.ok()) {
-    sink->ErrStatus(i.ok() ? j.status() : i.status());
-    return;
-  }
-  registry_->RecordQuery();
-  Result<bool> verdict =
-      RunOn(query_pool_, [&] { return snapshot->TwoBag(*i, *j); });
-  if (!verdict.ok()) {
-    sink->ErrStatus(verdict.status());
-    return;
-  }
-  sink->Verdict(*verdict, {});
-}
-
-void ServerSession::QueryTwoBag(size_t i, size_t j, ResponseSink* sink) {
-  std::shared_ptr<const EngineSnapshot> snapshot = SnapshotOrErr(sink);
-  if (snapshot == nullptr) return;
-  registry_->RecordQuery();
-  Result<bool> verdict =
-      RunOn(query_pool_, [&] { return snapshot->TwoBag(i, j); });
-  if (!verdict.ok()) {
-    sink->ErrStatus(verdict.status());
-    return;
-  }
-  sink->Verdict(*verdict, {});
-}
-
-void ServerSession::HandlePairwise(ResponseSink* sink) {
-  std::shared_ptr<const EngineSnapshot> snapshot = SnapshotOrErr(sink);
-  if (snapshot == nullptr) return;
-  registry_->RecordQuery();
-  const PairwiseVerdict& verdict = snapshot->Pairwise();  // sealed at Build
-  if (verdict.consistent) {
-    sink->Verdict(true, {});
-  } else {
-    sink->Verdict(false,
-                  {verdict.witness_pair.first, verdict.witness_pair.second});
-  }
-}
-
-void ServerSession::HandleGlobal(ResponseSink* sink) {
-  std::shared_ptr<const EngineSnapshot> snapshot = SnapshotOrErr(sink);
-  if (snapshot == nullptr) return;
-  registry_->RecordQuery();
-  Result<bool> verdict = RunOn(query_pool_, [&] { return snapshot->Global(); });
-  if (!verdict.ok()) {
-    sink->ErrStatus(verdict.status());
-    return;
-  }
-  sink->Verdict(*verdict, {});
-}
-
-void ServerSession::HandleKWise(const std::vector<std::string>& tokens,
-                                ResponseSink* sink) {
-  if (tokens.size() != 2) {
-    sink->Err(WireError::kParse, "usage: KWISE <k>");
-    return;
-  }
-  Result<uint64_t> k = WireParseUint(tokens[1]);
-  if (!k.ok()) {
-    sink->ErrStatus(k.status());
-    return;
-  }
-  QueryKWise(static_cast<size_t>(*k), sink);
-}
-
-void ServerSession::QueryKWise(size_t k, ResponseSink* sink) {
-  std::shared_ptr<const EngineSnapshot> snapshot = SnapshotOrErr(sink);
-  if (snapshot == nullptr) return;
-  registry_->RecordQuery();
-  std::optional<std::vector<size_t>> failing;
-  Result<bool> verdict =
-      RunOn(query_pool_, [&] { return snapshot->KWise(k, &failing); });
-  if (!verdict.ok()) {
-    sink->ErrStatus(verdict.status());
-    return;
-  }
-  if (*verdict) {
-    sink->Verdict(true, {});
-  } else {
-    sink->Verdict(false, *failing);
-  }
-}
-
-void ServerSession::HandleWitness(const std::vector<std::string>& tokens,
-                                  ResponseSink* sink) {
-  bool minimal = tokens.size() == 4 && tokens[3] == "MINIMAL";
-  if (tokens.size() != 3 && !minimal) {
-    sink->Err(WireError::kParse, "usage: WITNESS <i> <j> [MINIMAL]");
-    return;
-  }
-  std::shared_ptr<const EngineSnapshot> snapshot = SnapshotOrErr(sink);
-  if (snapshot == nullptr) return;
-  Result<size_t> i = snapshot->ResolveBag(tokens[1]);
-  Result<size_t> j = snapshot->ResolveBag(tokens[2]);
-  if (!i.ok() || !j.ok()) {
-    sink->ErrStatus(i.ok() ? j.status() : i.status());
-    return;
-  }
-  QueryWitness(*i, *j, minimal, sink);
-}
-
-void ServerSession::QueryWitness(size_t i, size_t j, bool minimal,
-                                 ResponseSink* sink) {
-  std::shared_ptr<const EngineSnapshot> snapshot = SnapshotOrErr(sink);
-  if (snapshot == nullptr) return;
-  registry_->RecordQuery();
-  Result<std::optional<Bag>> witness =
-      RunOn(query_pool_, [&] { return snapshot->Witness(i, j, minimal); });
-  if (!witness.ok()) {
-    sink->ErrStatus(witness.status());
-    return;
-  }
-  if (!witness->has_value()) {
-    sink->WitnessNone();
-    return;
-  }
-  sink->WitnessBag(**witness, *snapshot);
 }
 
 }  // namespace bagc

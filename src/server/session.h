@@ -1,18 +1,18 @@
 // Per-client session state machine of the bagcd protocol. A session is
 // transport-agnostic: the socket layer (bagcd_server.cc), the in-process
 // test harnesses, and the server_session benchmark feed it raw bytes
-// (HandleData) or one text line at a time (HandleLine) and collect
-// complete responses. The session owns the client's interning state —
-// attribute catalog, live DictionarySet, loaded-but-unsealed bags —
-// while every query is answered from the shared immutable EngineSnapshot
-// currently published for the session's *collection* (ATTACH binds one;
-// "default" before the first ATTACH), so N sessions hammer one sealed
-// engine concurrently and a RESET or re-SEAL swaps generations under
-// them without a pause. SEAL publishes into the bound collection's
-// chain; when the previous generation of that chain was sealed by this
-// session and only k of m bags changed since (DROP + re-LOAD marks a
-// bag changed), the seal reuses the untouched bags' sealed state —
-// O(k·m) marginal fills instead of O(m²) ("SEAL FULL" opts out).
+// (HandleData) and collect complete responses. The session owns the
+// client's interning state — attribute catalog, live DictionarySet,
+// loaded-but-unsealed bags — while every query is answered from the
+// shared immutable EngineSnapshot currently published for the session's
+// *collection* (ATTACH binds one; "default" before the first ATTACH), so
+// N sessions hammer one sealed engine concurrently and a RESET or re-SEAL
+// swaps generations under them without a pause. SEAL publishes into the
+// bound collection's chain; when the previous generation of that chain
+// was sealed by this session and only k of m bags changed since (DROP +
+// re-LOAD marks a bag changed), the seal reuses the untouched bags'
+// sealed state — O(k·m) marginal fills instead of O(m²) ("SEAL FULL" opts
+// out).
 //
 // The dictionary-aware hot path: a client ships each attribute's
 // dictionary once (DICT block, ids 0..n-1 in shipped order), then
@@ -20,21 +20,20 @@
 // stay valid for the session's whole lifetime — SEAL hands the engine a
 // private clone of the dictionaries (canonicalized there when requested),
 // never the live set — so the server does no string interning, hashing,
-// or comparison on the streaming path (see ParseBagU32 in bag/bag_io.h).
+// or comparison on the streaming path.
 //
-// Framing: a session starts in text mode (lines). "UPGRADE BINARY"
-// switches both directions to the length-prefixed frames of
-// server/protocol.h after the OK response; a CMD frame carrying "TEXT"
-// switches back after its OK frame. Every handler emits through a
-// ResponseSink, so the text encoder (byte-identical to protocol v1 —
-// the docs/PROTOCOL.md transcript pins it) and the binary encoder share
-// one set of handlers and cannot diverge semantically.
+// Request -> dispatch -> Response. A session starts in the text framing
+// (lines); "UPGRADE BINARY" switches both directions to the frames of
+// server/protocol.h after its OK, and a CMD frame carrying "TEXT"
+// switches back after its OK frame. Either framing decodes into one
+// Request (server/protocol.h), Dispatch hands it to the one handler of
+// its verb, and the handler's Response is encoded by the framing the
+// request arrived in — so the two framings cannot diverge semantically.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "bag/bag.h"
@@ -61,29 +60,6 @@ class ServerSession {
     kShutdownServer,  ///< SHUTDOWN: flush, close, stop the whole server
   };
 
-  /// Response encoder: one implementation per framing. Handlers call
-  /// exactly one sink method per request (plus ErrStatus helpers), so
-  /// text and binary responses stay semantically identical by
-  /// construction.
-  class ResponseSink {
-   public:
-    virtual ~ResponseSink() = default;
-    /// Success line sans the "OK " prefix ("SEAL 2 bags", "BYE", ...).
-    virtual void Ok(const std::string& rest) = 0;
-    virtual void Err(WireError error, const std::string& message) = 0;
-    /// Consistency verdict; `indices` are the failing bag indices
-    /// (empty for TWOBAG/GLOBAL, the pair for PAIRWISE, the subset for
-    /// KWISE).
-    virtual void Verdict(bool consistent, const std::vector<size_t>& indices) = 0;
-    virtual void WitnessNone() = 0;
-    virtual void WitnessBag(const Bag& bag, const EngineSnapshot& snapshot) = 0;
-    virtual void Stats(const std::vector<std::pair<std::string, uint64_t>>& kv) = 0;
-
-    void ErrStatus(const Status& status) {
-      Err(WireErrorForStatus(status), status.message());
-    }
-  };
-
   /// `registry` must outlive the session. `query_pool` is the server's
   /// shared fan-out pool for query evaluation; nullptr answers queries
   /// inline on the transport thread. The session starts bound to the
@@ -103,15 +79,9 @@ class ServerSession {
   /// kContinue outcome is returned.
   Outcome HandleData(std::string_view data, std::string* out);
 
-  /// Feeds one text-mode input line (without its trailing newline).
-  /// Appends zero or more complete response lines to *out: zero while a
-  /// body is being streamed or for blank/comment lines, one for
-  /// single-line responses, several for WITNESS/STATS bodies. Legacy
-  /// entry point for tests and benchmarks; HandleData is the transport's.
-  Outcome HandleLine(const std::string& line, std::vector<std::string>* out);
-
-  /// Convenience for tests and benchmarks: feeds every line of `text`
-  /// and returns all response lines.
+  /// Convenience for tests and benchmarks: feeds `text` as text-framing
+  /// input (a final line needs no newline) and returns every response
+  /// line.
   std::vector<std::string> HandleScript(const std::string& text);
 
   /// True after a successful UPGRADE BINARY (and before a CMD "TEXT").
@@ -127,91 +97,52 @@ class ServerSession {
 
  private:
   enum class Mode { kText, kBinary };
-  // Body-collection modes (request side, text framing only).
-  enum class Body { kNone, kDict, kLoadText, kLoadU32, kInsert, kDelete };
 
-  // Dispatch for a stripped, non-empty command line (text line or CMD
-  // frame payload; body-carrying commands are rejected in binary mode).
-  Outcome HandleCommand(const std::vector<std::string>& tokens,
-                        ResponseSink* sink);
-  // Dispatch for one complete binary frame.
-  Outcome HandleFrame(uint8_t opcode, std::string_view payload,
-                      ResponseSink* sink);
+  // One text-framing line: buffers a request body up to END, or decodes
+  // a command line; complete requests go to Serve.
+  Outcome HandleTextLine(std::string_view line, std::string* out);
+  // Dispatches a decoded request (or answers its decode error) and
+  // appends the response in the framing the request arrived in.
+  Outcome Serve(Result<Request>&& request, std::string* out);
+  // The one dispatch point: every verb has exactly one handler.
+  Response Dispatch(Request& request, Outcome* outcome);
 
-  // END seen: parse and apply the collected body, emit the response.
-  void FinishBody(ResponseSink* sink);
-  void FinishDict(ResponseSink* sink);
-  void FinishLoad(ResponseSink* sink);
-  void FinishMutate(bool insert, ResponseSink* sink);
+  Response HandleDict(const Request& request);
+  Response HandleLoad(Request& request);  // LOAD, LOADU32 (ROWS frames)
+  Response HandleLoadSeg(const Request& request);
+  Response HandleDrop(const Request& request);
+  Response HandleSeal(const Request& request);
+  Response HandleReset(const Request& request);
+  Response HandleAttach(const Request& request);
+  Response HandleStats(const Request& request);
+  // INSERT/DELETE: validates the deltas against the loaded bag, then
+  // buffers them in the open transaction or commits them as a one-bag
+  // batch.
+  Response HandleMutate(const Request& request);
+  Response HandleCommit();
+  // TWOBAG, PAIRWISE, GLOBAL, KWISE, WITNESS — one snapshot acquisition,
+  // and the one place bag operands resolve.
+  Response HandleQuery(const Request& request);
 
-  // Binary bodies: DICT and LOADU32 equivalents carried in one frame.
-  void HandleDictFrame(std::string_view payload, ResponseSink* sink);
-  void HandleRowsFrame(std::string_view payload, ResponseSink* sink);
-  // INSERT/DELETE delta carried in one ROWS-grammar frame.
-  void HandleMutateFrame(bool insert, std::string_view payload,
-                         ResponseSink* sink);
+  // The delta commit: publishes the whole batch as ONE generation (and
+  // one WAL record) when this session's seal lineage holds, or applies
+  // it to the loaded bags otherwise ("staged") — all-or-nothing across
+  // every bag either way (a failing delta in the last bag leaves every
+  // bag untouched). `label` is the response prefix ("COMMIT",
+  // "INSERT <name>"); its first token names the verb in error messages.
+  Response CommitBatch(DeltaBatch batch, size_t rows, const std::string& label);
 
-  // Shared INSERT/DELETE core (text body and binary frame both land
-  // here with parsed, dictionary-validated deltas): applies the signed
-  // rows to the loaded bag and — when the bound collection currently
-  // serves a generation this session sealed and nothing else changed —
-  // derives and publishes the next generation incrementally
-  // (EngineSnapshot::BuildDelta, untouched bags adopted). Without that
-  // lineage the mutation stays session-local ("staged") until the next
-  // SEAL. All-or-nothing either way: a DELETE below zero multiplicity
-  // answers E_RANGE with the bag, the lineage, and the published
-  // generation untouched.
-  void CommitDelta(size_t bag_index, bool insert, std::vector<BagDelta> deltas,
-                   size_t rows, ResponseSink* sink);
-
-  // The COMMIT core, generalizing CommitDelta to a multi-bag batch:
-  // publishes the whole batch as ONE generation (and one WAL record)
-  // when the lineage holds, or applies it to the loaded bags otherwise —
-  // all-or-nothing across every bag either way (a failing delta in the
-  // last bag leaves every bag untouched). `label` is the response prefix
-  // ("COMMIT", "INSERT <name>"); its first token names the verb in
-  // error messages.
-  void CommitBatch(DeltaBatch batch, size_t rows, const std::string& label,
-                   ResponseSink* sink);
-
-  void HandleBegin(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleCommit(const std::vector<std::string>& tokens, ResponseSink* sink);
-
-  void HandleHello(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleUpgrade(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleAttach(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleDetach(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleDrop(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleSeal(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleReset(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleLoadSeg(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleStats(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleTwoBag(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandlePairwise(ResponseSink* sink);
-  void HandleGlobal(ResponseSink* sink);
-  void HandleKWise(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleWitness(const std::vector<std::string>& tokens, ResponseSink* sink);
-
-  // Shared query cores (text handlers parse tokens, binary frames decode
-  // integers; both land here).
-  void QueryTwoBag(size_t i, size_t j, ResponseSink* sink);
-  void QueryKWise(size_t k, ResponseSink* sink);
-  void QueryWitness(size_t i, size_t j, bool minimal, ResponseSink* sink);
-
-  // Validates a new bag name (shape + uniqueness); emits the error and
-  // returns false when unusable.
-  bool CheckNewBagName(const std::string& name, ResponseSink* sink);
-
-  // The bound collection's current snapshot (lazily reloaded from its
-  // segment after an eviction), or an E_STATE error via *sink.
-  std::shared_ptr<const EngineSnapshot> SnapshotOrErr(ResponseSink* sink);
-  // True when `name` is already loaded (session-local, pre-seal).
-  bool HasBag(const std::string& name) const;
+  // A new bag name's shape (not index-like) and uniqueness.
+  Status CheckNewBagName(const std::string& name) const;
+  // The loaded bag named `name`, or bag_names_.size() when none is.
+  size_t FindBag(const std::string& name) const;
   // Registers a freshly loaded bag (name/bag/change-epoch in lockstep).
   void AddBag(std::string name, Bag bag);
   // Invalidates the incremental-seal linkage and the staged segment
   // reload source (any change that breaks "bags == previous seal").
   void ForgetSealLineage();
+  // Closes the open transaction, discarding whatever it buffered.
+  void EndTransaction();
 
   CollectionRegistry* registry_;
   ThreadPool* query_pool_;
@@ -269,10 +200,10 @@ class ServerSession {
   Mode mode_ = Mode::kText;
   std::string inbuf_;  // HandleData's partial line / partial frame buffer
 
-  // In-flight request body (text framing).
-  Body body_ = Body::kNone;
-  std::vector<std::string> body_header_;  // tokens of the opening command
-  std::vector<std::string> body_lines_;   // raw body lines (verbatim)
+  // In-flight text request body: the opening command's tokens (empty
+  // when no body is open) and the raw body lines so far.
+  std::vector<std::string> body_header_;
+  std::vector<std::string> body_lines_;
   size_t body_bytes_ = 0;       // bytes buffered in body_lines_
   bool body_overflow_ = false;  // block exceeded a body cap -> E_RANGE
 };

@@ -139,9 +139,12 @@ struct FailureLog {
 };
 
 // One client's full mixed-query pass; every answer checked bit-exactly.
+// Witnesses decode through `dicts`, this client's own clone of sc.dicts:
+// ParseBag interns every value it reads, and ValueDictionary counts each
+// Intern call (hits included), so a shared set would be a data race.
 void RunMixedQueries(const std::string& host, uint16_t port,
-                     const StringCollection& sc, const Expected& e,
-                     size_t kwise_k, FailureLog* failures) {
+                     const StringCollection& sc, DictionarySet* dicts,
+                     const Expected& e, size_t kwise_k, FailureLog* failures) {
   Result<BagcdClient> client = BagcdClient::Connect(host, port);
   if (!client.ok()) {
     failures->Record("connect: " + client.status().ToString());
@@ -193,7 +196,7 @@ void RunMixedQueries(const std::string& host, uint16_t port,
       // Decode the wire block and compare multiplicities bit-exactly.
       AttributeCatalog catalog = sc.catalog;
       size_t pos = 0;
-      Result<Bag> decoded = ParseBag(**witness, &pos, &catalog, sc.dicts.get());
+      Result<Bag> decoded = ParseBag(**witness, &pos, &catalog, dicts);
       if (!decoded.ok() || *decoded != *e.witness[i][j]) {
         failures->Record("WITNESS " + std::to_string(i) + " " +
                          std::to_string(j) + ": " +
@@ -261,11 +264,13 @@ TEST(ServerConcurrentTest, MixedQueriesBitIdenticalAcrossClients) {
 
     constexpr size_t kClients = 6;  // acceptance floor is 4 concurrent clients
     FailureLog failures;
+    std::vector<DictionarySet> client_dicts;
+    for (size_t t = 0; t < kClients; ++t) client_dicts.push_back(sc.dicts->Clone());
     std::vector<std::thread> clients;
     for (size_t t = 0; t < kClients; ++t) {
-      clients.emplace_back([&] {
-        RunMixedQueries("127.0.0.1", (*server)->port(), sc, expected,
-                        scenario.kwise_k, &failures);
+      clients.emplace_back([&, t] {
+        RunMixedQueries("127.0.0.1", (*server)->port(), sc, &client_dicts[t],
+                        expected, scenario.kwise_k, &failures);
       });
     }
     for (std::thread& t : clients) t.join();

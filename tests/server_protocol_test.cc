@@ -8,6 +8,7 @@
 
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -1116,6 +1117,223 @@ TEST(ServerSessionTest, TransactionFramesRoundTripAndRefuseTrailingBytes) {
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].first, kFrameErr);
   EXPECT_NE(frames[0].second.find("no transaction is open"), std::string::npos);
+}
+
+// ---- Framing parity and hostile frames -------------------------------------
+
+std::string Frame(uint8_t opcode, const std::string& payload) {
+  std::string f;
+  WireAppendFrame(&f, opcode, payload);
+  return f;
+}
+
+std::string U32(uint32_t v) {
+  std::string s;
+  WireAppendU32(&s, v);
+  return s;
+}
+
+std::string Str(const std::string& v) {
+  std::string s;
+  WireAppendString(&s, v);
+  return s;
+}
+
+// The ROWS payload grammar (ROWS, INSERT, DELETE frames); each row is its
+// ids followed by its count.
+std::string RowsPayload(const std::string& bag, const std::vector<std::string>& cols,
+                        const std::vector<std::vector<uint64_t>>& rows) {
+  std::string payload = Str(bag) + U32(static_cast<uint32_t>(cols.size()));
+  for (const std::string& col : cols) payload += Str(col);
+  WireAppendU64(&payload, rows.size());
+  for (const std::vector<uint64_t>& row : rows) {
+    for (size_t c = 0; c + 1 < row.size(); ++c) {
+      WireAppendU32(&payload, static_cast<uint32_t>(row[c]));
+    }
+    WireAppendU64(&payload, row.back());
+  }
+  return payload;
+}
+
+// Splits a session's binary output into frames; a trailing partial frame
+// fails the test.
+std::vector<std::pair<uint8_t, std::string>> ParseFrames(const std::string& out) {
+  std::vector<std::pair<uint8_t, std::string>> frames;
+  size_t pos = 0;
+  while (out.size() - pos >= kWireFrameHeaderBytes) {
+    WireCursor header(std::string_view(out).substr(pos, kWireFrameHeaderBytes));
+    uint32_t len = 0;
+    uint8_t opcode = 0;
+    header.U32(&len);
+    header.U8(&opcode);
+    if (out.size() - pos - kWireFrameHeaderBytes < len) break;
+    frames.emplace_back(opcode, out.substr(pos + kWireFrameHeaderBytes, len));
+    pos += kWireFrameHeaderBytes + len;
+  }
+  EXPECT_EQ(pos, out.size()) << "output ends in a partial frame";
+  return frames;
+}
+
+struct ErrReply {
+  WireError error;
+  std::string message;
+};
+
+// The last text response as an error, or nullopt when it is not one.
+std::optional<ErrReply> LastTextErr(const std::vector<std::string>& lines) {
+  if (lines.empty() || lines.back().rfind("ERR ", 0) != 0) return std::nullopt;
+  const std::string& line = lines.back();
+  size_t space = line.find(' ', 4);
+  std::string code = line.substr(4, space - 4);
+  for (uint8_t tag = 0; tag <= WireErrorTag(WireError::kInternal); ++tag) {
+    WireError error = *WireErrorFromTag(tag);
+    if (WireErrorCode(error) == code) {
+      return ErrReply{error, space == std::string::npos ? "" : line.substr(space + 1)};
+    }
+  }
+  return std::nullopt;
+}
+
+// The last binary response as an error, or nullopt when it is not one.
+std::optional<ErrReply> LastFrameErr(const std::string& out) {
+  std::vector<std::pair<uint8_t, std::string>> frames = ParseFrames(out);
+  if (frames.empty() || frames.back().first != kFrameErr ||
+      frames.back().second.empty()) {
+    return std::nullopt;
+  }
+  Result<WireError> error =
+      WireErrorFromTag(static_cast<uint8_t>(frames.back().second[0]));
+  if (!error.ok()) return std::nullopt;
+  return ErrReply{*error, frames.back().second.substr(1)};
+}
+
+// One table of failing requests, each sent through a text session and
+// through a binary session over the same setup: both framings must
+// answer the same error class, and — for every error raised past the
+// decoders, where one handler answers both framings — the same message.
+TEST(ServerSessionTest, ErrorClassesAgreeAcrossFramings) {
+  struct Case {
+    const char* what;
+    std::string text;    // text-framing requests after kSetupScript
+    std::string frames;  // the same requests as frames
+    bool past_decoder;   // raised by a handler, not by a framing decoder
+  };
+  const std::vector<std::string> cols = {"item", "store"};
+  const std::vector<Case> cases = {
+      {"TWOBAG index out of range", "TWOBAG 99 0\n",
+       Frame(kFrameTwoBag, U32(99) + U32(0)), true},
+      {"WITNESS index out of range", "WITNESS 0 99\n",
+       Frame(kFrameWitness, U32(0) + U32(99) + std::string(1, '\0')), true},
+      {"KWISE 0", "KWISE 0\n", Frame(kFrameKWise, U32(0)), true},
+      {"INSERT into an unloaded bag", "INSERT nosuch item store\n0 0 : 1\nEND\n",
+       Frame(kFrameInsert, RowsPayload("nosuch", cols, {{0, 0, 1}})), true},
+      {"INSERT with a never-issued id", "INSERT stock item store\n9 0 : 1\nEND\n",
+       Frame(kFrameInsert, RowsPayload("stock", cols, {{9, 0, 1}})), true},
+      {"INSERT with mismatched columns", "INSERT stock item\n0 : 1\nEND\n",
+       Frame(kFrameInsert, RowsPayload("stock", {"item"}, {{0, 1}})), true},
+      {"DICT count mismatch", "DICT color 3\nred\nblue\nEND\n",
+       Frame(kFrameDict, Str("color") + U32(3) + Str("red") + Str("blue")), false},
+      {"duplicate bag name", "LOADU32 orders item store\n0 0 : 1\nEND\n",
+       Frame(kFrameRows, RowsPayload("orders", cols, {{0, 0, 1}})), true},
+      {"SEAL inside a transaction", "BEGIN\nSEAL\n",
+       Frame(kFrameBegin, "") + Frame(kFrameCmd, "SEAL"), true},
+      {"COMMIT with no transaction", "COMMIT\n", Frame(kFrameCommit, ""), true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    CollectionRegistry text_registry;
+    CollectionRegistry binary_registry;
+    ServerSession text(&text_registry, nullptr);
+    ServerSession binary(&binary_registry, nullptr);
+    Feed(&text, kSetupScript);
+    Feed(&binary, kSetupScript);
+    std::string out;
+    binary.HandleData("UPGRADE BINARY\n", &out);
+    ASSERT_TRUE(binary.binary_mode());
+
+    std::optional<ErrReply> text_err = LastTextErr(Feed(&text, c.text));
+    out.clear();
+    binary.HandleData(c.frames, &out);
+    std::optional<ErrReply> binary_err = LastFrameErr(out);
+    ASSERT_TRUE(text_err.has_value());
+    ASSERT_TRUE(binary_err.has_value());
+    EXPECT_EQ(WireErrorCode(text_err->error), WireErrorCode(binary_err->error))
+        << text_err->message << " | " << binary_err->message;
+    if (c.past_decoder) {
+      EXPECT_EQ(text_err->message, binary_err->message);
+    }
+  }
+}
+
+// Hostile bytes on the frame decoder: one well-formed frame of every
+// client opcode, then every truncation of its payload (length restamped)
+// and every single-bit flip of its header and payload, each fed to a
+// fresh upgraded session. The session must never crash, must answer in
+// whole frames, must never blame itself (E_INTERNAL), and must keep
+// answering: a following STATS frame gets its reply unless the session
+// closed. A flipped length field legitimately desynchronizes the stream
+// (the session may be waiting for bytes that never come), so those flips
+// only get the first three checks.
+TEST(ServerSessionTest, HostileFrameBytesNeverCrashOrDesync) {
+  const std::vector<std::string> cols = {"item", "store"};
+  const std::vector<std::pair<uint8_t, std::string>> seeds = {
+      {kFrameCmd, "STATS"},
+      {kFrameDict, Str("color") + U32(2) + Str("red") + Str("blue")},
+      {kFrameRows, RowsPayload("fresh", cols, {{0, 1, 2}, {2, 0, 1}})},
+      {kFrameTwoBag, U32(0) + U32(1)},
+      {kFramePairwise, ""},
+      {kFrameGlobal, ""},
+      {kFrameKWise, U32(2)},
+      {kFrameWitness, U32(0) + U32(1) + std::string(1, '\1')},
+      {kFrameInsert, RowsPayload("stock", cols, {{2, 0, 5}})},
+      {kFrameDelete, RowsPayload("stock", cols, {{0, 0, 1}})},
+      {kFrameBegin, ""},
+      {kFrameCommit, ""},
+  };
+  auto check_replies = [](const std::string& out) {
+    for (const auto& [opcode, payload] : ParseFrames(out)) {
+      if (opcode != kFrameErr) continue;
+      ASSERT_FALSE(payload.empty());
+      Result<WireError> error = WireErrorFromTag(static_cast<uint8_t>(payload[0]));
+      ASSERT_TRUE(error.ok()) << "invalid error tag " << int(payload[0]);
+      EXPECT_NE(*error, WireError::kInternal) << payload.substr(1);
+    }
+  };
+  auto probe = [&](const std::string& bytes, bool length_intact) {
+    CollectionRegistry registry;
+    ServerSession session(&registry, nullptr);
+    Feed(&session, kSetupScript);
+    std::string out;
+    session.HandleData("UPGRADE BINARY\n", &out);
+    ASSERT_TRUE(session.binary_mode());
+    out.clear();
+    if (session.HandleData(bytes, &out) == ServerSession::Outcome::kCloseConnection) {
+      check_replies(out);
+      return;
+    }
+    check_replies(out);
+    out.clear();
+    ServerSession::Outcome outcome = session.HandleData(Frame(kFrameCmd, "STATS"), &out);
+    check_replies(out);
+    if (!length_intact || outcome == ServerSession::Outcome::kCloseConnection) return;
+    bool answered = false;
+    for (const auto& frame : ParseFrames(out)) answered |= frame.first == kFrameStats;
+    EXPECT_TRUE(answered) << "STATS went unanswered after a hostile frame";
+  };
+  for (const auto& [opcode, payload] : seeds) {
+    SCOPED_TRACE("opcode " + std::to_string(opcode));
+    for (size_t len = 0; len < payload.size(); ++len) {
+      SCOPED_TRACE("truncated to " + std::to_string(len));
+      probe(Frame(opcode, payload.substr(0, len)), true);
+    }
+    const std::string frame = Frame(opcode, payload);
+    for (size_t bit = 0; bit < frame.size() * 8; ++bit) {
+      SCOPED_TRACE("bit " + std::to_string(bit));
+      std::string flipped = frame;
+      flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+      probe(flipped, bit >= 32);
+    }
+  }
 }
 
 TEST(BagcdServerTest, ShutdownCommandStopsTheServer) {

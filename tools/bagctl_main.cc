@@ -66,7 +66,7 @@ int RunScript(const std::string& host, uint16_t port,
       // Body lines flow through without a response; END closes the body
       // and the next server line is its response.
       if (!client->SendLine(line).ok()) return 1;
-      if (bagc::WireStrip(line) != bagc::kWireEnd) continue;
+      if (bagc::StripCommentView(line) != bagc::kWireEnd) continue;
       in_body = false;
     } else {
       std::vector<std::string> tokens = bagc::WireTokens(line);
