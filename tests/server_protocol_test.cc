@@ -6,6 +6,7 @@
 // documented wire format and the implementation cannot drift apart.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -16,11 +17,15 @@
 #include "bag/bag_io.h"
 #include "core/pairwise.h"
 #include "core/two_bag.h"
+#include "generators/workloads.h"
+#include "hypergraph/families.h"
 #include "server/bagcd_server.h"
 #include "server/client.h"
 #include "server/engine_snapshot.h"
 #include "server/protocol.h"
 #include "server/session.h"
+#include "tuple/segment.h"
+#include "util/random.h"
 
 #ifndef BAGC_REPO_ROOT
 #define BAGC_REPO_ROOT "."
@@ -1333,6 +1338,153 @@ TEST(ServerSessionTest, HostileFrameBytesNeverCrashOrDesync) {
       flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
       probe(flipped, bit >= 32);
     }
+  }
+}
+
+// ---- Witness reply golden ---------------------------------------------------
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (char ch : bytes) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The WITNESS replies to `requests`, sent through a fresh text session and
+// a fresh binary session on `registry`'s default collection: {text bytes,
+// frame bytes}, each reply appended in request order.
+std::pair<std::string, std::string> WitnessReplies(
+    CollectionRegistry* registry, const std::vector<Request>& requests) {
+  std::pair<std::string, std::string> out;
+  ServerSession text(registry, nullptr);
+  ServerSession binary(registry, nullptr);
+  std::string upgraded;
+  binary.HandleData("UPGRADE BINARY\n", &upgraded);
+  EXPECT_EQ(upgraded, "OK UPGRADE BINARY\n");
+  for (const Request& request : requests) {
+    size_t before = out.first.size();
+    text.HandleData(EncodeTextRequest(request), &out.first);
+    EXPECT_EQ(out.first.compare(before, 11, "OK WITNESS "), 0)
+        << out.first.substr(before, 80);
+    Result<std::string> frame = EncodeRequestFrame(request);
+    EXPECT_TRUE(frame.ok());
+    binary.HandleData(*frame, &out.second);
+  }
+  return out;
+}
+
+Request WitnessRequest(size_t i, size_t j, bool minimal) {
+  Request request;
+  request.verb = Verb::kWitness;
+  request.bag_i = std::to_string(i);
+  request.bag_j = std::to_string(j);
+  request.minimal = minimal;
+  return request;
+}
+
+// Publishes two numeric-codec bags (no dictionaries: values print through
+// the codec) into `registry`'s default collection under attributes a0..a2.
+void PublishNumericPair(CollectionRegistry* registry,
+                        const std::vector<std::string>& r_attrs,
+                        const std::vector<std::pair<std::vector<Value>, uint64_t>>& r_rows,
+                        const std::vector<std::string>& s_attrs,
+                        const std::vector<std::pair<std::vector<Value>, uint64_t>>& s_rows) {
+  EngineSnapshot::BuildInputs inputs;
+  for (const char* name : {"a0", "a1", "a2"}) inputs.catalog.Intern(name);
+  auto schema_of = [&](const std::vector<std::string>& attrs) {
+    std::vector<AttrId> ids;
+    for (const std::string& a : attrs) ids.push_back(*inputs.catalog.Lookup(a));
+    return Schema(ids);
+  };
+  inputs.names = {"r", "s"};
+  inputs.bags.push_back(*MakeBag(schema_of(r_attrs), r_rows));
+  inputs.bags.push_back(*MakeBag(schema_of(s_attrs), s_rows));
+  inputs.dicts = std::make_shared<DictionarySet>();
+  inputs.columnar_min_rows = 1;
+  CollectionRegistry::Collection* c = registry->Default().get();
+  Result<std::shared_ptr<const EngineSnapshot>> snapshot =
+      EngineSnapshot::Build(std::move(inputs), c->NextSeq());
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_TRUE(registry->Publish(c, *snapshot, "", false).ok());
+}
+
+// The bytes of every WITNESS reply, in both framings, pinned by hash: the
+// flow network, the witness seal and both encoders may change how they
+// work, never what they send. Three inputs: the 8-bag, 4,096-rows-per-bag
+// path the tenant_churn benchmark serves (dictionary values, loaded from
+// a segment); a pair whose flow edges do not enumerate in joined-tuple
+// order (R over {a0,a2}, S over {a1,a2}); and a pair of codec side-table
+// values (negative and >= 2^31), whose order is value order, not id order.
+TEST(ServerSessionTest, WitnessReplyBytesMatchGolden) {
+  {
+    Hypergraph path = *MakePath(9);
+    AttributeCatalog catalog;
+    DictionarySet dicts;
+    Schema all = Schema::UnionAll(path.edges());
+    for (AttrId a : all.attrs()) {
+      while (catalog.size() <= a) catalog.Intern("a" + std::to_string(catalog.size()));
+    }
+    Rng rng(2021);
+    BagGenOptions options;
+    options.support_size = 4096;
+    options.domain_size = 4096;
+    options.max_multiplicity = 8;
+    Bag numeric = *MakeRandomBag(all, options, &rng);
+    BagBuilder builder(all);
+    std::vector<std::string> tokens(all.arity());
+    for (size_t e = 0; e < numeric.SupportSize(); ++e) {
+      Tuple t = numeric.RowAt(e);
+      for (size_t c = 0; c < all.arity(); ++c) tokens[c] = "v" + std::to_string(t.at(c));
+      ASSERT_TRUE(builder.AddExternal(tokens, numeric.MultiplicityAt(e), &dicts).ok());
+    }
+    Bag witness = *builder.Build();
+    std::vector<std::string> names;
+    std::vector<Bag> bags;
+    for (const Schema& edge : path.edges()) {
+      names.push_back("b" + std::to_string(bags.size()));
+      bags.push_back(*witness.Marginal(edge));
+    }
+    std::string seg = testing::TempDir() + "witness_golden_path.seg";
+    ASSERT_TRUE(WriteSegmentFile(seg, names, bags, catalog, dicts).ok());
+    CollectionRegistry registry;
+    ServerSession loader(&registry, nullptr);
+    std::vector<std::string> sealed = loader.HandleScript("LOADSEG " + seg + "\nSEAL\n");
+    ASSERT_EQ(sealed.back(), "OK SEAL 8 bags");
+    std::vector<Request> requests;
+    for (size_t i = 0; i + 1 < bags.size(); ++i) {
+      requests.push_back(WitnessRequest(i, i + 1, false));
+    }
+    auto [text, frames] = WitnessReplies(&registry, requests);
+    EXPECT_EQ(Fnv1a(text), 2411353944748207146ull) << text.size() << " text bytes";
+    EXPECT_EQ(Fnv1a(frames), 13679727823215944311ull) << frames.size() << " frame bytes";
+    std::remove(seg.c_str());
+  }
+  {
+    CollectionRegistry registry;
+    PublishNumericPair(&registry, {"a0", "a2"},
+                       {{{0, 1}, 1}, {{0, 2}, 2}, {{1, 1}, 3}, {{2, 2}, 1}},
+                       {"a1", "a2"},
+                       {{{5, 1}, 1}, {{3, 2}, 2}, {{7, 1}, 3}, {{4, 2}, 1}});
+    auto [text, frames] = WitnessReplies(
+        &registry, {WitnessRequest(0, 1, false), WitnessRequest(0, 1, true),
+                    WitnessRequest(1, 0, false)});
+    EXPECT_EQ(Fnv1a(text), 10192205144951598713ull) << text;
+    EXPECT_EQ(Fnv1a(frames), 8115664025246165372ull) << frames.size() << " frame bytes";
+  }
+  {
+    CollectionRegistry registry;
+    PublishNumericPair(
+        &registry, {"a0", "a1"},
+        {{{-7, 3000000000}, 1}, {{5, -2}, 2}, {{3000000001, -2}, 1}, {{-1, 9}, 2}},
+        {"a1", "a2"},
+        {{{3000000000, -1}, 1}, {{-2, 4}, 1}, {{-2, 4000000000}, 2}, {{9, -3}, 2}});
+    auto [text, frames] = WitnessReplies(
+        &registry, {WitnessRequest(0, 1, false), WitnessRequest(0, 1, true),
+                    WitnessRequest(1, 0, false)});
+    EXPECT_EQ(Fnv1a(text), 17071482968718987325ull) << text;
+    EXPECT_EQ(Fnv1a(frames), 2388489985674598618ull) << frames.size() << " frame bytes";
   }
 }
 
