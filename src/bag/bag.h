@@ -16,9 +16,9 @@
 //    on-disk twin: BorrowColumnar serves a mapped segment in place.
 //
 // "ColumnStore is the bag": on a columnar-sealed bag, per-row Tuples
-// exist only on demand via RowAt, and only cold paths may ask — witness
-// decode, text write-out, delta staging (any mutator materializes the
-// row form first via copy-on-write). Hot paths use IdAt/MultiplicityAt/
+// exist only on demand via RowAt, and only cold paths may ask — text
+// write-out, delta staging (any mutator materializes the row form first
+// via copy-on-write). Hot paths use IdAt/MultiplicityAt/
 // Columns() and never allocate. entries() CHECK-fails on a columnar bag
 // so a hot path regressing into row iteration aborts tests instead of
 // silently re-materializing.
@@ -97,7 +97,7 @@ class Bag {
     return columnar_ ? columnar_->mult_data()[i] : (*entries_)[i].second;
   }
   /// Materializes the i-th smallest support tuple. COLD PATHS ONLY
-  /// (witness decode, text write-out, delta staging): allocates a fresh
+  /// (text write-out, delta staging): allocates a fresh
   /// Tuple per call on a columnar bag.
   Tuple RowAt(size_t i) const {
     return columnar_ ? columnar_->columns.RowAt(i) : (*entries_)[i].first;
@@ -313,8 +313,8 @@ class Bag {
 /// with one sort + merge, instead of a per-insert search.
 ///
 /// Duplicate tuples merge by overflow-checked addition; zero-multiplicity
-/// rows are dropped. This is the construction path for every bulk producer
-/// (marginals, joins, witness extraction, generators).
+/// rows are dropped. This is the construction path for the row-form bulk
+/// producers (marginals, joins, generators).
 class BagBuilder {
  public:
   explicit BagBuilder(Schema schema) : schema_(std::move(schema)) {}

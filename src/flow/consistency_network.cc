@@ -14,13 +14,16 @@ Result<ConsistencyNetwork> ConsistencyNetwork::Make(const Bag& r, const Bag& s) 
 Status ConsistencyNetwork::Assign(const Bag& r, const Bag& s) {
   BAGC_ASSIGN_OR_RETURN(TupleJoiner joiner, TupleJoiner::Make(r.schema(), s.schema()));
   joined_schema_ = joiner.joined_schema();
+  slot_sources_ = joiner.slot_sources();
+  r_ = r;
+  s_ = s;
   middle_.clear();
   source_capacity_ = 0;
   sink_capacity_ = 0;
 
   // Vertex numbering: 0 = source, 1..|R'| = R tuples, then S tuples, then
-  // sink last. The flat entry vectors give the mapping directly: the i-th
-  // entry of R is vertex 1 + i, the j-th entry of S is vertex 1 + |R'| + j.
+  // sink last. The sorted row order gives the mapping directly: the i-th
+  // row of R is vertex 1 + i, the j-th row of S is vertex 1 + |R'| + j.
   size_t nr = r.SupportSize();
   size_t ns = s.SupportSize();
   net_.Reset(2 + nr + ns);
@@ -45,7 +48,8 @@ Status ConsistencyNetwork::Assign(const Bag& r, const Bag& s) {
   // Middle edges: one per join tuple of the supports, grouped via a
   // columnar hash join on the shared attributes — gather just the shared
   // columns of both sides, index S's, and resolve every R row in one
-  // ProbeAll batch (no per-row Tuple projections on the matching phase).
+  // ProbeAll batch. An edge is its (R row, S row) pair; the join tuple is
+  // only ever assembled column-wise, by ExtractWitness.
   BAGC_ASSIGN_OR_RETURN(Projector r_shared,
                         Projector::Make(r.schema(), joiner.shared_schema()));
   BAGC_ASSIGN_OR_RETURN(Projector s_shared,
@@ -55,14 +59,13 @@ Status ConsistencyNetwork::Assign(const Bag& r, const Bag& s) {
   ColumnView r_view = r.ProjectedView(r_shared, &r_backing);
   ColumnView s_view = s.ProjectedView(s_shared, &s_backing);
   ColumnJoinMatch match(r_view, s_view);
+  first_middle_ = net_.num_edges();
   for (size_t i = 0; i < nr; ++i) {
     if (match.MatchOf(i) == ColumnJoinMatch::kNoMatch) continue;
-    Tuple x = r.RowAt(i);  // middle-edge assembly materializes (cold)
     for (uint32_t j : match.RightRows(match.MatchOf(i))) {
-      BAGC_ASSIGN_OR_RETURN(
-          FlowNetwork::EdgeId eid,
-          net_.AddEdge(1 + i, 1 + nr + j, FlowNetwork::kUnbounded));
-      middle_.push_back({joiner.Join(x, s.RowAt(j)), eid});
+      BAGC_RETURN_NOT_OK(
+          net_.AddEdge(1 + i, 1 + nr + j, FlowNetwork::kUnbounded).status());
+      middle_.emplace_back(static_cast<uint32_t>(i), j);
     }
   }
   return Status::OK();
@@ -79,24 +82,51 @@ Result<bool> ConsistencyNetwork::HasSaturatedFlow() {
 }
 
 Result<Bag> ConsistencyNetwork::ExtractWitness() const {
-  BagBuilder builder(joined_schema_);
-  for (const MiddleEdge& me : middle_) {
-    uint64_t f = net_.FlowOn(me.edge);
+  std::vector<size_t> kept;
+  std::vector<uint64_t> mults;
+  for (size_t i = 0; i < middle_.size(); ++i) {
+    uint64_t f = net_.FlowOn(MiddleEdgeId(i));
     if (f > 0) {
-      BAGC_RETURN_NOT_OK(builder.Add(me.tuple, f));
+      kept.push_back(i);
+      mults.push_back(f);
     }
   }
-  return builder.Build();
+  // Gather the joined columns of the kept edges, one column at a time.
+  const size_t n = kept.size();
+  const size_t arity = slot_sources_.size();
+  std::vector<ValueId> data(n * arity);
+  for (size_t c = 0; c < arity; ++c) {
+    const auto& [from_r, slot] = slot_sources_[c];
+    ValueId* dst = data.data() + c * n;
+    for (size_t k = 0; k < n; ++k) {
+      const auto& [ri, sj] = middle_[kept[k]];
+      dst[k] = from_r ? r_.IdAt(ri, slot) : s_.IdAt(sj, slot);
+    }
+  }
+  ColumnStore columns = ColumnStore::FromColumnMajor(std::move(data), n, arity);
+  // Edges enumerate by (R row, S row). When R's slots lead the joined
+  // order that is already Tuple order and the columns seal as they are;
+  // otherwise group them (every join tuple is distinct, so grouping only
+  // sorts).
+  ColumnView view = columns.View();
+  bool ascending = true;
+  for (size_t k = 1; k < n && ascending; ++k) {
+    ascending = view.CompareRows(k - 1, view, k) < 0;
+  }
+  if (ascending) {
+    return Bag::FromColumnar(joined_schema_, std::move(columns), std::move(mults));
+  }
+  return Bag::GroupColumns(joined_schema_, view, mults.data(), n);
 }
 
 Status ConsistencyNetwork::SuppressMiddleEdge(size_t i) {
   if (i >= middle_.size()) return Status::InvalidArgument("middle edge out of range");
-  return net_.SetCapacity(middle_[i].edge, 0);
+  return net_.SetCapacity(MiddleEdgeId(i), 0);
 }
 
 Status ConsistencyNetwork::RestoreMiddleEdge(size_t i) {
   if (i >= middle_.size()) return Status::InvalidArgument("middle edge out of range");
-  return net_.SetCapacity(middle_[i].edge, FlowNetwork::kUnbounded);
+  return net_.SetCapacity(MiddleEdgeId(i), FlowNetwork::kUnbounded);
 }
 
 }  // namespace bagc

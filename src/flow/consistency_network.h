@@ -3,9 +3,16 @@
 // support tuples of S (capacity S(s)) -> sink. R and S are consistent iff
 // N(R, S) admits a saturated flow (Lemma 2, (1) <=> (5)); an integral
 // saturated flow *is* a witness bag.
+//
+// A middle edge is recorded as the (R row, S row) pair it joins — two
+// u32s, never a materialized join Tuple — and the flow network is one
+// reusable arena (FlowNetwork). ExtractWitness gathers the joined columns
+// of the positive-flow edges straight from the bags' ids and seals them
+// columnar, so a witness costs no per-row heap allocation either.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "bag/bag.h"
@@ -26,7 +33,9 @@ class ConsistencyNetwork {
 
   /// Rebuilds this object as N(R, S) in place, reusing the flow arena and
   /// middle-edge storage of any previous build (see FlowNetwork::Reset).
-  /// On error the contents are unspecified; Assign again before use.
+  /// Keeps a (refcounted, copy-free) handle on both bags for
+  /// ExtractWitness. On error the contents are unspecified; Assign again
+  /// before use.
   Status Assign(const Bag& r, const Bag& s);
 
   /// Sum of source-side capacities (= ||R||_u); a flow saturates iff its
@@ -36,14 +45,12 @@ class ConsistencyNetwork {
 
   size_t NumMiddleEdges() const { return middle_.size(); }
 
-  /// The join tuple (over schema XY) of middle edge i.
-  const Tuple& MiddleTuple(size_t i) const { return middle_[i].tuple; }
-
   /// Runs max-flow; returns true iff a saturated flow exists.
   Result<bool> HasSaturatedFlow();
 
   /// After a successful HasSaturatedFlow() == true, extracts the witness
-  /// bag T(XY) with T(t) = flow on t's middle edge.
+  /// bag T(XY) with T(t) = flow on t's middle edge, columnar-sealed in
+  /// Tuple order.
   Result<Bag> ExtractWitness() const;
 
   /// Suppresses middle edge i (capacity 0) / restores it. Used by the
@@ -51,20 +58,21 @@ class ConsistencyNetwork {
   Status SuppressMiddleEdge(size_t i);
   Status RestoreMiddleEdge(size_t i);
 
-  /// Flow currently on middle edge i.
-  uint64_t MiddleFlow(size_t i) const { return net_.FlowOn(middle_[i].edge); }
-
   const Schema& joined_schema() const { return joined_schema_; }
 
  private:
-  struct MiddleEdge {
-    Tuple tuple;  // join tuple over XY
-    FlowNetwork::EdgeId edge;
-  };
+  FlowNetwork::EdgeId MiddleEdgeId(size_t i) const { return first_middle_ + i; }
 
   FlowNetwork net_;
+  Bag r_;
+  Bag s_;
   Schema joined_schema_;
-  std::vector<MiddleEdge> middle_;
+  // Per joined slot: (read from R, source slot) — TupleJoiner's plan.
+  std::vector<std::pair<bool, size_t>> slot_sources_;
+  // Middle edge i joins R row middle_[i].first with S row .second; its
+  // flow edge is first_middle_ + i (middle edges are added last, in order).
+  std::vector<std::pair<uint32_t, uint32_t>> middle_;
+  FlowNetwork::EdgeId first_middle_ = 0;
   uint64_t source_capacity_ = 0;
   uint64_t sink_capacity_ = 0;
   size_t source_ = 0;

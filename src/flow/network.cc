@@ -6,41 +6,49 @@
 
 namespace bagc {
 
-FlowNetwork::FlowNetwork(size_t num_vertices) : graph_(num_vertices) {}
+FlowNetwork::FlowNetwork(size_t num_vertices) : num_vertices_(num_vertices) {}
 
 void FlowNetwork::Reset(size_t num_vertices) {
+  num_vertices_ = num_vertices;
   edges_.clear();
-  // Resize the adjacency table without releasing the per-vertex vectors:
-  // surviving slots keep their capacity for the next build.
-  graph_.resize(num_vertices);
-  for (std::vector<size_t>& adj : graph_) adj.clear();
+  adjacency_stale_ = true;
 }
 
 Result<FlowNetwork::EdgeId> FlowNetwork::AddEdge(size_t u, size_t v,
                                                  uint64_t capacity) {
-  if (u >= graph_.size() || v >= graph_.size()) {
+  if (u >= num_vertices_ || v >= num_vertices_) {
     return Status::InvalidArgument("flow edge endpoint out of range");
   }
   if (capacity > kUnbounded) {
     return Status::InvalidArgument("capacity exceeds kUnbounded");
   }
   EdgeId id = edges_.size() / 2;
-  graph_[u].push_back(edges_.size());
   edges_.push_back({v, capacity, capacity});
-  graph_[v].push_back(edges_.size());
   edges_.push_back({u, 0, 0});
+  adjacency_stale_ = true;
   return id;
 }
 
+void FlowNetwork::BuildAdjacency() {
+  adj_start_.assign(num_vertices_ + 1, 0);
+  for (size_t e = 0; e < edges_.size(); ++e) ++adj_start_[edges_[e ^ 1].to + 1];
+  for (size_t v = 0; v < num_vertices_; ++v) adj_start_[v + 1] += adj_start_[v];
+  // iter_ doubles as the per-vertex fill cursor; Solve re-seeds it per phase.
+  iter_.assign(adj_start_.begin(), adj_start_.end() - 1);
+  adj_.resize(edges_.size());
+  for (size_t e = 0; e < edges_.size(); ++e) adj_[iter_[edges_[e ^ 1].to]++] = e;
+  adjacency_stale_ = false;
+}
+
 bool FlowNetwork::Bfs(size_t s, size_t t) {
-  level_.assign(graph_.size(), -1);
+  level_.assign(num_vertices_, -1);
   bfs_queue_.clear();
   bfs_queue_.push_back(s);
   level_[s] = 0;
   for (size_t qi = 0; qi < bfs_queue_.size(); ++qi) {
     size_t v = bfs_queue_[qi];
-    for (size_t eid : graph_[v]) {
-      const Edge& e = edges_[eid];
+    for (size_t i = adj_start_[v]; i < adj_start_[v + 1]; ++i) {
+      const Edge& e = edges_[adj_[i]];
       if (e.cap > 0 && level_[e.to] < 0) {
         level_[e.to] = level_[v] + 1;
         bfs_queue_.push_back(e.to);
@@ -52,8 +60,8 @@ bool FlowNetwork::Bfs(size_t s, size_t t) {
 
 uint64_t FlowNetwork::Dfs(size_t v, size_t t, uint64_t limit) {
   if (v == t) return limit;
-  for (size_t& i = iter_[v]; i < graph_[v].size(); ++i) {
-    size_t eid = graph_[v][i];
+  for (size_t& i = iter_[v]; i < adj_start_[v + 1]; ++i) {
+    size_t eid = adj_[i];
     Edge& e = edges_[eid];
     if (e.cap == 0 || level_[e.to] != level_[v] + 1) continue;
     uint64_t pushed = Dfs(e.to, t, std::min(limit, e.cap));
@@ -67,14 +75,15 @@ uint64_t FlowNetwork::Dfs(size_t v, size_t t, uint64_t limit) {
 }
 
 Result<uint64_t> FlowNetwork::Solve(size_t s, size_t t) {
-  if (s >= graph_.size() || t >= graph_.size() || s == t) {
+  if (s >= num_vertices_ || t >= num_vertices_ || s == t) {
     return Status::InvalidArgument("invalid source/sink");
   }
+  if (adjacency_stale_) BuildAdjacency();
   // Reset residual capacities to originals.
   for (Edge& e : edges_) e.cap = e.orig;
   uint64_t total = 0;
   while (Bfs(s, t)) {
-    iter_.assign(graph_.size(), 0);
+    iter_.assign(adj_start_.begin(), adj_start_.end() - 1);
     while (uint64_t pushed = Dfs(s, t, kUnbounded)) {
       total += pushed;
     }

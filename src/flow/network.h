@@ -3,6 +3,12 @@
 // minimal-witness construction of §5.3. Capacities and flows are exact
 // 64-bit integers; the integrality theorem for max flow then yields integer
 // witnesses directly.
+//
+// Storage is one arena: every edge lives in a single flat array, and the
+// adjacency is a CSR index (one offset per vertex plus an edge-id array)
+// derived from it by a stable counting sort on the tail vertex whenever
+// the edge set changed since the last Solve. No per-vertex or per-edge
+// allocation happens after the arena has grown once.
 #pragma once
 
 #include <cstdint>
@@ -29,13 +35,13 @@ class FlowNetwork {
   explicit FlowNetwork(size_t num_vertices);
 
   /// Clears the network back to `num_vertices` isolated vertices while
-  /// retaining every allocation (edge pool, adjacency lists, BFS/DFS
-  /// scratch). This is the arena-reuse entry point: repeated solves — the
-  /// §5.3 suppress/restore loop, the Theorem 6 fold, engine batch queries —
+  /// retaining every allocation (edge array, CSR index, BFS/DFS scratch).
+  /// This is the arena-reuse entry point: repeated solves — the §5.3
+  /// suppress/restore loop, the Theorem 6 fold, engine batch queries —
   /// rebuild into the same storage instead of reallocating per solve.
   void Reset(size_t num_vertices);
 
-  size_t num_vertices() const { return graph_.size(); }
+  size_t num_vertices() const { return num_vertices_; }
   size_t num_edges() const { return edges_.size() / 2; }
 
   /// Adds a directed edge u -> v with the given capacity; returns its id.
@@ -62,11 +68,19 @@ class FlowNetwork {
     uint64_t orig;  // original capacity
   };
 
+  // Rebuilds the CSR index from edges_. Half-edge e has tail
+  // edges_[e ^ 1].to; the counting sort is stable, so each vertex lists
+  // its half-edges in AddEdge order and Dinic pushes the same flow an
+  // adjacency-list build would.
+  void BuildAdjacency();
   bool Bfs(size_t s, size_t t);
   uint64_t Dfs(size_t v, size_t t, uint64_t limit);
 
-  std::vector<Edge> edges_;                 // edge 2k = forward, 2k+1 = back
-  std::vector<std::vector<size_t>> graph_;  // adjacency: edge indices
+  size_t num_vertices_ = 0;
+  std::vector<Edge> edges_;        // edge 2k = forward, 2k+1 = back
+  std::vector<size_t> adj_start_;  // CSR: vertex v's half-edges are
+  std::vector<size_t> adj_;        //   adj_[adj_start_[v] .. adj_start_[v+1])
+  bool adjacency_stale_ = true;
   std::vector<int> level_;
   std::vector<size_t> iter_;
   std::vector<size_t> bfs_queue_;  // scratch, reused across Bfs calls

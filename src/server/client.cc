@@ -34,9 +34,10 @@ Status WriteAll(int fd, const std::string& data) {
   return Status::OK();
 }
 
-// Appends the next bytes the server sent to *inbuf.
+// Appends the next bytes the server sent to *inbuf, up to 64 KiB per
+// read, so a large WITNESS reply costs few syscalls.
 Status ReadMore(int fd, std::string* inbuf) {
-  char chunk[4096];
+  char chunk[64 * 1024];
   ssize_t n;
   do {
     n = ::read(fd, chunk, sizeof(chunk));
@@ -114,17 +115,26 @@ Status BagcdClient::SendLine(const std::string& line) {
   return WriteAll(fd_, line + "\n");
 }
 
-Result<std::string> BagcdClient::ReadLine() {
+Result<std::string> BagcdClient::LineAt(size_t* pos) {
+  size_t scanned = *pos;
   while (true) {
-    size_t nl = inbuf_.find('\n');
+    size_t nl = inbuf_.find('\n', scanned);
     if (nl != std::string::npos) {
-      std::string line = inbuf_.substr(0, nl);
-      inbuf_.erase(0, nl + 1);
+      std::string line = inbuf_.substr(*pos, nl - *pos);
+      *pos = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }
+    scanned = inbuf_.size();
     BAGC_RETURN_NOT_OK(ReadMore(fd_, &inbuf_));
   }
+}
+
+Result<std::string> BagcdClient::ReadLine() {
+  size_t pos = 0;
+  BAGC_ASSIGN_OR_RETURN(std::string line, LineAt(&pos));
+  inbuf_.erase(0, pos);
+  return line;
 }
 
 Status BagcdClient::SendFrame(uint8_t opcode, std::string_view payload) {
@@ -160,14 +170,16 @@ Result<std::pair<uint8_t, std::string>> BagcdClient::ReadFrame() {
 
 Result<std::vector<std::string>> BagcdClient::ReadReplyLines() {
   std::vector<std::string> lines;
-  BAGC_ASSIGN_OR_RETURN(std::string first, ReadLine());
+  size_t pos = 0;
+  BAGC_ASSIGN_OR_RETURN(std::string first, LineAt(&pos));
   bool body = WireResponseHasBody(first);
   lines.push_back(std::move(first));
   while (body) {
-    BAGC_ASSIGN_OR_RETURN(std::string line, ReadLine());
+    BAGC_ASSIGN_OR_RETURN(std::string line, LineAt(&pos));
     body = line != kWireEnd;
     lines.push_back(std::move(line));
   }
+  inbuf_.erase(0, pos);
   return lines;
 }
 
@@ -374,12 +386,7 @@ Result<std::optional<std::vector<std::string>>> BagcdClient::Witness(
   request.minimal = minimal;
   BAGC_ASSIGN_OR_RETURN(Response response, Call(request, Response::Kind::kWitness));
   if (!response.found) return std::optional<std::vector<std::string>>();
-  // The bag block is the text rendering between the OK line and END.
-  std::string text;
-  AppendResponseText(response, &text);
-  std::vector<std::string> lines = WireSplitLines(text);
-  return std::optional<std::vector<std::string>>(
-      std::vector<std::string>(lines.begin() + 1, lines.end() - 1));
+  return std::optional<std::vector<std::string>>(WitnessBagLines(response));
 }
 
 namespace {

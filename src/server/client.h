@@ -129,7 +129,12 @@ class BagcdClient {
   // "server said: <its first text line>".
   Result<Response> Call(const Request& request, Response::Kind expected);
   // Reads one text response: the first line, through END for bodies.
+  // The lines are read at a cursor into inbuf_, which is trimmed once
+  // per reply, not once per line.
   Result<std::vector<std::string>> ReadReplyLines();
+  // The line starting at inbuf_[*pos] (without its newline), reading
+  // more bytes as needed; advances *pos past it and erases nothing.
+  Result<std::string> LineAt(size_t* pos);
   // Reads and decodes one server frame.
   Result<Response> ReadReplyFrame();
 

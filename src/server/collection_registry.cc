@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "bag/bag_io.h"
@@ -166,6 +167,10 @@ std::shared_ptr<CollectionRegistry::Collection> CollectionRegistry::Find(
 
 Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Acquire(
     Collection* c) {
+  // Engaged only when this call leads a reload: a resident hit must not
+  // pay for the promise's shared state.
+  std::optional<std::promise<Result<std::shared_ptr<const EngineSnapshot>>>> flight;
+  std::shared_future<Result<std::shared_ptr<const EngineSnapshot>>> running;
   std::string path;
   bool canonical = false;
   uint64_t seq = 0;
@@ -181,18 +186,37 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Acquire(
       // eviction, just "no engine yet".
       return std::shared_ptr<const EngineSnapshot>();
     }
-    if (c->segment_path_.empty()) {
+    if (c->reload_.valid()) {
+      running = c->reload_;
+    } else if (c->segment_path_.empty()) {
       return Status::FailedPrecondition(
           "collection '" + c->name_ +
           "' was evicted under the memory budget and has no segment to "
           "reload from; SEAL it again");
+    } else {
+      path = c->segment_path_;
+      canonical = c->reload_canonical_;
+      // The reload is a publication in the chain: it takes a seq under the
+      // same high-water rule, so a RESET racing the rebuild wins.
+      seq = c->NextSeq();
+      c->reload_ = flight.emplace().get_future().share();
     }
-    path = c->segment_path_;
-    canonical = c->reload_canonical_;
-    // The reload is a publication in the chain: it takes a seq under the
-    // same high-water rule, so a RESET racing the rebuild wins.
-    seq = c->NextSeq();
   }
+  // Another Acquire leads this collection's reload: serve what it
+  // produces. current_ is not re-read — it may be evicted again already.
+  if (running.valid()) return running.get();
+  Result<std::shared_ptr<const EngineSnapshot>> reloaded =
+      Reload(c, path, canonical, seq);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    c->reload_ = {};
+  }
+  flight->set_value(reloaded);
+  return reloaded;
+}
+
+Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Reload(
+    Collection* c, const std::string& path, bool canonical, uint64_t seq) {
   // Build outside the lock — reloads are as slow as seals.
   Result<std::shared_ptr<const EngineSnapshot>> rebuilt =
       BuildSnapshotFromSegment(path, canonical, options_.columnar_min_rows,
@@ -222,7 +246,7 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Acquire(
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (c->current_ != nullptr) {
-    // A concurrent reload (or fresh SEAL) landed first; serve that one.
+    // A fresh SEAL landed first; serve that one.
     c->last_access_ = ++lru_clock_;
     ++c->hits_;
     return c->current_;
@@ -233,12 +257,13 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Acquire(
   }
   // A WAL fold advances the snapshot past `seq`; the mark must cover the
   // generation actually installed.
-  c->published_high_water_ = std::max(seq, (*rebuilt)->seq());
+  std::shared_ptr<const EngineSnapshot> installed = *std::move(rebuilt);
+  c->published_high_water_ = std::max(seq, installed->seq());
   ++c->reloads_;
-  const uint64_t bytes = (*rebuilt)->approx_bytes();
-  InstallLocked(c, *std::move(rebuilt), bytes);
+  InstallLocked(c, installed, installed->approx_bytes());
   EvictToBudgetLocked(c);
-  return c->current_;
+  if (evict_after_reload_for_test_.load(std::memory_order_relaxed)) EvictLocked(c);
+  return installed;
 }
 
 std::shared_ptr<const EngineSnapshot> CollectionRegistry::Peek(
@@ -598,15 +623,19 @@ void CollectionRegistry::EvictToBudgetLocked(const Collection* exempt) {
       }
     }
     if (coldest == nullptr) break;  // only the exempt tenant is resident
-    resident_bytes_ -= coldest->bytes_;
-    // Dropping the pointer is the whole eviction: in-flight queries keep
-    // their shared_ptr and finish on the old engine. generation_ stays —
-    // it distinguishes "evicted" from "never sealed" in Acquire.
-    coldest->current_ = nullptr;
-    coldest->bytes_ = 0;
-    ++coldest->evictions_;
-    evictions_total_.fetch_add(1, std::memory_order_relaxed);
+    EvictLocked(coldest);
   }
+}
+
+void CollectionRegistry::EvictLocked(Collection* c) {
+  resident_bytes_ -= c->bytes_;
+  // Dropping the pointer is the whole eviction: in-flight queries keep
+  // their shared_ptr and finish on the old engine. generation_ stays —
+  // it distinguishes "evicted" from "never sealed" in Acquire.
+  c->current_ = nullptr;
+  c->bytes_ = 0;
+  ++c->evictions_;
+  evictions_total_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace bagc

@@ -18,7 +18,9 @@
 // Concurrency: one registry-wide mutex guards the collection map, every
 // collection's published state, the LRU clock, and the byte accounting.
 // Snapshot *builds* (SEAL, lazy reload) run outside the lock; only the
-// publish/install step takes it. Per-chain seq issuance is atomic and
+// publish/install step takes it. A lazy reload is single-flight: while
+// one runs for a collection, every other Acquire of it waits (outside the
+// lock) for that reload's result instead of rebuilding. Per-chain seq issuance is atomic and
 // lock-free, preserving the single-generation registry's race rule: a
 // SEAL that loses to a newer generation (or to a RESET that happened
 // after it took its seq) is refused at publish with a retryable error.
@@ -26,6 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -128,6 +131,9 @@ class CollectionRegistry {
     uint64_t hits_ = 0;
     uint64_t evictions_ = 0;
     uint64_t reloads_ = 0;
+    // The in-flight lazy reload (invalid when none runs): the one
+    // rebuild every concurrent Acquire of this collection waits on.
+    std::shared_future<Result<std::shared_ptr<const EngineSnapshot>>> reload_;
   };
 
   CollectionRegistry() : CollectionRegistry(Options()) {}
@@ -148,6 +154,9 @@ class CollectionRegistry {
   /// The collection's current snapshot for a query: bumps the LRU clock
   /// and hit counter; an evicted collection with a registered segment is
   /// rebuilt here (outside the lock) and re-published with a fresh seq.
+  /// One rebuild (and WAL fold) runs per collection at a time: concurrent
+  /// Acquires wait for it and receive the snapshot it produced, even if
+  /// that snapshot was evicted again before they woke.
   /// OK(nullptr) when nothing was ever published (or a RESET emptied the
   /// chain); FailedPrecondition when the collection was evicted and has
   /// no segment to reload from, or its segment reload failed.
@@ -221,6 +230,14 @@ class CollectionRegistry {
   /// stand-in for a concurrent seal winning mid-build); the retry wins.
   void MarkNextSealSupersededForTest(Collection* c);
 
+  /// Test hook for the reload race: while set, every lazy reload evicts
+  /// its collection right after installing the rebuilt snapshot and
+  /// before Acquire returns (deterministic stand-in for another tenant's
+  /// publish evicting it in that window).
+  void SetEvictAfterReloadForTest(bool on) {
+    evict_after_reload_for_test_.store(on, std::memory_order_relaxed);
+  }
+
   /// Test hook for the durability-loss path: marks `c`'s WAL poisoned,
   /// exactly as a failed append for a published generation does
   /// (deterministic stand-in for an I/O error mid-epoch).
@@ -261,6 +278,15 @@ class CollectionRegistry {
   // Drop the coldest resident snapshots (never `exempt`) until the
   // global budget holds. Caller holds mu_.
   void EvictToBudgetLocked(const Collection* exempt);
+  // Drops c's resident snapshot. Caller holds mu_.
+  void EvictLocked(Collection* c);
+  // The body of a lazy reload: rebuilds c from `path` outside mu_, folds
+  // its WAL, and installs the result under the chain rules. Returns the
+  // snapshot it installed (or the one a concurrent SEAL installed first),
+  // null when a RESET won. Called by the single Acquire leading the flight.
+  Result<std::shared_ptr<const EngineSnapshot>> Reload(Collection* c,
+                                                       const std::string& path,
+                                                       bool canonical, uint64_t seq);
   // The shared publish body: chain rules + install + eviction, under
   // mu_. A null `segment_path` keeps the existing reload source (delta
   // publishes); non-null replaces it (full seals).
@@ -292,6 +318,7 @@ class CollectionRegistry {
   std::atomic<uint64_t> evictions_total_{0};
   std::atomic<uint64_t> replayed_total_{0};
   std::atomic<bool> recovery_mode_{false};
+  std::atomic<bool> evict_after_reload_for_test_{false};
   std::atomic<size_t> sessions_{0};
   std::atomic<uint64_t> seals_{0};
   std::atomic<uint64_t> resets_{0};

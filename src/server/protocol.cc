@@ -653,6 +653,55 @@ Response Response::Verdict(bool consistent, std::vector<size_t> indices) {
   return r;
 }
 
+namespace {
+
+void AppendUint(uint64_t v, std::string* out) {
+  char digits[20];
+  char* end = std::to_chars(digits, digits + sizeof(digits), v).ptr;
+  out->append(digits, end);
+}
+
+// A found witness's bag block is WriteBag's layout: this header line,
+// one AppendWitnessRow line per row, then "end".
+void AppendWitnessHeader(const Response& r, std::string* out) {
+  *out += "bag";
+  for (const std::string& attr : r.attrs) {
+    *out += ' ';
+    *out += attr;
+  }
+}
+
+// Each value followed by a space, then ": <multiplicity>".
+void AppendWitnessRow(const Response& r, size_t row, std::string* out) {
+  const size_t arity = r.attrs.size();
+  for (size_t c = 0; c < arity; ++c) {
+    *out += r.values[row * arity + c];
+    *out += ' ';
+  }
+  *out += ": ";
+  AppendUint(r.mults[row], out);
+}
+
+// Upper bound on a found witness's encoded size in either framing.
+size_t WitnessBytesBound(const Response& r) {
+  size_t bytes = 64 + r.mults.size() * 32;
+  for (const std::string& attr : r.attrs) bytes += attr.size() + 8;
+  for (const std::string& value : r.values) bytes += value.size() + 4;
+  return bytes;
+}
+
+}  // namespace
+
+std::vector<std::string> WitnessBagLines(const Response& r) {
+  std::vector<std::string> lines(r.mults.size() + 2);
+  AppendWitnessHeader(r, &lines.front());
+  for (size_t row = 0; row < r.mults.size(); ++row) {
+    AppendWitnessRow(r, row, &lines[row + 1]);
+  }
+  lines.back() = "end";
+  return lines;
+}
+
 void AppendResponseText(const Response& r, std::string* out) {
   switch (r.kind) {
     case Response::Kind::kOk:
@@ -676,15 +725,14 @@ void AppendResponseText(const Response& r, std::string* out) {
         break;
       }
       // The bag IO block (WriteBag's layout) between the OK line and END.
-      *out += "OK WITNESS " + std::to_string(r.mults.size()) + "\nbag";
-      for (const std::string& attr : r.attrs) *out += " " + attr;
+      out->reserve(out->size() + WitnessBytesBound(r));
+      *out += "OK WITNESS ";
+      AppendUint(r.mults.size(), out);
+      *out += '\n';
+      AppendWitnessHeader(r, out);
       for (size_t row = 0; row < r.mults.size(); ++row) {
         *out += '\n';
-        for (size_t c = 0; c < r.attrs.size(); ++c) {
-          *out += r.values[row * r.attrs.size() + c];
-          *out += ' ';
-        }
-        *out += ": " + std::to_string(r.mults[row]);
+        AppendWitnessRow(r, row, out);
       }
       *out += "\nend\n";
       *out += kWireEnd;
@@ -703,12 +751,16 @@ void AppendResponseText(const Response& r, std::string* out) {
 }
 
 void AppendResponseFrame(const Response& r, std::string* out) {
-  std::string payload;
+  // The payload is written in place (`payload` aliases *out), after a
+  // header that is filled in once the payload length is known.
+  const size_t header = out->size();
+  out->append(kWireFrameHeaderBytes, '\0');
+  std::string& payload = *out;
   uint8_t opcode = kFrameOk;
   switch (r.kind) {
     case Response::Kind::kOk:
-      WireAppendFrame(out, kFrameOk, r.text);
-      return;
+      payload += r.text;
+      break;
     case Response::Kind::kErr:
       opcode = kFrameErr;
       payload.push_back(static_cast<char>(WireErrorTag(r.error)));
@@ -724,6 +776,7 @@ void AppendResponseFrame(const Response& r, std::string* out) {
       opcode = kFrameWitnessBag;
       payload.push_back(r.found ? '\1' : '\0');
       if (!r.found) break;
+      payload.reserve(payload.size() + WitnessBytesBound(r));
       WireAppendU32(&payload, static_cast<uint32_t>(r.attrs.size()));
       for (const std::string& attr : r.attrs) WireAppendString(&payload, attr);
       WireAppendU64(&payload, r.mults.size());
@@ -743,7 +796,11 @@ void AppendResponseFrame(const Response& r, std::string* out) {
       }
       break;
   }
-  WireAppendFrame(out, opcode, payload);
+  std::string frame_header;
+  WireAppendU32(&frame_header,
+                static_cast<uint32_t>(out->size() - header - kWireFrameHeaderBytes));
+  frame_header.push_back(static_cast<char>(opcode));
+  out->replace(header, kWireFrameHeaderBytes, frame_header);
 }
 
 Result<Response> DecodeResponseLines(const std::vector<std::string>& lines) {
@@ -780,11 +837,15 @@ Result<Response> DecodeResponseLines(const std::vector<std::string>& lines) {
     }
     r.attrs.assign(header.begin() + 1, header.end());
     const size_t arity = r.attrs.size();
+    const size_t rows = lines.size() - std::min<size_t>(lines.size(), 4);
+    r.values.reserve(rows * arity);
+    r.mults.reserve(rows);
+    std::vector<std::string_view> row;
     for (size_t l = 2; l + 2 < lines.size(); ++l) {
-      std::vector<std::string> row = WireTokens(lines[l]);
+      SpanTokens(StripCommentView(lines[l]), &row);
       if (row.size() != arity + 2 || row[arity] != ":") return malformed;
       BAGC_ASSIGN_OR_RETURN(uint64_t mult, WireParseUint(row.back()));
-      r.values.insert(r.values.end(), row.begin(), row.begin() + arity);
+      for (size_t c = 0; c < arity; ++c) r.values.emplace_back(row[c]);
       r.mults.push_back(mult);
     }
     return r;
@@ -841,6 +902,11 @@ Result<Response> DecodeResponseFrame(uint8_t opcode, std::string_view payload) {
       if (!cur.U32(&arity)) break;
       while (r.attrs.size() < arity && cur.String(&s)) r.attrs.emplace_back(s);
       if (!cur.U64(&rows)) break;
+      // Reserve only what the payload can hold (a u64 multiplicity per
+      // row, a u32 length per value): a hostile count must not allocate.
+      const uint64_t fit = std::min<uint64_t>(rows, cur.remaining() / (8 + 4 * uint64_t{arity}));
+      r.mults.reserve(fit);
+      r.values.reserve(fit * arity);
       for (uint64_t row = 0; row < rows && cur.ok(); ++row) {
         for (uint32_t c = 0; c < arity && cur.String(&s); ++c) r.values.emplace_back(s);
         uint64_t mult = 0;

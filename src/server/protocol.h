@@ -263,6 +263,11 @@ struct Response {
 /// output is pinned byte-for-byte by the docs/PROTOCOL.md transcripts.
 void AppendResponseText(const Response& response, std::string* out);
 
+/// The bag block of a found witness as lines: "bag <attrs...>", one
+/// "<values...> : <multiplicity>" line per row, and "end" — the lines the
+/// text encoder puts between "OK WITNESS <n>" and END.
+std::vector<std::string> WitnessBagLines(const Response& response);
+
 /// Binary encoder: appends the response as one server frame.
 void AppendResponseFrame(const Response& response, std::string* out);
 

@@ -71,14 +71,16 @@ Response WitnessResponse(const Bag& bag, const EngineSnapshot& snapshot) {
     r.attrs.push_back(snapshot.catalog().Name(schema.at(i)));
     if (dicts != nullptr) slot_dict[i] = dicts->find_dict(schema.at(i));
   }
-  r.values.reserve(bag.SupportSize() * schema.arity());
-  for (size_t e = 0; e < bag.SupportSize(); ++e) {
-    Tuple tuple = bag.RowAt(e);  // witness decode: designated cold path
+  const size_t rows = bag.SupportSize();
+  r.values.reserve(rows * schema.arity());
+  r.mults.reserve(rows);
+  for (size_t e = 0; e < rows; ++e) {
     for (size_t i = 0; i < schema.arity(); ++i) {
       const ValueDictionary* d = slot_dict[i];
-      r.values.push_back(d != nullptr && tuple.id(i) < d->size()
-                             ? d->ExternalOf(tuple.id(i))
-                             : std::to_string(tuple.at(i)));
+      const ValueId id = bag.IdAt(e, i);
+      r.values.push_back(d != nullptr && id < d->size()
+                             ? d->ExternalOf(id)
+                             : std::to_string(DecodeValue(id)));
     }
     r.mults.push_back(bag.MultiplicityAt(e));
   }

@@ -9,7 +9,7 @@
 // over a contiguous u32 span, so marginal grouping and hash-join matching
 // (ColumnIndex in tuple_index.h) touch memory column-at-a-time instead of
 // chasing one heap-allocated id vector per row. Rows stay reachable via
-// RowAt for cold paths (IO, reports, witness extraction).
+// RowAt for cold paths (IO, reports).
 //
 // Hash compatibility: HashRows reproduces Tuple::Hash of the materialized
 // row exactly (same seed and combine order as HashRange), so columnar and

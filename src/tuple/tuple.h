@@ -138,6 +138,12 @@ class TupleJoiner {
   const Schema& joined_schema() const { return xy_; }
   const Schema& shared_schema() const { return shared_; }
 
+  /// For each slot of the XY layout: (read from x, source slot index) —
+  /// the gather plan a columnar join applies column by column.
+  const std::vector<std::pair<bool, size_t>>& slot_sources() const {
+    return sources_;
+  }
+
   /// True iff x[X∩Y] == y[X∩Y], i.e. `x joins with y`.
   bool Joinable(const Tuple& x, const Tuple& y) const;
 

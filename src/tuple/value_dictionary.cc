@@ -1,6 +1,7 @@
 #include "tuple/value_dictionary.h"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "tuple/tuple.h"
@@ -8,10 +9,44 @@
 
 namespace bagc {
 
+namespace {
+
+// Fewest slots a non-empty table has; 8 values fit before the first growth.
+constexpr size_t kMinSlots = 16;
+
+// Smallest power-of-two table that holds `n` values at load <= 1/2.
+size_t SlotsFor(size_t n) {
+  size_t slots = kMinSlots;
+  while (slots < 2 * n) slots *= 2;
+  return slots;
+}
+
+}  // namespace
+
+size_t ValueDictionary::Probe(std::string_view external) const {
+  const size_t mask = slots_.size() - 1;
+  size_t slot = std::hash<std::string_view>{}(external) & mask;
+  while (slots_[slot] != kInvalidValueId && externals_[slots_[slot]] != external) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void ValueDictionary::Rehash(size_t num_slots) {
+  slots_.assign(num_slots, kInvalidValueId);
+  for (size_t pos = 0; pos < externals_.size(); ++pos) {
+    slots_[Probe(externals_[pos])] = static_cast<ValueId>(pos);
+  }
+}
+
 Result<ValueId> ValueDictionary::Intern(const std::string& external) {
   ++intern_calls_;
-  auto it = index_.find(external);
-  if (it != index_.end()) return it->second;
+  // Slots hold positions in externals_; the issued id is id_base_ + position.
+  size_t slot = 0;
+  if (!slots_.empty()) {
+    slot = Probe(external);
+    if (slots_[slot] != kInvalidValueId) return static_cast<ValueId>(id_base_ + slots_[slot]);
+  }
   // Next id = id_base_ + size(); reject once it would collide with the
   // reserved kInvalidValueId sentinel (i.e. past UINT32_MAX - 1).
   BAGC_ASSIGN_OR_RETURN(uint64_t next,
@@ -19,13 +54,16 @@ Result<ValueId> ValueDictionary::Intern(const std::string& external) {
   if (next >= static_cast<uint64_t>(kInvalidValueId)) {
     return Status::ArithmeticOverflow("value dictionary exhausted the uint32 id space");
   }
-  ValueId id = static_cast<ValueId>(next);
+  if (2 * (externals_.size() + 1) > slots_.size()) {
+    Rehash(SlotsFor(externals_.size() + 1));
+    slot = Probe(external);
+  }
+  slots_[slot] = static_cast<ValueId>(externals_.size());
   externals_.emplace_back(external);
-  index_.emplace(externals_.back(), id);
-  return id;
+  return static_cast<ValueId>(next);
 }
 
-Status ValueDictionary::BulkLoad(const std::vector<std::string>& values) {
+Status ValueDictionary::BulkLoad(std::vector<std::string> values) {
   if (!externals_.empty() || id_base_ != 0) {
     return Status::FailedPrecondition(
         "BulkLoad requires an empty dictionary: ids are meaningful only "
@@ -36,23 +74,28 @@ Status ValueDictionary::BulkLoad(const std::vector<std::string>& values) {
     return Status::ArithmeticOverflow(
         "bulk load would exhaust the uint32 id space");
   }
-  std::unordered_map<std::string, ValueId> index;
-  index.reserve(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (!index.emplace(values[i], static_cast<ValueId>(i)).second) {
-      return Status::InvalidArgument("duplicate value in dictionary block: '" +
-                                     values[i] + "'");
+  if (values.empty()) return Status::OK();
+  externals_ = std::move(values);
+  slots_.assign(SlotsFor(externals_.size()), kInvalidValueId);
+  for (size_t pos = 0; pos < externals_.size(); ++pos) {
+    size_t slot = Probe(externals_[pos]);
+    if (slots_[slot] != kInvalidValueId) {
+      Status duplicate = Status::InvalidArgument(
+          "duplicate value in dictionary block: '" + externals_[pos] + "'");
+      externals_.clear();
+      slots_.clear();
+      return duplicate;
     }
+    slots_[slot] = static_cast<ValueId>(pos);
   }
-  externals_ = values;
-  index_ = std::move(index);
   return Status::OK();
 }
 
 std::optional<ValueId> ValueDictionary::Find(const std::string& external) const {
-  auto it = index_.find(external);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  if (slots_.empty()) return std::nullopt;
+  ValueId pos = slots_[Probe(external)];
+  if (pos == kInvalidValueId) return std::nullopt;
+  return static_cast<ValueId>(id_base_ + pos);
 }
 
 std::vector<ValueId> ValueDictionary::Canonicalize() {
@@ -70,10 +113,7 @@ std::vector<ValueId> ValueDictionary::Canonicalize() {
     sorted[k] = std::move(externals_[order[k]]);
   }
   externals_ = std::move(sorted);
-  index_.clear();
-  for (size_t k = 0; k < n; ++k) {
-    index_.emplace(externals_[k], static_cast<ValueId>(k));
-  }
+  if (!slots_.empty()) Rehash(slots_.size());
   return remap;
 }
 

@@ -10,7 +10,10 @@
 // ValueDictionary is one attribute's dictionary: external string value ->
 // dense id, ids 0..size()-1 in first-intern order. Canonicalize() reorders
 // ids into sorted-external order, making the id assignment a deterministic
-// function of the value *set* (independent of insertion order).
+// function of the value *set* (independent of insertion order). The value
+// -> id index is a flat open-addressing table of ids keyed through the
+// externals table itself, so each value is stored once and interning or
+// bulk-loading allocates no per-value node.
 //
 // DictionarySet owns one ValueDictionary per attribute id and is the unit
 // shared across a collection (and by the ConsistencyEngine that seals it).
@@ -30,7 +33,7 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "tuple/attribute.h"
@@ -76,8 +79,9 @@ class ValueDictionary {
   /// Fails with FailedPrecondition if this dictionary already issued any
   /// id (bulk loads define an id space; merging two is undetectable at
   /// the row level and therefore refused), and with InvalidArgument on a
-  /// duplicate value. On failure the dictionary is left unchanged.
-  Status BulkLoad(const std::vector<std::string>& values);
+  /// duplicate value. On failure the dictionary is left unchanged. The
+  /// values are moved into the dictionary.
+  Status BulkLoad(std::vector<std::string> values);
 
   /// Number of distinct interned values (== the next id to be issued).
   size_t size() const { return externals_.size(); }
@@ -97,8 +101,17 @@ class ValueDictionary {
   void set_id_base_for_test(uint64_t base) { id_base_ = base; }
 
  private:
+  // Slot of `external` in slots_: the slot holding its id, or the empty
+  // slot where it would go. Requires a non-empty table.
+  size_t Probe(std::string_view external) const;
+  // Rebuilds slots_ at `num_slots` (a power of two) from externals_.
+  void Rehash(size_t num_slots);
+
   std::vector<std::string> externals_;
-  std::unordered_map<std::string, ValueId> index_;
+  // Open addressing, linear probing: a power-of-two array of ids
+  // (kInvalidValueId = empty), at most half full; a slot matches when
+  // externals_[id] equals the probed value.
+  std::vector<ValueId> slots_;
   uint64_t id_base_ = 0;  // counted toward the id-space cap (test hook)
   uint64_t intern_calls_ = 0;
 };

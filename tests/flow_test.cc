@@ -1,6 +1,9 @@
 // Unit tests for the max-flow substrate and the consistency network N(R,S).
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "bag/bag.h"
 #include "flow/consistency_network.h"
 #include "flow/network.h"
@@ -164,6 +167,82 @@ TEST(ConsistencyNetworkTest, RandomConsistentPairsAlwaysSaturate) {
     Bag witness = *net.ExtractWitness();
     EXPECT_EQ(*witness.Marginal(r.schema()), r);
     EXPECT_EQ(*witness.Marginal(s.schema()), s);
+  }
+}
+
+// One random layered network: s=0 -> left -> right -> t, built edge by
+// edge into `net` (already sized); returns the edge ids in AddEdge order.
+std::vector<FlowNetwork::EdgeId> AddRandomLayers(FlowNetwork* net, size_t left,
+                                                 size_t right, Rng* rng) {
+  std::vector<FlowNetwork::EdgeId> ids;
+  size_t t = 1 + left + right;
+  for (size_t i = 0; i < left; ++i) ids.push_back(*net->AddEdge(0, 1 + i, 1 + rng->Below(9)));
+  for (size_t j = 0; j < right; ++j) {
+    ids.push_back(*net->AddEdge(1 + left + j, t, 1 + rng->Below(9)));
+  }
+  for (size_t i = 0; i < left; ++i) {
+    for (size_t j = 0; j < right; ++j) {
+      if (rng->Below(3) == 0) {
+        ids.push_back(*net->AddEdge(1 + i, 1 + left + j, 1 + rng->Below(5)));
+      }
+    }
+  }
+  return ids;
+}
+
+// Reset keeps every buffer; a network reset smaller, then larger, between
+// solves must still push exactly the flow a freshly built one pushes,
+// edge for edge.
+TEST(FlowNetworkTest, ResetSmallerThenLargerMatchesFreshNetworks) {
+  FlowNetwork arena(0);
+  for (auto [left, right] : {std::pair<size_t, size_t>{9, 11}, {2, 3}, {14, 12}, {1, 1}}) {
+    Rng arena_rng(left * 31 + right);
+    Rng fresh_rng(left * 31 + right);
+    arena.Reset(2 + left + right);
+    std::vector<FlowNetwork::EdgeId> arena_ids =
+        AddRandomLayers(&arena, left, right, &arena_rng);
+    FlowNetwork fresh(2 + left + right);
+    std::vector<FlowNetwork::EdgeId> fresh_ids =
+        AddRandomLayers(&fresh, left, right, &fresh_rng);
+    ASSERT_EQ(arena_ids, fresh_ids);
+    EXPECT_EQ(arena.num_vertices(), fresh.num_vertices());
+    EXPECT_EQ(arena.num_edges(), fresh.num_edges());
+    EXPECT_EQ(*arena.Solve(0, 1 + left + right), *fresh.Solve(0, 1 + left + right));
+    for (FlowNetwork::EdgeId id : arena_ids) {
+      EXPECT_EQ(arena.FlowOn(id), fresh.FlowOn(id)) << "edge " << id;
+    }
+  }
+}
+
+// The same for N(R, S): one arena reassigned smaller, then larger, gives
+// the verdicts and witness bags of fresh networks. Witnesses are
+// columnar-sealed in Tuple order, including for a schema pair whose
+// flow edges do not enumerate in joined order (R over {0,2}, S over
+// {1,2}).
+TEST(ConsistencyNetworkTest, ReassignSmallerThenLargerMatchesFreshNetworks) {
+  Rng rng(41);
+  ConsistencyNetwork arena;
+  for (size_t support : {48, 6, 96, 1, 64}) {
+    BagGenOptions options;
+    options.support_size = support;
+    options.domain_size = 5;
+    for (const auto& [x, y] : {std::pair<Schema, Schema>{Schema{{0, 1}}, Schema{{1, 2}}},
+                               {Schema{{0, 2}}, Schema{{1, 2}}}}) {
+      auto [r, s] = *MakeConsistentPair(x, y, options, &rng);
+      ASSERT_TRUE(arena.Assign(r, s).ok());
+      ConsistencyNetwork fresh = *ConsistencyNetwork::Make(r, s);
+      EXPECT_EQ(arena.NumMiddleEdges(), fresh.NumMiddleEdges());
+      ASSERT_TRUE(*arena.HasSaturatedFlow());
+      ASSERT_TRUE(*fresh.HasSaturatedFlow());
+      Bag witness = *arena.ExtractWitness();
+      EXPECT_EQ(witness, *fresh.ExtractWitness());
+      EXPECT_TRUE(witness.columnar_sealed());
+      for (size_t e = 1; e < witness.SupportSize(); ++e) {
+        EXPECT_TRUE(witness.RowAt(e - 1) < witness.RowAt(e)) << "row " << e;
+      }
+      EXPECT_EQ(*witness.Marginal(r.schema()), r);
+      EXPECT_EQ(*witness.Marginal(s.schema()), s);
+    }
   }
 }
 

@@ -54,11 +54,11 @@ using StringBag = std::map<std::vector<std::string>, uint64_t>;
 StringBag OracleMarginal(const Bag& bag, const Schema& z) {
   Projector proj = *Projector::Make(bag.schema(), z);
   StringBag out;
-  for (const auto& [t, mult] : bag.entries()) {
-    std::vector<std::string> row = TokensOf(bag.schema(), t);
+  for (size_t e = 0; e < bag.SupportSize(); ++e) {
+    std::vector<std::string> row = TokensOf(bag.schema(), bag.RowAt(e));
     std::vector<std::string> projected(proj.arity());
     for (size_t i = 0; i < proj.arity(); ++i) projected[i] = row[proj.SourceIndex(i)];
-    out[projected] += mult;
+    out[projected] += bag.MultiplicityAt(e);
   }
   return out;
 }
@@ -71,14 +71,14 @@ using NamedBag =
 NamedBag NamedTable(const Bag& bag, const DictionarySet& dicts,
                     const AttributeCatalog& catalog) {
   NamedBag out;
-  for (const auto& [t, mult] : bag.entries()) {
-    std::vector<std::string> tokens = *dicts.DecodeRow(bag.schema(), t);
+  for (size_t e = 0; e < bag.SupportSize(); ++e) {
+    std::vector<std::string> tokens = *dicts.DecodeRow(bag.schema(), bag.RowAt(e));
     std::vector<std::pair<std::string, std::string>> row(tokens.size());
     for (size_t i = 0; i < tokens.size(); ++i) {
       row[i] = {catalog.Name(bag.schema().at(i)), tokens[i]};
     }
     std::sort(row.begin(), row.end());
-    out[std::move(row)] += mult;
+    out[std::move(row)] += bag.MultiplicityAt(e);
   }
   return out;
 }
@@ -86,8 +86,8 @@ NamedBag NamedTable(const Bag& bag, const DictionarySet& dicts,
 // Decoded string table of an interned bag (external rows -> multiplicity).
 StringBag DecodedTable(const Bag& bag, const DictionarySet& dicts) {
   StringBag out;
-  for (const auto& [t, mult] : bag.entries()) {
-    out[*dicts.DecodeRow(bag.schema(), t)] += mult;
+  for (size_t e = 0; e < bag.SupportSize(); ++e) {
+    out[*dicts.DecodeRow(bag.schema(), bag.RowAt(e))] += bag.MultiplicityAt(e);
   }
   return out;
 }

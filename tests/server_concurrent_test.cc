@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -348,6 +349,12 @@ TEST(ServerConcurrentTest, GenerationSwapsUnderLoadNeverTearAnswers) {
     }
     Result<size_t> sealed = admin->Seal();
     ASSERT_TRUE(sealed.ok()) << sealed.status().ToString();
+  }
+  // The last generation stays published: give the readers (which may
+  // still be connecting when fast seals finish) time to answer on it.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (answered.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   stop.store(true);
   for (std::thread& t : readers) t.join();

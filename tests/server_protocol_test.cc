@@ -1384,23 +1384,15 @@ Request WitnessRequest(size_t i, size_t j, bool minimal) {
   return request;
 }
 
-// Publishes two numeric-codec bags (no dictionaries: values print through
-// the codec) into `registry`'s default collection under attributes a0..a2.
-void PublishNumericPair(CollectionRegistry* registry,
-                        const std::vector<std::string>& r_attrs,
-                        const std::vector<std::pair<std::vector<Value>, uint64_t>>& r_rows,
-                        const std::vector<std::string>& s_attrs,
-                        const std::vector<std::pair<std::vector<Value>, uint64_t>>& s_rows) {
+// Publishes two numeric-codec bags over attributes 0..2 (named a0..a2)
+// into `registry`'s default collection. No dictionaries: values print
+// through the codec.
+void PublishNumericPair(CollectionRegistry* registry, Bag r, Bag s) {
   EngineSnapshot::BuildInputs inputs;
   for (const char* name : {"a0", "a1", "a2"}) inputs.catalog.Intern(name);
-  auto schema_of = [&](const std::vector<std::string>& attrs) {
-    std::vector<AttrId> ids;
-    for (const std::string& a : attrs) ids.push_back(*inputs.catalog.Lookup(a));
-    return Schema(ids);
-  };
   inputs.names = {"r", "s"};
-  inputs.bags.push_back(*MakeBag(schema_of(r_attrs), r_rows));
-  inputs.bags.push_back(*MakeBag(schema_of(s_attrs), s_rows));
+  inputs.bags.push_back(std::move(r));
+  inputs.bags.push_back(std::move(s));
   inputs.dicts = std::make_shared<DictionarySet>();
   inputs.columnar_min_rows = 1;
   CollectionRegistry::Collection* c = registry->Default().get();
@@ -1415,8 +1407,9 @@ void PublishNumericPair(CollectionRegistry* registry,
 // work, never what they send. Three inputs: the 8-bag, 4,096-rows-per-bag
 // path the tenant_churn benchmark serves (dictionary values, loaded from
 // a segment); a pair whose flow edges do not enumerate in joined-tuple
-// order (R over {a0,a2}, S over {a1,a2}); and a pair of codec side-table
-// values (negative and >= 2^31), whose order is value order, not id order.
+// order (R over {a0,a2}, S over {a1,a2}); a pair of codec side-table
+// values (negative and >= 2^31), whose order is value order, not id
+// order; and a dense pair with many saturated flows.
 TEST(ServerSessionTest, WitnessReplyBytesMatchGolden) {
   {
     Hypergraph path = *MakePath(9);
@@ -1463,10 +1456,10 @@ TEST(ServerSessionTest, WitnessReplyBytesMatchGolden) {
   }
   {
     CollectionRegistry registry;
-    PublishNumericPair(&registry, {"a0", "a2"},
-                       {{{0, 1}, 1}, {{0, 2}, 2}, {{1, 1}, 3}, {{2, 2}, 1}},
-                       {"a1", "a2"},
-                       {{{5, 1}, 1}, {{3, 2}, 2}, {{7, 1}, 3}, {{4, 2}, 1}});
+    PublishNumericPair(
+        &registry,
+        *MakeBag(Schema{{0, 2}}, {{{0, 1}, 1}, {{0, 2}, 2}, {{1, 1}, 3}, {{2, 2}, 1}}),
+        *MakeBag(Schema{{1, 2}}, {{{5, 1}, 1}, {{3, 2}, 2}, {{7, 1}, 3}, {{4, 2}, 1}}));
     auto [text, frames] = WitnessReplies(
         &registry, {WitnessRequest(0, 1, false), WitnessRequest(0, 1, true),
                     WitnessRequest(1, 0, false)});
@@ -1476,15 +1469,36 @@ TEST(ServerSessionTest, WitnessReplyBytesMatchGolden) {
   {
     CollectionRegistry registry;
     PublishNumericPair(
-        &registry, {"a0", "a1"},
-        {{{-7, 3000000000}, 1}, {{5, -2}, 2}, {{3000000001, -2}, 1}, {{-1, 9}, 2}},
-        {"a1", "a2"},
-        {{{3000000000, -1}, 1}, {{-2, 4}, 1}, {{-2, 4000000000}, 2}, {{9, -3}, 2}});
+        &registry,
+        *MakeBag(Schema{{0, 1}}, {{{-7, 3000000000}, 1},
+                                  {{5, -2}, 2},
+                                  {{3000000001, -2}, 1},
+                                  {{-1, 9}, 2}}),
+        *MakeBag(Schema{{1, 2}}, {{{3000000000, -1}, 1},
+                                  {{-2, 4}, 1},
+                                  {{-2, 4000000000}, 2},
+                                  {{9, -3}, 2}}));
     auto [text, frames] = WitnessReplies(
         &registry, {WitnessRequest(0, 1, false), WitnessRequest(0, 1, true),
                     WitnessRequest(1, 0, false)});
     EXPECT_EQ(Fnv1a(text), 17071482968718987325ull) << text;
     EXPECT_EQ(Fnv1a(frames), 2388489985674598618ull) << frames.size() << " frame bytes";
+  }
+  {
+    // Few shared values with many rows each: N(R, S) has many saturated
+    // flows, so the bytes also pin which one max-flow finds.
+    Rng rng(16);
+    BagGenOptions options;
+    options.support_size = 60;
+    options.domain_size = 4;
+    auto [r, s] = *MakeConsistentPair(Schema{{0, 1}}, Schema{{1, 2}}, options, &rng);
+    CollectionRegistry registry;
+    PublishNumericPair(&registry, std::move(r), std::move(s));
+    auto [text, frames] = WitnessReplies(
+        &registry, {WitnessRequest(0, 1, false), WitnessRequest(0, 1, true),
+                    WitnessRequest(1, 0, false)});
+    EXPECT_EQ(Fnv1a(text), 15877502246961418222ull) << text;
+    EXPECT_EQ(Fnv1a(frames), 17603170864405866965ull) << frames.size() << " frame bytes";
   }
 }
 

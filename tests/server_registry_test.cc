@@ -11,9 +11,11 @@
 // Runs under the ASan/UBSan matrix leg via the `differential` label.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bag/bag_io.h"
@@ -339,6 +341,58 @@ TEST(ServerRegistryTest, SegmentReloadServesBorrowedColumns) {
     EXPECT_TRUE(store->is_borrowed())
         << "reloaded bag copied its columns instead of borrowing the mmap";
   }
+  std::remove(t.seg_path.c_str());
+}
+
+// Concurrent Acquires of one evicted tenant share a single reload, and
+// each receives the snapshot that reload produced — even when it is
+// evicted again before Acquire returns (the test hook forces exactly that
+// window on every reload). Without single flight, overlapping reloads
+// each install and return current_, which the eviction has emptied, and
+// the query then fails with "no sealed engine".
+TEST(ServerRegistryTest, ConcurrentReloadsOfOneTenantShareOneFlight) {
+  constexpr size_t kThreads = 8;
+  Tenant t{"flight", WriteTenantSegment(0), false, {}};
+  CollectionRegistry::Options opts;
+  opts.mem_budget_bytes = 1;  // evict everything not most-recent
+  CollectionRegistry registry(opts);
+  ASSERT_EQ(SealTenant(&registry, t).back().rfind("OK SEAL", 0), 0u);
+  ServerSession other(&registry, nullptr);
+  ASSERT_EQ(other
+                .HandleScript("DICT item 2\na\nb\nEND\n"
+                              "LOADU32 r item\n0 : 1\n1 : 1\nEND\nSEAL\n")
+                .back()
+                .rfind("OK SEAL", 0),
+            0u);
+  std::shared_ptr<CollectionRegistry::Collection> c = registry.Find(t.name);
+  ASSERT_NE(c, nullptr);
+  ASSERT_EQ(registry.Peek(c.get()), nullptr) << "tenant was not evicted";
+
+  registry.SetEvictAfterReloadForTest(true);
+  std::atomic<size_t> ready{0};
+  std::vector<Result<std::shared_ptr<const EngineSnapshot>>> got(
+      kThreads, Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (size_t k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      got[k] = registry.Acquire(c.get());
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t k = 0; k < kThreads; ++k) {
+    ASSERT_TRUE(got[k].ok()) << got[k].status().ToString();
+    ASSERT_NE(*got[k], nullptr) << "Acquire " << k << " returned no engine";
+    Result<bool> verdict = (*got[k])->TwoBag(0, 1);
+    ASSERT_TRUE(verdict.ok());
+    EXPECT_TRUE(*verdict);
+  }
+  CollectionRegistry::CollectionStats stats = registry.Stats(c.get());
+  EXPECT_FALSE(stats.resident);
+  EXPECT_GE(stats.reloads, 1u);
+  EXPECT_LE(stats.reloads, kThreads);
+  EXPECT_EQ(stats.evictions, stats.reloads + 1);
   std::remove(t.seg_path.c_str());
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,6 +105,87 @@ TEST(ValueDictionaryTest, RejectsIdSpaceOverflow) {
   EXPECT_EQ(overflow.status().code(), StatusCode::kArithmeticOverflow);
   // Idempotent re-intern of an existing value still succeeds at the brim.
   EXPECT_TRUE(dict.Intern("fits").ok());
+}
+
+// The index grows at load 1/2 from 16 slots: 8, 16, ... values fill a
+// table exactly, and 9, 17, ... force a rehash on the last intern.
+TEST(ValueDictionaryTest, InternAndFindAcrossTableGrowth) {
+  for (size_t n : {1, 8, 9, 16, 17, 10000}) {
+    ValueDictionary dict;
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(*dict.Intern("v" + std::to_string(i)), static_cast<ValueId>(i));
+    }
+    ASSERT_EQ(dict.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      std::string v = "v" + std::to_string(i);
+      ASSERT_EQ(dict.Find(v), std::optional<ValueId>(static_cast<ValueId>(i))) << v;
+      ASSERT_EQ(*dict.Intern(v), static_cast<ValueId>(i));
+      ASSERT_EQ(dict.ExternalOf(static_cast<ValueId>(i)), v);
+    }
+    EXPECT_EQ(dict.Find("v" + std::to_string(n)), std::nullopt);
+    EXPECT_EQ(dict.Find(""), std::nullopt);
+    EXPECT_EQ(dict.size(), n);
+    EXPECT_EQ(dict.intern_calls(), 2 * n);
+  }
+}
+
+TEST(ValueDictionaryTest, BulkLoadDuplicateLeavesDictionaryEmptyAndReusable) {
+  ValueDictionary dict;
+  Status dup = dict.BulkLoad({"a", "b", "c", "b"});
+  ASSERT_FALSE(dup.ok());
+  EXPECT_EQ(dup.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dict.size(), 0u);
+  EXPECT_EQ(dict.Find("a"), std::nullopt);
+  // Still empty, so a later load defines the id space.
+  std::vector<std::string> values;
+  for (size_t i = 0; i < 100; ++i) values.push_back("w" + std::to_string(i));
+  ASSERT_TRUE(dict.BulkLoad(values).ok());
+  ASSERT_EQ(dict.externals(), values);
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(dict.Find(values[i]), std::optional<ValueId>(static_cast<ValueId>(i)));
+  }
+  EXPECT_EQ(*dict.Intern("new"), 100u);
+  EXPECT_EQ(dict.Find("a"), std::nullopt);
+  // A loaded dictionary refuses a second load and stays as it was.
+  EXPECT_EQ(dict.BulkLoad({"z"}).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(dict.size(), 101u);
+}
+
+TEST(ValueDictionaryTest, FindAfterCanonicalize) {
+  ValueDictionary dict;
+  Rng rng(5);
+  std::vector<std::string> values;
+  for (size_t i = 0; i < 40; ++i) values.push_back("k" + std::to_string(rng.Below(1000)));
+  std::vector<std::optional<ValueId>> before;
+  for (const std::string& v : values) before.push_back(*dict.Intern(v));
+  std::vector<ValueId> remap = dict.Canonicalize();
+  for (size_t i = 0; i < values.size(); ++i) {
+    std::optional<ValueId> id = dict.Find(values[i]);
+    ASSERT_TRUE(id.has_value()) << values[i];
+    EXPECT_EQ(*id, remap[*before[i]]);
+    EXPECT_EQ(dict.ExternalOf(*id), values[i]);
+  }
+  EXPECT_EQ(dict.Find("absent"), std::nullopt);
+  const ValueId next = static_cast<ValueId>(dict.size());
+  EXPECT_EQ(*dict.Intern("zzz"), next);
+}
+
+TEST(DictionarySetTest, CloneIsIndependent) {
+  DictionarySet live;
+  for (size_t i = 0; i < 20; ++i) ASSERT_TRUE(live.Intern(0, "a" + std::to_string(i)).ok());
+  ASSERT_TRUE(live.Intern(3, "x").ok());
+  DictionarySet copy = live.Clone();
+  ASSERT_TRUE(live.Intern(0, "late").ok());
+  ASSERT_TRUE(copy.Intern(3, "copy-only").ok());
+  EXPECT_EQ(copy.find_dict(0)->size(), 20u);
+  EXPECT_EQ(copy.find_dict(0)->Find("late"), std::nullopt);
+  EXPECT_EQ(live.find_dict(0)->Find("late"), std::optional<ValueId>(20));
+  EXPECT_EQ(live.find_dict(3)->Find("copy-only"), std::nullopt);
+  EXPECT_EQ(copy.find_dict(3)->Find("copy-only"), std::optional<ValueId>(1));
+  for (size_t i = 0; i < 20; ++i) {
+    std::string v = "a" + std::to_string(i);
+    EXPECT_EQ(copy.find_dict(0)->Find(v), live.find_dict(0)->Find(v));
+  }
 }
 
 TEST(DictionarySetTest, AttributesInternIndependently) {
