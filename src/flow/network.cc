@@ -1,16 +1,25 @@
 #include "flow/network.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/logging.h"
 
 namespace bagc {
 
-FlowNetwork::FlowNetwork(size_t num_vertices) : num_vertices_(num_vertices) {}
+namespace {
+
+constexpr size_t kMaxIds = std::numeric_limits<uint32_t>::max();
+
+}  // namespace
+
+FlowNetwork::FlowNetwork(size_t num_vertices) { Reset(num_vertices); }
 
 void FlowNetwork::Reset(size_t num_vertices) {
   num_vertices_ = num_vertices;
   edges_.clear();
+  orig_.clear();
+  degree_.assign(num_vertices, 0);
   adjacency_stale_ = true;
 }
 
@@ -22,21 +31,30 @@ Result<FlowNetwork::EdgeId> FlowNetwork::AddEdge(size_t u, size_t v,
   if (capacity > kUnbounded) {
     return Status::InvalidArgument("capacity exceeds kUnbounded");
   }
-  EdgeId id = edges_.size() / 2;
-  edges_.push_back({v, capacity, capacity});
-  edges_.push_back({u, 0, 0});
+  // Endpoints and half-edge ids are stored as u32.
+  if (std::max(u, v) > kMaxIds || edges_.size() + 2 > kMaxIds) {
+    return Status::ResourceExhausted("flow network exceeds the u32 id range");
+  }
+  EdgeId id = orig_.size();
+  edges_.push_back({capacity, static_cast<uint32_t>(v)});
+  edges_.push_back({0, static_cast<uint32_t>(u)});
+  orig_.push_back(capacity);
+  ++degree_[u];
+  ++degree_[v];
   adjacency_stale_ = true;
   return id;
 }
 
 void FlowNetwork::BuildAdjacency() {
-  adj_start_.assign(num_vertices_ + 1, 0);
-  for (size_t e = 0; e < edges_.size(); ++e) ++adj_start_[edges_[e ^ 1].to + 1];
-  for (size_t v = 0; v < num_vertices_; ++v) adj_start_[v + 1] += adj_start_[v];
+  adj_start_.resize(num_vertices_ + 1);
+  adj_start_[0] = 0;
+  for (size_t v = 0; v < num_vertices_; ++v) adj_start_[v + 1] = adj_start_[v] + degree_[v];
   // iter_ doubles as the per-vertex fill cursor; Solve re-seeds it per phase.
   iter_.assign(adj_start_.begin(), adj_start_.end() - 1);
   adj_.resize(edges_.size());
-  for (size_t e = 0; e < edges_.size(); ++e) adj_[iter_[edges_[e ^ 1].to]++] = e;
+  for (size_t e = 0; e < edges_.size(); ++e) {
+    adj_[iter_[edges_[e ^ 1].to]++] = static_cast<uint32_t>(e);
+  }
   adjacency_stale_ = false;
 }
 
@@ -47,8 +65,9 @@ bool FlowNetwork::Bfs(size_t s, size_t t) {
   level_[s] = 0;
   for (size_t qi = 0; qi < bfs_queue_.size(); ++qi) {
     size_t v = bfs_queue_[qi];
-    for (size_t i = adj_start_[v]; i < adj_start_[v + 1]; ++i) {
-      const Edge& e = edges_[adj_[i]];
+    const uint32_t* end = adj_.data() + adj_start_[v + 1];
+    for (const uint32_t* it = adj_.data() + adj_start_[v]; it != end; ++it) {
+      const Edge& e = edges_[*it];
       if (e.cap > 0 && level_[e.to] < 0) {
         level_[e.to] = level_[v] + 1;
         bfs_queue_.push_back(e.to);
@@ -60,7 +79,8 @@ bool FlowNetwork::Bfs(size_t s, size_t t) {
 
 uint64_t FlowNetwork::Dfs(size_t v, size_t t, uint64_t limit) {
   if (v == t) return limit;
-  for (size_t& i = iter_[v]; i < adj_start_[v + 1]; ++i) {
+  const size_t end = adj_start_[v + 1];
+  for (size_t& i = iter_[v]; i < end; ++i) {
     size_t eid = adj_[i];
     Edge& e = edges_[eid];
     if (e.cap == 0 || level_[e.to] != level_[v] + 1) continue;
@@ -80,7 +100,10 @@ Result<uint64_t> FlowNetwork::Solve(size_t s, size_t t) {
   }
   if (adjacency_stale_) BuildAdjacency();
   // Reset residual capacities to originals.
-  for (Edge& e : edges_) e.cap = e.orig;
+  for (size_t k = 0; k < orig_.size(); ++k) {
+    edges_[2 * k].cap = orig_[k];
+    edges_[2 * k + 1].cap = 0;
+  }
   uint64_t total = 0;
   while (Bfs(s, t)) {
     iter_.assign(adj_start_.begin(), adj_start_.end() - 1);
@@ -92,25 +115,24 @@ Result<uint64_t> FlowNetwork::Solve(size_t s, size_t t) {
 }
 
 uint64_t FlowNetwork::FlowOn(EdgeId id) const {
-  BAGC_DCHECK(2 * id + 1 < edges_.size());
+  BAGC_DCHECK(id < orig_.size());
   // Forward edge 2*id: flow = original capacity - residual capacity.
-  const Edge& fwd = edges_[2 * id];
-  return fwd.orig - fwd.cap;
+  return orig_[id] - edges_[2 * id].cap;
 }
 
 uint64_t FlowNetwork::CapacityOf(EdgeId id) const {
-  BAGC_DCHECK(2 * id < edges_.size());
-  return edges_[2 * id].orig;
+  BAGC_DCHECK(id < orig_.size());
+  return orig_[id];
 }
 
 Status FlowNetwork::SetCapacity(EdgeId id, uint64_t capacity) {
-  if (2 * id >= edges_.size()) {
+  if (id >= orig_.size()) {
     return Status::InvalidArgument("edge id out of range");
   }
   if (capacity > kUnbounded) {
     return Status::InvalidArgument("capacity exceeds kUnbounded");
   }
-  edges_[2 * id].orig = capacity;
+  orig_[id] = capacity;
   return Status::OK();
 }
 

@@ -6,9 +6,10 @@
 //
 // Storage is one arena: every edge lives in a single flat array, and the
 // adjacency is a CSR index (one offset per vertex plus an edge-id array)
-// derived from it by a stable counting sort on the tail vertex whenever
-// the edge set changed since the last Solve. No per-vertex or per-edge
-// allocation happens after the arena has grown once.
+// derived from it by a stable counting sort on the tail vertex — degrees
+// are counted as edges are added — whenever the edge set changed since
+// the last Solve. No per-vertex or per-edge allocation happens after the
+// arena has grown once.
 #pragma once
 
 #include <cstdint>
@@ -62,10 +63,10 @@ class FlowNetwork {
   Status SetCapacity(EdgeId id, uint64_t capacity);
 
  private:
+  // One half-edge; 16 bytes, so the residual graph Dinic walks is dense.
   struct Edge {
-    size_t to;
-    uint64_t cap;   // residual capacity
-    uint64_t orig;  // original capacity
+    uint64_t cap;  // residual capacity
+    uint32_t to;
   };
 
   // Rebuilds the CSR index from edges_. Half-edge e has tail
@@ -78,8 +79,10 @@ class FlowNetwork {
 
   size_t num_vertices_ = 0;
   std::vector<Edge> edges_;        // edge 2k = forward, 2k+1 = back
+  std::vector<uint64_t> orig_;     // original capacity of edge k
   std::vector<size_t> adj_start_;  // CSR: vertex v's half-edges are
-  std::vector<size_t> adj_;        //   adj_[adj_start_[v] .. adj_start_[v+1])
+  std::vector<uint32_t> adj_;      //   adj_[adj_start_[v] .. adj_start_[v+1])
+  std::vector<uint32_t> degree_;   // half-edges per tail vertex, kept by AddEdge
   bool adjacency_stale_ = true;
   std::vector<int> level_;
   std::vector<size_t> iter_;
