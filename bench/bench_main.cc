@@ -1295,8 +1295,7 @@ void RunBagRefactorSuite(std::vector<BenchResult>* results) {
     }));
   }
 
-  // Acyclic fold: Theorem 6 along a path schema (plain fold; the minimal
-  // fold is covered by bench_ablations).
+  // Acyclic fold: Theorem 6 along a path schema (plain fold).
   for (size_t support : {16, 64, 256}) {
     BagCollection c = MakeFoldInput(support, 7 + support);
     AcyclicSolveOptions options;

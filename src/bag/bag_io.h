@@ -59,26 +59,19 @@ std::string WriteCollection(const std::vector<Bag>& bags,
 Result<Bag> ParseBag(const std::vector<std::string>& lines, size_t* pos,
                      AttributeCatalog* catalog, DictionarySet* dicts = nullptr);
 
-/// Parses one bag block whose value tokens are raw interned ids (u32)
-/// instead of external values — the streaming arm of the bagcd session
-/// protocol, where a client ships its DictionarySet once and thereafter
-/// streams fixed-width id rows. Every attribute of the header must
-/// already have a dictionary in `dicts`, and every id must be one that
-/// dictionary issued (id < size), so a malformed stream is rejected at
-/// the boundary instead of producing rows that silently decode to
-/// nothing. No interning (and no string hashing) happens on this path.
-Result<Bag> ParseBagU32(const std::vector<std::string>& lines, size_t* pos,
-                        AttributeCatalog* catalog, const DictionarySet& dicts);
-
-/// The zero-parse twin of ParseBagU32: validates and seals a bag whose
-/// ids are already binary — a decoded ROWS frame of the binary wire
-/// framing, or the mmap'd columns of a sealed-bag segment file
-/// (tuple/segment.h). `attr_names[c]` names `columns.column(c)` (header
-/// order; the sorted schema layout may permute it), and row r carries
-/// multiplicity `mults[r]`. Semantics match the text arm exactly: every
-/// attribute needs a dictionary in `dicts` (FailedPrecondition), every
-/// id must be one it issued (OutOfRange), a duplicate row is
-/// InvalidArgument, and zero-multiplicity rows are dropped.
+/// Validates and seals a bag whose value ids are already interned u32s —
+/// the LOADU32 rows of the bagcd session protocol (text or binary
+/// framing), or the mmap'd columns of a sealed-bag segment file
+/// (tuple/segment.h). The client ships its DictionarySet once and
+/// thereafter streams fixed-width id rows, so no interning (and no string
+/// hashing) happens here. `attr_names[c]` names `columns.column(c)`
+/// (header order; the sorted schema layout may permute it), and row r
+/// carries multiplicity `mults[r]`. Every attribute needs a dictionary in
+/// `dicts` (FailedPrecondition) and every id must be one it issued
+/// (OutOfRange), so a malformed stream is rejected at the boundary
+/// instead of producing rows that silently decode to nothing; a
+/// duplicate row is InvalidArgument, and zero-multiplicity rows are
+/// dropped.
 Result<Bag> BagFromU32Columns(const std::vector<std::string>& attr_names,
                               const ColumnView& columns, const uint64_t* mults,
                               AttributeCatalog* catalog,

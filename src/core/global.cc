@@ -8,24 +8,22 @@
 namespace bagc {
 
 // The single-shot solvers below are thin wrappers over the batch
-// ConsistencyEngine (src/engine/): each call seals a throwaway engine and
-// runs one query. Server-style callers with many queries against one
-// collection should hold a ConsistencyEngine directly and let it amortize
-// the cached marginals, the thread pool, and the flow arena.
+// ConsistencyEngine (src/engine/): each call seals a throwaway engine —
+// every pair's shared marginals and verdict — and runs one query.
+// Server-style callers with many queries against one collection should
+// hold a ConsistencyEngine directly and let it amortize the seal and the
+// thread pool.
 
 Result<std::optional<Bag>> SolveGlobalConsistencyAcyclic(
     const BagCollection& collection, const AcyclicSolveOptions& options) {
-  EngineOptions engine_options;
-  engine_options.lazy_seal = true;
   BAGC_ASSIGN_OR_RETURN(ConsistencyEngine engine,
-                        ConsistencyEngine::MakeView(collection, engine_options));
+                        ConsistencyEngine::MakeView(collection));
   return engine.SolveGlobalAcyclic(options);
 }
 
 Result<std::optional<Bag>> SolveGlobalConsistencyExact(
     const BagCollection& collection, const GlobalSolveOptions& options) {
   EngineOptions engine_options;
-  engine_options.lazy_seal = true;
   engine_options.global = options;
   BAGC_ASSIGN_OR_RETURN(ConsistencyEngine engine,
                         ConsistencyEngine::MakeView(collection, engine_options));
@@ -35,7 +33,6 @@ Result<std::optional<Bag>> SolveGlobalConsistencyExact(
 Result<bool> IsGloballyConsistent(const BagCollection& collection,
                                   const GlobalSolveOptions& options) {
   EngineOptions engine_options;
-  engine_options.lazy_seal = true;
   engine_options.global = options;
   BAGC_ASSIGN_OR_RETURN(ConsistencyEngine engine,
                         ConsistencyEngine::MakeView(collection, engine_options));

@@ -7,17 +7,11 @@ namespace bagc {
 Result<bool> ArePairwiseConsistent(const BagCollection& collection,
                                    std::pair<size_t, size_t>* witness_pair) {
   // Single-shot wrapper over the batch engine: borrow the collection into
-  // a throwaway lazily-sealed engine and run one inline sweep. The
-  // sequential sweep visits pairs in the same lexicographic order the
-  // historical double loop did — and under lazy_seal computes marginals
-  // pair by pair, so the reported first failing pair and the
-  // marginal-level early exit are unchanged (the engine does still pay
-  // its O(m²) schema-setup pass up front, which is cheap next to a
-  // single marginal).
-  EngineOptions options;
-  options.lazy_seal = true;
+  // a throwaway engine, whose seal decides every pair and reports the
+  // lexicographically first failing one — the pair the historical double
+  // loop reported.
   BAGC_ASSIGN_OR_RETURN(ConsistencyEngine engine,
-                        ConsistencyEngine::MakeView(collection, options));
+                        ConsistencyEngine::MakeView(collection));
   BAGC_ASSIGN_OR_RETURN(PairwiseVerdict verdict, engine.PairwiseAll());
   if (!verdict.consistent && witness_pair != nullptr) {
     *witness_pair = verdict.witness_pair;
@@ -28,14 +22,12 @@ Result<bool> ArePairwiseConsistent(const BagCollection& collection,
 Result<bool> AreKWiseConsistent(const BagCollection& collection, size_t k,
                                 std::optional<std::vector<size_t>>* failing_subset) {
   // Single-shot wrapper over the batch engine, mirroring
-  // ArePairwiseConsistent: one lazily-sealed engine serves the entire
-  // subset sweep, so each pair's shared marginals are computed at most
-  // once across all C(m, k) subsets instead of once per throwaway
-  // engine-per-subset as the historical implementation did.
-  EngineOptions options;
-  options.lazy_seal = true;
+  // ArePairwiseConsistent: one sealed engine serves the entire subset
+  // sweep, so each pair's shared marginals are computed once across all
+  // C(m, k) subsets instead of once per throwaway engine-per-subset as
+  // the historical implementation did.
   BAGC_ASSIGN_OR_RETURN(ConsistencyEngine engine,
-                        ConsistencyEngine::MakeView(collection, options));
+                        ConsistencyEngine::MakeView(collection));
   return engine.KWiseConsistent(k, failing_subset);
 }
 

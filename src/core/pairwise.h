@@ -1,8 +1,8 @@
 // Pairwise and k-wise consistency of bag collections (paper §4). Pairwise
 // consistency is polynomial (Lemma 2); k-wise consistency for k >= 3 is
 // exponential in the worst case. Both are thin wrappers over one
-// ConsistencyEngine (engine/consistency_engine.h): the k-wise sweep reuses
-// the engine's sealed per-pair marginal cache across every subset, decides
+// ConsistencyEngine (engine/consistency_engine.h): the k-wise sweep reads
+// the engine's sealed pair verdicts in every subset, decides
 // acyclic subsets by Theorem 2, and runs the exact feasibility search only
 // on cyclic subsets.
 #pragma once

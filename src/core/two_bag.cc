@@ -6,8 +6,8 @@ namespace bagc {
 
 // The single-shot entry points below route through engine/TwoBagSolver,
 // which owns the reusable ConsistencyNetwork arena; each call here spins
-// up a throwaway solver, while batch callers (ConsistencyEngine, the
-// Theorem 6 fold) keep one solver alive across many solves.
+// up a throwaway solver, while batch callers (the engine's Theorem 6
+// fold) keep one solver alive across many solves.
 
 Result<bool> AreConsistent(const Bag& r, const Bag& s) {
   return TwoBagSolver::AreConsistent(r, s);

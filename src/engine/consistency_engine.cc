@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <iterator>
-#include <limits>
 #include <map>
 
+#include "engine/two_bag_solver.h"
 #include "hypergraph/acyclicity.h"
 #include "solver/integer_feasibility.h"
 #include "solver/lp.h"
@@ -74,11 +74,9 @@ Result<ConsistencyEngine> ConsistencyEngine::MakeImpl(
   engine.owned_ = std::move(owned);
   engine.options_ = options;
   // A canonicalizing seal remaps every row id, so nothing from a previous
-  // generation is comparable; a lazily sealed previous engine has mutable
-  // slots that must not be shared. Both degrade to a full seal.
+  // generation is comparable: degrade to a full seal.
   if (reuse != nullptr &&
-      (options.canonicalize_dictionaries || reuse->previous == nullptr ||
-       !reuse->previous->fully_sealed())) {
+      (options.canonicalize_dictionaries || reuse->previous == nullptr)) {
     reuse = nullptr;
   }
   if (options.canonicalize_dictionaries) {
@@ -99,8 +97,8 @@ Result<ConsistencyEngine> ConsistencyEngine::MakeImpl(
   // Owned hot-path bags go columnar-only at seal time: the flat entry
   // vector is dropped and the ColumnStore becomes the bag (rows are
   // reconstructed on cold paths via RowAt). Bags already columnar — e.g.
-  // adopted from a previous generation by MakeDelta — are left untouched;
-  // borrowed collections (MakeView) are never mutated.
+  // adopted from a previous generation by MakeDeltaBatch — are left
+  // untouched; borrowed collections (MakeView) are never mutated.
   if (engine.owned_ != nullptr && options.marginal_path != MarginalPath::kRows) {
     size_t min_rows = options.columnar_min_rows == 0 ? kColumnarMinRows
                                                      : options.columnar_min_rows;
@@ -175,7 +173,6 @@ Status ConsistencyEngine::Seal(const SealReuse* reuse) {
       pairs_.push_back({i, j, left, right});
     }
   }
-  pair_state_.assign(pairs_.size(), 0);
 
   // Incremental reuse: for every bag whose rows are unchanged since the
   // previous generation, adopt that generation's column store and every
@@ -184,26 +181,25 @@ Status ConsistencyEngine::Seal(const SealReuse* reuse) {
   // filled below, so a re-seal that touched k of m bags fills O(k·m)
   // slots, not O(m²). Shared pointers keep the bags alive across either
   // generation's destruction.
+  std::vector<size_t> prev_of(m, SealReuse::kNoPrev);
   if (reuse != nullptr) {
     const ConsistencyEngine& prev = *reuse->previous;
     for (size_t i = 0; i < m && i < reuse->prev_index.size(); ++i) {
       size_t p = reuse->prev_index[i];
       if (p == SealReuse::kNoPrev || p >= prev.cache_.size()) continue;
+      prev_of[i] = p;
       bag_columns_[i] = prev.bag_columns_[p];
       for (CachedProjection& slot : cache_[i]) {
         const CachedProjection* prev_slot = prev.FindProjection(p, slot.schema);
-        if (prev_slot != nullptr && prev_slot->filled) {
-          slot.marginal = prev_slot->marginal;
-          slot.filled = true;  // EnsureFilled skips it: no fresh fill counted
-        }
+        // Adopted slots are already filled: EnsureFilled skips them, so no
+        // fresh fill is counted.
+        if (prev_slot != nullptr) slot.marginal = prev_slot->marginal;
       }
     }
   }
 
-  // Pass 3: fill the slots, unless deferring to first use. Each slot is
-  // written by exactly one task, so the parallel fill shares nothing but
-  // disjoint slots.
-  if (options_.lazy_seal && pool_ == nullptr) return Status::OK();
+  // Pass 3: fill the slots. Each slot is written by exactly one task, so
+  // the parallel fill shares nothing but disjoint slots.
   std::vector<std::pair<size_t, size_t>> slots;  // (bag, cache index)
   for (size_t i = 0; i < m; ++i) {
     for (size_t k = 0; k < cache_[i].size(); ++k) slots.emplace_back(i, k);
@@ -233,12 +229,69 @@ Status ConsistencyEngine::Seal(const SealReuse* reuse) {
     }
   }
   for (const Status& st : statuses) BAGC_RETURN_NOT_OK(st);
-  fully_sealed_ = true;
+
+  // Pass 4: decide every pair. A pair whose two bags both come unchanged
+  // from the previous generation carries that generation's verdict (two
+  // bags mapped to one previous bag are equal, hence consistent); every
+  // other pair compares its two shared marginals (Lemma 2(2)).
+  pair_consistent_.assign(pairs_.size(), 0);
+  std::vector<size_t> to_compare;
+  to_compare.reserve(pairs_.size());
+  for (size_t idx = 0; idx < pairs_.size(); ++idx) {
+    size_t pi = prev_of[pairs_[idx].i];
+    size_t pj = prev_of[pairs_[idx].j];
+    if (pi == SealReuse::kNoPrev || pj == SealReuse::kNoPrev) {
+      to_compare.push_back(idx);
+    } else if (pi == pj) {
+      pair_consistent_[idx] = 1;
+    } else {
+      const ConsistencyEngine& prev = *reuse->previous;
+      pair_consistent_[idx] = prev.pair_consistent_[prev.PairIndex(
+          std::min(pi, pj), std::max(pi, pj))];
+    }
+  }
+  ComparePairs(to_compare);
+  DecidePairwise();
   return Status::OK();
 }
 
+void ConsistencyEngine::ComparePairs(const std::vector<size_t>& pair_indices) {
+  auto compare = [this, &pair_indices](size_t lo, size_t hi) {
+    for (size_t t = lo; t < hi; ++t) {
+      const PairTask& p = pairs_[pair_indices[t]];
+      pair_consistent_[pair_indices[t]] = *p.left->marginal == *p.right->marginal;
+    }
+  };
+  if (pool_ == nullptr || pair_indices.size() < 2) {
+    compare(0, pair_indices.size());
+    return;
+  }
+  // Contiguous chunks write disjoint pair_consistent_ bytes. Every pair
+  // is compared (no early exit), so the verdicts — and the first failing
+  // pair DecidePairwise reads off them — are identical for every worker
+  // count.
+  size_t num_chunks = std::min(pair_indices.size(), 4 * pool_->num_threads());
+  size_t chunk = (pair_indices.size() + num_chunks - 1) / num_chunks;
+  for (size_t lo = 0; lo < pair_indices.size(); lo += chunk) {
+    size_t hi = std::min(pair_indices.size(), lo + chunk);
+    pool_->Submit([&compare, lo, hi] { compare(lo, hi); });
+  }
+  // Drain before returning: in-flight tasks reference this stack frame.
+  pool_->WaitIdle();
+}
+
+void ConsistencyEngine::DecidePairwise() {
+  pairwise_verdict_ = PairwiseVerdict{};
+  auto first = std::find(pair_consistent_.begin(), pair_consistent_.end(), 0);
+  if (first != pair_consistent_.end()) {
+    const PairTask& p = pairs_[static_cast<size_t>(first - pair_consistent_.begin())];
+    pairwise_verdict_.consistent = false;
+    pairwise_verdict_.witness_pair = {p.i, p.j};
+  }
+}
+
 Status ConsistencyEngine::EnsureFilled(CachedProjection* slot, size_t bag_index) {
-  if (slot->filled) return Status::OK();
+  if (slot->marginal != nullptr) return Status::OK();
   const Bag& bag = collection_->bag(bag_index);
   Bag marginal;
   if (UseColumnar(bag_index)) {
@@ -265,7 +318,6 @@ Status ConsistencyEngine::EnsureFilled(CachedProjection* slot, size_t bag_index)
     BAGC_ASSIGN_OR_RETURN(marginal, bag.MarginalRows(slot->schema));
   }
   slot->marginal = std::make_shared<const Bag>(std::move(marginal));
-  slot->filled = true;
   marginal_fills_->fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -321,134 +373,19 @@ const ConsistencyEngine::CachedProjection* ConsistencyEngine::FindProjection(
   return &*it;
 }
 
-Result<const ConsistencyEngine::PairTask*> ConsistencyEngine::PairAt(
-    size_t i, size_t j) const {
+Result<bool> ConsistencyEngine::TwoBag(size_t i, size_t j) const {
   size_t m = collection_->size();
   if (i >= m || j >= m) return Status::OutOfRange("bag index out of range");
-  if (i == j) return static_cast<const PairTask*>(nullptr);
+  if (i == j) return true;  // a bag always agrees with its own marginals
   if (i > j) std::swap(i, j);
-  // pairs_ lists (i, j), i < j, lexicographically, so the query's
-  // pre-resolved cache slots sit at a closed-form offset — no schema
-  // intersection or lookup per query.
-  return &pairs_[i * (2 * m - i - 1) / 2 + (j - i - 1)];
-}
-
-Result<bool> ConsistencyEngine::TwoBag(size_t i, size_t j) {
-  BAGC_ASSIGN_OR_RETURN(const PairTask* p, PairAt(i, j));
-  if (p == nullptr) return true;  // a bag always agrees with its own marginals
-  size_t idx = static_cast<size_t>(p - pairs_.data());
-  if (pair_state_[idx] != 0) return pair_state_[idx] == 1;
-  BAGC_RETURN_NOT_OK(EnsureFilled(p->left, p->i));
-  BAGC_RETURN_NOT_OK(EnsureFilled(p->right, p->j));
-  bool equal = *p->left->marginal == *p->right->marginal;
-  pair_state_[idx] = equal ? 1 : 2;
-  return equal;
-}
-
-Result<bool> ConsistencyEngine::TwoBagSealed(size_t i, size_t j) const {
-  BAGC_ASSIGN_OR_RETURN(const PairTask* p, PairAt(i, j));
-  if (p == nullptr) return true;
-  if (!p->left->filled || !p->right->filled) {
-    return Status::FailedPrecondition(
-        "TwoBagSealed on an engine whose cache is not fully sealed; "
-        "use TwoBag() (or seal eagerly) instead");
-  }
-  // Read-only consult of the verdict cache (never written here: the
-  // const surface serves concurrent callers).
-  int8_t state = pair_state_[static_cast<size_t>(p - pairs_.data())];
-  if (state != 0) return state == 1;
-  return *p->left->marginal == *p->right->marginal;
-}
-
-Result<PairwiseVerdict> ConsistencyEngine::SweepSequential() {
-  for (size_t idx = 0; idx < pairs_.size(); ++idx) {
-    const PairTask& p = pairs_[idx];
-    bool equal;
-    if (pair_state_[idx] != 0) {
-      equal = pair_state_[idx] == 1;
-    } else {
-      BAGC_RETURN_NOT_OK(EnsureFilled(p.left, p.i));
-      BAGC_RETURN_NOT_OK(EnsureFilled(p.right, p.j));
-      equal = *p.left->marginal == *p.right->marginal;
-      pair_state_[idx] = equal ? 1 : 2;
-    }
-    if (!equal) {
-      PairwiseVerdict v;
-      v.consistent = false;
-      v.witness_pair = {p.i, p.j};
-      return v;
-    }
-  }
-  return PairwiseVerdict{};
-}
-
-PairwiseVerdict ConsistencyEngine::SweepParallel() {
-  // Parallel engines sealed eagerly, so the tasks below only read the
-  // cache. Shard the lexicographic pair list into contiguous chunks and
-  // keep a running minimum over failing pair indices. A pair is skipped
-  // only when an earlier-or-equal failure is already recorded, so the
-  // final minimum is exactly the lexicographically first inconsistent
-  // pair — the sweep early-exits *and* stays deterministic for every
-  // worker count.
-  constexpr size_t kNone = std::numeric_limits<size_t>::max();
-  std::atomic<size_t> best{kNone};
-  size_t num_chunks = std::min(pairs_.size(), 4 * pool_->num_threads());
-  size_t chunk = (pairs_.size() + num_chunks - 1) / num_chunks;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    size_t lo = c * chunk;
-    size_t hi = std::min(pairs_.size(), lo + chunk);
-    pool_->Submit([this, &best, lo, hi] {
-      for (size_t idx = lo; idx < hi; ++idx) {
-        if (idx >= best.load(std::memory_order_relaxed)) return;
-        const PairTask& p = pairs_[idx];
-        bool equal;
-        if (pair_state_[idx] != 0) {
-          equal = pair_state_[idx] == 1;
-        } else {
-          equal = *p.left->marginal == *p.right->marginal;
-          // Chunks are disjoint index ranges, so no two tasks ever write
-          // the same pair_state_ byte.
-          pair_state_[idx] = equal ? 1 : 2;
-        }
-        if (!equal) {
-          size_t cur = best.load(std::memory_order_relaxed);
-          while (idx < cur &&
-                 !best.compare_exchange_weak(cur, idx, std::memory_order_relaxed)) {
-          }
-          return;
-        }
-      }
-    });
-  }
-  // Drain before touching `best` (and before the caller can destroy the
-  // engine): in-flight tasks reference this stack frame and the cache.
-  pool_->WaitIdle();
-  size_t found = best.load(std::memory_order_relaxed);
-  PairwiseVerdict v;
-  if (found != kNone) {
-    v.consistent = false;
-    v.witness_pair = {pairs_[found].i, pairs_[found].j};
-  }
-  return v;
-}
-
-Result<PairwiseVerdict> ConsistencyEngine::PairwiseAll() {
-  if (!pairwise_verdict_.has_value()) {
-    if (pool_ != nullptr && pairs_.size() > 1) {
-      pairwise_verdict_ = SweepParallel();
-    } else {
-      BAGC_ASSIGN_OR_RETURN(pairwise_verdict_, SweepSequential());
-    }
-  }
-  return *pairwise_verdict_;
+  return pair_consistent_[PairIndex(i, j)] == 1;
 }
 
 Result<bool> ConsistencyEngine::Global() {
   if (global_verdict_.has_value()) return *global_verdict_;
   if (IsAcyclic(collection_->hypergraph())) {
     // Theorem 2: local-to-global holds, so pairwise consistency decides.
-    BAGC_ASSIGN_OR_RETURN(PairwiseVerdict v, PairwiseAll());
-    global_verdict_ = v.consistent;
+    global_verdict_ = pairwise_verdict_.consistent;
   } else {
     BAGC_ASSIGN_OR_RETURN(std::optional<Bag> witness, SolveGlobalExact());
     global_verdict_ = witness.has_value();
@@ -456,10 +393,8 @@ Result<bool> ConsistencyEngine::Global() {
   return *global_verdict_;
 }
 
-template <typename PairFn>
-Result<bool> ConsistencyEngine::KWiseSweep(
-    size_t k, std::optional<std::vector<size_t>>* failing_subset,
-    PairFn&& pair_query) const {
+Result<bool> ConsistencyEngine::KWiseConsistent(
+    size_t k, std::optional<std::vector<size_t>>* failing_subset) const {
   if (k < 2) return Status::InvalidArgument("k-wise consistency needs k >= 2");
   if (failing_subset != nullptr) failing_subset->reset();
   size_t m = collection_->size();
@@ -472,15 +407,12 @@ Result<bool> ConsistencyEngine::KWiseSweep(
   std::vector<size_t> idx(size);
   for (size_t i = 0; i < size; ++i) idx[i] = i;
   while (true) {
-    // Pairwise precheck from the sealed per-pair marginal cache. Each
-    // pair's marginals are computed at most once across the entire sweep
-    // — the historical path recomputed them inside every subset's
-    // throwaway engine.
+    // Pairwise precheck from the verdicts decided at seal (idx is
+    // increasing, so every pair is already ordered).
     bool subset_ok = true;
     for (size_t a = 0; a < size && subset_ok; ++a) {
       for (size_t b = a + 1; b < size && subset_ok; ++b) {
-        BAGC_ASSIGN_OR_RETURN(bool pair_ok, pair_query(idx[a], idx[b]));
-        subset_ok = pair_ok;
+        subset_ok = pair_consistent_[PairIndex(idx[a], idx[b])] == 1;
       }
     }
     if (subset_ok) {
@@ -523,45 +455,16 @@ Result<bool> ConsistencyEngine::KWiseSweep(
   }
 }
 
-Result<bool> ConsistencyEngine::KWiseConsistent(
-    size_t k, std::optional<std::vector<size_t>>* failing_subset) {
-  return KWiseSweep(k, failing_subset, [this](size_t a, size_t b) {
-    return TwoBag(a, b);  // fills lazily-sealed slots on first use
-  });
-}
-
-Result<bool> ConsistencyEngine::KWiseConsistentSealed(
-    size_t k, std::optional<std::vector<size_t>>* failing_subset) const {
-  return KWiseSweep(k, failing_subset, [this](size_t a, size_t b) {
-    return TwoBagSealed(a, b);  // read-only: never fills a slot
-  });
-}
-
-Result<std::optional<Bag>> ConsistencyEngine::WitnessSealed(size_t i, size_t j,
-                                                            bool minimal) const {
-  BAGC_ASSIGN_OR_RETURN(bool consistent, TwoBagSealed(i, j));
+Result<std::optional<Bag>> ConsistencyEngine::Witness(size_t i, size_t j,
+                                                      bool minimal) const {
+  BAGC_ASSIGN_OR_RETURN(bool consistent, TwoBag(i, j));
   if (!consistent) return std::optional<Bag>();
-  // A local arena per call: slower than the engine's shared solver for a
-  // single caller, but free of cross-query contention — the trade the
-  // server snapshot wants. The construction is deterministic, so the
-  // witness is identical to Witness()'s.
+  // A local arena per call keeps concurrent witness queries free of
+  // contention; the construction is deterministic.
   TwoBagSolver solver;
   BAGC_ASSIGN_OR_RETURN(
       Bag witness, solver.FindWitnessKnownConsistent(collection_->bag(i),
                                                      collection_->bag(j), minimal));
-  return std::optional<Bag>(std::move(witness));
-}
-
-Result<std::optional<Bag>> ConsistencyEngine::Witness(size_t i, size_t j,
-                                                      bool minimal) {
-  // The Lemma 2(2) pre-check comes from the cache instead of the solver's
-  // own marginal rebuild.
-  BAGC_ASSIGN_OR_RETURN(bool consistent, TwoBag(i, j));
-  if (!consistent) return std::optional<Bag>();
-  const Bag& r = collection_->bag(i);
-  const Bag& s = collection_->bag(j);
-  BAGC_ASSIGN_OR_RETURN(
-      Bag witness, witness_solver_.FindWitnessKnownConsistent(r, s, minimal));
   return std::optional<Bag>(std::move(witness));
 }
 
@@ -572,8 +475,7 @@ Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalAcyclic(
 
   // Pairwise-consistency prefilter (by Theorem 2, for acyclic schemas this
   // already decides global consistency).
-  BAGC_ASSIGN_OR_RETURN(PairwiseVerdict pairwise, PairwiseAll());
-  if (!pairwise.consistent) return std::optional<Bag>();
+  if (!pairwise_verdict_.consistent) return std::optional<Bag>();
 
   // The hypergraph's canonical edges may merge duplicate schemas; map each
   // edge to the bags carrying it. Pairwise-consistent bags with the same
@@ -594,7 +496,7 @@ Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalAcyclic(
   }
 
   // Theorem 6: fold minimal two-bag witnesses along the RIP listing, every
-  // step inside the engine's one flow arena. The step-i shared schema
+  // step inside one flow arena. The step-i shared schema
   // Z_i = X_{σ(i)} ∩ (X_{σ(0)} ∪ … ∪ X_{σ(i-1)}) depends only on the
   // listing, so each step's next-side marginal R_{σ(i)}[Z_i] — the
   // Lemma 2(2) input of that fold step — is built ahead of the fold,
@@ -630,6 +532,7 @@ Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalAcyclic(
   }
   for (const Status& st : marginal_status) BAGC_RETURN_NOT_OK(st);
 
+  TwoBagSolver solver;
   Bag acc = *edge_bag[rip_order[0]];
   for (size_t i = 1; i < steps; ++i) {
     const Bag& next = *edge_bag[rip_order[i]];
@@ -642,7 +545,7 @@ Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalAcyclic(
     }
     BAGC_ASSIGN_OR_RETURN(
         Bag ti,
-        witness_solver_.FindWitnessKnownConsistent(acc, next, options.minimal_fold));
+        solver.FindWitnessKnownConsistent(acc, next, options.minimal_fold));
     acc = std::move(ti);
   }
   return std::optional<Bag>(std::move(acc));
@@ -651,8 +554,7 @@ Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalAcyclic(
 Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalExact() {
   // Pairwise consistency is necessary; it is also a cheap filter before
   // the exponential search.
-  BAGC_ASSIGN_OR_RETURN(PairwiseVerdict pairwise, PairwiseAll());
-  if (!pairwise.consistent) return std::optional<Bag>();
+  if (!pairwise_verdict_.consistent) return std::optional<Bag>();
   BAGC_ASSIGN_OR_RETURN(
       ConsistencyLp lp,
       BuildConsistencyLp(collection_->bags(), options_.global.max_join_support,
@@ -670,20 +572,8 @@ Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalExact() {
   return std::optional<Bag>(std::move(witness));
 }
 
-Result<DeltaOutcome> ConsistencyEngine::ApplyDelta(
-    size_t bag_index, const std::vector<BagDelta>& deltas) {
-  DeltaBatch batch(1);
-  batch[0].bag_index = bag_index;
-  batch[0].deltas = deltas;
-  return ApplyDeltaBatch(batch);
-}
-
 Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
     const DeltaBatch& batch) {
-  if (owned_ == nullptr) {
-    return Status::FailedPrecondition(
-        "ApplyDelta requires an owned collection; use Make (not MakeView)");
-  }
   size_t m = collection_->size();
 
   // Net change per bag per row, keyed in sorted tuple order. A bag
@@ -716,24 +606,19 @@ Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
   DeltaOutcome outcome;
   if (nets.empty()) return outcome;
 
-  // ---- Stage: per bag, the mutated copy and its adjusted marginal
-  // slots. Nothing in the engine changes until EVERY bag has staged
-  // cleanly — a validation failure in the last bag leaves the first
-  // bags untouched (all-or-nothing across the batch).
-  struct StagedBag {
-    size_t bag_index;
-    Bag mutated;
-    std::vector<size_t> dirty_slots;
-    std::vector<std::optional<Bag>> staged;
-  };
-  std::vector<StagedBag> staged_bags;
-  staged_bags.reserve(nets.size());
+  // This engine is a fresh generation that MakeDeltaBatch discards on any
+  // error, and it shares bags and marginals with the previous generation
+  // only as immutable shared pointers. So each bag is mutated and its
+  // slots replaced as soon as they validate: a failure in the last bag
+  // leaves nothing of the previous generation touched.
+  std::vector<Bag> bags = collection_->bags();
+  std::vector<const CachedProjection*> dirty_slots;
   for (const auto& [bag_index, net] : nets) {
     const Bag& bag = collection_->bag(bag_index);
-    // The mutated bag. COW: other generations holding the old bag keep
-    // it. Row-level validation (a delete below zero → OutOfRange, an
-    // insert overflow) is the bag layer's, all-or-nothing on the copy.
-    Bag mutated = bag;
+    // Row-level validation (a delete below zero → OutOfRange, an insert
+    // overflow) is the bag layer's. COW: the previous generation keeps
+    // the old bag.
+    Bag& mutated = bags[bag_index];
     BAGC_RETURN_NOT_OK(mutated.ApplyRowDeltas(
         std::vector<std::pair<Tuple, int64_t>>(net.begin(), net.end())));
     // Delta staging materialized flat rows; restore the columnar-only
@@ -742,18 +627,14 @@ Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
         mutated.SupportSize() >= ColumnarMinRows()) {
       mutated.SealColumnar();
     }
+    bag_columns_[bag_index] = nullptr;  // transposed the old rows
 
     // Adjust each cached marginal of the bag from the *projected* nets
     // (Equation (2) is linear in multiplicities): a known group's net is
     // a multiplicity bump, a new group appends, an adjustment to zero
     // removes the group. A projection under which the nets cancel is
-    // clean and keeps its slot untouched. Adjusted copies are staged
-    // here and committed below — any overflow aborts with nothing
-    // mutated.
-    StagedBag sb{bag_index, std::move(mutated), {},
-                 std::vector<std::optional<Bag>>(cache_[bag_index].size())};
-    for (size_t k = 0; k < cache_[bag_index].size(); ++k) {
-      CachedProjection& slot = cache_[bag_index][k];
+    // clean and keeps its slot untouched.
+    for (CachedProjection& slot : cache_[bag_index]) {
       BAGC_ASSIGN_OR_RETURN(Projector proj,
                             Projector::Make(bag.schema(), slot.schema));
       std::map<Tuple, int64_t> pnet;
@@ -767,8 +648,6 @@ Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
         it = it->second == 0 ? pnet.erase(it) : std::next(it);
       }
       if (pnet.empty()) continue;
-      sb.dirty_slots.push_back(k);
-      if (!slot.filled) continue;  // lazy slot: recomputed from the new rows later
       Bag next = *slot.marginal;
       for (const auto& [pt, pd] : pnet) {
         uint64_t old_group = next.Multiplicity(pt);
@@ -789,110 +668,72 @@ Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
       // The adjustment ran on flat rows; re-seal when the cached marginal
       // was columnar so adjusted slots keep the sealed-bytes reduction.
       if (slot.marginal->columnar_sealed()) next.SealColumnar();
-      sb.staged[k] = std::move(next);
-    }
-    staged_bags.push_back(std::move(sb));
-  }
-
-  // Rebuild the owned collection around the mutated bags (schemas — and
-  // hence the hypergraph, the pair list, and every cache slot pointer —
-  // are unchanged; untouched bags are refcount bumps).
-  std::vector<Bag> bags = collection_->bags();
-  for (StagedBag& sb : staged_bags) bags[sb.bag_index] = std::move(sb.mutated);
-  BAGC_ASSIGN_OR_RETURN(BagCollection next_collection,
-                        BagCollection::Make(std::move(bags)));
-
-  // ---- Commit: nothing below can fail. ----
-  owned_ = std::make_shared<const BagCollection>(std::move(next_collection));
-  collection_ = owned_.get();
-  std::vector<const CachedProjection*> dirty_ptrs;
-  for (StagedBag& sb : staged_bags) {
-    bag_columns_[sb.bag_index] = nullptr;  // transposed the old rows
-    for (size_t k : sb.dirty_slots) {
-      CachedProjection& slot = cache_[sb.bag_index][k];
-      dirty_ptrs.push_back(&slot);
-      if (!sb.staged[k].has_value()) continue;
-      slot.marginal = std::make_shared<const Bag>(std::move(*sb.staged[k]));
-      slot.probe = TupleIndex();
-      slot.probe_built = false;
-      ++outcome.changed_slots;
+      slot.marginal = std::make_shared<const Bag>(std::move(next));
+      dirty_slots.push_back(&slot);
       // An in-place adjustment is this generation's fill of the slot.
       marginal_fills_->fetch_add(1, std::memory_order_relaxed);
     }
   }
+  outcome.changed_slots = dirty_slots.size();
+
+  // Rebuild the owned collection around the mutated bags (schemas — and
+  // hence the hypergraph, the pair list, and every cache slot pointer —
+  // are unchanged; untouched bags are refcount bumps).
+  BAGC_ASSIGN_OR_RETURN(BagCollection next_collection,
+                        BagCollection::Make(std::move(bags)));
+  owned_ = std::make_shared<const BagCollection>(std::move(next_collection));
+  collection_ = owned_.get();
 
   // Minimal invalidation: exactly the pairs whose shared-attribute
-  // marginal changed lose their cached verdicts (identified by the
-  // pre-resolved slot pointers); clean pairs — including every pair not
-  // involving a mutated bag — keep theirs. A pair between two mutated
-  // bags is dirty from either side. pairs_ is lexicographic, so
-  // dirty_pairs comes out sorted and deduplicated.
+  // marginal changed are re-compared (identified by the pre-resolved slot
+  // pointers); clean pairs — including every pair not involving a mutated
+  // bag — keep their verdicts. A pair between two mutated bags is dirty
+  // from either side. pairs_ is lexicographic, so dirty_pairs comes out
+  // sorted and deduplicated.
+  std::vector<size_t> dirty;
   for (size_t idx = 0; idx < pairs_.size(); ++idx) {
     const PairTask& p = pairs_[idx];
-    if (std::find(dirty_ptrs.begin(), dirty_ptrs.end(), p.left) ==
-            dirty_ptrs.end() &&
-        std::find(dirty_ptrs.begin(), dirty_ptrs.end(), p.right) ==
-            dirty_ptrs.end()) {
+    if (std::find(dirty_slots.begin(), dirty_slots.end(), p.left) ==
+            dirty_slots.end() &&
+        std::find(dirty_slots.begin(), dirty_slots.end(), p.right) ==
+            dirty_slots.end()) {
       continue;
     }
     outcome.dirty_pairs.emplace_back(p.i, p.j);
-    pair_state_[idx] = 0;
+    dirty.push_back(idx);
   }
-  if (!outcome.dirty_pairs.empty()) pairwise_verdict_.reset();
+  ComparePairs(dirty);
+  DecidePairwise();
   // The cyclic-schema global solver reads full bags, not shared
   // marginals, so any effective row change drops the memoized global
-  // verdict (acyclic recomputation reduces to the — possibly still
-  // memoized — pairwise sweep).
+  // verdict.
   global_verdict_.reset();
   return outcome;
-}
-
-Result<ConsistencyEngine> ConsistencyEngine::MakeDelta(
-    const ConsistencyEngine& previous, size_t bag_index,
-    const std::vector<BagDelta>& deltas, DeltaOutcome* outcome) {
-  DeltaBatch batch(1);
-  batch[0].bag_index = bag_index;
-  batch[0].deltas = deltas;
-  return MakeDeltaBatch(previous, batch, outcome);
 }
 
 Result<ConsistencyEngine> ConsistencyEngine::MakeDeltaBatch(
     const ConsistencyEngine& previous, const DeltaBatch& batch,
     DeltaOutcome* outcome) {
-  if (!previous.fully_sealed_) {
-    return Status::FailedPrecondition(
-        "MakeDelta requires a fully sealed previous generation");
-  }
   if (previous.options_.canonicalize_dictionaries) {
     return Status::FailedPrecondition(
-        "MakeDelta cannot apply deltas to a canonicalized generation: "
+        "MakeDeltaBatch cannot apply deltas to a canonicalized generation: "
         "canonicalization remapped the row ids the delta speaks");
   }
-  for (const BagDeltas& bd : batch) {
-    if (bd.bag_index >= previous.collection_->size()) {
-      return Status::OutOfRange("bag index out of range");
-    }
-  }
   // Adopt EVERY bag of the previous generation (identity reuse): zero
-  // marginal fills, shared column stores, shared marginal slots. The
-  // batch below then adjusts only the mutated bags' dirty slots, so
-  // marginal_fills() of the new engine lands on exactly that count.
+  // marginal fills, zero pair compares, shared column stores and marginal
+  // slots. The batch below then adjusts only the mutated bags' dirty
+  // slots, so marginal_fills() of the new engine lands on exactly that
+  // count.
   SealReuse reuse;
   reuse.previous = &previous;
   reuse.prev_index.resize(previous.collection_->size());
   for (size_t i = 0; i < reuse.prev_index.size(); ++i) reuse.prev_index[i] = i;
   EngineOptions options = previous.options_;
   options.num_threads = 1;  // residual work is O(dirty pairs); no pool
-  options.lazy_seal = false;
   BAGC_ASSIGN_OR_RETURN(
       ConsistencyEngine engine,
       Make(BagCollection(*previous.collection_), options, &reuse));
-  // Carry the previous generation's memoized verdicts forward; the
-  // batch apply invalidates exactly the dirty ones.
-  engine.pair_state_ = previous.pair_state_;
-  engine.pairwise_verdict_ = previous.pairwise_verdict_;
   engine.global_verdict_ = previous.global_verdict_;
-  engine.marginal_fills_->store(0, std::memory_order_relaxed);
   BAGC_ASSIGN_OR_RETURN(DeltaOutcome out, engine.ApplyDeltaBatch(batch));
   if (outcome != nullptr) *outcome = std::move(out);
   return engine;
@@ -907,7 +748,7 @@ size_t ConsistencyEngine::ApproxSealedBytes() const {
   for (const Bag& b : collection_->bags()) total += b.ApproxBytes();
   for (const std::vector<CachedProjection>& row : cache_) {
     for (const CachedProjection& slot : row) {
-      if (slot.filled) total += slot.marginal->ApproxBytes();
+      total += slot.marginal->ApproxBytes();
     }
   }
   for (size_t i = 0; i < bag_columns_.size(); ++i) {
@@ -925,27 +766,7 @@ size_t ConsistencyEngine::ApproxSealedBytes() const {
 const Bag* ConsistencyEngine::CachedMarginal(size_t i, const Schema& z) const {
   if (i >= cache_.size()) return nullptr;
   const CachedProjection* p = FindProjection(i, z);
-  return (p == nullptr || !p->filled) ? nullptr : p->marginal.get();
-}
-
-Result<uint64_t> ConsistencyEngine::ProbeMarginal(size_t i, const Schema& z,
-                                                  const Tuple& t) {
-  if (i >= cache_.size()) return Status::OutOfRange("bag index out of range");
-  CachedProjection* p = FindProjection(i, z);
-  if (p == nullptr) {
-    return Status::NotFound("no sealed projection for this attribute set");
-  }
-  BAGC_RETURN_NOT_OK(EnsureFilled(p, i));
-  if (!p->probe_built) {
-    p->probe.Reserve(p->marginal->SupportSize());
-    for (size_t e = 0; e < p->marginal->SupportSize(); ++e) {
-      p->probe.Insert(p->marginal->RowAt(e), static_cast<uint32_t>(e));
-    }
-    p->probe_built = true;
-  }
-  const std::vector<uint32_t>* ids = p->probe.Find(t);
-  if (ids == nullptr || ids->empty()) return uint64_t{0};
-  return p->marginal->MultiplicityAt(ids->front());
+  return p == nullptr ? nullptr : p->marginal.get();
 }
 
 }  // namespace bagc

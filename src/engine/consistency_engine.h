@@ -1,27 +1,30 @@
-// ConsistencyEngine: the batch consistency API. Pairwise and global bag
-// consistency (Atserias–Kolaitis, PODS 2021) are pure functions of a fixed
-// bag collection, so a server-style workload — one collection, many
-// queries — can seal the collection once and amortize all per-query
-// index construction:
+// ConsistencyEngine: the batch consistency API. By Lemma 2(2) of
+// Atserias–Kolaitis (PODS 2021), whether two bags are consistent is a pure
+// function of their marginals on the shared attributes, and by Theorem 2
+// those pairwise verdicts decide global consistency of acyclic schemas. So
+// the engine does all pairwise work once, when it seals a collection:
 //
-//   - at seal time the engine computes, for every pair of bags, the
-//     marginals on their shared attributes (deduplicated per bag and
-//     keyed by attribute set) together with a TupleIndex probe per cached
-//     marginal, optionally sharded across a work-stealing thread pool;
-//   - TwoBag(i, j) then answers from the cached marginals (Lemma 2(2))
-//     without recomputing anything;
-//   - PairwiseAll() shards the O(m²) independent pair comparisons across
-//     the pool with an atomic early-exit, and deterministically reports
-//     the lexicographically first inconsistent pair;
+//   - Make computes, for every pair of bags, the marginals on their shared
+//     attributes (deduplicated per bag and keyed by attribute set),
+//     optionally sharded across a work-stealing thread pool;
+//   - the same seal compares every pair's two marginals in one sharded
+//     pass and records each verdict, together with the lexicographically
+//     first inconsistent pair;
+//   - TwoBag, PairwiseAll, KWiseConsistent and Witness are then const
+//     reads of that sealed state, safe for any number of concurrent
+//     callers;
 //   - Global() dispatches on schema acyclicity (Theorem 2) and memoizes;
-//   - witness queries reuse one TwoBagSolver flow arena across solves.
+//   - MakeDeltaBatch derives the next generation from row deltas,
+//     adjusting only the changed marginals and re-comparing only the
+//     pairs they touch.
 //
 // The single-shot entry points in core/{pairwise,global}.cc are thin
-// wrappers that build a throwaway engine per call.
+// wrappers that seal a throwaway engine per call.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -29,9 +32,7 @@
 
 #include "core/collection.h"
 #include "core/global.h"
-#include "engine/two_bag_solver.h"
 #include "tuple/column_store.h"
-#include "tuple/tuple_index.h"
 #include "tuple/value_dictionary.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
@@ -53,15 +54,9 @@ enum class MarginalPath {
 
 /// Tuning for a ConsistencyEngine.
 struct EngineOptions {
-  /// Worker threads for sealing and the pairwise sweep; 1 runs inline
-  /// (no pool is created).
+  /// Worker threads for sealing (marginal fills and pair comparisons);
+  /// 1 runs inline (no pool is created).
   size_t num_threads = 1;
-  /// Defer marginal computation from seal time to first use. This is the
-  /// single-shot wrappers' mode: the sequential sweep then recovers the
-  /// historical early exit (an inconsistency at the first pair costs two
-  /// marginals, not a full seal). Only honored when num_threads == 1 —
-  /// parallel engines always seal eagerly so queries stay race-free.
-  bool lazy_seal = false;
   /// Tuning for the exact (cyclic-schema) global path.
   GlobalSolveOptions global;
   /// The dictionary set the collection's rows were interned through, when
@@ -98,7 +93,7 @@ struct EngineOptions {
   simd::SimdLevel simd = simd::SimdLevel::kAuto;
 };
 
-/// Outcome of a pairwise sweep.
+/// Pairwise consistency of a whole collection.
 struct PairwiseVerdict {
   bool consistent = true;
   /// Valid iff !consistent: the lexicographically first pair (i, j), i < j,
@@ -114,10 +109,15 @@ class ConsistencyEngine;
 /// that touched k of m bags fills only the O(k·m) slots involving a
 /// changed bag instead of all O(m²).
 ///
+/// The pair comparisons are reused the same way: a pair whose two bags
+/// both map into `previous` carries its verdict from there without a
+/// compare (two bags mapped to one previous bag are equal, hence
+/// consistent), so only pairs involving a changed bag are compared.
+///
 /// Correctness preconditions (the caller's responsibility — the engine
 /// can only check the structural ones):
-///   - `previous` is fully sealed and outlives the Make call (the shared
-///     state itself survives it via shared_ptr);
+///   - `previous` outlives the Make call (the shared state itself
+///     survives it via shared_ptr);
 ///   - neither generation canonicalized its dictionaries, and both were
 ///     sealed through the same dictionary lineage (append-only growth is
 ///     fine; any id remap invalidates every cached row). Make ignores the
@@ -134,9 +134,9 @@ struct SealReuse {
 
 /// One row-level mutation of one bag: `delta` > 0 inserts copies of the
 /// row, `delta` < 0 deletes them. A stream of these is a *delta*: the
-/// incremental-maintenance unit of ConsistencyEngine::ApplyDelta and the
-/// server's INSERT/DELETE verbs. Rows carry the same interned ids as the
-/// bag they mutate (dictionary or codec ids).
+/// incremental-maintenance unit of ConsistencyEngine::MakeDeltaBatch and
+/// the server's INSERT/DELETE verbs. Rows carry the same interned ids as
+/// the bag they mutate (dictionary or codec ids).
 struct BagDelta {
   Tuple row;
   int64_t delta = 0;
@@ -149,15 +149,15 @@ struct BagDeltas {
 };
 
 /// An atomic delta generation: every listed bag's deltas publish
-/// together or not at all (ApplyDeltaBatch / MakeDeltaBatch). Listing
-/// the same bag twice is allowed — its deltas net as one stream.
+/// together or not at all (MakeDeltaBatch). Listing the same bag twice
+/// is allowed — its deltas net as one stream.
 using DeltaBatch = std::vector<BagDeltas>;
 
 /// What a delta actually touched: the pairs whose shared-attribute
-/// marginals changed (their cached verdicts were invalidated; everything
-/// else kept its verdict) and the number of cached marginal slots that
-/// were adjusted. A delta whose row changes cancel out under a projection
-/// leaves that projection's slot — and its pairs — clean.
+/// marginals changed (they were re-compared; every other pair kept its
+/// verdict) and the number of cached marginal slots that were adjusted.
+/// A delta whose row changes cancel out under a projection leaves that
+/// projection's slot — and its pairs — clean.
 struct DeltaOutcome {
   /// Dirty pairs (i, j), i < j, in lexicographic order. Every pair
   /// involves a mutated bag (dirty-pair minimality).
@@ -167,18 +167,23 @@ struct DeltaOutcome {
   size_t changed_slots = 0;
 };
 
-/// \brief Sealed bag collection plus cached per-query state.
+/// \brief Sealed bag collection plus its pairwise verdicts.
 ///
-/// Pool tasks only ever write disjoint cache slots, and PairwiseAll/Global
-/// memoize their verdicts. Queries are not thread-safe against each other
-/// (they fill caches on demand); the parallelism lives inside the engine's
-/// own pool. Movable, not copyable (owns the pool).
+/// Every engine is fully sealed when Make returns: every cached marginal
+/// is filled and every pair is decided. The query surface (TwoBag,
+/// PairwiseAll, KWiseConsistent, Witness, CachedMarginal) is const and
+/// safe for any number of concurrent callers on one engine — the
+/// substrate of the bagcd server's shared snapshots
+/// (src/server/engine_snapshot.h). Global() memoizes and the Solve*
+/// entry points borrow the engine's pool, so those three are not
+/// thread-safe against each other. Movable, not copyable (owns the pool).
 class ConsistencyEngine {
  public:
-  /// Seals an owned copy of `collection`: allocates the cache of pairwise
-  /// shared-attribute marginals and (unless lazy_seal) computes them, in
-  /// parallel when options.num_threads > 1. A non-null `reuse` seeds
-  /// unchanged bags' slots from a previous generation (see SealReuse).
+  /// Seals an owned copy of `collection`: computes the pairwise
+  /// shared-attribute marginals and every pair's verdict, in parallel
+  /// when options.num_threads > 1. A non-null `reuse` seeds unchanged
+  /// bags' slots and pair verdicts from a previous generation (see
+  /// SealReuse).
   static Result<ConsistencyEngine> Make(BagCollection collection,
                                         EngineOptions options = {},
                                         const SealReuse* reuse = nullptr);
@@ -189,33 +194,30 @@ class ConsistencyEngine {
   static Result<ConsistencyEngine> MakeView(const BagCollection& collection,
                                             EngineOptions options = {});
 
-  /// Builds the next generation of `previous` with `deltas` applied to
-  /// bag `bag_index`: every untouched bag adopts the previous
-  /// generation's column store and cached marginals (shared pointers, no
-  /// fills), the mutated bag's slots are adjusted in place from the
-  /// projected deltas (each adjusted slot counts as one marginal fill on
-  /// the NEW engine — marginal_fills() starts at zero and lands on
-  /// exactly the dirty slot count), and clean pairs carry their cached
-  /// verdicts forward. `previous` must be fully sealed, must not have
-  /// canonicalized its dictionaries (the delta's ids would not be
-  /// comparable), and must outlive this call; the shared sealed state
-  /// survives it. DELETE below zero multiplicity fails with OutOfRange
-  /// and builds nothing. The new engine runs inline (no worker pool):
-  /// a delta generation's residual work is O(dirty pairs), not O(m²).
-  static Result<ConsistencyEngine> MakeDelta(const ConsistencyEngine& previous,
-                                             size_t bag_index,
-                                             const std::vector<BagDelta>& deltas,
-                                             DeltaOutcome* outcome = nullptr);
-
-  /// MakeDelta generalized to an atomic multi-bag batch: one published
-  /// generation carries every listed bag's deltas, with the same
-  /// contract per bag (in-place slot adjustment, minimal dirty-pair
-  /// invalidation — a pair is dirty when EITHER side's shared marginal
-  /// changed — marginal_fills() landing on exactly the batch's dirty
-  /// slot count). All-or-nothing across bags: validation of every bag's
-  /// deltas happens before any mutation, so a failed batch (for example
-  /// a DELETE below zero in the last bag) builds nothing. MakeDelta is
-  /// the single-entry special case.
+  /// Builds the next generation of `previous` with an atomic multi-bag
+  /// delta batch applied. Every untouched bag adopts the previous
+  /// generation's column store, cached marginals and pair verdicts
+  /// (shared pointers, no fills, no compares). Each mutated bag's cached
+  /// marginal R[Z] is *adjusted* rather than recomputed: the projected net
+  /// of the delta rows is added onto a copy of the old marginal (a known
+  /// row's insert is a multiplicity bump, a new row appends, a delete to
+  /// zero removes the row), since Equation (2) is linear in
+  /// multiplicities. A projection under which the nets cancel keeps its
+  /// slot. Each adjusted slot counts as one marginal fill, so
+  /// marginal_fills() of the new engine lands on exactly the batch's
+  /// dirty slot count. Exactly the pairs whose shared marginal changed on
+  /// either side are re-compared before this returns; the memoized global
+  /// verdict carries over only when nothing changed.
+  ///
+  /// All-or-nothing: a failed batch (bag index out of range, arity
+  /// mismatch, a DELETE below zero multiplicity → OutOfRange, overflow)
+  /// builds nothing, and `previous` is never modified. Listing a bag twice
+  /// nets its deltas as one stream; a batch whose nets cancel to zero
+  /// yields an unchanged generation with an empty outcome. `previous` must
+  /// not have canonicalized its dictionaries (the delta's ids would not be
+  /// comparable) and must outlive this call. The new engine runs inline
+  /// (no worker pool): a delta generation's residual work is
+  /// O(dirty pairs), not O(m²).
   static Result<ConsistencyEngine> MakeDeltaBatch(
       const ConsistencyEngine& previous, const DeltaBatch& batch,
       DeltaOutcome* outcome = nullptr);
@@ -226,15 +228,15 @@ class ConsistencyEngine {
   ConsistencyEngine& operator=(const ConsistencyEngine&) = delete;
 
   const BagCollection& collection() const { return *collection_; }
-  /// Number of sweep workers (1 when running inline).
+  /// Number of seal workers (1 when running inline).
   size_t num_threads() const { return pool_ ? pool_->num_threads() : 1; }
 
   /// Joins and destroys the worker pool. For owners that used threads
-  /// only for the eager seal + first sweep and will serve the rest of
-  /// the engine's life through the const sealed surface (the server's
-  /// snapshots): a long-lived generation should not park N idle worker
-  /// threads. Subsequent parallel-capable calls (a first PairwiseAll,
-  /// SolveGlobalAcyclic) simply run sequentially. No-op without a pool.
+  /// only for the seal and will serve the rest of the engine's life
+  /// through the const query surface (the server's snapshots): a
+  /// long-lived generation should not park N idle worker threads. A later
+  /// SolveGlobalAcyclic/SolveGlobalExact simply runs sequentially. No-op
+  /// without a pool.
   void ReleaseWorkers() { pool_.reset(); }
 
   /// The shared dictionary set the collection was interned through, or
@@ -245,10 +247,9 @@ class ConsistencyEngine {
     return options_.dictionaries;
   }
 
-  /// Number of marginal computations performed so far (cache fills; a
-  /// slot is only ever filled once). Lets callers and regression tests
-  /// assert that repeated queries — including the k-wise sweep — do no
-  /// re-computation.
+  /// Number of marginal computations performed by this engine (cache
+  /// fills at seal, slot adjustments under MakeDeltaBatch). Queries never
+  /// add to it, which regression tests assert.
   uint64_t marginal_fills() const {
     return marginal_fills_->load(std::memory_order_relaxed);
   }
@@ -260,147 +261,63 @@ class ConsistencyEngine {
   /// the conservative direction for an eviction budget.
   size_t ApproxSealedBytes() const;
 
-  /// True iff this engine was sealed eagerly (every marginal slot
-  /// computed at Make) — the precondition of the *Sealed const query
-  /// surface below. Deliberately NOT updated by lazy on-demand fills: a
-  /// lazily sealed engine reports false even once all slots happen to be
-  /// filled, because its fills mutate and were never meant to be shared.
-  bool fully_sealed() const { return fully_sealed_; }
+  /// Lemma 2(2) on bags i and j: the verdict decided at seal time.
+  Result<bool> TwoBag(size_t i, size_t j) const;
 
-  /// Applies a delta stream to bag `bag_index` in place: per-row net
-  /// changes mutate the owned bag (copy-on-write), and each cached
-  /// marginal R[Z] of the bag is *adjusted* — the projected net of the
-  /// delta rows is added onto a copy of the cached marginal (a known
-  /// row's insert is a multiplicity bump, a new row appends, a delete to
-  /// zero removes the row) — instead of being recomputed from all rows.
-  /// Each adjusted slot counts as one marginal fill. Verdict invalidation
-  /// is minimal: only pairs whose shared-attribute marginal actually
-  /// changed are returned dirty and lose their cached verdicts; clean
-  /// pairs (including every pair not involving the bag) keep theirs. The
-  /// memoized global verdict is dropped on any effective change (the
-  /// cyclic-schema solver reads full bags, not just shared marginals).
-  ///
-  /// All-or-nothing: validation (arity, DELETE below zero multiplicity →
-  /// OutOfRange, multiplicity overflow) happens before any mutation, so a
-  /// failed delta leaves the engine bit-identical. Requires an owned
-  /// collection (Make, not MakeView). Deltas whose nets cancel to zero
-  /// are a no-op returning an empty outcome. Not thread-safe against
-  /// concurrent queries (same contract as the other non-const entry
-  /// points).
-  Result<DeltaOutcome> ApplyDelta(size_t bag_index,
-                                  const std::vector<BagDelta>& deltas);
+  /// The pairwise verdict decided at seal time, reporting the
+  /// lexicographically first inconsistent pair (deterministic for every
+  /// thread count).
+  Result<PairwiseVerdict> PairwiseAll() const { return pairwise_verdict_; }
 
-  /// ApplyDelta generalized to an atomic multi-bag batch (the in-place
-  /// twin of MakeDeltaBatch): per-bag nets are staged — COW bag
-  /// mutation, projected slot adjustments — for EVERY bag before any
-  /// engine state changes, then committed in one step. A validation
-  /// failure in any bag (arity, DELETE below zero, overflow) leaves the
-  /// engine bit-identical with no bag touched. ApplyDelta forwards here
-  /// with a single-entry batch.
-  Result<DeltaOutcome> ApplyDeltaBatch(const DeltaBatch& batch);
-
-  /// Lemma 2(2) on bags i and j, answered from the cached marginals
-  /// (filling them on first use under lazy_seal).
-  Result<bool> TwoBag(size_t i, size_t j);
-
-  // ---- Const (shared-snapshot) query surface -------------------------------
-  //
-  // After an eager seal the cache is immutable, so these answer without
-  // touching any engine state and are safe for any number of concurrent
-  // callers on one engine — the substrate of the bagcd server's shared
-  // engine snapshots (src/server/engine_snapshot.h). They fail with
-  // FailedPrecondition on a lazily sealed engine whose slots are not all
-  // filled yet; use the non-const entry points there instead.
-
-  /// TwoBag without cache fills: compares the two already-filled cached
-  /// marginals. Thread-safe on a fully sealed engine.
-  Result<bool> TwoBagSealed(size_t i, size_t j) const;
-
-  /// KWiseConsistent without cache fills: the same lexicographic subset
-  /// sweep, with every pairwise precheck answered by TwoBagSealed and
-  /// cyclic subsets paying a local LP (no shared state is written).
-  /// Thread-safe on a fully sealed engine.
-  Result<bool> KWiseConsistentSealed(
+  /// K-wise consistency (paper §4): every size-min(k, m) subcollection is
+  /// globally consistent. Subsets are enumerated lexicographically and the
+  /// first failing one is reported. Each subset's pairwise precheck reads
+  /// the sealed pair verdicts, acyclic subsets are then decided outright by
+  /// Theorem 2, and only cyclic subsets pay a local exact feasibility
+  /// search. No bag is copied for acyclic subsets, nothing is re-interned,
+  /// and no engine state is written.
+  Result<bool> KWiseConsistent(
       size_t k,
       std::optional<std::vector<size_t>>* failing_subset = nullptr) const;
 
-  /// Witness without the engine's shared flow arena: the Lemma 2(2)
-  /// pre-check reads the sealed cache and the construction runs in a
-  /// local TwoBagSolver, so concurrent witness queries never contend.
-  /// Same deterministic witness as Witness(). Thread-safe on a fully
-  /// sealed engine.
-  Result<std::optional<Bag>> WitnessSealed(size_t i, size_t j,
-                                           bool minimal = false) const;
-
-  /// The memoized pairwise verdict, if PairwiseAll() has run. Reading it
-  /// is safe concurrently with the const surface above (snapshot builders
-  /// call PairwiseAll() once before publishing the engine).
-  const std::optional<PairwiseVerdict>& cached_pairwise_verdict() const {
-    return pairwise_verdict_;
-  }
+  /// Witness of consistency for bags i and j (minimal per §5.3 when
+  /// `minimal`); nullopt when inconsistent. The Lemma 2(2) pre-check reads
+  /// the sealed verdict and the construction runs in a per-call flow
+  /// arena, so concurrent witness queries never contend; the construction
+  /// is deterministic.
+  Result<std::optional<Bag>> Witness(size_t i, size_t j,
+                                     bool minimal = false) const;
 
   /// The memoized global verdict, if Global() has run.
   const std::optional<bool>& cached_global_verdict() const {
     return global_verdict_;
   }
 
-  /// Sweeps all pairs (sharded across the pool when one exists) with
-  /// early exit on the first inconsistent pair; memoized. All in-flight
-  /// pool tasks are drained before this returns.
-  Result<PairwiseVerdict> PairwiseAll();
-
-  /// Global consistency: acyclic schemas reduce to PairwiseAll()
+  /// Global consistency: acyclic schemas read the pairwise verdict
   /// (Theorem 2); cyclic schemas run the exact solver. Memoized.
   Result<bool> Global();
 
-  /// K-wise consistency (paper §4): every size-min(k, m) subcollection is
-  /// globally consistent. Subsets are enumerated lexicographically and the
-  /// first failing one is reported. Unlike the historical implementation —
-  /// which sealed a throwaway engine per subset, re-deriving every shared
-  /// marginal from scratch — this reuses the parent engine's sealed state:
-  /// the per-pair cached marginals answer each subset's pairwise precheck
-  /// (filling each pair at most once across ALL subsets), acyclic subsets
-  /// are then decided outright by Theorem 2, and only cyclic subsets pay
-  /// an exact feasibility search (with no second pairwise pass). No bag is
-  /// copied for acyclic subsets and nothing is ever re-interned.
-  Result<bool> KWiseConsistent(size_t k,
-                               std::optional<std::vector<size_t>>* failing_subset =
-                                   nullptr);
-
-  /// Witness of consistency for bags i and j (minimal per §5.3 when
-  /// `minimal`); nullopt when inconsistent. Reuses the engine's flow arena.
-  Result<std::optional<Bag>> Witness(size_t i, size_t j, bool minimal = false);
-
   /// Theorem 6 witness construction for acyclic schemas, folding minimal
-  /// two-bag witnesses through the engine's reusable flow arena.
+  /// two-bag witnesses through one flow arena.
   Result<std::optional<Bag>> SolveGlobalAcyclic(
       const AcyclicSolveOptions& options = {});
 
   /// Exact decision for arbitrary schemas via integer feasibility of
-  /// P(R1..Rm), with the pairwise sweep as a prefilter.
+  /// P(R1..Rm), with the pairwise verdict as a prefilter.
   Result<std::optional<Bag>> SolveGlobalExact();
 
   /// Cached marginal of bag i onto z, or nullptr when (i, z) is not a
-  /// sealed projection or (under lazy_seal) has not been computed yet.
+  /// sealed projection.
   const Bag* CachedMarginal(size_t i, const Schema& z) const;
 
-  /// Ri[z](t) via a TupleIndex probe over the cached marginal (built on
-  /// first probe of that projection); errors when (i, z) is not a sealed
-  /// projection. 0 when t is not in the marginal's support.
-  Result<uint64_t> ProbeMarginal(size_t i, const Schema& z, const Tuple& t);
-
  private:
-  // One sealed projection of one bag: Z, Ri[Z] (filled eagerly or on first
-  // use), and a hash probe from marginal tuple to its entry index (built
-  // on first ProbeMarginal). The marginal is held by shared_ptr so an
+  // One sealed projection of one bag: Z and Ri[Z]. The marginal is null
+  // only while Seal is filling the cache. It is held by shared_ptr so an
   // incremental re-seal shares unchanged bags' slots with the previous
   // generation — whichever engine dies first, the bag survives.
   struct CachedProjection {
     Schema schema;
     std::shared_ptr<const Bag> marginal;
-    bool filled = false;
-    TupleIndex probe;
-    bool probe_built = false;
   };
   // One pairwise comparison, with the two cache slots pre-resolved. The
   // pointers target heap storage owned by cache_, which is stable after
@@ -417,11 +334,21 @@ class ConsistencyEngine {
                                             std::shared_ptr<const BagCollection> owned,
                                             EngineOptions options,
                                             const SealReuse* reuse);
-  // Builds cache_ and pairs_; computes the marginals (sharded over the
-  // pool) unless sealing lazily. A non-null `reuse` pre-fills unchanged
-  // bags' slots and column stores from the previous generation.
+  // Builds cache_ and pairs_, computes the marginals and then every
+  // pair's verdict (both sharded over the pool). A non-null `reuse`
+  // pre-fills unchanged bags' slots, column stores and pair verdicts from
+  // the previous generation.
   Status Seal(const SealReuse* reuse);
   Status EnsureFilled(CachedProjection* slot, size_t bag_index);
+  // Compares the two marginals of each listed pair (indices into pairs_)
+  // and records the verdicts, sharded over the pool when there is one.
+  void ComparePairs(const std::vector<size_t>& pair_indices);
+  // Sets pairwise_verdict_ from pair_consistent_.
+  void DecidePairwise();
+  // The private step of MakeDeltaBatch: applies `batch` to this freshly
+  // derived generation, adjusting the dirty slots and re-comparing the
+  // dirty pairs. On error the caller discards the engine.
+  Result<DeltaOutcome> ApplyDeltaBatch(const DeltaBatch& batch);
   // True when bag i's cache fills should group columnar under the
   // configured MarginalPath.
   bool UseColumnar(size_t bag_index) const;
@@ -434,18 +361,12 @@ class ConsistencyEngine {
   const ColumnStore& EnsureColumns(size_t bag_index);
   CachedProjection* FindProjection(size_t i, const Schema& z);
   const CachedProjection* FindProjection(size_t i, const Schema& z) const;
-  Result<PairwiseVerdict> SweepSequential();
-  PairwiseVerdict SweepParallel();
-  // The cache slots of pair (i, j); normalizes i > j. Errors on an
-  // out-of-range index; returns nullptr (OK case) for i == j.
-  Result<const PairTask*> PairAt(size_t i, size_t j) const;
-  // The k-wise subset sweep shared by KWiseConsistent and
-  // KWiseConsistentSealed; `pair_query(a, b)` answers one Lemma 2(2)
-  // precheck. Defined in the .cc (both instantiations live there).
-  template <typename PairFn>
-  Result<bool> KWiseSweep(size_t k,
-                          std::optional<std::vector<size_t>>* failing_subset,
-                          PairFn&& pair_query) const;
+  // Index of pair (i, j), i < j, in pairs_: the list is lexicographic, so
+  // the offset is closed-form — no schema intersection or lookup.
+  size_t PairIndex(size_t i, size_t j) const {
+    size_t m = collection_->size();
+    return i * (2 * m - i - 1) / 2 + (j - i - 1);
+  }
 
   const BagCollection* collection_ = nullptr;  // owned_ or a borrowed view
   std::shared_ptr<const BagCollection> owned_;
@@ -457,19 +378,14 @@ class ConsistencyEngine {
   // shared_ptr for the same reason as CachedProjection::marginal.
   std::vector<std::shared_ptr<const ColumnStore>> bag_columns_;
   std::vector<PairTask> pairs_;  // all (i, j), i < j, lexicographic
-  // Per-pair verdict cache aligned with pairs_: 0 unknown, 1 consistent,
-  // 2 inconsistent. Written by the sweeps (parallel chunks write disjoint
-  // indices) and by TwoBag; ApplyDelta resets exactly the dirty entries,
-  // so a post-delta sweep re-compares only pairs whose shared marginals
-  // changed. TwoBagSealed reads it but never writes (const surface).
-  std::vector<int8_t> pair_state_;
-  bool fully_sealed_ = false;    // every cache slot filled (see fully_sealed())
-  std::optional<PairwiseVerdict> pairwise_verdict_;
+  // Per-pair verdict aligned with pairs_ (1 consistent, 0 not), decided
+  // at seal. The parallel compare writes disjoint bytes.
+  std::vector<uint8_t> pair_consistent_;
+  PairwiseVerdict pairwise_verdict_;
   std::optional<bool> global_verdict_;
-  TwoBagSolver witness_solver_;
   // Counts actual cache fills (see marginal_fills()). Heap storage keeps
   // the engine movable while pool tasks increment it concurrently during
-  // eager sealing.
+  // sealing.
   std::unique_ptr<std::atomic<uint64_t>> marginal_fills_ =
       std::make_unique<std::atomic<uint64_t>>(0);
 };

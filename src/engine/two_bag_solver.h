@@ -1,9 +1,10 @@
 // Reusable two-bag consistency solver. Owns a ConsistencyNetwork whose
 // FlowNetwork arena survives across solves, so the §5.3 minimal-witness
-// suppress/restore loop, the Theorem 6 fold, and engine batch witness
-// queries rebuild into the same allocations instead of paying a fresh
-// network per call. The single-shot wrappers in core/two_bag.cc construct
-// one solver per call; the ConsistencyEngine keeps one alive per engine.
+// suppress/restore loop and the Theorem 6 fold rebuild into the same
+// allocations instead of paying a fresh network per step. The single-shot
+// wrappers in core/two_bag.cc and the engine's witness queries construct
+// one solver per call; the engine's Theorem 6 fold keeps one alive across
+// its steps.
 #pragma once
 
 #include <optional>
@@ -33,7 +34,7 @@ class TwoBagSolver {
 
   /// As FindWitness / FindMinimalWitness but skipping the Lemma 2(2)
   /// pre-check: the caller has already established consistency (the
-  /// ConsistencyEngine answers it from cached marginals). Errors with
+  /// ConsistencyEngine answers it from its sealed pair verdicts). Errors with
   /// Internal if the bags are in fact inconsistent.
   Result<Bag> FindWitnessKnownConsistent(const Bag& r, const Bag& s,
                                          bool minimal);

@@ -38,13 +38,12 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::Build(
       ConsistencyEngine engine,
       ConsistencyEngine::Make(std::move(collection), options, reuse_ptr));
   snapshot->engine_.emplace(std::move(engine));
-  // The engine seals eagerly (no lazy_seal), so the cache is complete and
-  // the const query surface is live; run the sweep once so every session
-  // answers PAIRWISE from this verdict.
+  // Make decided every pair; keep the pairwise verdict so every session
+  // answers PAIRWISE from it.
   BAGC_ASSIGN_OR_RETURN(snapshot->pairwise_, snapshot->engine_->PairwiseAll());
-  // The pool has done all it ever will for this generation (eager seal +
-  // the sweep above); the snapshot serves the rest of its life through
-  // the const surface, so don't park idle worker threads per generation.
+  // The pool has done all it ever will for this generation (the seal);
+  // the snapshot serves the rest of its life through the const surface,
+  // so don't park idle worker threads per generation.
   snapshot->engine_->ReleaseWorkers();
   snapshot->dicts_ = snapshot->engine_->shared_dictionaries();
   // Dictionary entries are approximated at a flat per-value cost; the
@@ -72,8 +71,8 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::BuildDeltaBatch(
         ConsistencyEngine::MakeDeltaBatch(*previous->engine_, batch, outcome));
     snapshot->engine_.emplace(std::move(engine));
   }
-  // Only the delta's dirty pairs actually re-compare here; clean pairs
-  // answer from the carried per-pair verdicts.
+  // MakeDeltaBatch re-compared only the delta's dirty pairs; clean pairs
+  // carried their verdicts.
   BAGC_ASSIGN_OR_RETURN(snapshot->pairwise_, snapshot->engine_->PairwiseAll());
   snapshot->dicts_ = snapshot->engine_->shared_dictionaries();
   for (const Bag& b : snapshot->engine_->collection().bags()) {
@@ -104,7 +103,7 @@ Result<size_t> EngineSnapshot::ResolveBag(const std::string& token) const {
 }
 
 Result<bool> EngineSnapshot::TwoBag(size_t i, size_t j) const {
-  return engine_->TwoBagSealed(i, j);
+  return engine_->TwoBag(i, j);
 }
 
 Result<bool> EngineSnapshot::Global() const {
@@ -117,12 +116,12 @@ Result<bool> EngineSnapshot::Global() const {
 
 Result<bool> EngineSnapshot::KWise(
     size_t k, std::optional<std::vector<size_t>>* failing_subset) const {
-  return engine_->KWiseConsistentSealed(k, failing_subset);
+  return engine_->KWiseConsistent(k, failing_subset);
 }
 
 Result<std::optional<Bag>> EngineSnapshot::Witness(size_t i, size_t j,
                                                    bool minimal) const {
-  return engine_->WitnessSealed(i, j, minimal);
+  return engine_->Witness(i, j, minimal);
 }
 
 std::string EngineSnapshot::WriteBagText(const Bag& bag) const {

@@ -42,7 +42,7 @@ class EngineSnapshot {
     std::vector<Bag> bags;
     AttributeCatalog catalog;
     std::shared_ptr<DictionarySet> dicts;
-    /// Seal-time worker threads (marginal fills + pairwise sweep).
+    /// Seal-time worker threads (marginal fills + pair comparisons).
     size_t num_threads = 1;
     /// Minimum support rows before a sealed bag drops its row vector for
     /// the columnar-only serving form; 0 = engine default
@@ -63,8 +63,8 @@ class EngineSnapshot {
     std::vector<size_t> prev_bag;
   };
 
-  /// Seals the engine eagerly, runs the pairwise sweep once, and returns
-  /// the snapshot ready for lock-free concurrent queries. `seq` is the
+  /// Seals the engine (every pair decided) and returns the snapshot ready
+  /// for lock-free concurrent queries. `seq` is the
   /// registry-assigned generation number surfaced in STATS.
   static Result<std::shared_ptr<const EngineSnapshot>> Build(BuildInputs inputs,
                                                              uint64_t seq);
@@ -73,8 +73,8 @@ class EngineSnapshot {
   /// per-bag delta streams (ConsistencyEngine::MakeDeltaBatch): every
   /// untouched bag's sealed state — column stores, marginal slots, cached
   /// pair verdicts — is adopted by refcount bump, each mutated bag's
-  /// dirty marginal slots are adjusted in place, and the fresh pairwise
-  /// sweep re-compares only the dirty pairs. Catalog, names, and the
+  /// dirty marginal slots are adjusted in place, and only the dirty pairs
+  /// are re-compared. Catalog, names, and the
   /// dictionary clone are shared with `previous` (the caller must
   /// guarantee no value was interned in between). `outcome`, when
   /// non-null, receives the dirty pair set and changed-slot count.
@@ -90,10 +90,10 @@ class EngineSnapshot {
   /// anything else a LOAD-time bag name.
   Result<size_t> ResolveBag(const std::string& token) const;
 
-  /// Lemma 2(2) for bags i and j, from the sealed marginal cache.
+  /// Lemma 2(2) for bags i and j: the verdict decided at seal.
   Result<bool> TwoBag(size_t i, size_t j) const;
 
-  /// The pairwise sweep verdict (computed once at Build).
+  /// The pairwise verdict (decided once at Build).
   const PairwiseVerdict& Pairwise() const { return pairwise_; }
 
   /// Global consistency; the cyclic-schema decision runs at most once

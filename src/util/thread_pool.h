@@ -3,7 +3,7 @@
 // of a sibling when drained. Submissions round-robin across the deques.
 //
 // This is the execution substrate for the ConsistencyEngine's sharded
-// pairwise sweep: many short independent tasks, submitted in one burst,
+// seal: many short independent tasks, submitted in one burst,
 // with the submitter blocking on WaitIdle() until every task has retired —
 // tasks may reference the submitter's stack, so the pool guarantees no
 // task is left in flight once WaitIdle() returns.

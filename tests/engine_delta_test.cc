@@ -1,7 +1,7 @@
 // Delta-vs-reseal differential harness (the correctness obligation of the
 // streaming-mutation path): on 200 generated collections × randomized
 // INSERT/DELETE streams, an engine maintained incrementally through
-// ConsistencyEngine::ApplyDelta / MakeDelta must stay *bit-identical* to
+// ConsistencyEngine::MakeDeltaBatch must stay *bit-identical* to
 // (a) a from-scratch full seal of the mutated collection and (b) the
 // string-keyed std::map oracle that recomputes every marginal from the
 // external tokens. Covers:
@@ -15,8 +15,8 @@
 //     keeps its pairs clean;
 //   - delta commutativity where it must hold: insert x then delete x in
 //     one stream is a structural no-op (modulo the generation handle);
-//   - marginal_fills() exactness: a MakeDelta generation fills exactly
-//     its dirty slots — reuse-adopted slots are never counted;
+//   - marginal_fills() exactness: a delta generation fills exactly its
+//     dirty slots — reuse-adopted slots are never counted;
 //   - worker invariance: the delta engine agrees with from-scratch seals
 //     at 1, 2, and 8 workers.
 #include <gtest/gtest.h>
@@ -175,6 +175,14 @@ std::vector<BagDelta> MakeStream(const Bag& bag, Rng* rng) {
   return deltas;
 }
 
+// A one-bag delta generation: the batch form of a single INSERT/DELETE.
+DeltaBatch OneBag(size_t bag_index, std::vector<BagDelta> deltas) {
+  DeltaBatch batch(1);
+  batch[0].bag_index = bag_index;
+  batch[0].deltas = std::move(deltas);
+  return batch;
+}
+
 // Every pair the outcome reports dirty must involve the mutated bag.
 void CheckDirtyPairMinimality(const DeltaOutcome& outcome, size_t mutated) {
   for (const auto& [i, j] : outcome.dirty_pairs) {
@@ -222,6 +230,9 @@ void CheckAgainstReseal(ConsistencyEngine& delta_engine) {
 }
 
 TEST(EngineDeltaTest, MatchesResealAndOracleOn200Collections) {
+  // Each commit replaces the engine with its derived generation, so the
+  // previous generation is destroyed while the new one still shares its
+  // marginals and column stores.
   for (uint64_t seed = 0; seed < 200; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng(5'000'000 + seed);
@@ -232,9 +243,12 @@ TEST(EngineDeltaTest, MatchesResealAndOracleOn200Collections) {
     for (size_t c = 0; c < commits; ++c) {
       size_t r = rng.Below(engine.collection().size());
       std::vector<BagDelta> deltas = MakeStream(engine.collection().bag(r), &rng);
-      Result<DeltaOutcome> applied = engine.ApplyDelta(r, deltas);
-      ASSERT_TRUE(applied.ok()) << applied.status().message();
-      CheckDirtyPairMinimality(*applied, r);
+      DeltaOutcome outcome;
+      Result<ConsistencyEngine> derived = ConsistencyEngine::MakeDeltaBatch(
+          engine, OneBag(r, deltas), &outcome);
+      ASSERT_TRUE(derived.ok()) << derived.status().message();
+      engine = *std::move(derived);
+      CheckDirtyPairMinimality(outcome, r);
       CheckAgainstReseal(engine);
     }
   }
@@ -242,8 +256,8 @@ TEST(EngineDeltaTest, MatchesResealAndOracleOn200Collections) {
 
 TEST(EngineDeltaTest, MakeDeltaGenerationsMatchResealOn200Collections) {
   // The generation-chain variant the server uses: every commit derives a
-  // NEW engine via MakeDelta (identity reuse of the previous generation)
-  // while the previous one stays live and untouched.
+  // NEW engine via MakeDeltaBatch (identity reuse of the previous
+  // generation) while the previous one stays live and untouched.
   for (uint64_t seed = 0; seed < 200; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng(6'000'000 + seed);
@@ -262,7 +276,7 @@ TEST(EngineDeltaTest, MakeDeltaGenerationsMatchResealOn200Collections) {
 
       DeltaOutcome outcome;
       Result<ConsistencyEngine> derived =
-          ConsistencyEngine::MakeDelta(prev, r, deltas, &outcome);
+          ConsistencyEngine::MakeDeltaBatch(prev, OneBag(r, deltas), &outcome);
       ASSERT_TRUE(derived.ok()) << derived.status().message();
       chain.push_back(*std::move(derived));
       ConsistencyEngine& next = chain.back();
@@ -272,7 +286,6 @@ TEST(EngineDeltaTest, MakeDeltaGenerationsMatchResealOn200Collections) {
       // slots (every other bag, and the mutated bag's clean projections)
       // are never counted (the marginal_fills() exactness regression).
       EXPECT_EQ(next.marginal_fills(), outcome.changed_slots);
-      EXPECT_TRUE(next.fully_sealed());
       // The previous generation is immutable: its bag kept its rows.
       EXPECT_EQ(OracleMarginal(prev.collection().bag(r),
                                prev.collection().bag(r).schema()),
@@ -296,30 +309,23 @@ TEST(EngineDeltaTest, InsertThenDeleteIsNoOp) {
     std::vector<Value> vals(bag.schema().arity(), 1);
     Tuple x{vals};
     std::vector<BagDelta> stream = {{x, +3}, {x, -3}};
-    DeltaOutcome outcome = *engine.ApplyDelta(0, stream);
+    DeltaOutcome outcome;
+    ConsistencyEngine next =
+        *ConsistencyEngine::MakeDeltaBatch(engine, OneBag(0, stream), &outcome);
 
-    // Structural no-op: no slot changed, no pair dirtied, no fill
-    // counted, and the bag's rows are untouched.
+    // Structural no-op: a fresh generation (modulo the generation handle
+    // itself) with no slot changed, no pair dirtied, no fill counted, and
+    // the bag's rows untouched; the previous generation is unchanged.
     EXPECT_EQ(outcome.changed_slots, 0u);
     EXPECT_TRUE(outcome.dirty_pairs.empty());
+    EXPECT_EQ(next.marginal_fills(), 0u);
     EXPECT_EQ(engine.marginal_fills(), fills_before);
-    EXPECT_EQ(engine.collection().bag(0), start.bag(0));
+    EXPECT_EQ(next.collection().bag(0), start.bag(0));
 
-    PairwiseVerdict after = *engine.PairwiseAll();
+    PairwiseVerdict after = *next.PairwiseAll();
     EXPECT_EQ(after.consistent, before.consistent);
     if (!before.consistent) EXPECT_EQ(after.witness_pair, before.witness_pair);
-    EXPECT_EQ(*engine.Global(), global_before);
-
-    // MakeDelta of the same stream: a fresh generation, zero fills
-    // (no-op generation modulo the generation handle itself).
-    DeltaOutcome gen_outcome;
-    ConsistencyEngine next =
-        *ConsistencyEngine::MakeDelta(engine, 0, stream, &gen_outcome);
-    EXPECT_EQ(gen_outcome.changed_slots, 0u);
-    EXPECT_EQ(next.marginal_fills(), 0u);
-    EXPECT_EQ(next.collection().bag(0), start.bag(0));
-    PairwiseVerdict gen_verdict = *next.PairwiseAll();
-    EXPECT_EQ(gen_verdict.consistent, before.consistent);
+    EXPECT_EQ(*next.Global(), global_before);
   }
 }
 
@@ -328,10 +334,13 @@ TEST(EngineDeltaTest, IdenticalVerdictsAcrossWorkerCounts) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng(7'000'000 + seed);
     BagCollection start = *MakeWorkload(seed);
-    ConsistencyEngine engine = *ConsistencyEngine::Make(start);
-    size_t r = rng.Below(engine.collection().size());
-    std::vector<BagDelta> deltas = MakeStream(engine.collection().bag(r), &rng);
-    ASSERT_TRUE(engine.ApplyDelta(r, deltas).ok());
+    ConsistencyEngine start_engine = *ConsistencyEngine::Make(start);
+    size_t r = rng.Below(start.size());
+    std::vector<BagDelta> deltas = MakeStream(start.bag(r), &rng);
+    Result<ConsistencyEngine> derived =
+        ConsistencyEngine::MakeDeltaBatch(start_engine, OneBag(r, deltas));
+    ASSERT_TRUE(derived.ok()) << derived.status().message();
+    ConsistencyEngine& engine = *derived;
     PairwiseVerdict delta_verdict = *engine.PairwiseAll();
 
     for (size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
@@ -359,7 +368,8 @@ TEST(EngineDeltaTest, DeleteBelowZeroLeavesEngineIntact) {
   uint64_t have = bag.entries()[0].second;
   std::vector<BagDelta> stream = {
       {victim, -static_cast<int64_t>(have) - 1}};  // one too many
-  Result<DeltaOutcome> failed = engine.ApplyDelta(0, stream);
+  Result<ConsistencyEngine> failed =
+      ConsistencyEngine::MakeDeltaBatch(engine, OneBag(0, stream));
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kOutOfRange);
 
@@ -371,38 +381,29 @@ TEST(EngineDeltaTest, DeleteBelowZeroLeavesEngineIntact) {
 
   // And the engine still takes a valid delta afterwards.
   std::vector<BagDelta> ok_stream = {{victim, -static_cast<int64_t>(have)}};
-  DeltaOutcome outcome = *engine.ApplyDelta(0, ok_stream);
-  EXPECT_EQ(engine.collection().bag(0).Multiplicity(victim), 0u);
+  DeltaOutcome outcome;
+  ConsistencyEngine next =
+      *ConsistencyEngine::MakeDeltaBatch(engine, OneBag(0, ok_stream), &outcome);
+  EXPECT_EQ(next.collection().bag(0).Multiplicity(victim), 0u);
   CheckDirtyPairMinimality(outcome, 0);
-  CheckAgainstReseal(engine);
+  CheckAgainstReseal(next);
 }
 
-TEST(EngineDeltaTest, MakeDeltaGuardRails) {
+TEST(EngineDeltaTest, MakeDeltaBatchGuardRails) {
   BagCollection start = *MakeWorkload(5);
   ConsistencyEngine engine = *ConsistencyEngine::Make(start);
-  std::vector<BagDelta> noop;
 
   // Bag index out of range.
   EXPECT_FALSE(
-      ConsistencyEngine::MakeDelta(engine, start.size() + 7, noop).ok());
-
-  // A lazily sealed previous generation is refused (slots unfilled).
-  EngineOptions lazy;
-  lazy.lazy_seal = true;
-  ConsistencyEngine unsealed = *ConsistencyEngine::Make(
-      BagCollection(start), lazy);
-  EXPECT_FALSE(ConsistencyEngine::MakeDelta(unsealed, 0, noop).ok());
-
-  // A view engine cannot take in-place deltas.
-  ConsistencyEngine view = *ConsistencyEngine::MakeView(start);
-  EXPECT_FALSE(view.ApplyDelta(0, noop).ok());
+      ConsistencyEngine::MakeDeltaBatch(engine, OneBag(start.size() + 7, {}))
+          .ok());
 }
 
 // The engine half of the COMMIT contract: a multi-bag batch whose LAST
-// entry is invalid must leave every earlier bag untouched even though
-// their own deltas were individually fine, for both the in-place
-// (ApplyDeltaBatch) and derive-a-generation (MakeDeltaBatch) twins; and
-// a valid batch's marginal fills land on exactly its dirty slot count.
+// entry is invalid builds nothing and leaves the previous generation's
+// bags, fills and verdict untouched even though the earlier bags' own
+// deltas were individually fine; and a valid batch's marginal fills land
+// on exactly its dirty slot count.
 TEST(EngineDeltaTest, BatchFailureInLastBagLeavesEveryBagUntouched) {
   for (uint64_t seed = 0; seed < 20; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -433,21 +434,19 @@ TEST(EngineDeltaTest, BatchFailureInLastBagLeavesEveryBagUntouched) {
     batch.push_back(
         {victim_bag, {{row, -static_cast<int64_t>(have) - 1}}});  // underflow
 
-    Result<DeltaOutcome> failed = engine.ApplyDeltaBatch(batch);
-    ASSERT_FALSE(failed.ok());
-    EXPECT_EQ(failed.status().code(), StatusCode::kOutOfRange);
+    Result<ConsistencyEngine> derived =
+        ConsistencyEngine::MakeDeltaBatch(engine, batch);
+    ASSERT_FALSE(derived.ok());
+    EXPECT_EQ(derived.status().code(), StatusCode::kOutOfRange);
     for (size_t r = 0; r < m; ++r) {
       EXPECT_EQ(engine.collection().bag(r), start.bag(r)) << "bag " << r;
     }
     EXPECT_EQ(engine.marginal_fills(), fills_before);
     PairwiseVerdict after = *engine.PairwiseAll();
     EXPECT_EQ(after.consistent, before.consistent);
-
-    // The derive-a-generation twin refuses identically, building nothing.
-    Result<ConsistencyEngine> derived =
-        ConsistencyEngine::MakeDeltaBatch(engine, batch);
-    ASSERT_FALSE(derived.ok());
-    EXPECT_EQ(derived.status().code(), StatusCode::kOutOfRange);
+    if (!before.consistent) {
+      EXPECT_EQ(after.witness_pair, before.witness_pair);
+    }
 
     // Drop the poisoned tail: the remaining all-valid batch derives one
     // generation whose fills are exactly the batch's dirty slots.

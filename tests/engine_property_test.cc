@@ -6,8 +6,12 @@
 //     lexicographically-first witness pair — for 1, 2, and 8 workers;
 //   - cached-marginal answers are stable across repeated queries on one
 //     engine and match uncached recomputation;
-//   - regression: PairwiseAll()'s early exit drains in-flight pool tasks
-//     before returning, so destroying the engine (or the caller's stack
+//   - the seal decides every pair exactly like the two-bag solver, also
+//     past the first failing pair, and queries compute no marginal;
+//   - a SealReuse reseal (changed bags, two bags aliasing one previous
+//     bag) answers exactly like a fresh seal;
+//   - regression: the sharded seal drains in-flight pool tasks before
+//     Make returns, so destroying the engine (or the caller's stack
 //     frame) immediately afterwards is safe. Run under ASan/UBSan in CI.
 #include <gtest/gtest.h>
 
@@ -21,6 +25,7 @@
 
 #include "core/global.h"
 #include "core/pairwise.h"
+#include "core/two_bag.h"
 #include "engine/consistency_engine.h"
 #include "generators/workloads.h"
 #include "hypergraph/families.h"
@@ -175,7 +180,7 @@ TEST(EnginePropertyTest, CachedAnswersStableAcrossRepeatedQueries) {
     }
   }
 
-  // Cached marginals and probes agree with uncached recomputation.
+  // Cached marginals agree with uncached recomputation.
   for (size_t i = 0; i < c.size(); ++i) {
     for (size_t j = 0; j < c.size(); ++j) {
       if (i == j) continue;
@@ -187,19 +192,17 @@ TEST(EnginePropertyTest, CachedAnswersStableAcrossRepeatedQueries) {
       for (size_t e = 0; e < fresh.SupportSize(); ++e) {
         Tuple t = fresh.RowAt(e);
         uint64_t mult = fresh.MultiplicityAt(e);
-        EXPECT_EQ(mult, *engine.ProbeMarginal(i, z, t));
-        EXPECT_EQ(mult, *engine.ProbeMarginal(i, z, t));  // probe is stable
+        EXPECT_EQ(mult, engine.CachedMarginal(i, z)->Multiplicity(t));
       }
     }
   }
 }
 
 TEST(EnginePropertyTest, EarlyExitDrainsPoolBeforeEngineDestruction) {
-  // Regression: the sharded sweep's early exit must not return while pool
-  // tasks are still touching the pair list or the sweep's stack frame —
-  // destroying the engine right after PairwiseAll() has to be safe. An
-  // inconsistent pair near the front maximizes in-flight work at exit
-  // time. ASan (CI sanitizer job) turns any straggler into a hard error.
+  // Regression: the sharded seal must not return while pool tasks are
+  // still touching the pair list or the compare pass's stack frame —
+  // destroying the engine right after Make has to be safe. ASan (CI
+  // sanitizer job) turns any straggler into a hard error.
   Rng rng(31337);
   BagGenOptions options;
   options.support_size = 64;
@@ -219,7 +222,7 @@ TEST(EnginePropertyTest, EarlyExitDrainsPoolBeforeEngineDestruction) {
       engine_options.num_threads = 8;
       ConsistencyEngine engine = *ConsistencyEngine::Make(c, engine_options);
       verdict = *engine.PairwiseAll();
-    }  // engine (and its pool) destroyed immediately after the early exit
+    }  // engine (and its pool) destroyed immediately after the query
     EXPECT_FALSE(verdict.consistent);
     EXPECT_EQ(verdict.witness_pair.first, 0u);
   }
@@ -228,8 +231,8 @@ TEST(EnginePropertyTest, EarlyExitDrainsPoolBeforeEngineDestruction) {
 TEST(EnginePropertyTest, KWiseSweepReusesSealedMarginalsAndNeverReInterns) {
   // Regression for the ROADMAP "throwaway engine per subset" gap: the
   // k-wise sweep must answer every subset's pairwise precheck from the
-  // parent engine's sealed marginal cache (each pair filled at most once
-  // across ALL subsets) and must never touch the shared dictionaries.
+  // parent engine's sealed state (each slot filled once, at seal) and
+  // must never touch the shared dictionaries.
   Rng rng(5150);
   BagGenOptions options;
   options.support_size = 12;
@@ -257,7 +260,6 @@ TEST(EnginePropertyTest, KWiseSweepReusesSealedMarginalsAndNeverReInterns) {
   BagCollection ic = *BagCollection::Make(std::move(interned));
 
   EngineOptions engine_options;
-  engine_options.lazy_seal = true;
   engine_options.dictionaries = dicts;
   ConsistencyEngine engine = *ConsistencyEngine::MakeView(ic, engine_options);
   ASSERT_EQ(engine.dictionaries(), dicts.get());
@@ -284,6 +286,101 @@ TEST(EnginePropertyTest, KWiseSweepReusesSealedMarginalsAndNeverReInterns) {
 
   // The reused-cache sweep agrees with the single-shot wrapper.
   EXPECT_TRUE(*AreKWiseConsistent(ic, 3));
+}
+
+TEST(EnginePropertyTest, SealDecidesEveryPairLikeTheTwoBagSolver) {
+  // Make compares every pair with no early exit, so pairs after the first
+  // failing one are decided too, identically at every worker count, and
+  // no query afterwards computes a marginal.
+  size_t pairs_after_first_failure = 0;
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    BagCollection c = *MakeMixedCollection(seed, seed % 2 == 1);
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      EngineOptions options;
+      options.num_threads = workers;
+      ConsistencyEngine engine = *ConsistencyEngine::Make(c, options);
+      uint64_t fills = engine.marginal_fills();
+
+      std::optional<std::pair<size_t, size_t>> first_failing;
+      for (size_t i = 0; i < c.size(); ++i) {
+        for (size_t j = i + 1; j < c.size(); ++j) {
+          bool expected = *AreConsistent(c.bag(i), c.bag(j));
+          EXPECT_EQ(*engine.TwoBag(i, j), expected) << i << "," << j;
+          EXPECT_EQ(*engine.TwoBag(j, i), expected) << j << "," << i;
+          if (first_failing.has_value()) {
+            ++pairs_after_first_failure;
+          } else if (!expected) {
+            first_failing = std::make_pair(i, j);
+          }
+          std::optional<Bag> witness = *engine.Witness(i, j);
+          EXPECT_EQ(witness.has_value(), expected);
+        }
+      }
+      PairwiseVerdict v = *engine.PairwiseAll();
+      EXPECT_EQ(v.consistent, !first_failing.has_value());
+      if (first_failing.has_value()) {
+        EXPECT_EQ(v.witness_pair, *first_failing);
+      }
+      EXPECT_EQ(*engine.Global(), v.consistent);
+      ASSERT_TRUE(engine.KWiseConsistent(3).ok());
+      EXPECT_EQ(engine.marginal_fills(), fills) << workers << " workers";
+    }
+  }
+  EXPECT_GT(pairs_after_first_failure, 0u);
+}
+
+TEST(EnginePropertyTest, SealReuseWithChangedAndAliasedBagsMatchesFreshMake) {
+  // The next generation lists the previous bags in reverse order (so
+  // carried pairs map onto reversed previous pairs), changes the bag now
+  // first, and appends a second copy of previous bag 0 — two new bags
+  // mapped to one previous bag, whose pair carries as consistent.
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    BagCollection c = *MakeMixedCollection(seed, seed % 2 == 1);
+    const size_t m = c.size();
+    ConsistencyEngine previous = *ConsistencyEngine::Make(c);
+
+    std::vector<Bag> bags;
+    SealReuse reuse;
+    reuse.previous = &previous;
+    for (size_t k = m; k-- > 0;) {
+      bags.push_back(c.bag(k));
+      reuse.prev_index.push_back(k);
+    }
+    Bag& changed = bags[0];
+    if (changed.IsEmpty()) {
+      std::vector<Value> zeros(changed.schema().arity(), 0);
+      ASSERT_TRUE(changed.Set(Tuple{std::move(zeros)}, 1).ok());
+    } else {
+      ASSERT_TRUE(
+          changed.Set(changed.RowAt(0), changed.MultiplicityAt(0) + 1).ok());
+    }
+    reuse.prev_index[0] = SealReuse::kNoPrev;
+    bags.push_back(c.bag(0));
+    reuse.prev_index.push_back(0);
+    BagCollection next = *BagCollection::Make(std::move(bags));
+
+    ConsistencyEngine fresh = *ConsistencyEngine::Make(next);
+    PairwiseVerdict expected = *fresh.PairwiseAll();
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      EngineOptions options;
+      options.num_threads = workers;
+      ConsistencyEngine resealed =
+          *ConsistencyEngine::Make(BagCollection(next), options, &reuse);
+      for (size_t i = 0; i < next.size(); ++i) {
+        for (size_t j = 0; j < next.size(); ++j) {
+          EXPECT_EQ(*resealed.TwoBag(i, j), *fresh.TwoBag(i, j))
+              << i << "," << j << " at " << workers << " workers";
+        }
+      }
+      EXPECT_TRUE(*resealed.TwoBag(m - 1, m));  // both previous bag 0
+      PairwiseVerdict v = *resealed.PairwiseAll();
+      EXPECT_EQ(v.consistent, expected.consistent);
+      EXPECT_EQ(v.witness_pair, expected.witness_pair);
+      EXPECT_LT(resealed.marginal_fills(), fresh.marginal_fills());
+    }
+  }
 }
 
 TEST(EnginePropertyTest, KWiseMatchesHistoricalPerSubsetSolve) {
