@@ -23,11 +23,11 @@
 //   engine batch.
 //
 //   columnar_probe: the SoA speedup on marginal-build/probe-heavy paths.
-//   Three pairs, row path (PR 3 baseline, in the baseline field) vs
-//   columnar path: a single marginal build (the engine cache-fill
-//   kernel), the engine seal + pairwise sweep (MarginalPath::kRows vs
-//   kColumnar), and the hash-join matching phase (per-row
-//   TupleIndex::Find vs batch ColumnIndex::ProbeAll).
+//   Two pairs, row path (in the baseline field) vs columnar path: a
+//   single marginal build (the engine cache-fill kernel) and the
+//   hash-join matching phase (per-row TupleIndex::Find vs batch
+//   ColumnIndex::ProbeAll). Then each SIMD kernel at kScalar vs the best
+//   host level, and the serial LP row builder.
 //
 //   server_session: the bagcd dictionary-aware protocol win. One
 //   in-process ServerSession runs the same serve cycle (RESET, load all
@@ -98,7 +98,6 @@
 #include "solver/lp.h"
 #include "util/random.h"
 #include "util/simd.h"
-#include "util/thread_pool.h"
 
 // Injected by CMake so the artifact records how the binary was compiled.
 #ifndef BAGC_COMPILE_FLAGS
@@ -1054,16 +1053,6 @@ Bag MakeMarginalInput(size_t support, uint64_t seed) {
   return *MakeRandomBag(Schema{{0, 1, 2}}, options, &rng);
 }
 
-BagCollection MakeColumnarSweepCollection(size_t support, uint64_t seed) {
-  Rng rng(seed);
-  BagGenOptions options;
-  options.support_size = support;
-  options.domain_size = std::max<uint64_t>(4, support / 64);
-  options.max_multiplicity = 1u << 10;
-  Hypergraph h = *MakeCirculant(16, 3);
-  return *MakeGloballyConsistentCollection(h, options, &rng);
-}
-
 void RunColumnarProbeSuite(std::vector<BenchResult>* results) {
   // Marginal build R(A,B,C) -> R[{A,B}]: the engine cache-fill kernel.
   // Rows: per-row Tuple projection + sort/merge (the PR 3 path).
@@ -1078,27 +1067,6 @@ void RunColumnarProbeSuite(std::vector<BenchResult>* results) {
     BenchResult columnar = Measure("marginal_build_columnar", support, [&] {
       Bag m = *r.MarginalColumnar(z);
       if (m.SupportSize() == 0) std::abort();
-    });
-    columnar.baseline_ops_per_sec = rows.ops_per_sec;
-    results->push_back(std::move(rows));
-    results->push_back(std::move(columnar));
-  }
-
-  // Engine seal + full pairwise sweep, row-path vs columnar-path marginal
-  // fills (everything else identical): the probe-heavy batch workload.
-  for (size_t support : {256, 1024, 4096}) {
-    BagCollection c = MakeColumnarSweepCollection(support, 12000 + support);
-    EngineOptions rows_opt;
-    rows_opt.marginal_path = MarginalPath::kRows;
-    EngineOptions cols_opt;
-    cols_opt.marginal_path = MarginalPath::kColumnar;
-    BenchResult rows = Measure("pairwise_seal_sweep_rows", support, [&] {
-      ConsistencyEngine e = *ConsistencyEngine::MakeView(c, rows_opt);
-      if (!(*e.PairwiseAll()).consistent) std::abort();
-    });
-    BenchResult columnar = Measure("pairwise_seal_sweep_columnar", support, [&] {
-      ConsistencyEngine e = *ConsistencyEngine::MakeView(c, cols_opt);
-      if (!(*e.PairwiseAll()).consistent) std::abort();
     });
     columnar.baseline_ops_per_sec = rows.ops_per_sec;
     results->push_back(std::move(rows));
@@ -1225,13 +1193,7 @@ void RunColumnarProbeSuite(std::vector<BenchResult>* results) {
     results->push_back(std::move(vec));
   }
 
-  // P(R1..Rm) LP row builder, serial vs engine-pool parallel (per-bag
-  // blocks, deterministic merge — the rows are byte-identical). On a
-  // single-CPU host the ratio measures scheduling overhead, and the
-  // artifact says so (single_cpu_warning).
-  if (std::thread::hardware_concurrency() <= 1) {
-    g_parallel_legs_on_single_cpu = true;
-  }
+  // P(R1..Rm) LP row builder (one block of rows per bag, in bag order).
   for (size_t support : {256, 1024}) {
     // Path schema keeps the join support under the LP cap (a circulant
     // blows past it); the small domain still yields tens of thousands
@@ -1243,45 +1205,10 @@ void RunColumnarProbeSuite(std::vector<BenchResult>* results) {
     gen.max_multiplicity = 1u << 10;
     Hypergraph h = *MakePath(4);
     BagCollection c = *MakeGloballyConsistentCollection(h, gen, &rng);
-    ThreadPool pool(4);
-    BenchResult serial = Measure("lp_build_serial", support, [&] {
+    results->push_back(Measure("lp_build_serial", support, [&] {
       ConsistencyLp lp = *BuildConsistencyLp(c.bags());
       if (lp.rows.empty()) std::abort();
-    });
-    BenchResult parallel = Measure("lp_build_parallel_t4", support, [&] {
-      ConsistencyLp lp = *BuildConsistencyLp(c.bags(), 1u << 22, &pool);
-      if (lp.rows.empty()) std::abort();
-    });
-    parallel.baseline_ops_per_sec = serial.ops_per_sec;
-    results->push_back(std::move(serial));
-    results->push_back(std::move(parallel));
-  }
-
-  // Sealed resident bytes, row-path vs columnar-only seal of the same
-  // collection — raw byte counts, not rates (iterations = 1, no
-  // baseline/speedup: for memory, lower is better; the README quotes
-  // the ratio directly).
-  for (size_t support : {1024, 4096}) {
-    BagCollection rows_c = MakeColumnarSweepCollection(support, 18000 + support);
-    BagCollection cols_c = MakeColumnarSweepCollection(support, 18000 + support);
-    EngineOptions rows_opt;
-    rows_opt.marginal_path = MarginalPath::kRows;
-    ConsistencyEngine rows_engine =
-        *ConsistencyEngine::Make(std::move(rows_c), rows_opt);
-    ConsistencyEngine cols_engine =
-        *ConsistencyEngine::Make(std::move(cols_c), EngineOptions{});
-    BenchResult rows_mem;
-    rows_mem.name = "sealed_bytes_rows";
-    rows_mem.size = support;
-    rows_mem.ops_per_sec = static_cast<double>(rows_engine.ApproxSealedBytes());
-    rows_mem.iterations = 1;
-    BenchResult cols_mem;
-    cols_mem.name = "sealed_bytes_columnar";
-    cols_mem.size = support;
-    cols_mem.ops_per_sec = static_cast<double>(cols_engine.ApproxSealedBytes());
-    cols_mem.iterations = 1;
-    results->push_back(std::move(rows_mem));
-    results->push_back(std::move(cols_mem));
+    }));
   }
 }
 

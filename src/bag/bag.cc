@@ -237,16 +237,11 @@ Status Bag::ApplyRowDeltas(
 }
 
 Result<Bag> Bag::Marginal(const Schema& z) const {
-  return Marginal(z, 0, simd::SimdLevel::kAuto);
-}
-
-Result<Bag> Bag::Marginal(const Schema& z, size_t min_rows,
-                          simd::SimdLevel level) const {
   // A columnar-sealed bag always groups columnar — the row path would
   // materialize every row first.
-  if (columnar_ != nullptr) return MarginalColumnar(z, level);
-  size_t threshold = min_rows == 0 ? kColumnarMinRows : min_rows;
-  if (SupportSize() >= threshold) return MarginalColumnar(z, level);
+  if (columnar_ != nullptr || SupportSize() >= kColumnarMinRows) {
+    return MarginalColumnar(z);
+  }
   return MarginalRows(z);
 }
 
@@ -311,18 +306,7 @@ Result<Bag> Bag::GroupColumns(const Schema& z, const ColumnView& projected,
       }
     }
   }
-  return GroupHashed(z, projected, mults, n, level);
-}
-
-Result<Bag> Bag::GroupColumns(const Schema& z, const ColumnView& projected,
-                              const Entries& source) {
-  if (projected.num_rows() != source.size()) {
-    return Status::InvalidArgument("projected columns do not match source rows");
-  }
-  std::vector<uint64_t> mults(source.size());
-  for (size_t i = 0; i < source.size(); ++i) mults[i] = source[i].second;
-  return GroupColumns(z, projected, mults.data(), mults.size(),
-                      simd::SimdLevel::kAuto);
+  return GroupHashed(z, projected, mults, level);
 }
 
 Result<Bag> Bag::GroupDense(const Schema& z, const ColumnView& projected,
@@ -386,8 +370,7 @@ Result<Bag> Bag::GroupDense(const Schema& z, const ColumnView& projected,
 }
 
 Result<Bag> Bag::GroupHashed(const Schema& z, const ColumnView& projected,
-                             const uint64_t* mults, size_t n,
-                             simd::SimdLevel level) {
+                             const uint64_t* mults, simd::SimdLevel level) {
   ColumnIndex groups(projected, level);
   size_t ng = groups.NumGroups();
   std::vector<uint64_t> sums(ng);

@@ -128,8 +128,7 @@ class Bag {
   }
 
   /// Shares the bag's own column store (aliased shared_ptr keeping the
-  /// whole columnar rep alive); null for a row-form bag. Lets the engine
-  /// cache per-bag columns across generations without copying.
+  /// whole columnar rep alive); null for a row-form bag.
   std::shared_ptr<const ColumnStore> SharedColumns() const;
 
   /// Builds a columnar-sealed bag from an owned column store + aligned
@@ -160,13 +159,11 @@ class Bag {
   /// The i-th entry in sorted order; requires i < SupportSize().
   const Entry& entry(size_t i) const { return entries()[i]; }
 
-  /// Marginal R[Z] per Equation (2); requires Z ⊆ X. Columnar-sealed
-  /// bags always group columnar; row-form bags dispatch on support size
-  /// (>= min_rows groups via the columnar path, smaller via the row
-  /// path; identical output). min_rows = 0 means kColumnarMinRows.
+  /// Marginal R[Z] per Equation (2); requires Z ⊆ X. The row/columnar
+  /// dispatch every caller goes through: columnar-sealed bags always
+  /// group columnar; row-form bags group columnar from kColumnarMinRows
+  /// rows up and via the row path below it (identical output).
   Result<Bag> Marginal(const Schema& z) const;
-  Result<Bag> Marginal(const Schema& z, size_t min_rows,
-                       simd::SimdLevel level) const;
 
   /// Marginal via the row path: per-row Tuple projection + sort/merge.
   /// The reference implementation the differential harness pins the
@@ -189,10 +186,6 @@ class Bag {
   static Result<Bag> GroupColumns(const Schema& z, const ColumnView& projected,
                                   const uint64_t* mults, size_t n,
                                   simd::SimdLevel level = simd::SimdLevel::kAuto);
-
-  /// Back-compat overload reading multiplicities from source[i].second.
-  static Result<Bag> GroupColumns(const Schema& z, const ColumnView& projected,
-                                  const Entries& source);
 
   /// Column-major copy of the sorted rows (one contiguous ValueId column
   /// per schema slot). On a columnar-sealed bag this borrows the live
@@ -294,8 +287,7 @@ class Bag {
                                 uint64_t stride, uint64_t table,
                                 simd::SimdLevel level);
   static Result<Bag> GroupHashed(const Schema& z, const ColumnView& projected,
-                                 const uint64_t* mults, size_t n,
-                                 simd::SimdLevel level);
+                                 const uint64_t* mults, simd::SimdLevel level);
 
   Schema schema_;
   // Row storage, shared across copies until one of them mutates. Copying

@@ -31,7 +31,7 @@ struct AcyclicSolveOptions {
   /// Fold with *minimal* two-bag witnesses (Corollary 4). This is what
   /// gives the Theorem 6 support bound; switching it off uses the plain
   /// max-flow witness at each step (faster per step, larger intermediate
-  /// supports) — exposed for the ablation benchmark.
+  /// supports) — bench_main's acyclic_fold leg times this setting.
   bool minimal_fold = true;
 };
 

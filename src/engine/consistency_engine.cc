@@ -99,17 +99,15 @@ Result<ConsistencyEngine> ConsistencyEngine::MakeImpl(
   // reconstructed on cold paths via RowAt). Bags already columnar — e.g.
   // adopted from a previous generation by MakeDeltaBatch — are left
   // untouched; borrowed collections (MakeView) are never mutated.
-  if (engine.owned_ != nullptr && options.marginal_path != MarginalPath::kRows) {
-    size_t min_rows = options.columnar_min_rows == 0 ? kColumnarMinRows
-                                                     : options.columnar_min_rows;
+  if (engine.owned_ != nullptr) {
     bool convert = false;
     for (const Bag& b : engine.collection_->bags()) {
-      convert |= !b.columnar_sealed() && b.SupportSize() >= min_rows;
+      convert |= !b.columnar_sealed() && b.SupportSize() >= kColumnarMinRows;
     }
     if (convert) {
       std::vector<Bag> bags = engine.collection_->bags();
       for (Bag& b : bags) {
-        if (b.SupportSize() >= min_rows) b.SealColumnar();
+        if (b.SupportSize() >= kColumnarMinRows) b.SealColumnar();
       }
       BAGC_ASSIGN_OR_RETURN(BagCollection sealed,
                             BagCollection::Make(std::move(bags)));
@@ -127,8 +125,6 @@ Result<ConsistencyEngine> ConsistencyEngine::MakeImpl(
 Status ConsistencyEngine::Seal(const SealReuse* reuse) {
   size_t m = collection_->size();
   cache_.assign(m, {});
-  bag_columns_.clear();
-  bag_columns_.resize(m);
 
   // Pass 1: compute each unordered pair's shared schema exactly once and
   // collect the distinct schemas per bag (by pointer into pair_schema,
@@ -175,12 +171,12 @@ Status ConsistencyEngine::Seal(const SealReuse* reuse) {
   }
 
   // Incremental reuse: for every bag whose rows are unchanged since the
-  // previous generation, adopt that generation's column store and every
-  // cached marginal whose shared schema survived. A slot whose schema is
-  // new (the partner bag changed shape) simply misses the lookup and is
-  // filled below, so a re-seal that touched k of m bags fills O(k·m)
-  // slots, not O(m²). Shared pointers keep the bags alive across either
-  // generation's destruction.
+  // previous generation, adopt every cached marginal of that generation
+  // whose shared schema survived. A slot whose schema is new (the partner
+  // bag changed shape) simply misses the lookup and is filled below, so a
+  // re-seal that touched k of m bags fills O(k·m) slots, not O(m²).
+  // Shared pointers keep the bags alive across either generation's
+  // destruction.
   std::vector<size_t> prev_of(m, SealReuse::kNoPrev);
   if (reuse != nullptr) {
     const ConsistencyEngine& prev = *reuse->previous;
@@ -188,7 +184,6 @@ Status ConsistencyEngine::Seal(const SealReuse* reuse) {
       size_t p = reuse->prev_index[i];
       if (p == SealReuse::kNoPrev || p >= prev.cache_.size()) continue;
       prev_of[i] = p;
-      bag_columns_[i] = prev.bag_columns_[p];
       for (CachedProjection& slot : cache_[i]) {
         const CachedProjection* prev_slot = prev.FindProjection(p, slot.schema);
         // Adopted slots are already filled: EnsureFilled skips them, so no
@@ -206,15 +201,6 @@ Status ConsistencyEngine::Seal(const SealReuse* reuse) {
   }
   std::vector<Status> statuses(slots.size());
   if (pool_ != nullptr) {
-    // Pre-build the per-bag column stores first, one task per bag:
-    // EnsureColumns is single-writer here, and the per-slot fills below
-    // (which may share a bag) then only read them.
-    for (size_t i = 0; i < m; ++i) {
-      if (UseColumnar(i) && !cache_[i].empty()) {
-        pool_->Submit([this, i] { EnsureColumns(i); });
-      }
-    }
-    pool_->WaitIdle();
     for (size_t t = 0; t < slots.size(); ++t) {
       pool_->Submit([this, &statuses, &slots, t] {
         statuses[t] =
@@ -292,69 +278,11 @@ void ConsistencyEngine::DecidePairwise() {
 
 Status ConsistencyEngine::EnsureFilled(CachedProjection* slot, size_t bag_index) {
   if (slot->marginal != nullptr) return Status::OK();
-  const Bag& bag = collection_->bag(bag_index);
-  Bag marginal;
-  if (UseColumnar(bag_index)) {
-    // One SoA transpose per bag, shared by all its sealed projections
-    // (columnar-sealed bags alias their own store — no transpose at all);
-    // each fill is a zero-copy column select plus a batch hash-group.
-    BAGC_ASSIGN_OR_RETURN(Projector proj,
-                          Projector::Make(bag.schema(), slot->schema));
-    if (bag.columnar_sealed()) {
-      BAGC_ASSIGN_OR_RETURN(
-          marginal,
-          Bag::GroupColumns(slot->schema,
-                            EnsureColumns(bag_index).View().Select(proj),
-                            bag.MultiplicityData(), bag.SupportSize(),
-                            options_.simd));
-    } else {
-      BAGC_ASSIGN_OR_RETURN(
-          marginal,
-          Bag::GroupColumns(slot->schema,
-                            EnsureColumns(bag_index).View().Select(proj),
-                            bag.entries()));
-    }
-  } else {
-    BAGC_ASSIGN_OR_RETURN(marginal, bag.MarginalRows(slot->schema));
-  }
+  BAGC_ASSIGN_OR_RETURN(Bag marginal,
+                        collection_->bag(bag_index).Marginal(slot->schema));
   slot->marginal = std::make_shared<const Bag>(std::move(marginal));
   marginal_fills_->fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
-}
-
-size_t ConsistencyEngine::ColumnarMinRows() const {
-  return options_.columnar_min_rows == 0 ? kColumnarMinRows
-                                         : options_.columnar_min_rows;
-}
-
-bool ConsistencyEngine::UseColumnar(size_t bag_index) const {
-  switch (options_.marginal_path) {
-    case MarginalPath::kRows:
-      return false;
-    case MarginalPath::kColumnar:
-      return true;
-    case MarginalPath::kAuto:
-    default:
-      // Columnar-sealed bags have no row path to fall back to; size-based
-      // dispatch only applies to bags still holding flat rows.
-      return collection_->bag(bag_index).columnar_sealed() ||
-             collection_->bag(bag_index).SupportSize() >= ColumnarMinRows();
-  }
-}
-
-const ColumnStore& ConsistencyEngine::EnsureColumns(size_t bag_index) {
-  std::shared_ptr<const ColumnStore>& store = bag_columns_[bag_index];
-  if (store == nullptr) {
-    const Bag& bag = collection_->bag(bag_index);
-    if (bag.columnar_sealed()) {
-      // The bag IS column-major already: alias its live store instead of
-      // re-transposing (zero bytes, shared lifetime via the aliasing ptr).
-      store = bag.SharedColumns();
-    } else {
-      store = std::make_shared<const ColumnStore>(bag.ToColumns());
-    }
-  }
-  return *store;
 }
 
 ConsistencyEngine::CachedProjection* ConsistencyEngine::FindProjection(
@@ -513,9 +441,7 @@ Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalAcyclic(
   std::vector<Bag> next_marginal(steps);
   std::vector<Status> marginal_status(steps, Status::OK());
   auto build_step = [&](size_t i) {
-    Result<Bag> m = edge_bag[rip_order[i]]->Marginal(step_shared[i],
-                                                     ColumnarMinRows(),
-                                                     options_.simd);
+    Result<Bag> m = edge_bag[rip_order[i]]->Marginal(step_shared[i]);
     if (m.ok()) {
       next_marginal[i] = std::move(m).value();
     } else {
@@ -557,8 +483,7 @@ Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalExact() {
   if (!pairwise_verdict_.consistent) return std::optional<Bag>();
   BAGC_ASSIGN_OR_RETURN(
       ConsistencyLp lp,
-      BuildConsistencyLp(collection_->bags(), options_.global.max_join_support,
-                         pool_.get()));
+      BuildConsistencyLp(collection_->bags(), options_.global.max_join_support));
   BAGC_ASSIGN_OR_RETURN(auto solution,
                         SolveIntegerFeasibility(lp, options_.global.search));
   if (!solution.has_value()) return std::optional<Bag>();
@@ -623,11 +548,7 @@ Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
         std::vector<std::pair<Tuple, int64_t>>(net.begin(), net.end())));
     // Delta staging materialized flat rows; restore the columnar-only
     // invariant for hot bags before the new generation is published.
-    if (options_.marginal_path != MarginalPath::kRows &&
-        mutated.SupportSize() >= ColumnarMinRows()) {
-      mutated.SealColumnar();
-    }
-    bag_columns_[bag_index] = nullptr;  // transposed the old rows
+    if (mutated.SupportSize() >= kColumnarMinRows) mutated.SealColumnar();
 
     // Adjust each cached marginal of the bag from the *projected* nets
     // (Equation (2) is linear in multiplicities): a known group's net is
@@ -720,10 +641,9 @@ Result<ConsistencyEngine> ConsistencyEngine::MakeDeltaBatch(
         "canonicalization remapped the row ids the delta speaks");
   }
   // Adopt EVERY bag of the previous generation (identity reuse): zero
-  // marginal fills, zero pair compares, shared column stores and marginal
-  // slots. The batch below then adjusts only the mutated bags' dirty
-  // slots, so marginal_fills() of the new engine lands on exactly that
-  // count.
+  // marginal fills, zero pair compares, shared bags and marginal slots.
+  // The batch below then adjusts only the mutated bags' dirty slots, so
+  // marginal_fills() of the new engine lands on exactly that count.
   SealReuse reuse;
   reuse.previous = &previous;
   reuse.prev_index.resize(previous.collection_->size());
@@ -750,15 +670,6 @@ size_t ConsistencyEngine::ApproxSealedBytes() const {
     for (const CachedProjection& slot : row) {
       total += slot.marginal->ApproxBytes();
     }
-  }
-  for (size_t i = 0; i < bag_columns_.size(); ++i) {
-    const std::shared_ptr<const ColumnStore>& store = bag_columns_[i];
-    if (store == nullptr) continue;
-    // A store aliasing a columnar-sealed bag's own columns holds no bytes
-    // of its own — the bag already charged them above.
-    const Bag& b = collection_->bag(i);
-    if (b.columnar_sealed() && store.get() == b.SharedColumns().get()) continue;
-    total += 64 + 4 * store->num_rows() * store->arity();
   }
   return total;
 }

@@ -32,25 +32,11 @@
 
 #include "core/collection.h"
 #include "core/global.h"
-#include "tuple/column_store.h"
 #include "tuple/value_dictionary.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 
 namespace bagc {
-
-/// Execution path for the engine's sealed marginal builds (cache fills).
-enum class MarginalPath {
-  /// Dispatch per bag on support size (columnar at >= kColumnarMinRows) —
-  /// the default, matching Bag::Marginal.
-  kAuto,
-  /// Force the row path (per-row Tuple projection + sort/merge). The
-  /// differential-benchmark baseline.
-  kRows,
-  /// Force the columnar path: one per-bag ColumnStore shared by every
-  /// projection, grouped via batch-hashed ColumnIndex probes.
-  kColumnar,
-};
 
 /// Tuning for a ConsistencyEngine.
 struct EngineOptions {
@@ -77,20 +63,6 @@ struct EngineOptions {
   /// order to canonicalize to and are rejected); the set is mutated, so
   /// it must not encode rows for bags outside this collection.
   bool canonicalize_dictionaries = false;
-  /// Execution path for sealed marginal builds; verdicts are identical on
-  /// every setting (pinned by the columnar differential leg).
-  MarginalPath marginal_path = MarginalPath::kAuto;
-  /// Row-count crossover for MarginalPath::kAuto — bags at or above it
-  /// fill columnar, below it per-row. Also gates the owned-seal conversion
-  /// to columnar-only storage (the flat row vector is dropped; RowAt
-  /// reconstructs rows on cold paths). 0 means the library default,
-  /// kColumnarMinRows. bagcd exposes it as --columnar-min-rows.
-  size_t columnar_min_rows = 0;
-  /// ISA dispatch level for the vectorized kernels (batch row hashing,
-  /// gather-style probe, radix group-by). kAuto resolves to the best
-  /// level the host supports; every level is bit-identical to the scalar
-  /// twin (pinned by simd_kernel_test), so this only moves throughput.
-  simd::SimdLevel simd = simd::SimdLevel::kAuto;
 };
 
 /// Pairwise consistency of a whole collection.
@@ -104,10 +76,10 @@ struct PairwiseVerdict {
 class ConsistencyEngine;
 
 /// Incremental-seal input: reuse the sealed state of a previous engine
-/// generation for the bags that did not change. The cached marginals and
-/// per-bag column stores are immutable and shared by pointer, so a re-seal
-/// that touched k of m bags fills only the O(k·m) slots involving a
-/// changed bag instead of all O(m²).
+/// generation for the bags that did not change. The cached marginals are
+/// immutable and shared by pointer, so a re-seal that touched k of m bags
+/// fills only the O(k·m) slots involving a changed bag instead of all
+/// O(m²).
 ///
 /// The pair comparisons are reused the same way: a pair whose two bags
 /// both map into `previous` carries its verdict from there without a
@@ -174,16 +146,17 @@ struct DeltaOutcome {
 /// PairwiseAll, KWiseConsistent, Witness, CachedMarginal) is const and
 /// safe for any number of concurrent callers on one engine — the
 /// substrate of the bagcd server's shared snapshots
-/// (src/server/engine_snapshot.h). Global() memoizes and the Solve*
-/// entry points borrow the engine's pool, so those three are not
-/// thread-safe against each other. Movable, not copyable (owns the pool).
+/// (src/server/engine_snapshot.h). Global() memoizes and
+/// SolveGlobalAcyclic borrows the engine's pool, so Global and the
+/// Solve* entry points are not thread-safe against each other. Movable, not copyable (owns the pool).
 class ConsistencyEngine {
  public:
   /// Seals an owned copy of `collection`: computes the pairwise
   /// shared-attribute marginals and every pair's verdict, in parallel
-  /// when options.num_threads > 1. A non-null `reuse` seeds unchanged
-  /// bags' slots and pair verdicts from a previous generation (see
-  /// SealReuse).
+  /// when options.num_threads > 1. Every owned bag of at least
+  /// kColumnarMinRows rows is kept in columnar form (Bag::SealColumnar),
+  /// smaller ones in row form. A non-null `reuse` seeds unchanged bags'
+  /// slots and pair verdicts from a previous generation (see SealReuse).
   static Result<ConsistencyEngine> Make(BagCollection collection,
                                         EngineOptions options = {},
                                         const SealReuse* reuse = nullptr);
@@ -196,7 +169,7 @@ class ConsistencyEngine {
 
   /// Builds the next generation of `previous` with an atomic multi-bag
   /// delta batch applied. Every untouched bag adopts the previous
-  /// generation's column store, cached marginals and pair verdicts
+  /// generation's bag, cached marginals and pair verdicts
   /// (shared pointers, no fills, no compares). Each mutated bag's cached
   /// marginal R[Z] is *adjusted* rather than recomputed: the projected net
   /// of the delta rows is added onto a copy of the old marginal (a known
@@ -235,8 +208,7 @@ class ConsistencyEngine {
   /// only for the seal and will serve the rest of the engine's life
   /// through the const query surface (the server's snapshots): a
   /// long-lived generation should not park N idle worker threads. A later
-  /// SolveGlobalAcyclic/SolveGlobalExact simply runs sequentially. No-op
-  /// without a pool.
+  /// SolveGlobalAcyclic simply runs sequentially. No-op without a pool.
   void ReleaseWorkers() { pool_.reset(); }
 
   /// The shared dictionary set the collection was interned through, or
@@ -254,9 +226,8 @@ class ConsistencyEngine {
     return marginal_fills_->load(std::memory_order_relaxed);
   }
 
-  /// Approximate resident bytes of the sealed state: collection rows,
-  /// cached marginals, and columnar transposes (dictionaries excluded —
-  /// the owner accounts those). An upper bound under incremental reuse:
+  /// Approximate resident bytes of the sealed state: collection bags and
+  /// cached marginals (dictionaries excluded — the owner accounts those). An upper bound under incremental reuse:
   /// shared slots are counted in every generation holding them, which is
   /// the conservative direction for an eviction budget.
   size_t ApproxSealedBytes() const;
@@ -336,8 +307,8 @@ class ConsistencyEngine {
                                             const SealReuse* reuse);
   // Builds cache_ and pairs_, computes the marginals and then every
   // pair's verdict (both sharded over the pool). A non-null `reuse`
-  // pre-fills unchanged bags' slots, column stores and pair verdicts from
-  // the previous generation.
+  // pre-fills unchanged bags' slots and pair verdicts from the previous
+  // generation.
   Status Seal(const SealReuse* reuse);
   Status EnsureFilled(CachedProjection* slot, size_t bag_index);
   // Compares the two marginals of each listed pair (indices into pairs_)
@@ -349,16 +320,6 @@ class ConsistencyEngine {
   // derived generation, adjusting the dirty slots and re-comparing the
   // dirty pairs. On error the caller discards the engine.
   Result<DeltaOutcome> ApplyDeltaBatch(const DeltaBatch& batch);
-  // True when bag i's cache fills should group columnar under the
-  // configured MarginalPath.
-  bool UseColumnar(size_t bag_index) const;
-  // The effective kAuto crossover (options_.columnar_min_rows, or the
-  // library default when unset).
-  size_t ColumnarMinRows() const;
-  // Bag i's ColumnStore, built on first use. NOT thread-safe: parallel
-  // seals pre-build every store (one pool task per bag) before the slot
-  // fills fan out, so fills only ever read it.
-  const ColumnStore& EnsureColumns(size_t bag_index);
   CachedProjection* FindProjection(size_t i, const Schema& z);
   const CachedProjection* FindProjection(size_t i, const Schema& z) const;
   // Index of pair (i, j), i < j, in pairs_: the list is lexicographic, so
@@ -373,10 +334,6 @@ class ConsistencyEngine {
   EngineOptions options_;
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
   std::vector<std::vector<CachedProjection>> cache_;  // per bag, schema-sorted
-  // Per-bag SoA transpose shared by all of that bag's sealed projections
-  // (zero-copy column Select per schema); null until first columnar fill.
-  // shared_ptr for the same reason as CachedProjection::marginal.
-  std::vector<std::shared_ptr<const ColumnStore>> bag_columns_;
   std::vector<PairTask> pairs_;  // all (i, j), i < j, lexicographic
   // Per-pair verdict aligned with pairs_ (1 consistent, 0 not), decided
   // at seal. The parallel compare writes disjoint bytes.

@@ -87,8 +87,7 @@ Result<DeltaBatch> BatchFromRecord(const EngineSnapshot& snapshot,
 // the generation originally sealed from this segment. `canonical`
 // replays the original seal's CANONICAL flag for the same reason.
 Result<std::shared_ptr<const EngineSnapshot>> BuildSnapshotFromSegment(
-    const std::string& path, bool canonical, size_t columnar_min_rows,
-    uint64_t seq) {
+    const std::string& path, bool canonical, uint64_t seq) {
   BAGC_ASSIGN_OR_RETURN(SegmentReader mapped, SegmentReader::Map(path));
   // The reader is shared so each borrowed bag can pin the mapping: the
   // snapshot then serves column reads straight from the page cache and
@@ -128,7 +127,6 @@ Result<std::shared_ptr<const EngineSnapshot>> BuildSnapshotFromSegment(
   }
   inputs.dicts = std::move(seg_dicts);
   inputs.canonicalize = canonical;
-  inputs.columnar_min_rows = columnar_min_rows;
   return EngineSnapshot::Build(std::move(inputs), seq);
 }
 
@@ -219,8 +217,7 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Reload(
     Collection* c, const std::string& path, bool canonical, uint64_t seq) {
   // Build outside the lock — reloads are as slow as seals.
   Result<std::shared_ptr<const EngineSnapshot>> rebuilt =
-      BuildSnapshotFromSegment(path, canonical, options_.columnar_min_rows,
-                               seq);
+      BuildSnapshotFromSegment(path, canonical, seq);
   if (!rebuilt.ok()) {
     return Status::FailedPrecondition("collection '" + c->name_ +
                                       "' reload from segment failed: " +

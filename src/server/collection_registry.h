@@ -60,11 +60,6 @@ class CollectionRegistry {
     /// Per-collection ceiling on one snapshot's bytes (publish refuses
     /// larger seals outright); 0 = unlimited.
     size_t max_collection_bytes = 0;
-    /// Minimum support rows for a sealed bag to convert to columnar-only
-    /// serving form (EngineOptions::columnar_min_rows); 0 = the engine
-    /// default (kColumnarMinRows). Applied to every SEAL and lazy segment
-    /// reload this registry performs — bagcd --columnar-min-rows.
-    size_t columnar_min_rows = 0;
     /// Directory for per-collection delta WALs (bagcd --wal-dir); empty
     /// disables durability. A collection whose base was sealed from a
     /// segment gets a WAL keyed to that segment's fingerprint: every

@@ -24,7 +24,6 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::Build(
                         BagCollection::Make(std::move(inputs.bags)));
   EngineOptions options;
   options.num_threads = inputs.num_threads;
-  options.columnar_min_rows = inputs.columnar_min_rows;
   options.dictionaries = inputs.dicts;
   options.canonicalize_dictionaries = inputs.canonicalize;
   SealReuse reuse;

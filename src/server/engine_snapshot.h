@@ -44,10 +44,6 @@ class EngineSnapshot {
     std::shared_ptr<DictionarySet> dicts;
     /// Seal-time worker threads (marginal fills + pair comparisons).
     size_t num_threads = 1;
-    /// Minimum support rows before a sealed bag drops its row vector for
-    /// the columnar-only serving form; 0 = engine default
-    /// (EngineOptions::columnar_min_rows).
-    size_t columnar_min_rows = 0;
     /// Canonicalize the snapshot's dictionary clone at seal
     /// (EngineOptions::canonicalize_dictionaries). The session's live
     /// dictionaries — and hence the ids a client streams — are untouched.
@@ -57,7 +53,7 @@ class EngineSnapshot {
     /// of this build's bag i (SealReuse::kNoPrev = changed/new bag).
     /// Reuse silently degrades to a full seal when canonicalizing (id
     /// remaps invalidate prior rows). The previous generation only needs
-    /// to live through Build: reused marginals and column stores are
+    /// to live through Build: reused bags and marginals are
     /// shared_ptr slots the new engine then co-owns.
     std::shared_ptr<const EngineSnapshot> previous;
     std::vector<size_t> prev_bag;
@@ -71,7 +67,7 @@ class EngineSnapshot {
 
   /// Derives the next generation from `previous` by an atomic batch of
   /// per-bag delta streams (ConsistencyEngine::MakeDeltaBatch): every
-  /// untouched bag's sealed state — column stores, marginal slots, cached
+  /// untouched bag's sealed state — its bag, marginal slots, cached
   /// pair verdicts — is adopted by refcount bump, each mutated bag's
   /// dirty marginal slots are adjusted in place, and only the dirty pairs
   /// are re-compared. Catalog, names, and the

@@ -685,13 +685,12 @@ Response ServerSession::HandleSeal(const Request& request) {
   }
   std::shared_ptr<DictionarySet> seal_dicts = inputs.dicts;
   inputs.num_threads = static_cast<size_t>(request.threads);
-  inputs.columnar_min_rows = registry_->options().columnar_min_rows;
   inputs.canonicalize = canonical;
   // Incremental re-seal: bags unchanged since the last generation this
   // session sealed (epoch at or before that seal, same name then) reuse
-  // its marginal cache and column stores — a k-of-m touch refills O(k·m)
-  // pairs instead of O(m²). Canonical seals on either side remap ids and
-  // disqualify reuse; FULL opts out explicitly (benchmark baseline).
+  // its marginal cache — a k-of-m touch refills O(k·m) pairs instead of
+  // O(m²). Canonical seals on either side remap ids and disqualify reuse;
+  // FULL opts out explicitly (benchmark baseline).
   size_t reused = 0;
   if (!request.full && !canonical && !last_seal_canonical_ && last_sealed_ != nullptr) {
     inputs.prev_bag.assign(bags_.size(), SealReuse::kNoPrev);

@@ -1,7 +1,6 @@
 #include "solver/lp.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "bag/relation.h"
 #include "tuple/column_store.h"
@@ -17,96 +16,57 @@ size_t ConsistencyLp::NumNonZeros() const {
 
 namespace {
 
-// Builds the rows for bag `i` given the chosen variable tuples.
-// `var_columns` is the column-major transpose of `variables` over the
-// joined layout, built once by the caller and re-selected per bag: the
-// variable grouping and the per-support-tuple lookups both run columnar
-// (batch-hashed ProbeAll, no per-row Tuple projection). Each bag's block
-// touches nothing but read-only inputs and its own output vector, which
-// is what lets the caller build blocks concurrently.
-Result<std::vector<LpRow>> BuildBagRows(const std::vector<Bag>& bags, size_t i,
-                                        const Schema& joined,
-                                        const ColumnStore& var_columns) {
-  const Bag& bag = bags[i];
-  std::vector<LpRow> out;
-  BAGC_ASSIGN_OR_RETURN(Projector proj, Projector::Make(joined, bag.schema()));
-  // Group variables by their projection onto Xi (zero-copy column select).
-  ColumnIndex groups(var_columns.View().Select(proj));
-  // Resolve every support tuple of Ri against the groups in one batch.
-  ColumnStore bag_cols = bag.ToColumns();
-  std::vector<uint32_t> match;
-  groups.ProbeAll(bag_cols.View(), &match);
-  std::vector<bool> in_support(groups.NumGroups(), false);
-  size_t n = bag.SupportSize();
-  out.reserve(n);
-  for (size_t e = 0; e < n; ++e) {
-    LpRow row;
-    row.bag_index = i;
-    row.marginal_tuple = bag.RowAt(e);
-    row.rhs = bag.MultiplicityAt(e);
-    if (match[e] != ColumnIndex::kNoGroup) {
-      row.vars = groups.GroupRows(match[e]);
-      in_support[match[e]] = true;
-    }
-    out.push_back(std::move(row));
-  }
-  // Variables projecting onto tuples *outside* the support of Ri must be 0;
-  // emit a rhs=0 row for each such group so solvers see the restriction.
-  // A group is outside the support iff no support tuple probed into it.
-  // Sorted by group key so row order stays deterministic and matches the
-  // historical (sorted-map) layout.
-  std::vector<std::pair<Tuple, size_t>> zero_groups;
-  for (size_t g = 0; g < groups.NumGroups(); ++g) {
-    if (!in_support[g]) {
-      zero_groups.emplace_back(groups.keys().RowAt(groups.LeadRow(g)), g);
-    }
-  }
-  std::sort(zero_groups.begin(), zero_groups.end(),
-            [](const std::pair<Tuple, size_t>& a,
-               const std::pair<Tuple, size_t>& b) { return a.first < b.first; });
-  for (auto& [key, g] : zero_groups) {
-    LpRow row;
-    row.bag_index = i;
-    row.marginal_tuple = std::move(key);
-    row.rhs = 0;
-    row.vars = groups.GroupRows(g);
-    out.push_back(std::move(row));
-  }
-  return out;
-}
-
-// Builds every bag's row block — sharded over `pool` when present — and
-// concatenates them into `lp->rows` in bag order. Block contents depend
-// only on (bags, joined, var_columns), so the merged LP is identical
-// whether the blocks were built serially or on any number of workers.
+// Appends every bag's rows to `lp->rows`, in bag order, given the chosen
+// variable tuples. `var_columns` is the column-major transpose of
+// `lp->variables` over the joined layout, built once by the caller and
+// re-selected per bag: the variable grouping and the per-support-tuple
+// lookups both run columnar (batch-hashed ProbeAll, no per-row Tuple
+// projection).
 Status AppendAllRows(const std::vector<Bag>& bags, const Schema& joined,
-                     const ColumnStore& var_columns, ThreadPool* pool,
-                     ConsistencyLp* lp) {
-  size_t m = bags.size();
-  std::vector<std::vector<LpRow>> blocks(m);
-  std::vector<Status> statuses(m, Status::OK());
-  auto build = [&](size_t i) {
-    Result<std::vector<LpRow>> block = BuildBagRows(bags, i, joined, var_columns);
-    if (block.ok()) {
-      blocks[i] = std::move(block).value();
-    } else {
-      statuses[i] = block.status();
+                     const ColumnStore& var_columns, ConsistencyLp* lp) {
+  for (size_t i = 0; i < bags.size(); ++i) {
+    const Bag& bag = bags[i];
+    BAGC_ASSIGN_OR_RETURN(Projector proj, Projector::Make(joined, bag.schema()));
+    // Group variables by their projection onto Xi (zero-copy column select).
+    ColumnIndex groups(var_columns.View().Select(proj));
+    // Resolve every support tuple of Ri against the groups in one batch.
+    ColumnStore bag_cols = bag.ToColumns();
+    std::vector<uint32_t> match;
+    groups.ProbeAll(bag_cols.View(), &match);
+    std::vector<bool> in_support(groups.NumGroups(), false);
+    for (size_t e = 0; e < bag.SupportSize(); ++e) {
+      LpRow row;
+      row.bag_index = i;
+      row.marginal_tuple = bag.RowAt(e);
+      row.rhs = bag.MultiplicityAt(e);
+      if (match[e] != ColumnIndex::kNoGroup) {
+        row.vars = groups.GroupRows(match[e]);
+        in_support[match[e]] = true;
+      }
+      lp->rows.push_back(std::move(row));
     }
-  };
-  if (pool != nullptr && m > 1) {
-    for (size_t i = 0; i < m; ++i) {
-      pool->Submit([&build, i] { build(i); });
+    // Variables projecting onto tuples *outside* the support of Ri must be
+    // 0; emit a rhs=0 row for each such group so solvers see the
+    // restriction. A group is outside the support iff no support tuple
+    // probed into it. Sorted by group key so row order stays deterministic
+    // and matches the historical (sorted-map) layout.
+    std::vector<std::pair<Tuple, size_t>> zero_groups;
+    for (size_t g = 0; g < groups.NumGroups(); ++g) {
+      if (!in_support[g]) {
+        zero_groups.emplace_back(groups.keys().RowAt(groups.LeadRow(g)), g);
+      }
     }
-    pool->WaitIdle();
-  } else {
-    for (size_t i = 0; i < m; ++i) build(i);
-  }
-  for (const Status& st : statuses) BAGC_RETURN_NOT_OK(st);
-  size_t total = 0;
-  for (const std::vector<LpRow>& block : blocks) total += block.size();
-  lp->rows.reserve(lp->rows.size() + total);
-  for (std::vector<LpRow>& block : blocks) {
-    std::move(block.begin(), block.end(), std::back_inserter(lp->rows));
+    std::sort(zero_groups.begin(), zero_groups.end(),
+              [](const std::pair<Tuple, size_t>& a,
+                 const std::pair<Tuple, size_t>& b) { return a.first < b.first; });
+    for (auto& [key, g] : zero_groups) {
+      LpRow row;
+      row.bag_index = i;
+      row.marginal_tuple = std::move(key);
+      row.rhs = 0;
+      row.vars = groups.GroupRows(g);
+      lp->rows.push_back(std::move(row));
+    }
   }
   return Status::OK();
 }
@@ -114,8 +74,7 @@ Status AppendAllRows(const std::vector<Bag>& bags, const Schema& joined,
 }  // namespace
 
 Result<ConsistencyLp> BuildConsistencyLp(const std::vector<Bag>& bags,
-                                         size_t max_join_support,
-                                         ThreadPool* pool) {
+                                         size_t max_join_support) {
   if (bags.empty()) return Status::InvalidArgument("empty bag collection");
   // Join of the supports, with a size cap.
   Relation join = Relation::SupportOf(bags[0]);
@@ -133,13 +92,12 @@ Result<ConsistencyLp> BuildConsistencyLp(const std::vector<Bag>& bags,
   BAGC_ASSIGN_OR_RETURN(Projector identity,
                         Projector::Make(lp.joined_schema, lp.joined_schema));
   ColumnStore var_columns = ColumnStore::FromTuples(lp.variables, identity);
-  BAGC_RETURN_NOT_OK(AppendAllRows(bags, lp.joined_schema, var_columns, pool, &lp));
+  BAGC_RETURN_NOT_OK(AppendAllRows(bags, lp.joined_schema, var_columns, &lp));
   return lp;
 }
 
 Result<ConsistencyLp> BuildLpWithVariables(const std::vector<Bag>& bags,
-                                           std::vector<Tuple> variables,
-                                           ThreadPool* pool) {
+                                           std::vector<Tuple> variables) {
   if (bags.empty()) return Status::InvalidArgument("empty bag collection");
   std::vector<Schema> schemas;
   schemas.reserve(bags.size());
@@ -157,7 +115,7 @@ Result<ConsistencyLp> BuildLpWithVariables(const std::vector<Bag>& bags,
   BAGC_ASSIGN_OR_RETURN(Projector identity,
                         Projector::Make(lp.joined_schema, lp.joined_schema));
   ColumnStore var_columns = ColumnStore::FromTuples(lp.variables, identity);
-  BAGC_RETURN_NOT_OK(AppendAllRows(bags, lp.joined_schema, var_columns, pool, &lp));
+  BAGC_RETURN_NOT_OK(AppendAllRows(bags, lp.joined_schema, var_columns, &lp));
   return lp;
 }
 

@@ -12,7 +12,6 @@
 #include "tuple/schema.h"
 #include "tuple/tuple.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace bagc {
 
@@ -43,22 +42,13 @@ struct ConsistencyLp {
 /// Builds P(R1, ..., Rm). The join of the supports can be exponentially
 /// large (Example 1); construction aborts with ResourceExhausted once the
 /// join support exceeds `max_join_support`.
-///
-/// When `pool` is non-null the per-bag row blocks are built concurrently
-/// (each bag's rows are independent given the shared variable transpose)
-/// and concatenated in bag order, so the emitted LP is bit-identical for
-/// every worker count.
 Result<ConsistencyLp> BuildConsistencyLp(const std::vector<Bag>& bags,
-                                         size_t max_join_support = 1u << 22,
-                                         ThreadPool* pool = nullptr);
+                                         size_t max_join_support = 1u << 22);
 
 /// Builds the same rows but over a caller-chosen variable set (tuples over
 /// the union schema). Used for restricted-support feasibility questions
-/// (minimal witnesses, Carathéodory-style pruning). Accepts the same
-/// optional pool as BuildConsistencyLp, with the same determinism
-/// guarantee.
+/// (minimal witnesses, Carathéodory-style pruning).
 Result<ConsistencyLp> BuildLpWithVariables(const std::vector<Bag>& bags,
-                                           std::vector<Tuple> variables,
-                                           ThreadPool* pool = nullptr);
+                                           std::vector<Tuple> variables);
 
 }  // namespace bagc

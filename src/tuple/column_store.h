@@ -26,11 +26,10 @@
 
 namespace bagc {
 
-/// Default row-count threshold below which the row path (per-row Tuple
-/// projection + sort/merge) beats the columnar gather + hash-group;
-/// dispatchers such as Bag::Marginal switch on it. Engine callers can
-/// override the crossover per collection via
-/// EngineOptions::columnar_min_rows (bagcd: --columnar-min-rows).
+/// Row-count threshold below which the row path (per-row Tuple
+/// projection + sort/merge) beats the columnar gather + hash-group.
+/// Bag::Marginal switches on it, and the engine keeps sealed bags of at
+/// least this many rows in columnar form.
 inline constexpr size_t kColumnarMinRows = 32;
 
 /// \brief Zero-copy view of selected columns: per-slot base pointers plus

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "bag/bag.h"
@@ -20,6 +21,21 @@
 
 namespace bagc {
 namespace {
+
+// A row-form copy of every bag (generator marginals may come back
+// columnar-sealed).
+BagCollection RowForm(const BagCollection& c) {
+  std::vector<Bag> bags;
+  for (const Bag& b : c.bags()) {
+    BagBuilder builder(b.schema());
+    for (size_t r = 0; r < b.SupportSize(); ++r) {
+      EXPECT_TRUE(builder.Add(b.RowAt(r), b.MultiplicityAt(r)).ok());
+    }
+    bags.push_back(*builder.Build());
+    EXPECT_FALSE(bags.back().columnar_sealed());
+  }
+  return *BagCollection::Make(std::move(bags));
+}
 
 Bag RandomBag(const Schema& schema, size_t support, uint64_t domain,
               uint64_t seed) {
@@ -106,7 +122,7 @@ TEST(ColumnStoreTest, ColumnIndexMatchesTupleIndex) {
   }
 }
 
-TEST(ColumnStoreTest, MarginalPathsAgree) {
+TEST(ColumnStoreTest, MarginalRowsAndColumnarAgree) {
   // Sizes straddling kColumnarMinRows so both dispatch arms are hit, and
   // both forced paths are pinned against each other on every size.
   Schema x{{0, 1, 2}};
@@ -167,8 +183,13 @@ TEST(ColumnStoreTest, MultiplicityOverflowRejected) {
 TEST(ColumnStoreTest, GroupColumnsRejectsMismatchedInputs) {
   Bag bag = RandomBag(Schema{{0, 1}}, 40, 4, 3);
   ColumnStore cols = bag.ToColumns();
+  std::vector<uint64_t> mults(bag.SupportSize(), 1);
   // Arity mismatch between z and the projected view.
-  EXPECT_FALSE(Bag::GroupColumns(Schema{{0}}, cols.View(), bag.entries()).ok());
+  EXPECT_FALSE(
+      Bag::GroupColumns(Schema{{0}}, cols.View(), mults.data(), mults.size()).ok());
+  // Row-count mismatch between the view and the multiplicities.
+  EXPECT_FALSE(
+      Bag::GroupColumns(Schema{{0, 1}}, cols.View(), mults.data(), 1).ok());
 }
 
 TEST(ColumnStoreTest, KRelationColumnarMarginalMatchesBag) {
@@ -191,16 +212,25 @@ TEST(ColumnStoreTest, KRelationColumnarMarginalMatchesBag) {
   }
 }
 
-TEST(ColumnStoreTest, EngineMarginalPathsProduceIdenticalVerdicts) {
-  // Row-forced and columnar-forced engines agree query-for-query.
-  for (uint64_t seed = 0; seed < 10; ++seed) {
+TEST(ColumnStoreTest, EngineVerdictsMatchRowOracleOnRowAndColumnarInputs) {
+  // The representation a bag is handed in picks its marginal path: a
+  // borrowed row-form collection groups below kColumnarMinRows via the
+  // row path and from it up via the columnar gather, an owned one is
+  // columnar-sealed from kColumnarMinRows up, and a SealColumnar-ed copy
+  // groups columnar at every size. Every engine must match a per-pair
+  // MarginalRows oracle query for query.
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng(500 + seed);
     BagGenOptions options;
-    options.support_size = 48;  // above kColumnarMinRows
-    options.domain_size = 3;
+    // Hidden joints of 10 to 100 rows over a domain of 8: the bags'
+    // supports land on both sides of kColumnarMinRows.
+    options.support_size = 10 + 30 * (seed % 4);
+    options.domain_size = 8;
     options.max_multiplicity = 6;
-    Hypergraph h = *MakePath(4);
-    BagCollection c = *MakeGloballyConsistentCollection(h, options, &rng);
+    Hypergraph h = seed % 3 == 2 ? *MakeStar(4) : *MakePath(4);
+    BagCollection c =
+        RowForm(*MakeGloballyConsistentCollection(h, options, &rng));
     if (seed % 2 == 1) {
       // Perturb one multiplicity so inconsistent verdicts are covered too.
       std::vector<Bag> bags = c.bags();
@@ -212,21 +242,47 @@ TEST(ColumnStoreTest, EngineMarginalPathsProduceIdenticalVerdicts) {
       }
       c = *BagCollection::Make(std::move(bags));
     }
-    EngineOptions rows_opt;
-    rows_opt.marginal_path = MarginalPath::kRows;
-    EngineOptions cols_opt;
-    cols_opt.marginal_path = MarginalPath::kColumnar;
-    ConsistencyEngine rows_engine = *ConsistencyEngine::Make(c, rows_opt);
-    ConsistencyEngine cols_engine = *ConsistencyEngine::Make(c, cols_opt);
-    PairwiseVerdict vr = *rows_engine.PairwiseAll();
-    PairwiseVerdict vc = *cols_engine.PairwiseAll();
-    EXPECT_EQ(vr.consistent, vc.consistent);
-    EXPECT_EQ(vr.witness_pair, vc.witness_pair);
-    EXPECT_EQ(*rows_engine.Global(), *cols_engine.Global());
-    for (size_t i = 0; i < c.size(); ++i) {
-      for (size_t j = i + 1; j < c.size(); ++j) {
-        EXPECT_EQ(*rows_engine.TwoBag(i, j), *cols_engine.TwoBag(i, j));
+    std::vector<Bag> sealed_bags = c.bags();
+    for (Bag& b : sealed_bags) b.SealColumnar();
+    BagCollection sealed = *BagCollection::Make(std::move(sealed_bags));
+
+    // Oracle: the row path on the row-form bags, pair by pair.
+    PairwiseVerdict oracle;
+    for (size_t i = 0; i < c.size() && oracle.consistent; ++i) {
+      for (size_t j = i + 1; j < c.size() && oracle.consistent; ++j) {
+        Schema z = Schema::Intersect(c.bag(i).schema(), c.bag(j).schema());
+        if (*c.bag(i).MarginalRows(z) != *c.bag(j).MarginalRows(z)) {
+          oracle.consistent = false;
+          oracle.witness_pair = {i, j};
+        }
       }
+    }
+
+    ConsistencyEngine view = *ConsistencyEngine::MakeView(c);
+    ConsistencyEngine owned = *ConsistencyEngine::Make(c);
+    ConsistencyEngine columnar = *ConsistencyEngine::Make(sealed);
+    for (ConsistencyEngine* e : {&view, &owned, &columnar}) {
+      PairwiseVerdict v = *e->PairwiseAll();
+      EXPECT_EQ(v.consistent, oracle.consistent);
+      EXPECT_EQ(v.witness_pair, oracle.witness_pair);
+      // Path and star are acyclic: Theorem 2 makes Global the pairwise
+      // verdict.
+      EXPECT_EQ(*e->Global(), oracle.consistent);
+      for (size_t i = 0; i < c.size(); ++i) {
+        for (size_t j = i + 1; j < c.size(); ++j) {
+          Schema z = Schema::Intersect(c.bag(i).schema(), c.bag(j).schema());
+          Bag mi = *c.bag(i).MarginalRows(z);
+          EXPECT_EQ(*e->TwoBag(i, j), mi == *c.bag(j).MarginalRows(z));
+          ASSERT_NE(e->CachedMarginal(i, z), nullptr);
+          EXPECT_EQ(*e->CachedMarginal(i, z), mi);
+        }
+      }
+    }
+    for (const Bag& b : owned.collection().bags()) {
+      EXPECT_EQ(b.columnar_sealed(), b.SupportSize() >= kColumnarMinRows);
+    }
+    for (const Bag& b : columnar.collection().bags()) {
+      EXPECT_TRUE(b.columnar_sealed());
     }
   }
 }

@@ -18,7 +18,10 @@
 //   - marginal_fills() exactness: a delta generation fills exactly its
 //     dirty slots — reuse-adopted slots are never counted;
 //   - worker invariance: the delta engine agrees with from-scratch seals
-//     at 1, 2, and 8 workers.
+//     at 1, 2, and 8 workers;
+//   - the serving form: on columnar-sealed bags of ~28–36 rows, a delta
+//     leaves the mutated bag columnar iff it holds >= kColumnarMinRows
+//     rows, and every check above still holds.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -30,6 +33,7 @@
 #include "engine/consistency_engine.h"
 #include "generators/workloads.h"
 #include "hypergraph/families.h"
+#include "tuple/column_store.h"
 #include "util/random.h"
 
 namespace bagc {
@@ -54,11 +58,11 @@ using StringBag = std::map<std::vector<std::string>, uint64_t>;
 StringBag OracleMarginal(const Bag& bag, const Schema& z) {
   Projector proj = *Projector::Make(bag.schema(), z);
   StringBag out;
-  for (const auto& [t, mult] : bag.entries()) {
-    std::vector<std::string> row = TokensOf(bag.schema(), t);
+  for (size_t r = 0; r < bag.SupportSize(); ++r) {
+    std::vector<std::string> row = TokensOf(bag.schema(), bag.RowAt(r));
     std::vector<std::string> projected(proj.arity());
     for (size_t i = 0; i < proj.arity(); ++i) projected[i] = row[proj.SourceIndex(i)];
-    out[projected] += mult;
+    out[projected] += bag.MultiplicityAt(r);
   }
   return out;
 }
@@ -78,6 +82,20 @@ OracleVerdict OraclePairwise(const BagCollection& c) {
     }
   }
   return {};
+}
+
+// Bumps one row's multiplicity (or adds a row to an empty bag), so the
+// collection is no longer consistent by construction.
+void Perturb(std::vector<Bag>* bags, Rng* rng) {
+  Bag& victim = (*bags)[rng->Below(bags->size())];
+  if (victim.IsEmpty()) {
+    std::vector<Value> zeros(victim.schema().arity(), 0);
+    EXPECT_TRUE(victim.Set(Tuple{zeros}, 1).ok());
+  } else {
+    size_t pick = rng->Below(victim.SupportSize());
+    EXPECT_TRUE(
+        victim.Set(victim.RowAt(pick), victim.MultiplicityAt(pick) + 1).ok());
+  }
 }
 
 // Same workload shapes as the other differential harnesses: rotating
@@ -105,18 +123,50 @@ Result<BagCollection> MakeWorkload(uint64_t seed) {
                         MakeGloballyConsistentCollection(h, options, &rng));
   if (rng.Chance(1, 2)) {
     std::vector<Bag> bags = c.bags();
-    Bag& victim = bags[rng.Below(bags.size())];
-    if (victim.IsEmpty()) {
-      std::vector<Value> zeros(victim.schema().arity(), 0);
-      EXPECT_TRUE(victim.Set(Tuple{zeros}, 1).ok());
-    } else {
-      size_t pick = rng.Below(victim.SupportSize());
-      Tuple t = victim.entries()[pick].first;
-      EXPECT_TRUE(victim.Set(t, victim.entries()[pick].second + 1).ok());
-    }
+    Perturb(&bags, &rng);
     return BagCollection::Make(std::move(bags));
   }
   return c;
+}
+
+// The serving form: every bag SealColumnar-ed, marginals of a hidden
+// joint of 28 to 36 rows, so the delta streams below move bags across
+// kColumnarMinRows (32) in both directions. The joint's domain is wide
+// enough that few of its rows share a projection: about nine bags in ten
+// keep 28 to 36 rows, the rest 21 to 27.
+Result<BagCollection> MakeColumnarWorkload(uint64_t seed) {
+  Rng rng(seed * 2654435761u + 29);
+  BagGenOptions options;
+  options.support_size = 28 + rng.Below(9);
+  options.domain_size = 64;
+  options.max_multiplicity = 5;
+  Hypergraph h = [&] {
+    switch (seed % 3) {
+      case 0:
+        return *MakePath(2 + seed % 4);
+      case 1:
+        return *MakeStar(2 + seed % 4);
+      default:
+        return *MakeRandomAcyclic(3 + seed % 3, 3, &rng);
+    }
+  }();
+  BAGC_ASSIGN_OR_RETURN(BagCollection c,
+                        MakeGloballyConsistentCollection(h, options, &rng));
+  std::vector<Bag> bags = c.bags();
+  if (rng.Chance(1, 2)) Perturb(&bags, &rng);
+  for (Bag& b : bags) b.SealColumnar();
+  return BagCollection::Make(std::move(bags));
+}
+
+// A delta that changed a bag leaves it in the form its new size selects;
+// a stream whose nets cancel leaves the bag as it was.
+void CheckServingForm(const Bag& before, const Bag& after) {
+  if (after == before) {
+    EXPECT_EQ(after.columnar_sealed(), before.columnar_sealed());
+  } else {
+    EXPECT_EQ(after.columnar_sealed(), after.SupportSize() >= kColumnarMinRows)
+        << after.SupportSize() << " rows";
+  }
 }
 
 // A randomized INSERT/DELETE stream against `bag`: multiplicity bumps of
@@ -145,7 +195,7 @@ std::vector<BagDelta> MakeStream(const Bag& bag, Rng* rng) {
       }
       case 1: {  // known row: bump
         if (bag.IsEmpty()) break;
-        const Tuple& t = bag.entries()[rng->Below(bag.SupportSize())].first;
+        Tuple t = bag.RowAt(rng->Below(bag.SupportSize()));
         int64_t amount = static_cast<int64_t>(1 + rng->Below(3));
         net[t] += amount;
         deltas.push_back({t, amount});
@@ -153,7 +203,7 @@ std::vector<BagDelta> MakeStream(const Bag& bag, Rng* rng) {
       }
       case 2: {  // known row: delete up to what the stream leaves of it
         if (bag.IsEmpty()) break;
-        const Tuple& t = bag.entries()[rng->Below(bag.SupportSize())].first;
+        Tuple t = bag.RowAt(rng->Below(bag.SupportSize()));
         int64_t left = available(t);
         if (left <= 0) break;
         int64_t drop =
@@ -222,7 +272,9 @@ void CheckAgainstReseal(ConsistencyEngine& delta_engine) {
       std::optional<Bag> dw = *delta_engine.Witness(i, j);
       std::optional<Bag> rw = *reseal.Witness(i, j);
       ASSERT_EQ(dw.has_value(), rw.has_value());
-      if (dw.has_value()) EXPECT_EQ(*dw, *rw);
+      if (dw.has_value()) {
+        EXPECT_EQ(*dw, *rw);
+      }
     }
   }
 
@@ -232,23 +284,28 @@ void CheckAgainstReseal(ConsistencyEngine& delta_engine) {
 TEST(EngineDeltaTest, MatchesResealAndOracleOn200Collections) {
   // Each commit replaces the engine with its derived generation, so the
   // previous generation is destroyed while the new one still shares its
-  // marginals and column stores.
-  for (uint64_t seed = 0; seed < 200; ++seed) {
+  // bags and marginals. Both workloads: small row-form bags, and
+  // columnar-sealed bags around kColumnarMinRows.
+  for (uint64_t seed = 0; seed < 400; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
+    const bool columnar = seed >= 200;
     Rng rng(5'000'000 + seed);
-    BagCollection start = *MakeWorkload(seed);
+    BagCollection start =
+        columnar ? *MakeColumnarWorkload(seed) : *MakeWorkload(seed);
     ConsistencyEngine engine = *ConsistencyEngine::Make(start);
 
     size_t commits = 1 + rng.Below(3);
     for (size_t c = 0; c < commits; ++c) {
       size_t r = rng.Below(engine.collection().size());
-      std::vector<BagDelta> deltas = MakeStream(engine.collection().bag(r), &rng);
+      Bag before = engine.collection().bag(r);
+      std::vector<BagDelta> deltas = MakeStream(before, &rng);
       DeltaOutcome outcome;
       Result<ConsistencyEngine> derived = ConsistencyEngine::MakeDeltaBatch(
           engine, OneBag(r, deltas), &outcome);
       ASSERT_TRUE(derived.ok()) << derived.status().message();
       engine = *std::move(derived);
       CheckDirtyPairMinimality(outcome, r);
+      if (columnar) CheckServingForm(before, engine.collection().bag(r));
       CheckAgainstReseal(engine);
     }
   }
@@ -257,11 +314,14 @@ TEST(EngineDeltaTest, MatchesResealAndOracleOn200Collections) {
 TEST(EngineDeltaTest, MakeDeltaGenerationsMatchResealOn200Collections) {
   // The generation-chain variant the server uses: every commit derives a
   // NEW engine via MakeDeltaBatch (identity reuse of the previous
-  // generation) while the previous one stays live and untouched.
-  for (uint64_t seed = 0; seed < 200; ++seed) {
+  // generation) while the previous one stays live and untouched. Both
+  // workloads, as above.
+  for (uint64_t seed = 0; seed < 400; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
+    const bool columnar = seed >= 200;
     Rng rng(6'000'000 + seed);
-    BagCollection start = *MakeWorkload(seed);
+    BagCollection start =
+        columnar ? *MakeColumnarWorkload(seed) : *MakeWorkload(seed);
     std::vector<ConsistencyEngine> chain;
     chain.reserve(5);  // references into the chain survive every push_back
     chain.push_back(*ConsistencyEngine::Make(start));
@@ -282,6 +342,9 @@ TEST(EngineDeltaTest, MakeDeltaGenerationsMatchResealOn200Collections) {
       ConsistencyEngine& next = chain.back();
 
       CheckDirtyPairMinimality(outcome, r);
+      if (columnar) {
+        CheckServingForm(prev.collection().bag(r), next.collection().bag(r));
+      }
       // The delta generation fills exactly its dirty slots — adopted
       // slots (every other bag, and the mutated bag's clean projections)
       // are never counted (the marginal_fills() exactness regression).
@@ -324,7 +387,9 @@ TEST(EngineDeltaTest, InsertThenDeleteIsNoOp) {
 
     PairwiseVerdict after = *next.PairwiseAll();
     EXPECT_EQ(after.consistent, before.consistent);
-    if (!before.consistent) EXPECT_EQ(after.witness_pair, before.witness_pair);
+    if (!before.consistent) {
+      EXPECT_EQ(after.witness_pair, before.witness_pair);
+    }
     EXPECT_EQ(*next.Global(), global_before);
   }
 }
@@ -350,7 +415,9 @@ TEST(EngineDeltaTest, IdenticalVerdictsAcrossWorkerCounts) {
           *ConsistencyEngine::Make(BagCollection(engine.collection()), opts);
       PairwiseVerdict v = *reseal.PairwiseAll();
       EXPECT_EQ(v.consistent, delta_verdict.consistent) << workers << " workers";
-      if (!v.consistent) EXPECT_EQ(v.witness_pair, delta_verdict.witness_pair);
+      if (!v.consistent) {
+        EXPECT_EQ(v.witness_pair, delta_verdict.witness_pair);
+      }
       EXPECT_EQ(*reseal.Global(), *engine.Global()) << workers << " workers";
     }
   }
@@ -364,8 +431,8 @@ TEST(EngineDeltaTest, DeleteBelowZeroLeavesEngineIntact) {
 
   const Bag& bag = engine.collection().bag(0);
   ASSERT_FALSE(bag.IsEmpty());
-  Tuple victim = bag.entries()[0].first;
-  uint64_t have = bag.entries()[0].second;
+  Tuple victim = bag.RowAt(0);
+  uint64_t have = bag.MultiplicityAt(0);
   std::vector<BagDelta> stream = {
       {victim, -static_cast<int64_t>(have) - 1}};  // one too many
   Result<ConsistencyEngine> failed =
@@ -429,8 +496,8 @@ TEST(EngineDeltaTest, BatchFailureInLastBagLeavesEveryBagUntouched) {
       batch.push_back({r, MakeStream(engine.collection().bag(r), &rng)});
     }
     const Bag& victim = engine.collection().bag(victim_bag);
-    Tuple row = victim.entries()[0].first;
-    uint64_t have = victim.entries()[0].second;
+    Tuple row = victim.RowAt(0);
+    uint64_t have = victim.MultiplicityAt(0);
     batch.push_back(
         {victim_bag, {{row, -static_cast<int64_t>(have) - 1}}});  // underflow
 

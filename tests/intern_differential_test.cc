@@ -192,14 +192,14 @@ TEST(InternDifferentialTest, MatchesStringOracleOn200Collections) {
     opts.dictionaries = dicts;
     ConsistencyEngine engine = *ConsistencyEngine::Make(interned, opts);
     ConsistencyEngine numeric_engine = *ConsistencyEngine::Make(numeric);
-    // Columnar leg: the same interned collection with every sealed
-    // marginal forced through the SoA path — verdicts, failing pairs, and
-    // witness multiplicities must be bit-identical to the row path.
-    EngineOptions columnar_opts;
-    columnar_opts.dictionaries = dicts;
-    columnar_opts.marginal_path = MarginalPath::kColumnar;
-    ConsistencyEngine columnar_engine =
-        *ConsistencyEngine::Make(interned, columnar_opts);
+    // Columnar leg: the same interned bags, every one columnar-sealed
+    // before the seal, so every marginal groups through the SoA path —
+    // verdicts, failing pairs, and witness multiplicities must be
+    // bit-identical to the row path.
+    std::vector<Bag> columnar_bags = interned.bags();
+    for (Bag& b : columnar_bags) b.SealColumnar();
+    ConsistencyEngine columnar_engine = *ConsistencyEngine::Make(
+        *BagCollection::Make(std::move(columnar_bags)), opts);
 
     // Pairwise: interned engine == string oracle == numeric codec path ==
     // columnar path, including the lexicographically-first failing pair.

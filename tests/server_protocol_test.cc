@@ -1385,16 +1385,17 @@ Request WitnessRequest(size_t i, size_t j, bool minimal) {
 }
 
 // Publishes two numeric-codec bags over attributes 0..2 (named a0..a2)
-// into `registry`'s default collection. No dictionaries: values print
-// through the codec.
+// into `registry`'s default collection, both sealed columnar whatever
+// their size. No dictionaries: values print through the codec.
 void PublishNumericPair(CollectionRegistry* registry, Bag r, Bag s) {
   EngineSnapshot::BuildInputs inputs;
   for (const char* name : {"a0", "a1", "a2"}) inputs.catalog.Intern(name);
   inputs.names = {"r", "s"};
+  r.SealColumnar();
+  s.SealColumnar();
   inputs.bags.push_back(std::move(r));
   inputs.bags.push_back(std::move(s));
   inputs.dicts = std::make_shared<DictionarySet>();
-  inputs.columnar_min_rows = 1;
   CollectionRegistry::Collection* c = registry->Default().get();
   Result<std::shared_ptr<const EngineSnapshot>> snapshot =
       EngineSnapshot::Build(std::move(inputs), c->NextSeq());

@@ -21,6 +21,7 @@
 #include "bag/bag_io.h"
 #include "server/collection_registry.h"
 #include "server/session.h"
+#include "tuple/column_store.h"
 #include "tuple/segment.h"
 
 namespace bagc {
@@ -272,39 +273,51 @@ TEST(ServerRegistryTest, SealedBagsHoldNoRowVectorAndShrinkSealedBytes) {
   EXPECT_EQ(sealed, snapshot->sealed_bytes());
 }
 
-// --columnar-min-rows plumbing: the registry option reaches the engine
-// of every SEAL, moving the threshold both down (tiny bags convert) and
-// up (nothing converts, the row form survives).
-TEST(ServerRegistryTest, ColumnarMinRowsOptionControlsSealShape) {
-  const std::string script =
-      "DICT item 4\na\nb\nc\nd\nEND\n"
-      "LOADU32 r item\n0 : 1\n1 : 2\n2 : 1\n3 : 5\nEND\nSEAL\n";
-  {
-    CollectionRegistry::Options opts;
-    opts.columnar_min_rows = 2;  // far below the engine default
-    CollectionRegistry registry(opts);
-    ServerSession session(&registry, nullptr);
-    ASSERT_EQ(session.HandleScript(script).back().rfind("OK SEAL", 0), 0u);
+// The serving form is a function of a bag's size alone: after SEAL a
+// bag of kColumnarMinRows - 1 rows stays in row form and one of
+// kColumnarMinRows rows is columnar-sealed, and a COMMIT that moves each
+// across the threshold (one up, one down) leaves both in the form their
+// new sizes select.
+TEST(ServerRegistryTest, SealShapeFollowsColumnarMinRows) {
+  const size_t n = kColumnarMinRows;
+  std::string script = "DICT item " + std::to_string(n) + "\n";
+  for (size_t v = 0; v < n; ++v) script += "v" + std::to_string(v) + "\n";
+  script += "END\n";
+  for (const auto& [name, rows] :
+       {std::pair<std::string, size_t>{"small", n - 1}, {"large", n}}) {
+    script += "LOADU32 " + name + " item\n";
+    for (size_t v = 0; v < rows; ++v) script += std::to_string(v) + " : 1\n";
+    script += "END\n";
+  }
+  script += "SEAL\n";
+  CollectionRegistry registry;
+  ServerSession session(&registry, nullptr);
+  ASSERT_EQ(session.HandleScript(script).back().rfind("OK SEAL", 0), 0u);
+
+  auto expect_shape = [&](size_t small_rows, size_t large_rows) {
     std::shared_ptr<const EngineSnapshot> snapshot =
         registry.Peek(registry.Default().get());
     ASSERT_NE(snapshot, nullptr);
-    for (const Bag& bag : snapshot->engine()->collection().bags()) {
-      EXPECT_TRUE(bag.columnar_sealed());
-    }
-  }
-  {
-    CollectionRegistry::Options opts;
-    opts.columnar_min_rows = size_t{1} << 30;  // nothing qualifies
-    CollectionRegistry registry(opts);
-    ServerSession session(&registry, nullptr);
-    ASSERT_EQ(session.HandleScript(script).back().rfind("OK SEAL", 0), 0u);
-    std::shared_ptr<const EngineSnapshot> snapshot =
-        registry.Peek(registry.Default().get());
-    ASSERT_NE(snapshot, nullptr);
-    for (const Bag& bag : snapshot->engine()->collection().bags()) {
-      EXPECT_FALSE(bag.columnar_sealed());
-    }
-  }
+    const BagCollection& bags = snapshot->engine()->collection();
+    const Bag& small = bags.bag(*snapshot->ResolveBag("small"));
+    const Bag& large = bags.bag(*snapshot->ResolveBag("large"));
+    EXPECT_EQ(small.SupportSize(), small_rows);
+    EXPECT_EQ(large.SupportSize(), large_rows);
+    EXPECT_EQ(small.columnar_sealed(), small_rows >= kColumnarMinRows);
+    EXPECT_EQ(large.columnar_sealed(), large_rows >= kColumnarMinRows);
+  };
+  expect_shape(n - 1, n);
+
+  const std::string last = std::to_string(n - 1);
+  std::vector<std::string> replies = session.HandleScript(
+      "BEGIN\nINSERT small item\n" + last + " : 1\nEND\n"
+      "DELETE large item\n" + last + " : 1\nEND\nCOMMIT\n"
+      "TWOBAG small large\n");
+  // BEGIN, two buffered blocks, COMMIT, TWOBAG.
+  ASSERT_EQ(replies.size(), 5u);
+  ASSERT_EQ(replies[3].rfind("OK COMMIT", 0), 0u) << replies[3];
+  EXPECT_EQ(replies[4], "OK INCONSISTENT");
+  expect_shape(n, n - 1);
 }
 
 // The zero-copy twin: a snapshot lazily reloaded from its BAGCSEG

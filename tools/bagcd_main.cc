@@ -28,10 +28,6 @@
 //   --max-collection-mb N  per-collection ceiling on one sealed
 //                      snapshot's size; larger SEALs answer E_RANGE
 //                      (0 = unlimited, default)
-//   --columnar-min-rows N  minimum support rows before a sealed bag
-//                      drops its row vector for the columnar-only
-//                      serving form (0 = engine default, currently 32);
-//                      applies to every SEAL and lazy segment reload
 //   --wal-dir PATH     per-collection delta WAL directory (docs/WAL.md):
 //                      every committed INSERT/DELETE/COMMIT on a
 //                      segment-based collection appends one fdatasynced
@@ -112,9 +108,6 @@ int main(int argc, char** argv) {
       options.registry.max_collection_bytes =
           static_cast<size_t>(next_number("--max-collection-mb", 0, 1 << 20))
           << 20;
-    } else if (std::strcmp(argv[i], "--columnar-min-rows") == 0) {
-      options.registry.columnar_min_rows = static_cast<size_t>(
-          next_number("--columnar-min-rows", 0, 1L << 40));
     } else if (std::strcmp(argv[i], "--wal-dir") == 0) {
       options.registry.wal_dir = next("--wal-dir");
     } else if (std::strcmp(argv[i], "--simd") == 0) {
@@ -141,7 +134,7 @@ int main(int argc, char** argv) {
                    "usage: bagcd [--host ADDR] [--port N] [--threads N] "
                    "[--port-file PATH] [--preload-seg PATH] "
                    "[--mem-budget-mb N] [--max-collections N] "
-                   "[--max-collection-mb N] [--columnar-min-rows N] "
+                   "[--max-collection-mb N] "
                    "[--wal-dir PATH] [--simd LEVEL]\n");
       return 2;
     }
