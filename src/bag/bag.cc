@@ -189,7 +189,7 @@ uint64_t Bag::Multiplicity(const Tuple& t) const {
   return (it != entries().end() && it->first == t) ? it->second : 0;
 }
 
-Status Bag::ApplyRowDeltas(
+Result<size_t> Bag::ApplyRowDeltas(
     const std::vector<std::pair<Tuple, int64_t>>& deltas) {
   // Net the stream per tuple first so `insert x, delete x` cancels and a
   // repeated row accumulates once — validation then sees one signed net
@@ -201,8 +201,8 @@ Status Bag::ApplyRowDeltas(
     }
     int64_t& acc = net[t];
     if (__builtin_add_overflow(acc, d, &acc)) {
-      return Status::ArithmeticOverflow("delta net overflows int64 for row " +
-                                        t.ToString());
+      return Status::OutOfRange("delta net overflows int64 for row " +
+                                t.ToString());
     }
   }
   // Validate every net against the current multiplicities before touching
@@ -233,7 +233,7 @@ Status Bag::ApplyRowDeltas(
     Status set = Set(t, mult);
     if (!set.ok()) return set;
   }
-  return Status::OK();
+  return next.size();
 }
 
 Result<Bag> Bag::Marginal(const Schema& z) const {

@@ -71,12 +71,16 @@ class Bag {
   /// bump, overflow-checked), delta < 0 deletes (a delete to zero removes
   /// the row from the support). Opposed deltas on the same tuple cancel
   /// before validation. All-or-nothing: arity mismatches
-  /// (InvalidArgument), a delete below zero (OutOfRange), or an overflow
-  /// leave the bag untouched. Copy-on-write as with every mutator — other
-  /// bags sharing this storage keep the pre-delta rows. A columnar-sealed
-  /// bag materializes its row form first (delta staging is a sanctioned
-  /// cold path); re-seal with SealColumnar afterwards.
-  Status ApplyRowDeltas(const std::vector<std::pair<Tuple, int64_t>>& deltas);
+  /// (InvalidArgument), a delete below zero or a per-row net past int64
+  /// (OutOfRange), or a multiplicity overflow leave the bag untouched.
+  /// Copy-on-write as with every mutator — other bags sharing this
+  /// storage keep the pre-delta rows. A columnar-sealed bag materializes
+  /// its row form first (delta staging is a sanctioned cold path);
+  /// re-seal with SealColumnar afterwards. Returns how many rows changed
+  /// multiplicity (0 when the deltas net to nothing; the bag is then
+  /// untouched).
+  Result<size_t> ApplyRowDeltas(
+      const std::vector<std::pair<Tuple, int64_t>>& deltas);
 
   /// |Supp(R)| — the support size ||R||_supp of §5.2.
   size_t SupportSize() const {

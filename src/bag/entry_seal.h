@@ -2,21 +2,13 @@
 // merge runs of equal tuples with a semiring +, drop zero annotations.
 // This is the single implementation behind BagBuilder::Build (counting
 // semiring) and KRelation::Seal (arbitrary positive semiring).
-//
-// GroupColumnarEntries is the columnar counterpart: group already-gathered
-// projection columns in place (ColumnIndex, no per-row Tuple), combine
-// each group's annotations in ascending row order — the same order the
-// sorted-run merge above visits them — and sort the group keys. One
-// implementation behind Bag::GroupColumns and KRelation::Marginal.
 #pragma once
 
 #include <algorithm>
 #include <utility>
 #include <vector>
 
-#include "tuple/column_store.h"
 #include "tuple/tuple.h"
-#include "tuple/tuple_index.h"
 #include "util/result.h"
 
 namespace bagc {
@@ -54,38 +46,6 @@ Status SealEntries(std::vector<std::pair<Tuple, Annotation>>* rows,
   }
   rows->resize(out);
   return Status::OK();
-}
-
-/// Groups the rows of `projected` (columns already selected onto the
-/// target layout; row i annotates source[i].second), combines each
-/// group's annotations in ascending row order with `plus`, drops groups
-/// whose combined annotation satisfies `is_zero`, and returns the
-/// (key tuple, annotation) entries sorted by key — exactly what
-/// SealEntries produces for the same rows, without materializing any
-/// per-row Tuple.
-template <typename Annotation, typename Entries, typename Plus, typename IsZero>
-Result<std::vector<std::pair<Tuple, Annotation>>> GroupColumnarEntries(
-    const ColumnView& projected, const Entries& source, Plus&& plus,
-    IsZero&& is_zero) {
-  using Entry = std::pair<Tuple, Annotation>;
-  ColumnIndex groups(projected);
-  std::vector<Entry> out;
-  out.reserve(groups.NumGroups());
-  for (size_t g = 0; g < groups.NumGroups(); ++g) {
-    const std::vector<uint32_t>& rows = groups.GroupRows(g);
-    Annotation total = source[rows[0]].second;
-    for (size_t k = 1; k < rows.size(); ++k) {
-      Result<Annotation> sum = plus(std::move(total), source[rows[k]].second);
-      if (!sum.ok()) return sum.status();
-      total = std::move(sum).value();
-    }
-    if (!is_zero(total)) {
-      out.emplace_back(groups.keys().RowAt(groups.LeadRow(g)), std::move(total));
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Entry& a, const Entry& b) { return a.first < b.first; });
-  return out;
 }
 
 }  // namespace internal

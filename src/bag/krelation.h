@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bag/entry_seal.h"
-#include "tuple/column_store.h"
 #include "tuple/schema.h"
 #include "tuple/tuple.h"
 #include "tuple/tuple_index.h"
@@ -119,26 +118,8 @@ class KRelation {
   }
 
   /// Marginal R[Z]: Equation (2) with the semiring +; requires Z ⊆ X.
-  /// Large relations group columnar (gather the Z columns, hash-group in
-  /// place, combine annotations per group — no per-row Tuple projection);
-  /// small ones take the row path. Both combine equal-key annotations in
-  /// ascending entry order, so the results are identical.
   Result<KRelation> Marginal(const Schema& z) const {
     BAGC_ASSIGN_OR_RETURN(Projector proj, Projector::Make(schema_, z));
-    if (entries_.size() >= kColumnarMinRows) {
-      ColumnStore cols = ColumnStore::FromEntries(entries_, proj);
-      BAGC_ASSIGN_OR_RETURN(
-          Entries rows,
-          internal::GroupColumnarEntries<Annotation>(
-              cols.View(), entries_,
-              [](Annotation a, const Annotation& b) {
-                return K::Plus(std::move(a), b);
-              },
-              [](const Annotation& a) { return K::IsZero(a); }));
-      KRelation out(z);
-      out.entries_ = std::move(rows);
-      return out;
-    }
     Entries rows;
     rows.reserve(entries_.size());
     for (const auto& [t, a] : entries_) {

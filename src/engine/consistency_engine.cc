@@ -517,7 +517,8 @@ Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
       }
       int64_t& acc = net[d.row];
       if (__builtin_add_overflow(acc, d.delta, &acc)) {
-        return Status::ArithmeticOverflow("delta multiplicity overflow");
+        return Status::OutOfRange("delta net overflows int64 for row " +
+                                  d.row.ToString());
       }
     }
   }
@@ -544,8 +545,10 @@ Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
     // overflow) is the bag layer's. COW: the previous generation keeps
     // the old bag.
     Bag& mutated = bags[bag_index];
-    BAGC_RETURN_NOT_OK(mutated.ApplyRowDeltas(
-        std::vector<std::pair<Tuple, int64_t>>(net.begin(), net.end())));
+    BAGC_RETURN_NOT_OK(mutated
+                           .ApplyRowDeltas(std::vector<std::pair<Tuple, int64_t>>(
+                               net.begin(), net.end()))
+                           .status());
     // Delta staging materialized flat rows; restore the columnar-only
     // invariant for hot bags before the new generation is published.
     if (mutated.SupportSize() >= kColumnarMinRows) mutated.SealColumnar();

@@ -6,7 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "bag/bag_io.h"
 #include "tuple/segment.h"
 
 namespace bagc {
@@ -65,6 +64,26 @@ Result<DeltaBatch> BatchFromRecord(const EngineSnapshot& snapshot,
           std::to_string(block.bag_index) + " (schema arity " +
           std::to_string(arity) + ")");
     }
+    // Every id must be one the base's dictionary for its slot issued: a
+    // row no dictionary decodes would otherwise be served as committed.
+    const Schema& schema = collection.bag(block.bag_index).schema();
+    const DictionarySet* dicts = snapshot.dictionaries();
+    for (size_t slot = 0; slot < arity; ++slot) {
+      const ValueDictionary* dict =
+          dicts == nullptr ? nullptr : dicts->find_dict(schema.at(slot));
+      const size_t issued = dict == nullptr ? 0 : dict->size();
+      for (size_t r = 0; r < block.rows(); ++r) {
+        const ValueId id = block.ids[r * arity + slot];
+        if (id >= issued) {
+          return Status::InvalidArgument(
+              "WAL generation " + std::to_string(record.generation) +
+              " carries value id " + std::to_string(id) + " for attribute '" +
+              snapshot.catalog().Name(schema.at(slot)) + "' of bag " +
+              std::to_string(block.bag_index) + ", which has only " +
+              std::to_string(issued) + " values");
+        }
+      }
+    }
     BagDeltas bd;
     bd.bag_index = block.bag_index;
     bd.deltas.reserve(block.rows());
@@ -79,53 +98,19 @@ Result<DeltaBatch> BatchFromRecord(const EngineSnapshot& snapshot,
   return batch;
 }
 
-// Rebuilds a sealed snapshot from a BAGCSEG segment — the lazy-reload
-// path after an eviction. Mirrors the session's LOADSEG+SEAL pipeline
-// with a fresh catalog/dictionary set: attributes intern in segment
-// table order and dictionaries bulk-load the segment's value tables, so
-// the rebuilt snapshot decodes (and orders) results bit-identically to
-// the generation originally sealed from this segment. `canonical`
-// replays the original seal's CANONICAL flag for the same reason.
+// Seals a BAGCSEG segment with a fresh catalog: attributes intern in
+// segment table order and the bags keep the segment's own dictionaries
+// (moved in, not cloned), so the snapshot decodes and orders results
+// bit-identically to a LOADSEG + SEAL of the segment in a fresh session.
+// `canonical` replays the original seal's CANONICAL flag for the same
+// reason.
 Result<std::shared_ptr<const EngineSnapshot>> BuildSnapshotFromSegment(
     const std::string& path, bool canonical, uint64_t seq) {
-  BAGC_ASSIGN_OR_RETURN(SegmentReader mapped, SegmentReader::Map(path));
-  // The reader is shared so each borrowed bag can pin the mapping: the
-  // snapshot then serves column reads straight from the page cache and
-  // the reload adds (almost) no resident bytes.
-  auto reader = std::make_shared<SegmentReader>(std::move(mapped));
   EngineSnapshot::BuildInputs inputs;
-  std::vector<AttrId> attr_ids(reader->num_attrs());
-  auto seg_dicts = std::make_shared<DictionarySet>();
-  for (size_t a = 0; a < reader->num_attrs(); ++a) {
-    attr_ids[a] = inputs.catalog.Intern(std::string(reader->attr_name(a)));
-    Status loaded =
-        seg_dicts->dict(attr_ids[a]).BulkLoad(reader->AttrValues(a));
-    if (!loaded.ok()) return loaded;
-  }
-  for (size_t b = 0; b < reader->num_bags(); ++b) {
-    std::vector<std::string> col_names;
-    col_names.reserve(reader->bag_arity(b));
-    for (size_t c = 0; c < reader->bag_arity(b); ++c) {
-      col_names.emplace_back(reader->attr_name(reader->bag_attr(b, c)));
-    }
-    ColumnStore columns = reader->Columns(b);
-    // Zero-copy first: a segment EncodeSegment wrote is already in the
-    // sealed columnar shape, so serve it in place. A canonical reload
-    // remaps ids anyway (the borrow only feeds the rebuild), and any
-    // segment the strict borrow validation rejects falls back to the
-    // copying ingest, which re-sorts and gives the precise error.
-    Result<Bag> bag =
-        BagBorrowU32Columns(col_names, columns.View(), reader->Mults(b),
-                            &inputs.catalog, *seg_dicts, reader);
-    if (!bag.ok()) {
-      bag = BagFromU32Columns(col_names, columns.View(), reader->Mults(b),
-                              &inputs.catalog, *seg_dicts);
-    }
-    if (!bag.ok()) return bag.status();
-    inputs.names.emplace_back(reader->bag_name(b));
-    inputs.bags.push_back(std::move(bag).value());
-  }
-  inputs.dicts = std::move(seg_dicts);
+  BAGC_ASSIGN_OR_RETURN(SegmentBags loaded, LoadSegmentBags(path, &inputs.catalog));
+  inputs.names = std::move(loaded.names);
+  inputs.bags = std::move(loaded.bags);
+  inputs.dicts = std::make_shared<DictionarySet>(std::move(loaded.dicts));
   inputs.canonicalize = canonical;
   return EngineSnapshot::Build(std::move(inputs), seq);
 }
@@ -203,18 +188,21 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Acquire(
   // Another Acquire leads this collection's reload: serve what it
   // produces. current_ is not re-read — it may be evicted again already.
   if (running.valid()) return running.get();
+  uint64_t replayed = 0;  // STATS counts it; only Restore reports it
   Result<std::shared_ptr<const EngineSnapshot>> reloaded =
-      Reload(c, path, canonical, seq);
+      Reload(c, path, canonical, seq, &replayed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     c->reload_ = {};
+    if (reloaded.ok() && *reloaded != nullptr) ++c->reloads_;
   }
   flight->set_value(reloaded);
   return reloaded;
 }
 
 Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Reload(
-    Collection* c, const std::string& path, bool canonical, uint64_t seq) {
+    Collection* c, const std::string& path, bool canonical, uint64_t seq,
+    uint64_t* replayed) {
   // Build outside the lock — reloads are as slow as seals.
   Result<std::shared_ptr<const EngineSnapshot>> rebuilt =
       BuildSnapshotFromSegment(path, canonical, seq);
@@ -223,6 +211,7 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Reload(
                                       "' reload from segment failed: " +
                                       rebuilt.status().message());
   }
+  BAGC_RETURN_NOT_OK(CheckCeiling((*rebuilt)->approx_bytes()));
   if (!options_.wal_dir.empty()) {
     // The segment is only the BASE of the chain; the committed delta
     // generations live in the WAL. Fold them onto the rebuilt snapshot
@@ -230,9 +219,8 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Reload(
     // would apply that delta twice. If a concurrent publish wins the
     // install below, this folded snapshot is simply discarded.
     std::lock_guard<std::mutex> wal_lock(c->wal_mu_);
-    uint64_t replayed = 0;
     Result<std::shared_ptr<const EngineSnapshot>> folded =
-        FoldWalLocked(c, *std::move(rebuilt), path, &replayed);
+        FoldWalLocked(c, *std::move(rebuilt), path, replayed);
     if (!folded.ok()) {
       return Status::FailedPrecondition(
           "collection '" + c->name_ +
@@ -256,7 +244,6 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Reload(
   // generation actually installed.
   std::shared_ptr<const EngineSnapshot> installed = *std::move(rebuilt);
   c->published_high_water_ = std::max(seq, installed->seq());
-  ++c->reloads_;
   InstallLocked(c, installed, installed->approx_bytes());
   EvictToBudgetLocked(c);
   if (evict_after_reload_for_test_.load(std::memory_order_relaxed)) EvictLocked(c);
@@ -273,14 +260,8 @@ Status CollectionRegistry::PublishChain(
     Collection* c, std::shared_ptr<const EngineSnapshot> snapshot,
     const std::string* segment_path, bool canonical) {
   const uint64_t bytes = snapshot->approx_bytes();
+  BAGC_RETURN_NOT_OK(CheckCeiling(bytes));
   std::lock_guard<std::mutex> lock(mu_);
-  if (options_.max_collection_bytes > 0 &&
-      bytes > options_.max_collection_bytes) {
-    return Status::OutOfRange(
-        "sealed snapshot (~" + std::to_string(bytes) +
-        " bytes) exceeds the per-collection ceiling (" +
-        std::to_string(options_.max_collection_bytes) + " bytes)");
-  }
   // <= : seqs are unique per snapshot, and Clear() raises the mark TO the
   // highest issued seq precisely so a seal that began before a RESET is
   // refused too. The seq was taken before the (possibly slow) build, so
@@ -299,6 +280,17 @@ Status CollectionRegistry::PublishChain(
   return Status::OK();
 }
 
+Status CollectionRegistry::CheckCeiling(uint64_t bytes) const {
+  if (options_.max_collection_bytes > 0 &&
+      bytes > options_.max_collection_bytes) {
+    return Status::OutOfRange(
+        "sealed snapshot (~" + std::to_string(bytes) +
+        " bytes) exceeds the per-collection ceiling (" +
+        std::to_string(options_.max_collection_bytes) + " bytes)");
+  }
+  return Status::OK();
+}
+
 Status CollectionRegistry::Publish(
     Collection* c, std::shared_ptr<const EngineSnapshot> snapshot,
     std::string segment_path, bool canonical) {
@@ -308,13 +300,9 @@ Status CollectionRegistry::Publish(
   // A full seal starts a new base epoch: any logged deltas speak the OLD
   // base and must not replay over the new one, so the WAL resets with
   // the publish (both under wal_mu_, so no delta commit interleaves).
-  // The one exception is the recovery window: the --preload-seg internal
-  // SEAL is publishing exactly the base the log is about to replay over,
-  // and ReplayWal owns the log's fate.
   std::lock_guard<std::mutex> wal_lock(c->wal_mu_);
   BAGC_RETURN_NOT_OK(PublishChain(c, std::move(snapshot), &segment_path,
                                   canonical));
-  if (recovery_mode_.load(std::memory_order_relaxed)) return Status::OK();
   return ResetWalLocked(c, segment_path);
 }
 
@@ -523,24 +511,18 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::FoldWalLocked(
   return base;
 }
 
-Result<uint64_t> CollectionRegistry::ReplayWal(Collection* c) {
-  if (options_.wal_dir.empty()) return uint64_t{0};
-  std::lock_guard<std::mutex> wal_lock(c->wal_mu_);
-  std::shared_ptr<const EngineSnapshot> base;
-  std::string segment_path;
+Result<uint64_t> CollectionRegistry::Restore(Collection* c,
+                                             const std::string& segment_path) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    base = c->current_;
-    segment_path = c->segment_path_;
+    c->segment_path_ = segment_path;
+    c->reload_canonical_ = false;
   }
-  if (segment_path.empty()) return uint64_t{0};  // no replay anchor
   uint64_t replayed = 0;
-  BAGC_ASSIGN_OR_RETURN(
-      std::shared_ptr<const EngineSnapshot> folded,
-      FoldWalLocked(c, std::move(base), segment_path, &replayed));
-  if (replayed > 0) {
-    BAGC_RETURN_NOT_OK(PublishChain(c, std::move(folded), nullptr, false));
-  }
+  Result<std::shared_ptr<const EngineSnapshot>> restored =
+      Reload(c, segment_path, false, c->NextSeq(), &replayed);
+  if (!restored.ok()) return restored.status();
+  RecordSeal();
   return replayed;
 }
 

@@ -64,7 +64,7 @@ class CollectionRegistry {
     /// disables durability. A collection whose base was sealed from a
     /// segment gets a WAL keyed to that segment's fingerprint: every
     /// PublishDelta appends one fdatasynced record, a full-seal Publish
-    /// resets the log (new base epoch), and ReplayWal / lazy reload
+    /// resets the log (new base epoch), and Restore / lazy reload
     /// replays the log over the base so committed generations survive a
     /// daemon restart.
     std::string wal_dir;
@@ -190,27 +190,17 @@ class CollectionRegistry {
                       std::shared_ptr<const EngineSnapshot> snapshot,
                       const DeltaBatch& batch);
 
-  /// Replays the collection's WAL over its resident snapshot, which
-  /// must be the clean base sealed from its registered segment (bagcd
-  /// calls this right after --preload-seg). Validates the log's base
-  /// fingerprint against the segment — a divergent-fingerprint WAL is
-  /// refused with FailedPrecondition — folds every logged generation
-  /// into one published snapshot, attaches the writer for future
-  /// commits, and returns the number of generations replayed (0 when no
-  /// log exists; the writer is still attached). Idempotent across
-  /// restarts: the same log over the same base recovers the same state.
-  /// No-op returning 0 when the registry has no wal_dir or the
-  /// collection no reload source.
-  Result<uint64_t> ReplayWal(Collection* c);
-
-  /// Startup-recovery window: while set, a full-seal Publish preserves
-  /// any existing WAL instead of resetting it, so the --preload-seg
-  /// internal SEAL does not destroy the log it is about to replay.
-  /// bagcd sets it around preload + ReplayWal and clears it before
-  /// accepting connections.
-  void SetRecoveryMode(bool on) {
-    recovery_mode_.store(on, std::memory_order_relaxed);
-  }
+  /// Startup restore (bagcd --preload-seg): registers `segment_path` as
+  /// `c`'s reload source and runs the lazy-reload body on it — build
+  /// from the segment with a fresh catalog, fold the collection's WAL
+  /// (when the registry has a wal_dir), install — so a restart serves
+  /// exactly what a post-eviction reload would. `c` must never have been
+  /// published. Records one seal (not a reload) and returns the number
+  /// of WAL generations replayed. A log written against a different
+  /// base, or damaged mid-file, is refused with FailedPrecondition;
+  /// idempotent across restarts: the same log over the same base
+  /// recovers the same state.
+  Result<uint64_t> Restore(Collection* c, const std::string& segment_path);
 
   /// Unpublishes `c`'s current generation (RESET): in-flight queries
   /// finish on it, the high-water mark advances past every issued seq so
@@ -275,13 +265,18 @@ class CollectionRegistry {
   void EvictToBudgetLocked(const Collection* exempt);
   // Drops c's resident snapshot. Caller holds mu_.
   void EvictLocked(Collection* c);
-  // The body of a lazy reload: rebuilds c from `path` outside mu_, folds
-  // its WAL, and installs the result under the chain rules. Returns the
-  // snapshot it installed (or the one a concurrent SEAL installed first),
-  // null when a RESET won. Called by the single Acquire leading the flight.
+  // The body of a lazy reload and of Restore: rebuilds c from `path`
+  // outside mu_, folds its WAL (adding the replayed generations to
+  // `*replayed`), and installs the result under the chain rules. Returns
+  // the snapshot it installed (or the one a concurrent SEAL installed
+  // first), null when a RESET won.
   Result<std::shared_ptr<const EngineSnapshot>> Reload(Collection* c,
                                                        const std::string& path,
-                                                       bool canonical, uint64_t seq);
+                                                       bool canonical, uint64_t seq,
+                                                       uint64_t* replayed);
+  // OutOfRange when one snapshot of `bytes` exceeds the per-collection
+  // ceiling (max_collection_bytes).
+  Status CheckCeiling(uint64_t bytes) const;
   // The shared publish body: chain rules + install + eviction, under
   // mu_. A null `segment_path` keeps the existing reload source (delta
   // publishes); non-null replaces it (full seals).
@@ -312,7 +307,6 @@ class CollectionRegistry {
   uint64_t resident_bytes_ = 0; // guarded by mu_
   std::atomic<uint64_t> evictions_total_{0};
   std::atomic<uint64_t> replayed_total_{0};
-  std::atomic<bool> recovery_mode_{false};
   std::atomic<bool> evict_after_reload_for_test_{false};
   std::atomic<size_t> sessions_{0};
   std::atomic<uint64_t> seals_{0};

@@ -1,11 +1,13 @@
 #include "server/engine_snapshot.h"
 
+#include <algorithm>
 #include <charconv>
 #include <utility>
 
 #include "bag/bag_io.h"
 #include "core/collection.h"
 #include "server/protocol.h"
+#include "tuple/segment.h"
 
 namespace bagc {
 
@@ -125,6 +127,59 @@ Result<std::optional<Bag>> EngineSnapshot::Witness(size_t i, size_t j,
 
 std::string EngineSnapshot::WriteBagText(const Bag& bag) const {
   return WriteBag(bag, catalog_, dicts_.get());
+}
+
+Result<SegmentBags> LoadSegmentBags(const std::string& path,
+                                    AttributeCatalog* catalog) {
+  BAGC_ASSIGN_OR_RETURN(SegmentReader mapped, SegmentReader::Map(path));
+  // Shared so each borrowed bag pins the mapping: the bags serve the
+  // mmap'd columns from the page cache, and the reader dies with the
+  // last of them.
+  auto reader = std::make_shared<SegmentReader>(std::move(mapped));
+  SegmentBags out;
+  out.attrs.reserve(reader->num_attrs());
+  for (size_t a = 0; a < reader->num_attrs(); ++a) {
+    std::string name(reader->attr_name(a));
+    if (!WireValidateValue(name).ok()) {
+      return Status::InvalidArgument(
+          "segment attribute name is not representable on the wire");
+    }
+    out.attrs.push_back(catalog->Intern(name));
+    BAGC_RETURN_NOT_OK(
+        out.dicts.dict(out.attrs.back()).BulkLoad(reader->AttrValues(a)));
+  }
+  for (size_t b = 0; b < reader->num_bags(); ++b) {
+    std::string name(reader->bag_name(b));
+    if (name.empty() || WireIsIndex(name)) {
+      return Status::InvalidArgument("bag name '" + name +
+                                     "' must not be all digits (reserved for indices)");
+    }
+    if (std::find(out.names.begin(), out.names.end(), name) != out.names.end()) {
+      return Status::FailedPrecondition("bag '" + name +
+                                        "' appears twice in the segment");
+    }
+    std::vector<std::string> col_names;
+    col_names.reserve(reader->bag_arity(b));
+    for (size_t c = 0; c < reader->bag_arity(b); ++c) {
+      col_names.emplace_back(reader->attr_name(reader->bag_attr(b, c)));
+    }
+    // Zero parse, zero copy: a segment EncodeSegment wrote is already in
+    // sealed columnar shape. Segments the strict borrow validation
+    // rejects (permuted columns, zero mults) fall back to the copying
+    // ingest, which re-sorts and reports the precise error.
+    ColumnStore columns = reader->Columns(b);
+    Result<Bag> bag =
+        BagBorrowU32Columns(col_names, columns.View(), reader->Mults(b),
+                            catalog, out.dicts, reader);
+    if (!bag.ok()) {
+      bag = BagFromU32Columns(col_names, columns.View(), reader->Mults(b),
+                              catalog, out.dicts);
+    }
+    if (!bag.ok()) return bag.status();
+    out.names.push_back(std::move(name));
+    out.bags.push_back(std::move(bag).value());
+  }
+  return out;
 }
 
 }  // namespace bagc

@@ -149,4 +149,27 @@ class EngineSnapshot {
   mutable std::mutex global_mu_;
 };
 
+/// A BAGCSEG segment ingested for serving: its bags in segment order and
+/// the value dictionaries they were validated against.
+struct SegmentBags {
+  /// attrs[a] is the catalog id segment attribute a interned to; `dicts`
+  /// holds exactly those attributes' dictionaries.
+  std::vector<AttrId> attrs;
+  DictionarySet dicts;
+  std::vector<std::string> names;
+  std::vector<Bag> bags;
+};
+
+/// The one segment loader, behind LOADSEG and the registry's reload:
+/// maps `path` (docs/SEGMENT.md), interns its attribute names into
+/// `catalog` in table order, bulk-loads each attribute's dictionary, and
+/// builds every bag over the mapped columns in place, falling back to
+/// the copying ingest for layouts the strict borrow rejects. Refuses
+/// attribute names the wire cannot carry and index-like bag names
+/// (InvalidArgument), and a bag name the segment repeats
+/// (FailedPrecondition). On error `catalog` may have grown: a caller
+/// that must stay unchanged passes a copy.
+Result<SegmentBags> LoadSegmentBags(const std::string& path,
+                                    AttributeCatalog* catalog);
+
 }  // namespace bagc

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "bag/bag_io.h"
-#include "tuple/segment.h"
 
 namespace bagc {
 
@@ -524,33 +523,23 @@ Response ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
   }
   // No publishable lineage (nothing sealed yet, canonical seal,
   // dictionary growth, or a changed bag set): mutate the loaded bags
-  // only, all-or-nothing across the whole batch. Nets are merged per bag
-  // first — the same netting ApplyDeltaBatch performs — so a bag listed
-  // twice behaves identically on both paths. The epoch bumps mark the
-  // touched bags changed, so the next SEAL refills exactly those.
-  std::map<size_t, std::map<Tuple, int64_t>> nets;
+  // only, all-or-nothing across the whole batch. Each bag gets its
+  // blocks' concatenated deltas in one ApplyRowDeltas call, which nets
+  // them exactly as ApplyDeltaBatch does, so a bag listed twice behaves
+  // identically on both paths. The epoch bumps mark the changed bags, so
+  // the next SEAL refills exactly those.
+  std::map<size_t, std::vector<std::pair<Tuple, int64_t>>> deltas;
   for (BagDeltas& bd : batch) {
-    std::map<Tuple, int64_t>& bag_net = nets[bd.bag_index];
-    for (BagDelta& d : bd.deltas) {
-      int64_t& slot = bag_net[std::move(d.row)];
-      if (__builtin_add_overflow(slot, d.delta, &slot)) {
-        return Response::Err(WireError::kRange, "delta for one row overflows int64");
-      }
-    }
+    std::vector<std::pair<Tuple, int64_t>>& bag_deltas = deltas[bd.bag_index];
+    for (BagDelta& d : bd.deltas) bag_deltas.emplace_back(std::move(d.row), d.delta);
   }
   std::map<size_t, Bag> staged;
-  for (auto& [bi, bag_net] : nets) {
-    std::vector<std::pair<Tuple, int64_t>> bag_deltas;
-    bag_deltas.reserve(bag_net.size());
-    for (auto& [row, delta] : bag_net) {
-      if (delta != 0) bag_deltas.emplace_back(row, delta);
-    }
-    if (bag_deltas.empty()) continue;
+  for (const auto& [bi, bag_deltas] : deltas) {
     Bag next_bag = bags_[bi];
-    Status applied = next_bag.ApplyRowDeltas(bag_deltas);
+    Result<size_t> changed = next_bag.ApplyRowDeltas(bag_deltas);
     // All-or-nothing: every loaded bag is still intact.
-    if (!applied.ok()) return Response::Error(applied);
-    staged.emplace(bi, std::move(next_bag));
+    if (!changed.ok()) return Response::Error(changed.status());
+    if (*changed > 0) staged.emplace(bi, std::move(next_bag));
   }
   for (auto& [bi, bag] : staged) {
     bags_[bi] = std::move(bag);
@@ -582,83 +571,48 @@ void ServerSession::EndTransaction() {
 }
 
 Response ServerSession::HandleLoadSeg(const Request& request) {
-  Result<SegmentReader> mapped = SegmentReader::Map(request.name);
-  if (!mapped.ok()) return Response::Error(mapped.status());
-  // Shared so each borrowed bag pins the mapping: the loaded bags serve
-  // the mmap'd columns in place (no row vector, no column copy) until a
-  // mutation de-seals them. The reader dies with the last such bag.
-  auto reader = std::make_shared<SegmentReader>(std::move(mapped).value());
+  // Load against a copy of the catalog, and check everything BEFORE
+  // touching session state: a failed LOADSEG interns nothing and leaves
+  // the session unchanged.
+  AttributeCatalog catalog = catalog_;
+  Result<SegmentBags> loaded = LoadSegmentBags(request.name, &catalog);
+  if (!loaded.ok()) return Response::Error(loaded.status());
   // The segment ships its own dictionaries, so the session must not
   // already hold one for any of its attributes (the same no-merge rule
-  // as a second DICT block). Validate everything, and build every bag
-  // against the segment's own dictionary set, BEFORE touching session
-  // state: a failed LOADSEG leaves the session unchanged.
-  std::vector<AttrId> attr_ids(reader->num_attrs());
-  DictionarySet seg_dicts;
-  for (size_t a = 0; a < reader->num_attrs(); ++a) {
-    std::string name(reader->attr_name(a));
-    if (!WireValidateValue(name).ok()) {
-      return Response::Err(WireError::kParse,
-                           "segment attribute name is not representable on the wire");
-    }
-    attr_ids[a] = catalog_.Intern(name);
-    if (dicts_->find_dict(attr_ids[a]) != nullptr) {
+  // as a second DICT block).
+  bool fresh_attrs = true;
+  for (AttrId a : loaded->attrs) {
+    if (dicts_->find_dict(a) != nullptr) {
       return Response::Err(WireError::kState,
-                           "attribute '" + name +
+                           "attribute '" + catalog.Name(a) +
                                "' already has a dictionary in this session");
     }
-    Status loaded = seg_dicts.dict(attr_ids[a]).BulkLoad(reader->AttrValues(a));
-    if (!loaded.ok()) return Response::Error(loaded);
+    fresh_attrs = fresh_attrs && a >= catalog_.size();
   }
-  std::vector<std::string> new_names;
-  std::vector<Bag> new_bags;
   size_t total_support = 0;
-  for (size_t b = 0; b < reader->num_bags(); ++b) {
-    std::string name(reader->bag_name(b));
-    if (Status named = CheckNewBagName(name); !named.ok()) return Response::Error(named);
-    if (std::find(new_names.begin(), new_names.end(), name) != new_names.end()) {
-      return Response::Err(WireError::kState,
-                           "bag '" + name + "' appears twice in the segment");
+  for (size_t b = 0; b < loaded->names.size(); ++b) {
+    if (Status named = CheckNewBagName(loaded->names[b]); !named.ok()) {
+      return Response::Error(named);
     }
-    std::vector<std::string> col_names;
-    col_names.reserve(reader->bag_arity(b));
-    for (size_t c = 0; c < reader->bag_arity(b); ++c) {
-      col_names.emplace_back(reader->attr_name(reader->bag_attr(b, c)));
-    }
-    // Zero parse, zero copy: a well-formed segment is already in sealed
-    // columnar shape, so the bag borrows the mapped columns in place.
-    // Segments the strict borrow validation rejects (permuted columns,
-    // zero mults) fall back to the copying ingest, which re-sorts and
-    // reports the precise error.
-    ColumnStore columns = reader->Columns(b);
-    Result<Bag> bag =
-        BagBorrowU32Columns(col_names, columns.View(), reader->Mults(b),
-                            &catalog_, seg_dicts, reader);
-    if (!bag.ok()) {
-      bag = BagFromU32Columns(col_names, columns.View(), reader->Mults(b),
-                              &catalog_, seg_dicts);
-    }
-    if (!bag.ok()) return Response::Error(bag.status());
-    total_support += bag->SupportSize();
-    new_names.push_back(std::move(name));
-    new_bags.push_back(std::move(bag).value());
+    total_support += loaded->bags[b].SupportSize();
   }
-  // Commit. Moving the validated segment dictionaries into the live set
-  // hands over the exact id space the bags were built against without
-  // re-hashing a single string (the target dictionaries are empty —
-  // pre-checked above — so the move is the whole state).
-  for (size_t a = 0; a < reader->num_attrs(); ++a) {
-    dicts_->dict(attr_ids[a]) = std::move(seg_dicts.dict(attr_ids[a]));
+  // Commit. Moving the segment dictionaries into the live set hands over
+  // the exact id space the bags were built against without re-hashing a
+  // single string (the targets are empty, checked above).
+  catalog_ = std::move(catalog);
+  for (AttrId a : loaded->attrs) dicts_->dict(a) = std::move(loaded->dicts.dict(a));
+  const bool was_empty = bags_.empty();
+  for (size_t b = 0; b < loaded->names.size(); ++b) {
+    AddBag(std::move(loaded->names[b]), std::move(loaded->bags[b]));
   }
-  bool was_empty = bags_.empty();
-  for (size_t b = 0; b < new_names.size(); ++b) {
-    AddBag(std::move(new_names[b]), std::move(new_bags[b]));
-  }
-  // When this segment IS the whole loaded state, a later SEAL can
-  // register it as the collection's lazy reload source (a reload
-  // re-derives bit-identical results); AddBag cleared any prior staging.
-  if (was_empty) staged_seg_path_ = request.name;
-  return Response::Ok("LOADSEG " + std::to_string(reader->num_bags()) + " bags " +
+  // A later SEAL may register this segment as the collection's reload
+  // source only when a reload reproduces this state exactly: the segment
+  // is the whole loaded state, and none of its attribute names was
+  // interned before, so the reload's fresh catalog orders them — and
+  // hence every bag's slot layout and logged delta row — the same way.
+  // AddBag cleared any prior staging.
+  if (was_empty && fresh_attrs) staged_seg_path_ = request.name;
+  return Response::Ok("LOADSEG " + std::to_string(loaded->names.size()) + " bags " +
                       std::to_string(total_support) + " rows");
 }
 

@@ -11,11 +11,11 @@
 // Contract: every variant of a kernel is bit-identical to its scalar
 // twin on every input (integer arithmetic only, same per-element
 // operation order). tests/simd_kernel_test.cc pins this differentially
-// at every level the host supports, and callers expose the level as an
-// option (EngineOptions::simd) so any path can be forced scalar.
+// at every level the host supports, and the process-wide level (below)
+// forces every path scalar when set to kScalar.
 //
 // Dispatch: DetectSimdLevel() probes the CPU once; ActiveSimdLevel() is
-// the process-wide default (settable, e.g. bagcd --simd=scalar).
+// the process-wide default (settable, e.g. bagcd --simd scalar).
 // Kernels take an explicit SimdLevel; pass kAuto to use the active
 // level. Levels the host lacks fall back to the best supported one, so
 // a kernel call never executes an unsupported instruction.

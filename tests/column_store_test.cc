@@ -194,7 +194,7 @@ TEST(ColumnStoreTest, GroupColumnsRejectsMismatchedInputs) {
 
 TEST(ColumnStoreTest, KRelationColumnarMarginalMatchesBag) {
   // KRelation over the counting semiring must marginalize exactly like a
-  // Bag — including through the columnar arm (>= kColumnarMinRows rows).
+  // Bag, at a size (128 rows) where Bag::Marginal would group columnar.
   Schema x{{0, 1, 2}};
   Bag bag = RandomBag(x, 128, 4, 21);
   KRelation<CountingSemiring> kr(x);

@@ -1004,6 +1004,35 @@ TEST(ServerSessionTest, TransactionCommitIsAtomicAcrossBags) {
   EXPECT_EQ(out[4].rfind("ERR E_STATE no transaction is open", 0), 0u) << out[4];
 }
 
+// A per-row net past int64 is a count out of range on both commit
+// paths: staged into the loaded bag (nothing sealed yet) and published
+// as a delta generation (after SEAL), with nothing applied either way.
+TEST(ServerSessionTest, PerRowNetOverflowIsERangeStagedAndPublished) {
+  const std::string overflow =
+      "BEGIN\n"
+      "INSERT r a\n0 : 9223372036854775807\nEND\n"
+      "INSERT r a\n0 : 9223372036854775807\nEND\n"
+      "COMMIT\n";
+  CollectionRegistry registry;
+  ServerSession session(&registry, nullptr);
+  ASSERT_EQ(Feed(&session, "DICT a 1\nx\nEND\nLOADU32 r a\n0 : 1\nEND\n").back(),
+            "OK LOADU32 r 1 rows");
+  std::vector<std::string> staged = Feed(&session, overflow);
+  ASSERT_EQ(staged.size(), 4u);
+  EXPECT_EQ(staged[3].rfind("ERR E_RANGE ", 0), 0u) << staged[3];
+
+  ASSERT_EQ(Feed(&session, "SEAL\n").back(), "OK SEAL 1 bags");
+  std::vector<std::string> published = Feed(&session, overflow);
+  ASSERT_EQ(published.size(), 4u);
+  EXPECT_EQ(published[3].rfind("ERR E_RANGE ", 0), 0u) << published[3];
+  EXPECT_EQ(published[3], staged[3]) << "the two paths word the error differently";
+
+  // Neither attempt landed: the sealed generation still holds one row.
+  std::vector<std::string> stats = Feed(&session, "STATS\n");
+  EXPECT_EQ(stats[6], "snapshot 1");
+  EXPECT_EQ(stats[8], "support 1");
+}
+
 TEST(ServerSessionTest, TransactionCumulativeCapsRefuseOversizedBuffering) {
   CollectionRegistry registry;
   ServerSession session(&registry, nullptr);

@@ -5,9 +5,10 @@
 // pairs, witness rows down to their multiplicities — must stay
 // bit-identical to a single-collection oracle registry that never
 // evicts. A lazily reloaded snapshot is rebuilt from its BAGCSEG segment
-// through a different code path than the session's LOADSEG + SEAL; this
-// suite is what pins the two paths to identical ids, sort orders, and
-// wire bytes (the canonical tenant covers the reload_canonical_ replay).
+// by the segment loader LOADSEG uses, but with a fresh catalog and no
+// session; this suite is what pins the two to identical ids, sort
+// orders, and wire bytes (the canonical tenant covers the
+// reload_canonical_ replay).
 // Runs under the ASan/UBSan matrix leg via the `differential` label.
 #include <gtest/gtest.h>
 
@@ -355,6 +356,60 @@ TEST(ServerRegistryTest, SegmentReloadServesBorrowedColumns) {
         << "reloaded bag copied its columns instead of borrowing the mmap";
   }
   std::remove(t.seg_path.c_str());
+}
+
+// A session whose catalog already held a segment attribute name seals a
+// slot layout a fresh-catalog reload does not reproduce (region store
+// item here, against the segment's item store region). Its SEAL must not
+// register the segment as the reload source: after an eviction the
+// collection answers E_STATE instead of a reload whose WITNESS columns
+// come back reordered.
+TEST(ServerRegistryTest, PreInternedSegmentAttributesAreNotReloadable) {
+  const std::string seg = WriteTenantSegment(0);
+  CollectionRegistry::Options opts;
+  opts.mem_budget_bytes = 1;  // evict everything not most-recent
+  CollectionRegistry registry(opts);
+  ServerSession session(&registry, nullptr);
+  std::vector<std::string> sealed = session.HandleScript(
+      "LOAD tmp region store\nEND\nDROP tmp\nLOADSEG " + seg + "\nSEAL\n");
+  ASSERT_EQ(sealed.back(), "OK SEAL 2 bags");
+  ASSERT_FALSE(session.HandleScript(kQueryScript).empty());
+  EXPECT_FALSE(registry.Stats(registry.Default().get()).reloadable);
+
+  ServerSession other(&registry, nullptr);
+  ASSERT_EQ(other
+                .HandleScript("ATTACH other\nDICT item 2\na\nb\nEND\n"
+                              "LOADU32 r item\n0 : 1\n1 : 1\nEND\nSEAL\n")
+                .back(),
+            "OK SEAL 1 bags");
+  ASSERT_EQ(registry.Peek(registry.Default().get()), nullptr)
+      << "default was not evicted";
+  for (const std::string& reply : session.HandleScript(kQueryScript)) {
+    EXPECT_EQ(reply.rfind("ERR E_STATE", 0), 0u) << reply;
+  }
+  EXPECT_EQ(registry.Stats(registry.Default().get()).reloads, 0u);
+  std::remove(seg.c_str());
+}
+
+// A LOADSEG that fails after its attribute table parsed interns nothing:
+// the next LOADSEG of the same attributes still sees a fresh catalog and
+// registers its segment as the reload source.
+TEST(ServerRegistryTest, FailedLoadSegInternsNothing) {
+  AttributeCatalog catalog;
+  DictionarySet dicts;
+  Result<std::vector<Bag>> bags = ParseCollection(TenantBagText(0), &catalog, &dicts);
+  ASSERT_TRUE(bags.ok()) << bags.status().ToString();
+  const std::string bad = testing::TempDir() + "registry_index_named.seg";
+  ASSERT_TRUE(WriteSegmentFile(bad, {"left", "7"}, *bags, catalog, dicts).ok());
+  const std::string good = WriteTenantSegment(0);
+  CollectionRegistry registry;
+  ServerSession session(&registry, nullptr);
+  std::vector<std::string> out = session.HandleScript("LOADSEG " + bad + "\n");
+  ASSERT_EQ(out.back().rfind("ERR E_PARSE bag name '7'", 0), 0u) << out.back();
+  ASSERT_EQ(session.HandleScript("LOADSEG " + good + "\nSEAL\n").back(), "OK SEAL 2 bags");
+  EXPECT_TRUE(registry.Stats(registry.Default().get()).reloadable);
+  std::remove(bad.c_str());
+  std::remove(good.c_str());
 }
 
 // Concurrent Acquires of one evicted tenant share a single reload, and

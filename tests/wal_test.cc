@@ -442,23 +442,17 @@ std::vector<size_t> WalBoundaries(const std::string& image) {
   return boundaries;
 }
 
-// Recovers `wal_image` over `seg_path` in a fresh registry, exactly as
-// bagcd --preload-seg --wal-dir does at startup. Returns the replayed
-// generation count, or an error when recovery must refuse.
+// Recovers `wal_image` over `seg_path` in a fresh registry through
+// CollectionRegistry::Restore, the call bagcd --preload-seg --wal-dir
+// makes at startup. Returns the replayed generation count, or an error
+// when recovery must refuse.
 Result<uint64_t> RecoverInto(CollectionRegistry* registry,
                              const std::string& wal_dir,
                              const std::string& wal_name,
                              const std::string& wal_image,
                              const std::string& seg_path) {
   WriteFileBytes(wal_dir + "/" + wal_name, wal_image);
-  registry->SetRecoveryMode(true);
-  ServerSession session(registry, nullptr);
-  std::vector<std::string> responses =
-      session.HandleScript("LOADSEG " + seg_path + "\nSEAL\n");
-  EXPECT_EQ(responses.back().rfind("OK SEAL", 0), 0u) << responses.back();
-  Result<uint64_t> replayed = registry->ReplayWal(registry->Default().get());
-  registry->SetRecoveryMode(false);
-  return replayed;
+  return registry->Restore(registry->Default().get(), seg_path);
 }
 
 TEST(WalRecoveryTest, RandomizedHistoryRecoversBitIdenticalAtEveryTruncation) {
@@ -636,6 +630,118 @@ TEST(WalRecoveryTest, PoisonedWalRefusesDeltasUntilANewEpoch) {
   }
   EXPECT_EQ(registry.wal_records_total(), 0u)
       << "the poisoned epoch's log must not survive the re-seal";
+}
+
+// The value of `key` in the STATS reply for `what` ("" = global keys,
+// else a collection name).
+uint64_t StatValue(ServerSession* session, const std::string& what,
+                   const std::string& key) {
+  std::string verb = what.empty() ? "STATS\n" : "STATS " + what + "\n";
+  for (const std::string& line : session->HandleScript(verb)) {
+    if (line.rfind(key + " ", 0) == 0) return std::stoull(line.substr(key.size() + 1));
+  }
+  ADD_FAILURE() << "STATS " << what << " carried no " << key << " key";
+  return 0;
+}
+
+// A restore counts as the one startup seal, not as a reload: STATS reads
+// seals 1, reloads 0, N replayed generations, and the folded
+// generations are numbered past the logged ones (logged 2..4, folded
+// 5..7).
+TEST(WalRecoveryTest, RestoreStatsMatchTheStartupSeal) {
+  std::string seg_path = WriteBaseSegment("wal_restore_stats.seg", 0);
+  CollectionRegistry::Options opts;
+  opts.wal_dir = MakeWalDir("wal_restore_stats");
+  {
+    CollectionRegistry live(opts);
+    ServerSession writer(&live, nullptr);
+    std::string script = "LOADSEG " + seg_path + "\nSEAL\n";
+    for (int i = 0; i < 3; ++i) script += "INSERT left item store\n0 0 : 1\nEND\n";
+    std::vector<std::string> r = writer.HandleScript(script);
+    ASSERT_EQ(r.back().rfind("OK INSERT left 1 rows 2 bags", 0), 0u) << r.back();
+    ASSERT_EQ(live.wal_records_total(), 3u);
+  }
+  CollectionRegistry restored(opts);
+  Result<uint64_t> replayed = restored.Restore(restored.Default().get(), seg_path);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(*replayed, 3u);
+  ServerSession prober(&restored, nullptr);
+  EXPECT_EQ(StatValue(&prober, "", "seals"), 1u);
+  EXPECT_EQ(StatValue(&prober, "", "replayed_generations"), 3u);
+  EXPECT_EQ(StatValue(&prober, "", "snapshot"), 7u);
+  EXPECT_EQ(StatValue(&prober, "default", "reloads"), 0u);
+  EXPECT_EQ(StatValue(&prober, "default", "reloadable"), 1u);
+}
+
+// A session whose catalog already held a segment attribute name seals a
+// different slot layout than the fresh-catalog restore rebuilds. Such a
+// collection must not journal against the segment: a restart serves the
+// bare base, never the committed rows with their columns permuted onto
+// ids no dictionary issued.
+TEST(WalRecoveryTest, PreInternedAttributesNeverReplayPermutedRows) {
+  std::string seg_path = WriteBaseSegment("wal_layout_base.seg", 0);
+  CollectionRegistry::Options opts;
+  opts.wal_dir = MakeWalDir("wal_layout");
+  std::vector<std::string> base;
+  {
+    CollectionRegistry fresh;
+    ServerSession oracle(&fresh, nullptr);
+    ASSERT_EQ(oracle.HandleScript("LOADSEG " + seg_path + "\nSEAL\n").back(),
+              "OK SEAL 2 bags");
+    base = oracle.HandleScript(kQueryScript);
+  }
+  {
+    CollectionRegistry live(opts);
+    ServerSession writer(&live, nullptr);
+    std::vector<std::string> r = writer.HandleScript(
+        "LOAD tmp region store\nEND\nDROP tmp\nLOADSEG " + seg_path +
+        "\nSEAL\nBEGIN\nINSERT left item store\n0 1 : 1\nEND\n"
+        "INSERT right store region\n1 0 : 1\nEND\nCOMMIT\n");
+    ASSERT_EQ(r.back(), "OK COMMIT 2 rows 2 bags");
+    EXPECT_EQ(StatValue(&writer, "default", "reloadable"), 0u);
+    EXPECT_EQ(live.wal_records_total(), 0u);
+  }
+  CollectionRegistry restarted(opts);
+  Result<uint64_t> replayed =
+      restarted.Restore(restarted.Default().get(), seg_path);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(*replayed, 0u);
+  ServerSession prober(&restarted, nullptr);
+  EXPECT_EQ(prober.HandleScript(kQueryScript), base);
+}
+
+// A CRC-valid record with the right base fingerprint can still carry an
+// id no dictionary issued; replay must refuse it, naming the generation.
+TEST(WalRecoveryTest, ReplayRefusesValueIdsNeverIssued) {
+  std::string seg_path = WriteBaseSegment("wal_badid_base.seg", 0);
+  std::string wal_dir = MakeWalDir("wal_badid");
+  Result<uint64_t> fingerprint = SegmentFingerprint(seg_path);
+  ASSERT_TRUE(fingerprint.ok()) << fingerprint.status().ToString();
+  std::string wal_path = wal_dir + "/default.wal";
+  std::remove(wal_path.c_str());
+  {
+    Result<WalWriter> writer = WalWriter::Open(wal_path);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    WalRecord record;
+    record.generation = 2;
+    record.base_fingerprint = *fingerprint;
+    WalBagBlock block;
+    block.bag_index = 0;  // left: item (3 values), store (2 values)
+    block.arity = 2;
+    block.ids = {0, 7};   // store id 7 was never issued
+    block.deltas = {1};
+    record.bags.push_back(block);
+    ASSERT_TRUE(writer->Append(record).ok());
+  }
+  CollectionRegistry::Options opts;
+  opts.wal_dir = wal_dir;
+  CollectionRegistry registry(opts);
+  Result<uint64_t> replayed = registry.Restore(registry.Default().get(), seg_path);
+  ASSERT_FALSE(replayed.ok()) << "replayed a never-issued id";
+  EXPECT_NE(replayed.status().message().find("WAL generation 2"), std::string::npos)
+      << replayed.status().ToString();
+  EXPECT_NE(replayed.status().message().find("value id 7"), std::string::npos)
+      << replayed.status().ToString();
 }
 
 TEST(WalRecoveryTest, SegmentFingerprintIdentifiesTheBase) {

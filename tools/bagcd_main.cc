@@ -16,9 +16,9 @@
 //                      port (written atomically via rename)
 //   --preload-seg PATH mmap the sealed-bag segment at PATH (see
 //                      docs/SEGMENT.md), seal it, and publish it as the
-//                      "default" collection's snapshot before accepting
-//                      queries — a daemon that restarts warm without any
-//                      client re-streaming rows
+//                      "default" collection's snapshot (its reload
+//                      source) before accepting queries — a daemon that
+//                      restarts warm without any client re-streaming rows
 //   --mem-budget-mb N  global budget for resident sealed snapshots; the
 //                      coldest collections are evicted past it and lazily
 //                      reloaded from their segments on the next query
@@ -51,7 +51,6 @@
 #include <thread>
 
 #include "server/bagcd_server.h"
-#include "server/session.h"
 #include "util/simd.h"
 
 namespace {
@@ -146,35 +145,22 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!preload_seg.empty()) {
-    // An internal session loads and seals the segment exactly as a
-    // client's "LOADSEG <path>" + "SEAL" would, so the published
-    // snapshot is indistinguishable from a client-streamed one. The
-    // port file is written after this, so harnesses that wait for it
-    // never race a half-warm daemon. Recovery mode keeps this internal
-    // SEAL from resetting the WAL the replay below folds in.
-    (*server)->registry().SetRecoveryMode(true);
-    bagc::ServerSession session(&(*server)->registry(), nullptr);
-    std::vector<std::string> responses =
-        session.HandleScript("LOADSEG " + preload_seg + "\nSEAL\n");
-    for (const std::string& response : responses) {
-      if (response.rfind("OK", 0) != 0) {
-        std::fprintf(stderr, "bagcd: --preload-seg failed: %s\n",
-                     response.c_str());
-        return 1;
-      }
-    }
-    std::printf("bagcd: preloaded %s\n", preload_seg.c_str());
-    auto replayed = (*server)->registry().ReplayWal(
-        (*server)->registry().Default().get());
+    // The registry's reload restores the segment and folds its WAL, so a
+    // restart serves exactly what a post-eviction reload would. The port
+    // file is written after this, so harnesses that wait for it never
+    // race a half-warm daemon. A WAL that cannot replay (fingerprint
+    // mismatch, mid-file corruption) stops the daemon: serving the bare
+    // base would silently roll back committed generations.
+    bagc::CollectionRegistry& registry = (*server)->registry();
+    auto replayed = registry.Restore(registry.Default().get(), preload_seg);
     if (!replayed.ok()) {
-      // A WAL that cannot replay (fingerprint mismatch, mid-file
-      // corruption) must stop the daemon: serving the bare base would
-      // silently roll back committed generations.
-      std::fprintf(stderr, "bagcd: WAL recovery failed: %s\n",
+      std::fprintf(stderr, "bagcd: %s: %s\n",
+                   options.registry.wal_dir.empty() ? "--preload-seg failed"
+                                                    : "WAL recovery failed",
                    replayed.status().ToString().c_str());
       return 1;
     }
-    (*server)->registry().SetRecoveryMode(false);
+    std::printf("bagcd: preloaded %s\n", preload_seg.c_str());
     if (*replayed > 0) {
       std::printf("bagcd: replayed %llu WAL generation(s)\n",
                   static_cast<unsigned long long>(*replayed));
