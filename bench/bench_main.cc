@@ -22,12 +22,14 @@
 //   embedded in the artifact. Suites: two-bag solve, pairwise sweep,
 //   engine batch.
 //
-//   columnar_probe: the SoA speedup on marginal-build/probe-heavy paths.
-//   Two pairs, row path (in the baseline field) vs columnar path: a
-//   single marginal build (the engine cache-fill kernel) and the
-//   hash-join matching phase (per-row TupleIndex::Find vs batch
-//   ColumnIndex::ProbeAll). Then each SIMD kernel at kScalar vs the best
-//   host level, and the serial LP row builder.
+//   columnar_probe: the columnar bag kernels. Small marginals
+//   (Bag::Marginal on BagBuilder output of 4/16/32 rows onto |Z| = 2 and
+//   3 — the sizes the small-input grouping arm serves; 32 is the hashed
+//   control), a single marginal build (the engine cache-fill kernel), the
+//   hash-join matching phase (batch ColumnIndex::ProbeAll), then each
+//   SIMD kernel at kScalar vs the best host level, and the serial LP row
+//   builder. Run with --baseline against an older build's artifact to
+//   read every leg as a before/after ratio.
 //
 //   server_session: the bagcd dictionary-aware protocol win. One
 //   in-process ServerSession runs the same serve cycle (RESET, load all
@@ -1053,71 +1055,71 @@ Bag MakeMarginalInput(size_t support, uint64_t seed) {
   return *MakeRandomBag(Schema{{0, 1, 2}}, options, &rng);
 }
 
+// n distinct rows over `arity` attributes, built through BagBuilder: the
+// last slot is the row number, the others cycle through 2, 3, 5, ... so
+// every marginal dropping the last slot collapses rows into groups.
+Bag MakeSmallMarginalInput(size_t n, size_t arity) {
+  static constexpr Value kCycles[] = {2, 3, 5};
+  std::vector<AttrId> attrs(arity);
+  for (size_t a = 0; a < arity; ++a) attrs[a] = static_cast<AttrId>(a);
+  BagBuilder builder{Schema{attrs}};
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<Value> row(arity);
+    for (size_t a = 0; a + 1 < arity; ++a) {
+      row[a] = static_cast<Value>(i) % kCycles[a];
+    }
+    row[arity - 1] = static_cast<Value>(i);
+    if (!builder.Add(Tuple{row}, 1 + i % 7).ok()) std::abort();
+  }
+  return *builder.Build();
+}
+
 void RunColumnarProbeSuite(std::vector<BenchResult>* results) {
-  // Marginal build R(A,B,C) -> R[{A,B}]: the engine cache-fill kernel.
-  // Rows: per-row Tuple projection + sort/merge (the PR 3 path).
-  // Columnar: gather the two columns, batch-hash, group in place.
+  // Small marginals R(X) -> R[Z], |Z| = |X| - 1: below 32 rows the
+  // sort-merge grouping arm, at 32 the hashed/dense arms (the control).
+  for (size_t z_arity : {2, 3}) {
+    const std::string name = "marginal_small_z" + std::to_string(z_arity);
+    std::vector<AttrId> z_attrs(z_arity);
+    for (size_t a = 0; a < z_arity; ++a) z_attrs[a] = static_cast<AttrId>(a);
+    Schema z{z_attrs};
+    for (size_t n : {4, 16, 32}) {
+      Bag r = MakeSmallMarginalInput(n, z_arity + 1);
+      results->push_back(Measure(name, n, [&] {
+        Bag m = *r.Marginal(z);
+        if (m.SupportSize() == 0) std::abort();
+      }));
+    }
+  }
+
+  // Marginal build R(A,B,C) -> R[{A,B}]: the engine cache-fill kernel —
+  // select the two columns, batch-hash, group in place.
   for (size_t support : {256, 1024, 4096}) {
     Bag r = MakeMarginalInput(support, 11000 + support);
     Schema z{{0, 1}};
-    BenchResult rows = Measure("marginal_build_rows", support, [&] {
-      Bag m = *r.MarginalRows(z);
+    results->push_back(Measure("marginal_build_columnar", support, [&] {
+      Bag m = *r.Marginal(z);
       if (m.SupportSize() == 0) std::abort();
-    });
-    BenchResult columnar = Measure("marginal_build_columnar", support, [&] {
-      Bag m = *r.MarginalColumnar(z);
-      if (m.SupportSize() == 0) std::abort();
-    });
-    columnar.baseline_ops_per_sec = rows.ops_per_sec;
-    results->push_back(std::move(rows));
-    results->push_back(std::move(columnar));
+    }));
   }
 
   // Hash-join matching phase (the N(R, S) / bag-join probe kernel): index
-  // S's shared columns, resolve every R row. Rows: TupleIndex with a
-  // per-row Tuple projection per insert/Find. Columnar: ColumnIndex with
-  // one gather + one batch ProbeAll.
+  // S's shared columns, resolve every R row in one batch ProbeAll.
   for (size_t support : {1024, 4096, 16384}) {
     auto [r, s] = MakeTwoBagInput(support, 13000 + support);
     Schema shared = Schema::Intersect(r.schema(), s.schema());
     Projector r_shared = *Projector::Make(r.schema(), shared);
     Projector s_shared = *Projector::Make(s.schema(), shared);
-    // Marginals come back columnar-sealed now; the row leg measures the
-    // PR 3 per-Tuple path, so materialize row-form twins for it (a
-    // same-value Set de-seals without changing a single multiplicity).
-    Bag r_rows = r;
-    Bag s_rows = s;
-    if (!r_rows.Set(r_rows.RowAt(0), r_rows.MultiplicityAt(0)).ok() ||
-        !s_rows.Set(s_rows.RowAt(0), s_rows.MultiplicityAt(0)).ok()) {
-      std::abort();
-    }
-    BenchResult rows = Measure("probe_batch_rows", support, [&] {
-      TupleIndex index(s_rows.SupportSize());
-      for (size_t j = 0; j < s_rows.SupportSize(); ++j) {
-        index.Insert(s_rows.entries()[j].first.Project(s_shared),
-                     static_cast<uint32_t>(j));
-      }
-      size_t hits = 0;
-      for (const auto& [x, mult] : r_rows.entries()) {
-        if (index.Find(x.Project(r_shared)) != nullptr) ++hits;
-      }
-      if (hits == 0) std::abort();
-    });
-    BenchResult columnar = Measure("probe_batch_columnar", support, [&] {
+    results->push_back(Measure("probe_batch_columnar", support, [&] {
       // The exact kernel Bag::Join / ConsistencyNetwork::Assign run:
-      // zero-copy shared-column views over the columnar-sealed bags.
-      ColumnStore r_backing, s_backing;
-      ColumnJoinMatch match(r.ProjectedView(r_shared, &r_backing),
-                            s.ProjectedView(s_shared, &s_backing));
+      // zero-copy shared-column views over the bags.
+      ColumnJoinMatch match(r.Columns().Select(r_shared),
+                            s.Columns().Select(s_shared));
       size_t hits = 0;
       for (size_t i = 0; i < r.SupportSize(); ++i) {
         hits += (match.MatchOf(i) != ColumnJoinMatch::kNoMatch);
       }
       if (hits == 0) std::abort();
-    });
-    columnar.baseline_ops_per_sec = rows.ops_per_sec;
-    results->push_back(std::move(rows));
-    results->push_back(std::move(columnar));
+    }));
   }
 
   // SIMD-explicit kernel legs: each dispatched batch kernel at kScalar

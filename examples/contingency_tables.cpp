@@ -61,11 +61,12 @@ int main() {
   auto witness = *SolveGlobalConsistencyExact(bags);
   if (witness.has_value()) {
     std::vector<uint64_t> table(n * n * n, 0);
-    for (const auto& [t, mult] : witness->entries()) {
+    for (size_t e = 0; e < witness->SupportSize(); ++e) {
+      Tuple t = witness->RowAt(e);
       size_t i = static_cast<size_t>(t.at(0));
       size_t j = static_cast<size_t>(t.at(1));
       size_t k = static_cast<size_t>(t.at(2));
-      table[(i * n + j) * n + k] = mult;
+      table[(i * n + j) * n + k] = witness->MultiplicityAt(e);
     }
     std::printf("reconstructed a realizing table; verifies: %s\n\n",
                 VerifyTable(published, table) ? "yes" : "no");

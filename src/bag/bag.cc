@@ -13,53 +13,33 @@ namespace bagc {
 
 namespace {
 
-bool EntryTupleLess(const Bag::Entry& e, const Tuple& t) { return e.first < t; }
+// GroupColumns inputs below this many rows sort-merge their row indices:
+// at that size a comparison sort beats hashing every row.
+constexpr size_t kSortGroupMaxRows = 32;
 
 }  // namespace
 
-const Bag::Entries& Bag::NoEntries() {
-  static const Entries kEmpty;
-  return kEmpty;
-}
-
-Bag::Entries& Bag::MutableEntries() {
-  if (columnar_ != nullptr) {
-    // De-seal: materialize the row form from the columns (delta staging
-    // and the other mutators are cold paths). Other bags sharing the
-    // columnar rep keep it — the rep is immutable.
-    std::shared_ptr<const Columnar> rep = columnar_;
-    size_t n = rep->columns.num_rows();
-    auto es = std::make_shared<Entries>();
-    es->reserve(n);
-    const uint64_t* mults = rep->mult_data();
-    for (size_t i = 0; i < n; ++i) {
-      es->emplace_back(rep->columns.RowAt(i), mults[i]);
-    }
-    entries_ = std::move(es);
-    columnar_.reset();
-  } else if (entries_ == nullptr) {
-    entries_ = std::make_shared<Entries>();
-  } else if (entries_.use_count() > 1) {
-    entries_ = std::make_shared<Entries>(*entries_);
-  }
-  return *entries_;
-}
-
-void Bag::SealColumnar() {
-  if (columnar_ != nullptr) return;
-  const Entries& es = entries_ ? *entries_ : NoEntries();
-  size_t n = es.size();
+Bag Bag::Sealed(Schema schema, ColumnStore columns,
+                std::vector<uint64_t> mults) {
+  Bag bag(std::move(schema));
+  if (columns.num_rows() == 0) return bag;
   auto rep = std::make_shared<Columnar>();
-  Projector identity = Projector::Make(schema_, schema_).value();
-  rep->columns = ColumnStore::FromEntries(es, identity);
-  rep->mults.resize(n);
-  for (size_t i = 0; i < n; ++i) rep->mults[i] = es[i].second;
-  AdoptColumnar(std::move(rep));
+  rep->columns = std::move(columns);
+  rep->mults = std::move(mults);
+  bag.rep_ = std::move(rep);
+  return bag;
+}
+
+ColumnView Bag::Columns() const {
+  if (rep_ == nullptr) {
+    return ColumnView(std::vector<const ValueId*>(schema_.arity(), nullptr), 0);
+  }
+  return rep_->columns.View();
 }
 
 std::shared_ptr<const ColumnStore> Bag::SharedColumns() const {
-  if (columnar_ == nullptr) return nullptr;
-  return std::shared_ptr<const ColumnStore>(columnar_, &columnar_->columns);
+  if (rep_ == nullptr) return nullptr;
+  return std::shared_ptr<const ColumnStore>(rep_, &rep_->columns);
 }
 
 Status Bag::ValidateColumnar(const Schema& schema, const ColumnView& rows,
@@ -88,12 +68,7 @@ Result<Bag> Bag::FromColumnar(Schema schema, ColumnStore columns,
     return Status::InvalidArgument("columnar rows and multiplicities differ");
   }
   BAGC_RETURN_NOT_OK(ValidateColumnar(schema, columns.View(), mults.data()));
-  auto rep = std::make_shared<Columnar>();
-  rep->columns = std::move(columns);
-  rep->mults = std::move(mults);
-  Bag bag(std::move(schema));
-  bag.AdoptColumnar(std::move(rep));
-  return bag;
+  return Sealed(std::move(schema), std::move(columns), std::move(mults));
 }
 
 Result<Bag> Bag::BorrowColumnar(Schema schema, const ValueId* column_major,
@@ -101,22 +76,14 @@ Result<Bag> Bag::BorrowColumnar(Schema schema, const ValueId* column_major,
                                 std::shared_ptr<const void> keep_alive) {
   ColumnStore store = ColumnStore::Borrow(column_major, rows, schema.arity());
   BAGC_RETURN_NOT_OK(ValidateColumnar(schema, store.View(), mults));
+  Bag bag(std::move(schema));
+  if (rows == 0) return bag;
   auto rep = std::make_shared<Columnar>();
   rep->columns = std::move(store);
   rep->borrowed_mults = mults;
   rep->keep_alive = std::move(keep_alive);
-  Bag bag(std::move(schema));
-  bag.AdoptColumnar(std::move(rep));
+  bag.rep_ = std::move(rep);
   return bag;
-}
-
-Bag::Entries::iterator Bag::LowerBound(Entries& es, const Tuple& t) {
-  return std::lower_bound(es.begin(), es.end(), t, EntryTupleLess);
-}
-
-Bag::Entries::const_iterator Bag::LowerBound(const Tuple& t) const {
-  const Entries& es = entries();
-  return std::lower_bound(es.begin(), es.end(), t, EntryTupleLess);
 }
 
 Status Bag::Set(const Tuple& t, uint64_t mult) {
@@ -124,16 +91,7 @@ Status Bag::Set(const Tuple& t, uint64_t mult) {
     return Status::InvalidArgument("tuple arity does not match bag schema");
   }
   if (mult == 0 && Multiplicity(t) == 0) return Status::OK();  // no-op erase
-  Entries& es = MutableEntries();
-  auto it = LowerBound(es, t);
-  bool present = it != es.end() && it->first == t;
-  if (mult == 0) {
-    if (present) es.erase(it);
-  } else if (present) {
-    it->second = mult;
-  } else {
-    es.insert(it, Entry{t, mult});
-  }
+  MergeRows({{t, mult}});
   return Status::OK();
 }
 
@@ -142,51 +100,87 @@ Status Bag::Add(const Tuple& t, uint64_t mult) {
     return Status::InvalidArgument("tuple arity does not match bag schema");
   }
   if (mult == 0) return Status::OK();
-  Entries& es = MutableEntries();
-  auto it = LowerBound(es, t);
-  if (it != es.end() && it->first == t) {
-    BAGC_ASSIGN_OR_RETURN(it->second, CheckedAdd(it->second, mult));
-  } else {
-    es.insert(it, Entry{t, mult});
-  }
+  BAGC_ASSIGN_OR_RETURN(uint64_t sum, CheckedAdd(Multiplicity(t), mult));
+  MergeRows({{t, sum}});
   return Status::OK();
 }
 
 uint64_t Bag::Multiplicity(const Tuple& t) const {
-  if (columnar_ != nullptr) {
-    if (t.arity() != schema_.arity()) return 0;  // never in the support
-    const ColumnStore& cs = columnar_->columns;
-    size_t arity = schema_.arity();
-    // Binary search replicating Tuple::operator< exactly (including
-    // value order for side-table ids) against the column layout.
-    auto row_less = [&](size_t r) {
-      for (size_t c = 0; c < arity; ++c) {
-        ValueId x = cs.column(c)[r];
-        ValueId y = t.id(c);
-        if (x == y) continue;
-        if ((x | y) < kDirectValueLimit) return x < y;
-        return ValueIdLess(x, y);
-      }
-      return false;
-    };
-    size_t lo = 0;
-    size_t hi = cs.num_rows();
-    while (lo < hi) {
-      size_t mid = lo + (hi - lo) / 2;
-      if (row_less(mid)) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo == cs.num_rows()) return 0;
+  if (rep_ == nullptr || t.arity() != schema_.arity()) return 0;
+  const ColumnStore& cs = rep_->columns;
+  size_t arity = schema_.arity();
+  // Binary search replicating Tuple::operator< exactly (including value
+  // order for side-table ids) against the column layout.
+  auto row_less = [&](size_t r) {
     for (size_t c = 0; c < arity; ++c) {
-      if (cs.column(c)[lo] != t.id(c)) return 0;
+      ValueId x = cs.column(c)[r];
+      ValueId y = t.id(c);
+      if (x == y) continue;
+      if ((x | y) < kDirectValueLimit) return x < y;
+      return ValueIdLess(x, y);
     }
-    return columnar_->mult_data()[lo];
+    return false;
+  };
+  size_t lo = 0;
+  size_t hi = cs.num_rows();
+  while (lo < hi) {
+    size_t mid = lo + (hi - lo) / 2;
+    if (row_less(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
   }
-  auto it = LowerBound(t);
-  return (it != entries().end() && it->first == t) ? it->second : 0;
+  if (lo == cs.num_rows()) return 0;
+  for (size_t c = 0; c < arity; ++c) {
+    if (cs.column(c)[lo] != t.id(c)) return 0;
+  }
+  return rep_->mult_data()[lo];
+}
+
+void Bag::MergeRows(const std::vector<std::pair<Tuple, uint64_t>>& updates) {
+  const size_t n = SupportSize();
+  const size_t arity = schema_.arity();
+  ColumnView old = Columns();
+  const uint64_t* old_mults = MultiplicityData();
+  Projector identity = Projector::Make(schema_, schema_).value();
+  ColumnStore upd_store = ColumnStore::FromEntries(updates, identity);
+  ColumnView upd = upd_store.View();
+  // Output row sources: an old row index, or kFromUpdate | update index.
+  constexpr size_t kFromUpdate = size_t{1} << (sizeof(size_t) * 8 - 1);
+  std::vector<size_t> source;
+  std::vector<uint64_t> mults;
+  source.reserve(n + updates.size());
+  mults.reserve(n + updates.size());
+  size_t i = 0;
+  for (size_t k = 0; k < updates.size(); ++k) {
+    int cmp = 1;
+    while (i < n && (cmp = old.CompareRows(i, upd, k)) < 0) {
+      source.push_back(i);
+      mults.push_back(old_mults[i++]);
+    }
+    if (cmp == 0) ++i;  // the update replaces old row i
+    if (updates[k].second != 0) {
+      source.push_back(kFromUpdate | k);
+      mults.push_back(updates[k].second);
+    }
+  }
+  for (; i < n; ++i) {
+    source.push_back(i);
+    mults.push_back(old_mults[i]);
+  }
+  const size_t rows = source.size();
+  std::vector<ValueId> data(arity * rows);
+  for (size_t c = 0; c < arity; ++c) {
+    ValueId* dst = data.data() + c * rows;
+    for (size_t r = 0; r < rows; ++r) {
+      size_t s = source[r];
+      dst[r] = (s & kFromUpdate) ? upd.at(s & ~kFromUpdate, c) : old.at(s, c);
+    }
+  }
+  *this = Sealed(schema_,
+                 ColumnStore::FromColumnMajor(std::move(data), rows, arity),
+                 std::move(mults));
 }
 
 Result<size_t> Bag::ApplyRowDeltas(
@@ -228,55 +222,15 @@ Result<size_t> Bag::ApplyRowDeltas(
       next.emplace_back(t, bumped);
     }
   }
-  // Commit: Set with a validated arity and multiplicity cannot fail.
-  for (const auto& [t, mult] : next) {
-    Status set = Set(t, mult);
-    if (!set.ok()) return set;
-  }
+  // `net` is a sorted map, so `next` is strictly ascending.
+  if (!next.empty()) MergeRows(next);
   return next.size();
 }
 
-Result<Bag> Bag::Marginal(const Schema& z) const {
-  // A columnar-sealed bag always groups columnar — the row path would
-  // materialize every row first.
-  if (columnar_ != nullptr || SupportSize() >= kColumnarMinRows) {
-    return MarginalColumnar(z);
-  }
-  return MarginalRows(z);
-}
-
-Result<Bag> Bag::MarginalRows(const Schema& z) const {
+Result<Bag> Bag::Marginal(const Schema& z, simd::SimdLevel level) const {
   BAGC_ASSIGN_OR_RETURN(Projector proj, Projector::Make(schema_, z));
-  BagBuilder builder(z);
-  size_t n = SupportSize();
-  builder.Reserve(n);
-  if (columnar_ != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      BAGC_RETURN_NOT_OK(builder.Add(RowAt(i).Project(proj), MultiplicityAt(i)));
-    }
-  } else {
-    for (const auto& [t, mult] : entries()) {
-      BAGC_RETURN_NOT_OK(builder.Add(t.Project(proj), mult));
-    }
-  }
-  return builder.Build();
-}
-
-Result<Bag> Bag::MarginalColumnar(const Schema& z,
-                                  simd::SimdLevel level) const {
-  BAGC_ASSIGN_OR_RETURN(Projector proj, Projector::Make(schema_, z));
-  size_t n = SupportSize();
-  if (columnar_ != nullptr) {
-    // Zero-copy: select the Z columns straight out of the live store.
-    ColumnView sel = columnar_->columns.View().Select(proj);
-    return GroupColumns(z, sel, columnar_->mult_data(), n, level);
-  }
-  // Row form: gather only the Z columns — the projection happens during
-  // the transpose, so the grouping below never touches a non-Z slot.
-  ColumnStore cols = ColumnStore::FromEntries(entries(), proj);
-  std::vector<uint64_t> mults(n);
-  for (size_t i = 0; i < n; ++i) mults[i] = (*entries_)[i].second;
-  return GroupColumns(z, cols.View(), mults.data(), n, level);
+  return GroupColumns(z, Columns().Select(proj), MultiplicityData(),
+                      SupportSize(), level);
 }
 
 Result<Bag> Bag::GroupColumns(const Schema& z, const ColumnView& projected,
@@ -287,6 +241,7 @@ Result<Bag> Bag::GroupColumns(const Schema& z, const ColumnView& projected,
   }
   level = simd::Resolve(level);
   if (n == 0) return Bag(z);
+  if (n < kSortGroupMaxRows) return GroupSorted(z, projected, mults, n);
   size_t arity = z.arity();
   // Radix-style dense path for the common shared-attribute arities: pack
   // the (<= 2) key ids into one integer and count into a flat table. Only
@@ -307,6 +262,34 @@ Result<Bag> Bag::GroupColumns(const Schema& z, const ColumnView& projected,
     }
   }
   return GroupHashed(z, projected, mults, level);
+}
+
+Result<Bag> Bag::GroupSorted(const Schema& z, const ColumnView& projected,
+                             const uint64_t* mults, size_t n) {
+  // Insertion sort of the row indices: stable, so equal rows stay in
+  // ascending row order and each run sums in the same order as the other
+  // kernels — overflow trips at the identical row.
+  uint32_t order[kSortGroupMaxRows];
+  for (uint32_t r = 0; r < n; ++r) {
+    size_t k = r;
+    for (; k > 0 && projected.CompareRows(r, projected, order[k - 1]) < 0; --k) {
+      order[k] = order[k - 1];
+    }
+    order[k] = r;
+  }
+  uint32_t leads[kSortGroupMaxRows];
+  std::vector<uint64_t> sums;
+  sums.reserve(n);
+  for (size_t k = 0; k < n; ++k) {
+    uint32_t r = order[k];
+    if (!sums.empty() && projected.RowsEqual(leads[sums.size() - 1], projected, r)) {
+      BAGC_ASSIGN_OR_RETURN(sums.back(), CheckedAdd(sums.back(), mults[r]));
+    } else {
+      leads[sums.size()] = r;
+      sums.push_back(mults[r]);
+    }
+  }
+  return EmitGroups(z, projected, leads, std::move(sums));
 }
 
 Result<Bag> Bag::GroupDense(const Schema& z, const ColumnView& projected,
@@ -361,12 +344,8 @@ Result<Bag> Bag::GroupDense(const Schema& z, const ColumnView& projected,
       }
     }
   }
-  auto rep = std::make_shared<Columnar>();
-  rep->columns = ColumnStore::FromColumnMajor(std::move(data), groups, arity);
-  rep->mults = std::move(out_mults);
-  Bag bag(z);
-  bag.AdoptColumnar(std::move(rep));
-  return bag;
+  return Sealed(z, ColumnStore::FromColumnMajor(std::move(data), groups, arity),
+                std::move(out_mults));
 }
 
 Result<Bag> Bag::GroupHashed(const Schema& z, const ColumnView& projected,
@@ -382,70 +361,48 @@ Result<Bag> Bag::GroupHashed(const Schema& z, const ColumnView& projected,
     }
     sums[g] = total;
   }
-  // Sort groups into Tuple order by their lead rows (ValueIdLess-aware),
-  // then emit the sealed columnar layout directly — no per-group Tuple.
+  // Sort groups into Tuple order by their lead rows (ValueIdLess-aware).
   std::vector<uint32_t> order(ng);
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
     return projected.CompareRows(groups.LeadRow(x), projected,
                                  groups.LeadRow(y)) < 0;
   });
-  size_t arity = projected.arity();
-  std::vector<ValueId> data(arity * ng);
-  std::vector<uint64_t> out_mults(ng);
+  std::vector<uint32_t> leads(ng);
+  std::vector<uint64_t> sorted_sums(ng);
   for (size_t g = 0; g < ng; ++g) {
-    uint32_t lead = groups.LeadRow(order[g]);
-    for (size_t c = 0; c < arity; ++c) {
-      data[c * ng + g] = projected.at(lead, c);
-    }
-    out_mults[g] = sums[order[g]];
+    leads[g] = groups.LeadRow(order[g]);
+    sorted_sums[g] = sums[order[g]];
   }
-  auto rep = std::make_shared<Columnar>();
-  rep->columns = ColumnStore::FromColumnMajor(std::move(data), ng, arity);
-  rep->mults = std::move(out_mults);
-  Bag bag(z);
-  bag.AdoptColumnar(std::move(rep));
-  return bag;
+  return EmitGroups(z, projected, leads.data(), std::move(sorted_sums));
 }
 
-ColumnStore Bag::ToColumns() const {
-  if (columnar_ != nullptr) {
-    const ColumnStore& cs = columnar_->columns;
-    // Borrow the live store (the bag must outlive the result). The
-    // column-major span is contiguous for owned and borrowed stores
-    // alike, so column(0) is the base of the whole layout.
-    return ColumnStore::Borrow(
-        schema_.arity() == 0 ? nullptr : cs.column(0), cs.num_rows(),
-        schema_.arity());
+Bag Bag::EmitGroups(const Schema& z, const ColumnView& projected,
+                    const uint32_t* leads, std::vector<uint64_t> sums) {
+  // Straight into the sealed columnar layout — no per-group Tuple.
+  size_t arity = projected.arity();
+  size_t ng = sums.size();
+  std::vector<ValueId> data(arity * ng);
+  for (size_t c = 0; c < arity; ++c) {
+    for (size_t g = 0; g < ng; ++g) data[c * ng + g] = projected.at(leads[g], c);
   }
-  // The identity projection is always valid.
-  Projector identity = Projector::Make(schema_, schema_).value();
-  return ColumnStore::FromEntries(entries(), identity);
-}
-
-ColumnView Bag::ProjectedView(const Projector& proj,
-                              ColumnStore* backing) const {
-  if (columnar_ != nullptr) return columnar_->columns.View().Select(proj);
-  *backing = ColumnStore::FromEntries(entries(), proj);
-  return backing->View();
+  return Sealed(z, ColumnStore::FromColumnMajor(std::move(data), ng, arity),
+                std::move(sums));
 }
 
 Result<Bag> Bag::Join(const Bag& r, const Bag& s) {
   BAGC_ASSIGN_OR_RETURN(TupleJoiner joiner, TupleJoiner::Make(r.schema(), s.schema()));
   // Hash-partition the right side on the shared attributes, columnar: the
-  // matching phase projects just the shared columns of both sides —
-  // zero-copy when a side is columnar-sealed — and resolves every probe
-  // in one ProbeAll batch. Output tuples assemble via RowAt (the join
-  // build is a sanctioned materialization point).
+  // matching phase selects just the shared columns of both sides
+  // (zero-copy) and resolves every probe in one ProbeAll batch. Output
+  // tuples assemble via RowAt (the join build is a sanctioned
+  // materialization point).
   BAGC_ASSIGN_OR_RETURN(Projector r_shared,
                         Projector::Make(r.schema(), joiner.shared_schema()));
   BAGC_ASSIGN_OR_RETURN(Projector s_shared,
                         Projector::Make(s.schema(), joiner.shared_schema()));
-  ColumnStore r_backing;
-  ColumnStore s_backing;
-  ColumnView r_sh = r.ProjectedView(r_shared, &r_backing);
-  ColumnView s_sh = s.ProjectedView(s_shared, &s_backing);
-  ColumnJoinMatch match(r_sh, s_sh);
+  ColumnJoinMatch match(r.Columns().Select(r_shared),
+                        s.Columns().Select(s_shared));
   BagBuilder builder(joiner.joined_schema());
   size_t rn = r.SupportSize();
   for (size_t i = 0; i < rn; ++i) {
@@ -474,31 +431,15 @@ bool Bag::operator==(const Bag& o) const {
   if (schema_ != o.schema_) return false;
   size_t n = SupportSize();
   if (n != o.SupportSize()) return false;
-  if (n == 0) return true;
-  if (entries_ != nullptr && o.entries_ != nullptr) {
-    return entries_ == o.entries_ || *entries_ == *o.entries_;
-  }
+  if (n == 0 || rep_ == o.rep_) return true;
+  // The whole id layout is one contiguous column-major span per side.
   size_t arity = schema_.arity();
-  if (columnar_ != nullptr && o.columnar_ != nullptr) {
-    if (columnar_ == o.columnar_) return true;
-    // Both columnar: the whole id layout is one contiguous span per side.
-    const ColumnStore& a = columnar_->columns;
-    const ColumnStore& b = o.columnar_->columns;
-    if (arity != 0 &&
-        std::memcmp(a.column(0), b.column(0), n * arity * sizeof(ValueId)) != 0) {
-      return false;
-    }
-    return std::memcmp(columnar_->mult_data(), o.columnar_->mult_data(),
-                       n * sizeof(uint64_t)) == 0;
+  if (arity != 0 && std::memcmp(rep_->columns.column(0), o.rep_->columns.column(0),
+                                n * arity * sizeof(ValueId)) != 0) {
+    return false;
   }
-  // Mixed representations: compare row-wise without materializing.
-  for (size_t i = 0; i < n; ++i) {
-    if (MultiplicityAt(i) != o.MultiplicityAt(i)) return false;
-    for (size_t c = 0; c < arity; ++c) {
-      if (IdAt(i, c) != o.IdAt(i, c)) return false;
-    }
-  }
-  return true;
+  return std::memcmp(rep_->mult_data(), o.rep_->mult_data(),
+                     n * sizeof(uint64_t)) == 0;
 }
 
 uint64_t Bag::MultiplicityBound() const {
@@ -534,16 +475,12 @@ uint64_t Bag::BinarySize() const {
 }
 
 size_t Bag::ApproxBytes() const {
+  if (rep_ == nullptr) return 0;
   size_t n = SupportSize();
-  size_t arity = schema_.arity();
-  if (columnar_ != nullptr) {
-    size_t bytes = sizeof(Columnar);
-    if (!columnar_->columns.is_borrowed()) bytes += n * arity * sizeof(ValueId);
-    if (columnar_->borrowed_mults == nullptr) bytes += n * sizeof(uint64_t);
-    return bytes;
-  }
-  // Row form: one (Tuple, u64) pair per entry plus the Tuple's heap ids.
-  return sizeof(Entries) + n * (sizeof(Entry) + arity * sizeof(ValueId));
+  size_t bytes = sizeof(Columnar);
+  if (!rep_->columns.is_borrowed()) bytes += n * schema_.arity() * sizeof(ValueId);
+  if (rep_->borrowed_mults == nullptr) bytes += n * sizeof(uint64_t);
+  return bytes;
 }
 
 std::string Bag::ToString(const AttributeCatalog& catalog) const {
@@ -585,13 +522,17 @@ Status BagBuilder::AddExternal(const std::vector<std::string>& tokens,
 }
 
 Result<Bag> BagBuilder::Build() {
+  std::vector<std::pair<Tuple, uint64_t>> rows = std::move(pending_);
+  pending_.clear();
   BAGC_RETURN_NOT_OK(internal::SealEntries(
-      &pending_, [](uint64_t a, uint64_t b) { return CheckedAdd(a, b); },
+      &rows, [](uint64_t a, uint64_t b) { return CheckedAdd(a, b); },
       [](uint64_t m) { return m == 0; }));
-  Bag bag(schema_);
-  bag.AdoptEntries(std::move(pending_));
-  pending_ = Bag::Entries();
-  return bag;
+  // The identity projection is always valid.
+  Projector identity = Projector::Make(schema_, schema_).value();
+  std::vector<uint64_t> mults(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) mults[i] = rows[i].second;
+  return Bag::Sealed(schema_, ColumnStore::FromEntries(rows, identity),
+                     std::move(mults));
 }
 
 Result<Bag> MakeBag(
@@ -599,7 +540,8 @@ Result<Bag> MakeBag(
     const std::vector<std::pair<std::vector<Value>, uint64_t>>& rows) {
   BagBuilder builder(schema);
   builder.Reserve(rows.size());
-  // Tuples already carrying a nonzero multiplicity; a repeat is an error.
+  // Every tuple seen so far, zero multiplicities included; a repeat is an
+  // error whichever occurrence carries the zero.
   TupleIndex seen(rows.size());
   for (const auto& [values, mult] : rows) {
     if (values.size() != schema.arity()) {
@@ -609,10 +551,8 @@ Result<Bag> MakeBag(
     if (seen.Find(t) != nullptr) {
       return Status::AlreadyExists("duplicate tuple in MakeBag rows: " + t.ToString());
     }
-    if (mult != 0) {
-      seen.Insert(t, 0);
-      BAGC_RETURN_NOT_OK(builder.Add(std::move(t), mult));
-    }
+    seen.Insert(t, 0);
+    BAGC_RETURN_NOT_OK(builder.Add(std::move(t), mult));
   }
   return builder.Build();
 }

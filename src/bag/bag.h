@@ -3,25 +3,17 @@
 // ⋈_b. Support rows are kept sorted by tuple so iteration order — and
 // hence all downstream algorithms and printouts — is deterministic.
 //
-// Storage has two representations, exactly one of which is live:
+// Storage is one immutable columnar rep: a ColumnStore holding the sorted
+// rows column-major plus an aligned multiplicity array. BagBuilder seals
+// straight into it, and the BAGCSEG mmap segment format is its on-disk
+// twin (BorrowColumnar serves a mapped segment in place). Copies share
+// the rep. Every mutator (Set/Add/ApplyRowDeltas) is one merge pass over
+// the old columns that produces a fresh rep, so bags still sharing the
+// old one keep it.
 //
-//  * Row (AoS): a flat vector of (Tuple, multiplicity) entries. The
-//    construction/mutation form — builders, Set/Add, delta staging.
-//  * Columnar (SoA): one ColumnStore holding the sorted rows column-major
-//    plus a flat multiplicity array. The *serving* form: sealed bags hand
-//    ownership of their rows to the ColumnStore and keep no per-row
-//    Tuples alive at all (SealColumnar), which roughly halves resident
-//    memory and is the layout every hot kernel (HashRows, ProbeAll,
-//    GroupColumns) runs on. The BAGCSEG mmap segment format is the
-//    on-disk twin: BorrowColumnar serves a mapped segment in place.
-//
-// "ColumnStore is the bag": on a columnar-sealed bag, per-row Tuples
-// exist only on demand via RowAt, and only cold paths may ask — text
-// write-out, delta staging (any mutator materializes the row form first
-// via copy-on-write). Hot paths use IdAt/MultiplicityAt/
-// Columns() and never allocate. entries() CHECK-fails on a columnar bag
-// so a hot path regressing into row iteration aborts tests instead of
-// silently re-materializing.
+// Per-row Tuples exist only on demand via RowAt, and only cold paths ask
+// (text write-out, delta staging). Hot paths use IdAt/MultiplicityAt/
+// Columns() and never allocate.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +27,6 @@
 #include "tuple/schema.h"
 #include "tuple/tuple.h"
 #include "util/checked_math.h"
-#include "util/logging.h"
 #include "util/result.h"
 #include "util/simd.h"
 
@@ -49,99 +40,71 @@ class BagBuilder;
 /// multiplicities is overflow-checked; mutators return Status.
 class Bag {
  public:
-  using Entry = std::pair<Tuple, uint64_t>;
-  /// Flat storage, sorted ascending by tuple; multiplicities positive.
-  using Entries = std::vector<Entry>;
-
   Bag() = default;
   explicit Bag(Schema schema) : schema_(std::move(schema)) {}
 
   const Schema& schema() const { return schema_; }
 
-  /// Sets R(t) := mult (erasing the entry when mult == 0).
+  /// Sets R(t) := mult (erasing the row when mult == 0). One merge pass;
+  /// bulk construction belongs in BagBuilder.
   Status Set(const Tuple& t, uint64_t mult);
-  /// Adds mult to R(t), overflow-checked.
+  /// Adds mult to R(t), overflow-checked. One merge pass, as Set.
   Status Add(const Tuple& t, uint64_t mult);
 
-  /// R(t); 0 when t not in the support. Columnar bags binary-search the
-  /// column store (same Tuple::operator< order, no materialization).
+  /// R(t); 0 when t not in the support. Binary-searches the columns
+  /// (same Tuple::operator< order, no materialization).
   uint64_t Multiplicity(const Tuple& t) const;
 
-  /// Applies signed row deltas in place: delta > 0 inserts (multiplicity
-  /// bump, overflow-checked), delta < 0 deletes (a delete to zero removes
-  /// the row from the support). Opposed deltas on the same tuple cancel
+  /// Applies signed row deltas: delta > 0 inserts (multiplicity bump,
+  /// overflow-checked), delta < 0 deletes (a delete to zero removes the
+  /// row from the support). Opposed deltas on the same tuple cancel
   /// before validation. All-or-nothing: arity mismatches
   /// (InvalidArgument), a delete below zero or a per-row net past int64
   /// (OutOfRange), or a multiplicity overflow leave the bag untouched.
-  /// Copy-on-write as with every mutator — other bags sharing this
-  /// storage keep the pre-delta rows. A columnar-sealed bag materializes
-  /// its row form first (delta staging is a sanctioned cold path);
-  /// re-seal with SealColumnar afterwards. Returns how many rows changed
-  /// multiplicity (0 when the deltas net to nothing; the bag is then
-  /// untouched).
+  /// The validated rows merge into the columns in one pass; other bags
+  /// sharing the old rep keep the pre-delta rows. Returns how many rows
+  /// changed multiplicity (0 when the deltas net to nothing; the bag is
+  /// then untouched).
   Result<size_t> ApplyRowDeltas(
       const std::vector<std::pair<Tuple, int64_t>>& deltas);
 
   /// |Supp(R)| — the support size ||R||_supp of §5.2.
-  size_t SupportSize() const {
-    return columnar_ ? columnar_->columns.num_rows()
-                     : (entries_ ? entries_->size() : 0);
-  }
+  size_t SupportSize() const { return rep_ ? rep_->columns.num_rows() : 0; }
   bool IsEmpty() const { return SupportSize() == 0; }
 
-  // ---- Representation-agnostic row access ----
+  // ---- Row access (i < SupportSize()) ----
 
   /// Id of (sorted row i, schema slot c); never allocates.
-  ValueId IdAt(size_t i, size_t c) const {
-    return columnar_ ? columnar_->columns.column(c)[i]
-                     : (*entries_)[i].first.id(c);
-  }
+  ValueId IdAt(size_t i, size_t c) const { return rep_->columns.column(c)[i]; }
   /// Multiplicity of the i-th smallest support tuple.
-  uint64_t MultiplicityAt(size_t i) const {
-    return columnar_ ? columnar_->mult_data()[i] : (*entries_)[i].second;
-  }
+  uint64_t MultiplicityAt(size_t i) const { return rep_->mult_data()[i]; }
   /// Materializes the i-th smallest support tuple. COLD PATHS ONLY
-  /// (text write-out, delta staging): allocates a fresh
-  /// Tuple per call on a columnar bag.
-  Tuple RowAt(size_t i) const {
-    return columnar_ ? columnar_->columns.RowAt(i) : (*entries_)[i].first;
-  }
+  /// (text write-out, delta staging): allocates a fresh Tuple per call.
+  Tuple RowAt(size_t i) const { return rep_->columns.RowAt(i); }
 
-  // ---- Columnar (sealed) representation ----
+  // ---- Columnar access ----
 
-  /// True when the bag's storage is the column store (no row vector).
-  bool columnar_sealed() const { return columnar_ != nullptr; }
+  /// View over the sorted rows (all schema slots); borrows this bag's
+  /// storage. An empty bag yields schema-arity null columns of 0 rows.
+  ColumnView Columns() const;
 
-  /// Converts row storage into the columnar form, dropping the flat
-  /// entry vector (other bags sharing it keep theirs). No-op when
-  /// already columnar. Every later mutation materializes rows again
-  /// via copy-on-write.
-  void SealColumnar();
-
-  /// View over the sorted rows (all schema slots). Columnar bags only.
-  ColumnView Columns() const {
-    BAGC_CHECK(columnar_ != nullptr && "Columns() requires a columnar-sealed bag");
-    return columnar_->columns.View();
-  }
-
-  /// The multiplicity array, index-aligned with Columns(). Columnar only.
+  /// The multiplicity array, index-aligned with Columns() (null when the
+  /// bag is empty).
   const uint64_t* MultiplicityData() const {
-    BAGC_CHECK(columnar_ != nullptr &&
-               "MultiplicityData() requires a columnar-sealed bag");
-    return columnar_->mult_data();
+    return rep_ ? rep_->mult_data() : nullptr;
   }
 
   /// Shares the bag's own column store (aliased shared_ptr keeping the
-  /// whole columnar rep alive); null for a row-form bag.
+  /// whole rep alive); null for an empty bag.
   std::shared_ptr<const ColumnStore> SharedColumns() const;
 
-  /// Builds a columnar-sealed bag from an owned column store + aligned
-  /// multiplicities. Validates the sealed-bag invariants — rows strictly
-  /// ascending (Tuple order), multiplicities positive, sizes aligned.
+  /// Builds a bag from an owned column store + aligned multiplicities.
+  /// Validates the sealed-bag invariants — rows strictly ascending (Tuple
+  /// order), multiplicities positive, sizes aligned.
   static Result<Bag> FromColumnar(Schema schema, ColumnStore columns,
                                   std::vector<uint64_t> mults);
 
-  /// Zero-copy columnar bag over external memory (the BAGCSEG mmap path):
+  /// Zero-copy bag over external memory (the BAGCSEG mmap path):
   /// `column_major` / `mults` must stay valid for the bag's lifetime,
   /// which `keep_alive` (e.g. a shared SegmentReader) guarantees.
   /// Validates the same invariants as FromColumnar.
@@ -149,58 +112,23 @@ class Bag {
                                     const uint64_t* mults, size_t rows,
                                     std::shared_ptr<const void> keep_alive);
 
-  /// Sorted (tuple, multiplicity) entries of a ROW-FORM bag. CHECK-fails
-  /// on a columnar-sealed bag: migrate the caller to IdAt/MultiplicityAt/
-  /// RowAt (hot) or Columns() (bulk) instead. The reference is
-  /// invalidated by any later mutation of this bag (entries are
-  /// copy-on-write; a mutation may swap the storage).
-  const Entries& entries() const {
-    BAGC_CHECK(columnar_ == nullptr &&
-               "entries() on a columnar-sealed bag - use RowAt/IdAt/Columns");
-    return entries_ ? *entries_ : NoEntries();
-  }
-
-  /// The i-th entry in sorted order; requires i < SupportSize().
-  const Entry& entry(size_t i) const { return entries()[i]; }
-
-  /// Marginal R[Z] per Equation (2); requires Z ⊆ X. The row/columnar
-  /// dispatch every caller goes through: columnar-sealed bags always
-  /// group columnar; row-form bags group columnar from kColumnarMinRows
-  /// rows up and via the row path below it (identical output).
-  Result<Bag> Marginal(const Schema& z) const;
-
-  /// Marginal via the row path: per-row Tuple projection + sort/merge.
-  /// The reference implementation the differential harness pins the
-  /// columnar path against; also the small-bag fast path.
-  Result<Bag> MarginalRows(const Schema& z) const;
-
-  /// Marginal via the columnar path: project the Z columns (zero-copy on
-  /// a columnar bag), group them with GroupColumns.
-  Result<Bag> MarginalColumnar(const Schema& z,
-                               simd::SimdLevel level = simd::SimdLevel::kAuto) const;
+  /// Marginal R[Z] per Equation (2); requires Z ⊆ X. Selects the Z
+  /// columns (zero-copy) and groups them with GroupColumns at `level`.
+  Result<Bag> Marginal(const Schema& z,
+                       simd::SimdLevel level = simd::SimdLevel::kAuto) const;
 
   /// Columnar grouping core: `projected` holds Z-layout columns whose row
   /// i carries multiplicity mults[i] (> 0); both have n rows. Sums
-  /// multiplicities of equal rows (overflow-checked) and returns the
-  /// sorted marginal over z, columnar-sealed. `level` picks the kernel:
-  /// arity <= 2 key ranges that pass the density gate use the radix
-  /// (dense-key) group-by with SIMD max/pack; everything else — and all
-  /// of kScalar, the differential twin — hash-groups via ColumnIndex.
-  /// All paths produce bit-identical bags.
+  /// multiplicities of equal rows (overflow-checked, in ascending row
+  /// order) and returns the sorted marginal over z. Inputs under 32 rows
+  /// sort-merge their row indices; larger arity <= 2 key ranges that pass
+  /// the density gate use the radix (dense-key) group-by with SIMD
+  /// max/pack; everything else — and all of kScalar, the differential
+  /// twin — hash-groups via ColumnIndex. All paths produce bit-identical
+  /// bags.
   static Result<Bag> GroupColumns(const Schema& z, const ColumnView& projected,
                                   const uint64_t* mults, size_t n,
                                   simd::SimdLevel level = simd::SimdLevel::kAuto);
-
-  /// Column-major copy of the sorted rows (one contiguous ValueId column
-  /// per schema slot). On a columnar-sealed bag this borrows the live
-  /// store (zero-copy; the bag must outlive the result); on a row-form
-  /// bag it gathers. Multiplicities stay with the bag (MultiplicityAt).
-  ColumnStore ToColumns() const;
-
-  /// Projects onto proj's columns: zero-copy Select on a columnar bag,
-  /// a gather into *backing otherwise. The view borrows from this bag
-  /// (or from *backing), so both must outlive it.
-  ColumnView ProjectedView(const Projector& proj, ColumnStore* backing) const;
 
   /// Bag join R ⋈_b S: support R' ⋈ S', multiplicity R(t[X]) * S(t[Y]).
   static Result<Bag> Join(const Bag& r, const Bag& s);
@@ -208,9 +136,8 @@ class Bag {
   /// Bag containment R ⊆_b S: R(t) <= S(t) for all t.
   static bool Contained(const Bag& r, const Bag& s);
 
-  /// Equality as functions (schema and all multiplicities). Two columnar
-  /// bags compare by flat memcmp of columns + multiplicities; mixed
-  /// representations compare row-wise without materializing.
+  /// Equality as functions (schema and all multiplicities): a flat
+  /// memcmp of columns + multiplicities.
   bool operator==(const Bag& o) const;
   bool operator!=(const Bag& o) const { return !(*this == o); }
 
@@ -226,8 +153,8 @@ class Bag {
   uint64_t BinarySize() const;
 
   /// Approximate resident bytes of this bag's storage (the STATS
-  /// `sealed_bytes` accounting): columnar = columns + mult array (0 for
-  /// borrowed/mmap-backed spans), row form = per-entry Tuple vectors.
+  /// `sealed_bytes` accounting): the rep header plus owned columns and
+  /// multiplicities (borrowed/mmap-backed spans count 0); 0 when empty.
   size_t ApproxBytes() const;
 
   /// The support as a set-semantics Relation is provided by
@@ -240,11 +167,10 @@ class Bag {
  private:
   friend class BagBuilder;
 
-  // Columnar (SoA) storage: sorted rows column-major plus an aligned
-  // multiplicity array. Immutable once built; shared across Bag copies
-  // (and aliased by SharedColumns), so a copy is a refcount bump exactly
-  // like the row form. `keep_alive` pins external memory (an mmap'd
-  // segment) behind a borrowed store/mult span.
+  // Sorted rows column-major plus an aligned multiplicity array.
+  // Immutable once built; shared across Bag copies (and aliased by
+  // SharedColumns), so a copy is a refcount bump. `keep_alive` pins
+  // external memory (an mmap'd segment) behind a borrowed store/mult span.
   struct Columnar {
     ColumnStore columns;
     std::vector<uint64_t> mults;             // owned; empty when borrowed
@@ -255,62 +181,49 @@ class Bag {
     }
   };
 
-  // Position of the first entry with tuple >= t (within `es`).
-  static Entries::iterator LowerBound(Entries& es, const Tuple& t);
-  Entries::const_iterator LowerBound(const Tuple& t) const;
-
-  // The shared empty vector behind entries() of a bag with no storage.
-  static const Entries& NoEntries();
-  // Copy-on-write gate: returns uniquely-owned row storage, cloning the
-  // shared vector — or materializing rows from the columnar form — first
-  // if needed. Every mutator goes through here; const accessors never do.
-  Entries& MutableEntries();
-  // Adopts freshly built storage (bulk construction paths).
-  void AdoptEntries(Entries entries) {
-    entries_ = std::make_shared<Entries>(std::move(entries));
-    columnar_.reset();
-  }
-  // Adopts a fully built columnar rep (GroupColumns, factories). The rep
-  // must satisfy the sealed invariants; no validation here.
-  void AdoptColumnar(std::shared_ptr<const Columnar> rep) {
-    columnar_ = std::move(rep);
-    entries_.reset();
-  }
+  // A bag over `schema` adopting owned columns + aligned multiplicities
+  // that already satisfy the sealed invariants (no validation here).
+  static Bag Sealed(Schema schema, ColumnStore columns,
+                    std::vector<uint64_t> mults);
   // Shared invariant check behind FromColumnar/BorrowColumnar.
   static Status ValidateColumnar(const Schema& schema, const ColumnView& rows,
                                  const uint64_t* mults);
+  // The one mutation: `updates` are (tuple, new multiplicity) rows,
+  // strictly ascending by tuple and arity-checked; multiplicity 0
+  // erases. One pass over the old columns builds a fresh rep.
+  void MergeRows(const std::vector<std::pair<Tuple, uint64_t>>& updates);
 
-  // GroupColumns kernels. Dense: pack each row's (<= 2) key ids into one
-  // integer and accumulate into a flat table scanned in key order —
+  // GroupColumns kernels. Sorted: stable-sort the row indices, merge
+  // neighbours (inputs under 32 rows; no heap scratch). Dense: pack each row's (<= 2) key ids into
+  // one integer and accumulate into a flat table scanned in key order —
   // valid only when all ids are direct-range (ascending id == Tuple
   // order) and the key range passed the density gate. Hashed: the
   // general path (ColumnIndex grouping + sort by lead row) and the
   // scalar differential twin.
+  static Result<Bag> GroupSorted(const Schema& z, const ColumnView& projected,
+                                 const uint64_t* mults, size_t n);
   static Result<Bag> GroupDense(const Schema& z, const ColumnView& projected,
                                 const uint64_t* mults, size_t n,
                                 uint64_t stride, uint64_t table,
                                 simd::SimdLevel level);
   static Result<Bag> GroupHashed(const Schema& z, const ColumnView& projected,
                                  const uint64_t* mults, simd::SimdLevel level);
+  // Emits one output row per group, in the given order: group g's key is
+  // projected row leads[g], its multiplicity sums[g].
+  static Bag EmitGroups(const Schema& z, const ColumnView& projected,
+                        const uint32_t* leads, std::vector<uint64_t> sums);
 
   Schema schema_;
-  // Row storage, shared across copies until one of them mutates. Copying
-  // a Bag — collections handed to an engine, snapshot generations,
-  // subcollections — is a refcount bump, which is what makes an
-  // incremental re-seal's "reship every untouched bag" step O(m) pointer
-  // copies instead of O(total rows). Null when empty or columnar-sealed.
-  std::shared_ptr<Entries> entries_;
-  // Columnar storage; null when the bag is in row form. At most one of
-  // entries_/columnar_ is non-null.
-  std::shared_ptr<const Columnar> columnar_;
+  // Null exactly when the bag is empty.
+  std::shared_ptr<const Columnar> rep_;
 };
 
 /// \brief Accumulates (tuple, multiplicity) rows and seals them into a Bag
-/// with one sort + merge, instead of a per-insert search.
+/// with one sort + merge, instead of a per-insert merge pass.
 ///
 /// Duplicate tuples merge by overflow-checked addition; zero-multiplicity
-/// rows are dropped. This is the construction path for the row-form bulk
-/// producers (marginals, joins, generators).
+/// rows are dropped. This is the construction path for every bulk
+/// producer (marginals of row streams, joins, generators, reductions).
 class BagBuilder {
  public:
   explicit BagBuilder(Schema schema) : schema_(std::move(schema)) {}
@@ -327,19 +240,20 @@ class BagBuilder {
   Status AddExternal(const std::vector<std::string>& tokens, uint64_t mult,
                      DictionarySet* dicts);
 
-  /// Sorts, merges duplicates (checked add), and moves the result out.
-  /// The builder is empty afterwards — including on error (an overflow
-  /// during the merge discards the pending rows) — and may be reused for
-  /// the same schema.
+  /// Sorts, merges duplicates (checked add), and seals the result
+  /// straight into columns. The builder is empty afterwards — including
+  /// on error (an overflow during the merge discards the pending rows) —
+  /// and may be reused for the same schema.
   Result<Bag> Build();
 
  private:
   Schema schema_;
-  Bag::Entries pending_;
+  std::vector<std::pair<Tuple, uint64_t>> pending_;
 };
 
 /// Convenience builder: bag over `schema` from (values..., multiplicity)
-/// rows. Fails on arity mismatch or duplicate tuples.
+/// rows. Fails on arity mismatch or duplicate tuples (a zero-multiplicity
+/// row still counts as an occurrence).
 Result<Bag> MakeBag(const Schema& schema,
                     const std::vector<std::pair<std::vector<Value>, uint64_t>>& rows);
 

@@ -182,10 +182,8 @@ Result<Bag> ParseBag(const std::vector<std::string>& lines, size_t* pos,
     if (seen.Find(t) != nullptr) {
       return Status::InvalidArgument("duplicate tuple: '" + std::string(line) + "'");
     }
-    if (mult != 0) {
-      seen.Insert(t, 0);
-      BAGC_RETURN_NOT_OK(builder.Add(std::move(t), mult));
-    }
+    seen.Insert(t, 0);
+    BAGC_RETURN_NOT_OK(builder.Add(std::move(t), mult));
   }
   return builder.Build();
 }
@@ -244,10 +242,8 @@ Result<Bag> BagFromU32Columns(const std::vector<std::string>& attr_names,
       return Status::InvalidArgument("duplicate tuple at row " +
                                      std::to_string(r));
     }
-    if (mults[r] != 0) {
-      seen.Insert(t, 0);
-      BAGC_RETURN_NOT_OK(builder.Add(std::move(t), mults[r]));
-    }
+    seen.Insert(t, 0);
+    BAGC_RETURN_NOT_OK(builder.Add(std::move(t), mults[r]));
   }
   return builder.Build();
 }

@@ -79,8 +79,8 @@ Result<Bag> BagFromU32Columns(const std::vector<std::string>& attr_names,
 
 /// Zero-copy twin of BagFromU32Columns for mmap'd sealed-bag segments:
 /// validates the columns in place and serves them through
-/// Bag::BorrowColumnar, so the bag holds no row vector and no column
-/// copy — `keep_alive` (the shared SegmentReader) pins the mapping.
+/// Bag::BorrowColumnar, so the bag holds no column copy — `keep_alive`
+/// (the shared SegmentReader) pins the mapping.
 /// Stricter than the copying arm by design: the columns must already be
 /// in sorted-schema slot order, contiguous column-major, strictly
 /// row-ascending, with no zero multiplicities — exactly what

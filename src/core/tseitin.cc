@@ -6,16 +6,17 @@ namespace bagc {
 
 namespace {
 
-// Appends to `bag` all tuples t: X -> {0..d-1} whose value sum is congruent
-// to `target` mod d, with multiplicity 1.
-Status FillCongruenceBag(const Schema& x, size_t d, size_t target, Bag* bag) {
+// The bag over X holding, with multiplicity 1, every tuple
+// t: X -> {0..d-1} whose value sum is congruent to `target` mod d.
+Result<Bag> CongruenceBag(const Schema& x, size_t d, size_t target) {
+  BagBuilder bag(x);
   std::vector<Value> values(x.arity(), 0);
   // Odometer enumeration of {0..d-1}^arity.
   while (true) {
     uint64_t sum = 0;
     for (Value v : values) sum += static_cast<uint64_t>(v);
     if (sum % d == target) {
-      BAGC_RETURN_NOT_OK(bag->Set(Tuple{values}, 1));
+      BAGC_RETURN_NOT_OK(bag.Add(Tuple{values}, 1));
     }
     size_t pos = 0;
     while (pos < values.size()) {
@@ -25,7 +26,7 @@ Status FillCongruenceBag(const Schema& x, size_t d, size_t target, Bag* bag) {
     }
     if (pos == values.size()) break;
   }
-  return Status::OK();
+  return bag.Build();
 }
 
 }  // namespace
@@ -46,9 +47,8 @@ Result<std::vector<Bag>> MakeTseitinCollection(const Hypergraph& h) {
   std::vector<Bag> bags;
   bags.reserve(h.num_edges());
   for (size_t i = 0; i < h.num_edges(); ++i) {
-    Bag bag(h.edges()[i]);
     size_t target = (i + 1 == h.num_edges()) ? 1 : 0;
-    BAGC_RETURN_NOT_OK(FillCongruenceBag(h.edges()[i], *d, target, &bag));
+    BAGC_ASSIGN_OR_RETURN(Bag bag, CongruenceBag(h.edges()[i], *d, target));
     bags.push_back(std::move(bag));
   }
   return bags;

@@ -9,7 +9,6 @@
 #include "hypergraph/acyclicity.h"
 #include "solver/integer_feasibility.h"
 #include "solver/lp.h"
-#include "util/checked_math.h"
 
 namespace bagc {
 
@@ -93,27 +92,6 @@ Result<ConsistencyEngine> ConsistencyEngine::MakeImpl(
         CanonicalizeCollection(*engine.collection_, options.dictionaries.get()));
     engine.owned_ = std::make_shared<const BagCollection>(std::move(canonical));
     engine.collection_ = engine.owned_.get();
-  }
-  // Owned hot-path bags go columnar-only at seal time: the flat entry
-  // vector is dropped and the ColumnStore becomes the bag (rows are
-  // reconstructed on cold paths via RowAt). Bags already columnar — e.g.
-  // adopted from a previous generation by MakeDeltaBatch — are left
-  // untouched; borrowed collections (MakeView) are never mutated.
-  if (engine.owned_ != nullptr) {
-    bool convert = false;
-    for (const Bag& b : engine.collection_->bags()) {
-      convert |= !b.columnar_sealed() && b.SupportSize() >= kColumnarMinRows;
-    }
-    if (convert) {
-      std::vector<Bag> bags = engine.collection_->bags();
-      for (Bag& b : bags) {
-        if (b.SupportSize() >= kColumnarMinRows) b.SealColumnar();
-      }
-      BAGC_ASSIGN_OR_RETURN(BagCollection sealed,
-                            BagCollection::Make(std::move(bags)));
-      engine.owned_ = std::make_shared<const BagCollection>(std::move(sealed));
-      engine.collection_ = engine.owned_.get();
-    }
   }
   if (options.num_threads > 1) {
     engine.pool_ = std::make_unique<ThreadPool>(options.num_threads);
@@ -549,15 +527,13 @@ Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
                            .ApplyRowDeltas(std::vector<std::pair<Tuple, int64_t>>(
                                net.begin(), net.end()))
                            .status());
-    // Delta staging materialized flat rows; restore the columnar-only
-    // invariant for hot bags before the new generation is published.
-    if (mutated.SupportSize() >= kColumnarMinRows) mutated.SealColumnar();
 
     // Adjust each cached marginal of the bag from the *projected* nets
-    // (Equation (2) is linear in multiplicities): a known group's net is
-    // a multiplicity bump, a new group appends, an adjustment to zero
-    // removes the group. A projection under which the nets cancel is
-    // clean and keeps its slot untouched.
+    // (Equation (2) is linear in multiplicities): the marginal takes the
+    // projected net as row deltas — a known group's net is a multiplicity
+    // bump, a new group appends, an adjustment to zero removes the group.
+    // A projection under which the nets cancel is clean and keeps its
+    // slot untouched.
     for (CachedProjection& slot : cache_[bag_index]) {
       BAGC_ASSIGN_OR_RETURN(Projector proj,
                             Projector::Make(bag.schema(), slot.schema));
@@ -568,30 +544,15 @@ Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
           return Status::ArithmeticOverflow("projected delta overflow");
         }
       }
-      for (auto it = pnet.begin(); it != pnet.end();) {
-        it = it->second == 0 ? pnet.erase(it) : std::next(it);
-      }
-      if (pnet.empty()) continue;
+      // A group cannot drop below zero: its new count is a sum of the new
+      // (validated, non-negative) row multiplicities. ApplyRowDeltas
+      // guards the invariant anyway.
       Bag next = *slot.marginal;
-      for (const auto& [pt, pd] : pnet) {
-        uint64_t old_group = next.Multiplicity(pt);
-        uint64_t updated;
-        if (pd < 0) {
-          // Cannot underflow: the new group count is a sum of the new
-          // (validated, non-negative) row multiplicities. CheckedSub
-          // guards the invariant anyway.
-          BAGC_ASSIGN_OR_RETURN(
-              updated,
-              CheckedSub(old_group, static_cast<uint64_t>(-(pd + 1)) + 1));
-        } else {
-          BAGC_ASSIGN_OR_RETURN(
-              updated, CheckedAdd(old_group, static_cast<uint64_t>(pd)));
-        }
-        BAGC_RETURN_NOT_OK(next.Set(pt, updated));
-      }
-      // The adjustment ran on flat rows; re-seal when the cached marginal
-      // was columnar so adjusted slots keep the sealed-bytes reduction.
-      if (slot.marginal->columnar_sealed()) next.SealColumnar();
+      BAGC_ASSIGN_OR_RETURN(size_t changed,
+                            next.ApplyRowDeltas(
+                                std::vector<std::pair<Tuple, int64_t>>(
+                                    pnet.begin(), pnet.end())));
+      if (changed == 0) continue;
       slot.marginal = std::make_shared<const Bag>(std::move(next));
       dirty_slots.push_back(&slot);
       // An in-place adjustment is this generation's fill of the slot.
@@ -663,9 +624,8 @@ Result<ConsistencyEngine> ConsistencyEngine::MakeDeltaBatch(
 }
 
 size_t ConsistencyEngine::ApproxSealedBytes() const {
-  // Representation-aware accounting (Bag::ApproxBytes): columnar-sealed
-  // bags charge their column store + multiplicity array, row bags the
-  // flat entry vector. The budget accounting only needs a monotone,
+  // Bag::ApproxBytes charges each bag's owned column store +
+  // multiplicity array. The budget accounting only needs a monotone,
   // deterministic measure.
   size_t total = 0;
   for (const Bag& b : collection_->bags()) total += b.ApproxBytes();

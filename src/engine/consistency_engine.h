@@ -153,10 +153,10 @@ class ConsistencyEngine {
  public:
   /// Seals an owned copy of `collection`: computes the pairwise
   /// shared-attribute marginals and every pair's verdict, in parallel
-  /// when options.num_threads > 1. Every owned bag of at least
-  /// kColumnarMinRows rows is kept in columnar form (Bag::SealColumnar),
-  /// smaller ones in row form. A non-null `reuse` seeds unchanged bags'
-  /// slots and pair verdicts from a previous generation (see SealReuse).
+  /// when options.num_threads > 1. Bags are already columnar
+  /// (BagBuilder seals straight to columns), so the seal adopts them
+  /// as-is. A non-null `reuse` seeds unchanged bags' slots and pair
+  /// verdicts from a previous generation (see SealReuse).
   static Result<ConsistencyEngine> Make(BagCollection collection,
                                         EngineOptions options = {},
                                         const SealReuse* reuse = nullptr);

@@ -54,11 +54,8 @@ Status ConsistencyNetwork::Assign(const Bag& r, const Bag& s) {
                         Projector::Make(r.schema(), joiner.shared_schema()));
   BAGC_ASSIGN_OR_RETURN(Projector s_shared,
                         Projector::Make(s.schema(), joiner.shared_schema()));
-  ColumnStore r_backing;
-  ColumnStore s_backing;
-  ColumnView r_view = r.ProjectedView(r_shared, &r_backing);
-  ColumnView s_view = s.ProjectedView(s_shared, &s_backing);
-  ColumnJoinMatch match(r_view, s_view);
+  ColumnJoinMatch match(r.Columns().Select(r_shared),
+                        s.Columns().Select(s_shared));
   first_middle_ = net_.num_edges();
   for (size_t i = 0; i < nr; ++i) {
     if (match.MatchOf(i) == ColumnJoinMatch::kNoMatch) continue;

@@ -49,8 +49,7 @@ class ConsistencyNetwork {
   Result<bool> HasSaturatedFlow();
 
   /// After a successful HasSaturatedFlow() == true, extracts the witness
-  /// bag T(XY) with T(t) = flow on t's middle edge, columnar-sealed in
-  /// Tuple order.
+  /// bag T(XY) with T(t) = flow on t's middle edge, in Tuple order.
   Result<Bag> ExtractWitness() const;
 
   /// Suppresses middle edge i (capacity 0) / restores it. Used by the

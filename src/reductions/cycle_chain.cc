@@ -55,14 +55,15 @@ Result<CycleInstance> ExtendCycle(const CycleInstance& input) {
   Schema a1{{0}};
   BAGC_ASSIGN_OR_RETURN(Bag closing_a1, closing.Marginal(a1));
   Schema eq_schema{{static_cast<AttrId>(0), static_cast<AttrId>(n)}};
-  Bag equality(eq_schema);
+  BagBuilder equality(eq_schema);
   for (size_t e = 0; e < closing_a1.SupportSize(); ++e) {
     Tuple t = closing_a1.RowAt(e);
     // Layout {0, n}: slot 0 = A_1, slot 1 = A_{n+1}; both carry the value.
     BAGC_RETURN_NOT_OK(
-        equality.Set(Tuple{{t.at(0), t.at(0)}}, closing_a1.MultiplicityAt(e)));
+        equality.Add(Tuple{{t.at(0), t.at(0)}}, closing_a1.MultiplicityAt(e)));
   }
-  out.bags.push_back(std::move(equality));
+  BAGC_ASSIGN_OR_RETURN(Bag equality_bag, equality.Build());
+  out.bags.push_back(std::move(equality_bag));
   return out;
 }
 
@@ -71,16 +72,16 @@ Result<Bag> ExtendCycleWitness(const CycleInstance& input, const Bag& witness) {
   std::vector<AttrId> attrs(n + 1);
   for (size_t i = 0; i <= n; ++i) attrs[i] = static_cast<AttrId>(i);
   Schema extended{attrs};
-  Bag out(extended);
+  BagBuilder out(extended);
   for (size_t e = 0; e < witness.SupportSize(); ++e) {
     Tuple t = witness.RowAt(e);
     // Witness schema is {0..n-1} in sorted layout; append A_{n+1} := A_1.
     std::vector<ValueId> row(t.ids());
     row.push_back(t.id(0));
     BAGC_RETURN_NOT_OK(
-        out.Set(Tuple::OfIds(std::move(row)), witness.MultiplicityAt(e)));
+        out.Add(Tuple::OfIds(std::move(row)), witness.MultiplicityAt(e)));
   }
-  return out;
+  return out.Build();
 }
 
 Result<Bag> RestrictCycleWitness(const CycleInstance& input, const Bag& witness) {

@@ -105,7 +105,7 @@ Result<HnInstance> ExtendHn(const HnInstance& input) {
   for (size_t i = 0; i < n; ++i) {
     const Schema& xi = input.bags[i].schema();
     Schema yi = Schema::Union(xi, Schema{{fresh}});
-    Bag si(yi);
+    BagBuilder si(yi);
     // Slack level: M * D_i, where D_i is the active-domain size of the
     // *missing* attribute A_{i+1}.
     BAGC_ASSIGN_OR_RETURN(uint64_t slack_total,
@@ -121,24 +121,25 @@ Result<HnInstance> ExtendHn(const HnInstance& input) {
             return Status::InvalidArgument(
                 "multiplicity exceeds M*D slack (not a valid Hn instance)");
           }
-          BAGC_RETURN_NOT_OK(si.Set(AppendValue(t, 1), r));
-          BAGC_RETURN_NOT_OK(si.Set(AppendValue(t, 2), slack_total - r));
-          return Status::OK();
+          BAGC_RETURN_NOT_OK(si.Add(AppendValue(t, 1), r));
+          return si.Add(AppendValue(t, 2), slack_total - r);
         }));
-    out.bags.push_back(std::move(si));
+    BAGC_ASSIGN_OR_RETURN(Bag built, si.Build());
+    out.bags.push_back(std::move(built));
   }
 
   // The closing bag S_{n+1} over the full old attribute set: constant M.
   Schema yn = HnEdgeSchema(n, n + 1);  // = {A_1..A_n}
-  Bag sn(yn);
+  BagBuilder sn(yn);
   std::vector<const std::vector<Value>*> product;
   for (size_t slot = 0; slot < yn.arity(); ++slot) {
     product.push_back(&doms[yn.at(slot)]);
   }
   BAGC_RETURN_NOT_OK(ForEachProductTuple(product, [&](const Tuple& t) -> Status {
-    return sn.Set(t, big_m);
+    return sn.Add(t, big_m);
   }));
-  out.bags.push_back(std::move(sn));
+  BAGC_ASSIGN_OR_RETURN(Bag closing, sn.Build());
+  out.bags.push_back(std::move(closing));
   return out;
 }
 
@@ -148,7 +149,7 @@ Result<Bag> ExtendHnWitness(const HnInstance& input, const Bag& witness) {
   uint64_t big_m = MaxMultiplicity(input);
   std::vector<AttrId> attrs(n + 1);
   for (size_t i = 0; i <= n; ++i) attrs[i] = static_cast<AttrId>(i);
-  Bag out(Schema{attrs});
+  BagBuilder out(Schema{attrs});
   std::vector<const std::vector<Value>*> product;
   for (size_t i = 0; i < n; ++i) product.push_back(&doms[i]);
   BAGC_RETURN_NOT_OK(ForEachProductTuple(product, [&](const Tuple& t) -> Status {
@@ -157,13 +158,12 @@ Result<Bag> ExtendHnWitness(const HnInstance& input, const Bag& witness) {
       return Status::InvalidArgument(
           "witness multiplicity exceeds M (violates Theorem 3(1))");
     }
-    BAGC_RETURN_NOT_OK(out.Set(AppendValue(t, 1), r));
-    BAGC_RETURN_NOT_OK(out.Set(AppendValue(t, 2), big_m - r));
-    return Status::OK();
+    BAGC_RETURN_NOT_OK(out.Add(AppendValue(t, 1), r));
+    return out.Add(AppendValue(t, 2), big_m - r);
   }));
   // Witness tuples outside the active product would violate the bag
   // marginals, so there are none.
-  return out;
+  return out.Build();
 }
 
 Result<Bag> RestrictHnWitness(const HnInstance& input, const Bag& witness) {
@@ -171,7 +171,7 @@ Result<Bag> RestrictHnWitness(const HnInstance& input, const Bag& witness) {
   std::vector<AttrId> attrs(n);
   for (size_t i = 0; i < n; ++i) attrs[i] = static_cast<AttrId>(i);
   Schema old_schema{attrs};
-  Bag out(old_schema);
+  BagBuilder out(old_schema);
   // Keep only the A_{n+1} = 1 layer (the fresh attribute has the largest
   // id, hence the last slot).
   for (size_t e = 0; e < witness.SupportSize(); ++e) {
@@ -181,7 +181,7 @@ Result<Bag> RestrictHnWitness(const HnInstance& input, const Bag& witness) {
     BAGC_RETURN_NOT_OK(
         out.Add(Tuple::OfIds(std::move(row)), witness.MultiplicityAt(e)));
   }
-  return out;
+  return out.Build();
 }
 
 Result<BagCollection> ToCollection(const HnInstance& input) {

@@ -38,27 +38,21 @@ Result<BagCollection> ToTriangleBags(const ThreeDctInstance& instance) {
   Schema a13{{0, 2}};
   Schema a23{{1, 2}};
   Schema a12{{0, 1}};
-  Bag r(a13), c(a23), f(a12);
+  BagBuilder r(a13), c(a23), f(a12);
   size_t n = instance.n;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t k = 0; k < n; ++k) {
-      BAGC_RETURN_NOT_OK(r.Set(Tuple{{static_cast<Value>(i), static_cast<Value>(k)}},
-                               instance.R(i, k)));
+  for (size_t u = 0; u < n; ++u) {
+    for (size_t v = 0; v < n; ++v) {
+      Tuple uv{{static_cast<Value>(u), static_cast<Value>(v)}};
+      // R(i,k), C(j,k), F(i,j): each bag's two coordinates are (u, v).
+      BAGC_RETURN_NOT_OK(r.Add(uv, instance.R(u, v)));
+      BAGC_RETURN_NOT_OK(c.Add(uv, instance.C(u, v)));
+      BAGC_RETURN_NOT_OK(f.Add(std::move(uv), instance.F(u, v)));
     }
   }
-  for (size_t j = 0; j < n; ++j) {
-    for (size_t k = 0; k < n; ++k) {
-      BAGC_RETURN_NOT_OK(c.Set(Tuple{{static_cast<Value>(j), static_cast<Value>(k)}},
-                               instance.C(j, k)));
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      BAGC_RETURN_NOT_OK(f.Set(Tuple{{static_cast<Value>(i), static_cast<Value>(j)}},
-                               instance.F(i, j)));
-    }
-  }
-  return BagCollection::Make({std::move(r), std::move(c), std::move(f)});
+  BAGC_ASSIGN_OR_RETURN(Bag rb, r.Build());
+  BAGC_ASSIGN_OR_RETURN(Bag cb, c.Build());
+  BAGC_ASSIGN_OR_RETURN(Bag fb, f.Build());
+  return BagCollection::Make({std::move(rb), std::move(cb), std::move(fb)});
 }
 
 bool VerifyTable(const ThreeDctInstance& instance,

@@ -127,7 +127,7 @@ class EngineSnapshot {
   size_t approx_bytes() const { return approx_bytes_; }
   /// The engine's own sealed-state bytes (bags, marginal caches, column
   /// stores) without the dictionary estimate — the STATS `sealed_bytes`
-  /// key, the number the columnar-only seal is meant to shrink.
+  /// key.
   size_t sealed_bytes() const { return engine_->ApproxSealedBytes(); }
   /// The sealed engine — the reuse source for an incremental re-seal.
   const ConsistencyEngine* engine() const { return &*engine_; }

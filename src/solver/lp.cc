@@ -30,9 +30,8 @@ Status AppendAllRows(const std::vector<Bag>& bags, const Schema& joined,
     // Group variables by their projection onto Xi (zero-copy column select).
     ColumnIndex groups(var_columns.View().Select(proj));
     // Resolve every support tuple of Ri against the groups in one batch.
-    ColumnStore bag_cols = bag.ToColumns();
     std::vector<uint32_t> match;
-    groups.ProbeAll(bag_cols.View(), &match);
+    groups.ProbeAll(bag.Columns(), &match);
     std::vector<bool> in_support(groups.NumGroups(), false);
     for (size_t e = 0; e < bag.SupportSize(); ++e) {
       LpRow row;

@@ -26,12 +26,6 @@
 
 namespace bagc {
 
-/// Row-count threshold below which the row path (per-row Tuple
-/// projection + sort/merge) beats the columnar gather + hash-group.
-/// Bag::Marginal switches on it, and the engine keeps sealed bags of at
-/// least this many rows in columnar form.
-inline constexpr size_t kColumnarMinRows = 32;
-
 /// \brief Zero-copy view of selected columns: per-slot base pointers plus
 /// a row count.
 ///

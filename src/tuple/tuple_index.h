@@ -129,31 +129,16 @@ class ColumnIndex {
 };
 
 /// \brief Columnar hash-join matching phase, shared by the bag join and
-/// the N(R, S) middle-edge construction: gather the shared-attribute
-/// columns of both sides, index the right side's, and resolve every left
-/// row in one ProbeAll batch. Owns the gathered stores, so the match
-/// lists stay valid for the consumer's build loop. Movable, not copyable
-/// (the index borrows the owned right-side columns).
+/// the N(R, S) middle-edge construction: index the right side's
+/// shared-attribute columns and resolve every left row in one ProbeAll
+/// batch. Movable, not copyable.
 class ColumnJoinMatch {
  public:
   static constexpr uint32_t kNoMatch = ColumnIndex::kNoGroup;
 
-  /// `left`/`right` are sealed entry vectors (rows[i].first is a Tuple
-  /// over the respective projector's source layout); the projectors
-  /// select both sides onto the same shared layout.
-  template <typename LeftEntries, typename RightEntries>
-  ColumnJoinMatch(const LeftEntries& left, const Projector& left_shared,
-                  const RightEntries& right, const Projector& right_shared,
-                  simd::SimdLevel level = simd::SimdLevel::kAuto)
-      : left_cols_(ColumnStore::FromEntries(left, left_shared)),
-        right_cols_(ColumnStore::FromEntries(right, right_shared)),
-        index_(right_cols_.View(), level) {
-    index_.ProbeAll(left_cols_.View(), &match_);
-  }
-
-  /// Zero-copy variant over already-columnar sides (columnar-sealed
-  /// bags): the views borrow their owners' storage, which must outlive
-  /// this match object.
+  /// `left`/`right` select both sides onto the same shared layout; the
+  /// views borrow their owners' storage, which must outlive this match
+  /// object.
   ColumnJoinMatch(ColumnView left, ColumnView right,
                   simd::SimdLevel level = simd::SimdLevel::kAuto)
       : index_(std::move(right), level) {
@@ -173,8 +158,6 @@ class ColumnJoinMatch {
   }
 
  private:
-  ColumnStore left_cols_;
-  ColumnStore right_cols_;
   ColumnIndex index_;
   std::vector<uint32_t> match_;
 };

@@ -68,11 +68,10 @@ TEST(BagIoTest, HeaderOrderDoesNotHaveToBeSorted) {
   const Bag& bag = bags[0];
   AttrId z = *catalog.Lookup("Z");
   AttrId a = *catalog.Lookup("A");
-  for (const auto& [t, mult] : bag.entries()) {
-    EXPECT_EQ(mult, 2u);
-    EXPECT_EQ(*t.ValueOf(bag.schema(), z), 7);
-    EXPECT_EQ(*t.ValueOf(bag.schema(), a), 8);
-  }
+  ASSERT_EQ(bag.SupportSize(), 1u);
+  EXPECT_EQ(bag.MultiplicityAt(0), 2u);
+  EXPECT_EQ(*bag.RowAt(0).ValueOf(bag.schema(), z), 7);
+  EXPECT_EQ(*bag.RowAt(0).ValueOf(bag.schema(), a), 8);
 }
 
 TEST(BagIoTest, ParseErrors) {
@@ -86,6 +85,31 @@ TEST(BagIoTest, ParseErrors) {
   EXPECT_FALSE(
       ParseCollection("bag A\n1 : 1\n1 : 2\nend\n", &catalog).ok());  // dup tuple
   EXPECT_FALSE(ParseCollection("bag A A\n1 1 : 1\nend\n", &catalog).ok());  // dup attr
+}
+
+TEST(BagIoTest, DuplicateRejectedWhicheverOccurrenceIsZero) {
+  AttributeCatalog catalog;
+  Status zero_last = ParseCollection("bag A\n1 : 5\n1 : 0\nend\n", &catalog).status();
+  Status zero_first = ParseCollection("bag A\n1 : 0\n1 : 5\nend\n", &catalog).status();
+  EXPECT_EQ(zero_last.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(zero_first.code(), zero_last.code());
+  EXPECT_EQ(zero_first.message().rfind("duplicate tuple: ", 0), 0u)
+      << zero_first.message();
+
+  // The u32 ingest (LOADU32 / binary ROWS) reports the same row either way.
+  DictionarySet dicts;
+  AttrId a = catalog.Intern("A");
+  ASSERT_TRUE(dicts.Intern(a, "x").ok());
+  std::vector<ValueId> ids = {0, 0};
+  ColumnView column({ids.data()}, ids.size());
+  auto load = [&](std::vector<uint64_t> mults) {
+    return BagFromU32Columns({"A"}, column, mults.data(), &catalog, dicts).status();
+  };
+  Status u32_zero_last = load({5, 0});
+  Status u32_zero_first = load({0, 5});
+  EXPECT_EQ(u32_zero_last.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(u32_zero_first.code(), u32_zero_last.code());
+  EXPECT_EQ(u32_zero_first.message(), u32_zero_last.message());
 }
 
 TEST(BagIoTest, ZeroMultiplicityTuplesDropFromSupport) {
@@ -129,7 +153,7 @@ TEST(BagIoTest, RandomRoundTrips) {
     AttributeCatalog catalog2;
     auto bags = *ParseCollection(WriteBag(bag, catalog), &catalog2);
     ASSERT_EQ(bags.size(), 1u);
-    EXPECT_EQ(bags[0].entries(), bag.entries());
+    EXPECT_EQ(bags[0], bag);
   }
 }
 

@@ -1,7 +1,8 @@
-// Regression tests for the flat bag storage refactor: the deterministic
-// iteration contract (flat sorted vector == old sorted-map order), the
-// Tup(∅) empty-schema corner, multiplicity-overflow rejection in the
-// mutators / join / builder seal, and the TupleIndex hash-join substrate.
+// Regression tests for bag storage: the deterministic iteration contract
+// (sorted columns == sorted-map order), the merge mutators at the edges
+// of the support and around the 32-row small-grouping cutoff, the Tup(∅)
+// empty-schema corner, multiplicity-overflow rejection in the mutators /
+// join / builder seal, and the TupleIndex hash-join substrate.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -29,13 +30,16 @@ TEST(FlatStorageTest, IterationOrderMatchesSortedMapOrder) {
   Bag bag = *MakeRandomBag(x, options, &rng);
   ASSERT_FALSE(bag.IsEmpty());
 
-  // Reference: the exact container the pre-refactor Bag used.
-  std::map<Tuple, uint64_t> reference(bag.entries().begin(), bag.entries().end());
+  // Reference: a sorted map of the same rows.
+  std::map<Tuple, uint64_t> reference;
+  for (size_t r = 0; r < bag.SupportSize(); ++r) {
+    reference[bag.RowAt(r)] = bag.MultiplicityAt(r);
+  }
   ASSERT_EQ(reference.size(), bag.SupportSize());
   size_t i = 0;
   for (const auto& [t, mult] : reference) {
-    EXPECT_EQ(bag.entries()[i].first, t);
-    EXPECT_EQ(bag.entries()[i].second, mult);
+    EXPECT_EQ(bag.RowAt(i), t);
+    EXPECT_EQ(bag.MultiplicityAt(i), mult);
     ++i;
   }
 }
@@ -47,12 +51,11 @@ TEST(FlatStorageTest, IncrementalMutationKeepsSortedInvariant) {
     ASSERT_TRUE(bag.Add(Tuple{{v, v + 10}}, static_cast<uint64_t>(v + 1)).ok());
   }
   ASSERT_EQ(bag.SupportSize(), 10u);
-  for (size_t i = 0; i + 1 < bag.entries().size(); ++i) {
-    EXPECT_TRUE(bag.entries()[i].first < bag.entries()[i + 1].first);
+  for (size_t i = 0; i + 1 < bag.SupportSize(); ++i) {
+    EXPECT_TRUE(bag.RowAt(i) < bag.RowAt(i + 1));
   }
-  // Random-access entry(i) agrees with iteration.
-  EXPECT_EQ(bag.entry(0).first, (Tuple{{0, 10}}));
-  EXPECT_EQ(bag.entry(9).first, (Tuple{{9, 19}}));
+  EXPECT_EQ(bag.RowAt(0), (Tuple{{0, 10}}));
+  EXPECT_EQ(bag.RowAt(9), (Tuple{{9, 19}}));
   // Erase via Set(t, 0) keeps order.
   ASSERT_TRUE(bag.Set(Tuple{{5, 15}}, 0).ok());
   EXPECT_EQ(bag.SupportSize(), 9u);
@@ -73,6 +76,100 @@ TEST(FlatStorageTest, BuilderAgreesWithIncrementalConstruction) {
   }
   Bag sealed = *builder.Build();
   EXPECT_EQ(sealed, incremental);
+}
+
+// ---- Merge mutators around the edges of the support ----------------------
+
+// A bag of n rows (v, 2v) for v = 1..n, multiplicity v.
+Bag Ladder(size_t n) {
+  BagBuilder builder(Schema{{0, 1}});
+  for (size_t v = 1; v <= n; ++v) {
+    Value x = static_cast<Value>(v);
+    EXPECT_TRUE(builder.Add(Tuple{{x, 2 * x}}, v).ok());
+  }
+  return *builder.Build();
+}
+
+// Sorted rows, positive multiplicities, and exactly `expected`'s content.
+void ExpectRows(const Bag& bag, const std::map<Tuple, uint64_t>& expected) {
+  ASSERT_EQ(bag.SupportSize(), expected.size());
+  ASSERT_EQ(bag.Columns().num_rows(), expected.size());
+  size_t i = 0;
+  for (const auto& [t, mult] : expected) {
+    EXPECT_EQ(bag.RowAt(i), t) << "row " << i;
+    EXPECT_EQ(bag.MultiplicityAt(i), mult) << "row " << i;
+    EXPECT_EQ(bag.Multiplicity(t), mult);
+    ++i;
+  }
+}
+
+std::map<Tuple, uint64_t> Contents(const Bag& bag) {
+  std::map<Tuple, uint64_t> out;
+  for (size_t r = 0; r < bag.SupportSize(); ++r) out[bag.RowAt(r)] = bag.MultiplicityAt(r);
+  return out;
+}
+
+TEST(FlatStorageTest, MergeMutatorsAtSupportEdges) {
+  const Tuple before_first{{0, 0}};
+  for (size_t n : {0, 1, 31, 32, 33}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Bag original = Ladder(n);
+    const std::map<Tuple, uint64_t> old_rows = Contents(original);
+    const Value past = static_cast<Value>(n + 1);
+    const Tuple after_last{{past, 2 * past}};
+
+    // Insert before the first row (Set) and after the last (Add).
+    Bag bag = original;
+    ASSERT_TRUE(bag.Set(before_first, 7).ok());
+    ASSERT_TRUE(bag.Add(after_last, 4).ok());
+    std::map<Tuple, uint64_t> expected = old_rows;
+    expected[before_first] = 7;
+    expected[after_last] = 4;
+    ExpectRows(bag, expected);
+    // The copy taken before the mutation still holds the old rows.
+    ExpectRows(original, old_rows);
+
+    // The same edits as one delta batch.
+    Bag batched = original;
+    ASSERT_EQ(*batched.ApplyRowDeltas({{after_last, 4}, {before_first, 7}}), 2u);
+    EXPECT_EQ(batched, bag);
+
+    // Delete everything to empty: Set(t, 0) on the first half, a delta
+    // batch on the rest.
+    Bag drained = bag;
+    std::vector<std::pair<Tuple, int64_t>> deletes;
+    size_t k = 0;
+    for (const auto& [t, mult] : expected) {
+      if (k++ < expected.size() / 2) {
+        ASSERT_TRUE(drained.Set(t, 0).ok());
+      } else {
+        deletes.emplace_back(t, -static_cast<int64_t>(mult));
+      }
+    }
+    ASSERT_EQ(*drained.ApplyRowDeltas(deletes), deletes.size());
+    EXPECT_TRUE(drained.IsEmpty());
+    EXPECT_EQ(drained, Bag(Schema{{0, 1}}));
+    ExpectRows(drained, {});
+    ExpectRows(bag, expected);
+    ExpectRows(original, old_rows);
+  }
+}
+
+TEST(FlatStorageTest, FailedMutatorsLeaveTheBagUntouched) {
+  for (size_t n : {0, 1, 31, 32, 33}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Bag bag = Ladder(n);
+    const std::map<Tuple, uint64_t> old_rows = Contents(bag);
+    // A delete below zero anywhere aborts the whole batch.
+    Result<size_t> below = bag.ApplyRowDeltas(
+        {{Tuple{{0, 0}}, 1}, {Tuple{{1000, 2000}}, -1}});
+    EXPECT_EQ(below.status().code(), StatusCode::kOutOfRange);
+    EXPECT_FALSE(bag.Set(Tuple{{1}}, 3).ok());
+    EXPECT_FALSE(bag.Add(Tuple{{1, 2, 3}}, 3).ok());
+    // Deltas that net to nothing are a no-op.
+    EXPECT_EQ(*bag.ApplyRowDeltas({{Tuple{{0, 0}}, 2}, {Tuple{{0, 0}}, -2}}), 0u);
+    ExpectRows(bag, old_rows);
+  }
 }
 
 // ---- Tup(∅): the empty-schema bag -----------------------------------------

@@ -150,6 +150,12 @@ TEST(BagTest, SizeMeasures) {
 TEST(BagTest, MakeBagRejectsDuplicatesAndBadArity) {
   EXPECT_FALSE(MakeBag(Schema{{0}}, {{{1}, 2}, {{1}, 3}}).ok());
   EXPECT_FALSE(MakeBag(Schema{{0, 1}}, {{{1}, 2}}).ok());
+  // A zero-multiplicity occurrence still counts, in either order.
+  Status zero_last = MakeBag(Schema{{0}}, {{{1}, 5}, {{1}, 0}}).status();
+  Status zero_first = MakeBag(Schema{{0}}, {{{1}, 0}, {{1}, 5}}).status();
+  EXPECT_EQ(zero_last.code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(zero_first.code(), zero_last.code());
+  EXPECT_EQ(zero_first.message(), zero_last.message());
 }
 
 TEST(BagTest, EmptySchemaBagActsAsScalar) {
@@ -197,9 +203,8 @@ TEST(RelationTest, RelationsAreZeroOneBags) {
   // A relation viewed as a bag has every multiplicity equal to 1.
   Relation r = *MakeRelation(Schema{{0}}, {{3}, {4}});
   Bag b = r.ToBag();
-  for (const auto& [t, mult] : b.entries()) {
-    (void)t;
-    EXPECT_EQ(mult, 1u);
+  for (size_t i = 0; i < b.SupportSize(); ++i) {
+    EXPECT_EQ(b.MultiplicityAt(i), 1u);
   }
 }
 

@@ -1,12 +1,14 @@
-// Regression suite for the SoA refactor: ColumnStore/ColumnView round
+// Regression suite for the columnar bag: ColumnStore/ColumnView round
 // trips, ColumnIndex grouping + batch probes against the TupleIndex
-// reference, and row-path vs columnar-path marginal equivalence (including
-// Tup(∅), empty projections, and multiplicity-overflow rejection).
+// reference, and Bag::Marginal against a std::map oracle at every small
+// size, both dispatch levels, Tup(∅), empty projections, and
+// multiplicity-overflow rejection.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,24 +19,36 @@
 #include "hypergraph/families.h"
 #include "tuple/column_store.h"
 #include "tuple/tuple_index.h"
+#include "util/checked_math.h"
 #include "util/random.h"
 
 namespace bagc {
 namespace {
 
-// A row-form copy of every bag (generator marginals may come back
-// columnar-sealed).
-BagCollection RowForm(const BagCollection& c) {
-  std::vector<Bag> bags;
-  for (const Bag& b : c.bags()) {
-    BagBuilder builder(b.schema());
-    for (size_t r = 0; r < b.SupportSize(); ++r) {
-      EXPECT_TRUE(builder.Add(b.RowAt(r), b.MultiplicityAt(r)).ok());
-    }
-    bags.push_back(*builder.Build());
-    EXPECT_FALSE(bags.back().columnar_sealed());
+// The marginal oracle: Equation (2) summed into a sorted map over
+// RowAt/MultiplicityAt. nullopt when a group overflows uint64.
+std::optional<std::map<Tuple, uint64_t>> MapMarginal(const Bag& bag,
+                                                     const Schema& z) {
+  Projector proj = *Projector::Make(bag.schema(), z);
+  std::map<Tuple, uint64_t> out;
+  for (size_t i = 0; i < bag.SupportSize(); ++i) {
+    uint64_t& acc = out[bag.RowAt(i).Project(proj)];
+    Result<uint64_t> sum = CheckedAdd(acc, bag.MultiplicityAt(i));
+    if (!sum.ok()) return std::nullopt;
+    acc = *sum;
   }
-  return *BagCollection::Make(std::move(bags));
+  return out;
+}
+
+// `got` holds exactly the oracle's rows, in the same (sorted) order.
+void ExpectMatchesOracle(const Bag& got, const std::map<Tuple, uint64_t>& oracle) {
+  ASSERT_EQ(got.SupportSize(), oracle.size());
+  size_t i = 0;
+  for (const auto& [t, mult] : oracle) {
+    EXPECT_EQ(got.RowAt(i), t) << "row " << i;
+    EXPECT_EQ(got.MultiplicityAt(i), mult) << "row " << i;
+    ++i;
+  }
 }
 
 Bag RandomBag(const Schema& schema, size_t support, uint64_t domain,
@@ -47,26 +61,44 @@ Bag RandomBag(const Schema& schema, size_t support, uint64_t domain,
   return *MakeRandomBag(schema, options, &rng);
 }
 
+// Exactly n distinct rows over `schema`, values in [-1, domain - 1) — the
+// -1 is a side-table id, so the ValueIdLess order is exercised too.
+Bag ExactBag(const Schema& schema, size_t n, int64_t domain, uint64_t seed) {
+  Rng rng(seed);
+  std::map<Tuple, uint64_t> rows;
+  while (rows.size() < n) {
+    std::vector<Value> values(schema.arity());
+    for (Value& v : values) v = static_cast<Value>(rng.Below(domain)) - 1;
+    rows[Tuple{values}] = rng.Range(1, 9);
+  }
+  BagBuilder builder(schema);
+  for (const auto& [t, mult] : rows) EXPECT_TRUE(builder.Add(t, mult).ok());
+  return *builder.Build();
+}
+
 TEST(ColumnStoreTest, RowColumnRoundTrip) {
   Schema x{{0, 1, 2}};
   Bag bag = RandomBag(x, 100, 7, 42);
-  ColumnStore cols = bag.ToColumns();
-  ASSERT_EQ(cols.num_rows(), bag.SupportSize());
-  ASSERT_EQ(cols.arity(), x.arity());
-  for (size_t r = 0; r < bag.SupportSize(); ++r) {
-    const Tuple& t = bag.entries()[r].first;
-    EXPECT_EQ(cols.RowAt(r), t);
-    for (size_t c = 0; c < x.arity(); ++c) {
-      EXPECT_EQ(cols.column(c)[r], t.id(c));
-    }
-  }
-  // Views see the same cells, and batch hashes equal per-row Tuple hashes.
-  ColumnView view = cols.View();
+  ColumnView view = bag.Columns();
+  ASSERT_EQ(view.num_rows(), bag.SupportSize());
+  ASSERT_EQ(view.arity(), x.arity());
+  // The columns are the sorted rows, and batch hashes equal per-row
+  // Tuple hashes.
   std::vector<uint64_t> hashes;
   view.HashRows(&hashes);
   for (size_t r = 0; r < bag.SupportSize(); ++r) {
-    EXPECT_EQ(view.RowAt(r), bag.entries()[r].first);
-    EXPECT_EQ(hashes[r], bag.entries()[r].first.Hash());
+    Tuple t = bag.RowAt(r);
+    if (r > 0) {
+      EXPECT_TRUE(bag.RowAt(r - 1) < t);
+    }
+    EXPECT_EQ(view.RowAt(r), t);
+    EXPECT_EQ(hashes[r], t.Hash());
+    for (size_t c = 0; c < x.arity(); ++c) {
+      EXPECT_EQ(view.column(c)[r], t.id(c));
+      EXPECT_EQ(bag.IdAt(r, c), t.id(c));
+    }
+    EXPECT_EQ(bag.MultiplicityData()[r], bag.MultiplicityAt(r));
+    EXPECT_EQ(bag.Multiplicity(t), bag.MultiplicityAt(r));
   }
 }
 
@@ -74,12 +106,11 @@ TEST(ColumnStoreTest, SelectIsTheProjection) {
   Schema x{{0, 1, 2, 3}};
   Schema z{{1, 3}};
   Bag bag = RandomBag(x, 80, 5, 7);
-  ColumnStore cols = bag.ToColumns();
   Projector proj = *Projector::Make(x, z);
-  ColumnView selected = cols.View().Select(proj);
+  ColumnView selected = bag.Columns().Select(proj);
   ASSERT_EQ(selected.arity(), z.arity());
   for (size_t r = 0; r < bag.SupportSize(); ++r) {
-    EXPECT_EQ(selected.RowAt(r), bag.entries()[r].first.Project(proj));
+    EXPECT_EQ(selected.RowAt(r), bag.RowAt(r).Project(proj));
   }
 }
 
@@ -93,12 +124,10 @@ TEST(ColumnStoreTest, ColumnIndexMatchesTupleIndex) {
   // Reference: TupleIndex over per-row projected tuples.
   TupleIndex reference(keys.SupportSize());
   for (size_t r = 0; r < keys.SupportSize(); ++r) {
-    reference.Insert(keys.entries()[r].first.Project(proj),
-                     static_cast<uint32_t>(r));
+    reference.Insert(keys.RowAt(r).Project(proj), static_cast<uint32_t>(r));
   }
 
-  ColumnStore key_cols = ColumnStore::FromEntries(keys.entries(), proj);
-  ColumnIndex index(key_cols.View());
+  ColumnIndex index(keys.Columns().Select(proj));
   ASSERT_EQ(index.NumGroups(), reference.NumGroups());
   for (size_t g = 0; g < index.NumGroups(); ++g) {
     // Same group order, same keys, same posting lists.
@@ -106,13 +135,12 @@ TEST(ColumnStoreTest, ColumnIndexMatchesTupleIndex) {
     EXPECT_EQ(index.GroupRows(g), reference.GroupIds(g));
   }
 
-  ColumnStore probe_cols = ColumnStore::FromEntries(probes.entries(), proj);
   std::vector<uint32_t> match;
-  index.ProbeAll(probe_cols.View(), &match);
+  index.ProbeAll(probes.Columns().Select(proj), &match);
   ASSERT_EQ(match.size(), probes.SupportSize());
   for (size_t r = 0; r < probes.SupportSize(); ++r) {
     const std::vector<uint32_t>* expected =
-        reference.Find(probes.entries()[r].first.Project(proj));
+        reference.Find(probes.RowAt(r).Project(proj));
     if (expected == nullptr) {
       EXPECT_EQ(match[r], ColumnIndex::kNoGroup);
     } else {
@@ -122,23 +150,50 @@ TEST(ColumnStoreTest, ColumnIndexMatchesTupleIndex) {
   }
 }
 
-TEST(ColumnStoreTest, MarginalRowsAndColumnarAgree) {
-  // Sizes straddling kColumnarMinRows so both dispatch arms are hit, and
-  // both forced paths are pinned against each other on every size.
-  Schema x{{0, 1, 2}};
-  for (size_t support : std::vector<size_t>{1, 8, kColumnarMinRows - 1,
-                                            kColumnarMinRows, 100, 400}) {
-    for (uint64_t domain : {2, 5, 50}) {
-      Bag bag = RandomBag(x, support, domain, 1000 + support * 10 + domain);
-      for (const Schema& z :
-           {Schema{{0}}, Schema{{1}}, Schema{{0, 2}}, Schema{{0, 1, 2}}, Schema{}}) {
-        Bag rows = *bag.MarginalRows(z);
-        Bag columnar = *bag.MarginalColumnar(z);
-        Bag dispatched = *bag.Marginal(z);
-        EXPECT_EQ(rows, columnar) << "support=" << support << " z=" << z.ToString();
-        EXPECT_EQ(rows, dispatched);
+TEST(ColumnStoreTest, MarginalMatchesMapOracleAtEverySmallSize) {
+  // Every n from 1 to 40 crosses the small sort-merge arm (< 32 rows)
+  // into the dense/hashed arms; kScalar pins the hashed arm above it.
+  Schema x{{0, 1, 2, 3}};
+  for (size_t n = 1; n <= 40; ++n) {
+    Bag bag = ExactBag(x, n, 4, 7000 + n);
+    ASSERT_EQ(bag.SupportSize(), n);
+    for (const Schema& z : {Schema{{1}}, Schema{{0, 2}}, Schema{{1, 2, 3}}}) {
+      std::map<Tuple, uint64_t> oracle = *MapMarginal(bag, z);
+      for (simd::SimdLevel level :
+           {simd::SimdLevel::kScalar, simd::SimdLevel::kAuto}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " z=" + z.ToString() +
+                     " level=" + simd::SimdLevelName(simd::Resolve(level)));
+        ExpectMatchesOracle(*bag.Marginal(z, level), oracle);
       }
     }
+  }
+}
+
+TEST(ColumnStoreTest, EveryBagExposesItsColumns) {
+  // One representation at every size: 0 rows, arity 0, built, mutated,
+  // and marginalized bags all answer Columns()/MultiplicityData().
+  auto expect_columns = [](const Bag& bag) {
+    ColumnView view = bag.Columns();
+    EXPECT_EQ(view.num_rows(), bag.SupportSize());
+    EXPECT_EQ(view.arity(), bag.schema().arity());
+    for (size_t r = 0; r < bag.SupportSize(); ++r) {
+      EXPECT_EQ(view.RowAt(r), bag.RowAt(r));
+      EXPECT_EQ(bag.MultiplicityData()[r], bag.MultiplicityAt(r));
+    }
+  };
+  expect_columns(Bag());
+  expect_columns(Bag(Schema{{0, 1}}));
+  Bag scalar(Schema{});
+  expect_columns(scalar);
+  ASSERT_TRUE(scalar.Set(Tuple{}, 3).ok());
+  expect_columns(scalar);
+  for (size_t n : {1, 31, 32, 33, 100}) {
+    Bag bag = ExactBag(Schema{{0, 1}}, n, 12, n);
+    expect_columns(bag);
+    expect_columns(*bag.Marginal(Schema{{1}}));
+    expect_columns(*bag.Marginal(Schema{}));
+    ASSERT_TRUE(bag.Add(bag.RowAt(0), 1).ok());
+    expect_columns(bag);
   }
 }
 
@@ -146,63 +201,72 @@ TEST(ColumnStoreTest, EmptySchemaBags) {
   // Tup(∅) is non-empty: the empty tuple with some multiplicity.
   Bag empty_schema{Schema{}};
   ASSERT_TRUE(empty_schema.Set(Tuple{std::vector<Value>{}}, 5).ok());
-  ColumnStore cols = empty_schema.ToColumns();
+  ColumnView cols = empty_schema.Columns();
   EXPECT_EQ(cols.num_rows(), 1u);
   EXPECT_EQ(cols.arity(), 0u);
   EXPECT_EQ(cols.RowAt(0), (Tuple{std::vector<Value>{}}));
-  EXPECT_EQ(*empty_schema.MarginalColumnar(Schema{}),
-            *empty_schema.MarginalRows(Schema{}));
+  ExpectMatchesOracle(*empty_schema.Marginal(Schema{}),
+                      *MapMarginal(empty_schema, Schema{}));
 
-  // A projection onto ∅ groups every row into the single empty tuple.
-  Bag bag = RandomBag(Schema{{0, 1}}, 64, 4, 99);
-  Bag onto_empty = *bag.MarginalColumnar(Schema{});
-  ASSERT_EQ(onto_empty.SupportSize(), 1u);
-  EXPECT_EQ(onto_empty.MultiplicityAt(0), *bag.UnarySize());
-  EXPECT_EQ(onto_empty, *bag.MarginalRows(Schema{}));
+  // A projection onto ∅ groups every row into the single empty tuple, on
+  // both sides of the small-input cutoff and at both levels.
+  for (size_t support : {8, 64}) {
+    Bag bag = RandomBag(Schema{{0, 1}}, support, 4, 99);
+    for (simd::SimdLevel level :
+         {simd::SimdLevel::kScalar, simd::SimdLevel::kAuto}) {
+      Bag onto_empty = *bag.Marginal(Schema{}, level);
+      ASSERT_EQ(onto_empty.SupportSize(), 1u);
+      EXPECT_EQ(onto_empty.MultiplicityAt(0), *bag.UnarySize());
+    }
+  }
 
-  // And an empty bag stays empty on both paths.
+  // And an empty bag stays empty.
   Bag none{Schema{{0, 1}}};
-  EXPECT_TRUE(none.MarginalColumnar(Schema{{0}})->IsEmpty());
-  EXPECT_TRUE(none.MarginalRows(Schema{{0}})->IsEmpty());
+  EXPECT_TRUE(none.Marginal(Schema{{0}})->IsEmpty());
+  EXPECT_TRUE(none.Marginal(Schema{{0}}, simd::SimdLevel::kScalar)->IsEmpty());
 }
 
 TEST(ColumnStoreTest, MultiplicityOverflowRejected) {
-  // Two rows collapsing onto one marginal tuple with mults that overflow
-  // uint64 must fail on both paths (not wrap).
+  // Rows collapsing onto one marginal tuple with mults that overflow
+  // uint64 must fail (not wrap) at both levels, below and above the
+  // small-input cutoff.
   Schema x{{0, 1}};
-  Bag bag(x);
   uint64_t huge = std::numeric_limits<uint64_t>::max() - 1;
-  ASSERT_TRUE(bag.Set(Tuple{{1, 1}}, huge).ok());
-  ASSERT_TRUE(bag.Set(Tuple{{1, 2}}, huge).ok());
-  Schema z{{0}};
-  EXPECT_FALSE(bag.MarginalRows(z).ok());
-  EXPECT_FALSE(bag.MarginalColumnar(z).ok());
-  EXPECT_FALSE(bag.Marginal(z).ok());
+  for (int64_t rows : {2, 40}) {
+    BagBuilder builder(x);
+    for (int64_t v = 0; v < rows; ++v) {
+      ASSERT_TRUE(builder.Add(Tuple{{1, v}}, v < 2 ? huge : 1).ok());
+    }
+    Bag bag = *builder.Build();
+    Schema z{{0}};
+    EXPECT_FALSE(MapMarginal(bag, z).has_value());
+    EXPECT_FALSE(bag.Marginal(z, simd::SimdLevel::kScalar).ok());
+    EXPECT_FALSE(bag.Marginal(z).ok());
+  }
 }
 
 TEST(ColumnStoreTest, GroupColumnsRejectsMismatchedInputs) {
   Bag bag = RandomBag(Schema{{0, 1}}, 40, 4, 3);
-  ColumnStore cols = bag.ToColumns();
   std::vector<uint64_t> mults(bag.SupportSize(), 1);
   // Arity mismatch between z and the projected view.
   EXPECT_FALSE(
-      Bag::GroupColumns(Schema{{0}}, cols.View(), mults.data(), mults.size()).ok());
+      Bag::GroupColumns(Schema{{0}}, bag.Columns(), mults.data(), mults.size()).ok());
   // Row-count mismatch between the view and the multiplicities.
   EXPECT_FALSE(
-      Bag::GroupColumns(Schema{{0, 1}}, cols.View(), mults.data(), 1).ok());
+      Bag::GroupColumns(Schema{{0, 1}}, bag.Columns(), mults.data(), 1).ok());
 }
 
 TEST(ColumnStoreTest, KRelationColumnarMarginalMatchesBag) {
   // KRelation over the counting semiring must marginalize exactly like a
-  // Bag, at a size (128 rows) where Bag::Marginal would group columnar.
+  // Bag.
   Schema x{{0, 1, 2}};
   Bag bag = RandomBag(x, 128, 4, 21);
   KRelation<CountingSemiring> kr(x);
-  for (const auto& [t, mult] : bag.entries()) {
-    ASSERT_TRUE(kr.Set(t, mult).ok());
+  for (size_t i = 0; i < bag.SupportSize(); ++i) {
+    ASSERT_TRUE(kr.Set(bag.RowAt(i), bag.MultiplicityAt(i)).ok());
   }
   for (const Schema& z : {Schema{{0}}, Schema{{1, 2}}, Schema{}}) {
-    Bag expected = *bag.MarginalRows(z);
+    Bag expected = *bag.Marginal(z);
     KRelation<CountingSemiring> got = *kr.Marginal(z);
     ASSERT_EQ(got.SupportSize(), expected.SupportSize());
     for (size_t i = 0; i < expected.SupportSize(); ++i) {
@@ -212,25 +276,20 @@ TEST(ColumnStoreTest, KRelationColumnarMarginalMatchesBag) {
   }
 }
 
-TEST(ColumnStoreTest, EngineVerdictsMatchRowOracleOnRowAndColumnarInputs) {
-  // The representation a bag is handed in picks its marginal path: a
-  // borrowed row-form collection groups below kColumnarMinRows via the
-  // row path and from it up via the columnar gather, an owned one is
-  // columnar-sealed from kColumnarMinRows up, and a SealColumnar-ed copy
-  // groups columnar at every size. Every engine must match a per-pair
-  // MarginalRows oracle query for query.
+TEST(ColumnStoreTest, EngineVerdictsMatchMapOracle) {
+  // Borrowed (MakeView) and owned (Make) engines over bags whose supports
+  // land on both sides of the small-input grouping cutoff must match a
+  // per-pair map-marginal oracle query for query.
   for (uint64_t seed = 0; seed < 12; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng(500 + seed);
     BagGenOptions options;
-    // Hidden joints of 10 to 100 rows over a domain of 8: the bags'
-    // supports land on both sides of kColumnarMinRows.
+    // Hidden joints of 10 to 100 rows over a domain of 8.
     options.support_size = 10 + 30 * (seed % 4);
     options.domain_size = 8;
     options.max_multiplicity = 6;
     Hypergraph h = seed % 3 == 2 ? *MakeStar(4) : *MakePath(4);
-    BagCollection c =
-        RowForm(*MakeGloballyConsistentCollection(h, options, &rng));
+    BagCollection c = *MakeGloballyConsistentCollection(h, options, &rng);
     if (seed % 2 == 1) {
       // Perturb one multiplicity so inconsistent verdicts are covered too.
       std::vector<Bag> bags = c.bags();
@@ -242,16 +301,13 @@ TEST(ColumnStoreTest, EngineVerdictsMatchRowOracleOnRowAndColumnarInputs) {
       }
       c = *BagCollection::Make(std::move(bags));
     }
-    std::vector<Bag> sealed_bags = c.bags();
-    for (Bag& b : sealed_bags) b.SealColumnar();
-    BagCollection sealed = *BagCollection::Make(std::move(sealed_bags));
 
-    // Oracle: the row path on the row-form bags, pair by pair.
+    // Oracle: map marginals, pair by pair.
     PairwiseVerdict oracle;
     for (size_t i = 0; i < c.size() && oracle.consistent; ++i) {
       for (size_t j = i + 1; j < c.size() && oracle.consistent; ++j) {
         Schema z = Schema::Intersect(c.bag(i).schema(), c.bag(j).schema());
-        if (*c.bag(i).MarginalRows(z) != *c.bag(j).MarginalRows(z)) {
+        if (*MapMarginal(c.bag(i), z) != *MapMarginal(c.bag(j), z)) {
           oracle.consistent = false;
           oracle.witness_pair = {i, j};
         }
@@ -260,8 +316,7 @@ TEST(ColumnStoreTest, EngineVerdictsMatchRowOracleOnRowAndColumnarInputs) {
 
     ConsistencyEngine view = *ConsistencyEngine::MakeView(c);
     ConsistencyEngine owned = *ConsistencyEngine::Make(c);
-    ConsistencyEngine columnar = *ConsistencyEngine::Make(sealed);
-    for (ConsistencyEngine* e : {&view, &owned, &columnar}) {
+    for (ConsistencyEngine* e : {&view, &owned}) {
       PairwiseVerdict v = *e->PairwiseAll();
       EXPECT_EQ(v.consistent, oracle.consistent);
       EXPECT_EQ(v.witness_pair, oracle.witness_pair);
@@ -271,18 +326,12 @@ TEST(ColumnStoreTest, EngineVerdictsMatchRowOracleOnRowAndColumnarInputs) {
       for (size_t i = 0; i < c.size(); ++i) {
         for (size_t j = i + 1; j < c.size(); ++j) {
           Schema z = Schema::Intersect(c.bag(i).schema(), c.bag(j).schema());
-          Bag mi = *c.bag(i).MarginalRows(z);
-          EXPECT_EQ(*e->TwoBag(i, j), mi == *c.bag(j).MarginalRows(z));
+          std::map<Tuple, uint64_t> mi = *MapMarginal(c.bag(i), z);
+          EXPECT_EQ(*e->TwoBag(i, j), mi == *MapMarginal(c.bag(j), z));
           ASSERT_NE(e->CachedMarginal(i, z), nullptr);
-          EXPECT_EQ(*e->CachedMarginal(i, z), mi);
+          ExpectMatchesOracle(*e->CachedMarginal(i, z), mi);
         }
       }
-    }
-    for (const Bag& b : owned.collection().bags()) {
-      EXPECT_EQ(b.columnar_sealed(), b.SupportSize() >= kColumnarMinRows);
-    }
-    for (const Bag& b : columnar.collection().bags()) {
-      EXPECT_TRUE(b.columnar_sealed());
     }
   }
 }

@@ -19,9 +19,10 @@
 //     dirty slots — reuse-adopted slots are never counted;
 //   - worker invariance: the delta engine agrees with from-scratch seals
 //     at 1, 2, and 8 workers;
-//   - the serving form: on columnar-sealed bags of ~28–36 rows, a delta
-//     leaves the mutated bag columnar iff it holds >= kColumnarMinRows
-//     rows, and every check above still holds.
+//   - the one representation: on bags of ~28–36 rows (both sides of the
+//     32-row small-grouping cutoff) every commit leaves the mutated bag
+//     as sorted columns with positive multiplicities, and every check
+//     above still holds.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -33,7 +34,6 @@
 #include "engine/consistency_engine.h"
 #include "generators/workloads.h"
 #include "hypergraph/families.h"
-#include "tuple/column_store.h"
 #include "util/random.h"
 
 namespace bagc {
@@ -129,12 +129,12 @@ Result<BagCollection> MakeWorkload(uint64_t seed) {
   return c;
 }
 
-// The serving form: every bag SealColumnar-ed, marginals of a hidden
-// joint of 28 to 36 rows, so the delta streams below move bags across
-// kColumnarMinRows (32) in both directions. The joint's domain is wide
+// Mid-size bags: marginals of a hidden joint of 28 to 36 rows, so the
+// delta streams below move bags and their marginals across the 32-row
+// small-grouping cutoff in both directions. The joint's domain is wide
 // enough that few of its rows share a projection: about nine bags in ten
 // keep 28 to 36 rows, the rest 21 to 27.
-Result<BagCollection> MakeColumnarWorkload(uint64_t seed) {
+Result<BagCollection> MakeMidSizeWorkload(uint64_t seed) {
   Rng rng(seed * 2654435761u + 29);
   BagGenOptions options;
   options.support_size = 28 + rng.Below(9);
@@ -154,18 +154,20 @@ Result<BagCollection> MakeColumnarWorkload(uint64_t seed) {
                         MakeGloballyConsistentCollection(h, options, &rng));
   std::vector<Bag> bags = c.bags();
   if (rng.Chance(1, 2)) Perturb(&bags, &rng);
-  for (Bag& b : bags) b.SealColumnar();
   return BagCollection::Make(std::move(bags));
 }
 
-// A delta that changed a bag leaves it in the form its new size selects;
-// a stream whose nets cancel leaves the bag as it was.
-void CheckServingForm(const Bag& before, const Bag& after) {
-  if (after == before) {
-    EXPECT_EQ(after.columnar_sealed(), before.columnar_sealed());
-  } else {
-    EXPECT_EQ(after.columnar_sealed(), after.SupportSize() >= kColumnarMinRows)
-        << after.SupportSize() << " rows";
+// A commit keeps the one representation: the bag is its sorted columns
+// with positive multiplicities.
+void CheckColumns(const Bag& bag) {
+  ColumnView view = bag.Columns();
+  ASSERT_EQ(view.num_rows(), bag.SupportSize());
+  ASSERT_EQ(view.arity(), bag.schema().arity());
+  for (size_t r = 0; r < view.num_rows(); ++r) {
+    if (r > 0) {
+      EXPECT_LT(view.CompareRows(r - 1, view, r), 0) << "row " << r;
+    }
+    EXPECT_GT(bag.MultiplicityData()[r], 0u) << "row " << r;
   }
 }
 
@@ -284,14 +286,14 @@ void CheckAgainstReseal(ConsistencyEngine& delta_engine) {
 TEST(EngineDeltaTest, MatchesResealAndOracleOn200Collections) {
   // Each commit replaces the engine with its derived generation, so the
   // previous generation is destroyed while the new one still shares its
-  // bags and marginals. Both workloads: small row-form bags, and
-  // columnar-sealed bags around kColumnarMinRows.
+  // bags and marginals. Both workloads: small bags, and mid-size bags
+  // around the small-grouping cutoff.
   for (uint64_t seed = 0; seed < 400; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    const bool columnar = seed >= 200;
+    const bool mid_size = seed >= 200;
     Rng rng(5'000'000 + seed);
     BagCollection start =
-        columnar ? *MakeColumnarWorkload(seed) : *MakeWorkload(seed);
+        mid_size ? *MakeMidSizeWorkload(seed) : *MakeWorkload(seed);
     ConsistencyEngine engine = *ConsistencyEngine::Make(start);
 
     size_t commits = 1 + rng.Below(3);
@@ -305,7 +307,7 @@ TEST(EngineDeltaTest, MatchesResealAndOracleOn200Collections) {
       ASSERT_TRUE(derived.ok()) << derived.status().message();
       engine = *std::move(derived);
       CheckDirtyPairMinimality(outcome, r);
-      if (columnar) CheckServingForm(before, engine.collection().bag(r));
+      CheckColumns(engine.collection().bag(r));
       CheckAgainstReseal(engine);
     }
   }
@@ -318,10 +320,10 @@ TEST(EngineDeltaTest, MakeDeltaGenerationsMatchResealOn200Collections) {
   // workloads, as above.
   for (uint64_t seed = 0; seed < 400; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    const bool columnar = seed >= 200;
+    const bool mid_size = seed >= 200;
     Rng rng(6'000'000 + seed);
     BagCollection start =
-        columnar ? *MakeColumnarWorkload(seed) : *MakeWorkload(seed);
+        mid_size ? *MakeMidSizeWorkload(seed) : *MakeWorkload(seed);
     std::vector<ConsistencyEngine> chain;
     chain.reserve(5);  // references into the chain survive every push_back
     chain.push_back(*ConsistencyEngine::Make(start));
@@ -342,9 +344,7 @@ TEST(EngineDeltaTest, MakeDeltaGenerationsMatchResealOn200Collections) {
       ConsistencyEngine& next = chain.back();
 
       CheckDirtyPairMinimality(outcome, r);
-      if (columnar) {
-        CheckServingForm(prev.collection().bag(r), next.collection().bag(r));
-      }
+      CheckColumns(next.collection().bag(r));
       // The delta generation fills exactly its dirty slots — adopted
       // slots (every other bag, and the mutated bag's clean projections)
       // are never counted (the marginal_fills() exactness regression).

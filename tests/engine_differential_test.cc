@@ -75,8 +75,8 @@ Result<BagCollection> MakeWorkload(uint64_t seed, bool* cyclic) {
       EXPECT_TRUE(victim.Set(Tuple{std::move(zeros)}, 1).ok());
     } else {
       size_t pick = rng.Below(victim.SupportSize());
-      Tuple t = victim.entries()[pick].first;
-      uint64_t mult = victim.entries()[pick].second;
+      Tuple t = victim.RowAt(pick);
+      uint64_t mult = victim.MultiplicityAt(pick);
       EXPECT_TRUE(victim.Set(t, mult + 1).ok());
     }
     return BagCollection::Make(std::move(bags));

@@ -202,9 +202,8 @@ TEST(NpCertificateTest, WitnessVerificationIsSound) {
   ASSERT_TRUE(*c.IsWitness(*witness));
   Bag tampered = *witness;
   ASSERT_FALSE(tampered.IsEmpty());
-  auto it = tampered.entries().begin();
-  Tuple t = it->first;
-  uint64_t m = it->second;
+  Tuple t = tampered.RowAt(0);
+  uint64_t m = tampered.MultiplicityAt(0);
   ASSERT_TRUE(tampered.Set(t, m + 1).ok());
   EXPECT_FALSE(*c.IsWitness(tampered));
 }

@@ -140,8 +140,8 @@ Result<BagCollection> MakeWorkload(uint64_t seed) {
       EXPECT_TRUE(victim.Set(Tuple{zeros}, 1).ok());
     } else {
       size_t pick = rng.Below(victim.SupportSize());
-      Tuple t = victim.entries()[pick].first;
-      EXPECT_TRUE(victim.Set(t, victim.entries()[pick].second + 1).ok());
+      Tuple t = victim.RowAt(pick);
+      EXPECT_TRUE(victim.Set(t, victim.MultiplicityAt(pick) + 1).ok());
     }
     return BagCollection::Make(std::move(bags));
   }
@@ -162,9 +162,8 @@ Result<BagCollection> InternCollection(const BagCollection& numeric,
     BagBuilder builder(b.schema());
     builder.Reserve(b.SupportSize());
     for (size_t i : order) {
-      const auto& [t, mult] = b.entries()[i];
-      BAGC_RETURN_NOT_OK(
-          builder.AddExternal(TokensOf(b.schema(), t), mult, dicts));
+      BAGC_RETURN_NOT_OK(builder.AddExternal(TokensOf(b.schema(), b.RowAt(i)),
+                                             b.MultiplicityAt(i), dicts));
     }
     BAGC_ASSIGN_OR_RETURN(Bag sealed, builder.Build());
     interned.push_back(std::move(sealed));
@@ -192,27 +191,16 @@ TEST(InternDifferentialTest, MatchesStringOracleOn200Collections) {
     opts.dictionaries = dicts;
     ConsistencyEngine engine = *ConsistencyEngine::Make(interned, opts);
     ConsistencyEngine numeric_engine = *ConsistencyEngine::Make(numeric);
-    // Columnar leg: the same interned bags, every one columnar-sealed
-    // before the seal, so every marginal groups through the SoA path —
-    // verdicts, failing pairs, and witness multiplicities must be
-    // bit-identical to the row path.
-    std::vector<Bag> columnar_bags = interned.bags();
-    for (Bag& b : columnar_bags) b.SealColumnar();
-    ConsistencyEngine columnar_engine = *ConsistencyEngine::Make(
-        *BagCollection::Make(std::move(columnar_bags)), opts);
 
-    // Pairwise: interned engine == string oracle == numeric codec path ==
-    // columnar path, including the lexicographically-first failing pair.
+    // Pairwise: interned engine == string oracle == numeric codec path,
+    // including the lexicographically-first failing pair.
     PairwiseVerdict verdict = *engine.PairwiseAll();
     PairwiseVerdict numeric_verdict = *numeric_engine.PairwiseAll();
-    PairwiseVerdict columnar_verdict = *columnar_engine.PairwiseAll();
     EXPECT_EQ(verdict.consistent, oracle.consistent);
     EXPECT_EQ(numeric_verdict.consistent, oracle.consistent);
-    EXPECT_EQ(columnar_verdict.consistent, oracle.consistent);
     if (!oracle.consistent) {
       EXPECT_EQ(verdict.witness_pair, oracle.first_failing);
       EXPECT_EQ(numeric_verdict.witness_pair, oracle.first_failing);
-      EXPECT_EQ(columnar_verdict.witness_pair, oracle.first_failing);
     }
 
     // Two-bag verdicts and witness multiplicities on every pair.
@@ -224,17 +212,9 @@ TEST(InternDifferentialTest, MatchesStringOracleOn200Collections) {
                            OracleMarginal(numeric.bag(j), z);
         EXPECT_EQ(*engine.TwoBag(i, j), pair_oracle);
         EXPECT_EQ(*numeric_engine.TwoBag(i, j), pair_oracle);
-        EXPECT_EQ(*columnar_engine.TwoBag(i, j), pair_oracle);
 
         std::optional<Bag> witness = *engine.Witness(i, j);
-        std::optional<Bag> columnar_witness = *columnar_engine.Witness(i, j);
         EXPECT_EQ(witness.has_value(), pair_oracle);
-        ASSERT_EQ(columnar_witness.has_value(), witness.has_value());
-        if (witness.has_value()) {
-          // The columnar engine's witness is the same bag, multiplicity
-          // for multiplicity.
-          EXPECT_EQ(*columnar_witness, *witness);
-        }
         if (witness.has_value()) {
           // Bit-identical witness multiplicities: the decoded witness
           // marginals ARE the oracle's string tables, multiplicity for
@@ -251,9 +231,8 @@ TEST(InternDifferentialTest, MatchesStringOracleOn200Collections) {
 
     // Global verdict: interned vs numeric representation (acyclic cases
     // reduce to the oracle-checked pairwise; cyclic ones cross-check the
-    // exact solver on both row encodings) — and the columnar leg agrees.
+    // exact solver on both row encodings).
     EXPECT_EQ(*engine.Global(), *numeric_engine.Global());
-    EXPECT_EQ(*columnar_engine.Global(), *engine.Global());
 
     // k-wise on a sample of seeds (subset sweep is the expensive one).
     if (seed % 10 == 0 && interned.size() >= 3) {
@@ -348,12 +327,11 @@ TEST(InternDifferentialTest, CanonicalizedScansMatchSortedMapOracle) {
       StringBag oracle = OracleMarginal(numeric.bag(b), numeric.bag(b).schema());
       ASSERT_EQ(bag.SupportSize(), oracle.size());
       auto it = oracle.begin();
-      for (const auto& [t, mult] : bag.entries()) {
+      for (size_t r = 0; r < bag.SupportSize(); ++r, ++it) {
         std::vector<std::string> decoded =
-            *canon.dictionaries()->DecodeRow(bag.schema(), t);
+            *canon.dictionaries()->DecodeRow(bag.schema(), bag.RowAt(r));
         EXPECT_EQ(decoded, it->first);
-        EXPECT_EQ(mult, it->second);
-        ++it;
+        EXPECT_EQ(bag.MultiplicityAt(r), it->second);
       }
     }
 

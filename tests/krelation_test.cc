@@ -17,8 +17,8 @@ namespace {
 
 KRelation<CountingSemiring> FromBag(const Bag& bag) {
   KRelation<CountingSemiring> out(bag.schema());
-  for (const auto& [t, m] : bag.entries()) {
-    EXPECT_TRUE(out.Set(t, m).ok());
+  for (size_t i = 0; i < bag.SupportSize(); ++i) {
+    EXPECT_TRUE(out.Set(bag.RowAt(i), bag.MultiplicityAt(i)).ok());
   }
   return out;
 }
@@ -135,8 +135,8 @@ TEST(KRelationTest, SharedMarginalNecessityAcrossSemirings) {
     EXPECT_TRUE(*SharedMarginalsAgree(r, s));
     // Tropical hidden witness (costs = multiplicities).
     KRelation<TropicalSemiring> tt(Schema{{0, 1, 2}});
-    for (const auto& [tuple, m] : hidden.entries()) {
-      ASSERT_TRUE(tt.Set(tuple, m).ok());
+    for (size_t i = 0; i < hidden.SupportSize(); ++i) {
+      ASSERT_TRUE(tt.Set(hidden.RowAt(i), hidden.MultiplicityAt(i)).ok());
     }
     auto rr = *tt.Marginal(Schema{{0, 1}});
     auto ss = *tt.Marginal(Schema{{1, 2}});

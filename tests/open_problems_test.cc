@@ -55,12 +55,13 @@ Result<Bag> SemijoinMin(const Bag& r, const Bag& s) {
   Schema z = Schema::Intersect(r.schema(), s.schema());
   BAGC_ASSIGN_OR_RETURN(Bag sz, s.Marginal(z));
   BAGC_ASSIGN_OR_RETURN(Projector proj, Projector::Make(r.schema(), z));
-  Bag out(r.schema());
-  for (const auto& [t, m] : r.entries()) {
+  BagBuilder out(r.schema());
+  for (size_t i = 0; i < r.SupportSize(); ++i) {
+    Tuple t = r.RowAt(i);
     uint64_t cap = sz.Multiplicity(t.Project(proj));
-    BAGC_RETURN_NOT_OK(out.Set(t, std::min(m, cap)));
+    BAGC_RETURN_NOT_OK(out.Add(std::move(t), std::min(r.MultiplicityAt(i), cap)));
   }
-  return out;
+  return out.Build();
 }
 
 TEST(OpenProblemsTest, MinSemijoinIsNotAFullReducerForBags) {

@@ -27,11 +27,12 @@ TEST(ThreeDctTest, FeasibleInstanceConvertsToConsistentBags) {
     EXPECT_TRUE(*c.IsWitness(*witness));
     // Convert witness back into a table and verify line sums.
     std::vector<uint64_t> table(inst.n * inst.n * inst.n, 0);
-    for (const auto& [t, mult] : witness->entries()) {
+    for (size_t e = 0; e < witness->SupportSize(); ++e) {
+      Tuple t = witness->RowAt(e);
       size_t i = static_cast<size_t>(t.at(0));
       size_t j = static_cast<size_t>(t.at(1));
       size_t k = static_cast<size_t>(t.at(2));
-      table[(i * inst.n + j) * inst.n + k] = mult;
+      table[(i * inst.n + j) * inst.n + k] = witness->MultiplicityAt(e);
     }
     EXPECT_TRUE(VerifyTable(inst, table));
   }

@@ -235,11 +235,12 @@ TEST(SegmentTest, LoadSegMatchesTextLoadedSession) {
       load_script += " " + f.catalog.Name(a);
     }
     load_script += "\n";
-    for (const auto& [t, mult] : f.bags[b].entries()) {
-      for (size_t i = 0; i < t.arity(); ++i) {
-        load_script += std::to_string(t.id(i)) + " ";
+    const Bag& bag = f.bags[b];
+    for (size_t r = 0; r < bag.SupportSize(); ++r) {
+      for (size_t c = 0; c < bag.schema().arity(); ++c) {
+        load_script += std::to_string(bag.IdAt(r, c)) + " ";
       }
-      load_script += ": " + std::to_string(mult) + "\n";
+      load_script += ": " + std::to_string(bag.MultiplicityAt(r)) + "\n";
     }
     load_script += "END\n";
   }

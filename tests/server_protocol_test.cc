@@ -120,6 +120,27 @@ TEST(ServerSessionTest, ErrorClasses) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].rfind("ERR E_PARSE", 0), 0u) << out[0];
 
+  // A duplicate row is rejected whichever occurrence carries multiplicity
+  // 0: LOADU32 answers the identical line, LOAD the same class (its
+  // message quotes the offending line).
+  std::vector<std::string> u32_zero_last =
+      Feed(&session, "LOADU32 dupz item store\n0 0 : 5\n0 0 : 0\nEND\n");
+  std::vector<std::string> u32_zero_first =
+      Feed(&session, "LOADU32 dupz item store\n0 0 : 0\n0 0 : 5\nEND\n");
+  ASSERT_EQ(u32_zero_last.size(), 1u);
+  EXPECT_EQ(u32_zero_last[0].rfind("ERR E_PARSE", 0), 0u) << u32_zero_last[0];
+  EXPECT_EQ(u32_zero_first, u32_zero_last);
+  std::vector<std::string> text_zero_last =
+      Feed(&session, "LOAD dupz item store\napple uptown : 5\napple uptown : 0\nEND\n");
+  std::vector<std::string> text_zero_first =
+      Feed(&session, "LOAD dupz item store\napple uptown : 0\napple uptown : 5\nEND\n");
+  ASSERT_EQ(text_zero_last.size(), 1u);
+  ASSERT_EQ(text_zero_first.size(), 1u);
+  EXPECT_EQ(text_zero_last[0].rfind("ERR E_PARSE duplicate tuple", 0), 0u)
+      << text_zero_last[0];
+  EXPECT_EQ(text_zero_first[0].rfind("ERR E_PARSE duplicate tuple", 0), 0u)
+      << text_zero_first[0];
+
   // Out-of-range bag reference and unknown name on a sealed engine.
   out = Feed(&session, "TWOBAG 0 7\nTWOBAG orders nosuch\n");
   ASSERT_EQ(out.size(), 2u);
@@ -1269,6 +1290,10 @@ TEST(ServerSessionTest, ErrorClassesAgreeAcrossFramings) {
        Frame(kFrameDict, Str("color") + U32(3) + Str("red") + Str("blue")), false},
       {"duplicate bag name", "LOADU32 orders item store\n0 0 : 1\nEND\n",
        Frame(kFrameRows, RowsPayload("orders", cols, {{0, 0, 1}})), true},
+      {"duplicate row, zero last", "LOADU32 dupz item store\n0 0 : 5\n0 0 : 0\nEND\n",
+       Frame(kFrameRows, RowsPayload("dupz", cols, {{0, 0, 5}, {0, 0, 0}})), true},
+      {"duplicate row, zero first", "LOADU32 dupz item store\n0 0 : 0\n0 0 : 5\nEND\n",
+       Frame(kFrameRows, RowsPayload("dupz", cols, {{0, 0, 0}, {0, 0, 5}})), true},
       {"SEAL inside a transaction", "BEGIN\nSEAL\n",
        Frame(kFrameBegin, "") + Frame(kFrameCmd, "SEAL"), true},
       {"COMMIT with no transaction", "COMMIT\n", Frame(kFrameCommit, ""), true},
@@ -1414,14 +1439,12 @@ Request WitnessRequest(size_t i, size_t j, bool minimal) {
 }
 
 // Publishes two numeric-codec bags over attributes 0..2 (named a0..a2)
-// into `registry`'s default collection, both sealed columnar whatever
-// their size. No dictionaries: values print through the codec.
+// into `registry`'s default collection. No dictionaries: values print
+// through the codec.
 void PublishNumericPair(CollectionRegistry* registry, Bag r, Bag s) {
   EngineSnapshot::BuildInputs inputs;
   for (const char* name : {"a0", "a1", "a2"}) inputs.catalog.Intern(name);
   inputs.names = {"r", "s"};
-  r.SealColumnar();
-  s.SealColumnar();
   inputs.bags.push_back(std::move(r));
   inputs.bags.push_back(std::move(s));
   inputs.dicts = std::make_shared<DictionarySet>();

@@ -241,13 +241,12 @@ uint64_t StatsSealedBytes(ServerSession* session) {
   return 0;
 }
 
-// The columnar-only seal memory pin: every sealed bag at or above the
-// columnar threshold holds NO live flat row vector (columnar_sealed),
-// its resident bytes come in well under the row form it replaced, and
-// the STATS sealed_bytes key surfaces the engine-resident total.
-TEST(ServerRegistryTest, SealedBagsHoldNoRowVectorAndShrinkSealedBytes) {
-  const size_t kRows = 64;  // comfortably above kColumnarMinRows
-  ASSERT_GE(kRows, kColumnarMinRows);
+// The columnar seal memory pin: every sealed bag is its columns, its
+// resident bytes come in well under the flat (Tuple, multiplicity) entry
+// vector the same rows would cost, and the STATS sealed_bytes key
+// surfaces the engine-resident total.
+TEST(ServerRegistryTest, SealedBagsAreColumnsAndShrinkSealedBytes) {
+  const size_t kRows = 64;
   CollectionRegistry registry;
   ServerSession session(&registry, nullptr);
   std::vector<std::string> out = session.HandleScript(WideLoadScript(kRows));
@@ -257,30 +256,26 @@ TEST(ServerRegistryTest, SealedBagsHoldNoRowVectorAndShrinkSealedBytes) {
       registry.Peek(registry.Default().get());
   ASSERT_NE(snapshot, nullptr);
   for (const Bag& bag : snapshot->engine()->collection().bags()) {
-    ASSERT_TRUE(bag.columnar_sealed())
-        << "sealed serving bag still carries its flat row vector";
-    // The ~halving pin: the columnar rep (ids + mults, no Tuples) must
-    // be at most 60% of the row form's footprint for the same rows.
-    Bag row_form = bag;
-    Status unsealed = row_form.Add(bag.RowAt(0), 1);  // de-seals via COW
-    ASSERT_TRUE(unsealed.ok());
-    ASSERT_FALSE(row_form.columnar_sealed());
-    EXPECT_LE(bag.ApproxBytes() * 10, row_form.ApproxBytes() * 6)
-        << "columnar " << bag.ApproxBytes() << " bytes vs row "
-        << row_form.ApproxBytes();
+    const size_t n = bag.SupportSize();
+    ASSERT_EQ(bag.Columns().num_rows(), n);
+    // The ~halving pin: ids + mults must be at most 60% of a flat entry
+    // vector's footprint (one Tuple per row plus its heap ids).
+    using Entry = std::pair<Tuple, uint64_t>;
+    size_t row_bytes = sizeof(std::vector<Entry>) +
+                       n * (sizeof(Entry) + bag.schema().arity() * sizeof(ValueId));
+    EXPECT_LE(bag.ApproxBytes() * 10, row_bytes * 6)
+        << "columnar " << bag.ApproxBytes() << " bytes vs row " << row_bytes;
   }
   uint64_t sealed = StatsSealedBytes(&session);
   EXPECT_GT(sealed, 0u);
   EXPECT_EQ(sealed, snapshot->sealed_bytes());
 }
 
-// The serving form is a function of a bag's size alone: after SEAL a
-// bag of kColumnarMinRows - 1 rows stays in row form and one of
-// kColumnarMinRows rows is columnar-sealed, and a COMMIT that moves each
-// across the threshold (one up, one down) leaves both in the form their
-// new sizes select.
-TEST(ServerRegistryTest, SealShapeFollowsColumnarMinRows) {
-  const size_t n = kColumnarMinRows;
+// One representation at every size: after SEAL bags of 31 and 32 rows
+// both expose their columns, and a COMMIT that moves each across the
+// 32-row small-grouping cutoff (one up, one down) keeps that.
+TEST(ServerRegistryTest, SealAndCommitKeepColumnsAtEverySize) {
+  const size_t n = 32;
   std::string script = "DICT item " + std::to_string(n) + "\n";
   for (size_t v = 0; v < n; ++v) script += "v" + std::to_string(v) + "\n";
   script += "END\n";
@@ -304,8 +299,14 @@ TEST(ServerRegistryTest, SealShapeFollowsColumnarMinRows) {
     const Bag& large = bags.bag(*snapshot->ResolveBag("large"));
     EXPECT_EQ(small.SupportSize(), small_rows);
     EXPECT_EQ(large.SupportSize(), large_rows);
-    EXPECT_EQ(small.columnar_sealed(), small_rows >= kColumnarMinRows);
-    EXPECT_EQ(large.columnar_sealed(), large_rows >= kColumnarMinRows);
+    for (const Bag* bag : {&small, &large}) {
+      ColumnView view = bag->Columns();
+      ASSERT_EQ(view.num_rows(), bag->SupportSize());
+      for (size_t r = 0; r < view.num_rows(); ++r) {
+        EXPECT_EQ(view.at(r, 0), static_cast<ValueId>(r));
+        EXPECT_EQ(bag->MultiplicityData()[r], 1u);
+      }
+    }
   };
   expect_shape(n - 1, n);
 
@@ -322,9 +323,8 @@ TEST(ServerRegistryTest, SealShapeFollowsColumnarMinRows) {
 }
 
 // The zero-copy twin: a snapshot lazily reloaded from its BAGCSEG
-// segment serves the mmap'd columns in place — every reloaded bag is
-// columnar-sealed over a *borrowed* store (no ids copied, no row
-// vector), and answers stay bit-identical (the thrash differential
+// segment serves the mmap'd columns in place — every reloaded bag is a
+// *borrowed* store (no ids copied), and answers stay bit-identical (the thrash differential
 // above covers that; this pins the representation).
 TEST(ServerRegistryTest, SegmentReloadServesBorrowedColumns) {
   Tenant t{"mmapped", WriteTenantSegment(1), false, {}};
@@ -349,7 +349,6 @@ TEST(ServerRegistryTest, SegmentReloadServesBorrowedColumns) {
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   ASSERT_NE(*reloaded, nullptr);
   for (const Bag& bag : (*reloaded)->engine()->collection().bags()) {
-    ASSERT_TRUE(bag.columnar_sealed());
     std::shared_ptr<const ColumnStore> store = bag.SharedColumns();
     ASSERT_NE(store, nullptr);
     EXPECT_TRUE(store->is_borrowed())

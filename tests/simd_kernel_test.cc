@@ -290,14 +290,18 @@ TEST(SimdKernelTest, GroupColumnsBitIdenticalAcrossLevels) {
 TEST(SimdKernelTest, GroupColumnsOverflowRejectedAtEveryLevel) {
   AttributeCatalog catalog;
   Schema z{catalog.Intern("A")};
-  // Two equal rows whose multiplicities overflow uint64 when summed —
-  // every kernel path must refuse, not wrap.
-  std::vector<ValueId> data = {3, 3};
-  ColumnStore store = ColumnStore::FromColumnMajor(std::move(data), 2, 1);
-  std::vector<uint64_t> mults = {std::numeric_limits<uint64_t>::max(), 2};
-  for (SimdLevel level : SupportedLevels()) {
-    Result<Bag> out = Bag::GroupColumns(z, store.View(), mults.data(), 2, level);
-    EXPECT_FALSE(out.ok()) << simd::SimdLevelName(level);
+  // Equal rows whose multiplicities overflow uint64 when summed — every
+  // kernel path must refuse, not wrap: 2 rows take the small sort-merge
+  // arm, 40 the dense (vector levels) and hashed (kScalar) arms.
+  for (size_t n : {2, 40}) {
+    std::vector<ValueId> data(n, 3);
+    ColumnStore store = ColumnStore::FromColumnMajor(std::move(data), n, 1);
+    std::vector<uint64_t> mults(n, 2);
+    mults[0] = std::numeric_limits<uint64_t>::max();
+    for (SimdLevel level : SupportedLevels()) {
+      Result<Bag> out = Bag::GroupColumns(z, store.View(), mults.data(), n, level);
+      EXPECT_FALSE(out.ok()) << n << " rows at " << simd::SimdLevelName(level);
+    }
   }
 }
 
