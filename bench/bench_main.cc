@@ -94,7 +94,7 @@
 #include "server/session.h"
 #include "tuple/column_store.h"
 #include "tuple/segment.h"
-#include "tuple/tuple_index.h"
+#include "tuple/column_index.h"
 #include "tuple/value_dictionary.h"
 #include "tuple/wal.h"
 #include "solver/lp.h"

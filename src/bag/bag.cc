@@ -6,7 +6,7 @@
 #include <numeric>
 
 #include "bag/entry_seal.h"
-#include "tuple/tuple_index.h"
+#include "tuple/column_index.h"
 #include "tuple/value_codec.h"
 
 namespace bagc {
@@ -418,6 +418,18 @@ Result<Bag> Bag::Join(const Bag& r, const Bag& s) {
   return builder.Build();
 }
 
+Bag Bag::Support() const {
+  if (rep_ == nullptr) return *this;
+  size_t n = SupportSize();
+  auto rep = std::make_shared<Columnar>();
+  rep->columns = ColumnStore::Borrow(rep_->columns.column(0), n, schema_.arity());
+  rep->mults.assign(n, 1);
+  rep->keep_alive = rep_;
+  Bag out(schema_);
+  out.rep_ = std::move(rep);
+  return out;
+}
+
 bool Bag::Contained(const Bag& r, const Bag& s) {
   if (r.schema() != s.schema()) return false;
   size_t n = r.SupportSize();
@@ -507,7 +519,6 @@ Status BagBuilder::Add(Tuple t, uint64_t mult) {
   if (t.arity() != schema_.arity()) {
     return Status::InvalidArgument("tuple arity does not match bag schema");
   }
-  if (mult == 0) return Status::OK();
   pending_.emplace_back(std::move(t), mult);
   return Status::OK();
 }
@@ -521,12 +532,12 @@ Status BagBuilder::AddExternal(const std::vector<std::string>& tokens,
   return Add(std::move(t), mult);
 }
 
-Result<Bag> BagBuilder::Build() {
+template <typename Plus>
+Result<Bag> BagBuilder::Seal(Plus&& plus) {
   std::vector<std::pair<Tuple, uint64_t>> rows = std::move(pending_);
   pending_.clear();
-  BAGC_RETURN_NOT_OK(internal::SealEntries(
-      &rows, [](uint64_t a, uint64_t b) { return CheckedAdd(a, b); },
-      [](uint64_t m) { return m == 0; }));
+  BAGC_RETURN_NOT_OK(internal::SealEntries(&rows, std::forward<Plus>(plus),
+                                           [](uint64_t m) { return m == 0; }));
   // The identity projection is always valid.
   Projector identity = Projector::Make(schema_, schema_).value();
   std::vector<uint64_t> mults(rows.size());
@@ -535,26 +546,31 @@ Result<Bag> BagBuilder::Build() {
                      std::move(mults));
 }
 
+Result<Bag> BagBuilder::Build() {
+  return Seal([](const Tuple&, uint64_t a, uint64_t b) { return CheckedAdd(a, b); });
+}
+
+Result<Bag> BagBuilder::BuildDistinct() {
+  return Seal([](const Tuple& t, uint64_t, uint64_t) -> Result<uint64_t> {
+    return Status::InvalidArgument("duplicate tuple: " + t.ToString());
+  });
+}
+
 Result<Bag> MakeBag(
     const Schema& schema,
     const std::vector<std::pair<std::vector<Value>, uint64_t>>& rows) {
   BagBuilder builder(schema);
   builder.Reserve(rows.size());
-  // Every tuple seen so far, zero multiplicities included; a repeat is an
-  // error whichever occurrence carries the zero.
-  TupleIndex seen(rows.size());
   for (const auto& [values, mult] : rows) {
     if (values.size() != schema.arity()) {
       return Status::InvalidArgument("row arity does not match schema");
     }
-    Tuple t{values};
-    if (seen.Find(t) != nullptr) {
-      return Status::AlreadyExists("duplicate tuple in MakeBag rows: " + t.ToString());
-    }
-    seen.Insert(t, 0);
-    BAGC_RETURN_NOT_OK(builder.Add(std::move(t), mult));
+    BAGC_RETURN_NOT_OK(builder.Add(Tuple{values}, mult));
   }
-  return builder.Build();
+  // BuildDistinct fails only on a repeated tuple.
+  Result<Bag> bag = builder.BuildDistinct();
+  if (!bag.ok()) return Status::AlreadyExists(bag.status().message());
+  return bag;
 }
 
 }  // namespace bagc

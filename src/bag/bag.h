@@ -157,8 +157,10 @@ class Bag {
   /// multiplicities (borrowed/mmap-backed spans count 0); 0 when empty.
   size_t ApproxBytes() const;
 
-  /// The support as a set-semantics Relation is provided by
-  /// Relation::SupportOf (see relation.h) to keep layering acyclic.
+  /// Supp(R) as a 0/1 bag, sharing this bag's columns. Joining these
+  /// with Join gives the join of the supports (every product is 1). The
+  /// set-semantics Relation is Relation::SupportOf (relation.h).
+  Bag Support() const;
 
   /// Tabular rendering ("a b : 3" rows) with attribute names.
   std::string ToString(const AttributeCatalog& catalog) const;
@@ -221,16 +223,19 @@ class Bag {
 /// \brief Accumulates (tuple, multiplicity) rows and seals them into a Bag
 /// with one sort + merge, instead of a per-insert merge pass.
 ///
-/// Duplicate tuples merge by overflow-checked addition; zero-multiplicity
-/// rows are dropped. This is the construction path for every bulk
-/// producer (marginals of row streams, joins, generators, reductions).
+/// Duplicate tuples merge by overflow-checked addition (Build) or are
+/// refused (BuildDistinct); zero-multiplicity rows drop at the seal. This
+/// is the construction path for every bulk producer (marginals of row
+/// streams, joins, generators, reductions) and every ingest that must
+/// reject repeated rows (MakeBag, the text and u32 loaders).
 class BagBuilder {
  public:
   explicit BagBuilder(Schema schema) : schema_(std::move(schema)) {}
 
   void Reserve(size_t n) { pending_.reserve(n); }
 
-  /// Appends a row; arity-checked, zero multiplicities ignored.
+  /// Appends a row; arity-checked. A zero multiplicity stays pending until
+  /// the seal drops it, so BuildDistinct still counts it as an occurrence.
   Status Add(Tuple t, uint64_t mult);
 
   /// Appends a row of *external* values (tokens[i] is the value of
@@ -246,7 +251,17 @@ class BagBuilder {
   /// and may be reused for the same schema.
   Result<Bag> Build();
 
+  /// As Build, but every tuple must have been added once: a repeat (a
+  /// zero-multiplicity occurrence included) fails with InvalidArgument
+  /// "duplicate tuple: <tuple>". The check is the seal's own sort.
+  Result<Bag> BuildDistinct();
+
  private:
+  // Build/BuildDistinct body: internal::SealEntries with `plus`, then the
+  // columnar seal.
+  template <typename Plus>
+  Result<Bag> Seal(Plus&& plus);
+
   Schema schema_;
   std::vector<std::pair<Tuple, uint64_t>> pending_;
 };

@@ -4,7 +4,6 @@
 #include <string_view>
 #include <sstream>
 
-#include "tuple/tuple_index.h"
 #include "util/simd.h"
 
 namespace bagc {
@@ -146,8 +145,6 @@ Result<Bag> ParseBag(const std::vector<std::string>& lines, size_t* pos,
     BAGC_ASSIGN_OR_RETURN(slot_of_column[i], schema.IndexOf(attrs[i]));
   }
   BagBuilder builder(schema);
-  // Tuples already carrying a nonzero multiplicity; a repeat is an error.
-  TupleIndex seen;
   // Row lines are the streaming hot path: tokens are scanned as views
   // into the line (SplitSpans), so the numeric arm parses a whole row
   // without one allocation beyond the tuple itself.
@@ -178,14 +175,9 @@ Result<Bag> ParseBag(const std::vector<std::string>& lines, size_t* pos,
       }
     }
     BAGC_ASSIGN_OR_RETURN(uint64_t mult, ParseUint(tokens.back()));
-    Tuple t = Tuple::OfIds(std::move(row));
-    if (seen.Find(t) != nullptr) {
-      return Status::InvalidArgument("duplicate tuple: '" + std::string(line) + "'");
-    }
-    seen.Insert(t, 0);
-    BAGC_RETURN_NOT_OK(builder.Add(std::move(t), mult));
+    BAGC_RETURN_NOT_OK(builder.Add(Tuple::OfIds(std::move(row)), mult));
   }
-  return builder.Build();
+  return builder.BuildDistinct();
 }
 
 Result<Bag> BagFromU32Columns(const std::vector<std::string>& attr_names,
@@ -224,7 +216,7 @@ Result<Bag> BagFromU32Columns(const std::vector<std::string>& attr_names,
   }
   size_t n = columns.num_rows();
   BagBuilder builder(schema);
-  TupleIndex seen;
+  builder.Reserve(n);
   std::vector<ValueId> row(attrs.size());
   for (size_t r = 0; r < n; ++r) {
     for (size_t c = 0; c < attrs.size(); ++c) {
@@ -237,15 +229,9 @@ Result<Bag> BagFromU32Columns(const std::vector<std::string>& attr_names,
       }
       row[slot_of_column[c]] = id;
     }
-    Tuple t = Tuple::OfIds(row);
-    if (seen.Find(t) != nullptr) {
-      return Status::InvalidArgument("duplicate tuple at row " +
-                                     std::to_string(r));
-    }
-    seen.Insert(t, 0);
-    BAGC_RETURN_NOT_OK(builder.Add(std::move(t), mults[r]));
+    BAGC_RETURN_NOT_OK(builder.Add(Tuple::OfIds(row), mults[r]));
   }
-  return builder.Build();
+  return builder.BuildDistinct();
 }
 
 Result<Bag> BagBorrowU32Columns(const std::vector<std::string>& attr_names,

@@ -1,7 +1,8 @@
 // Shared sealer for flat (tuple, annotation) entry vectors: sort by tuple,
 // merge runs of equal tuples with a semiring +, drop zero annotations.
 // This is the single implementation behind BagBuilder::Build (counting
-// semiring) and KRelation::Seal (arbitrary positive semiring).
+// semiring), BagBuilder::BuildDistinct (a + that refuses any repeat) and
+// KRelation::Seal (arbitrary positive semiring).
 #pragma once
 
 #include <algorithm>
@@ -15,9 +16,10 @@ namespace bagc {
 namespace internal {
 
 /// Sorts `rows` by tuple, merges equal-tuple runs with `plus`
-/// (an (Annotation, Annotation) -> Result<Annotation>), and erases entries
-/// whose merged annotation satisfies `is_zero`. On error the vector is
-/// cleared — partially merged state never leaks to the caller.
+/// (a (const Tuple& key, Annotation, Annotation) -> Result<Annotation>;
+/// the key lets a plus that refuses repeats name the tuple), and erases
+/// entries whose merged annotation satisfies `is_zero`. On error the
+/// vector is cleared — partially merged state never leaks to the caller.
 template <typename Annotation, typename Plus, typename IsZero>
 Status SealEntries(std::vector<std::pair<Tuple, Annotation>>* rows,
                    Plus&& plus, IsZero&& is_zero) {
@@ -29,7 +31,8 @@ Status SealEntries(std::vector<std::pair<Tuple, Annotation>>* rows,
     size_t run = i + 1;
     Annotation total = std::move((*rows)[i].second);
     while (run < rows->size() && (*rows)[run].first == (*rows)[i].first) {
-      Result<Annotation> sum = plus(std::move(total), (*rows)[run].second);
+      Result<Annotation> sum =
+          plus((*rows)[i].first, std::move(total), (*rows)[run].second);
       if (!sum.ok()) {
         rows->clear();
         return sum.status();

@@ -21,7 +21,6 @@
 #include "bag/entry_seal.h"
 #include "tuple/schema.h"
 #include "tuple/tuple.h"
-#include "tuple/tuple_index.h"
 #include "util/checked_math.h"
 #include "util/result.h"
 
@@ -161,7 +160,10 @@ class KRelation {
   /// Sorts rows, merges equal tuples with the semiring +, drops zeros.
   static Result<KRelation> Seal(Schema schema, Entries rows) {
     BAGC_RETURN_NOT_OK(internal::SealEntries(
-        &rows, [](Annotation a, const Annotation& b) { return K::Plus(std::move(a), b); },
+        &rows,
+        [](const Tuple&, Annotation a, const Annotation& b) {
+          return K::Plus(std::move(a), b);
+        },
         [](const Annotation& a) { return K::IsZero(a); }));
     KRelation out(std::move(schema));
     out.entries_ = std::move(rows);

@@ -1,7 +1,5 @@
 #include "bag/relation.h"
 
-#include "tuple/tuple_index.h"
-
 namespace bagc {
 
 Status Relation::Insert(const Tuple& t) {
@@ -22,27 +20,8 @@ Result<Relation> Relation::Project(const Schema& z) const {
 }
 
 Result<Relation> Relation::Join(const Relation& r, const Relation& s) {
-  BAGC_ASSIGN_OR_RETURN(TupleJoiner joiner, TupleJoiner::Make(r.schema(), s.schema()));
-  BAGC_ASSIGN_OR_RETURN(Projector r_shared,
-                        Projector::Make(r.schema(), joiner.shared_schema()));
-  BAGC_ASSIGN_OR_RETURN(Projector s_shared,
-                        Projector::Make(s.schema(), joiner.shared_schema()));
-  std::vector<const Tuple*> s_tuples;
-  s_tuples.reserve(s.size());
-  TupleIndex index(s.size());
-  for (const Tuple& t : s.tuples()) {
-    index.Insert(t.Project(s_shared), static_cast<uint32_t>(s_tuples.size()));
-    s_tuples.push_back(&t);
-  }
-  Relation out(joiner.joined_schema());
-  for (const Tuple& x : r.tuples()) {
-    const std::vector<uint32_t>* matches = index.Find(x.Project(r_shared));
-    if (matches == nullptr) continue;
-    for (uint32_t j : *matches) {
-      BAGC_RETURN_NOT_OK(out.Insert(joiner.Join(x, *s_tuples[j])));
-    }
-  }
-  return out;
+  BAGC_ASSIGN_OR_RETURN(Bag join, Bag::Join(r.ToBag(), s.ToBag()));
+  return SupportOf(join);
 }
 
 Result<Relation> Relation::JoinAll(const std::vector<Relation>& relations) {
@@ -71,8 +50,7 @@ Result<Relation> Relation::Semijoin(const Relation& r, const Relation& s) {
 
 Relation Relation::SupportOf(const Bag& bag) {
   Relation out(bag.schema());
-  // Bag rows are sorted, so the end hint makes each insert O(1). RowAt
-  // materializes from either representation (flat rows or sealed columns).
+  // Bag rows are sorted, so the end hint makes each insert O(1).
   size_t n = bag.SupportSize();
   for (size_t i = 0; i < n; ++i) {
     out.tuples_.insert(out.tuples_.end(), bag.RowAt(i));

@@ -533,26 +533,35 @@ Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
     // projected net as row deltas — a known group's net is a multiplicity
     // bump, a new group appends, an adjustment to zero removes the group.
     // A projection under which the nets cancel is clean and keeps its
-    // slot untouched.
+    // slot untouched. Row nets fit in int64 but their projected sum may
+    // not; such a slot is refilled from the mutated bag instead.
     for (CachedProjection& slot : cache_[bag_index]) {
       BAGC_ASSIGN_OR_RETURN(Projector proj,
                             Projector::Make(bag.schema(), slot.schema));
       std::map<Tuple, int64_t> pnet;
+      bool refill = false;
       for (const auto& [t, d] : net) {
         int64_t& acc = pnet[t.Project(proj)];
         if (__builtin_add_overflow(acc, d, &acc)) {
-          return Status::ArithmeticOverflow("projected delta overflow");
+          refill = true;
+          break;
         }
       }
-      // A group cannot drop below zero: its new count is a sum of the new
-      // (validated, non-negative) row multiplicities. ApplyRowDeltas
-      // guards the invariant anyway.
-      Bag next = *slot.marginal;
-      BAGC_ASSIGN_OR_RETURN(size_t changed,
-                            next.ApplyRowDeltas(
-                                std::vector<std::pair<Tuple, int64_t>>(
-                                    pnet.begin(), pnet.end())));
-      if (changed == 0) continue;
+      Bag next;
+      if (refill) {
+        BAGC_ASSIGN_OR_RETURN(next, mutated.Marginal(slot.schema));
+        if (next == *slot.marginal) continue;
+      } else {
+        // A group cannot drop below zero: its new count is a sum of the
+        // new (validated, non-negative) row multiplicities.
+        // ApplyRowDeltas guards the invariant anyway.
+        next = *slot.marginal;
+        BAGC_ASSIGN_OR_RETURN(size_t changed,
+                              next.ApplyRowDeltas(
+                                  std::vector<std::pair<Tuple, int64_t>>(
+                                      pnet.begin(), pnet.end())));
+        if (changed == 0) continue;
+      }
       slot.marginal = std::make_shared<const Bag>(std::move(next));
       dirty_slots.push_back(&slot);
       // An in-place adjustment is this generation's fill of the slot.

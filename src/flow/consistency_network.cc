@@ -1,6 +1,6 @@
 #include "flow/consistency_network.h"
 
-#include "tuple/tuple_index.h"
+#include "tuple/column_index.h"
 #include "util/checked_math.h"
 
 namespace bagc {

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
-#include "bag/relation.h"
+#include "tuple/column_index.h"
 #include "tuple/column_store.h"
-#include "tuple/tuple_index.h"
 
 namespace bagc {
 
@@ -18,17 +17,16 @@ namespace {
 
 // Appends every bag's rows to `lp->rows`, in bag order, given the chosen
 // variable tuples. `var_columns` is the column-major transpose of
-// `lp->variables` over the joined layout, built once by the caller and
-// re-selected per bag: the variable grouping and the per-support-tuple
-// lookups both run columnar (batch-hashed ProbeAll, no per-row Tuple
-// projection).
+// `lp->variables` over the joined layout, re-selected per bag: the
+// variable grouping and the per-support-tuple lookups both run columnar
+// (batch-hashed ProbeAll, no per-row Tuple projection).
 Status AppendAllRows(const std::vector<Bag>& bags, const Schema& joined,
-                     const ColumnStore& var_columns, ConsistencyLp* lp) {
+                     const ColumnView& var_columns, ConsistencyLp* lp) {
   for (size_t i = 0; i < bags.size(); ++i) {
     const Bag& bag = bags[i];
     BAGC_ASSIGN_OR_RETURN(Projector proj, Projector::Make(joined, bag.schema()));
     // Group variables by their projection onto Xi (zero-copy column select).
-    ColumnIndex groups(var_columns.View().Select(proj));
+    ColumnIndex groups(var_columns.Select(proj));
     // Resolve every support tuple of Ri against the groups in one batch.
     std::vector<uint32_t> match;
     groups.ProbeAll(bag.Columns(), &match);
@@ -75,23 +73,21 @@ Status AppendAllRows(const std::vector<Bag>& bags, const Schema& joined,
 Result<ConsistencyLp> BuildConsistencyLp(const std::vector<Bag>& bags,
                                          size_t max_join_support) {
   if (bags.empty()) return Status::InvalidArgument("empty bag collection");
-  // Join of the supports, with a size cap.
-  Relation join = Relation::SupportOf(bags[0]);
+  // Join of the supports: a bag-order fold of 0/1 copies, with a size
+  // cap. Its sorted rows are the variables.
+  Bag join = bags[0].Support();
   for (size_t i = 1; i < bags.size(); ++i) {
-    BAGC_ASSIGN_OR_RETURN(join, Relation::Join(join, Relation::SupportOf(bags[i])));
-    if (join.size() > max_join_support) {
+    BAGC_ASSIGN_OR_RETURN(join, Bag::Join(join, bags[i].Support()));
+    if (join.SupportSize() > max_join_support) {
       return Status::ResourceExhausted(
           "join support exceeds cap (" + std::to_string(max_join_support) + ")");
     }
   }
-  std::vector<Tuple> variables(join.tuples().begin(), join.tuples().end());
   ConsistencyLp lp;
   lp.joined_schema = join.schema();
-  lp.variables = std::move(variables);
-  BAGC_ASSIGN_OR_RETURN(Projector identity,
-                        Projector::Make(lp.joined_schema, lp.joined_schema));
-  ColumnStore var_columns = ColumnStore::FromTuples(lp.variables, identity);
-  BAGC_RETURN_NOT_OK(AppendAllRows(bags, lp.joined_schema, var_columns, &lp));
+  lp.variables.reserve(join.SupportSize());
+  for (size_t r = 0; r < join.SupportSize(); ++r) lp.variables.push_back(join.RowAt(r));
+  BAGC_RETURN_NOT_OK(AppendAllRows(bags, lp.joined_schema, join.Columns(), &lp));
   return lp;
 }
 
@@ -114,7 +110,8 @@ Result<ConsistencyLp> BuildLpWithVariables(const std::vector<Bag>& bags,
   BAGC_ASSIGN_OR_RETURN(Projector identity,
                         Projector::Make(lp.joined_schema, lp.joined_schema));
   ColumnStore var_columns = ColumnStore::FromTuples(lp.variables, identity);
-  BAGC_RETURN_NOT_OK(AppendAllRows(bags, lp.joined_schema, var_columns, &lp));
+  BAGC_RETURN_NOT_OK(
+      AppendAllRows(bags, lp.joined_schema, var_columns.View(), &lp));
   return lp;
 }
 

@@ -7,7 +7,7 @@
 // This is the substrate the vectorized probe path runs on: batch row
 // hashing (HashRows) walks each column once with a branch-free inner loop
 // over a contiguous u32 span, so marginal grouping and hash-join matching
-// (ColumnIndex in tuple_index.h) touch memory column-at-a-time instead of
+// (ColumnIndex in column_index.h) touch memory column-at-a-time instead of
 // chasing one heap-allocated id vector per row. Rows stay reachable via
 // RowAt for cold paths (IO, reports).
 //

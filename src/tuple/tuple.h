@@ -121,10 +121,6 @@ class Tuple {
   std::vector<ValueId> ids_;
 };
 
-struct TupleHash {
-  size_t operator()(const Tuple& t) const { return static_cast<size_t>(t.Hash()); }
-};
-
 /// \brief Joiner: combines an X-tuple and a Y-tuple agreeing on X ∩ Y into
 /// an XY-tuple (the tuple `xy` of the paper).
 ///

@@ -3,7 +3,7 @@
 // equality), so a bag collection can intern every external value into a
 // dense uint32 id per attribute and run all downstream algorithms on
 // fixed-width integer rows: tuples become vectors of ValueId, marginal
-// grouping and TupleIndex probes compare raw u32 rows (memcmp), and
+// grouping and ColumnIndex probes compare raw u32 rows (memcmp), and
 // cross-bag joins on shared attributes are id-equal by construction
 // whenever the bags were sealed through one shared DictionarySet.
 //

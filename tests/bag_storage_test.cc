@@ -1,8 +1,8 @@
 // Regression tests for bag storage: the deterministic iteration contract
 // (sorted columns == sorted-map order), the merge mutators at the edges
 // of the support and around the 32-row small-grouping cutoff, the Tup(∅)
-// empty-schema corner, multiplicity-overflow rejection in the mutators /
-// join / builder seal, and the TupleIndex hash-join substrate.
+// empty-schema corner, and multiplicity-overflow rejection in the
+// mutators / join / builder seal.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -11,7 +11,6 @@
 #include "bag/bag.h"
 #include "bag/krelation.h"
 #include "generators/workloads.h"
-#include "tuple/tuple_index.h"
 #include "util/random.h"
 
 namespace bagc {
@@ -249,56 +248,6 @@ TEST(FlatStorageTest, KRelationEntriesStaySorted) {
   EXPECT_EQ(k.At(Tuple{{3}}), 14u);
   ASSERT_TRUE(k.Set(Tuple{{3}}, 0).ok());
   EXPECT_EQ(k.SupportSize(), 5u);
-}
-
-// ---- TupleIndex ------------------------------------------------------------
-
-TEST(TupleIndexTest, GroupsEqualKeysInInsertionOrder) {
-  TupleIndex index;
-  index.Insert(Tuple{{1, 1}}, 0);
-  index.Insert(Tuple{{2, 2}}, 1);
-  index.Insert(Tuple{{1, 1}}, 2);
-  index.Insert(Tuple{{1, 1}}, 3);
-  ASSERT_EQ(index.NumGroups(), 2u);
-  EXPECT_EQ(index.size(), 4u);
-  const std::vector<uint32_t>* ones = index.Find(Tuple{{1, 1}});
-  ASSERT_NE(ones, nullptr);
-  EXPECT_EQ(*ones, (std::vector<uint32_t>{0, 2, 3}));
-  const std::vector<uint32_t>* twos = index.Find(Tuple{{2, 2}});
-  ASSERT_NE(twos, nullptr);
-  EXPECT_EQ(*twos, (std::vector<uint32_t>{1}));
-  EXPECT_EQ(index.Find(Tuple{{3, 3}}), nullptr);
-  // Group order is first-insertion order.
-  EXPECT_EQ(index.GroupKey(0), (Tuple{{1, 1}}));
-  EXPECT_EQ(index.GroupKey(1), (Tuple{{2, 2}}));
-}
-
-TEST(TupleIndexTest, SurvivesRehashWithManyKeys) {
-  TupleIndex index;
-  constexpr size_t kKeys = 5000;
-  for (size_t i = 0; i < kKeys; ++i) {
-    index.Insert(Tuple{{static_cast<Value>(i), static_cast<Value>(i % 13)}},
-                 static_cast<uint32_t>(i));
-  }
-  ASSERT_EQ(index.NumGroups(), kKeys);
-  for (size_t i = 0; i < kKeys; i += 97) {
-    const std::vector<uint32_t>* ids =
-        index.Find(Tuple{{static_cast<Value>(i), static_cast<Value>(i % 13)}});
-    ASSERT_NE(ids, nullptr);
-    ASSERT_EQ(ids->size(), 1u);
-    EXPECT_EQ((*ids)[0], static_cast<uint32_t>(i));
-  }
-}
-
-TEST(TupleIndexTest, EmptyIndexFindsNothing) {
-  TupleIndex index;
-  EXPECT_EQ(index.Find(Tuple{{1}}), nullptr);
-  EXPECT_EQ(index.NumGroups(), 0u);
-  // Empty-tuple keys (Tup(∅) projections) are valid keys.
-  index.Insert(Tuple{}, 7);
-  const std::vector<uint32_t>* ids = index.Find(Tuple{});
-  ASSERT_NE(ids, nullptr);
-  EXPECT_EQ(*ids, (std::vector<uint32_t>{7}));
 }
 
 }  // namespace

@@ -1054,6 +1054,41 @@ TEST(ServerSessionTest, PerRowNetOverflowIsERangeStagedAndPublished) {
   EXPECT_EQ(stats[8], "support 1");
 }
 
+// Each row's net fits in int64 but their projection onto s's schema sums
+// past it (2 * (2^62 + 1)); the marginal itself (2^63 + 3) fits in
+// uint64. Staged and published commits both land it and answer alike:
+// TWOBAG sees the exact marginal, and WITNESS gives the same reply (its
+// flow network refuses capacities this large on either path).
+TEST(ServerSessionTest, ProjectedNetPastInt64CommitsStagedAndPublished) {
+  const std::string load =
+      "DICT a 1\nx\nEND\nDICT b 2\nx\ny\nEND\n"
+      "LOADU32 r a b\n0 0 : 1\nEND\n"
+      "LOADU32 s a\n0 : 9223372036854775811\nEND\n";
+  const std::string insert =
+      "INSERT r a b\n0 0 : 4611686018427387905\n0 1 : 4611686018427387905\nEND\n";
+  const std::string queries = "TWOBAG r s\nWITNESS r s\n";
+
+  CollectionRegistry staged_registry;
+  ServerSession staged(&staged_registry, nullptr);
+  Feed(&staged, load);
+  ASSERT_EQ(Feed(&staged, insert).back(), "OK INSERT r 2 rows staged");
+  ASSERT_EQ(Feed(&staged, "SEAL\n").back(), "OK SEAL 2 bags");
+  std::vector<std::string> staged_answers = Feed(&staged, queries);
+
+  CollectionRegistry published_registry;
+  ServerSession published(&published_registry, nullptr);
+  Feed(&published, load);
+  ASSERT_EQ(Feed(&published, "SEAL\n").back(), "OK SEAL 2 bags");
+  std::vector<std::string> inserted = Feed(&published, insert);
+  ASSERT_EQ(inserted.size(), 1u);
+  EXPECT_EQ(inserted[0].rfind("OK ", 0), 0u) << inserted[0];
+  std::vector<std::string> published_answers = Feed(&published, queries);
+
+  ASSERT_FALSE(staged_answers.empty());
+  EXPECT_EQ(staged_answers[0], "OK CONSISTENT");
+  EXPECT_EQ(published_answers, staged_answers);
+}
+
 TEST(ServerSessionTest, TransactionCumulativeCapsRefuseOversizedBuffering) {
   CollectionRegistry registry;
   ServerSession session(&registry, nullptr);

@@ -18,7 +18,7 @@
 
 #include "bag/bag.h"
 #include "tuple/column_store.h"
-#include "tuple/tuple_index.h"
+#include "tuple/column_index.h"
 #include "util/hash.h"
 #include "util/random.h"
 #include "util/simd.h"

@@ -2,8 +2,13 @@
 // the rational closed-form solution of Lemma 2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+
 #include "bag/bag.h"
 #include "generators/workloads.h"
+#include "hypergraph/families.h"
 #include "solver/integer_feasibility.h"
 #include "solver/lp.h"
 #include "solver/rational_witness.h"
@@ -62,6 +67,122 @@ TEST(LpTest, BuildWithRestrictedVariables) {
 TEST(LpTest, RestrictedVariablesRejectBadArity) {
   auto bags = TwoBagExample();
   EXPECT_FALSE(BuildLpWithVariables(bags, {Tuple{{1, 2}}}).ok());
+}
+
+// The join oracle: a nested-loop fold, in bag order, of attribute ->
+// value assignments, read out as tuples over the union schema.
+// *max_step is the largest intermediate join after the first bag.
+std::vector<Tuple> NestedLoopJoin(const std::vector<Bag>& bags, size_t* max_step) {
+  std::vector<std::map<AttrId, ValueId>> acc = {{}};
+  *max_step = 0;
+  for (size_t b = 0; b < bags.size(); ++b) {
+    const Bag& bag = bags[b];
+    std::vector<std::map<AttrId, ValueId>> next;
+    for (const std::map<AttrId, ValueId>& partial : acc) {
+      for (size_t r = 0; r < bag.SupportSize(); ++r) {
+        std::map<AttrId, ValueId> joined = partial;
+        bool agrees = true;
+        for (size_t c = 0; c < bag.schema().arity() && agrees; ++c) {
+          auto [it, fresh] = joined.emplace(bag.schema().at(c), bag.IdAt(r, c));
+          agrees = fresh || it->second == bag.IdAt(r, c);
+        }
+        if (agrees) next.push_back(std::move(joined));
+      }
+    }
+    acc = std::move(next);
+    if (b > 0) *max_step = std::max(*max_step, acc.size());
+  }
+  std::vector<Tuple> out;
+  for (const std::map<AttrId, ValueId>& assignment : acc) {
+    std::vector<ValueId> ids;
+    for (const auto& [attr, id] : assignment) ids.push_back(id);
+    out.push_back(Tuple::OfIds(std::move(ids)));
+  }
+  return out;
+}
+
+void ExpectSameLp(const ConsistencyLp& got, const ConsistencyLp& want) {
+  EXPECT_EQ(got.joined_schema, want.joined_schema);
+  EXPECT_EQ(got.variables, want.variables);
+  ASSERT_EQ(got.rows.size(), want.rows.size());
+  for (size_t i = 0; i < got.rows.size(); ++i) {
+    SCOPED_TRACE("row " + std::to_string(i));
+    EXPECT_EQ(got.rows[i].bag_index, want.rows[i].bag_index);
+    EXPECT_EQ(got.rows[i].marginal_tuple, want.rows[i].marginal_tuple);
+    EXPECT_EQ(got.rows[i].rhs, want.rows[i].rhs);
+    EXPECT_EQ(got.rows[i].vars, want.rows[i].vars);
+  }
+}
+
+// BuildConsistencyLp equals BuildLpWithVariables over the oracle's J,
+// field by field, and its cap fails exactly past the largest join step.
+void ExpectLpMatchesOracle(const std::vector<Bag>& bags) {
+  size_t max_step = 0;
+  std::vector<Tuple> join = NestedLoopJoin(bags, &max_step);
+  ConsistencyLp want = *BuildLpWithVariables(bags, join);
+  Result<ConsistencyLp> got = BuildConsistencyLp(bags);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->variables.size(), join.size());
+  ExpectSameLp(*got, want);
+  if (bags.size() > 1) {
+    ASSERT_TRUE(BuildConsistencyLp(bags, max_step).ok());
+    if (max_step > 0) {
+      EXPECT_EQ(BuildConsistencyLp(bags, max_step - 1).status().code(),
+                StatusCode::kResourceExhausted);
+    }
+  }
+}
+
+TEST(LpTest, BuilderMatchesNestedLoopJoinOracle) {
+  Rng rng(2201);
+  BagGenOptions options;
+  options.domain_size = 3;
+  for (size_t n : {3u, 4u}) {
+    Hypergraph cycle = *MakeCycle(n);
+    for (int trial = 0; trial < 12; ++trial) {
+      SCOPED_TRACE("C" + std::to_string(n) + " trial " + std::to_string(trial));
+      options.support_size = 4 + static_cast<size_t>(trial);
+      std::vector<Bag> bags;
+      for (const Schema& edge : cycle.edges()) {
+        bags.push_back(*MakeRandomBag(edge, options, &rng));
+      }
+      ExpectLpMatchesOracle(bags);
+      // A consistent collection has a non-empty J with every row covered.
+      ExpectLpMatchesOracle(
+          MakeGloballyConsistentCollection(cycle, options, &rng)->bags());
+    }
+  }
+}
+
+TEST(LpTest, BuilderMatchesOracleOnEmptyBagAndCartesianProduct) {
+  Rng rng(2202);
+  BagGenOptions options;
+  options.support_size = 5;
+  Hypergraph cycle = *MakeCycle(3);
+  std::vector<Bag> bags;
+  for (const Schema& edge : cycle.edges()) {
+    bags.push_back(*MakeRandomBag(edge, options, &rng));
+  }
+  // An empty bag empties J: every row of the other bags has no variable.
+  for (size_t empty = 0; empty < bags.size(); ++empty) {
+    SCOPED_TRACE("empty bag " + std::to_string(empty));
+    std::vector<Bag> with_empty = bags;
+    with_empty[empty] = Bag(bags[empty].schema());
+    ConsistencyLp lp = *BuildConsistencyLp(with_empty);
+    EXPECT_TRUE(lp.variables.empty());
+    ExpectLpMatchesOracle(with_empty);
+  }
+  // Disjoint schemas: J is the cartesian product, and each join step is
+  // larger than the last, so the cap boundary is |J| itself.
+  std::vector<Bag> disjoint = {*MakeRandomBag(Schema{{0, 1}}, options, &rng),
+                               *MakeRandomBag(Schema{{2}}, options, &rng),
+                               *MakeRandomBag(Schema{{3, 4}}, options, &rng)};
+  size_t product = 1;
+  for (const Bag& b : disjoint) product *= b.SupportSize();
+  ExpectLpMatchesOracle(disjoint);
+  EXPECT_TRUE(BuildConsistencyLp(disjoint, product).ok());
+  EXPECT_FALSE(BuildConsistencyLp(disjoint, product - 1).ok());
+  EXPECT_EQ(BuildConsistencyLp(disjoint)->variables.size(), product);
 }
 
 TEST(IntegerFeasibilityTest, PaperExampleHasExactlyTwoWitnesses) {
