@@ -526,7 +526,10 @@ std::string SessionDictScript(const StringWorkload& w, const Schema& all_attrs,
     const ValueDictionary* dict = w.dicts->find_dict(a);
     if (dict == nullptr) continue;
     script += "DICT " + catalog.Name(a) + " " + std::to_string(dict->size()) + "\n";
-    for (const std::string& value : dict->externals()) script += value + "\n";
+    for (size_t id = 0; id < dict->size(); ++id) {
+      script += dict->ExternalOf(static_cast<ValueId>(id));
+      script += '\n';
+    }
     script += "END\n";
   }
   return script;
@@ -633,8 +636,8 @@ std::string BinaryIngestCycle(const StringWorkload& w,
     std::string payload;
     WireAppendString(&payload, catalog.Name(a));
     WireAppendU32(&payload, static_cast<uint32_t>(dict->size()));
-    for (const std::string& value : dict->externals()) {
-      WireAppendString(&payload, value);
+    for (size_t id = 0; id < dict->size(); ++id) {
+      WireAppendString(&payload, dict->ExternalOf(static_cast<ValueId>(id)));
     }
     WireAppendFrame(&frames, kFrameDict, payload);
   }

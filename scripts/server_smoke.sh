@@ -133,11 +133,14 @@ stop_daemon
 # Multi-collection eviction leg: two named tenants, each sealing past the
 # entire --mem-budget-mb 1 budget, so every ATTACH+query evicts the other
 # tenant and lazily reloads from its segment — and the answers must not
-# differ by one byte from an unlimited-budget daemon's.
+# differ by one byte from an unlimited-budget daemon's. A segment-loaded
+# tenant is charged mostly for its dictionaries' hash index (the columns
+# and values stay in the mapping), so 140,000 distinct items put each
+# tenant at about 2 MiB.
 make_big_collection() {  # args: out-path, salt (multiplicities differ per tenant)
   awk -v salt="$2" 'BEGIN {
     print "bag item store"
-    for (i = 0; i < 12000; ++i)
+    for (i = 0; i < 140000; ++i)
       printf "item%d st%d : %d\n", i, i % 64, 1 + (i + salt) % 5
     print "end"
     print "bag store region"

@@ -98,7 +98,8 @@ std::string WriteBag(const Bag& bag, const AttributeCatalog& catalog,
     for (size_t i = 0; i < t.arity(); ++i) {
       const ValueDictionary* d = slot_dict[i];
       if (d != nullptr && t.id(i) < d->size()) {
-        out += d->ExternalOf(t.id(i)) + " ";
+        out += d->ExternalOf(t.id(i));
+        out += ' ';
       } else {
         out += std::to_string(t.at(i)) + " ";
       }
@@ -167,7 +168,7 @@ Result<Bag> ParseBag(const std::vector<std::string>& lines, size_t* pos,
       if (dicts != nullptr) {
         // Dictionary mode: any word is a value; intern it per attribute.
         BAGC_ASSIGN_OR_RETURN(row[slot_of_column[i]],
-                              dicts->Intern(attrs[i], std::string(tokens[i])));
+                              dicts->Intern(attrs[i], tokens[i]));
       } else {
         // Legacy numeric mode: the historical integer format.
         BAGC_ASSIGN_OR_RETURN(int64_t v, ParseInt(tokens[i]));

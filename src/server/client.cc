@@ -275,13 +275,15 @@ Status BagcdClient::ShipDictionaries(const DictionarySet& dicts,
     if (std::find(shipped_.begin(), shipped_.end(), attr) != shipped_.end()) continue;
     const ValueDictionary* dict = dicts.find_dict(attr);
     if (dict == nullptr) continue;  // nothing to ship for this attribute
-    for (const std::string& value : dict->externals()) {
-      BAGC_RETURN_NOT_OK(WireValidateValue(value));
-    }
     Request request;
     request.verb = Verb::kDict;
     request.name = catalog.Name(attr);
-    request.lines = dict->externals();
+    request.lines.reserve(dict->size());
+    for (size_t id = 0; id < dict->size(); ++id) {
+      std::string_view value = dict->ExternalOf(static_cast<ValueId>(id));
+      BAGC_RETURN_NOT_OK(WireValidateValue(value));
+      request.lines.emplace_back(value);
+    }
     BAGC_RETURN_NOT_OK(Call(request, Response::Kind::kOk).status());
     shipped_.push_back(attr);
   }

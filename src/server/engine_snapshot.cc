@@ -11,6 +11,16 @@
 
 namespace bagc {
 
+namespace {
+
+// Like Bag::ApproxBytes, charge only what the snapshot owns: a
+// dictionary borrowed from a mapped segment costs its index alone.
+size_t ApproxBytes(const ConsistencyEngine& engine, const DictionarySet* dicts) {
+  return engine.ApproxSealedBytes() + (dicts == nullptr ? 0 : dicts->OwnedBytes());
+}
+
+}  // namespace
+
 Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::Build(
     BuildInputs inputs, uint64_t seq) {
   auto snapshot = std::shared_ptr<EngineSnapshot>(new EngineSnapshot());
@@ -47,10 +57,7 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::Build(
   // so don't park idle worker threads per generation.
   snapshot->engine_->ReleaseWorkers();
   snapshot->dicts_ = snapshot->engine_->shared_dictionaries();
-  // Dictionary entries are approximated at a flat per-value cost; the
-  // engine's sealed state dominates for any collection worth evicting.
-  snapshot->approx_bytes_ = snapshot->engine_->ApproxSealedBytes() +
-                            48 * snapshot->dict_values();
+  snapshot->approx_bytes_ = ApproxBytes(*snapshot->engine_, snapshot->dicts_.get());
   return std::shared_ptr<const EngineSnapshot>(std::move(snapshot));
 }
 
@@ -79,8 +86,7 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::BuildDeltaBatch(
   for (const Bag& b : snapshot->engine_->collection().bags()) {
     snapshot->support_rows_ += b.SupportSize();
   }
-  snapshot->approx_bytes_ = snapshot->engine_->ApproxSealedBytes() +
-                            48 * snapshot->dict_values();
+  snapshot->approx_bytes_ = ApproxBytes(*snapshot->engine_, snapshot->dicts_.get());
   return std::shared_ptr<const EngineSnapshot>(std::move(snapshot));
 }
 
@@ -132,9 +138,9 @@ std::string EngineSnapshot::WriteBagText(const Bag& bag) const {
 Result<SegmentBags> LoadSegmentBags(const std::string& path,
                                     AttributeCatalog* catalog) {
   BAGC_ASSIGN_OR_RETURN(SegmentReader mapped, SegmentReader::Map(path));
-  // Shared so each borrowed bag pins the mapping: the bags serve the
-  // mmap'd columns from the page cache, and the reader dies with the
-  // last of them.
+  // Shared so each borrowed bag and dictionary pins the mapping: they
+  // serve the mmap'd columns and values from the page cache, and the
+  // reader dies with the last of them.
   auto reader = std::make_shared<SegmentReader>(std::move(mapped));
   SegmentBags out;
   out.attrs.reserve(reader->num_attrs());
@@ -145,8 +151,17 @@ Result<SegmentBags> LoadSegmentBags(const std::string& path,
           "segment attribute name is not representable on the wire");
     }
     out.attrs.push_back(catalog->Intern(name));
-    BAGC_RETURN_NOT_OK(
-        out.dicts.dict(out.attrs.back()).BulkLoad(reader->AttrValues(a)));
+    ValueDictionary& dict = out.dicts.dict(out.attrs.back());
+    BAGC_RETURN_NOT_OK(dict.Borrow(reader->attr_offsets(a),
+                                   reader->attr_value_count(a),
+                                   reader->attr_blob(a), reader));
+    // Values enter from disk only here, so this is where the text
+    // framing's rule (the one DICT enforces) is checked.
+    Status valid = WireValidateValueTable(dict.offsets(), dict.size(), dict.blob());
+    if (!valid.ok()) {
+      return Status::InvalidArgument("segment attribute '" + name + "': " +
+                                     valid.message());
+    }
   }
   for (size_t b = 0; b < reader->num_bags(); ++b) {
     std::string name(reader->bag_name(b));

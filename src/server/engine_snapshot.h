@@ -122,12 +122,13 @@ class EngineSnapshot {
   /// Distinct dictionary values the snapshot can decode.
   size_t dict_values() const { return dicts_ == nullptr ? 0 : dicts_->total_size(); }
   uint64_t marginal_fills() const { return engine_->marginal_fills(); }
-  /// Approximate resident bytes of the sealed engine (registry budget /
-  /// eviction accounting; stable across identical rebuilds).
+  /// Approximate resident bytes the snapshot owns: the sealed engine
+  /// plus its dictionaries' owned bytes (registry budget / eviction
+  /// accounting; stable across identical rebuilds). Borrowed columns
+  /// and value tables live in the page cache and are not charged.
   size_t approx_bytes() const { return approx_bytes_; }
   /// The engine's own sealed-state bytes (bags, marginal caches, column
-  /// stores) without the dictionary estimate — the STATS `sealed_bytes`
-  /// key.
+  /// stores) without the dictionaries — the STATS `sealed_bytes` key.
   size_t sealed_bytes() const { return engine_->ApproxSealedBytes(); }
   /// The sealed engine — the reuse source for an incremental re-seal.
   const ConsistencyEngine* engine() const { return &*engine_; }
@@ -162,13 +163,15 @@ struct SegmentBags {
 
 /// The one segment loader, behind LOADSEG and the registry's reload:
 /// maps `path` (docs/SEGMENT.md), interns its attribute names into
-/// `catalog` in table order, bulk-loads each attribute's dictionary, and
+/// `catalog` in table order, borrows each attribute's value table from
+/// the mapping (ValueDictionary::Borrow; only the index is built), and
 /// builds every bag over the mapped columns in place, falling back to
-/// the copying ingest for layouts the strict borrow rejects. Refuses
-/// attribute names the wire cannot carry and index-like bag names
-/// (InvalidArgument), and a bag name the segment repeats
-/// (FailedPrecondition). On error `catalog` may have grown: a caller
-/// that must stay unchanged passes a copy.
+/// the copying ingest for layouts the strict borrow rejects. The
+/// dictionaries and bags pin the mapping. Refuses attribute names and
+/// values the wire cannot carry (WireValidateValue), duplicate values,
+/// and index-like bag names (InvalidArgument), and a bag name the
+/// segment repeats (FailedPrecondition). On error `catalog` may have
+/// grown: a caller that must stay unchanged passes a copy.
 Result<SegmentBags> LoadSegmentBags(const std::string& path,
                                     AttributeCatalog* catalog);
 

@@ -100,12 +100,36 @@ Result<uint64_t> WireParseUint(std::string_view token) {
   return value;
 }
 
+namespace {
+
+// The bytes the line framing reserves: the comment marker and the token
+// separators.
+bool Unframeable(char c) {
+  return c == '#' || c == ' ' || c == '\t' || c == '\r' || c == '\n';
+}
+
+}  // namespace
+
 Status WireValidateValue(std::string_view value) {
-  if (value.empty() || value.find_first_of("# \t\r\n") != std::string_view::npos) {
+  if (value.empty() || std::any_of(value.begin(), value.end(), Unframeable)) {
     return Status::InvalidArgument(
         "value '" + std::string(value) +
         "' is not representable on the wire (empty, or contains '#' or "
         "whitespace)");
+  }
+  return Status::OK();
+}
+
+Status WireValidateValueTable(const uint32_t* offsets, size_t count,
+                              std::string_view blob) {
+  // A value holds an unframeable byte iff the blob does, and is empty
+  // iff its offsets repeat; only a failing table is walked per value.
+  bool clean = std::none_of(blob.begin(), blob.end(), Unframeable);
+  for (size_t v = 0; clean && v < count; ++v) clean = offsets[v] != offsets[v + 1];
+  if (clean) return Status::OK();
+  for (size_t v = 0; v < count; ++v) {
+    BAGC_RETURN_NOT_OK(WireValidateValue(
+        blob.substr(offsets[v], offsets[v + 1] - offsets[v])));
   }
   return Status::OK();
 }

@@ -82,6 +82,13 @@ Result<uint64_t> WireParseUint(std::string_view token);
 /// (InvalidArgument).
 Status WireValidateValue(std::string_view value);
 
+/// WireValidateValue over every value of a table in the BAGCSEG /
+/// ValueDictionary shape (`count`+1 u32 prefix offsets into `blob`).
+/// Scans the blob once instead of value by value; fails with the first
+/// offending value's WireValidateValue error.
+Status WireValidateValueTable(const uint32_t* offsets, size_t count,
+                              std::string_view blob);
+
 /// True for a non-empty all-digits token: the wire form of a bag index.
 /// Bag and collection names must not have this shape, so a reference is
 /// never ambiguous.

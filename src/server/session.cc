@@ -77,9 +77,11 @@ Response WitnessResponse(const Bag& bag, const EngineSnapshot& snapshot) {
     for (size_t i = 0; i < schema.arity(); ++i) {
       const ValueDictionary* d = slot_dict[i];
       const ValueId id = bag.IdAt(e, i);
-      r.values.push_back(d != nullptr && id < d->size()
-                             ? d->ExternalOf(id)
-                             : std::to_string(DecodeValue(id)));
+      if (d != nullptr && id < d->size()) {
+        r.values.emplace_back(d->ExternalOf(id));
+      } else {
+        r.values.push_back(std::to_string(DecodeValue(id)));
+      }
     }
     r.mults.push_back(bag.MultiplicityAt(e));
   }

@@ -10,21 +10,11 @@
 #include <cstdio>
 #include <cstring>
 
+#include "util/checksum.h"
+
 namespace bagc {
 
 namespace {
-
-// FNV-1a 64: tiny, dependency-free, and strong enough for its job here
-// (catching truncation and bit rot, not adversaries — the reader
-// validates structure independently of the checksum).
-uint64_t Fnv1a(const char* data, size_t n) {
-  uint64_t h = 14695981039346656037ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 void AppendU32(std::string* out, uint32_t v) {
   char b[4];
@@ -166,24 +156,20 @@ Result<std::string> EncodeSegment(const std::vector<std::string>& names,
 
   for (size_t i = 0; i < used.size(); ++i) {
     const std::string name = catalog.Name(used[i]);
-    const std::vector<std::string>& values = dict_of[i]->externals();
+    const ValueDictionary& dict = *dict_of[i];
     AlignTo(&out, 4);
     size_t name_off = out.size();
     out += name;
     AlignTo(&out, 4);
+    // The dictionary's table is already the on-disk shape: copy it.
     size_t offsets_off = out.size();
-    uint32_t acc = 0;
-    AppendU32(&out, 0);
-    for (const std::string& v : values) {
-      acc += static_cast<uint32_t>(v.size());
-      AppendU32(&out, acc);
-    }
+    for (size_t v = 0; v <= dict.size(); ++v) AppendU32(&out, dict.offsets()[v]);
     size_t blob_off = out.size();
-    for (const std::string& v : values) out += v;
+    out += dict.blob();
     size_t entry = attr_table + i * 32;
     PutU64(&out, entry + 0, name_off);
     PutU32(&out, entry + 8, static_cast<uint32_t>(name.size()));
-    PutU32(&out, entry + 12, static_cast<uint32_t>(values.size()));
+    PutU32(&out, entry + 12, static_cast<uint32_t>(dict.size()));
     PutU64(&out, entry + 16, offsets_off);
     PutU64(&out, entry + 24, blob_off);
   }
@@ -228,7 +214,7 @@ Result<std::string> EncodeSegment(const std::vector<std::string>& names,
   PutU64(&out, 40, attr_table);
   PutU64(&out, 48, bag_table);
   PutU64(&out, 56, 0);
-  PutU64(&out, 24, Fnv1a(out.data() + kSegmentHeaderBytes,
+  PutU64(&out, 24, Xxh64(out.data() + kSegmentHeaderBytes,
                          out.size() - kSegmentHeaderBytes));
   return out;
 }
@@ -309,9 +295,10 @@ Status SegmentReader::Init(std::string_view data) {
   }
   uint32_t version = LoadU32(data_ + 8);
   if (version != kSegmentVersion) {
-    return Status::InvalidArgument("unsupported segment version " +
-                                   std::to_string(version) + " (expected " +
-                                   std::to_string(kSegmentVersion) + ")");
+    return Status::InvalidArgument(
+        "unsupported segment version " + std::to_string(version) +
+        " (this build reads only version " + std::to_string(kSegmentVersion) +
+        "; re-export the segment)");
   }
   if (LoadU32(data_ + 12) != kSegmentHeaderBytes) {
     return Status::InvalidArgument("bad segment header size");
@@ -323,7 +310,7 @@ Status SegmentReader::Init(std::string_view data) {
         " bytes but the file has " + std::to_string(size_));
   }
   uint64_t checksum = LoadU64(data_ + 24);
-  if (checksum != Fnv1a(data_ + kSegmentHeaderBytes,
+  if (checksum != Xxh64(data_ + kSegmentHeaderBytes,
                         size_ - kSegmentHeaderBytes)) {
     return Status::InvalidArgument("segment checksum mismatch");
   }
@@ -418,16 +405,9 @@ Status SegmentReader::Init(std::string_view data) {
   return Status::OK();
 }
 
-std::vector<std::string> SegmentReader::AttrValues(size_t a) const {
-  const AttrMeta& meta = attrs_[a];
-  std::vector<std::string> values;
-  values.reserve(meta.count);
-  for (uint32_t v = 0; v < meta.count; ++v) {
-    uint32_t begin = LoadU32(meta.offsets + 4 * uint64_t{v});
-    uint32_t end = LoadU32(meta.offsets + 4 * (uint64_t{v} + 1));
-    values.emplace_back(meta.blob + begin, end - begin);
-  }
-  return values;
+const uint32_t* SegmentReader::attr_offsets(size_t a) const {
+  // Alignment was validated at Init, as for the columns.
+  return reinterpret_cast<const uint32_t*>(attrs_[a].offsets);
 }
 
 size_t SegmentReader::bag_attr(size_t b, size_t c) const {

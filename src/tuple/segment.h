@@ -13,10 +13,11 @@
 //
 //   header (64 bytes)
 //     0   8   magic "BAGCSEG\n"
-//     8   4   u32 version (1)
+//     8   4   u32 version (2)
 //     12  4   u32 header size (64)
 //     16  8   u64 file size
-//     24  8   u64 FNV-1a checksum of bytes [64, file size)
+//     24  8   u64 XXH64 checksum of bytes [64, file size)
+//                 (util/checksum.h; version 1 used FNV-1a and is refused)
 //     32  4   u32 attribute count
 //     36  4   u32 bag count
 //     40  8   u64 attribute table offset
@@ -30,6 +31,8 @@
 //                                        4-byte-aligned, non-decreasing
 //     24  8   u64 value-blob offset      concatenated externals; value i
 //                                        is blob[offsets[i], offsets[i+1])
+//                                        (ValueDictionary's own table shape,
+//                                        so a loader borrows it in place)
 //   bag table: 48-byte entries
 //     0   8   u64 name offset
 //     8   4   u32 name length
@@ -67,7 +70,7 @@ namespace bagc {
 inline constexpr std::string_view kSegmentMagic = "BAGCSEG\n";
 
 /// Format version written and accepted by this build.
-inline constexpr uint32_t kSegmentVersion = 1;
+inline constexpr uint32_t kSegmentVersion = 2;
 
 /// Fixed header size (bytes); also the start of the checksummed region.
 inline constexpr uint32_t kSegmentHeaderBytes = 64;
@@ -95,7 +98,8 @@ Status WriteSegmentFile(const std::string& path,
 /// Parse() borrows caller-owned bytes (tests, in-memory round trips).
 /// All validation happens up front — accessors are unchecked and
 /// borrow from the underlying bytes, so the reader must outlive every
-/// string_view, ColumnStore, and multiplicity pointer it hands out.
+/// string_view, value table, ColumnStore, and multiplicity pointer it
+/// hands out.
 /// Move-only; moving keeps borrowed pointers valid (they point into the
 /// mapping, not the object).
 class SegmentReader {
@@ -114,9 +118,14 @@ class SegmentReader {
 
   std::string_view attr_name(size_t a) const { return attrs_[a].name; }
   size_t attr_value_count(size_t a) const { return attrs_[a].count; }
-  /// The externals of attribute `a` in id order — the exact sequence
-  /// ValueDictionary::BulkLoad reconstructs the dictionary from.
-  std::vector<std::string> AttrValues(size_t a) const;
+  /// The value table of attribute `a` in id order, borrowed from the
+  /// bytes: attr_value_count(a)+1 u32 prefix offsets (validated 4-byte
+  /// aligned, non-decreasing from 0) into attr_blob(a) — the exact
+  /// arguments of ValueDictionary::Borrow.
+  const uint32_t* attr_offsets(size_t a) const;
+  std::string_view attr_blob(size_t a) const {
+    return std::string_view(attrs_[a].blob, attrs_[a].blob_len);
+  }
 
   std::string_view bag_name(size_t b) const { return bags_[b].name; }
   size_t bag_arity(size_t b) const { return bags_[b].arity; }

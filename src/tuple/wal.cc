@@ -8,21 +8,11 @@
 #include <cstring>
 
 #include "tuple/segment.h"
+#include "util/checksum.h"
 
 namespace bagc {
 
 namespace {
-
-// Same FNV-1a 64 as the segment codec: catches truncation and bit rot,
-// not adversaries — the reader validates structure independently.
-uint64_t Fnv1a(const char* data, size_t n) {
-  uint64_t h = 14695981039346656037ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 void AppendU32(std::string* out, uint32_t v) {
   char b[4];
@@ -109,7 +99,7 @@ bool HasValidRecordAfter(std::string_view data, size_t from) {
     if (probe + kWalRecordFrameBytes + len > data.size()) continue;
     const char* payload = data.data() + probe + kWalRecordFrameBytes;
     if (LoadU64(data.data() + probe + 4) ==
-        Fnv1a(payload, static_cast<size_t>(len))) {
+        Xxh64(payload, static_cast<size_t>(len))) {
       return true;
     }
   }
@@ -208,7 +198,7 @@ Result<std::string> EncodeWalRecord(const WalRecord& record) {
   std::string out;
   out.reserve(kWalRecordFrameBytes + payload.size());
   AppendU32(&out, static_cast<uint32_t>(payload.size()));
-  AppendU64(&out, Fnv1a(payload.data(), payload.size()));
+  AppendU64(&out, Xxh64(payload.data(), payload.size()));
   out += payload;
   return out;
 }
@@ -253,7 +243,7 @@ Result<WalContents> ParseWal(std::string_view data) {
     bool frame_fits = kWalRecordFrameBytes + len <= remaining;
     if (!frame_fits ||
         LoadU64(data.data() + off + 4) !=
-            Fnv1a(payload, static_cast<size_t>(len))) {
+            Xxh64(payload, static_cast<size_t>(len))) {
       // A damaged record: overrunning length or failing checksum. The
       // length field itself may be the damaged bytes, so the successor
       // probe scans every offset past it (HasValidRecordAfter) instead
@@ -360,8 +350,11 @@ Result<uint64_t> SegmentFingerprint(const std::string& path) {
   if (std::memcmp(header, kSegmentMagic.data(), kSegmentMagic.size()) != 0) {
     return Status::InvalidArgument("bad segment magic in " + path);
   }
-  if (LoadU32(header + 8) != kSegmentVersion) {
-    return Status::InvalidArgument("unsupported segment version in " + path);
+  if (uint32_t version = LoadU32(header + 8); version != kSegmentVersion) {
+    return Status::InvalidArgument(
+        "unsupported segment version " + std::to_string(version) + " in " +
+        path + " (this build reads only version " +
+        std::to_string(kSegmentVersion) + ")");
   }
   return LoadU64(header + 24);
 }

@@ -10,11 +10,12 @@
 //
 //   header (16 bytes)
 //     0   8   magic "BAGCWAL\n"
-//     8   4   u32 version (1)
+//     8   4   u32 version (2)
 //     12  4   u32 header size (16)
 //   records, back to back, each:
 //     0   4   u32 payload length
-//     4   8   u64 FNV-1a checksum of the payload bytes
+//     4   8   u64 XXH64 checksum of the payload bytes (util/checksum.h;
+//             version 1 used FNV-1a and is refused)
 //     12  .   payload:
 //               0   8   u64 generation id (strictly increasing)
 //               8   8   u64 base-segment fingerprint (the BAGCSEG
@@ -64,7 +65,7 @@ namespace bagc {
 inline constexpr std::string_view kWalMagic = "BAGCWAL\n";
 
 /// Format version written and accepted by this build.
-inline constexpr uint32_t kWalVersion = 1;
+inline constexpr uint32_t kWalVersion = 2;
 
 /// Fixed header size (bytes); records start here.
 inline constexpr uint32_t kWalHeaderBytes = 16;
@@ -124,7 +125,7 @@ Result<WalContents> ParseWal(std::string_view data);
 Result<WalContents> ReadWalFile(const std::string& path);
 
 /// Reads the base-segment fingerprint a WAL record must carry: the
-/// FNV-1a checksum stored at offset 24 of the BAGCSEG header at
+/// XXH64 body checksum stored at offset 24 of the BAGCSEG header at
 /// `path`. Validates magic and version but not the full file — this is
 /// the cheap identity probe run before deciding whether a WAL applies.
 Result<uint64_t> SegmentFingerprint(const std::string& path);

@@ -1,11 +1,13 @@
 // Unit tests for the util substrate: Status/Result, checked arithmetic,
-// rationals, hashing, PRNG.
+// rationals, hashing, the XXH64 checksum, PRNG.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <set>
+#include <string>
 
 #include "util/checked_math.h"
+#include "util/checksum.h"
 #include "util/hash.h"
 #include "util/random.h"
 #include "util/rational.h"
@@ -161,6 +163,40 @@ TEST(HashTest, MixDecorrelates) {
   EXPECT_NE(Mix64(1), Mix64(2));
   EXPECT_NE(HashRange<int>({1, 2}), HashRange<int>({2, 1}));
   EXPECT_EQ(HashRange<int>({1, 2, 3}), HashRange<int>({1, 2, 3}));
+}
+
+// Published XXH64 (seed 0) vectors. The last two are 39 and 43 bytes, so
+// the four-lane 32-byte stripe loop, the 8-byte, 4-byte and 1-byte
+// tails all run.
+TEST(ChecksumTest, Xxh64MatchesPublishedVectors) {
+  struct Vector {
+    std::string input;
+    uint64_t want;
+  };
+  const Vector vectors[] = {
+      {"", 0xef46db3751d8e999ULL},
+      {"a", 0xd24ec4f1a98c6e5bULL},
+      {"abc", 0x44bc2cf5ad770999ULL},
+      {"Nobody inspects the spammish repetition", 0xfbcea83c8a378bf1ULL},
+      {"The quick brown fox jumps over the lazy dog", 0x0b242d361fda71bcULL},
+  };
+  for (const Vector& v : vectors) {
+    EXPECT_EQ(Xxh64(v.input.data(), v.input.size()), v.want) << '"' << v.input << '"';
+  }
+}
+
+// The reader hashes bytes where they lie: the result must not depend on
+// the input's alignment.
+TEST(ChecksumTest, Xxh64IgnoresAlignment) {
+  std::string buffer(200, '\0');
+  for (size_t i = 0; i < buffer.size(); ++i) buffer[i] = static_cast<char>(i * 37 + 11);
+  const uint64_t want = Xxh64(buffer.data() + 8, 150);
+  for (size_t shift = 1; shift < 8; ++shift) {
+    std::string moved(shift, 'x');
+    moved.append(buffer, 8, 150);
+    EXPECT_EQ(Xxh64(moved.data() + shift, 150), want) << shift;
+  }
+  EXPECT_NE(Xxh64(buffer.data() + 8, 149), want);
 }
 
 TEST(RngTest, DeterministicGivenSeed) {

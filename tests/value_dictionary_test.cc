@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -140,8 +141,9 @@ TEST(ValueDictionaryTest, BulkLoadDuplicateLeavesDictionaryEmptyAndReusable) {
   std::vector<std::string> values;
   for (size_t i = 0; i < 100; ++i) values.push_back("w" + std::to_string(i));
   ASSERT_TRUE(dict.BulkLoad(values).ok());
-  ASSERT_EQ(dict.externals(), values);
+  ASSERT_EQ(dict.size(), values.size());
   for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(dict.ExternalOf(static_cast<ValueId>(i)), values[i]);
     EXPECT_EQ(dict.Find(values[i]), std::optional<ValueId>(static_cast<ValueId>(i)));
   }
   EXPECT_EQ(*dict.Intern("new"), 100u);
@@ -168,6 +170,156 @@ TEST(ValueDictionaryTest, FindAfterCanonicalize) {
   EXPECT_EQ(dict.Find("absent"), std::nullopt);
   const ValueId next = static_cast<ValueId>(dict.size());
   EXPECT_EQ(*dict.Intern("zzz"), next);
+}
+
+// A value table owned outside the dictionary, in the segment shape: the
+// stand-in for a mapped BAGCSEG attribute block.
+struct ExternalTable {
+  std::vector<uint32_t> offsets{0};
+  std::string blob;
+};
+
+std::shared_ptr<ExternalTable> MakeTable(const std::vector<std::string>& values) {
+  auto table = std::make_shared<ExternalTable>();
+  for (const std::string& v : values) {
+    table->blob += v;
+    table->offsets.push_back(static_cast<uint32_t>(table->blob.size()));
+  }
+  return table;
+}
+
+std::vector<std::string> TableValues(size_t n) {
+  std::vector<std::string> values;
+  for (size_t i = 0; i < n; ++i) values.push_back("val" + std::to_string(i * 13 % n));
+  return values;
+}
+
+TEST(ValueDictionaryTest, BorrowServesTheTableInPlace) {
+  const std::vector<std::string> values = TableValues(40);
+  std::shared_ptr<ExternalTable> table = MakeTable(values);
+  ValueDictionary dict;
+  ASSERT_TRUE(dict.Borrow(table->offsets.data(), values.size(), table->blob, table).ok());
+  EXPECT_TRUE(dict.borrowed());
+  EXPECT_EQ(dict.offsets(), table->offsets.data());
+  EXPECT_EQ(dict.blob().data(), table->blob.data());
+  ASSERT_EQ(dict.size(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(dict.ExternalOf(static_cast<ValueId>(i)), values[i]);
+    EXPECT_EQ(dict.Find(values[i]), std::optional<ValueId>(static_cast<ValueId>(i)));
+  }
+  EXPECT_EQ(dict.Find("absent"), std::nullopt);
+}
+
+// Interning a new value into a borrowed dictionary copies the table
+// first and releases the borrow; the values survive their source.
+TEST(ValueDictionaryTest, InternIntoBorrowedCopiesTheTable) {
+  const std::vector<std::string> values = TableValues(25);
+  std::shared_ptr<ExternalTable> table = MakeTable(values);
+  std::weak_ptr<ExternalTable> source = table;
+  ValueDictionary dict;
+  ASSERT_TRUE(dict.Borrow(table->offsets.data(), values.size(), table->blob, table).ok());
+  table.reset();  // the dictionary alone pins the table now
+  ASSERT_FALSE(source.expired());
+  // Re-interning a known value reads in place and copies nothing.
+  EXPECT_EQ(*dict.Intern(values[3]), 3u);
+  EXPECT_TRUE(dict.borrowed());
+  EXPECT_EQ(*dict.Intern("fresh"), 25u);
+  EXPECT_FALSE(dict.borrowed());
+  EXPECT_TRUE(source.expired()) << "the copy must drop the borrowed table";
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(dict.ExternalOf(static_cast<ValueId>(i)), values[i]);
+    EXPECT_EQ(dict.Find(values[i]), std::optional<ValueId>(static_cast<ValueId>(i)));
+  }
+  EXPECT_EQ(dict.ExternalOf(25), "fresh");
+  EXPECT_EQ(dict.Find("fresh"), std::optional<ValueId>(25));
+}
+
+TEST(ValueDictionaryTest, CloneSharesABorrowedTableAndCanonicalizeOwnsIt) {
+  const std::vector<std::string> values = TableValues(30);
+  std::shared_ptr<ExternalTable> table = MakeTable(values);
+  DictionarySet live;
+  ASSERT_TRUE(live.dict(2).Borrow(table->offsets.data(), values.size(), table->blob, table).ok());
+  DictionarySet copy = live.Clone();
+  const ValueDictionary& shared = *copy.find_dict(2);
+  EXPECT_TRUE(shared.borrowed());
+  EXPECT_EQ(shared.offsets(), table->offsets.data()) << "Clone must share, not copy";
+  // The live set grows; the clone keeps the borrowed table untouched.
+  ASSERT_TRUE(live.Intern(2, "late").ok());
+  EXPECT_EQ(shared.size(), values.size());
+  EXPECT_EQ(shared.Find("late"), std::nullopt);
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(shared.ExternalOf(static_cast<ValueId>(i)), values[i]);
+  }
+
+  std::vector<std::vector<ValueId>> remaps = copy.CanonicalizeAll();
+  const ValueDictionary& canonical = *copy.find_dict(2);
+  EXPECT_FALSE(canonical.borrowed());
+  ASSERT_EQ(remaps[2].size(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(canonical.ExternalOf(remaps[2][i]), values[i]);
+  }
+  for (size_t id = 1; id < canonical.size(); ++id) {
+    EXPECT_LT(canonical.ExternalOf(static_cast<ValueId>(id - 1)),
+              canonical.ExternalOf(static_cast<ValueId>(id)));
+  }
+  EXPECT_EQ(table->offsets[1], static_cast<uint32_t>(values[0].size()))
+      << "canonicalizing must not write the borrowed table";
+}
+
+// Owned bytes charge the index always and the value table only when the
+// dictionary owns it.
+TEST(ValueDictionaryTest, OwnedBytesLeaveTheBorrowedTableUncharged) {
+  const std::vector<std::string> values = TableValues(100);
+  std::shared_ptr<ExternalTable> table = MakeTable(values);
+  ValueDictionary borrowed;
+  ASSERT_TRUE(borrowed.Borrow(table->offsets.data(), values.size(), table->blob, table).ok());
+  ValueDictionary owned;
+  ASSERT_TRUE(owned.BulkLoad(values).ok());
+  EXPECT_GT(borrowed.OwnedBytes(), 0u);  // the index
+  EXPECT_EQ(owned.OwnedBytes(), borrowed.OwnedBytes() +
+                                    table->offsets.size() * sizeof(uint32_t) +
+                                    table->blob.size());
+  DictionarySet set;
+  ASSERT_TRUE(set.dict(0).Borrow(table->offsets.data(), values.size(), table->blob, table).ok());
+  ASSERT_TRUE(set.dict(1).BulkLoad(values).ok());
+  EXPECT_EQ(set.OwnedBytes(), borrowed.OwnedBytes() + owned.OwnedBytes());
+}
+
+TEST(ValueDictionaryTest, BorrowRefusesMalformedTablesAndStaysEmpty) {
+  std::shared_ptr<ExternalTable> table = MakeTable({"a", "bb", "ccc"});
+  std::weak_ptr<ExternalTable> source = table;
+  {
+    ValueDictionary dict;  // no owner to pin the table
+    EXPECT_EQ(dict.Borrow(table->offsets.data(), 3, table->blob, nullptr).code(),
+              StatusCode::kInvalidArgument);
+  }
+  auto refused = [&](const ExternalTable& bad) {
+    ValueDictionary dict;
+    auto pinned = std::make_shared<ExternalTable>(bad);
+    Status st = dict.Borrow(pinned->offsets.data(), pinned->offsets.size() - 1,
+                            pinned->blob, pinned);
+    EXPECT_EQ(dict.size(), 0u);
+    EXPECT_FALSE(dict.borrowed());
+    return st.code();
+  };
+  ExternalTable nonzero_start = *table;
+  nonzero_start.offsets[0] = 1;
+  EXPECT_EQ(refused(nonzero_start), StatusCode::kInvalidArgument);
+  ExternalTable decreasing = *table;
+  decreasing.offsets[1] = 4;  // 0, 4, 3, 6
+  EXPECT_EQ(refused(decreasing), StatusCode::kInvalidArgument);
+  ExternalTable short_blob = *table;
+  short_blob.blob.pop_back();
+  EXPECT_EQ(refused(short_blob), StatusCode::kInvalidArgument);
+  EXPECT_EQ(refused(*MakeTable({"x", "y", "x"})), StatusCode::kInvalidArgument);
+
+  ValueDictionary loaded;
+  ASSERT_TRUE(loaded.Intern("already").ok());
+  EXPECT_EQ(loaded.Borrow(table->offsets.data(), 3, table->blob, table).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(loaded.size(), 1u);
+  table.reset();
+  EXPECT_TRUE(source.expired()) << "a refused borrow must not pin the table";
 }
 
 TEST(DictionarySetTest, CloneIsIndependent) {

@@ -27,6 +27,7 @@
 #include "server/session.h"
 #include "tuple/segment.h"
 #include "tuple/wal.h"
+#include "util/checksum.h"
 
 namespace bagc {
 namespace {
@@ -34,15 +35,8 @@ namespace {
 // ---------------------------------------------------------------------------
 // Raw-byte helpers: the test re-implements the framing primitives so a
 // codec bug cannot hide by corrupting writer and checker identically.
-
-uint64_t Fnv1a(const char* data, size_t n) {
-  uint64_t h = 14695981039346656037ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+// The checksum is the shared util/checksum.h XXH64, which util_test pins
+// to the published test vectors.
 
 void AppendU32(std::string* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -64,7 +58,7 @@ std::string WalHeaderBytes() {
 std::string FrameRaw(const std::string& payload) {
   std::string out;
   AppendU32(&out, static_cast<uint32_t>(payload.size()));
-  AppendU64(&out, Fnv1a(payload.data(), payload.size()));
+  AppendU64(&out, Xxh64(payload.data(), payload.size()));
   out += payload;
   return out;
 }
