@@ -41,9 +41,11 @@ trap cleanup EXIT
 
 DAEMON_LOG="$WORK_DIR/daemon_log.txt"
 
+# Every daemon runs a 2-worker query pool, so the sanitizer legs cover
+# the pool handoff (cyclic GLOBAL, KWISE, WITNESS) out of process too.
 start_daemon() {  # args: extra bagcd flags
   rm -f "$PORT_FILE"
-  "$BAGCD" --port 0 --port-file "$PORT_FILE" "$@" > "$DAEMON_LOG" 2>&1 &
+  "$BAGCD" --port 0 --port-file "$PORT_FILE" --threads 2 "$@" > "$DAEMON_LOG" 2>&1 &
   DAEMON_PID=$!
   for _ in $(seq 100); do
     [ -s "$PORT_FILE" ] && break
@@ -270,7 +272,7 @@ stop_daemon
 # A WAL written against one base segment must refuse to replay over a
 # different one — the daemon exits with the documented error instead of
 # silently folding deltas onto the wrong rows.
-if "$BAGCD" --port 0 --port-file "$PORT_FILE" --preload-seg "$WORK_DIR/tenant_a.seg" \
+if "$BAGCD" --port 0 --port-file "$PORT_FILE" --threads 2 --preload-seg "$WORK_DIR/tenant_a.seg" \
     --wal-dir "$WAL_DIR" > "$WORK_DIR/wal_mismatch.txt" 2>&1; then
   echo "server_smoke: bagcd started despite a fingerprint-mismatched WAL" >&2
   exit 1

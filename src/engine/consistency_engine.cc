@@ -287,16 +287,11 @@ Result<bool> ConsistencyEngine::TwoBag(size_t i, size_t j) const {
   return pair_consistent_[PairIndex(i, j)] == 1;
 }
 
-Result<bool> ConsistencyEngine::Global() {
-  if (global_verdict_.has_value()) return *global_verdict_;
-  if (IsAcyclic(collection_->hypergraph())) {
-    // Theorem 2: local-to-global holds, so pairwise consistency decides.
-    global_verdict_ = pairwise_verdict_.consistent;
-  } else {
-    BAGC_ASSIGN_OR_RETURN(std::optional<Bag> witness, SolveGlobalExact());
-    global_verdict_ = witness.has_value();
-  }
-  return *global_verdict_;
+Result<bool> ConsistencyEngine::Global() const {
+  // Theorem 2: local-to-global holds, so pairwise consistency decides.
+  if (IsAcyclic(collection_->hypergraph())) return pairwise_verdict_.consistent;
+  BAGC_ASSIGN_OR_RETURN(std::optional<Bag> witness, SolveGlobalExact());
+  return witness.has_value();
 }
 
 Result<bool> ConsistencyEngine::KWiseConsistent(
@@ -455,7 +450,7 @@ Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalAcyclic(
   return std::optional<Bag>(std::move(acc));
 }
 
-Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalExact() {
+Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalExact() const {
   // Pairwise consistency is necessary; it is also a cheap filter before
   // the exponential search.
   if (!pairwise_verdict_.consistent) return std::optional<Bag>();
@@ -509,6 +504,7 @@ Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
   }
   DeltaOutcome outcome;
   if (nets.empty()) return outcome;
+  outcome.rows_changed = true;
 
   // This engine is a fresh generation that MakeDeltaBatch discards on any
   // error, and it shares bags and marginals with the previous generation
@@ -598,10 +594,6 @@ Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
   }
   ComparePairs(dirty);
   DecidePairwise();
-  // The cyclic-schema global solver reads full bags, not shared
-  // marginals, so any effective row change drops the memoized global
-  // verdict.
-  global_verdict_.reset();
   return outcome;
 }
 
@@ -626,7 +618,6 @@ Result<ConsistencyEngine> ConsistencyEngine::MakeDeltaBatch(
   BAGC_ASSIGN_OR_RETURN(
       ConsistencyEngine engine,
       Make(BagCollection(*previous.collection_), options, &reuse));
-  engine.global_verdict_ = previous.global_verdict_;
   BAGC_ASSIGN_OR_RETURN(DeltaOutcome out, engine.ApplyDeltaBatch(batch));
   if (outcome != nullptr) *outcome = std::move(out);
   return engine;

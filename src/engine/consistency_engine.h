@@ -13,7 +13,9 @@
 //   - TwoBag, PairwiseAll, KWiseConsistent and Witness are then const
 //     reads of that sealed state, safe for any number of concurrent
 //     callers;
-//   - Global() dispatches on schema acyclicity (Theorem 2) and memoizes;
+//   - Global() dispatches on schema acyclicity (Theorem 2) and, on a
+//     cyclic schema, runs the exact solver (the server's snapshots
+//     remember its verdict);
 //   - MakeDeltaBatch derives the next generation from row deltas,
 //     adjusting only the changed marginals and re-comparing only the
 //     pairs they touch.
@@ -137,6 +139,9 @@ struct DeltaOutcome {
   /// Cached marginal slots of the mutated bags that were adjusted in
   /// place. Each adjustment counts as one marginal fill.
   size_t changed_slots = 0;
+  /// False when every row's net cancelled: the new generation's bags are
+  /// the previous generation's, so even a cyclic global verdict carries.
+  bool rows_changed = false;
 };
 
 /// \brief Sealed bag collection plus its pairwise verdicts.
@@ -146,9 +151,9 @@ struct DeltaOutcome {
 /// PairwiseAll, KWiseConsistent, Witness, CachedMarginal) is const and
 /// safe for any number of concurrent callers on one engine — the
 /// substrate of the bagcd server's shared snapshots
-/// (src/server/engine_snapshot.h). Global() memoizes and
-/// SolveGlobalAcyclic borrows the engine's pool, so Global and the
-/// Solve* entry points are not thread-safe against each other. Movable, not copyable (owns the pool).
+/// (src/server/engine_snapshot.h). Global and SolveGlobalExact are const
+/// too; only SolveGlobalAcyclic borrows the engine's pool, so it is not
+/// thread-safe against itself. Movable, not copyable (owns the pool).
 class ConsistencyEngine {
  public:
   /// Seals an owned copy of `collection`: computes the pairwise
@@ -179,8 +184,7 @@ class ConsistencyEngine {
   /// slot. Each adjusted slot counts as one marginal fill, so
   /// marginal_fills() of the new engine lands on exactly the batch's
   /// dirty slot count. Exactly the pairs whose shared marginal changed on
-  /// either side are re-compared before this returns; the memoized global
-  /// verdict carries over only when nothing changed.
+  /// either side are re-compared before this returns.
   ///
   /// All-or-nothing: a failed batch (bag index out of range, arity
   /// mismatch, a DELETE below zero multiplicity → OutOfRange, overflow)
@@ -259,14 +263,9 @@ class ConsistencyEngine {
   Result<std::optional<Bag>> Witness(size_t i, size_t j,
                                      bool minimal = false) const;
 
-  /// The memoized global verdict, if Global() has run.
-  const std::optional<bool>& cached_global_verdict() const {
-    return global_verdict_;
-  }
-
   /// Global consistency: acyclic schemas read the pairwise verdict
-  /// (Theorem 2); cyclic schemas run the exact solver. Memoized.
-  Result<bool> Global();
+  /// (Theorem 2); cyclic schemas run the exact solver on every call.
+  Result<bool> Global() const;
 
   /// Theorem 6 witness construction for acyclic schemas, folding minimal
   /// two-bag witnesses through one flow arena.
@@ -275,7 +274,7 @@ class ConsistencyEngine {
 
   /// Exact decision for arbitrary schemas via integer feasibility of
   /// P(R1..Rm), with the pairwise verdict as a prefilter.
-  Result<std::optional<Bag>> SolveGlobalExact();
+  Result<std::optional<Bag>> SolveGlobalExact() const;
 
   /// Cached marginal of bag i onto z, or nullptr when (i, z) is not a
   /// sealed projection.
@@ -339,7 +338,6 @@ class ConsistencyEngine {
   // at seal. The parallel compare writes disjoint bytes.
   std::vector<uint8_t> pair_consistent_;
   PairwiseVerdict pairwise_verdict_;
-  std::optional<bool> global_verdict_;
   // Counts actual cache fills (see marginal_fills()). Heap storage keeps
   // the engine movable while pool tasks increment it concurrently during
   // sealing.

@@ -1,8 +1,11 @@
 // The bagcd daemon's transport: a TCP listener (loopback by default)
 // that speaks the line protocol of session.h. One OS thread per
-// connection feeds that client's ServerSession; query evaluation fans
-// out on one shared work-stealing ThreadPool (util/thread_pool.h), and
-// all sessions share one CollectionRegistry: every named collection
+// connection feeds that client's ServerSession. That thread answers the
+// lookups of verdicts decided at seal itself (TWOBAG by Lemma 2(2),
+// PAIRWISE, GLOBAL by Theorem 2 or once solved); only search and flow
+// work (a cyclic GLOBAL's first solve, KWISE, WITNESS) fans out on one
+// shared work-stealing ThreadPool (util/thread_pool.h). All sessions
+// share one CollectionRegistry: every named collection
 // serves from its own sealed engine generation, with cold tenants
 // evicted (and lazily reloaded from segments) under the configured
 // memory budget. Shutdown — from
@@ -33,8 +36,9 @@ struct BagcdServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   uint16_t port = 0;
-  /// Workers in the shared query-evaluation pool; 0 answers queries
-  /// inline on each connection's thread.
+  /// Workers in the shared pool for search and flow queries (a cyclic
+  /// GLOBAL's first solve, KWISE, WITNESS); 0 answers them inline on each
+  /// connection's thread, where sealed lookups always answer.
   size_t query_threads = 0;
   /// Multi-tenant registry limits (see CollectionRegistry::Options):
   /// global resident-byte budget with LRU eviction, collection-count

@@ -6,6 +6,7 @@
 
 #include "bag/bag_io.h"
 #include "core/collection.h"
+#include "hypergraph/acyclicity.h"
 #include "server/protocol.h"
 #include "tuple/segment.h"
 
@@ -56,6 +57,8 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::Build(
   // the snapshot serves the rest of its life through the const surface,
   // so don't park idle worker threads per generation.
   snapshot->engine_->ReleaseWorkers();
+  snapshot->acyclic_ = IsAcyclic(snapshot->engine_->collection().hypergraph());
+  if (snapshot->acyclic_) snapshot->known_global_ = snapshot->pairwise_.consistent;
   snapshot->dicts_ = snapshot->engine_->shared_dictionaries();
   snapshot->approx_bytes_ = ApproxBytes(*snapshot->engine_, snapshot->dicts_.get());
   return std::shared_ptr<const EngineSnapshot>(std::move(snapshot));
@@ -69,19 +72,23 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::BuildDeltaBatch(
   snapshot->names_ = previous->names_;
   snapshot->name_index_ = previous->name_index_;
   snapshot->catalog_ = previous->catalog_;
-  {
-    // MakeDeltaBatch carries the previous engine's memoized global
-    // verdict into the new generation; concurrent Global() calls on
-    // `previous` write that memo. Same mutex, no torn reads.
-    std::lock_guard<std::mutex> lock(previous->global_mu_);
-    BAGC_ASSIGN_OR_RETURN(
-        ConsistencyEngine engine,
-        ConsistencyEngine::MakeDeltaBatch(*previous->engine_, batch, outcome));
-    snapshot->engine_.emplace(std::move(engine));
-  }
+  DeltaOutcome local_outcome;
+  if (outcome == nullptr) outcome = &local_outcome;
+  // Lock-free on `previous`: a cyclic GLOBAL still solving there only
+  // reads the engine this derives from, so the commit never waits on it.
+  BAGC_ASSIGN_OR_RETURN(
+      ConsistencyEngine engine,
+      ConsistencyEngine::MakeDeltaBatch(*previous->engine_, batch, outcome));
+  snapshot->engine_.emplace(std::move(engine));
   // MakeDeltaBatch re-compared only the delta's dirty pairs; clean pairs
   // carried their verdicts.
   BAGC_ASSIGN_OR_RETURN(snapshot->pairwise_, snapshot->engine_->PairwiseAll());
+  snapshot->acyclic_ = previous->acyclic_;
+  if (snapshot->acyclic_) {
+    snapshot->known_global_ = snapshot->pairwise_.consistent;
+  } else if (!outcome->rows_changed) {
+    snapshot->known_global_ = previous->known_global_.load(std::memory_order_acquire);
+  }
   snapshot->dicts_ = snapshot->engine_->shared_dictionaries();
   for (const Bag& b : snapshot->engine_->collection().bags()) {
     snapshot->support_rows_ += b.SupportSize();
@@ -114,11 +121,20 @@ Result<bool> EngineSnapshot::TwoBag(size_t i, size_t j) const {
 }
 
 Result<bool> EngineSnapshot::Global() const {
+  if (std::optional<bool> known = KnownGlobal()) return *known;
+  // Theorem 4: the cyclic solve may be exponential, so one caller runs it
+  // and the ones queued behind it read its verdict.
   std::lock_guard<std::mutex> lock(global_mu_);
-  // Global() memoizes on the engine; mutation happens only here, under
-  // the mutex, and never touches the sealed marginal cache the lock-free
-  // queries read.
-  return engine_->Global();
+  if (std::optional<bool> known = KnownGlobal()) return *known;
+  BAGC_ASSIGN_OR_RETURN(bool verdict, engine_->Global());
+  known_global_.store(verdict ? 1 : 0, std::memory_order_release);
+  return verdict;
+}
+
+std::optional<bool> EngineSnapshot::KnownGlobal() const {
+  const int8_t known = known_global_.load(std::memory_order_acquire);
+  if (known < 0) return std::nullopt;
+  return known == 1;
 }
 
 Result<bool> EngineSnapshot::KWise(

@@ -11,8 +11,8 @@
 // Thread-safety: every query method on EngineSnapshot is const and safe
 // for any number of concurrent callers. TwoBag/Pairwise/KWise/Witness
 // ride the engine's const sealed surface (see consistency_engine.h);
-// Global() memoizes the possibly-exponential cyclic decision under a
-// private mutex.
+// Global() runs the possibly-exponential cyclic decision at most once,
+// under a private mutex, and KnownGlobal() reads its verdict lock-free.
 #pragma once
 
 #include <atomic>
@@ -93,8 +93,15 @@ class EngineSnapshot {
   const PairwiseVerdict& Pairwise() const { return pairwise_; }
 
   /// Global consistency; the cyclic-schema decision runs at most once
-  /// (memoized under a mutex — concurrent callers block, later ones read).
+  /// (under a mutex — concurrent callers block, later ones read).
   Result<bool> Global() const;
+
+  /// The global verdict when it needs no solve: always on an acyclic
+  /// schema (Theorem 2, the pairwise verdict decided at build), and on a
+  /// cyclic one once Global() has solved this generation or a no-op
+  /// delta carried the previous verdict. Lock-free: never waits on an
+  /// in-flight Global().
+  std::optional<bool> KnownGlobal() const;
 
   /// K-wise consistency with the first failing subset, from the sealed
   /// cache (paper §4).
@@ -144,9 +151,13 @@ class EngineSnapshot {
   size_t support_rows_ = 0;
   size_t approx_bytes_ = 0;
   PairwiseVerdict pairwise_;
-  // Mutated only by Global() under global_mu_ (memoization); everything
-  // else uses the engine's const sealed surface.
-  mutable std::optional<ConsistencyEngine> engine_;
+  std::optional<ConsistencyEngine> engine_;
+  // Theorem 2 applies: GLOBAL is the pairwise verdict. Deltas never
+  // change a schema, so a delta generation inherits it.
+  bool acyclic_ = false;
+  // KnownGlobal(): -1 unknown, else the verdict. Set at build, or by
+  // Global() under global_mu_, which single-flights the cyclic solve.
+  mutable std::atomic<int8_t> known_global_{-1};
   mutable std::mutex global_mu_;
 };
 

@@ -38,9 +38,11 @@ constexpr size_t kMaxTxnWalBytes = (size_t{kWalMaxRecordPayload}) - 64;
 // OOM killer takes every session down.
 constexpr size_t kMaxLineBytes = 1 << 20;
 
-// Runs `fn` on the server's shared query pool (the fan-out point for
-// concurrent sessions) and blocks this session until it finishes; inline
-// when the server runs without a pool.
+// Runs `fn` on the server's shared query pool and blocks this session
+// until it finishes; inline when the server runs without a pool. Only
+// search and flow work comes here (a cyclic GLOBAL's first solve, KWISE,
+// WITNESS): a lookup of a verdict decided at seal is cheaper than the
+// handoff, so HandleQuery answers those on the connection thread.
 template <typename Fn>
 auto RunOn(ThreadPool* pool, Fn&& fn) -> decltype(fn()) {
   if (pool == nullptr) return fn();
@@ -812,14 +814,18 @@ Response ServerSession::HandleQuery(const Request& request) {
   }
   registry_->RecordQuery();
   switch (request.verb) {
-    case Verb::kTwoBag:
-      return VerdictOrError(RunOn(query_pool_, [&] { return snapshot->TwoBag(i, j); }));
+    case Verb::kTwoBag:  // Lemma 2(2), decided at seal
+      return VerdictOrError(snapshot->TwoBag(i, j));
     case Verb::kPairwise: {
       const PairwiseVerdict& verdict = snapshot->Pairwise();  // sealed at Build
       if (verdict.consistent) return Response::Verdict(true);
       return Response::Verdict(false, {verdict.witness_pair.first, verdict.witness_pair.second});
     }
     case Verb::kGlobal:
+      // Theorem 2 on an acyclic schema, or a cyclic solve already run.
+      if (std::optional<bool> known = snapshot->KnownGlobal()) {
+        return Response::Verdict(*known);
+      }
       return VerdictOrError(RunOn(query_pool_, [&] { return snapshot->Global(); }));
     case Verb::kKWise: {
       std::optional<std::vector<size_t>> failing;

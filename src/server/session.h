@@ -61,9 +61,14 @@ class ServerSession {
   };
 
   /// `registry` must outlive the session. `query_pool` is the server's
-  /// shared fan-out pool for query evaluation; nullptr answers queries
-  /// inline on the transport thread. The session starts bound to the
-  /// registry's "default" collection.
+  /// shared pool for the queries that search or run flows (a cyclic
+  /// GLOBAL's first solve, KWISE, WITNESS); nullptr answers those inline
+  /// on the transport thread too. Lookups of verdicts decided at seal —
+  /// TWOBAG (Lemma 2(2)), PAIRWISE, and GLOBAL once known (Theorem 2 on
+  /// an acyclic schema, or a cyclic solve already run) — always answer
+  /// on the transport thread: the pool handoff would cost more than the
+  /// lookup. The session starts bound to the registry's "default"
+  /// collection.
   ServerSession(CollectionRegistry* registry, ThreadPool* query_pool);
   ~ServerSession();
 

@@ -116,6 +116,15 @@ Status DecodePayload(const char* data, size_t size, WalRecord* out) {
   if (bag_count == 0) {
     return Status::InvalidArgument("WAL record carries no bag blocks");
   }
+  // A block is at least its 12-byte header plus one row of one id (12
+  // bytes): refuse a count the payload cannot hold before it sizes the
+  // reserve below (a hostile count would ask for ~2^32 blocks).
+  constexpr size_t kMinBlockBytes = 24;
+  if (bag_count > cur.remaining() / kMinBlockBytes) {
+    return Status::InvalidArgument("WAL record claims " + std::to_string(bag_count) +
+                                   " bag blocks; its payload holds at most " +
+                                   std::to_string(cur.remaining() / kMinBlockBytes));
+  }
   out->bags.clear();
   out->bags.reserve(bag_count);
   for (uint32_t b = 0; b < bag_count; ++b) {

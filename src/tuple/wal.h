@@ -45,9 +45,10 @@
 //     otherwise misalign a single probe and misclassify intact
 //     committed records as tail debris.
 //   - A checksum-valid record whose payload violates the grammar
-//     (short payload, zero bags, zero rows, trailing bytes,
-//     non-increasing generation, fingerprint differing from the first
-//     record's) is refused (InvalidArgument → E_PARSE).
+//     (short payload, zero bags, more bag blocks than the payload can
+//     hold, zero rows, trailing bytes, non-increasing generation,
+//     fingerprint differing from the first record's) is refused
+//     (InvalidArgument → E_PARSE).
 // The reader validates every length before dereferencing, mirroring
 // the BAGCSEG reader's hostile-bytes discipline.
 #pragma once

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -572,6 +573,165 @@ TEST(ServerConcurrentTest, ReadersOnOldGenerationSurviveDeltaPublishes) {
   EXPECT_EQ(pinned->seq(), 1u);
   // Twenty commits later the served generation is number 21.
   EXPECT_EQ(registry.Peek(registry.Default().get())->seq(), 21u);
+}
+
+// Delta commits derive each generation from one on which cyclic GLOBALs
+// may still be solving, without waiting for them: the solve only reads
+// the engine the commit derives from (the TSan leg checks that). Commits
+// flip a triangle between a globally consistent state and a pairwise
+// consistent but globally inconsistent one, so every GLOBAL really
+// solves; each answer must be one of the two verdicts.
+TEST(ServerConcurrentTest, CyclicGlobalsRaceDeltaCommitsSafely) {
+  CollectionRegistry registry;
+  ServerSession admin(&registry, nullptr);
+  std::vector<std::string> out = admin.HandleScript(
+      "DICT a 2\nx\ny\nEND\nDICT b 2\nx\ny\nEND\nDICT c 2\nx\ny\nEND\n"
+      "LOADU32 r a b\n0 0 : 1\n1 1 : 1\nEND\n"
+      "LOADU32 s b c\n0 0 : 1\n1 1 : 1\nEND\n"
+      "LOADU32 t a c\n0 0 : 1\n1 1 : 1\nEND\n"
+      "SEAL\nGLOBAL\n");
+  ASSERT_EQ(out.back(), "OK CONSISTENT");
+
+  std::atomic<bool> stop{false};
+  FailureLog wrong;
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < 2; ++t) {
+    readers.emplace_back([&registry, &stop, &wrong] {
+      ServerSession reader(&registry, nullptr);
+      while (!stop.load()) {
+        std::vector<std::string> verdict = reader.HandleScript("GLOBAL\n");
+        if (verdict.size() != 1 ||
+            (verdict[0] != "OK CONSISTENT" && verdict[0] != "OK INCONSISTENT")) {
+          wrong.Record("GLOBAL answered '" +
+                       (verdict.empty() ? std::string("<nothing>") : verdict[0]) + "'");
+          return;
+        }
+      }
+    });
+  }
+  const std::string diagonal = "0 0 : 1\n1 1 : 1\n";
+  const std::string twisted = "0 1 : 1\n1 0 : 1\n";
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    const bool twist = cycle % 2 == 0;
+    out = admin.HandleScript("BEGIN\nDELETE t a c\n" + (twist ? diagonal : twisted) +
+                             "END\nINSERT t a c\n" + (twist ? twisted : diagonal) +
+                             "END\nCOMMIT\nGLOBAL\n");
+    if (out.size() != 5 || out[3].rfind("OK COMMIT", 0) != 0) {
+      ADD_FAILURE() << "cycle " << cycle << " did not commit: "
+                    << (out.size() > 3 ? out[3] : std::string("<short answer>"));
+      break;  // still stop and join the readers
+    }
+    EXPECT_EQ(out[4], twist ? "OK INCONSISTENT" : "OK CONSISTENT") << "cycle " << cycle;
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(wrong.count.load(), 0) << "first divergence: " << wrong.first;
+}
+
+// Three tenants: an acyclic path r(a,b) - s(b,c), and two copies of the
+// triangle r(a,b) s(b,c) t(a,c), which is pairwise consistent but not
+// globally consistent (the cyclic solve runs; it is not prefiltered).
+constexpr const char* kPathTenant =
+    "ATTACH path\n"
+    "LOAD r a b\n0 0 : 1\n1 1 : 1\nEND\n"
+    "LOAD s b c\n0 0 : 1\n1 1 : 1\nEND\n"
+    "SEAL\n";
+constexpr const char* kTriangleBags =
+    "LOAD r a b\n0 0 : 1\n1 1 : 1\nEND\n"
+    "LOAD s b c\n0 0 : 1\n1 1 : 1\nEND\n"
+    "LOAD t a c\n0 1 : 1\n1 0 : 1\nEND\n"
+    "SEAL\n";
+
+void LoadTenants(CollectionRegistry* registry) {
+  for (std::string script : {std::string(kPathTenant), "ATTACH warm\n" + std::string(kTriangleBags),
+                             "ATTACH cold\n" + std::string(kTriangleBags)}) {
+    ServerSession admin(registry, nullptr);  // loaded bags are per session
+    for (const std::string& line : admin.HandleScript(script)) {
+      EXPECT_EQ(line.rfind("OK", 0), 0u) << line;
+    }
+  }
+}
+
+// One query against `collection` from a fresh session over `pool`
+// (nullptr: pool-less), on its own thread.
+std::future<std::vector<std::string>> Ask(CollectionRegistry* registry, ThreadPool* pool,
+                                          const std::string& collection,
+                                          const std::string& query) {
+  return std::async(std::launch::async, [=] {
+    ServerSession session(registry, pool);
+    std::vector<std::string> out = session.HandleScript("ATTACH " + collection + "\n" + query);
+    if (!out.empty()) out.erase(out.begin());  // OK ATTACH
+    return out;
+  });
+}
+
+// Which verbs answer on the connection thread and which hand off to the
+// query pool. The pool's only worker is parked on a latch, so a verb
+// that answers before the latch opens never touched the pool: the
+// lookups of verdicts decided at seal (TWOBAG by Lemma 2(2), PAIRWISE,
+// GLOBAL by Theorem 2 or once a cyclic solve has run). A cyclic GLOBAL's
+// first solve, KWISE and WITNESS must still be pending. Every answer
+// equals a pool-less session's on an identical registry.
+TEST(ServerConcurrentTest, SealedLookupsAnswerInlineAndSearchesWaitForThePool) {
+  CollectionRegistry registry;
+  CollectionRegistry oracle;
+  LoadTenants(&registry);
+  LoadTenants(&oracle);
+  // The warm triangle's GLOBAL has run once, on a pool-less session.
+  ServerSession warmer(&registry, nullptr);
+  EXPECT_EQ(warmer.HandleScript("ATTACH warm\nGLOBAL\n").back(), "OK INCONSISTENT");
+
+  struct Query {
+    std::string collection;
+    std::string verb;
+  };
+  const std::vector<Query> inline_queries = {
+      {"path", "TWOBAG r s\n"}, {"path", "PAIRWISE\n"}, {"path", "GLOBAL\n"},
+      {"warm", "TWOBAG r t\n"}, {"warm", "PAIRWISE\n"}, {"warm", "GLOBAL\n"},
+  };
+  const std::vector<Query> pool_queries = {
+      {"cold", "GLOBAL\n"}, {"path", "KWISE 2\n"}, {"path", "WITNESS r s\n"},
+  };
+  auto expected = [&oracle](const Query& q) {
+    return Ask(&oracle, nullptr, q.collection, q.verb).get();
+  };
+
+  ThreadPool pool(1);
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> latch = release.get_future().share();
+  pool.Submit([&parked, latch] {
+    parked.set_value();
+    latch.wait();
+  });
+  parked.get_future().wait();
+
+  std::vector<std::future<std::vector<std::string>>> pending;
+  for (const Query& q : pool_queries) {
+    pending.push_back(Ask(&registry, &pool, q.collection, q.verb));
+  }
+  for (const Query& q : inline_queries) {
+    std::future<std::vector<std::string>> answer = Ask(&registry, &pool, q.collection, q.verb);
+    if (answer.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+      ADD_FAILURE() << q.collection << " " << q.verb << " waited for the parked pool";
+      pending.push_back(std::move(answer));  // joined after the release
+      continue;
+    }
+    EXPECT_EQ(answer.get(), expected(q)) << q.collection << " " << q.verb;
+  }
+  // The only worker is parked, so these cannot have completed.
+  for (size_t p = 0; p < pool_queries.size(); ++p) {
+    EXPECT_EQ(pending[p].wait_for(std::chrono::milliseconds(50)),
+              std::future_status::timeout)
+        << pool_queries[p].collection << " " << pool_queries[p].verb
+        << " answered without the query pool";
+  }
+  release.set_value();
+  for (size_t p = 0; p < pool_queries.size(); ++p) {
+    EXPECT_EQ(pending[p].get(), expected(pool_queries[p]))
+        << pool_queries[p].collection << " " << pool_queries[p].verb;
+  }
+  for (size_t p = pool_queries.size(); p < pending.size(); ++p) pending[p].get();
 }
 
 }  // namespace

@@ -371,6 +371,92 @@ TEST(WalFormatTest, EncoderRefusesEmptyBatchesAndBlocks) {
   EXPECT_FALSE(EncodeWalRecord(hollow).ok());
 }
 
+// Rewrites the checksum of every record the (possibly damaged) length
+// fields still frame, so a mutation reaches the payload grammar instead
+// of stopping at the checksum. A length that overruns the image ends
+// the walk: that record is a torn tail however it is stamped.
+void RestampRecords(std::string* image) {
+  size_t at = kWalHeaderBytes;
+  while (at + kWalRecordFrameBytes <= image->size()) {
+    uint32_t len = 0;
+    for (int i = 3; i >= 0; --i) len = (len << 8) | static_cast<uint8_t>((*image)[at + i]);
+    const size_t payload = at + kWalRecordFrameBytes;
+    if (len > image->size() - payload) return;
+    std::string sum;
+    AppendU64(&sum, Xxh64(image->data() + payload, len));
+    image->replace(at + 4, 8, sum);
+    at = payload + len;
+  }
+}
+
+// The WAL target of the seeded mutation fuzzer: hostile bytes in a log
+// that passed its checksums must come back as a Status, never a crash,
+// and any log the parser accepts must re-encode to a log with the same
+// contents (nothing is decoded that the encoder would write otherwise).
+TEST(WalFormatTest, MutatedLogsAreRefusedOrReplayedSafely) {
+  const std::string image = EncodeImage(RandomHistory(6, 0x5eed0009), nullptr);
+  uint64_t state = 0x5eed000a;
+  auto below = [&state](size_t n) { return static_cast<size_t>(NextRand(&state) % n); };
+  size_t accepted = 0;
+  size_t refused = 0;
+  for (int round = 0; round < 3000; ++round) {
+    std::string bytes = image;
+    const size_t mutations = 1 + below(3);
+    for (size_t m = 0; m < mutations; ++m) {
+      // Records only: header damage is ForeignAndVersionedHeadersAreRefused's.
+      const size_t at = kWalHeaderBytes + below(bytes.size() - kWalHeaderBytes);
+      switch (below(6)) {
+        case 0:  // flip one bit
+          bytes[at] = static_cast<char>(bytes[at] ^ (1u << below(8)));
+          break;
+        case 1:  // any byte
+          bytes[at] = static_cast<char>(below(256));
+          break;
+        case 2:  // a small u32 (length, count, index, arity) at an aligned slot
+          for (size_t i = 0; i < 4 && (at & ~size_t{3}) + i < bytes.size(); ++i) {
+            bytes[(at & ~size_t{3}) + i] = static_cast<char>(i == 0 ? below(8) : 0);
+          }
+          break;
+        case 3:  // an extreme u32 (huge length, count or id)
+          for (size_t i = 0; i < 4 && (at & ~size_t{3}) + i < bytes.size(); ++i) {
+            bytes[(at & ~size_t{3}) + i] = static_cast<char>(i == 3 ? 0x80 | below(128) : 0xff);
+          }
+          break;
+        case 4:  // copy one byte over another
+          bytes[at] = bytes[kWalHeaderBytes + below(bytes.size() - kWalHeaderBytes)];
+          break;
+        default:  // cut the log short
+          bytes.resize(at);
+          break;
+      }
+      if (bytes.size() <= kWalHeaderBytes) break;
+    }
+    RestampRecords(&bytes);
+    Result<WalContents> parsed = ParseWal(bytes);
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+          << "round " << round << ": " << parsed.status().ToString();
+      ++refused;
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(parsed->valid_bytes + parsed->dropped_bytes, bytes.size()) << "round " << round;
+    std::string reencoded = WalHeaderBytes();
+    for (const WalRecord& record : parsed->records) {
+      Result<std::string> encoded = EncodeWalRecord(record);
+      ASSERT_TRUE(encoded.ok()) << "round " << round << ": " << encoded.status().ToString();
+      reencoded += *encoded;
+    }
+    Result<WalContents> again = ParseWal(reencoded);
+    ASSERT_TRUE(again.ok()) << "round " << round << ": " << again.status().ToString();
+    ExpectRecordsEqual(again->records, parsed->records, parsed->records.size());
+    EXPECT_EQ(again->dropped_bytes, 0u) << "round " << round;
+  }
+  // Both outcomes must occur, or the mutations test nothing.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Registry-level crash recovery: a randomized BEGIN/COMMIT history on a
 // segment-backed collection, replayed from the WAL into fresh

@@ -10,7 +10,11 @@
 //
 //   --host ADDR        bind address (default 127.0.0.1)
 //   --port N           TCP port; 0 picks an ephemeral port (default 0)
-//   --threads N        query-evaluation pool workers; 0 = inline (default 0)
+//   --threads N        workers for the search and flow queries (a cyclic
+//                      GLOBAL's first solve, KWISE, WITNESS); 0 = inline
+//                      (default 0). Lookups of verdicts decided at seal
+//                      (TWOBAG, PAIRWISE, a known GLOBAL) always answer
+//                      on the connection's thread
 //   --port-file PATH   write the bound port to PATH once listening — the
 //                      race-free way for a harness to find an ephemeral
 //                      port (written atomically via rename)
