@@ -1,8 +1,9 @@
 // Machine-readable micro-benchmark pass. Two suites:
 //
-//   bag_refactor (default): ops/sec for the three hot paths of the
-//   reproduction — two-bag solve (Lemma 2 / Corollary 1), acyclic fold
-//   (Theorem 6), and bag join — at three sizes each.
+//   bag_refactor (default): ops/sec for the hot paths of the
+//   reproduction — two-bag solve (Lemma 2 / Corollary 1), minimal
+//   two-bag witness (Corollary 4), acyclic fold (Theorem 6), and bag
+//   join — at two to four sizes each.
 //
 //   engine_batch: batch-consistency throughput. 100 two-bag queries
 //   against ONE sealed collection, answered by a ConsistencyEngine
@@ -1113,7 +1114,7 @@ void RunColumnarProbeSuite(std::vector<BenchResult>* results) {
     Projector r_shared = *Projector::Make(r.schema(), shared);
     Projector s_shared = *Projector::Make(s.schema(), shared);
     results->push_back(Measure("probe_batch_columnar", support, [&] {
-      // The exact kernel Bag::Join / ConsistencyNetwork::Assign run:
+      // The exact kernel Bag::Join / TransportationWitness run:
       // zero-copy shared-column views over the bags.
       ColumnJoinMatch match(r.Columns().Select(r_shared),
                             s.Columns().Select(s_shared));
@@ -1218,8 +1219,8 @@ void RunColumnarProbeSuite(std::vector<BenchResult>* results) {
 }
 
 void RunBagRefactorSuite(std::vector<BenchResult>* results) {
-  // Two-bag solve: decide + extract a witness via the flow network.
-  for (size_t support : {64, 256, 1024}) {
+  // Two-bag solve: decide + build the northwest-corner witness.
+  for (size_t support : {64, 256, 1024, 4096}) {
     auto [r, s] = MakeTwoBagInput(support, 42 + support);
     results->push_back(Measure("two_bag_solve", support, [&] {
       auto witness = *FindWitness(r, s);
@@ -1227,13 +1228,21 @@ void RunBagRefactorSuite(std::vector<BenchResult>* results) {
     }));
   }
 
-  // Acyclic fold: Theorem 6 along a path schema (plain fold).
+  // Minimal two-bag witness (Corollary 4). Under the §5.3 loop this cost
+  // one max-flow per middle edge; the corner vertex is already minimal.
+  for (size_t support : {1024, 4096}) {
+    auto [r, s] = MakeTwoBagInput(support, 4200 + support);
+    results->push_back(Measure("two_bag_minimal", support, [&] {
+      auto witness = *FindMinimalWitness(r, s);
+      if (!witness.has_value()) std::abort();
+    }));
+  }
+
+  // Acyclic fold: Theorem 6 along a path schema.
   for (size_t support : {16, 64, 256}) {
     BagCollection c = MakeFoldInput(support, 7 + support);
-    AcyclicSolveOptions options;
-    options.minimal_fold = false;
     results->push_back(Measure("acyclic_fold", support, [&] {
-      auto witness = *SolveGlobalConsistencyAcyclic(c, options);
+      auto witness = *SolveGlobalConsistencyAcyclic(c);
       if (!witness.has_value()) std::abort();
     }));
   }

@@ -2,8 +2,8 @@
 //
 //   1. Build two bags over overlapping schemas.
 //   2. Decide their consistency (Lemma 2: compare shared marginals).
-//   3. Construct a witness via max-flow (Corollary 1) and a *minimal*
-//      witness (Corollary 4).
+//   3. Construct a witness (Corollary 1) — the northwest-corner vertex
+//      of P(R, S), which is already a *minimal* witness (Corollary 4).
 //   4. Assemble a collection over an acyclic schema and produce a global
 //      witness (Theorem 6).
 //

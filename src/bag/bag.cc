@@ -354,7 +354,7 @@ Result<Bag> Bag::GroupHashed(const Schema& z, const ColumnView& projected,
   size_t ng = groups.NumGroups();
   std::vector<uint64_t> sums(ng);
   for (size_t g = 0; g < ng; ++g) {
-    const std::vector<uint32_t>& rows = groups.GroupRows(g);
+    ColumnIndex::Rows rows = groups.GroupRows(g);
     uint64_t total = mults[rows[0]];
     for (size_t k = 1; k < rows.size(); ++k) {
       BAGC_ASSIGN_OR_RETURN(total, CheckedAdd(total, mults[rows[k]]));

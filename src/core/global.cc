@@ -15,10 +15,10 @@ namespace bagc {
 // thread pool.
 
 Result<std::optional<Bag>> SolveGlobalConsistencyAcyclic(
-    const BagCollection& collection, const AcyclicSolveOptions& options) {
+    const BagCollection& collection) {
   BAGC_ASSIGN_OR_RETURN(ConsistencyEngine engine,
                         ConsistencyEngine::MakeView(collection));
-  return engine.SolveGlobalAcyclic(options);
+  return engine.SolveGlobalAcyclic();
 }
 
 Result<std::optional<Bag>> SolveGlobalConsistencyExact(

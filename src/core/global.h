@@ -2,7 +2,8 @@
 //
 //   - Acyclic schemas: the polynomial Theorem 6 algorithm — join tree,
 //     running-intersection listing, then a left fold of minimal two-bag
-//     witnesses. Output support size <= Σ ||Ri||supp.
+//     witnesses (northwest-corner transportation vertices, Corollary 4).
+//     Output support size <= Σ ||Ri||supp.
 //   - Arbitrary schemas: the exact NP decision procedure — build
 //     P(R1..Rm) and search for an integral solution (Corollary 3 bounds
 //     guarantee a small witness exists when any does).
@@ -26,23 +27,16 @@ struct GlobalSolveOptions {
   SolveOptions search;
 };
 
-/// Tuning for the acyclic path.
-struct AcyclicSolveOptions {
-  /// Fold with *minimal* two-bag witnesses (Corollary 4). This is what
-  /// gives the Theorem 6 support bound; switching it off uses the plain
-  /// max-flow witness at each step (faster per step, larger intermediate
-  /// supports) — bench_main's acyclic_fold leg times this setting.
-  bool minimal_fold = true;
-};
-
 /// Theorem 6: polynomial algorithm for acyclic schemas. Fails with
 /// FailedPrecondition when the schema hypergraph is cyclic. Returns nullopt
 /// when the collection is not globally consistent (equivalently, by
-/// Theorem 2, not pairwise consistent). With minimal_fold (the default)
-/// the returned witness satisfies ||W||supp <= Σ ||Ri||supp; either way
-/// ||W||mu <= max ||Ri||mu.
+/// Theorem 2, not pairwise consistent). Every fold step is a minimal
+/// two-bag witness — the northwest-corner vertex of core/two_bag.h, with
+/// ||T||supp <= ||A||supp + ||B||supp − (number of shared-attribute
+/// groups) by Corollary 4 — so the returned witness satisfies
+/// ||W||supp <= Σ ||Ri||supp and ||W||mu <= max ||Ri||mu.
 Result<std::optional<Bag>> SolveGlobalConsistencyAcyclic(
-    const BagCollection& collection, const AcyclicSolveOptions& options = {});
+    const BagCollection& collection);
 
 /// Exact decision for arbitrary schemas via integer feasibility of
 /// P(R1..Rm). Exponential worst case (Theorem 4(2): NP-complete for every

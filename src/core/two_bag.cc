@@ -4,13 +4,11 @@
 
 namespace bagc {
 
-// The single-shot entry points below route through engine/TwoBagSolver,
-// which owns the reusable ConsistencyNetwork arena; each call here spins
-// up a throwaway solver, while batch callers (the engine's Theorem 6
-// fold) keep one solver alive across many solves.
-
 Result<bool> AreConsistent(const Bag& r, const Bag& s) {
-  return TwoBagSolver::AreConsistent(r, s);
+  Schema z = Schema::Intersect(r.schema(), s.schema());
+  BAGC_ASSIGN_OR_RETURN(Bag rz, r.Marginal(z));
+  BAGC_ASSIGN_OR_RETURN(Bag sz, s.Marginal(z));
+  return rz == sz;
 }
 
 Result<bool> IsWitness(const Bag& t, const Bag& r, const Bag& s) {
@@ -23,13 +21,11 @@ Result<bool> IsWitness(const Bag& t, const Bag& r, const Bag& s) {
 }
 
 Result<std::optional<Bag>> FindWitness(const Bag& r, const Bag& s) {
-  TwoBagSolver solver;
-  return solver.FindWitness(r, s);
+  return TransportationWitness(r, s);
 }
 
 Result<std::optional<Bag>> FindMinimalWitness(const Bag& r, const Bag& s) {
-  TwoBagSolver solver;
-  return solver.FindMinimalWitness(r, s);
+  return TransportationWitness(r, s);
 }
 
 }  // namespace bagc

@@ -1,11 +1,13 @@
 // Consistency of two bags (paper §3). Lemma 2 gives five equivalent
 // characterizations; this module exposes:
 //   - the O(sort) decision procedure  R[X∩Y] == S[X∩Y]          (Lemma 2(2))
-//   - witness construction via saturated max-flow on N(R, S)    (Corollary 1)
-//   - *minimal* witness construction by middle-edge
-//     self-reducibility                                          (§5.3, Cor. 4)
-// A minimal witness has support size at most ||R||supp + ||S||supp
-// (Theorem 5, via Carathéodory).
+//   - witness construction as an integral vertex of P(R, S): one
+//     northwest-corner transportation solve per Z-group  (Lemma 2, Cor. 1)
+// A vertex is a *minimal* witness (Theorem 5, via Carathéodory; §5.3,
+// Corollary 4): no witness has a support strictly inside it, and it has
+// ||W||supp <= ||R||supp + ||S||supp − (number of Z-groups). The
+// construction lives in engine/two_bag_solver.h; flow/ keeps the
+// saturated-flow form of Lemma 2(5) only as a test oracle.
 #pragma once
 
 #include <optional>
@@ -23,13 +25,16 @@ Result<bool> AreConsistent(const Bag& r, const Bag& s);
 /// consistency of R and S").
 Result<bool> IsWitness(const Bag& t, const Bag& r, const Bag& s);
 
-/// Builds a witness of consistency via an integral saturated flow of
-/// N(R, S); returns nullopt when R and S are inconsistent.
+/// Builds a witness of consistency (the northwest-corner vertex of
+/// P(R, S), hence minimal); returns nullopt when R and S are
+/// inconsistent. O(|R'| + |S'|) after the shared-attribute hash match.
 Result<std::optional<Bag>> FindWitness(const Bag& r, const Bag& s);
 
-/// Builds a *minimal* witness (no witness has strictly smaller support) by
-/// deleting middle edges one at a time and re-solving (§5.3). Costs at most
-/// |R' ⋈ S'| max-flow computations. Returns nullopt when inconsistent.
+/// Builds a *minimal* witness: no witness has a support strictly inside
+/// it (§5.3, Corollary 4). The FindWitness vertex already is one, so this
+/// returns the same bag at the same cost — the §5.3 self-reducibility loop
+/// (one max-flow per middle edge) is not needed. Returns nullopt when
+/// inconsistent.
 Result<std::optional<Bag>> FindMinimalWitness(const Bag& r, const Bag& s);
 
 }  // namespace bagc

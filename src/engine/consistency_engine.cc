@@ -356,21 +356,15 @@ Result<bool> ConsistencyEngine::KWiseConsistent(
   }
 }
 
-Result<std::optional<Bag>> ConsistencyEngine::Witness(size_t i, size_t j,
-                                                      bool minimal) const {
+Result<std::optional<Bag>> ConsistencyEngine::Witness(size_t i, size_t j) const {
   BAGC_ASSIGN_OR_RETURN(bool consistent, TwoBag(i, j));
   if (!consistent) return std::optional<Bag>();
-  // A local arena per call keeps concurrent witness queries free of
-  // contention; the construction is deterministic.
-  TwoBagSolver solver;
-  BAGC_ASSIGN_OR_RETURN(
-      Bag witness, solver.FindWitnessKnownConsistent(collection_->bag(i),
-                                                     collection_->bag(j), minimal));
-  return std::optional<Bag>(std::move(witness));
+  // Per-call state only, so concurrent witness queries never contend; the
+  // construction is deterministic.
+  return TransportationWitness(collection_->bag(i), collection_->bag(j));
 }
 
-Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalAcyclic(
-    const AcyclicSolveOptions& options) {
+Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalAcyclic() const {
   const Hypergraph& h = collection_->hypergraph();
   BAGC_ASSIGN_OR_RETURN(std::vector<size_t> rip_order, RunningIntersectionOrder(h));
 
@@ -396,56 +390,22 @@ Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalAcyclic(
     if (p == nullptr) return Status::Internal("edge without a bag");
   }
 
-  // Theorem 6: fold minimal two-bag witnesses along the RIP listing, every
-  // step inside one flow arena. The step-i shared schema
-  // Z_i = X_{σ(i)} ∩ (X_{σ(0)} ∪ … ∪ X_{σ(i-1)}) depends only on the
-  // listing, so each step's next-side marginal R_{σ(i)}[Z_i] — the
-  // Lemma 2(2) input of that fold step — is built ahead of the fold,
-  // sharded over the engine's pool when it has one. The fold itself stays
-  // sequential (the accumulator feeds the next step), so the merge order —
-  // and hence the witness — is identical for every worker count.
-  size_t steps = rip_order.size();
-  std::vector<Schema> step_shared(steps);
-  Schema prefix = edges[rip_order[0]];
-  for (size_t i = 1; i < steps; ++i) {
-    step_shared[i] = Schema::Intersect(edges[rip_order[i]], prefix);
-    prefix = Schema::Union(prefix, edges[rip_order[i]]);
-  }
-  std::vector<Bag> next_marginal(steps);
-  std::vector<Status> marginal_status(steps, Status::OK());
-  auto build_step = [&](size_t i) {
-    Result<Bag> m = edge_bag[rip_order[i]]->Marginal(step_shared[i]);
-    if (m.ok()) {
-      next_marginal[i] = std::move(m).value();
-    } else {
-      marginal_status[i] = m.status();
-    }
-  };
-  if (pool_ != nullptr) {
-    for (size_t i = 1; i < steps; ++i) {
-      pool_->Submit([&build_step, i] { build_step(i); });
-    }
-    pool_->WaitIdle();
-  } else {
-    for (size_t i = 1; i < steps; ++i) build_step(i);
-  }
-  for (const Status& st : marginal_status) BAGC_RETURN_NOT_OK(st);
-
-  TwoBagSolver solver;
+  // Theorem 6: fold minimal two-bag witnesses (northwest-corner vertices)
+  // along the RIP listing. Each step's construction is its own Lemma 2(2)
+  // check: it returns nullopt exactly when the accumulator's marginal on
+  // the step's shared attributes differs from the next bag's, which Step 1
+  // of Theorem 2 rules out for pairwise consistent bags along a RIP
+  // listing. The fold is sequential (the accumulator feeds the next step)
+  // and deterministic.
   Bag acc = *edge_bag[rip_order[0]];
-  for (size_t i = 1; i < steps; ++i) {
-    const Bag& next = *edge_bag[rip_order[i]];
-    BAGC_ASSIGN_OR_RETURN(Bag acc_marginal, acc.Marginal(step_shared[i]));
-    if (acc_marginal != next_marginal[i]) {
-      // Step 1 of Theorem 2 proves this cannot happen for pairwise
-      // consistent bags along a RIP listing.
+  for (size_t i = 1; i < rip_order.size(); ++i) {
+    BAGC_ASSIGN_OR_RETURN(std::optional<Bag> ti,
+                          TransportationWitness(acc, *edge_bag[rip_order[i]]));
+    if (!ti.has_value()) {
       return Status::Internal(
           "pairwise consistent acyclic collection hit an inconsistent fold step");
     }
-    BAGC_ASSIGN_OR_RETURN(
-        Bag ti,
-        solver.FindWitnessKnownConsistent(acc, next, options.minimal_fold));
-    acc = std::move(ti);
+    acc = std::move(*ti);
   }
   return std::optional<Bag>(std::move(acc));
 }

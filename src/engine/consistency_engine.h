@@ -151,9 +151,9 @@ struct DeltaOutcome {
 /// PairwiseAll, KWiseConsistent, Witness, CachedMarginal) is const and
 /// safe for any number of concurrent callers on one engine — the
 /// substrate of the bagcd server's shared snapshots
-/// (src/server/engine_snapshot.h). Global and SolveGlobalExact are const
-/// too; only SolveGlobalAcyclic borrows the engine's pool, so it is not
-/// thread-safe against itself. Movable, not copyable (owns the pool).
+/// (src/server/engine_snapshot.h). Global, SolveGlobalAcyclic and
+/// SolveGlobalExact are const too; the pool serves only the seal.
+/// Movable, not copyable (owns the pool).
 class ConsistencyEngine {
  public:
   /// Seals an owned copy of `collection`: computes the pairwise
@@ -211,8 +211,8 @@ class ConsistencyEngine {
   /// Joins and destroys the worker pool. For owners that used threads
   /// only for the seal and will serve the rest of the engine's life
   /// through the const query surface (the server's snapshots): a
-  /// long-lived generation should not park N idle worker threads. A later
-  /// SolveGlobalAcyclic simply runs sequentially. No-op without a pool.
+  /// long-lived generation should not park N idle worker threads. No-op
+  /// without a pool.
   void ReleaseWorkers() { pool_.reset(); }
 
   /// The shared dictionary set the collection was interned through, or
@@ -255,22 +255,21 @@ class ConsistencyEngine {
       size_t k,
       std::optional<std::vector<size_t>>* failing_subset = nullptr) const;
 
-  /// Witness of consistency for bags i and j (minimal per §5.3 when
-  /// `minimal`); nullopt when inconsistent. The Lemma 2(2) pre-check reads
-  /// the sealed verdict and the construction runs in a per-call flow
-  /// arena, so concurrent witness queries never contend; the construction
-  /// is deterministic.
-  Result<std::optional<Bag>> Witness(size_t i, size_t j,
-                                     bool minimal = false) const;
+  /// Witness of consistency for bags i and j: the northwest-corner vertex
+  /// of P(R, S), which is minimal (Corollary 4) — see
+  /// engine/two_bag_solver.h. nullopt when inconsistent. The Lemma 2(2)
+  /// pre-check reads the sealed verdict and the construction keeps only
+  /// per-call state, so concurrent witness queries never contend; the
+  /// construction is deterministic.
+  Result<std::optional<Bag>> Witness(size_t i, size_t j) const;
 
   /// Global consistency: acyclic schemas read the pairwise verdict
   /// (Theorem 2); cyclic schemas run the exact solver on every call.
   Result<bool> Global() const;
 
   /// Theorem 6 witness construction for acyclic schemas, folding minimal
-  /// two-bag witnesses through one flow arena.
-  Result<std::optional<Bag>> SolveGlobalAcyclic(
-      const AcyclicSolveOptions& options = {});
+  /// two-bag witnesses (northwest-corner vertices) along a RIP listing.
+  Result<std::optional<Bag>> SolveGlobalAcyclic() const;
 
   /// Exact decision for arbitrary schemas via integer feasibility of
   /// P(R1..Rm), with the pairwise verdict as a prefilter.

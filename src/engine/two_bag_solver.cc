@@ -1,58 +1,104 @@
 #include "engine/two_bag_solver.h"
 
+#include <algorithm>
+#include <vector>
+
+#include "tuple/column_index.h"
+
 namespace bagc {
 
-Result<bool> TwoBagSolver::AreConsistent(const Bag& r, const Bag& s) {
-  Schema z = Schema::Intersect(r.schema(), s.schema());
-  BAGC_ASSIGN_OR_RETURN(Bag rz, r.Marginal(z));
-  BAGC_ASSIGN_OR_RETURN(Bag sz, s.Marginal(z));
-  return rz == sz;
+namespace {
+
+// True iff x's attributes are the first x.arity() attributes of xy. Then
+// ordering witness cells by (x row, other row) is Tuple order: x's rows
+// sort on that prefix, and within one x row the other side's rows of one
+// Z-group differ only on attributes past it.
+bool LeadsJoinedLayout(const Schema& x, const Schema& xy) {
+  return std::equal(x.attrs().begin(), x.attrs().end(), xy.attrs().begin());
 }
 
-Result<std::optional<Bag>> TwoBagSolver::FindWitness(const Bag& r, const Bag& s) {
-  // Cheap pre-check (Lemma 2(2)) before building the network.
-  BAGC_ASSIGN_OR_RETURN(bool consistent, AreConsistent(r, s));
-  if (!consistent) return std::optional<Bag>();
-  BAGC_ASSIGN_OR_RETURN(Bag witness,
-                        FindWitnessKnownConsistent(r, s, /*minimal=*/false));
-  return std::optional<Bag>(std::move(witness));
-}
+}  // namespace
 
-Result<std::optional<Bag>> TwoBagSolver::FindMinimalWitness(const Bag& r,
-                                                            const Bag& s) {
-  BAGC_ASSIGN_OR_RETURN(bool consistent, AreConsistent(r, s));
-  if (!consistent) return std::optional<Bag>();
-  BAGC_ASSIGN_OR_RETURN(Bag witness,
-                        FindWitnessKnownConsistent(r, s, /*minimal=*/true));
-  return std::optional<Bag>(std::move(witness));
-}
+Result<std::optional<Bag>> TransportationWitness(const Bag& r, const Bag& s) {
+  BAGC_ASSIGN_OR_RETURN(TupleJoiner joiner, TupleJoiner::Make(r.schema(), s.schema()));
+  const Schema& xy = joiner.joined_schema();
+  // The outer side is visited row by row; the inner side is where each
+  // group's northwest-corner cursor walks. The corner rule fills the same
+  // cells whichever side is outer (cell (r, s) of a group gets the overlap
+  // of their cumulative-multiplicity intervals), so the choice only sets
+  // the order the cells come out in: outer rows leading the joined layout
+  // make it Tuple order.
+  const bool r_leads = LeadsJoinedLayout(r.schema(), xy);
+  const bool s_outer = !r_leads && LeadsJoinedLayout(s.schema(), xy);
+  const Bag& outer = s_outer ? s : r;
+  const Bag& inner = s_outer ? r : s;
+  BAGC_ASSIGN_OR_RETURN(Projector outer_z,
+                        Projector::Make(outer.schema(), joiner.shared_schema()));
+  BAGC_ASSIGN_OR_RETURN(Projector inner_z,
+                        Projector::Make(inner.schema(), joiner.shared_schema()));
+  ColumnJoinMatch match(outer.Columns().Select(outer_z),
+                        inner.Columns().Select(inner_z));
 
-Result<Bag> TwoBagSolver::FindWitnessKnownConsistent(const Bag& r, const Bag& s,
-                                                     bool minimal) {
-  BAGC_RETURN_NOT_OK(arena_.Assign(r, s));
-  BAGC_ASSIGN_OR_RETURN(bool saturated, arena_.HasSaturatedFlow());
-  if (!saturated) {
-    // Lemma 2 (2) => (5): cannot happen when the marginals agree.
-    return Status::Internal("marginals agree but N(R,S) has no saturated flow");
-  }
-  if (minimal) {
-    // §5.3 self-reducibility: for each middle edge, ask whether some
-    // saturated flow avoids it; if so, delete it permanently. Every
-    // re-solve runs inside the same arena.
-    for (size_t i = 0; i < arena_.NumMiddleEdges(); ++i) {
-      BAGC_RETURN_NOT_OK(arena_.SuppressMiddleEdge(i));
-      BAGC_ASSIGN_OR_RETURN(bool still, arena_.HasSaturatedFlow());
-      if (!still) {
-        BAGC_RETURN_NOT_OK(arena_.RestoreMiddleEdge(i));
-      }
+  // Per Z-group: the cursor's position in the group's inner rows and what
+  // that row still has to give.
+  const uint64_t* outer_mult = outer.MultiplicityData();
+  const uint64_t* inner_mult = inner.MultiplicityData();
+  const size_t groups = match.NumGroups();
+  std::vector<uint32_t> cursor(groups, 0);
+  std::vector<uint64_t> left(groups);
+  for (size_t g = 0; g < groups; ++g) left[g] = inner_mult[match.RightRows(g)[0]];
+  // Every cell either finishes an outer row or moves a cursor on, so
+  // there are at most |outer'| + |inner'| of them (a consistent pair has
+  // at most that minus the group count).
+  const size_t outer_n = outer.SupportSize();
+  const size_t max_cells = outer_n + inner.SupportSize();
+  std::vector<uint32_t> outer_rows(max_cells);
+  std::vector<uint32_t> inner_rows(max_cells);
+  std::vector<uint64_t> mults(max_cells);
+  size_t n = 0;
+  for (size_t i = 0; i < outer_n; ++i) {
+    const uint32_t g = match.MatchOf(i);
+    if (g == ColumnJoinMatch::kNoMatch) return std::optional<Bag>();
+    const ColumnIndex::Rows rows = match.RightRows(g);
+    for (uint64_t need = outer_mult[i]; need > 0; ++n) {
+      if (cursor[g] == rows.size()) return std::optional<Bag>();
+      const uint64_t take = std::min(need, left[g]);
+      outer_rows[n] = static_cast<uint32_t>(i);
+      inner_rows[n] = rows[cursor[g]];
+      mults[n] = take;
+      need -= take;
+      left[g] -= take;
+      if (left[g] == 0 && ++cursor[g] < rows.size()) left[g] = inner_mult[rows[cursor[g]]];
     }
-    // Re-solve on the surviving edges and extract.
-    BAGC_ASSIGN_OR_RETURN(bool final_ok, arena_.HasSaturatedFlow());
-    if (!final_ok) {
-      return Status::Internal("minimal-witness pruning lost saturation");
-    }
   }
-  return arena_.ExtractWitness();
+  for (size_t g = 0; g < groups; ++g) {
+    if (cursor[g] != match.RightRows(g).size()) return std::optional<Bag>();
+  }
+  mults.resize(n);
+
+  // Gather the joined columns of the cells, one column at a time.
+  const std::vector<uint32_t>& r_rows = s_outer ? inner_rows : outer_rows;
+  const std::vector<uint32_t>& s_rows = s_outer ? outer_rows : inner_rows;
+  const size_t arity = xy.arity();
+  std::vector<ValueId> data(n * arity);
+  for (size_t c = 0; c < arity; ++c) {
+    const auto& [from_r, slot] = joiner.slot_sources()[c];
+    const ValueId* src = from_r ? r.Columns().column(slot) : s.Columns().column(slot);
+    const std::vector<uint32_t>& at = from_r ? r_rows : s_rows;
+    ValueId* dst = data.data() + c * n;
+    for (size_t k = 0; k < n; ++k) dst[k] = src[at[k]];
+  }
+  ColumnStore columns = ColumnStore::FromColumnMajor(std::move(data), n, arity);
+  if (r_leads || s_outer) {
+    BAGC_ASSIGN_OR_RETURN(Bag witness, Bag::FromColumnar(xy, std::move(columns),
+                                                         std::move(mults)));
+    return std::optional<Bag>(std::move(witness));
+  }
+  // Neither side leads (their attributes interleave): sort the cells. Every
+  // cell is a distinct join tuple, so grouping merges nothing.
+  BAGC_ASSIGN_OR_RETURN(Bag witness,
+                        Bag::GroupColumns(xy, columns.View(), mults.data(), n));
+  return std::optional<Bag>(std::move(witness));
 }
 
 }  // namespace bagc

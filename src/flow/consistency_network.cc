@@ -7,26 +7,23 @@ namespace bagc {
 
 Result<ConsistencyNetwork> ConsistencyNetwork::Make(const Bag& r, const Bag& s) {
   ConsistencyNetwork cn;
-  BAGC_RETURN_NOT_OK(cn.Assign(r, s));
+  BAGC_RETURN_NOT_OK(cn.Build(r, s));
   return cn;
 }
 
-Status ConsistencyNetwork::Assign(const Bag& r, const Bag& s) {
+Status ConsistencyNetwork::Build(const Bag& r, const Bag& s) {
   BAGC_ASSIGN_OR_RETURN(TupleJoiner joiner, TupleJoiner::Make(r.schema(), s.schema()));
   joined_schema_ = joiner.joined_schema();
   slot_sources_ = joiner.slot_sources();
   r_ = r;
   s_ = s;
-  middle_.clear();
-  source_capacity_ = 0;
-  sink_capacity_ = 0;
 
   // Vertex numbering: 0 = source, 1..|R'| = R tuples, then S tuples, then
   // sink last. The sorted row order gives the mapping directly: the i-th
   // row of R is vertex 1 + i, the j-th row of S is vertex 1 + |R'| + j.
   size_t nr = r.SupportSize();
   size_t ns = s.SupportSize();
-  net_.Reset(2 + nr + ns);
+  net_ = FlowNetwork(2 + nr + ns);
   source_ = 0;
   sink_ = 1 + nr + ns;
 
@@ -114,16 +111,6 @@ Result<Bag> ConsistencyNetwork::ExtractWitness() const {
     return Bag::FromColumnar(joined_schema_, std::move(columns), std::move(mults));
   }
   return Bag::GroupColumns(joined_schema_, view, mults.data(), n);
-}
-
-Status ConsistencyNetwork::SuppressMiddleEdge(size_t i) {
-  if (i >= middle_.size()) return Status::InvalidArgument("middle edge out of range");
-  return net_.SetCapacity(MiddleEdgeId(i), 0);
-}
-
-Status ConsistencyNetwork::RestoreMiddleEdge(size_t i) {
-  if (i >= middle_.size()) return Status::InvalidArgument("middle edge out of range");
-  return net_.SetCapacity(MiddleEdgeId(i), FlowNetwork::kUnbounded);
 }
 
 }  // namespace bagc

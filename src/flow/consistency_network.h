@@ -4,11 +4,15 @@
 // N(R, S) admits a saturated flow (Lemma 2, (1) <=> (5)); an integral
 // saturated flow *is* a witness bag.
 //
+// Served witnesses do not come from here: engine/two_bag_solver.h builds
+// them as northwest-corner transportation vertices without a network.
+// N(R, S) stays as the Lemma 2(5) / Corollary 1 oracle the tests compare
+// those witnesses against.
+//
 // A middle edge is recorded as the (R row, S row) pair it joins — two
-// u32s, never a materialized join Tuple — and the flow network is one
-// reusable arena (FlowNetwork). ExtractWitness gathers the joined columns
-// of the positive-flow edges straight from the bags' ids and seals them
-// columnar, so a witness costs no per-row heap allocation either.
+// u32s, never a materialized join Tuple. ExtractWitness gathers the
+// joined columns of the positive-flow edges straight from the bags' ids
+// and seals them columnar.
 #pragma once
 
 #include <cstdint>
@@ -25,18 +29,10 @@ namespace bagc {
 /// \brief N(R, S) plus the bookkeeping to map flows back to witness bags.
 class ConsistencyNetwork {
  public:
-  /// An empty network; populate with Assign.
-  ConsistencyNetwork() : net_(0) {}
-
   /// Builds N(R, S). Fails on schema errors or overflowing capacities.
-  static Result<ConsistencyNetwork> Make(const Bag& r, const Bag& s);
-
-  /// Rebuilds this object as N(R, S) in place, reusing the flow arena and
-  /// middle-edge storage of any previous build (see FlowNetwork::Reset).
   /// Keeps a (refcounted, copy-free) handle on both bags for
-  /// ExtractWitness. On error the contents are unspecified; Assign again
-  /// before use.
-  Status Assign(const Bag& r, const Bag& s);
+  /// ExtractWitness.
+  static Result<ConsistencyNetwork> Make(const Bag& r, const Bag& s);
 
   /// Sum of source-side capacities (= ||R||_u); a flow saturates iff its
   /// value equals this and also equals ||S||_u.
@@ -52,14 +48,12 @@ class ConsistencyNetwork {
   /// bag T(XY) with T(t) = flow on t's middle edge, in Tuple order.
   Result<Bag> ExtractWitness() const;
 
-  /// Suppresses middle edge i (capacity 0) / restores it. Used by the
-  /// §5.3 minimal-witness loop.
-  Status SuppressMiddleEdge(size_t i);
-  Status RestoreMiddleEdge(size_t i);
-
   const Schema& joined_schema() const { return joined_schema_; }
 
  private:
+  ConsistencyNetwork() : net_(0) {}
+  Status Build(const Bag& r, const Bag& s);
+
   FlowNetwork::EdgeId MiddleEdgeId(size_t i) const { return first_middle_ + i; }
 
   FlowNetwork net_;

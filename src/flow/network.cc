@@ -13,15 +13,8 @@ constexpr size_t kMaxIds = std::numeric_limits<uint32_t>::max();
 
 }  // namespace
 
-FlowNetwork::FlowNetwork(size_t num_vertices) { Reset(num_vertices); }
-
-void FlowNetwork::Reset(size_t num_vertices) {
-  num_vertices_ = num_vertices;
-  edges_.clear();
-  orig_.clear();
-  degree_.assign(num_vertices, 0);
-  adjacency_stale_ = true;
-}
+FlowNetwork::FlowNetwork(size_t num_vertices)
+    : num_vertices_(num_vertices), degree_(num_vertices, 0) {}
 
 Result<FlowNetwork::EdgeId> FlowNetwork::AddEdge(size_t u, size_t v,
                                                  uint64_t capacity) {
@@ -123,17 +116,6 @@ uint64_t FlowNetwork::FlowOn(EdgeId id) const {
 uint64_t FlowNetwork::CapacityOf(EdgeId id) const {
   BAGC_DCHECK(id < orig_.size());
   return orig_[id];
-}
-
-Status FlowNetwork::SetCapacity(EdgeId id, uint64_t capacity) {
-  if (id >= orig_.size()) {
-    return Status::InvalidArgument("edge id out of range");
-  }
-  if (capacity > kUnbounded) {
-    return Status::InvalidArgument("capacity exceeds kUnbounded");
-  }
-  orig_[id] = capacity;
-  return Status::OK();
 }
 
 }  // namespace bagc

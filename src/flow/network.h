@@ -1,15 +1,14 @@
-// Flow networks and Dinic's max-flow algorithm. This is the strongly
-// polynomial substrate behind Lemma 2 (two-bag consistency) and the
-// minimal-witness construction of §5.3. Capacities and flows are exact
-// 64-bit integers; the integrality theorem for max flow then yields integer
-// witnesses directly.
+// Flow networks and Dinic's max-flow algorithm: the saturated-flow form of
+// Lemma 2 (two-bag consistency), kept as an independent oracle for the
+// northwest-corner witnesses of engine/two_bag_solver.h. Capacities and
+// flows are exact 64-bit integers; the integrality theorem for max flow
+// then yields integer witnesses directly.
 //
-// Storage is one arena: every edge lives in a single flat array, and the
-// adjacency is a CSR index (one offset per vertex plus an edge-id array)
-// derived from it by a stable counting sort on the tail vertex — degrees
-// are counted as edges are added — whenever the edge set changed since
-// the last Solve. No per-vertex or per-edge allocation happens after the
-// arena has grown once.
+// Storage is flat: every edge lives in a single array, and the adjacency
+// is a CSR index (one offset per vertex plus an edge-id array) derived
+// from it by a stable counting sort on the tail vertex — degrees are
+// counted as edges are added — whenever the edge set changed since the
+// last Solve.
 #pragma once
 
 #include <cstdint>
@@ -35,13 +34,6 @@ class FlowNetwork {
 
   explicit FlowNetwork(size_t num_vertices);
 
-  /// Clears the network back to `num_vertices` isolated vertices while
-  /// retaining every allocation (edge array, CSR index, BFS/DFS scratch).
-  /// This is the arena-reuse entry point: repeated solves — the §5.3
-  /// suppress/restore loop, the Theorem 6 fold, engine batch queries —
-  /// rebuild into the same storage instead of reallocating per solve.
-  void Reset(size_t num_vertices);
-
   size_t num_vertices() const { return num_vertices_; }
   size_t num_edges() const { return edges_.size() / 2; }
 
@@ -57,10 +49,6 @@ class FlowNetwork {
 
   /// Capacity of edge `id`.
   uint64_t CapacityOf(EdgeId id) const;
-
-  /// Temporarily sets the capacity of an edge (used by the minimal-witness
-  /// self-reducibility loop, which suppresses middle edges one at a time).
-  Status SetCapacity(EdgeId id, uint64_t capacity);
 
  private:
   // One half-edge; 16 bytes, so the residual graph Dinic walks is dense.

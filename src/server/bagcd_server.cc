@@ -8,6 +8,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "server/protocol.h"
@@ -116,7 +117,8 @@ void BagcdServer::AcceptLoop(int listen_fd) {
 }
 
 void BagcdServer::ServeConnection(Conn* conn) {
-  ServerSession session(registry_.get(), query_pool_.get());
+  std::optional<ServerSession> session(std::in_place, registry_.get(),
+                                       query_pool_.get());
   int fd = conn->fd;
   char chunk[4096];
   bool open = WriteAll(fd, std::string(kWireBanner) + "\n");
@@ -129,8 +131,12 @@ void BagcdServer::ServeConnection(Conn* conn) {
     // moves bytes both ways.
     std::string responses;
     ServerSession::Outcome outcome =
-        session.HandleData(std::string_view(chunk, static_cast<size_t>(n)),
-                           &responses);
+        session->HandleData(std::string_view(chunk, static_cast<size_t>(n)),
+                            &responses);
+    // A session that is done ends (and leaves STATS `sessions`) before
+    // its last reply goes out, so a client that has read QUIT's OK BYE
+    // and reconnects never sees it counted.
+    if (outcome != ServerSession::Outcome::kContinue) session.reset();
     bool wrote = responses.empty() || WriteAll(fd, responses);
     // Honor the outcome BEFORE reacting to a failed write: the session
     // already committed to it — a SHUTDOWN from a client that closed
@@ -141,6 +147,8 @@ void BagcdServer::ServeConnection(Conn* conn) {
     }
     if (outcome == ServerSession::Outcome::kCloseConnection || !wrote) break;
   }
+  // Likewise on a hang-up: the session ends before the socket goes down.
+  session.reset();
   // Mark done BEFORE closing: Shutdown() only ::shutdown()s fds of
   // connections not yet done, so it can never touch a descriptor this
   // thread has already closed (and the kernel may have recycled).

@@ -2,7 +2,7 @@
 // that speaks the line protocol of session.h. One OS thread per
 // connection feeds that client's ServerSession. That thread answers the
 // lookups of verdicts decided at seal itself (TWOBAG by Lemma 2(2),
-// PAIRWISE, GLOBAL by Theorem 2 or once solved); only search and flow
+// PAIRWISE, GLOBAL by Theorem 2 or once solved); only search and witness
 // work (a cyclic GLOBAL's first solve, KWISE, WITNESS) fans out on one
 // shared work-stealing ThreadPool (util/thread_pool.h). All sessions
 // share one CollectionRegistry: every named collection
@@ -36,7 +36,7 @@ struct BagcdServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   uint16_t port = 0;
-  /// Workers in the shared pool for search and flow queries (a cyclic
+  /// Workers in the shared pool for search and witness queries (a cyclic
   /// GLOBAL's first solve, KWISE, WITNESS); 0 answers them inline on each
   /// connection's thread, where sealed lookups always answer.
   size_t query_threads = 0;

@@ -143,8 +143,8 @@ Result<bool> EngineSnapshot::KWise(
 }
 
 Result<std::optional<Bag>> EngineSnapshot::Witness(size_t i, size_t j,
-                                                   bool minimal) const {
-  return engine_->Witness(i, j, minimal);
+                                                   bool /*minimal*/) const {
+  return engine_->Witness(i, j);
 }
 
 std::string EngineSnapshot::WriteBagText(const Bag& bag) const {

@@ -108,9 +108,11 @@ class EngineSnapshot {
   Result<bool> KWise(size_t k,
                      std::optional<std::vector<size_t>>* failing_subset) const;
 
-  /// Two-bag witness (minimal per §5.3 when `minimal`); nullopt when
-  /// inconsistent. Each call uses a private flow arena, so concurrent
-  /// witness queries never contend.
+  /// Two-bag witness: the northwest-corner vertex of P(R, S), which is
+  /// already minimal (Corollary 4), so `minimal` (the wire's MINIMAL)
+  /// changes neither the answer nor its cost. nullopt when inconsistent.
+  /// Each call keeps only per-call state, so concurrent witness queries
+  /// never contend.
   Result<std::optional<Bag>> Witness(size_t i, size_t j, bool minimal) const;
 
   /// Serializes a result bag in the bag IO format, decoding ids through

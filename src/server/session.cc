@@ -40,7 +40,7 @@ constexpr size_t kMaxLineBytes = 1 << 20;
 
 // Runs `fn` on the server's shared query pool and blocks this session
 // until it finishes; inline when the server runs without a pool. Only
-// search and flow work comes here (a cyclic GLOBAL's first solve, KWISE,
+// search and witness work comes here (a cyclic GLOBAL's first solve, KWISE,
 // WITNESS): a lookup of a verdict decided at seal is cheaper than the
 // handoff, so HandleQuery answers those on the connection thread.
 template <typename Fn>

@@ -61,7 +61,7 @@ class ServerSession {
   };
 
   /// `registry` must outlive the session. `query_pool` is the server's
-  /// shared pool for the queries that search or run flows (a cyclic
+  /// shared pool for the queries that search or build bags (a cyclic
   /// GLOBAL's first solve, KWISE, WITNESS); nullptr answers those inline
   /// on the transport thread too. Lookups of verdicts decided at seal —
   /// TWOBAG (Lemma 2(2)), PAIRWISE, and GLOBAL once known (Theorem 2 on

@@ -37,7 +37,8 @@ Status AppendAllRows(const std::vector<Bag>& bags, const Schema& joined,
       row.marginal_tuple = bag.RowAt(e);
       row.rhs = bag.MultiplicityAt(e);
       if (match[e] != ColumnIndex::kNoGroup) {
-        row.vars = groups.GroupRows(match[e]);
+        ColumnIndex::Rows vars = groups.GroupRows(match[e]);
+        row.vars.assign(vars.begin(), vars.end());
         in_support[match[e]] = true;
       }
       lp->rows.push_back(std::move(row));
@@ -61,7 +62,8 @@ Status AppendAllRows(const std::vector<Bag>& bags, const Schema& joined,
       row.bag_index = i;
       row.marginal_tuple = std::move(key);
       row.rhs = 0;
-      row.vars = groups.GroupRows(g);
+      ColumnIndex::Rows vars = groups.GroupRows(g);
+      row.vars.assign(vars.begin(), vars.end());
       lp->rows.push_back(std::move(row));
     }
   }

@@ -20,22 +20,27 @@ ColumnIndex::ColumnIndex(ColumnView keys, simd::SimdLevel level)
   // All rows are inserted up front, so size the table once (load < ~0.7)
   // and never rehash.
   slots_.assign(NextPowerOfTwo(n + n / 2 + 1), 0);
-  groups_.reserve(n);
   std::vector<uint64_t> hashes;
   keys_.HashRows(&hashes, level_);
+  // Pass 1: each row's group, counting group sizes into offsets_[g + 1].
+  std::vector<uint32_t> group_of(n);
+  offsets_.assign(1, 0);
   for (size_t r = 0; r < n; ++r) {
     size_t slot = FindSlot(hashes[r], keys_, r);
     if (slots_[slot] == 0) {
-      ColumnGroup g;
-      g.lead = static_cast<uint32_t>(r);
-      g.hash = hashes[r];
-      g.rows.push_back(static_cast<uint32_t>(r));
-      groups_.push_back(std::move(g));
+      groups_.push_back({static_cast<uint32_t>(r), hashes[r]});
+      offsets_.push_back(0);
       slots_[slot] = static_cast<uint32_t>(groups_.size());
-    } else {
-      groups_[slots_[slot] - 1].rows.push_back(static_cast<uint32_t>(r));
     }
+    group_of[r] = slots_[slot] - 1;
+    ++offsets_[group_of[r] + 1];
   }
+  // Pass 2: prefix sums, then every row into its group's range in
+  // ascending row order.
+  for (size_t g = 0; g < groups_.size(); ++g) offsets_[g + 1] += offsets_[g];
+  rows_.resize(n);
+  std::vector<uint32_t> fill(offsets_.begin(), offsets_.end() - 1);
+  for (size_t r = 0; r < n; ++r) rows_[fill[group_of[r]]++] = static_cast<uint32_t>(r);
 }
 
 size_t ColumnIndex::FindSlot(uint64_t hash, const ColumnView& view,

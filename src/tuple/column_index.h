@@ -1,8 +1,9 @@
 // ColumnIndex: the one hash index, an open-addressing grouping over the
-// rows of a borrowed ColumnView, built once per operation. The bag join
-// and the N(R, S) middle-edge construction match through ColumnJoinMatch,
-// GroupColumns hash-groups marginals with it, and the P(R1..Rm) row
-// builder groups the join's variables by their projection onto each bag.
+// rows of a borrowed ColumnView, built once per operation. The bag join,
+// the two-bag transportation witness and the N(R, S) middle-edge
+// construction match through ColumnJoinMatch, GroupColumns hash-groups
+// marginals with it, and the P(R1..Rm) row builder groups the join's
+// variables by their projection onto each bag.
 // Bulk construction and duplicate-row checks sort-merge in BagBuilder
 // (internal::SealEntries) instead.
 #pragma once
@@ -19,14 +20,26 @@ namespace bagc {
 ///
 /// Construction groups every key row (equal rows share a group; groups and
 /// their row lists are in first-appearance order, i.e. ascending row
-/// index, so iteration is deterministic). No Tuple is ever materialized:
-/// row hashes come from ColumnView::HashRows in one column-wise batch, and
-/// equality compares id spans in place. The key view's storage must
-/// outlive the index.
+/// index, so iteration is deterministic). The row lists live in one flat
+/// array (CSR: one offset per group), so building the index allocates a
+/// fixed handful of arrays however many groups there are. No Tuple is
+/// ever materialized: row hashes come from ColumnView::HashRows in one
+/// column-wise batch, and equality compares id spans in place. The key
+/// view's storage must outlive the index.
 class ColumnIndex {
  public:
   /// No matching group (also the cap sentinel — row counts are < 2^32).
   static constexpr uint32_t kNoGroup = 0xFFFFFFFFu;
+
+  /// One group's rows, ascending: a view into the index's row array.
+  struct Rows {
+    const uint32_t* first = nullptr;
+    size_t count = 0;
+    const uint32_t* begin() const { return first; }
+    const uint32_t* end() const { return first + count; }
+    size_t size() const { return count; }
+    uint32_t operator[](size_t k) const { return first[k]; }
+  };
 
   ColumnIndex() = default;
   /// Builds the grouping over all rows of `keys`. `level` selects the
@@ -37,7 +50,9 @@ class ColumnIndex {
 
   size_t NumGroups() const { return groups_.size(); }
   /// Rows of group g, ascending.
-  const std::vector<uint32_t>& GroupRows(size_t g) const { return groups_[g].rows; }
+  Rows GroupRows(size_t g) const {
+    return {rows_.data() + offsets_[g], offsets_[g + 1] - offsets_[g]};
+  }
   /// First (smallest) key row of group g — the group's representative.
   uint32_t LeadRow(size_t g) const { return groups_[g].lead; }
   /// The indexed key view.
@@ -59,7 +74,6 @@ class ColumnIndex {
   struct ColumnGroup {
     uint32_t lead;
     uint64_t hash;
-    std::vector<uint32_t> rows;
   };
 
   // Slot holding the group matching (view, row, hash), or the empty slot
@@ -68,16 +82,19 @@ class ColumnIndex {
 
   ColumnView keys_;
   std::vector<ColumnGroup> groups_;
+  // CSR row lists: group g's rows are rows_[offsets_[g] .. offsets_[g+1]).
+  std::vector<uint32_t> offsets_;
+  std::vector<uint32_t> rows_;
   // Open-addressing table of group index + 1; 0 marks an empty slot.
   std::vector<uint32_t> slots_;
   // Resolved dispatch level for batch hashing/probing (never kAuto).
   simd::SimdLevel level_ = simd::SimdLevel::kScalar;
 };
 
-/// \brief Columnar hash-join matching phase, shared by the bag join and
-/// the N(R, S) middle-edge construction: index the right side's
-/// shared-attribute columns and resolve every left row in one ProbeAll
-/// batch. Movable, not copyable.
+/// \brief Columnar hash-join matching phase, shared by the bag join, the
+/// transportation witness and the N(R, S) middle-edge construction:
+/// index the right side's shared-attribute columns and resolve every left
+/// row in one ProbeAll batch. Movable, not copyable.
 class ColumnJoinMatch {
  public:
   static constexpr uint32_t kNoMatch = ColumnIndex::kNoGroup;
@@ -98,8 +115,10 @@ class ColumnJoinMatch {
 
   /// The group left row i matched, or kNoMatch.
   uint32_t MatchOf(size_t i) const { return match_[i]; }
+  /// Number of distinct right-side keys (groups), matched or not.
+  size_t NumGroups() const { return index_.NumGroups(); }
   /// Right rows of a matched group, ascending (posting-list order).
-  const std::vector<uint32_t>& RightRows(uint32_t group) const {
+  ColumnIndex::Rows RightRows(uint32_t group) const {
     return index_.GroupRows(group);
   }
 

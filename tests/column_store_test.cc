@@ -138,7 +138,8 @@ TEST(ColumnStoreTest, ColumnIndexMatchesMapOracle) {
   for (size_t g = 0; g < index.NumGroups(); ++g) {
     // Same group order, same keys, same posting lists.
     EXPECT_EQ(index.keys().RowAt(index.LeadRow(g)), by_first_row[g].first);
-    EXPECT_EQ(index.GroupRows(g), by_first_row[g].second);
+    ColumnIndex::Rows rows = index.GroupRows(g);
+    EXPECT_EQ(std::vector<uint32_t>(rows.begin(), rows.end()), by_first_row[g].second);
   }
 
   std::vector<uint32_t> match;
@@ -150,7 +151,8 @@ TEST(ColumnStoreTest, ColumnIndexMatchesMapOracle) {
       EXPECT_EQ(match[r], ColumnIndex::kNoGroup);
     } else {
       ASSERT_NE(match[r], ColumnIndex::kNoGroup);
-      EXPECT_EQ(index.GroupRows(match[r]), expected->second);
+      ColumnIndex::Rows rows = index.GroupRows(match[r]);
+      EXPECT_EQ(std::vector<uint32_t>(rows.begin(), rows.end()), expected->second);
     }
   }
 }

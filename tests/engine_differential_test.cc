@@ -140,7 +140,7 @@ TEST(EngineDifferentialTest, MatchesSingleShotAndOracleOn200Workloads) {
     }
     if (seed % 5 == 0 && c.size() >= 2) {
       bool pair_ok = *AreConsistent(c.bag(0), c.bag(1));
-      auto engine_witness = *sequential.Witness(0, 1, seed % 2 == 0);
+      auto engine_witness = *sequential.Witness(0, 1);
       auto single_witness = seed % 2 == 0 ? *FindMinimalWitness(c.bag(0), c.bag(1))
                                           : *FindWitness(c.bag(0), c.bag(1));
       EXPECT_EQ(pair_ok, engine_witness.has_value());

@@ -55,17 +55,6 @@ TEST(FlowNetworkTest, Validation) {
   EXPECT_FALSE(net.Solve(0, 9).ok());
 }
 
-TEST(FlowNetworkTest, SetCapacityAndResolve) {
-  FlowNetwork net(2);
-  auto e = *net.AddEdge(0, 1, 5);
-  EXPECT_EQ(*net.Solve(0, 1), 5u);
-  ASSERT_TRUE(net.SetCapacity(e, 2).ok());
-  EXPECT_EQ(*net.Solve(0, 1), 2u);
-  ASSERT_TRUE(net.SetCapacity(e, 5).ok());
-  EXPECT_EQ(*net.Solve(0, 1), 5u);
-  EXPECT_FALSE(net.SetCapacity(99, 1).ok());
-}
-
 TEST(FlowNetworkTest, FlowConservation) {
   // Random bipartite-ish network: check conservation at inner vertices by
   // re-deriving flows from FlowOn.
@@ -138,23 +127,6 @@ TEST(ConsistencyNetworkTest, InconsistentSharedMarginalsDoNotSaturate) {
   EXPECT_FALSE(*net.HasSaturatedFlow());
 }
 
-TEST(ConsistencyNetworkTest, SuppressAndRestoreMiddleEdges) {
-  Bag r = *MakeBag(Schema{{0, 1}}, {{{1, 2}, 1}, {{2, 2}, 1}});
-  Bag s = *MakeBag(Schema{{1, 2}}, {{{2, 1}, 1}, {{2, 2}, 1}});
-  ConsistencyNetwork net = *ConsistencyNetwork::Make(r, s);
-  ASSERT_TRUE(*net.HasSaturatedFlow());
-  // Suppressing all middle edges kills saturation.
-  for (size_t i = 0; i < net.NumMiddleEdges(); ++i) {
-    ASSERT_TRUE(net.SuppressMiddleEdge(i).ok());
-  }
-  EXPECT_FALSE(*net.HasSaturatedFlow());
-  for (size_t i = 0; i < net.NumMiddleEdges(); ++i) {
-    ASSERT_TRUE(net.RestoreMiddleEdge(i).ok());
-  }
-  EXPECT_TRUE(*net.HasSaturatedFlow());
-  EXPECT_FALSE(net.SuppressMiddleEdge(999).ok());
-}
-
 TEST(ConsistencyNetworkTest, RandomConsistentPairsAlwaysSaturate) {
   Rng rng(23);
   BagGenOptions options;
@@ -170,58 +142,11 @@ TEST(ConsistencyNetworkTest, RandomConsistentPairsAlwaysSaturate) {
   }
 }
 
-// One random layered network: s=0 -> left -> right -> t, built edge by
-// edge into `net` (already sized); returns the edge ids in AddEdge order.
-std::vector<FlowNetwork::EdgeId> AddRandomLayers(FlowNetwork* net, size_t left,
-                                                 size_t right, Rng* rng) {
-  std::vector<FlowNetwork::EdgeId> ids;
-  size_t t = 1 + left + right;
-  for (size_t i = 0; i < left; ++i) ids.push_back(*net->AddEdge(0, 1 + i, 1 + rng->Below(9)));
-  for (size_t j = 0; j < right; ++j) {
-    ids.push_back(*net->AddEdge(1 + left + j, t, 1 + rng->Below(9)));
-  }
-  for (size_t i = 0; i < left; ++i) {
-    for (size_t j = 0; j < right; ++j) {
-      if (rng->Below(3) == 0) {
-        ids.push_back(*net->AddEdge(1 + i, 1 + left + j, 1 + rng->Below(5)));
-      }
-    }
-  }
-  return ids;
-}
-
-// Reset keeps every buffer; a network reset smaller, then larger, between
-// solves must still push exactly the flow a freshly built one pushes,
-// edge for edge.
-TEST(FlowNetworkTest, ResetSmallerThenLargerMatchesFreshNetworks) {
-  FlowNetwork arena(0);
-  for (auto [left, right] : {std::pair<size_t, size_t>{9, 11}, {2, 3}, {14, 12}, {1, 1}}) {
-    Rng arena_rng(left * 31 + right);
-    Rng fresh_rng(left * 31 + right);
-    arena.Reset(2 + left + right);
-    std::vector<FlowNetwork::EdgeId> arena_ids =
-        AddRandomLayers(&arena, left, right, &arena_rng);
-    FlowNetwork fresh(2 + left + right);
-    std::vector<FlowNetwork::EdgeId> fresh_ids =
-        AddRandomLayers(&fresh, left, right, &fresh_rng);
-    ASSERT_EQ(arena_ids, fresh_ids);
-    EXPECT_EQ(arena.num_vertices(), fresh.num_vertices());
-    EXPECT_EQ(arena.num_edges(), fresh.num_edges());
-    EXPECT_EQ(*arena.Solve(0, 1 + left + right), *fresh.Solve(0, 1 + left + right));
-    for (FlowNetwork::EdgeId id : arena_ids) {
-      EXPECT_EQ(arena.FlowOn(id), fresh.FlowOn(id)) << "edge " << id;
-    }
-  }
-}
-
-// The same for N(R, S): one arena reassigned smaller, then larger, gives
-// the verdicts and witness bags of fresh networks. Witness columns are
-// sorted in Tuple order, including for a schema pair whose
-// flow edges do not enumerate in joined order (R over {0,2}, S over
-// {1,2}).
-TEST(ConsistencyNetworkTest, ReassignSmallerThenLargerMatchesFreshNetworks) {
+// Extracted witnesses are sealed in Tuple order, including for a schema
+// pair whose flow edges do not enumerate in joined order (R over {0,2}, S
+// over {1,2}).
+TEST(ConsistencyNetworkTest, ExtractedWitnessesAreSortedForEveryLayout) {
   Rng rng(41);
-  ConsistencyNetwork arena;
   for (size_t support : {48, 6, 96, 1, 64}) {
     BagGenOptions options;
     options.support_size = support;
@@ -229,13 +154,9 @@ TEST(ConsistencyNetworkTest, ReassignSmallerThenLargerMatchesFreshNetworks) {
     for (const auto& [x, y] : {std::pair<Schema, Schema>{Schema{{0, 1}}, Schema{{1, 2}}},
                                {Schema{{0, 2}}, Schema{{1, 2}}}}) {
       auto [r, s] = *MakeConsistentPair(x, y, options, &rng);
-      ASSERT_TRUE(arena.Assign(r, s).ok());
-      ConsistencyNetwork fresh = *ConsistencyNetwork::Make(r, s);
-      EXPECT_EQ(arena.NumMiddleEdges(), fresh.NumMiddleEdges());
-      ASSERT_TRUE(*arena.HasSaturatedFlow());
-      ASSERT_TRUE(*fresh.HasSaturatedFlow());
-      Bag witness = *arena.ExtractWitness();
-      EXPECT_EQ(witness, *fresh.ExtractWitness());
+      ConsistencyNetwork net = *ConsistencyNetwork::Make(r, s);
+      ASSERT_TRUE(*net.HasSaturatedFlow());
+      Bag witness = *net.ExtractWitness();
       ASSERT_EQ(witness.Columns().num_rows(), witness.SupportSize());
       for (size_t e = 1; e < witness.SupportSize(); ++e) {
         EXPECT_TRUE(witness.RowAt(e - 1) < witness.RowAt(e)) << "row " << e;

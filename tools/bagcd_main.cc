@@ -10,7 +10,7 @@
 //
 //   --host ADDR        bind address (default 127.0.0.1)
 //   --port N           TCP port; 0 picks an ephemeral port (default 0)
-//   --threads N        workers for the search and flow queries (a cyclic
+//   --threads N        workers for the search and witness queries (a cyclic
 //                      GLOBAL's first solve, KWISE, WITNESS); 0 = inline
 //                      (default 0). Lookups of verdicts decided at seal
 //                      (TWOBAG, PAIRWISE, a known GLOBAL) always answer
