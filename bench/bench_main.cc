@@ -28,9 +28,11 @@
 //   3 — the sizes the small-input grouping arm serves; 32 is the hashed
 //   control), a single marginal build (the engine cache-fill kernel), the
 //   hash-join matching phase (batch ColumnIndex::ProbeAll), then each
-//   SIMD kernel at kScalar vs the best host level, and the serial LP row
-//   builder. Run with --baseline against an older build's artifact to
-//   read every leg as a before/after ratio.
+//   SIMD kernel at kScalar vs the best host level, the cyclic GLOBAL's
+//   program work at the perfbench write_global shape (global_c4: build
+//   P(R1..Rm), then search it; global_c4_build: the build alone), and the
+//   serial LP row builder. Run with --baseline against an older build's
+//   artifact to read every leg as a before/after ratio.
 //
 //   server_session: the bagcd dictionary-aware protocol win. One
 //   in-process ServerSession runs the same serve cycle (RESET, load all
@@ -72,6 +74,7 @@
 // vectorization-sensitive legs stay interpretable after the fact.
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -98,6 +101,7 @@
 #include "tuple/column_index.h"
 #include "tuple/value_dictionary.h"
 #include "tuple/wal.h"
+#include "solver/integer_feasibility.h"
 #include "solver/lp.h"
 #include "util/random.h"
 #include "util/simd.h"
@@ -144,6 +148,21 @@ BenchResult Measure(const std::string& name, size_t size, Op&& op,
   r.iterations = iterations;
   r.ops_per_sec = static_cast<double>(iterations) / elapsed;
   return r;
+}
+
+// Measures `repeats` times, each over fresh inputs: make_op() builds the
+// inputs and returns the op that runs on them. Reports the median run, so
+// a leg's reading does not hang on the heap state the legs before it (or
+// its own earlier repeats) left behind.
+template <typename MakeOp>
+BenchResult MeasureMedian(const std::string& name, size_t size, int repeats,
+                          MakeOp&& make_op) {
+  std::vector<BenchResult> runs;
+  for (int r = 0; r < repeats; ++r) runs.push_back(Measure(name, size, make_op()));
+  std::sort(runs.begin(), runs.end(), [](const BenchResult& a, const BenchResult& b) {
+    return a.ops_per_sec < b.ops_per_sec;
+  });
+  return runs[runs.size() / 2];
 }
 
 std::pair<Bag, Bag> MakeTwoBagInput(size_t support, uint64_t seed) {
@@ -1199,6 +1218,27 @@ void RunColumnarProbeSuite(std::vector<BenchResult>* results) {
     results->push_back(std::move(vec));
   }
 
+  // The cyclic GLOBAL's program work at the perfbench write_global shape
+  // (C4, 1,024 rows per bag, domain 1,024): P(R1..Rm) built, then searched;
+  // and the build alone.
+  for (bool search : {true, false}) {
+    results->push_back(MeasureMedian(
+        search ? "global_c4" : "global_c4_build", 1024, 5, [search] {
+          Rng rng(18000);
+          BagGenOptions gen;
+          gen.support_size = 1024;
+          gen.domain_size = 1024;
+          gen.max_multiplicity = 8;
+          auto c = std::make_shared<BagCollection>(
+              *MakeGloballyConsistentCollection(*MakeCycle(4), gen, &rng));
+          return [c, search] {
+            ConsistencyLp lp = *BuildConsistencyLp(c->bags());
+            if (lp.rows.empty()) std::abort();
+            if (search && !SolveIntegerFeasibility(lp)->has_value()) std::abort();
+          };
+        }));
+  }
+
   // P(R1..Rm) LP row builder (one block of rows per bag, in bag order).
   for (size_t support : {256, 1024}) {
     // Path schema keeps the join support under the LP cap (a circulant
@@ -1247,12 +1287,15 @@ void RunBagRefactorSuite(std::vector<BenchResult>* results) {
     }));
   }
 
-  // Bag join R(A,B) ⋈_b S(B,C).
+  // Bag join R(A,B) ⋈_b S(B,C), the median of five runs over fresh inputs.
   for (size_t support : {256, 1024, 4096}) {
-    auto [r, s] = MakeTwoBagInput(support, 1042 + support);
-    results->push_back(Measure("bag_join", support, [&] {
-      Bag joined = *Bag::Join(r, s);
-      if (joined.schema().arity() != 3) std::abort();
+    results->push_back(MeasureMedian("bag_join", support, 5, [support] {
+      auto inputs = std::make_shared<std::pair<Bag, Bag>>(
+          MakeTwoBagInput(support, 1042 + support));
+      return [inputs] {
+        Bag joined = *Bag::Join(inputs->first, inputs->second);
+        if (joined.schema().arity() != 3) std::abort();
+      };
     }));
   }
 }

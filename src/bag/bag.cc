@@ -17,6 +17,11 @@ namespace {
 // at that size a comparison sort beats hashing every row.
 constexpr size_t kSortGroupMaxRows = 32;
 
+// True iff x's attributes are the first x.arity() attributes of xy.
+bool LeadsLayout(const Schema& x, const Schema& xy) {
+  return std::equal(x.attrs().begin(), x.attrs().end(), xy.attrs().begin());
+}
+
 }  // namespace
 
 Bag Bag::Sealed(Schema schema, ColumnStore columns,
@@ -392,42 +397,65 @@ Bag Bag::EmitGroups(const Schema& z, const ColumnView& projected,
 
 Result<Bag> Bag::Join(const Bag& r, const Bag& s) {
   BAGC_ASSIGN_OR_RETURN(TupleJoiner joiner, TupleJoiner::Make(r.schema(), s.schema()));
-  // Hash-partition the right side on the shared attributes, columnar: the
-  // matching phase selects just the shared columns of both sides
-  // (zero-copy) and resolves every probe in one ProbeAll batch. Output
-  // tuples assemble via RowAt (the join build is a sanctioned
-  // materialization point).
-  BAGC_ASSIGN_OR_RETURN(Projector r_shared,
-                        Projector::Make(r.schema(), joiner.shared_schema()));
-  BAGC_ASSIGN_OR_RETURN(Projector s_shared,
-                        Projector::Make(s.schema(), joiner.shared_schema()));
-  ColumnJoinMatch match(r.Columns().Select(r_shared),
-                        s.Columns().Select(s_shared));
-  BagBuilder builder(joiner.joined_schema());
-  size_t rn = r.SupportSize();
-  for (size_t i = 0; i < rn; ++i) {
-    uint32_t group = match.MatchOf(i);
-    if (group == ColumnJoinMatch::kNoMatch) continue;
-    Tuple x = r.RowAt(i);
-    uint64_t xm = r.MultiplicityAt(i);
-    for (uint32_t j : match.RightRows(group)) {
-      BAGC_ASSIGN_OR_RETURN(uint64_t mult, CheckedMul(xm, s.MultiplicityAt(j)));
-      BAGC_RETURN_NOT_OK(builder.Add(joiner.Join(x, s.RowAt(j)), mult));
-    }
+  const bool s_outer = JoinVisitsS(r, s, joiner);
+  const Bag& outer = s_outer ? s : r;
+  const Bag& inner = s_outer ? r : s;
+  BAGC_ASSIGN_OR_RETURN(Projector outer_z,
+                        Projector::Make(outer.schema(), joiner.shared_schema()));
+  BAGC_ASSIGN_OR_RETURN(Projector inner_z,
+                        Projector::Make(inner.schema(), joiner.shared_schema()));
+  ColumnJoinMatch match(outer.Columns().Select(outer_z),
+                        inner.Columns().Select(inner_z));
+  const size_t n = match.CountPairs();
+  std::vector<uint32_t> outer_rows(n);
+  std::vector<uint32_t> inner_rows(n);
+  size_t k = 0;
+  match.ForEachPair([&](uint32_t i, uint32_t j) {
+    outer_rows[k] = i;
+    inner_rows[k++] = j;
+  });
+  std::vector<uint64_t> mults(n);
+  const uint64_t* outer_mult = outer.MultiplicityData();
+  const uint64_t* inner_mult = inner.MultiplicityData();
+  for (k = 0; k < n; ++k) {
+    BAGC_ASSIGN_OR_RETURN(mults[k],
+                          CheckedMul(outer_mult[outer_rows[k]], inner_mult[inner_rows[k]]));
   }
-  return builder.Build();
+  return FromJoinPairs(joiner, r, s, s_outer ? inner_rows : outer_rows,
+                       s_outer ? outer_rows : inner_rows, std::move(mults));
 }
 
-Bag Bag::Support() const {
-  if (rep_ == nullptr) return *this;
-  size_t n = SupportSize();
-  auto rep = std::make_shared<Columnar>();
-  rep->columns = ColumnStore::Borrow(rep_->columns.column(0), n, schema_.arity());
-  rep->mults.assign(n, 1);
-  rep->keep_alive = rep_;
-  Bag out(schema_);
-  out.rep_ = std::move(rep);
-  return out;
+bool Bag::JoinVisitsS(const Bag& r, const Bag& s, const TupleJoiner& joiner) {
+  const Schema& xy = joiner.joined_schema();
+  return !LeadsLayout(r.schema(), xy) && LeadsLayout(s.schema(), xy);
+}
+
+Result<Bag> Bag::FromJoinPairs(const TupleJoiner& joiner, const Bag& r,
+                               const Bag& s, const std::vector<uint32_t>& r_rows,
+                               const std::vector<uint32_t>& s_rows,
+                               std::vector<uint64_t> mults) {
+  const Schema& xy = joiner.joined_schema();
+  const size_t n = mults.size();
+  const size_t arity = xy.arity();
+  // Gather the joined columns, one column at a time.
+  std::vector<ValueId> data(n * arity);
+  for (size_t c = 0; c < arity; ++c) {
+    const auto& [from_r, slot] = joiner.slot_sources()[c];
+    const ValueId* src = from_r ? r.Column(slot) : s.Column(slot);
+    const uint32_t* at = from_r ? r_rows.data() : s_rows.data();
+    ValueId* dst = data.data() + c * n;
+    for (size_t k = 0; k < n; ++k) dst[k] = src[at[k]];
+  }
+  ColumnStore columns = ColumnStore::FromColumnMajor(std::move(data), n, arity);
+  // The visited side's rows sort on the leading attributes, and within one
+  // of its rows the partners of one shared-attribute group differ only on
+  // attributes past them, so the pairs are already Tuple order.
+  if (LeadsLayout(r.schema(), xy) || LeadsLayout(s.schema(), xy)) {
+    return Sealed(xy, std::move(columns), std::move(mults));
+  }
+  // Neither side leads (their attributes interleave): sort the rows. They
+  // are distinct join tuples, so grouping merges nothing.
+  return GroupColumns(xy, columns.View(), mults.data(), n);
 }
 
 bool Bag::Contained(const Bag& r, const Bag& s) {

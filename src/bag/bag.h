@@ -13,7 +13,7 @@
 //
 // Per-row Tuples exist only on demand via RowAt, and only cold paths ask
 // (text write-out, delta staging). Hot paths use IdAt/MultiplicityAt/
-// Columns() and never allocate.
+// Column() and never allocate.
 #pragma once
 
 #include <cstdint>
@@ -88,6 +88,12 @@ class Bag {
   /// storage. An empty bag yields schema-arity null columns of 0 rows.
   ColumnView Columns() const;
 
+  /// Base pointer of schema slot c's sorted column (null when the bag is
+  /// empty); never allocates, unlike Columns().
+  const ValueId* Column(size_t c) const {
+    return rep_ ? rep_->columns.column(c) : nullptr;
+  }
+
   /// The multiplicity array, index-aligned with Columns() (null when the
   /// bag is empty).
   const uint64_t* MultiplicityData() const {
@@ -131,7 +137,25 @@ class Bag {
                                   simd::SimdLevel level = simd::SimdLevel::kAuto);
 
   /// Bag join R ⋈_b S: support R' ⋈ S', multiplicity R(t[X]) * S(t[Y]).
+  /// Columnar: ColumnJoinMatch pairs the rows and FromJoinPairs seals
+  /// them; no Tuple is built.
   static Result<Bag> Join(const Bag& r, const Bag& s);
+
+  /// Which side a builder of R ⋈ S from matched row pairs (Join, the
+  /// two-bag transportation witness) visits row by row: S when its
+  /// attributes lead the joined schema and R's do not, else R.
+  static bool JoinVisitsS(const Bag& r, const Bag& s, const TupleJoiner& joiner);
+
+  /// R ⋈ S from matched row pairs: row k joins R's row r_rows[k] with S's
+  /// row s_rows[k] at multiplicity mults[k] (> 0), and the pairs are
+  /// distinct. Pairs that visit the JoinVisitsS side's rows in order, each
+  /// one's partners ascending, are already Tuple order when that side's
+  /// attributes lead the joined schema, and seal as they are; otherwise
+  /// the gathered rows are sorted.
+  static Result<Bag> FromJoinPairs(const TupleJoiner& joiner, const Bag& r,
+                                   const Bag& s, const std::vector<uint32_t>& r_rows,
+                                   const std::vector<uint32_t>& s_rows,
+                                   std::vector<uint64_t> mults);
 
   /// Bag containment R ⊆_b S: R(t) <= S(t) for all t.
   static bool Contained(const Bag& r, const Bag& s);
@@ -156,11 +180,6 @@ class Bag {
   /// `sealed_bytes` accounting): the rep header plus owned columns and
   /// multiplicities (borrowed/mmap-backed spans count 0); 0 when empty.
   size_t ApproxBytes() const;
-
-  /// Supp(R) as a 0/1 bag, sharing this bag's columns. Joining these
-  /// with Join gives the join of the supports (every product is 1). The
-  /// set-semantics Relation is Relation::SupportOf (relation.h).
-  Bag Support() const;
 
   /// Tabular rendering ("a b : 3" rows) with attribute names.
   std::string ToString(const AttributeCatalog& catalog) const;

@@ -46,24 +46,18 @@ Result<Bag> MinimizeWitnessSupport(const BagCollection& collection,
   if (!is_witness) {
     return Status::InvalidArgument("MinimizeWitnessSupport: not a witness");
   }
+  // The witness's rows are sorted and distinct, so they are exactly the
+  // variables BuildLpWithVariables makes of them, in the same order; so is
+  // every list with one row erased.
   std::vector<Tuple> support;
+  std::vector<uint64_t> current;  // solution aligned with `support`
   support.reserve(witness.SupportSize());
   for (size_t e = 0; e < witness.SupportSize(); ++e) {
     support.push_back(witness.RowAt(e));
+    current.push_back(witness.MultiplicityAt(e));
   }
   // Greedy: try dropping each support tuple; keep the drop when the
   // restricted program stays feasible.
-  std::vector<uint64_t> current;  // solution aligned with `support`
-  {
-    BAGC_ASSIGN_OR_RETURN(ConsistencyLp lp,
-                          BuildLpWithVariables(collection.bags(), support));
-    current.resize(lp.variables.size());
-    // BuildLpWithVariables sorts variables; keep support aligned.
-    support = lp.variables;
-    for (size_t i = 0; i < support.size(); ++i) {
-      current[i] = witness.Multiplicity(support[i]);
-    }
-  }
   size_t i = 0;
   while (i < support.size()) {
     std::vector<Tuple> reduced = support;
@@ -73,7 +67,7 @@ Result<Bag> MinimizeWitnessSupport(const BagCollection& collection,
     BAGC_ASSIGN_OR_RETURN(auto solution,
                           SolveIntegerFeasibility(lp, options.search));
     if (solution.has_value()) {
-      support = lp.variables;
+      support = std::move(reduced);
       current = *solution;
       // Restart scanning: feasibility over a smaller support can change
       // which further deletions are possible.

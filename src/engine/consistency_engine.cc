@@ -290,8 +290,16 @@ Result<bool> ConsistencyEngine::TwoBag(size_t i, size_t j) const {
 Result<bool> ConsistencyEngine::Global() const {
   // Theorem 2: local-to-global holds, so pairwise consistency decides.
   if (IsAcyclic(collection_->hypergraph())) return pairwise_verdict_.consistent;
-  BAGC_ASSIGN_OR_RETURN(std::optional<Bag> witness, SolveGlobalExact());
-  return witness.has_value();
+  // Pairwise consistency is necessary; it is also a cheap filter before
+  // the exponential search. The verdict is whether a solution exists, so
+  // no witness bag is read out.
+  if (!pairwise_verdict_.consistent) return false;
+  BAGC_ASSIGN_OR_RETURN(
+      ConsistencyLp lp,
+      BuildConsistencyLp(collection_->bags(), options_.global.max_join_support));
+  BAGC_ASSIGN_OR_RETURN(auto solution,
+                        SolveIntegerFeasibility(lp, options_.global.search));
+  return solution.has_value();
 }
 
 Result<bool> ConsistencyEngine::KWiseConsistent(
@@ -420,13 +428,27 @@ Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalExact() const {
   BAGC_ASSIGN_OR_RETURN(auto solution,
                         SolveIntegerFeasibility(lp, options_.global.search));
   if (!solution.has_value()) return std::optional<Bag>();
-  BagBuilder builder(lp.joined_schema);
-  for (size_t i = 0; i < lp.variables.size(); ++i) {
-    if ((*solution)[i] > 0) {
-      BAGC_RETURN_NOT_OK(builder.Add(lp.variables[i], (*solution)[i]));
-    }
+  // The witness is the variables with a positive value: a subsequence of
+  // J's sorted rows, gathered column by column.
+  const std::vector<uint64_t>& x = *solution;
+  std::vector<uint64_t> mults;
+  std::vector<uint32_t> rows;
+  for (size_t v = 0; v < x.size(); ++v) {
+    if (x[v] == 0) continue;
+    rows.push_back(static_cast<uint32_t>(v));
+    mults.push_back(x[v]);
   }
-  BAGC_ASSIGN_OR_RETURN(Bag witness, builder.Build());
+  const ColumnStore& vars = lp.variables.columns;
+  const size_t n = rows.size();
+  std::vector<ValueId> data(vars.arity() * n);
+  for (size_t c = 0; c < vars.arity(); ++c) {
+    for (size_t k = 0; k < n; ++k) data[c * n + k] = vars.column(c)[rows[k]];
+  }
+  BAGC_ASSIGN_OR_RETURN(
+      Bag witness,
+      Bag::FromColumnar(lp.joined_schema,
+                        ColumnStore::FromColumnMajor(std::move(data), n, vars.arity()),
+                        std::move(mults)));
   return std::optional<Bag>(std::move(witness));
 }
 

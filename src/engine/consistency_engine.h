@@ -264,7 +264,9 @@ class ConsistencyEngine {
   Result<std::optional<Bag>> Witness(size_t i, size_t j) const;
 
   /// Global consistency: acyclic schemas read the pairwise verdict
-  /// (Theorem 2); cyclic schemas run the exact solver on every call.
+  /// (Theorem 2); cyclic schemas build P(R1..Rm) and search it on every
+  /// call, answering whether a solution exists (no witness bag is read
+  /// out). The program lives only for the call.
   Result<bool> Global() const;
 
   /// Theorem 6 witness construction for acyclic schemas, folding minimal

@@ -7,29 +7,15 @@
 
 namespace bagc {
 
-namespace {
-
-// True iff x's attributes are the first x.arity() attributes of xy. Then
-// ordering witness cells by (x row, other row) is Tuple order: x's rows
-// sort on that prefix, and within one x row the other side's rows of one
-// Z-group differ only on attributes past it.
-bool LeadsJoinedLayout(const Schema& x, const Schema& xy) {
-  return std::equal(x.attrs().begin(), x.attrs().end(), xy.attrs().begin());
-}
-
-}  // namespace
-
 Result<std::optional<Bag>> TransportationWitness(const Bag& r, const Bag& s) {
   BAGC_ASSIGN_OR_RETURN(TupleJoiner joiner, TupleJoiner::Make(r.schema(), s.schema()));
-  const Schema& xy = joiner.joined_schema();
   // The outer side is visited row by row; the inner side is where each
   // group's northwest-corner cursor walks. The corner rule fills the same
   // cells whichever side is outer (cell (r, s) of a group gets the overlap
   // of their cumulative-multiplicity intervals), so the choice only sets
-  // the order the cells come out in: outer rows leading the joined layout
-  // make it Tuple order.
-  const bool r_leads = LeadsJoinedLayout(r.schema(), xy);
-  const bool s_outer = !r_leads && LeadsJoinedLayout(s.schema(), xy);
+  // the order the cells come out in, and Bag::JoinVisitsS picks the side
+  // that makes it Tuple order when one can.
+  const bool s_outer = Bag::JoinVisitsS(r, s, joiner);
   const Bag& outer = s_outer ? s : r;
   const Bag& inner = s_outer ? r : s;
   BAGC_ASSIGN_OR_RETURN(Projector outer_z,
@@ -74,30 +60,12 @@ Result<std::optional<Bag>> TransportationWitness(const Bag& r, const Bag& s) {
   for (size_t g = 0; g < groups; ++g) {
     if (cursor[g] != match.RightRows(g).size()) return std::optional<Bag>();
   }
+  outer_rows.resize(n);
+  inner_rows.resize(n);
   mults.resize(n);
-
-  // Gather the joined columns of the cells, one column at a time.
-  const std::vector<uint32_t>& r_rows = s_outer ? inner_rows : outer_rows;
-  const std::vector<uint32_t>& s_rows = s_outer ? outer_rows : inner_rows;
-  const size_t arity = xy.arity();
-  std::vector<ValueId> data(n * arity);
-  for (size_t c = 0; c < arity; ++c) {
-    const auto& [from_r, slot] = joiner.slot_sources()[c];
-    const ValueId* src = from_r ? r.Columns().column(slot) : s.Columns().column(slot);
-    const std::vector<uint32_t>& at = from_r ? r_rows : s_rows;
-    ValueId* dst = data.data() + c * n;
-    for (size_t k = 0; k < n; ++k) dst[k] = src[at[k]];
-  }
-  ColumnStore columns = ColumnStore::FromColumnMajor(std::move(data), n, arity);
-  if (r_leads || s_outer) {
-    BAGC_ASSIGN_OR_RETURN(Bag witness, Bag::FromColumnar(xy, std::move(columns),
-                                                         std::move(mults)));
-    return std::optional<Bag>(std::move(witness));
-  }
-  // Neither side leads (their attributes interleave): sort the cells. Every
-  // cell is a distinct join tuple, so grouping merges nothing.
-  BAGC_ASSIGN_OR_RETURN(Bag witness,
-                        Bag::GroupColumns(xy, columns.View(), mults.data(), n));
+  BAGC_ASSIGN_OR_RETURN(
+      Bag witness, Bag::FromJoinPairs(joiner, r, s, s_outer ? inner_rows : outer_rows,
+                                      s_outer ? outer_rows : inner_rows, std::move(mults)));
   return std::optional<Bag>(std::move(witness));
 }
 

@@ -2,118 +2,139 @@
 
 #include <algorithm>
 #include <limits>
-
-#include "util/logging.h"
+#include <optional>
 
 namespace bagc {
 
 namespace {
 
 // Shared DFS driver. Invokes `on_solution` for every complete assignment;
-// stops the whole search when it returns true.
+// stops the whole search when it returns true. Variables are assigned in
+// index order. The depth-first walk keeps its frames in assignment_ (the
+// value a variable holds) and last_ (the last value its range allows), not
+// on the thread's stack, so a program of any size fits in any thread.
 class Search {
  public:
   Search(const ConsistencyLp& lp, const SolveOptions& options, SolveStats* stats)
-      : lp_(lp), options_(options), stats_(stats) {
-    size_t n = lp.variables.size();
-    var_rows_.resize(n);
-    residual_.reserve(lp.rows.size());
-    remaining_.reserve(lp.rows.size());
-    for (size_t ri = 0; ri < lp.rows.size(); ++ri) {
-      const LpRow& row = lp_.rows[ri];
-      residual_.push_back(row.rhs);
-      remaining_.push_back(row.vars.size());
-      for (uint32_t v : row.vars) var_rows_[v].push_back(ri);
+      : options_(options), stats_(stats) {
+    const size_t n = lp.variables.size();
+    const LpRows& rows = lp.rows;
+    residual_ = rows.rhs;
+    remaining_.resize(rows.size());
+    // Each variable's rows, ascending, as CSR: a counting pass over the
+    // row-major vars, then a fill in row order.
+    var_offsets_.assign(n + 1, 0);
+    for (uint32_t v : rows.vars) ++var_offsets_[v + 1];
+    for (size_t v = 0; v < n; ++v) var_offsets_[v + 1] += var_offsets_[v];
+    var_rows_.resize(rows.vars.size());
+    std::vector<size_t> fill(var_offsets_.begin(), var_offsets_.end() - 1);
+    for (size_t ri = 0; ri < rows.size(); ++ri) {
+      LpRows::Vars vars = rows.VarsOf(ri);
+      remaining_[ri] = static_cast<uint32_t>(vars.size());
+      for (uint32_t v : vars) var_rows_[fill[v]++] = static_cast<uint32_t>(ri);
     }
     assignment_.assign(n, 0);
-  }
-
-  // Rows with no variables at all must have rhs == 0.
-  bool TriviallyInfeasible() const {
-    for (const LpRow& row : lp_.rows) {
-      if (row.vars.empty() && row.rhs != 0) return true;
-    }
-    return false;
+    last_.assign(n, 0);
   }
 
   Status Run(const std::function<bool(const std::vector<uint64_t>&)>& on_solution) {
-    if (TriviallyInfeasible()) return Status::OK();
-    stop_ = false;
-    Status st = Dfs(0, on_solution);
-    return st;
+    // Rows with no variables at all must have rhs == 0.
+    for (size_t ri = 0; ri < remaining_.size(); ++ri) {
+      if (remaining_[ri] == 0 && residual_[ri] != 0) return Status::OK();
+    }
+    const size_t n = assignment_.size();
+    size_t v = 0;
+    while (true) {
+      // Descend: give variable v its first value, or meet a dead end. Every
+      // row is closed by its last variable (see Range), so reaching v == n
+      // means every row holds exactly.
+      if (v == n) {
+        if (on_solution(assignment_)) return Status::OK();
+      } else if (Range(v)) {
+        BAGC_RETURN_NOT_OK(Assign(v, assignment_[v]));
+        ++v;
+        continue;
+      }
+      // Backtrack to the deepest variable with a value left to try.
+      while (true) {
+        if (v == 0) return Status::OK();
+        --v;
+        const uint64_t val = assignment_[v];
+        Unassign(v, val);
+        if (val == last_[v]) continue;
+        BAGC_RETURN_NOT_OK(Assign(v, options_.descend_values ? val - 1 : val + 1));
+        ++v;
+        break;
+      }
+    }
   }
 
  private:
-  Status Dfs(size_t v, const std::function<bool(const std::vector<uint64_t>&)>& on) {
-    if (stop_) return Status::OK();
-    if (v == lp_.variables.size()) {
-      // All rows must be exactly satisfied (vars exhausted implies
-      // remaining == 0 everywhere, so residual 0 suffices).
-      for (uint64_t r : residual_) {
-        if (r != 0) return Status::OK();
-      }
-      if (on(assignment_)) stop_ = true;
-      return Status::OK();
-    }
-    // Upper bound for x_v: min residual over its rows.
+  // Rows of variable v.
+  const uint32_t* RowsBegin(size_t v) const { return var_rows_.data() + var_offsets_[v]; }
+  const uint32_t* RowsEnd(size_t v) const { return var_rows_.data() + var_offsets_[v + 1]; }
+
+  // Sets variable v's first value in assignment_[v] and its last in
+  // last_[v]; false when no value fits. The upper bound is the least
+  // residual over v's rows (0 when v is in none). A row whose last
+  // variable v is must be paid in full by x_v.
+  bool Range(size_t v) {
     uint64_t ub = std::numeric_limits<uint64_t>::max();
-    for (size_t ri : var_rows_[v]) ub = std::min(ub, residual_[ri]);
-    if (var_rows_[v].empty()) ub = 0;  // unconstrained vars stay 0
-    // A row whose last variable this is must be fully paid by x_v.
+    for (const uint32_t* ri = RowsBegin(v); ri != RowsEnd(v); ++ri) {
+      ub = std::min(ub, residual_[*ri]);
+    }
+    if (RowsBegin(v) == RowsEnd(v)) ub = 0;
     std::optional<uint64_t> forced;
-    for (size_t ri : var_rows_[v]) {
-      if (remaining_[ri] == 1) {
-        if (forced.has_value() && *forced != residual_[ri]) return Status::OK();
-        forced = residual_[ri];
+    for (const uint32_t* ri = RowsBegin(v); ri != RowsEnd(v); ++ri) {
+      if (remaining_[*ri] == 1) {
+        if (forced.has_value() && *forced != residual_[*ri]) return false;
+        forced = residual_[*ri];
       }
     }
-    if (forced.has_value() && *forced > ub) return Status::OK();
-
-    auto try_value = [&](uint64_t val) -> Status {
-      if (stats_ != nullptr) ++stats_->nodes;
-      if (stats_ != nullptr && stats_->nodes > options_.node_limit) {
-        return Status::ResourceExhausted("search node limit exceeded");
-      }
-      assignment_[v] = val;
-      for (size_t ri : var_rows_[v]) {
-        residual_[ri] -= val;
-        --remaining_[ri];
-      }
-      Status st = Dfs(v + 1, on);
-      for (size_t ri : var_rows_[v]) {
-        residual_[ri] += val;
-        ++remaining_[ri];
-      }
-      assignment_[v] = 0;
-      if (stats_ != nullptr && !st.ok()) ++stats_->backtracks;
-      return st;
-    };
-
     if (forced.has_value()) {
-      return try_value(*forced);
-    }
-    if (options_.descend_values) {
-      for (uint64_t val = ub;; --val) {
-        BAGC_RETURN_NOT_OK(try_value(val));
-        if (stop_ || val == 0) break;
-      }
+      if (*forced > ub) return false;
+      assignment_[v] = last_[v] = *forced;
+    } else if (options_.descend_values) {
+      assignment_[v] = ub;
+      last_[v] = 0;
     } else {
-      for (uint64_t val = 0; val <= ub; ++val) {
-        BAGC_RETURN_NOT_OK(try_value(val));
-        if (stop_) break;
-      }
+      assignment_[v] = 0;
+      last_[v] = ub;
+    }
+    return true;
+  }
+
+  // One search node: x_v := val.
+  Status Assign(size_t v, uint64_t val) {
+    if (++stats_->nodes > options_.node_limit) {
+      assignment_[v] = 0;
+      return Status::ResourceExhausted("search node limit exceeded");
+    }
+    assignment_[v] = val;
+    for (const uint32_t* ri = RowsBegin(v); ri != RowsEnd(v); ++ri) {
+      residual_[*ri] -= val;
+      --remaining_[*ri];
     }
     return Status::OK();
   }
 
-  const ConsistencyLp& lp_;
+  void Unassign(size_t v, uint64_t val) {
+    for (const uint32_t* ri = RowsBegin(v); ri != RowsEnd(v); ++ri) {
+      residual_[*ri] += val;
+      ++remaining_[*ri];
+    }
+    assignment_[v] = 0;
+  }
+
   const SolveOptions& options_;
   SolveStats* stats_;
-  std::vector<std::vector<size_t>> var_rows_;
+  // CSR: variable v's rows are var_rows_[var_offsets_[v] .. var_offsets_[v+1]).
+  std::vector<size_t> var_offsets_;
+  std::vector<uint32_t> var_rows_;
   std::vector<uint64_t> residual_;
-  std::vector<size_t> remaining_;
+  std::vector<uint32_t> remaining_;
   std::vector<uint64_t> assignment_;
-  bool stop_ = false;
+  std::vector<uint64_t> last_;
 };
 
 }  // namespace

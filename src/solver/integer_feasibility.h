@@ -3,7 +3,9 @@
 // (Theorem 4(2)); the solver is a depth-first branch-and-prune over the
 // join tuples, exact but exponential in the worst case — which is the
 // point: the dichotomy benchmarks measure exactly this blowup on cyclic
-// schemas versus the polynomial acyclic algorithm.
+// schemas versus the polynomial acyclic algorithm. The search is
+// iterative (its frames live on the heap, one per variable), so its
+// depth is bounded by memory, not by the calling thread's stack.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +28,8 @@ struct SolveOptions {
 
 /// Counters reported back by the solver.
 struct SolveStats {
+  /// Values tried, over all variables.
   uint64_t nodes = 0;
-  uint64_t backtracks = 0;
 };
 
 /// Finds one non-negative integral solution of the LP, or nullopt when

@@ -2,7 +2,28 @@
 
 #include <limits>
 
+#include "tuple/column_index.h"
+
 namespace bagc {
+
+namespace {
+
+// Every variable's multiplicity in `bag` after projecting onto its schema
+// (0 outside the support), matched columnar against the bag's rows.
+Result<std::vector<uint64_t>> ProjectedMultiplicities(const ConsistencyLp& lp,
+                                                      const Bag& bag) {
+  BAGC_ASSIGN_OR_RETURN(Projector proj, Projector::Make(lp.joined_schema, bag.schema()));
+  // Support rows are distinct, so a matched group is one support row.
+  ColumnJoinMatch match(lp.variables.columns.View().Select(proj), bag.Columns());
+  std::vector<uint64_t> out(lp.variables.size(), 0);
+  for (size_t v = 0; v < out.size(); ++v) {
+    const uint32_t g = match.MatchOf(v);
+    if (g != ColumnJoinMatch::kNoMatch) out[v] = bag.MultiplicityAt(match.RightRows(g)[0]);
+  }
+  return out;
+}
+
+}  // namespace
 
 Result<RationalSolution> BuildRationalSolution(const Bag& r, const Bag& s,
                                                const ConsistencyLp& lp) {
@@ -13,31 +34,27 @@ Result<RationalSolution> BuildRationalSolution(const Bag& r, const Bag& s,
     return Status::FailedPrecondition(
         "R[X∩Y] != S[X∩Y]: P(R,S) is infeasible (Lemma 2)");
   }
-  BAGC_ASSIGN_OR_RETURN(Projector onto_x, Projector::Make(lp.joined_schema, r.schema()));
-  BAGC_ASSIGN_OR_RETURN(Projector onto_y, Projector::Make(lp.joined_schema, s.schema()));
-  BAGC_ASSIGN_OR_RETURN(Projector onto_z, Projector::Make(lp.joined_schema, z));
+  BAGC_ASSIGN_OR_RETURN(std::vector<uint64_t> rx, ProjectedMultiplicities(lp, r));
+  BAGC_ASSIGN_OR_RETURN(std::vector<uint64_t> sy, ProjectedMultiplicities(lp, s));
+  BAGC_ASSIGN_OR_RETURN(std::vector<uint64_t> rzv, ProjectedMultiplicities(lp, rz));
+  constexpr uint64_t kMax = static_cast<uint64_t>(std::numeric_limits<int64_t>::max());
   RationalSolution sol;
   sol.values.reserve(lp.variables.size());
-  for (const Tuple& t : lp.variables) {
-    uint64_t rx = r.Multiplicity(t.Project(onto_x));
-    uint64_t sy = s.Multiplicity(t.Project(onto_y));
-    uint64_t rzv = rz.Multiplicity(t.Project(onto_z));
-    if (rzv == 0) {
+  for (size_t v = 0; v < lp.variables.size(); ++v) {
+    if (rzv[v] == 0) {
       // t is in the join of the supports, so rx >= 1 and the Z-marginal of
       // R at t[Z] is at least rx — this cannot happen.
       return Status::Internal("join tuple with zero shared marginal");
     }
-    if (rx > static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) ||
-        sy > static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) ||
-        rzv > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+    if (rx[v] > kMax || sy[v] > kMax || rzv[v] > kMax) {
       return Status::ArithmeticOverflow("multiplicity exceeds rational range");
     }
     BAGC_ASSIGN_OR_RETURN(
         Rational num,
-        Rational::Mul(Rational(static_cast<int64_t>(rx)),
-                      Rational(static_cast<int64_t>(sy))));
+        Rational::Mul(Rational(static_cast<int64_t>(rx[v])),
+                      Rational(static_cast<int64_t>(sy[v]))));
     BAGC_ASSIGN_OR_RETURN(Rational val,
-                          Rational::Div(num, Rational(static_cast<int64_t>(rzv))));
+                          Rational::Div(num, Rational(static_cast<int64_t>(rzv[v]))));
     sol.values.push_back(val);
   }
   return sol;
@@ -51,15 +68,16 @@ Result<bool> VerifyRationalSolution(const ConsistencyLp& lp,
   for (const Rational& v : solution.values) {
     if (v.is_negative()) return false;
   }
-  for (const LpRow& row : lp.rows) {
+  for (size_t k = 0; k < lp.rows.size(); ++k) {
     Rational sum;
-    for (uint32_t v : row.vars) {
+    for (uint32_t v : lp.rows.VarsOf(k)) {
       BAGC_ASSIGN_OR_RETURN(sum, Rational::Add(sum, solution.values[v]));
     }
-    if (row.rhs > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+    const uint64_t rhs = lp.rows.rhs[k];
+    if (rhs > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
       return Status::ArithmeticOverflow("rhs exceeds rational range");
     }
-    if (sum != Rational(static_cast<int64_t>(row.rhs))) return false;
+    if (sum != Rational(static_cast<int64_t>(rhs))) return false;
   }
   return true;
 }

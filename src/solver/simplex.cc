@@ -32,13 +32,13 @@ Result<SimplexResult> SolveRationalFeasibility(const ConsistencyLp& lp) {
   size_t rhs_col = n + m;
   Tableau t(m, n + m + 1);
   for (size_t i = 0; i < m; ++i) {
-    const LpRow& row = lp.rows[i];
-    for (uint32_t v : row.vars) t.At(i, v) = Rational(1);
+    for (uint32_t v : lp.rows.VarsOf(i)) t.At(i, v) = Rational(1);
     t.At(i, n + i) = Rational(1);
-    if (row.rhs > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+    const uint64_t rhs = lp.rows.rhs[i];
+    if (rhs > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
       return Status::ArithmeticOverflow("rhs exceeds rational range");
     }
-    t.At(i, rhs_col) = Rational(static_cast<int64_t>(row.rhs));
+    t.At(i, rhs_col) = Rational(static_cast<int64_t>(rhs));
   }
   std::vector<size_t> basis(m);
   for (size_t i = 0; i < m; ++i) basis[i] = n + i;

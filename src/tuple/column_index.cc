@@ -22,21 +22,21 @@ ColumnIndex::ColumnIndex(ColumnView keys, simd::SimdLevel level)
   slots_.assign(NextPowerOfTwo(n + n / 2 + 1), 0);
   std::vector<uint64_t> hashes;
   keys_.HashRows(&hashes, level_);
-  // Pass 1: each row's group, counting group sizes into offsets_[g + 1].
+  // Pass 1: each row's group.
   std::vector<uint32_t> group_of(n);
-  offsets_.assign(1, 0);
   for (size_t r = 0; r < n; ++r) {
     size_t slot = FindSlot(hashes[r], keys_, r);
     if (slots_[slot] == 0) {
       groups_.push_back({static_cast<uint32_t>(r), hashes[r]});
-      offsets_.push_back(0);
       slots_[slot] = static_cast<uint32_t>(groups_.size());
     }
     group_of[r] = slots_[slot] - 1;
-    ++offsets_[group_of[r] + 1];
   }
-  // Pass 2: prefix sums, then every row into its group's range in
-  // ascending row order.
+  // Pass 2: group sizes (counted once the group count is known, so the
+  // offsets are allocated once) and their prefix sums, then every row
+  // into its group's range in ascending row order.
+  offsets_.assign(groups_.size() + 1, 0);
+  for (size_t r = 0; r < n; ++r) ++offsets_[group_of[r] + 1];
   for (size_t g = 0; g < groups_.size(); ++g) offsets_[g + 1] += offsets_[g];
   rows_.resize(n);
   std::vector<uint32_t> fill(offsets_.begin(), offsets_.end() - 1);

@@ -1,9 +1,8 @@
 // ColumnIndex: the one hash index, an open-addressing grouping over the
 // rows of a borrowed ColumnView, built once per operation. The bag join,
 // the two-bag transportation witness and the N(R, S) middle-edge
-// construction match through ColumnJoinMatch, GroupColumns hash-groups
-// marginals with it, and the P(R1..Rm) row builder groups the join's
-// variables by their projection onto each bag.
+// construction and every step of the P(R1..Rm) join match through
+// ColumnJoinMatch, and GroupColumns hash-groups marginals with it.
 // Bulk construction and duplicate-row checks sort-merge in BagBuilder
 // (internal::SealEntries) instead.
 #pragma once
@@ -120,6 +119,26 @@ class ColumnJoinMatch {
   /// Right rows of a matched group, ascending (posting-list order).
   ColumnIndex::Rows RightRows(uint32_t group) const {
     return index_.GroupRows(group);
+  }
+
+  /// Number of (left row, right row) pairs that match: the size of the
+  /// join, summed from the group sizes without visiting a pair.
+  size_t CountPairs() const {
+    size_t pairs = 0;
+    for (uint32_t g : match_) {
+      if (g != kNoMatch) pairs += index_.GroupRows(g).size();
+    }
+    return pairs;
+  }
+
+  /// Calls fn(left row, right row) for every matching pair: left rows
+  /// ascending, and each left row's right rows ascending.
+  template <typename Fn>
+  void ForEachPair(Fn&& fn) const {
+    for (size_t i = 0; i < match_.size(); ++i) {
+      if (match_[i] == kNoMatch) continue;
+      for (uint32_t j : index_.GroupRows(match_[i])) fn(static_cast<uint32_t>(i), j);
+    }
   }
 
  private:

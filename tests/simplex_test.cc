@@ -20,10 +20,10 @@ bool Satisfies(const ConsistencyLp& lp, const std::vector<Rational>& x) {
   for (const Rational& v : x) {
     if (v.is_negative()) return false;
   }
-  for (const LpRow& row : lp.rows) {
+  for (size_t k = 0; k < lp.rows.size(); ++k) {
     Rational sum;
-    for (uint32_t v : row.vars) sum = *Rational::Add(sum, x[v]);
-    if (sum != Rational(static_cast<int64_t>(row.rhs))) return false;
+    for (uint32_t v : lp.rows.VarsOf(k)) sum = *Rational::Add(sum, x[v]);
+    if (sum != Rational(static_cast<int64_t>(lp.rows.rhs[k]))) return false;
   }
   return true;
 }

@@ -157,7 +157,7 @@ TEST_P(PaperFamilyTest, WitnessesArePairwiseIncomparable) {
     Bag w(lp.joined_schema);
     for (size_t i = 0; i < x.size(); ++i) {
       if (x[i] > 0) {
-        ASSERT_TRUE(w.Add(lp.variables[i], x[i]).ok());
+        ASSERT_TRUE(w.Add(lp.variables.RowAt(i), x[i]).ok());
       }
     }
     EXPECT_TRUE(*IsWitness(w, r, s));
@@ -240,7 +240,7 @@ TEST(MinimalWitnessTest, MinimalityIsGenuine) {
       bool strict = false;
       for (size_t i = 0; i < x.size(); ++i) {
         bool in_x = x[i] > 0;
-        bool in_min = minimal->Multiplicity(lp.variables[i]) > 0;
+        bool in_min = minimal->Multiplicity(lp.variables.RowAt(i)) > 0;
         if (in_x && !in_min) subset = false;
         if (!in_x && in_min) strict = true;
       }
