@@ -28,10 +28,11 @@
 //   3 — the sizes the small-input grouping arm serves; 32 is the hashed
 //   control), a single marginal build (the engine cache-fill kernel), the
 //   hash-join matching phase (batch ColumnIndex::ProbeAll), then each
-//   SIMD kernel at kScalar vs the best host level, the cyclic GLOBAL's
-//   program work at the perfbench write_global shape (global_c4: build
-//   P(R1..Rm), then search it; global_c4_build: the build alone), and the
-//   serial LP row builder. Run with --baseline against an older build's
+//   SIMD kernel at kScalar vs the best host level, the cyclic GLOBAL at
+//   the perfbench write_global shape (global_c4: ConsistencyEngine::Global,
+//   the served path; global_c4_build: the CSR program's layout alone), the
+//   Tseitin H_7 GLOBAL (global_tseitin_h7: an empty join), and the serial
+//   LP row builder. Run with --baseline against an older build's
 //   artifact to read every leg as a before/after ratio.
 //
 //   server_session: the bagcd dictionary-aware protocol win. One
@@ -89,6 +90,7 @@
 #include <vector>
 
 #include "core/global.h"
+#include "core/tseitin.h"
 #include "core/two_bag.h"
 #include "engine/consistency_engine.h"
 #include "generators/workloads.h"
@@ -1218,12 +1220,12 @@ void RunColumnarProbeSuite(std::vector<BenchResult>* results) {
     results->push_back(std::move(vec));
   }
 
-  // The cyclic GLOBAL's program work at the perfbench write_global shape
-  // (C4, 1,024 rows per bag, domain 1,024): P(R1..Rm) built, then searched;
-  // and the build alone.
-  for (bool search : {true, false}) {
+  // The cyclic GLOBAL at the perfbench write_global shape (C4, 1,024 rows
+  // per bag, domain 1,024): the engine's served decision, and the CSR
+  // program's layout alone.
+  for (bool served : {true, false}) {
     results->push_back(MeasureMedian(
-        search ? "global_c4" : "global_c4_build", 1024, 5, [search] {
+        served ? "global_c4" : "global_c4_build", 1024, 5, [served] {
           Rng rng(18000);
           BagGenOptions gen;
           gen.support_size = 1024;
@@ -1231,13 +1233,26 @@ void RunColumnarProbeSuite(std::vector<BenchResult>* results) {
           gen.max_multiplicity = 8;
           auto c = std::make_shared<BagCollection>(
               *MakeGloballyConsistentCollection(*MakeCycle(4), gen, &rng));
-          return [c, search] {
-            ConsistencyLp lp = *BuildConsistencyLp(c->bags());
-            if (lp.rows.empty()) std::abort();
-            if (search && !SolveIntegerFeasibility(lp)->has_value()) std::abort();
+          auto engine = std::make_shared<ConsistencyEngine>(*ConsistencyEngine::Make(*c));
+          return [c, engine, served] {
+            if (served) {
+              if (!*engine->Global()) std::abort();
+            } else if (BuildConsistencyLp(c->bags())->rows.empty()) {
+              std::abort();
+            }
           };
         }));
   }
+  // The Tseitin H_7 GLOBAL: seven pairwise consistent bags of 7,776 rows
+  // whose join is empty (Theorem 2 Step 2).
+  results->push_back(MeasureMedian("global_tseitin_h7", 7, 5, [] {
+    auto c = std::make_shared<BagCollection>(
+        *BagCollection::Make(*MakeTseitinCollection(*MakeHn(7))));
+    auto engine = std::make_shared<ConsistencyEngine>(*ConsistencyEngine::Make(*c));
+    return [c, engine] {
+      if (*engine->Global()) std::abort();
+    };
+  }));
 
   // P(R1..Rm) LP row builder (one block of rows per bag, in bag order).
   for (size_t support : {256, 1024}) {

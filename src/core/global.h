@@ -49,8 +49,10 @@ Result<bool> IsGloballyConsistent(const BagCollection& collection,
                                   const GlobalSolveOptions& options = {});
 
 /// Greedily prunes the support of a verified witness until it is a
-/// *minimal* witness (no witness has strictly smaller support), using
-/// restricted-support exact feasibility tests. Exponential worst case;
+/// *minimal* witness (no witness has strictly smaller support): each test
+/// solves P(R1..Rm) with every variable outside the candidate support
+/// pinned to 0, over the witness's rows alone (J is not built, so
+/// options.max_join_support does not apply). Exponential worst case;
 /// used to validate the Theorem 3(3) Carathéodory bound
 /// ||W||supp <= Σ ||Ri||_b on small instances.
 Result<Bag> MinimizeWitnessSupport(const BagCollection& collection,

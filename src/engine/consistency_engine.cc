@@ -294,12 +294,10 @@ Result<bool> ConsistencyEngine::Global() const {
   // the exponential search. The verdict is whether a solution exists, so
   // no witness bag is read out.
   if (!pairwise_verdict_.consistent) return false;
-  BAGC_ASSIGN_OR_RETURN(
-      ConsistencyLp lp,
-      BuildConsistencyLp(collection_->bags(), options_.global.max_join_support));
-  BAGC_ASSIGN_OR_RETURN(auto solution,
-                        SolveIntegerFeasibility(lp, options_.global.search));
-  return solution.has_value();
+  const std::vector<Bag>& bags = collection_->bags();
+  BAGC_ASSIGN_OR_RETURN(JoinProvenance join,
+                        JoinSupports(bags, options_.global.max_join_support));
+  return SolveJoinProgram(bags, join, options_.global.search);
 }
 
 Result<bool> ConsistencyEngine::KWiseConsistent(
@@ -337,11 +335,10 @@ Result<bool> ConsistencyEngine::KWiseConsistent(
         sub_bags.reserve(size);
         for (size_t i : idx) sub_bags.push_back(collection_->bag(i));
         BAGC_ASSIGN_OR_RETURN(
-            ConsistencyLp lp,
-            BuildConsistencyLp(sub_bags, options_.global.max_join_support));
-        BAGC_ASSIGN_OR_RETURN(auto solution,
-                              SolveIntegerFeasibility(lp, options_.global.search));
-        subset_ok = solution.has_value();
+            JoinProvenance join,
+            JoinSupports(sub_bags, options_.global.max_join_support));
+        BAGC_ASSIGN_OR_RETURN(subset_ok,
+                              SolveJoinProgram(sub_bags, join, options_.global.search));
       }
     }
     if (!subset_ok) {
@@ -422,15 +419,15 @@ Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalExact() const {
   // Pairwise consistency is necessary; it is also a cheap filter before
   // the exponential search.
   if (!pairwise_verdict_.consistent) return std::optional<Bag>();
-  BAGC_ASSIGN_OR_RETURN(
-      ConsistencyLp lp,
-      BuildConsistencyLp(collection_->bags(), options_.global.max_join_support));
-  BAGC_ASSIGN_OR_RETURN(auto solution,
-                        SolveIntegerFeasibility(lp, options_.global.search));
-  if (!solution.has_value()) return std::optional<Bag>();
+  const std::vector<Bag>& bags = collection_->bags();
+  BAGC_ASSIGN_OR_RETURN(JoinProvenance join,
+                        JoinSupports(bags, options_.global.max_join_support));
+  std::vector<uint64_t> x;
+  BAGC_ASSIGN_OR_RETURN(bool feasible,
+                        SolveJoinProgram(bags, join, options_.global.search, nullptr, &x));
+  if (!feasible) return std::optional<Bag>();
   // The witness is the variables with a positive value: a subsequence of
-  // J's sorted rows, gathered column by column.
-  const std::vector<uint64_t>& x = *solution;
+  // J's sorted tuples, gathered through the provenance.
   std::vector<uint64_t> mults;
   std::vector<uint32_t> rows;
   for (size_t v = 0; v < x.size(); ++v) {
@@ -438,17 +435,9 @@ Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalExact() const {
     rows.push_back(static_cast<uint32_t>(v));
     mults.push_back(x[v]);
   }
-  const ColumnStore& vars = lp.variables.columns;
-  const size_t n = rows.size();
-  std::vector<ValueId> data(vars.arity() * n);
-  for (size_t c = 0; c < vars.arity(); ++c) {
-    for (size_t k = 0; k < n; ++k) data[c * n + k] = vars.column(c)[rows[k]];
-  }
-  BAGC_ASSIGN_OR_RETURN(
-      Bag witness,
-      Bag::FromColumnar(lp.joined_schema,
-                        ColumnStore::FromColumnMajor(std::move(data), n, vars.arity()),
-                        std::move(mults)));
+  BAGC_ASSIGN_OR_RETURN(Bag witness,
+                        Bag::FromColumnar(join.joined, GatherJoinRows(bags, join, rows),
+                                          std::move(mults)));
   return std::optional<Bag>(std::move(witness));
 }
 

@@ -264,9 +264,11 @@ class ConsistencyEngine {
   Result<std::optional<Bag>> Witness(size_t i, size_t j) const;
 
   /// Global consistency: acyclic schemas read the pairwise verdict
-  /// (Theorem 2); cyclic schemas build P(R1..Rm) and search it on every
-  /// call, answering whether a solution exists (no witness bag is read
-  /// out). The program lives only for the call.
+  /// (Theorem 2); cyclic schemas join the supports and decide P(R1..Rm)
+  /// from J's provenance on every call — an uncovered support row answers
+  /// at once, else one search per component — without laying out the
+  /// program's rows (solver/integer_feasibility.h). Nothing outlives the
+  /// call.
   Result<bool> Global() const;
 
   /// Theorem 6 witness construction for acyclic schemas, folding minimal
@@ -274,7 +276,8 @@ class ConsistencyEngine {
   Result<std::optional<Bag>> SolveGlobalAcyclic() const;
 
   /// Exact decision for arbitrary schemas via integer feasibility of
-  /// P(R1..Rm), with the pairwise verdict as a prefilter.
+  /// P(R1..Rm), with the pairwise verdict as a prefilter; the witness is
+  /// the components' first solutions, gathered through J's provenance.
   Result<std::optional<Bag>> SolveGlobalExact() const;
 
   /// Cached marginal of bag i onto z, or nullptr when (i, z) is not a

@@ -126,9 +126,24 @@ Result<bool> EngineSnapshot::Global() const {
   // and the ones queued behind it read its verdict.
   std::lock_guard<std::mutex> lock(global_mu_);
   if (std::optional<bool> known = KnownGlobal()) return *known;
-  BAGC_ASSIGN_OR_RETURN(bool verdict, engine_->Global());
-  known_global_.store(verdict ? 1 : 0, std::memory_order_release);
-  return verdict;
+  // A budget failure is as deterministic as a verdict on an immutable
+  // generation: queued callers get it at once rather than re-running.
+  if (!global_failure_.ok()) return global_failure_;
+  ++global_solves_;
+  Result<bool> verdict = engine_->Global();
+  if (!verdict.ok()) {
+    if (verdict.status().code() == StatusCode::kResourceExhausted) {
+      global_failure_ = verdict.status();
+    }
+    return verdict.status();
+  }
+  known_global_.store(*verdict ? 1 : 0, std::memory_order_release);
+  return *verdict;
+}
+
+uint64_t EngineSnapshot::global_solves() const {
+  std::lock_guard<std::mutex> lock(global_mu_);
+  return global_solves_;
 }
 
 std::optional<bool> EngineSnapshot::KnownGlobal() const {

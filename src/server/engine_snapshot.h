@@ -93,8 +93,16 @@ class EngineSnapshot {
   const PairwiseVerdict& Pairwise() const { return pairwise_; }
 
   /// Global consistency; the cyclic-schema decision runs at most once
-  /// (under a mutex — concurrent callers block, later ones read).
+  /// (under a mutex — concurrent callers block, later ones read). A
+  /// ResourceExhausted failure (join cap or node limit) is memoized the
+  /// same way: later callers on this generation get the same error
+  /// without re-running the decision.
   Result<bool> Global() const;
+
+  /// Test-only: how many times Global() has run the cyclic decision on
+  /// this generation (0 or 1 unless a non-budget error was returned), so
+  /// a test can see the failure memo hold. No server path reads it.
+  uint64_t global_solves() const;
 
   /// The global verdict when it needs no solve: always on an acyclic
   /// schema (Theorem 2, the pairwise verdict decided at build), and on a
@@ -161,6 +169,9 @@ class EngineSnapshot {
   // Global() under global_mu_, which single-flights the cyclic solve.
   mutable std::atomic<int8_t> known_global_{-1};
   mutable std::mutex global_mu_;
+  // Under global_mu_: the memoized budget failure, and the solve count.
+  mutable Status global_failure_;
+  mutable uint64_t global_solves_ = 0;
 };
 
 /// A BAGCSEG segment ingested for serving: its bags in segment order and

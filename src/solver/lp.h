@@ -4,23 +4,33 @@
 // Xi to match Ri. Integral solutions are exactly the witnesses of global
 // consistency.
 //
-// Layout. The variables are J's sorted rows held as columns (variable v is
-// row v). The rows are CSR: row k sums the variables
-// vars[offsets[k] .. offsets[k+1]) (u32 ids, ascending) and names its bag,
-// its support row of that bag and its rhs, so no row holds a Tuple. Every
-// variable sits in exactly one row per bag, so the program has m·|J|
-// non-zeros. Rows come bag by bag, each bag's in support order.
+// The join. JoinSupports computes J by a leapfrog triejoin (Veldhuizen
+// 2014), one joined-schema attribute at a time, over the bags' own sorted
+// columns: every bag is sorted by its attributes in ascending id order,
+// which is the joined schema's order restricted to the bag, so each bag is
+// already a trie for it and no intermediate join is built. J comes out in
+// Tuple order as provenance: for each tuple of J, the support row of each
+// bag it joins. The cap max_join_support bounds every level of the walk,
+// not only J: level d binds the tuples of the join of the supports'
+// projections onto the joined schema's first d + 1 attributes, which can
+// dwarf J, so the walk's work is at most arity x cap bindings. A J larger
+// than about the largest support is counted before it is written, so the
+// join refuses at the cap without writing it. Every tuple of J projects
+// into every support, so variable v sits in exactly one row per bag: the
+// row of its provenance there.
 //
-// Construction builds no Tuple either. J is a bag-order fold that keeps
-// provenance rather than columns: after each step, every partial row knows
-// which support row of each bag so far it joins. A step matches the shared
-// attributes through ColumnJoinMatch and refuses, from the group sizes
-// alone and before anything is gathered, when it would pass
-// max_join_support. The provenance then is each row's support row per bag,
-// so the rows fall out of one counting sort per bag. (A Bag::Join fold
-// over 0/1 copies would seal every intermediate, sort those whose layout
-// interleaves, and need one more match per bag to find the rows: about
-// three times the allocations and the time.)
+// The served path (ConsistencyEngine's cyclic GLOBAL, KWISE and exact
+// witness) decides the program from that provenance alone — see
+// SolveJoinProgram in integer_feasibility.h — and never lays out a row.
+//
+// The CSR layout. BuildConsistencyLp lays the whole program out, for the
+// oracles, simplex/rational_witness and cold callers: the variables are
+// J's sorted rows held as columns (variable v is row v), and the rows are
+// CSR — row k sums the variables vars[offsets[k] .. offsets[k+1]) (u32
+// ids, ascending) and names its bag, its support row of that bag and its
+// rhs. Rows come bag by bag, each bag's in support order, one per support
+// row, so the program has m·|J| non-zeros; a support row no tuple of J
+// extends is a row with no variables.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +43,35 @@
 #include "util/result.h"
 
 namespace bagc {
+
+/// \brief J = R'1 ⋈ ... ⋈ R'm as provenance, in Tuple order: variable v
+/// (J's v-th smallest tuple) joins support row RowsOf(v)[i] of bag i.
+struct JoinProvenance {
+  /// The union of the bags' schemas, J's schema.
+  Schema joined;
+  /// |J|.
+  size_t size = 0;
+  /// m, the number of bags.
+  size_t bags = 0;
+  /// Tuple-major: tuple v's support rows are rows[v * bags .. (v + 1) * bags).
+  std::vector<uint32_t> rows;
+
+  const uint32_t* RowsOf(size_t v) const { return rows.data() + v * bags; }
+};
+
+/// Joins the bags' supports. Fails with ResourceExhausted when J, or the
+/// join of the supports' projections onto any prefix of J's attributes,
+/// would pass `max_join_support` tuples (J can be exponentially large,
+/// Example 1): J's tuples are written as the join finds them up to a
+/// quarter past the largest support, and a larger J is counted, and
+/// refused at the cap, before any more of it is written.
+Result<JoinProvenance> JoinSupports(const std::vector<Bag>& bags,
+                                    size_t max_join_support = 1u << 22);
+
+/// J's tuples `vars` (ascending variable ids), gathered column-major over
+/// join.joined through the provenance.
+ColumnStore GatherJoinRows(const std::vector<Bag>& bags, const JoinProvenance& join,
+                           const std::vector<uint32_t>& vars);
 
 /// \brief The variables of P(R1, ..., Rm): the join tuples t ∈ J, sorted
 /// ascending and column-major over the joined schema. Variable v is row v.
@@ -48,12 +87,6 @@ struct LpVariables {
 /// \brief The equality rows of P(R1, ..., Rm) in CSR form: row k is
 /// "Σ x_v over v in Vars(k) = rhs[k]".
 struct LpRows {
-  /// support_row of a rhs-0 row that pins to zero the variables whose
-  /// projection onto the bag is one tuple outside its support. Only
-  /// BuildLpWithVariables emits such rows: every tuple of J projects into
-  /// every support.
-  static constexpr uint32_t kOutsideSupport = 0xFFFFFFFFu;
-
   /// One run of ascending variable ids.
   struct Vars {
     const uint32_t* first = nullptr;
@@ -67,10 +100,9 @@ struct LpRows {
 
   /// Per row: the input bag it marginalizes onto, ...
   std::vector<uint32_t> bag;
-  /// ... the support row r of that bag (then rhs = R(r)), or
-  /// kOutsideSupport, ...
+  /// ... the support row r of that bag, ...
   std::vector<uint32_t> support_row;
-  /// ... and its right-hand side.
+  /// ... and its right-hand side R(r).
   std::vector<uint64_t> rhs;
   /// Row k's variables are vars[offsets[k] .. offsets[k + 1]).
   std::vector<size_t> offsets;
@@ -94,18 +126,9 @@ struct ConsistencyLp {
   size_t NumNonZeros() const { return rows.vars.size(); }
 };
 
-/// Builds P(R1, ..., Rm). The join of the supports can be exponentially
-/// large (Example 1): once a fold step would hold more than
-/// `max_join_support` rows, construction fails with ResourceExhausted
-/// before that step's rows are materialized.
+/// Builds P(R1, ..., Rm) in CSR form from JoinSupports' J; fails like it
+/// past `max_join_support`.
 Result<ConsistencyLp> BuildConsistencyLp(const std::vector<Bag>& bags,
                                          size_t max_join_support = 1u << 22);
-
-/// Builds the same rows but over a caller-chosen variable set (tuples over
-/// the union schema; sorted and deduplicated here). Used for
-/// restricted-support feasibility questions (minimal witnesses,
-/// Carathéodory-style pruning).
-Result<ConsistencyLp> BuildLpWithVariables(const std::vector<Bag>& bags,
-                                           std::vector<Tuple> variables);
 
 }  // namespace bagc

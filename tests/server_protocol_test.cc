@@ -1511,6 +1511,72 @@ void PublishNumericPair(CollectionRegistry* registry, Bag r, Bag s) {
   ASSERT_TRUE(registry->Publish(c, *snapshot, "", false).ok());
 }
 
+// A snapshot over four bags on C4's attributes a0..a3.
+std::shared_ptr<const EngineSnapshot> C4Snapshot(std::vector<Bag> bags) {
+  EngineSnapshot::BuildInputs inputs;
+  for (const char* name : {"a0", "a1", "a2", "a3"}) inputs.catalog.Intern(name);
+  for (Bag& bag : bags) {
+    inputs.names.push_back("b" + std::to_string(inputs.bags.size()));
+    inputs.bags.push_back(std::move(bag));
+  }
+  inputs.dicts = std::make_shared<DictionarySet>();
+  return *EngineSnapshot::Build(std::move(inputs), 1);
+}
+
+TEST(EngineSnapshotTest, GlobalBudgetFailureIsMemoizedPerGeneration) {
+  // Four pairwise consistent 48 x 48 full products on C4: J passes the
+  // default join cap, so the cyclic GLOBAL fails with ResourceExhausted.
+  // The failure is memoized like a verdict: a second GLOBAL on the same
+  // generation gets the same error without running the join again.
+  std::vector<Bag> bags;
+  Hypergraph c4 = *MakeCycle(4);
+  for (const Schema& edge : c4.edges()) {
+    BagBuilder builder(edge);
+    for (Value a = 0; a < 48; ++a) {
+      for (Value b = 0; b < 48; ++b) ASSERT_TRUE(builder.Add(Tuple{{a, b}}, 1).ok());
+    }
+    bags.push_back(*builder.Build());
+  }
+  std::shared_ptr<const EngineSnapshot> snapshot = C4Snapshot(std::move(bags));
+  EXPECT_EQ(snapshot->global_solves(), 0u);
+  Result<bool> first = snapshot->Global();
+  ASSERT_EQ(first.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(first.status().message(), "join support exceeds cap (4194304)");
+  EXPECT_EQ(snapshot->global_solves(), 1u);
+  Result<bool> second = snapshot->Global();
+  EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(second.status().message(), first.status().message());
+  EXPECT_EQ(snapshot->global_solves(), 1u);
+  EXPECT_FALSE(snapshot->KnownGlobal().has_value());
+}
+
+TEST(EngineSnapshotTest, GlobalOverAWidePrefixJoinIsRefused) {
+  // R1(a0,a1) = {(i,0)}, R2(a1,a2) = {(0,j)}, R3(a2,a3) = {(j,j)} and
+  // R4(a0,a3) = {(i,i)} for i, j < 4096, each row once: pairwise
+  // consistent, and J = {(i,0,i,i)} holds only 4,096 tuples, but the
+  // join's walk binds all 2^24 prefixes (i,0,j) of its third level on
+  // the way. The join cap bounds every level, so GLOBAL is refused after
+  // 2^22 + 1 of them instead of walking the rest under the generation's
+  // GLOBAL mutex.
+  constexpr Value kN = 4096;
+  std::vector<Bag> bags;
+  const std::vector<Schema> schemas = {Schema{{0, 1}}, Schema{{1, 2}}, Schema{{2, 3}},
+                                       Schema{{0, 3}}};
+  for (size_t b = 0; b < schemas.size(); ++b) {
+    BagBuilder builder(schemas[b]);
+    for (Value i = 0; i < kN; ++i) {
+      const Tuple row = b == 0 ? Tuple{{i, 0}} : b == 1 ? Tuple{{0, i}} : Tuple{{i, i}};
+      ASSERT_TRUE(builder.Add(row, 1).ok());
+    }
+    bags.push_back(*builder.Build());
+  }
+  std::shared_ptr<const EngineSnapshot> snapshot = C4Snapshot(std::move(bags));
+  ASSERT_TRUE(snapshot->Pairwise().consistent);
+  Result<bool> global = snapshot->Global();
+  ASSERT_EQ(global.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(global.status().message(), "join support exceeds cap (4194304)");
+}
+
 // The bytes of every WITNESS reply, in both framings, pinned by hash: the
 // witness construction, the witness seal and both encoders may change how
 // they work, never what they send (a change to which witness is sent is a

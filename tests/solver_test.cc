@@ -1,26 +1,31 @@
-// Unit tests for the LP builder, the exact integer-feasibility solver, and
-// the rational closed-form solution of Lemma 2, plus the program oracle:
-// the CSR program and its iterative search against a test-local
-// Tuple-at-a-time builder (nested-loop join, per-row projections) and a
-// recursive search with the same variable order, value order and node
-// count.
+// Unit tests for the join, the LP builder, the exact integer-feasibility
+// solver, and the rational closed-form solution of Lemma 2, plus the
+// program oracle: the leapfrog join against a nested-loop join, the CSR
+// program against a test-local Tuple-at-a-time builder (per-row
+// projections), and the per-component search against a recursive search
+// with the same variable order and value order, run on each component's
+// sub-program for the node counts and on the whole program for the first
+// solution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
 
 #include "bag/bag.h"
 #include "core/collection.h"
+#include "core/global.h"
 #include "core/tseitin.h"
 #include "core/two_bag.h"
 #include "engine/consistency_engine.h"
 #include "generators/workloads.h"
 #include "hypergraph/acyclicity.h"
 #include "hypergraph/families.h"
+#include "hypergraph/hypergraph.h"
 #include "reductions/cycle_chain.h"
 #include "reductions/threedct.h"
 #include "solver/integer_feasibility.h"
@@ -67,31 +72,41 @@ TEST(LpTest, JoinCapIsEnforced) {
   EXPECT_TRUE(BuildConsistencyLp(bags, 512).ok());
 }
 
-TEST(LpTest, BuildWithRestrictedVariables) {
-  auto bags = TwoBagExample();
-  // Restrict to the two tuples of the witness T1 from the paper.
-  std::vector<Tuple> vars = {Tuple{{1, 2, 2}}, Tuple{{2, 2, 1}}};
-  ConsistencyLp lp = *BuildLpWithVariables(bags, vars);
-  EXPECT_EQ(lp.variables.size(), 2u);
-  auto solution = *SolveIntegerFeasibility(lp);
+TEST(LpTest, PinnedProgramSolvesOverTheFreeVariables) {
+  // J = {(1,2,1), (1,2,2), (2,2,1), (2,2,2)}. Pinning all but the two
+  // tuples of the paper's witness T1 leaves exactly T1.
+  ConsistencyLp lp = *BuildConsistencyLp(TwoBagExample());
+  ASSERT_EQ(lp.variables.size(), 4u);
+  EXPECT_EQ(lp.variables.RowAt(1), Tuple({1, 2, 2}));
+  EXPECT_EQ(lp.variables.RowAt(2), Tuple({2, 2, 1}));
+  std::vector<bool> pinned = {true, false, false, true};
+  SolveStats stats;
+  auto solution = *SolveIntegerFeasibility(lp, {}, &stats, &pinned);
   ASSERT_TRUE(solution.has_value());
-  EXPECT_EQ((*solution)[0], 1u);
-  EXPECT_EQ((*solution)[1], 1u);
+  EXPECT_EQ(*solution, std::vector<uint64_t>({0, 1, 1, 0}));
+  // The free variables share no row: two components of one variable.
+  EXPECT_EQ(stats.components, 2u);
+  EXPECT_EQ(stats.nodes, 2u);
+  // Pinning a row's every variable leaves it uncovered.
+  pinned = {true, true, false, false};
+  stats = {};
+  EXPECT_FALSE(SolveIntegerFeasibility(lp, {}, &stats, &pinned)->has_value());
+  EXPECT_EQ(stats.components, 0u);
+  EXPECT_EQ(stats.nodes, 0u);
 }
 
-TEST(LpTest, RestrictedVariablesRejectBadArity) {
-  auto bags = TwoBagExample();
-  EXPECT_FALSE(BuildLpWithVariables(bags, {Tuple{{1, 2}}}).ok());
+TEST(LpTest, PinMaskOfTheWrongSizeIsRejected) {
+  ConsistencyLp lp = *BuildConsistencyLp(TwoBagExample());
+  std::vector<bool> pinned(lp.variables.size() - 1, false);
+  EXPECT_EQ(SolveIntegerFeasibility(lp, {}, nullptr, &pinned).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // The join oracle: a nested-loop fold, in bag order, of attribute ->
-// value assignments, read out as tuples over the union schema.
-// *max_step is the largest intermediate join after the first bag.
-std::vector<Tuple> NestedLoopJoin(const std::vector<Bag>& bags, size_t* max_step) {
+// value assignments, read out as tuples over the union schema and sorted.
+std::vector<Tuple> NestedLoopJoin(const std::vector<Bag>& bags) {
   std::vector<std::map<AttrId, ValueId>> acc = {{}};
-  *max_step = 0;
-  for (size_t b = 0; b < bags.size(); ++b) {
-    const Bag& bag = bags[b];
+  for (const Bag& bag : bags) {
     std::vector<std::map<AttrId, ValueId>> next;
     for (const std::map<AttrId, ValueId>& partial : acc) {
       for (size_t r = 0; r < bag.SupportSize(); ++r) {
@@ -105,7 +120,6 @@ std::vector<Tuple> NestedLoopJoin(const std::vector<Bag>& bags, size_t* max_step
       }
     }
     acc = std::move(next);
-    if (b > 0) *max_step = std::max(*max_step, acc.size());
   }
   std::vector<Tuple> out;
   for (const std::map<AttrId, ValueId>& assignment : acc) {
@@ -113,14 +127,217 @@ std::vector<Tuple> NestedLoopJoin(const std::vector<Bag>& bags, size_t* max_step
     for (const auto& [attr, id] : assignment) ids.push_back(id);
     out.push_back(Tuple::OfIds(std::move(ids)));
   }
+  std::sort(out.begin(), out.end());
   return out;
+}
+
+Schema UnionSchema(const std::vector<Bag>& bags) {
+  std::vector<Schema> schemas;
+  for (const Bag& b : bags) schemas.push_back(b.schema());
+  return Schema::UnionAll(schemas);
+}
+
+// The most bindings one level of the leapfrog walk makes: the largest of
+// the joins of the supports' projections onto each prefix of the joined
+// schema's attributes, the whole schema's being J. Zero when a bag is
+// empty (J is then empty without a walk).
+size_t WidestPrefixJoin(const std::vector<Bag>& bags) {
+  const Schema joined = UnionSchema(bags);
+  size_t widest = 0;
+  for (const Bag& bag : bags) {
+    if (bag.IsEmpty()) return 0;
+  }
+  for (size_t d = 0; d < joined.arity(); ++d) {
+    std::vector<Bag> prefix;
+    for (const Bag& bag : bags) {
+      std::vector<AttrId> attrs;
+      for (AttrId a : bag.schema().attrs()) {
+        if (a <= joined.at(d)) attrs.push_back(a);
+      }
+      prefix.push_back(*bag.Marginal(Schema(attrs)));
+    }
+    widest = std::max(widest, NestedLoopJoin(prefix).size());
+  }
+  return widest;
+}
+
+// The cap bounds every level of the walk, not only J: `build` succeeds at
+// the widest level's size and fails with ResourceExhausted one below it.
+template <class Build>
+void ExpectCapAtWidestLevel(const std::vector<Bag>& bags, Build build) {
+  const size_t widest = WidestPrefixJoin(bags);
+  EXPECT_TRUE(build(widest).ok());
+  if (widest > 0) {
+    EXPECT_EQ(build(widest - 1).status().code(), StatusCode::kResourceExhausted);
+  }
+}
+
+// The leapfrog join equals the nested-loop one: the same tuples in Tuple
+// order, each joining the support row its provenance names in every bag,
+// and the cap refuses exactly past the widest level of the walk.
+void ExpectJoinMatchesOracle(const std::vector<Bag>& bags) {
+  std::vector<Tuple> want = NestedLoopJoin(bags);
+  Result<JoinProvenance> join = JoinSupports(bags);
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  EXPECT_EQ(join->joined, UnionSchema(bags));
+  ASSERT_EQ(join->size, want.size());
+  ASSERT_EQ(join->rows.size(), bags.size() * want.size());
+  std::vector<uint32_t> all(join->size);
+  std::iota(all.begin(), all.end(), 0u);
+  ColumnStore columns = GatherJoinRows(bags, *join, all);
+  for (size_t v = 0; v < want.size(); ++v) {
+    ASSERT_EQ(columns.RowAt(v), want[v]) << "tuple " << v;
+    for (size_t i = 0; i < bags.size(); ++i) {
+      Projector proj = *Projector::Make(join->joined, bags[i].schema());
+      ASSERT_LT(join->RowsOf(v)[i], bags[i].SupportSize());
+      EXPECT_EQ(bags[i].RowAt(join->RowsOf(v)[i]), want[v].Project(proj))
+          << "tuple " << v << " bag " << i;
+    }
+  }
+  ExpectCapAtWidestLevel(bags, [&](size_t cap) { return JoinSupports(bags, cap); });
+}
+
+TEST(LpTest, LeapfrogJoinMatchesNestedLoopOracle) {
+  Rng rng(2206);
+  // Bags of random rows over small domains. Kind 0 holds dense direct ids
+  // (a bag's first column then gets a run-start table); kind 1 puts a
+  // third of the values in the side table, whose ids do not sort by
+  // value; kind 2 spreads direct ids too far apart for a table.
+  auto random_bag = [&](const Schema& x, size_t rows, int kind) {
+    BagBuilder builder(x);
+    for (size_t row = 0; row < rows; ++row) {
+      std::vector<Value> values(x.arity());
+      for (Value& v : values) {
+        v = static_cast<Value>(rng.Below(3));
+        if (kind == 1 && rng.Chance(1, 3)) v = -v - 1;
+        if (kind == 2) v *= 997;
+      }
+      EXPECT_TRUE(builder.Add(Tuple{values}, 1 + rng.Below(4)).ok());
+    }
+    return *builder.Build();
+  };
+  const std::vector<std::vector<Schema>> shapes = {
+      // Cycles and a cartesian product.
+      {Schema{{0, 1}}, Schema{{1, 2}}, Schema{{0, 2}}},
+      {Schema{{0, 1}}, Schema{{1, 2}}, Schema{{2, 3}}, Schema{{0, 3}}},
+      {Schema{{0, 1}}, Schema{{2}}, Schema{{3, 4}}},
+      // Two bags over one schema: J is the supports' intersection.
+      {Schema{{0, 1}}, Schema{{0, 1}}},
+      {Schema{{0, 1}}, Schema{{1, 2}}, Schema{{0, 1}}},
+      // A schema nested in another, leading, trailing or inside it.
+      {Schema{{0, 1, 2}}, Schema{{0, 1}}},
+      {Schema{{0, 1, 2}}, Schema{{1, 2}}, Schema{{0, 2}}},
+      {Schema{{1}}, Schema{{0, 1, 2}}, Schema{{2, 3}}},
+      // Attributes that only one bag has, between shared ones.
+      {Schema{{0, 2, 4}}, Schema{{1, 2, 3}}, Schema{{3, 4}}}};
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    for (int trial = 0; trial < 6; ++trial) {
+      SCOPED_TRACE("shape " + std::to_string(s) + " trial " + std::to_string(trial));
+      std::vector<Bag> bags;
+      for (const Schema& x : shapes[s]) {
+        bags.push_back(random_bag(x, 4 + 3 * static_cast<size_t>(trial), trial % 3));
+      }
+      ExpectJoinMatchesOracle(bags);
+      // An empty bag empties J.
+      std::vector<Bag> with_empty = bags;
+      with_empty[static_cast<size_t>(trial) % bags.size()] =
+          Bag(bags[static_cast<size_t>(trial) % bags.size()].schema());
+      EXPECT_EQ(JoinSupports(with_empty)->size, 0u);
+      ExpectJoinMatchesOracle(with_empty);
+    }
+  }
+  // A bag over the empty schema holding the empty tuple joins everything.
+  std::vector<Bag> with_unit = {random_bag(Schema{{0, 1}}, 6, 0),
+                                *MakeBag(Schema(), {{{}, 2}})};
+  ExpectJoinMatchesOracle(with_unit);
+  EXPECT_EQ(JoinSupports(with_unit)->size, with_unit[0].SupportSize());
+}
+
+// R1(a0,a1) = {(i,0)}, R2(a1,a2) = {(0,j)}, R3(a2,a3) = {(j,j)} and
+// R4(a0,a3) = {(i,i)} for i, j < n, each row once: pairwise consistent,
+// with J = {(i,0,i,i)} of n tuples under n^2 bindings (i,0,j) of the
+// walk's third level.
+std::vector<Bag> WidePrefixCycle(Value n) {
+  std::vector<Bag> bags;
+  const std::vector<Schema> schemas = {Schema{{0, 1}}, Schema{{1, 2}}, Schema{{2, 3}},
+                                       Schema{{0, 3}}};
+  for (size_t b = 0; b < schemas.size(); ++b) {
+    BagBuilder builder(schemas[b]);
+    for (Value i = 0; i < n; ++i) {
+      const Tuple row = b == 0 ? Tuple{{i, 0}} : b == 1 ? Tuple{{0, i}} : Tuple{{i, i}};
+      EXPECT_TRUE(builder.Add(row, 1).ok());
+    }
+    bags.push_back(*builder.Build());
+  }
+  return bags;
+}
+
+TEST(LpTest, WideLevelIsRefusedThoughJIsSmall) {
+  std::vector<Bag> small = WidePrefixCycle(64);
+  ExpectJoinMatchesOracle(small);
+  EXPECT_EQ(JoinSupports(small)->size, 64u);
+  EXPECT_EQ(WidestPrefixJoin(small), 64u * 64u);
+  // At n = 4096, J's 4,096 tuples fit a cap of 8,192 but the third
+  // level's 2^24 bindings do not: the walk stops after 8,193 of them.
+  std::vector<Bag> wide = WidePrefixCycle(4096);
+  EXPECT_EQ(JoinSupports(wide, 8192).status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(BuildConsistencyLp(wide, 8192).status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(LpTest, LargeJoinIsCountedThenWritten) {
+  // Past a quarter over the largest support the join is counted before
+  // it is written. Full
+  // products over 0..16 keep J checkable without a nested loop: J holds
+  // 17^4 tuples and tuple v is v written in base 17. The shapes end on
+  // one, two and three bags sharing the last attribute.
+  constexpr Value kDomain = 17;
+  constexpr size_t kSize = 17 * 17 * 17 * 17;
+  auto full = [&](const Schema& x) {
+    BagBuilder builder(x);
+    std::vector<Value> values(x.arity(), 0);
+    while (true) {
+      EXPECT_TRUE(builder.Add(Tuple{values}, 1).ok());
+      size_t c = x.arity();
+      while (c > 0 && values[c - 1] == kDomain - 1) values[--c] = 0;
+      if (c == 0) break;
+      ++values[c - 1];
+    }
+    return *builder.Build();
+  };
+  const std::vector<std::vector<Schema>> shapes = {
+      {Schema{{0, 1}}, Schema{{1, 2}}, Schema{{0, 2}}, Schema{{2, 3}}},
+      {Schema{{0, 1}}, Schema{{1, 2}}, Schema{{2, 3}}, Schema{{0, 3}}},
+      {Schema{{0, 1, 2}}, Schema{{0, 3}}, Schema{{1, 3}}, Schema{{2, 3}}}};
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    SCOPED_TRACE("shape " + std::to_string(s));
+    std::vector<Bag> bags;
+    for (const Schema& x : shapes[s]) bags.push_back(full(x));
+    Result<JoinProvenance> join = JoinSupports(bags);
+    ASSERT_TRUE(join.ok()) << join.status().ToString();
+    ASSERT_EQ(join->size, kSize);
+    std::vector<uint32_t> sample;
+    for (uint32_t v = 0; v < kSize; v += 7) sample.push_back(v);
+    ColumnStore columns = GatherJoinRows(bags, *join, sample);
+    for (size_t k = 0; k < sample.size(); ++k) {
+      std::vector<Value> want(4);
+      for (size_t c = 4, v = sample[k]; c > 0; --c, v /= kDomain) want[c - 1] = v % kDomain;
+      ASSERT_EQ(columns.RowAt(k), Tuple{want}) << "tuple " << sample[k];
+      for (size_t i = 0; i < bags.size(); ++i) {
+        Projector proj = *Projector::Make(join->joined, bags[i].schema());
+        ASSERT_EQ(bags[i].RowAt(join->RowsOf(sample[k])[i]), Tuple{want}.Project(proj));
+      }
+    }
+    EXPECT_TRUE(JoinSupports(bags, kSize).ok());
+    EXPECT_EQ(JoinSupports(bags, kSize - 1).status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(JoinSupports(bags, 1000).status().code(), StatusCode::kResourceExhausted);
+  }
 }
 
 // ---- The program oracle ----
 
-// Today's row rules, one Tuple at a time: per bag, one row per support
-// tuple holding the variables that project onto it, then one rhs-0 row
-// per projection outside the support, in tuple order.
+// The row rules, one Tuple at a time: per bag, one row per support tuple
+// holding the variables that project onto it. Every variable is a tuple of
+// J (or of a subset of J), so each projects into every support.
 struct OracleRow {
   size_t bag;
   Tuple marginal;
@@ -133,12 +350,6 @@ struct OracleLp {
   std::vector<Tuple> variables;
   std::vector<OracleRow> rows;
 };
-
-Schema UnionSchema(const std::vector<Bag>& bags) {
-  std::vector<Schema> schemas;
-  for (const Bag& b : bags) schemas.push_back(b.schema());
-  return Schema::UnionAll(schemas);
-}
 
 OracleLp OracleProgram(const std::vector<Bag>& bags, std::vector<Tuple> variables) {
   OracleLp lp;
@@ -163,7 +374,7 @@ OracleLp OracleProgram(const std::vector<Bag>& bags, std::vector<Tuple> variable
       }
       lp.rows.push_back({i, r, bag.MultiplicityAt(e), std::move(vars)});
     }
-    for (auto& [key, vars] : by_key) lp.rows.push_back({i, key, 0, std::move(vars)});
+    EXPECT_TRUE(by_key.empty()) << "a variable outside J";
   }
   return lp;
 }
@@ -186,19 +397,11 @@ void ExpectSameProgram(const ConsistencyLp& got, const OracleLp& want,
     LpRows::Vars vars = got.rows.VarsOf(k);
     EXPECT_EQ(std::vector<uint32_t>(vars.begin(), vars.end()), row.vars);
     EXPECT_EQ(got.rows.rhs[k], row.rhs);
-    const Bag& bag = bags[row.bag];
-    if (got.rows.support_row[k] == LpRows::kOutsideSupport) {
-      ASSERT_FALSE(vars.empty());
-      Projector proj = *Projector::Make(got.joined_schema, bag.schema());
-      EXPECT_EQ(got.variables.RowAt(vars[0]).Project(proj), row.marginal);
-      EXPECT_EQ(row.rhs, 0u);
-    } else {
-      EXPECT_EQ(bag.RowAt(got.rows.support_row[k]), row.marginal);
-    }
+    EXPECT_EQ(bags[row.bag].RowAt(got.rows.support_row[k]), row.marginal);
   }
 }
 
-// Today's recursive search over the oracle program: variables in index
+// The recursive search over an oracle program: variables in index
 // order, values from the upper bound down (or up), a row's last variable
 // forced to pay its residual, one node per value tried.
 class OracleSearch {
@@ -274,30 +477,129 @@ class OracleSearch {
   bool exhausted_ = false;
 };
 
-// The iterative search agrees with the recursive oracle: the first
-// solution and its node count, in both value orders, and the full
-// enumeration and count.
-void ExpectSameSearch(const ConsistencyLp& got, const OracleLp& want) {
+// The oracle program's components: variables that share a row, by a
+// test-local union-find, in order of their least variable. Each is a
+// sub-program over its own variables (ascending) and rows (in program
+// order); vars maps its variables back into the program.
+struct OracleComponent {
+  OracleLp lp;
+  std::vector<uint32_t> vars;
+};
+
+std::vector<OracleComponent> OracleComponents(const OracleLp& lp) {
+  const size_t n = lp.variables.size();
+  std::vector<size_t> parent(n);
+  std::iota(parent.begin(), parent.end(), 0);
+  std::function<size_t(size_t)> find = [&](size_t v) {
+    return parent[v] == v ? v : parent[v] = find(parent[v]);
+  };
+  for (const OracleRow& row : lp.rows) {
+    for (uint32_t v : row.vars) {
+      const size_t a = find(row.vars[0]);
+      const size_t b = find(v);
+      parent[std::max(a, b)] = std::min(a, b);
+    }
+  }
+  std::map<size_t, OracleComponent> by_root;
+  std::vector<uint32_t> local(n);
+  for (size_t v = 0; v < n; ++v) {
+    OracleComponent& c = by_root[find(v)];
+    local[v] = static_cast<uint32_t>(c.vars.size());
+    c.vars.push_back(static_cast<uint32_t>(v));
+    c.lp.joined = lp.joined;
+    c.lp.variables.push_back(lp.variables[v]);
+  }
+  for (const OracleRow& row : lp.rows) {
+    if (row.vars.empty()) continue;
+    OracleRow sub = row;
+    for (uint32_t& v : sub.vars) v = local[v];
+    by_root[find(row.vars[0])].lp.rows.push_back(std::move(sub));
+  }
+  std::vector<OracleComponent> out;
+  for (auto& [root, c] : by_root) out.push_back(std::move(c));
+  return out;
+}
+
+// What the per-component search should report on an oracle program: no
+// component searched when a row without variables has rhs > 0, else the
+// recursive search over each component in turn, under what is left of the
+// node budget, until one is infeasible or out of nodes.
+struct OracleOutcome {
+  bool finished = true;
+  std::optional<std::vector<uint64_t>> first;
+  uint64_t nodes = 0;
+  uint64_t components = 0;
+};
+
+OracleOutcome OracleByComponents(const OracleLp& lp, const SolveOptions& options) {
+  OracleOutcome out;
+  for (const OracleRow& row : lp.rows) {
+    if (row.vars.empty() && row.rhs != 0) return out;
+  }
+  std::vector<uint64_t> x(lp.variables.size(), 0);
+  for (const OracleComponent& c : OracleComponents(lp)) {
+    SolveOptions budget = options;
+    budget.node_limit = options.node_limit - out.nodes;
+    OracleSearch search(c.lp, budget);
+    std::optional<std::vector<uint64_t>> first;
+    out.finished = search.Run([&](const std::vector<uint64_t>& y) {
+      first = y;
+      return true;
+    });
+    out.nodes += search.nodes();
+    ++out.components;
+    if (!out.finished || !first.has_value()) return out;
+    for (size_t k = 0; k < c.vars.size(); ++k) x[c.vars[k]] = (*first)[k];
+  }
+  out.first = std::move(x);
+  return out;
+}
+
+// The per-component search agrees with the recursive oracle, in both value
+// orders: the node and component counts with the oracle run on each
+// component's sub-program, and the first solution with the oracle's
+// whole-program first solution. `want` is the program over the free
+// variables: J's, or with `pinned` those of J that are not pinned. Without
+// pins, the whole-program enumeration and count agree too.
+void ExpectSameSearch(const ConsistencyLp& got, const OracleLp& want,
+                      const std::vector<bool>* pinned = nullptr) {
+  // free[k] is want's variable k's index in J.
+  std::vector<uint32_t> free;
+  for (size_t v = 0; v < got.variables.size(); ++v) {
+    if (pinned == nullptr || !(*pinned)[v]) free.push_back(static_cast<uint32_t>(v));
+  }
+  ASSERT_EQ(free.size(), want.variables.size());
   for (bool descend : {true, false}) {
     SCOPED_TRACE(descend ? "descending" : "ascending");
     SolveOptions options;
     options.descend_values = descend;
     options.node_limit = 200'000;
-    OracleSearch oracle(want, options);
-    std::optional<std::vector<uint64_t>> first;
-    bool finished = oracle.Run([&](const std::vector<uint64_t>& x) {
-      first = x;
-      return true;
-    });
+    OracleOutcome components = OracleByComponents(want, options);
     SolveStats stats;
     Result<std::optional<std::vector<uint64_t>>> solved =
-        SolveIntegerFeasibility(got, options, &stats);
-    ASSERT_EQ(solved.ok(), finished) << solved.status().ToString();
-    EXPECT_EQ(stats.nodes, oracle.nodes());
-    if (finished) {
-      EXPECT_EQ(*solved, first);
+        SolveIntegerFeasibility(got, options, &stats, pinned);
+    ASSERT_EQ(solved.ok(), components.finished) << solved.status().ToString();
+    EXPECT_EQ(stats.nodes, components.nodes);
+    EXPECT_EQ(stats.components, components.components);
+    if (!components.finished) continue;
+    ASSERT_EQ(solved->has_value(), components.first.has_value());
+    if (components.first.has_value()) {
+      std::vector<uint64_t> embedded(got.variables.size(), 0);
+      for (size_t k = 0; k < free.size(); ++k) embedded[free[k]] = (*components.first)[k];
+      EXPECT_EQ(**solved, embedded);
+    }
+    // Concatenating the components' first solutions gives the
+    // whole-program search's first solution.
+    OracleSearch whole(want, options);
+    std::optional<std::vector<uint64_t>> first;
+    if (whole.Run([&](const std::vector<uint64_t>& x) {
+          first = x;
+          return true;
+        })) {
+      EXPECT_EQ(first, components.first);
     }
   }
+  if (pinned != nullptr) return;
   SolveOptions options;
   options.node_limit = 200'000;
   constexpr size_t kLimit = 2'000;
@@ -319,16 +621,53 @@ void ExpectSameSearch(const ConsistencyLp& got, const OracleLp& want) {
   }
 }
 
+// The greedy Theorem 3(3) minimization over restricted programs, as
+// MinimizeWitnessSupport ran before pins: drop each support tuple in turn,
+// keep the drop when the oracle program over the rest is feasible (taking
+// its first solution), and rescan from the start.
+Bag OracleMinimize(const std::vector<Bag>& bags, const Bag& witness) {
+  std::vector<Tuple> support;
+  std::vector<uint64_t> current;
+  for (size_t e = 0; e < witness.SupportSize(); ++e) {
+    support.push_back(witness.RowAt(e));
+    current.push_back(witness.MultiplicityAt(e));
+  }
+  size_t i = 0;
+  while (i < support.size()) {
+    std::vector<Tuple> reduced = support;
+    reduced.erase(reduced.begin() + static_cast<std::ptrdiff_t>(i));
+    std::optional<std::vector<uint64_t>> first;
+    OracleSearch(OracleProgram(bags, reduced), {}).Run([&](const std::vector<uint64_t>& x) {
+      first = x;
+      return true;
+    });
+    if (first.has_value()) {
+      support = std::move(reduced);
+      current = std::move(*first);
+      i = 0;
+    } else {
+      ++i;
+    }
+  }
+  BagBuilder builder(witness.schema());
+  for (size_t k = 0; k < support.size(); ++k) {
+    if (current[k] > 0) {
+      EXPECT_TRUE(builder.Add(support[k], current[k]).ok());
+    }
+  }
+  return *builder.Build();
+}
+
 // The program and the search through the engine: SolveGlobalExact's
 // witness bytes equal the oracle's first solution read out through a
-// BagBuilder, Global() agrees, and KWISE reports the oracle's first
-// failing subset for every k.
+// BagBuilder and pass IsWitness, the minimal witness pruned from it
+// equals the oracle's, Global() agrees, and KWISE reports the oracle's
+// first failing subset for every k.
 void ExpectSameEngineAnswers(const BagCollection& c) {
   ConsistencyEngine engine = *ConsistencyEngine::Make(c);
   const std::vector<Bag>& bags = c.bags();
-  size_t unused = 0;
   auto oracle_feasible = [&](const std::vector<Bag>& sub) -> std::optional<Bag> {
-    OracleLp lp = OracleProgram(sub, NestedLoopJoin(sub, &unused));
+    OracleLp lp = OracleProgram(sub, NestedLoopJoin(sub));
     std::optional<Bag> witness;
     OracleSearch(lp, {}).Run([&](const std::vector<uint64_t>& x) {
       BagBuilder builder(lp.joined);
@@ -353,6 +692,8 @@ void ExpectSameEngineAnswers(const BagCollection& c) {
   ASSERT_EQ(got.has_value(), want.has_value());
   if (want.has_value()) {
     EXPECT_EQ(*got, *want);
+    EXPECT_TRUE(*c.IsWitness(*got));
+    EXPECT_EQ(*MinimizeWitnessSupport(c, *got), OracleMinimize(bags, *got));
   }
   if (!IsAcyclic(c.hypergraph())) {
     EXPECT_EQ(*engine.Global(), want.has_value());
@@ -394,24 +735,18 @@ void ExpectSameEngineAnswers(const BagCollection& c) {
 }
 
 // BuildConsistencyLp equals the oracle over the nested-loop J, field by
-// field, the search agrees, and the cap fails exactly past the largest
-// join step.
+// field, the join and the search agree, and the cap fails exactly past
+// the widest level of the join's walk.
 void ExpectLpMatchesOracle(const std::vector<Bag>& bags) {
-  size_t max_step = 0;
-  std::vector<Tuple> join = NestedLoopJoin(bags, &max_step);
+  std::vector<Tuple> join = NestedLoopJoin(bags);
   OracleLp want = OracleProgram(bags, join);
   Result<ConsistencyLp> got = BuildConsistencyLp(bags);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->variables.size(), join.size());
+  ExpectJoinMatchesOracle(bags);
   ExpectSameProgram(*got, want, bags);
   ExpectSameSearch(*got, want);
-  if (bags.size() > 1) {
-    ASSERT_TRUE(BuildConsistencyLp(bags, max_step).ok());
-    if (max_step > 0) {
-      EXPECT_EQ(BuildConsistencyLp(bags, max_step - 1).status().code(),
-                StatusCode::kResourceExhausted);
-    }
-  }
+  ExpectCapAtWidestLevel(bags, [&](size_t cap) { return BuildConsistencyLp(bags, cap); });
 }
 
 TEST(LpTest, BuilderMatchesNestedLoopJoinOracle) {
@@ -467,8 +802,10 @@ TEST(LpTest, BuilderMatchesOracleOnEmptyBagAndCartesianProduct) {
 }
 
 TEST(ProgramOracleTest, RestrictedVariablesMatchOracle) {
-  // Variable sets mixing join tuples with tuples that project outside
-  // some support, so both kinds of row appear.
+  // J's program with some variables pinned to 0 against the oracle
+  // program over the others: random pins on random and consistent
+  // cycles, and pins outside a witness's support, so feasible restricted
+  // programs appear too.
   Rng rng(2203);
   BagGenOptions options;
   options.domain_size = 3;
@@ -477,20 +814,32 @@ TEST(ProgramOracleTest, RestrictedVariablesMatchOracle) {
     options.support_size = 3 + static_cast<size_t>(trial % 6);
     Hypergraph cycle = *MakeCycle(3 + trial % 2);
     std::vector<Bag> bags;
-    for (const Schema& edge : cycle.edges()) {
-      bags.push_back(*MakeRandomBag(edge, options, &rng));
+    if (trial % 2 == 0) {
+      for (const Schema& edge : cycle.edges()) {
+        bags.push_back(*MakeRandomBag(edge, options, &rng));
+      }
+    } else {
+      bags = MakeGloballyConsistentCollection(cycle, options, &rng)->bags();
     }
-    size_t unused = 0;
-    std::vector<Tuple> vars = NestedLoopJoin(bags, &unused);
-    const size_t arity = UnionSchema(bags).arity();
-    for (int extra = 0; extra < 6; ++extra) {
-      std::vector<Value> values(arity);
-      for (Value& x : values) x = static_cast<Value>(rng.Below(4));
-      vars.emplace_back(values);
+    ConsistencyLp lp = *BuildConsistencyLp(bags);
+    std::vector<std::vector<bool>> masks;
+    for (int pick = 0; pick < 3; ++pick) {
+      std::vector<bool> pinned(lp.variables.size());
+      for (size_t v = 0; v < pinned.size(); ++v) pinned[v] = rng.Chance(1, 1 + pick);
+      masks.push_back(std::move(pinned));
     }
-    if (!vars.empty()) vars.push_back(vars.front());  // a duplicate
-    ExpectSameProgram(*BuildLpWithVariables(bags, vars), OracleProgram(bags, vars), bags);
-    ExpectSameSearch(*BuildLpWithVariables(bags, vars), OracleProgram(bags, vars));
+    if (auto x = *SolveIntegerFeasibility(lp)) {
+      std::vector<bool> pinned(x->size());
+      for (size_t v = 0; v < x->size(); ++v) pinned[v] = (*x)[v] == 0;
+      masks.push_back(std::move(pinned));
+    }
+    for (const std::vector<bool>& pinned : masks) {
+      std::vector<Tuple> free;
+      for (size_t v = 0; v < pinned.size(); ++v) {
+        if (!pinned[v]) free.push_back(lp.variables.RowAt(v));
+      }
+      ExpectSameSearch(lp, OracleProgram(bags, free), &pinned);
+    }
   }
 }
 
@@ -534,6 +883,50 @@ TEST(ProgramOracleTest, MatchesOracleOn200Workloads) {
     ExpectLpMatchesOracle(c.bags());
     ExpectSameEngineAnswers(c);
   }
+}
+
+TEST(ProgramOracleTest, MinimizingTwoWitnessesSummedMatchesOracle) {
+  // The first solutions in both value orders, summed, witness the
+  // collection with every multiplicity doubled, and usually have rows to
+  // spare: MinimizeWitnessSupport drops the same rows as the oracle.
+  Rng rng(2207);
+  BagGenOptions options;
+  options.domain_size = 2;
+  options.max_multiplicity = 3;
+  size_t shrunk = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    options.support_size = 3 + static_cast<size_t>(trial % 4);
+    BagCollection c =
+        *MakeGloballyConsistentCollection(*MakeCycle(3 + trial % 2), options, &rng);
+    GlobalSolveOptions ascending;
+    ascending.search.descend_values = false;
+    std::optional<Bag> high = *SolveGlobalConsistencyExact(c);
+    std::optional<Bag> low = *SolveGlobalConsistencyExact(c, ascending);
+    ASSERT_TRUE(high.has_value() && low.has_value());
+    BagBuilder sum(high->schema());
+    for (const Bag* w : {&*high, &*low}) {
+      for (size_t e = 0; e < w->SupportSize(); ++e) {
+        ASSERT_TRUE(sum.Add(w->RowAt(e), w->MultiplicityAt(e)).ok());
+      }
+    }
+    Bag fat = *sum.Build();
+    std::vector<Bag> doubled;
+    for (const Bag& bag : c.bags()) {
+      BagBuilder twice(bag.schema());
+      for (size_t e = 0; e < bag.SupportSize(); ++e) {
+        ASSERT_TRUE(twice.Add(bag.RowAt(e), 2 * bag.MultiplicityAt(e)).ok());
+      }
+      doubled.push_back(*twice.Build());
+    }
+    BagCollection c2 = *BagCollection::Make(doubled);
+    ASSERT_TRUE(*c2.IsWitness(fat));
+    Bag minimal = *MinimizeWitnessSupport(c2, fat);
+    EXPECT_EQ(minimal, OracleMinimize(doubled, fat));
+    EXPECT_TRUE(*c2.IsWitness(minimal));
+    shrunk += minimal.SupportSize() < fat.SupportSize();
+  }
+  EXPECT_GT(shrunk, 0u);
 }
 
 TEST(ProgramOracleTest, MatchesOracleOnSolverAndReductionInstances) {
@@ -583,8 +976,8 @@ TEST(ProgramOracleTest, MatchesOracleOnSolverAndReductionInstances) {
 
 TEST(LpTest, FullProductCycleIsRefusedBeforeTheJoinIsBuilt) {
   // Four pairwise consistent 48 x 48 full products on C4: J would hold
-  // 48^4 > 2^22 tuples. The second fold step's pair count is past the
-  // cap, so the builder refuses from group sizes alone.
+  // 48^4 > 2^22 tuples. The join's counting pass passes the cap and
+  // refuses before any row of J is written.
   std::vector<Bag> bags;
   Hypergraph c4 = *MakeCycle(4);
   for (const Schema& edge : c4.edges()) {
@@ -599,6 +992,30 @@ TEST(LpTest, FullProductCycleIsRefusedBeforeTheJoinIsBuilt) {
   EXPECT_EQ(lp.status().message(), "join support exceeds cap (4194304)");
   ConsistencyEngine engine = *ConsistencyEngine::Make(*BagCollection::Make(bags));
   EXPECT_EQ(engine.Global().status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(IntegerFeasibilityTest, TseitinCollectionsAreRefutedBeforeAnySearch) {
+  // Every in-tree Tseitin collection is pairwise consistent with an empty
+  // J, so each support row is uncovered: INCONSISTENT with no component
+  // searched and no node, and no program row laid out on the way.
+  std::vector<Hypergraph> shapes;
+  for (size_t n = 3; n <= 24; ++n) shapes.push_back(*MakeCycle(n));
+  for (size_t n = 3; n <= 7; ++n) shapes.push_back(*MakeHn(n));
+  for (size_t n = 5; n <= 9; ++n) shapes.push_back(*MakeCirculant(n, 3));
+  for (const Hypergraph& h : shapes) {
+    SCOPED_TRACE(std::to_string(h.num_edges()) + " edges, arity " +
+                 std::to_string(h.edges()[0].arity()));
+    BagCollection c = *BagCollection::Make(*MakeTseitinCollection(h));
+    JoinProvenance join = *JoinSupports(c.bags());
+    EXPECT_EQ(join.size, 0u);
+    SolveStats stats;
+    EXPECT_FALSE(*SolveJoinProgram(c.bags(), join, {}, &stats));
+    EXPECT_EQ(stats.nodes, 0u);
+    EXPECT_EQ(stats.components, 0u);
+    ConsistencyEngine engine = *ConsistencyEngine::Make(c);
+    EXPECT_TRUE(engine.PairwiseAll()->consistent);
+    EXPECT_FALSE(*engine.Global());
+  }
 }
 
 TEST(IntegerFeasibilityTest, DeepProgramSolvesOnADefaultStackThread) {
