@@ -22,6 +22,31 @@ bool LeadsLayout(const Schema& x, const Schema& xy) {
   return std::equal(x.attrs().begin(), x.attrs().end(), xy.attrs().begin());
 }
 
+// The first row r > 0 of `n` that does not sort strictly after row r - 1
+// in Tuple order, or n when every one does: the sealed-row check of a
+// segment reload. A row is compared without a branch per slot (less is
+// x < y, or x == y and the later slots are less); one that touches a
+// side-table id is compared again through ValueIdLess.
+size_t FirstUnascendingRow(const ValueId* const* columns, size_t arity, size_t n) {
+  for (size_t r = 1; r < n; ++r) {
+    bool less = false;
+    ValueId ids = 0;
+    for (size_t c = arity; c-- > 0;) {
+      const ValueId x = columns[c][r - 1];
+      const ValueId y = columns[c][r];
+      ids |= x | y;
+      less = (x < y) | ((x == y) & less);
+    }
+    if (ids >= kDirectValueLimit) {
+      size_t c = 0;
+      while (c < arity && columns[c][r - 1] == columns[c][r]) ++c;
+      less = c < arity && ValueIdLess(columns[c][r - 1], columns[c][r]);
+    }
+    if (!less) return r;
+  }
+  return n;
+}
+
 }  // namespace
 
 Bag Bag::Sealed(Schema schema, ColumnStore columns,
@@ -52,17 +77,20 @@ Status Bag::ValidateColumnar(const Schema& schema, const ColumnView& rows,
   if (rows.arity() != schema.arity()) {
     return Status::InvalidArgument("columnar arity does not match bag schema");
   }
-  for (size_t r = 0; r < rows.num_rows(); ++r) {
-    if (mults[r] == 0) {
-      return Status::InvalidArgument(
-          "sealed columnar bag carries a zero multiplicity at row " +
-          std::to_string(r));
-    }
-    if (r > 0 && rows.CompareRows(r - 1, rows, r) >= 0) {
-      return Status::InvalidArgument(
-          "sealed columnar rows not strictly ascending at row " +
-          std::to_string(r));
-    }
+  const size_t n = rows.num_rows();
+  std::vector<const ValueId*> columns(rows.arity());
+  for (size_t c = 0; c < columns.size(); ++c) columns[c] = rows.column(c);
+  const size_t unascending = FirstUnascendingRow(columns.data(), columns.size(), n);
+  // Row by row, a zero multiplicity is reported before an out-of-order
+  // row; so the first failing row decides which message is returned.
+  const size_t zero = std::find(mults, mults + n, uint64_t{0}) - mults;
+  if (zero < n && zero <= unascending) {
+    return Status::InvalidArgument(
+        "sealed columnar bag carries a zero multiplicity at row " + std::to_string(zero));
+  }
+  if (unascending < n) {
+    return Status::InvalidArgument(
+        "sealed columnar rows not strictly ascending at row " + std::to_string(unascending));
   }
   return Status::OK();
 }

@@ -144,25 +144,18 @@ Status BagcdClient::SendFrame(uint8_t opcode, std::string_view payload) {
   return WriteAll(fd_, frame);
 }
 
-Result<std::pair<uint8_t, std::string>> BagcdClient::ReadFrame() {
+Result<size_t> BagcdClient::BufferFrame() {
   while (true) {
     if (inbuf_.size() >= kWireFrameHeaderBytes) {
       WireCursor header(std::string_view(inbuf_).substr(0, kWireFrameHeaderBytes));
       uint32_t payload_len = 0;
-      uint8_t opcode = 0;
       header.U32(&payload_len);
-      header.U8(&opcode);
       if (payload_len > kWireMaxFramePayload) {
         return Status::Internal("server frame payload of " +
                                 std::to_string(payload_len) +
                                 " bytes exceeds the frame ceiling");
       }
-      if (inbuf_.size() >= kWireFrameHeaderBytes + payload_len) {
-        std::string payload =
-            inbuf_.substr(kWireFrameHeaderBytes, payload_len);
-        inbuf_.erase(0, kWireFrameHeaderBytes + payload_len);
-        return std::make_pair(opcode, std::move(payload));
-      }
+      if (inbuf_.size() >= kWireFrameHeaderBytes + payload_len) return size_t{payload_len};
     }
     BAGC_RETURN_NOT_OK(ReadMore(fd_, &inbuf_));
   }
@@ -184,8 +177,12 @@ Result<std::vector<std::string>> BagcdClient::ReadReplyLines() {
 }
 
 Result<Response> BagcdClient::ReadReplyFrame() {
-  BAGC_ASSIGN_OR_RETURN(auto frame, ReadFrame());
-  return DecodeResponseFrame(frame.first, frame.second);
+  BAGC_ASSIGN_OR_RETURN(size_t payload_len, BufferFrame());
+  Result<Response> response =
+      DecodeResponseFrame(static_cast<uint8_t>(inbuf_[kWireFrameHeaderBytes - 1]),
+                          std::string_view(inbuf_).substr(kWireFrameHeaderBytes, payload_len));
+  inbuf_.erase(0, kWireFrameHeaderBytes + payload_len);
+  return response;
 }
 
 Result<std::vector<std::string>> BagcdClient::Command(

@@ -79,9 +79,6 @@ class BagcdClient {
   /// Sends one raw frame. Binary mode only.
   Status SendFrame(uint8_t opcode, std::string_view payload);
 
-  /// Reads the next complete frame (opcode, payload). Binary mode only.
-  Result<std::pair<uint8_t, std::string>> ReadFrame();
-
   // ---- Typed session helpers ----------------------------------------------
 
   /// Ships every dictionary of `dicts` covering `schema`'s attributes as
@@ -135,7 +132,10 @@ class BagcdClient {
   // The line starting at inbuf_[*pos] (without its newline), reading
   // more bytes as needed; advances *pos past it and erases nothing.
   Result<std::string> LineAt(size_t* pos);
-  // Reads and decodes one server frame.
+  // Reads until one whole frame is at the front of inbuf_; returns its
+  // payload length.
+  Result<size_t> BufferFrame();
+  // Reads one server frame and decodes it where it lies in inbuf_.
   Result<Response> ReadReplyFrame();
 
   int fd_ = -1;

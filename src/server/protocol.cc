@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "bag/bag_io.h"
+#include "util/short_copy.h"
 
 namespace bagc {
 
@@ -57,6 +58,20 @@ void SpanTokens(std::string_view s, std::vector<std::string_view>* out) {
     while (i < s.size() && s[i] != ' ' && s[i] != '\t') ++i;
     if (i > begin) out->push_back(s.substr(begin, i - begin));
   }
+}
+
+// Grows *out by exactly `bytes` and returns where they go.
+char* Extend(std::string* out, size_t bytes) {
+  const size_t at = out->size();
+  out->resize(at + bytes);
+  return out->data() + at;
+}
+
+// Writes v little-endian at p (unaligned); returns the end.
+template <typename T>
+char* PutLittleEndian(char* p, T v) {
+  for (size_t i = 0; i < sizeof(T); ++i) *p++ = static_cast<char>((v >> (8 * i)) & 0xff);
+  return p;
 }
 
 }  // namespace
@@ -148,17 +163,9 @@ Result<WireError> WireErrorFromTag(uint8_t tag) {
   return static_cast<WireError>(tag);
 }
 
-void WireAppendU32(std::string* out, uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(b, sizeof(b));
-}
+void WireAppendU32(std::string* out, uint32_t v) { PutLittleEndian(Extend(out, 4), v); }
 
-void WireAppendU64(std::string* out, uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(b, sizeof(b));
-}
+void WireAppendU64(std::string* out, uint64_t v) { PutLittleEndian(Extend(out, 8), v); }
 
 void WireAppendString(std::string* out, std::string_view s) {
   WireAppendU32(out, static_cast<uint32_t>(s.size()));
@@ -679,48 +686,118 @@ Response Response::Verdict(bool consistent, std::vector<size_t> indices) {
 
 namespace {
 
-void AppendUint(uint64_t v, std::string* out) {
-  char digits[20];
-  char* end = std::to_chars(digits, digits + sizeof(digits), v).ptr;
-  out->append(digits, end);
+size_t DecimalDigits(uint64_t v) {
+  size_t digits = 1;
+  for (; v >= 10; v /= 10) ++digits;
+  return digits;
 }
 
-// A found witness's bag block is WriteBag's layout: this header line,
-// one AppendWitnessRow line per row, then "end".
-void AppendWitnessHeader(const Response& r, std::string* out) {
-  *out += "bag";
-  for (const std::string& attr : r.attrs) {
-    *out += ' ';
-    *out += attr;
-  }
+// Writers into an exactly sized buffer: each puts its bytes at `p` and
+// returns the end of what it wrote.
+char* PutBytes(char* p, std::string_view bytes) {
+  std::memcpy(p, bytes.data(), bytes.size());
+  return p + bytes.size();
 }
 
-// Each value followed by a space, then ": <multiplicity>".
-void AppendWitnessRow(const Response& r, size_t row, std::string* out) {
-  const size_t arity = r.attrs.size();
-  for (size_t c = 0; c < arity; ++c) {
-    *out += r.values[row * arity + c];
-    *out += ' ';
-  }
-  *out += ": ";
-  AppendUint(r.mults[row], out);
-}
+char* PutUint(char* p, uint64_t v) { return std::to_chars(p, p + 20, v).ptr; }
 
-// Upper bound on a found witness's encoded size in either framing.
-size_t WitnessBytesBound(const Response& r) {
-  size_t bytes = 64 + r.mults.size() * 32;
-  for (const std::string& attr : r.attrs) bytes += attr.size() + 8;
-  for (const std::string& value : r.values) bytes += value.size() + 4;
+// A found witness's bag block is WriteBag's layout: the header line
+// "bag <attrs...>", one row line per row, then "end".
+size_t WitnessHeaderBytes(const Response& r) {
+  size_t bytes = 3;
+  for (const std::string& attr : r.attrs) bytes += 1 + attr.size();
   return bytes;
+}
+
+char* PutWitnessHeader(const Response& r, char* p) {
+  p = PutBytes(p, "bag");
+  for (const std::string& attr : r.attrs) {
+    *p++ = ' ';
+    p = PutBytes(p, attr);
+  }
+  return p;
+}
+
+// A row line: each value followed by a space, then ": <multiplicity>".
+size_t WitnessRowBytes(const Response& r, size_t row) {
+  const size_t arity = r.attrs.size();
+  return r.value_begin((row + 1) * arity) - r.value_begin(row * arity) + arity + 2 +
+         DecimalDigits(r.mults[row]);
+}
+
+char* PutWitnessRow(const Response& r, size_t row, char* p) {
+  const size_t arity = r.attrs.size();
+  const char* blob = r.value_blob.data();
+  for (size_t k = row * arity, at = r.value_begin(k); k < (row + 1) * arity; ++k) {
+    const size_t end = r.value_ends[k];
+    p = CopyShort(p, blob + at, end - at);
+    *p++ = ' ';
+    at = end;
+  }
+  *p++ = ':';
+  *p++ = ' ';
+  return PutUint(p, r.mults[row]);
+}
+
+// "OK WITNESS <n>", the bag block and END, each line '\n'-terminated.
+void AppendWitnessText(const Response& r, std::string* out) {
+  const size_t rows = r.mults.size();
+  size_t row_bytes = r.value_blob.size() + rows * (r.attrs.size() + 3);
+  for (uint64_t mult : r.mults) row_bytes += DecimalDigits(mult);
+  constexpr std::string_view kOpen = "OK WITNESS ";
+  constexpr std::string_view kClose = "end\n";
+  char* p = Extend(out, kOpen.size() + DecimalDigits(rows) + 1 + WitnessHeaderBytes(r) + 1 +
+                            row_bytes + kClose.size() + kWireEnd.size() + 1);
+  p = PutUint(PutBytes(p, kOpen), rows);
+  *p++ = '\n';
+  p = PutWitnessHeader(r, p);
+  *p++ = '\n';
+  for (size_t row = 0; row < rows; ++row) {
+    p = PutWitnessRow(r, row, p);
+    *p++ = '\n';
+  }
+  p = PutBytes(PutBytes(p, kClose), kWireEnd);
+  *p = '\n';
+}
+
+// The kFrameWitnessBag frame of a found witness: u8 1, u32 arity, the
+// attribute names, u64 rows, then per row each value (u32 length +
+// bytes) and its u64 multiplicity.
+void AppendWitnessFrame(const Response& r, std::string* out) {
+  const size_t arity = r.attrs.size();
+  const size_t rows = r.mults.size();
+  size_t payload = 1 + 4 + 8 + rows * (8 + 4 * arity) + r.value_blob.size();
+  for (const std::string& attr : r.attrs) payload += 4 + attr.size();
+  char* p = Extend(out, kWireFrameHeaderBytes + payload);
+  p = PutLittleEndian(p, static_cast<uint32_t>(payload));
+  *p++ = static_cast<char>(kFrameWitnessBag);
+  *p++ = '\1';
+  p = PutLittleEndian(p, static_cast<uint32_t>(arity));
+  for (const std::string& attr : r.attrs) {
+    p = PutBytes(PutLittleEndian(p, static_cast<uint32_t>(attr.size())), attr);
+  }
+  p = PutLittleEndian(p, static_cast<uint64_t>(rows));
+  const char* blob = r.value_blob.data();
+  for (size_t row = 0, k = 0, at = 0; row < rows; ++row) {
+    for (size_t c = 0; c < arity; ++c, ++k) {
+      const uint32_t end = r.value_ends[k];
+      p = CopyShort(PutLittleEndian(p, static_cast<uint32_t>(end - at)), blob + at, end - at);
+      at = end;
+    }
+    p = PutLittleEndian(p, r.mults[row]);
+  }
 }
 
 }  // namespace
 
 std::vector<std::string> WitnessBagLines(const Response& r) {
   std::vector<std::string> lines(r.mults.size() + 2);
-  AppendWitnessHeader(r, &lines.front());
+  lines.front().resize(WitnessHeaderBytes(r));
+  PutWitnessHeader(r, lines.front().data());
   for (size_t row = 0; row < r.mults.size(); ++row) {
-    AppendWitnessRow(r, row, &lines[row + 1]);
+    std::string& line = lines[row + 1];
+    line.resize(WitnessRowBytes(r, row));
+    PutWitnessRow(r, row, line.data());
   }
   lines.back() = "end";
   return lines;
@@ -743,25 +820,10 @@ void AppendResponseText(const Response& r, std::string* out) {
       *out += r.consistent ? "OK CONSISTENT" : "OK INCONSISTENT";
       for (size_t index : r.indices) *out += " " + std::to_string(index);
       break;
-    case Response::Kind::kWitness: {
-      if (!r.found) {
-        *out += "OK NONE";
-        break;
-      }
-      // The bag IO block (WriteBag's layout) between the OK line and END.
-      out->reserve(out->size() + WitnessBytesBound(r));
-      *out += "OK WITNESS ";
-      AppendUint(r.mults.size(), out);
-      *out += '\n';
-      AppendWitnessHeader(r, out);
-      for (size_t row = 0; row < r.mults.size(); ++row) {
-        *out += '\n';
-        AppendWitnessRow(r, row, out);
-      }
-      *out += "\nend\n";
-      *out += kWireEnd;
+    case Response::Kind::kWitness:
+      if (r.found) return AppendWitnessText(r, out);
+      *out += "OK NONE";
       break;
-    }
     case Response::Kind::kStats:
       *out += "OK STATS";
       for (const auto& [key, value] : r.stats) {
@@ -775,6 +837,7 @@ void AppendResponseText(const Response& r, std::string* out) {
 }
 
 void AppendResponseFrame(const Response& r, std::string* out) {
+  if (r.kind == Response::Kind::kWitness && r.found) return AppendWitnessFrame(r, out);
   // The payload is written in place (`payload` aliases *out), after a
   // header that is filled in once the payload length is known.
   const size_t header = out->size();
@@ -796,20 +859,9 @@ void AppendResponseFrame(const Response& r, std::string* out) {
       WireAppendU32(&payload, static_cast<uint32_t>(r.indices.size()));
       for (size_t index : r.indices) WireAppendU32(&payload, static_cast<uint32_t>(index));
       break;
-    case Response::Kind::kWitness:
+    case Response::Kind::kWitness:  // not found: the u8 0 alone
       opcode = kFrameWitnessBag;
-      payload.push_back(r.found ? '\1' : '\0');
-      if (!r.found) break;
-      payload.reserve(payload.size() + WitnessBytesBound(r));
-      WireAppendU32(&payload, static_cast<uint32_t>(r.attrs.size()));
-      for (const std::string& attr : r.attrs) WireAppendString(&payload, attr);
-      WireAppendU64(&payload, r.mults.size());
-      for (size_t row = 0; row < r.mults.size(); ++row) {
-        for (size_t c = 0; c < r.attrs.size(); ++c) {
-          WireAppendString(&payload, r.values[row * r.attrs.size() + c]);
-        }
-        WireAppendU64(&payload, r.mults[row]);
-      }
+      payload.push_back('\0');
       break;
     case Response::Kind::kStats:
       opcode = kFrameStats;
@@ -820,11 +872,9 @@ void AppendResponseFrame(const Response& r, std::string* out) {
       }
       break;
   }
-  std::string frame_header;
-  WireAppendU32(&frame_header,
-                static_cast<uint32_t>(out->size() - header - kWireFrameHeaderBytes));
-  frame_header.push_back(static_cast<char>(opcode));
-  out->replace(header, kWireFrameHeaderBytes, frame_header);
+  char* p = out->data() + header;
+  p = PutLittleEndian(p, static_cast<uint32_t>(out->size() - header - kWireFrameHeaderBytes));
+  *p = static_cast<char>(opcode);
 }
 
 Result<Response> DecodeResponseLines(const std::vector<std::string>& lines) {
@@ -844,8 +894,9 @@ Result<Response> DecodeResponseLines(const std::vector<std::string>& lines) {
   if (head[1] == "CONSISTENT" || head[1] == "INCONSISTENT") {
     Response verdict = Response::Verdict(head[1] == "CONSISTENT");
     for (size_t t = 2; t < head.size(); ++t) {
-      BAGC_ASSIGN_OR_RETURN(uint64_t index, WireParseUint(head[t]));
-      verdict.indices.push_back(static_cast<size_t>(index));
+      Result<uint64_t> index = WireParseUint(head[t]);
+      if (!index.ok()) return malformed;
+      verdict.indices.push_back(static_cast<size_t>(*index));
     }
     return verdict;
   }
@@ -854,24 +905,38 @@ Result<Response> DecodeResponseLines(const std::vector<std::string>& lines) {
     r.kind = Response::Kind::kWitness;
     r.found = first != "OK NONE";
     if (!r.found) return r;
-    // OK line, "bag <attrs...>", rows, "end", END.
-    std::vector<std::string> header = lines.size() >= 4 ? WireTokens(lines[1]) : head;
-    if (header[0] != "bag" || lines[lines.size() - 2] != "end" || lines.back() != kWireEnd) {
+    // OK line, "bag <attrs...>", exactly the announced rows, "end", END.
+    Result<uint64_t> rows = WireParseUint(head[2]);
+    if (lines.size() < 4 || !rows.ok() || *rows != lines.size() - 4 ||
+        lines[lines.size() - 2] != "end" || lines.back() != kWireEnd) {
       return malformed;
     }
-    r.attrs.assign(header.begin() + 1, header.end());
+    std::vector<std::string_view> tokens;
+    SpanTokens(StripCommentView(lines[1]), &tokens);
+    if (tokens.empty() || tokens[0] != "bag") return malformed;
+    r.attrs.assign(tokens.begin() + 1, tokens.end());
     const size_t arity = r.attrs.size();
-    const size_t rows = lines.size() - std::min<size_t>(lines.size(), 4);
-    r.values.reserve(rows * arity);
-    r.mults.reserve(rows);
-    std::vector<std::string_view> row;
-    for (size_t l = 2; l + 2 < lines.size(); ++l) {
-      SpanTokens(StripCommentView(lines[l]), &row);
-      if (row.size() != arity + 2 || row[arity] != ":") return malformed;
-      BAGC_ASSIGN_OR_RETURN(uint64_t mult, WireParseUint(row.back()));
-      for (size_t c = 0; c < arity; ++c) r.values.emplace_back(row[c]);
-      r.mults.push_back(mult);
+    // The row lines hold every value byte, so their total bounds the blob.
+    size_t row_bytes = 0;
+    for (size_t l = 2; l + 2 < lines.size(); ++l) row_bytes += lines[l].size();
+    if (row_bytes > std::numeric_limits<uint32_t>::max()) return malformed;
+    r.value_blob.resize(row_bytes);
+    r.value_ends.resize(*rows * arity);
+    r.mults.resize(*rows);
+    char* const blob = r.value_blob.data();
+    char* p = blob;
+    for (size_t row = 0, k = 0; row < *rows; ++row) {
+      SpanTokens(StripCommentView(lines[row + 2]), &tokens);
+      if (tokens.size() != arity + 2 || tokens[arity] != ":") return malformed;
+      Result<uint64_t> mult = WireParseUint(tokens.back());
+      if (!mult.ok()) return malformed;
+      for (size_t c = 0; c < arity; ++c, ++k) {
+        p = CopyShort(p, tokens[c].data(), tokens[c].size());
+        r.value_ends[k] = static_cast<uint32_t>(p - blob);
+      }
+      r.mults[row] = *mult;
     }
+    r.value_blob.resize(p - blob);
     return r;
   }
   if (first == "OK STATS") {
@@ -880,8 +945,9 @@ Result<Response> DecodeResponseLines(const std::vector<std::string>& lines) {
     for (size_t l = 1; l + 1 < lines.size(); ++l) {
       std::vector<std::string> kv = WireTokens(lines[l]);
       if (kv.size() != 2) return malformed;
-      BAGC_ASSIGN_OR_RETURN(uint64_t value, WireParseUint(kv[1]));
-      r.stats.emplace_back(kv[0], value);
+      Result<uint64_t> value = WireParseUint(kv[1]);
+      if (!value.ok()) return malformed;
+      r.stats.emplace_back(kv[0], *value);
     }
     return r;
   }
@@ -897,8 +963,9 @@ Result<Response> DecodeResponseFrame(uint8_t opcode, std::string_view payload) {
     case kFrameErr: {
       uint8_t tag = 0;
       if (!cur.U8(&tag)) break;
-      BAGC_ASSIGN_OR_RETURN(WireError error, WireErrorFromTag(tag));
-      return Response::Err(error, std::string(payload.substr(1)));
+      Result<WireError> error = WireErrorFromTag(tag);
+      if (!error.ok()) break;
+      return Response::Err(*error, std::string(payload.substr(1)));
     }
     case kFrameVerdict: {
       uint8_t consistent = 0;
@@ -916,27 +983,39 @@ Result<Response> DecodeResponseFrame(uint8_t opcode, std::string_view payload) {
       uint32_t arity = 0;
       uint64_t rows = 0;
       r.kind = Response::Kind::kWitness;
-      if (!cur.U8(&found)) break;
+      if (!cur.U8(&found) || found > 1) break;
       r.found = found == 1;
       if (!r.found) {
         if (cur.AtEnd()) return r;
         break;
       }
+      // Every count is checked against the bytes that must carry it (a
+      // u32 length per name and per value, a u64 multiplicity per row),
+      // so a hostile count fails here instead of allocating.
+      if (!cur.U32(&arity) || arity > cur.remaining() / 4) break;
       std::string_view s;
-      if (!cur.U32(&arity)) break;
       while (r.attrs.size() < arity && cur.String(&s)) r.attrs.emplace_back(s);
-      if (!cur.U64(&rows)) break;
-      // Reserve only what the payload can hold (a u64 multiplicity per
-      // row, a u32 length per value): a hostile count must not allocate.
-      const uint64_t fit = std::min<uint64_t>(rows, cur.remaining() / (8 + 4 * uint64_t{arity}));
-      r.mults.reserve(fit);
-      r.values.reserve(fit * arity);
-      for (uint64_t row = 0; row < rows && cur.ok(); ++row) {
-        for (uint32_t c = 0; c < arity && cur.String(&s); ++c) r.values.emplace_back(s);
-        uint64_t mult = 0;
-        if (cur.U64(&mult)) r.mults.push_back(mult);
+      const uint64_t row_fixed = 8 + 4 * uint64_t{arity};
+      if (!cur.U64(&rows) || rows > cur.remaining() / row_fixed) break;
+      // What the rows' fixed fields leave is exactly the value bytes.
+      const uint64_t value_bytes = cur.remaining() - rows * row_fixed;
+      if (value_bytes > std::numeric_limits<uint32_t>::max()) break;
+      r.value_blob.resize(value_bytes);
+      r.value_ends.resize(rows * arity);
+      r.mults.resize(rows);
+      char* const blob = r.value_blob.data();
+      uint64_t at = 0;
+      bool fits = true;
+      for (uint64_t row = 0, k = 0; fits && row < rows; ++row) {
+        for (uint32_t c = 0; c < arity; ++c, ++k) {
+          fits = cur.String(&s) && s.size() <= value_bytes - at;
+          if (!fits) break;
+          at = CopyShort(blob + at, s.data(), s.size()) - blob;
+          r.value_ends[k] = static_cast<uint32_t>(at);
+        }
+        fits = fits && cur.U64(&r.mults[row]);
       }
-      if (cur.AtEnd()) return r;
+      if (fits && cur.AtEnd()) return r;
       break;
     }
     case kFrameStats: {

@@ -240,6 +240,14 @@ Result<std::string> EncodeRequestFrame(const Request& request);
 // ---- Responses ------------------------------------------------------------
 
 /// \brief One answer, whichever framing will carry it.
+///
+/// A witness travels as one flat, row-major value table beside its
+/// multiplicities: every value's bytes back to back in `value_blob`, and
+/// one u32 end offset per value in `value_ends`. The daemon fills it from
+/// its dictionaries' views, both encoders write it out in one pass into
+/// an exactly sized buffer, and both decoders fill it in one pass, so
+/// the values of a witness of any size take three arrays (blob, ends,
+/// multiplicities), not one string each.
 struct Response {
   enum class Kind : uint8_t { kOk, kErr, kVerdict, kWitness, kStats };
   Kind kind = Kind::kOk;
@@ -251,10 +259,13 @@ struct Response {
   bool consistent = false;
   std::vector<size_t> indices;
   /// kWitness: `found` is false for "OK NONE"; otherwise the attribute
-  /// names, the decoded values row-major, and one multiplicity per row.
+  /// names, the decoded values row-major (cell c of row r is value
+  /// r * attrs.size() + c), and one multiplicity per row. Value k is
+  /// value_blob[value_begin(k), value_ends[k]).
   bool found = false;
   std::vector<std::string> attrs;
-  std::vector<std::string> values;
+  std::string value_blob;
+  std::vector<uint32_t> value_ends;
   std::vector<uint64_t> mults;
   /// kStats: key/value pairs in wire order.
   std::vector<std::pair<std::string, uint64_t>> stats;
@@ -264,6 +275,9 @@ struct Response {
   /// The Err for a non-OK status (WireErrorForStatus picks the class).
   static Response Error(const Status& status);
   static Response Verdict(bool consistent, std::vector<size_t> indices = {});
+
+  /// Offset of witness value k in value_blob (the end of value k - 1).
+  size_t value_begin(size_t k) const { return k == 0 ? 0 : value_ends[k - 1]; }
 };
 
 /// Text encoder: appends the response's lines, each '\n'-terminated. Its

@@ -1,12 +1,14 @@
 #include "server/session.h"
 
 #include <algorithm>
+#include <charconv>
 #include <future>
 #include <limits>
 #include <map>
 #include <utility>
 
 #include "bag/bag_io.h"
+#include "util/short_copy.h"
 
 namespace bagc {
 
@@ -60,33 +62,54 @@ Response VerdictOrError(const Result<bool>& verdict) {
 // A witness with its values decoded through the snapshot's dictionaries
 // — the externals both framings print: under SEAL CANONICAL the
 // snapshot's id space differs from the session's, so raw ids would be
-// undecodable client-side.
+// undecodable client-side. An id without a dictionary entry prints
+// through the codec.
 Response WitnessResponse(const Bag& bag, const EngineSnapshot& snapshot) {
   Response r;
   r.kind = Response::Kind::kWitness;
   r.found = true;
   const Schema& schema = bag.schema();
+  const size_t arity = schema.arity();
   const DictionarySet* dicts = snapshot.dictionaries();
-  std::vector<const ValueDictionary*> slot_dict(schema.arity(), nullptr);
-  for (size_t i = 0; i < schema.arity(); ++i) {
+  std::vector<const ValueDictionary*> slot_dict(arity, nullptr);
+  for (size_t i = 0; i < arity; ++i) {
     r.attrs.push_back(snapshot.catalog().Name(schema.at(i)));
     if (dicts != nullptr) slot_dict[i] = dicts->find_dict(schema.at(i));
   }
   const size_t rows = bag.SupportSize();
-  r.values.reserve(rows * schema.arity());
-  r.mults.reserve(rows);
-  for (size_t e = 0; e < rows; ++e) {
-    for (size_t i = 0; i < schema.arity(); ++i) {
-      const ValueDictionary* d = slot_dict[i];
-      const ValueId id = bag.IdAt(e, i);
-      if (d != nullptr && id < d->size()) {
-        r.values.emplace_back(d->ExternalOf(id));
-      } else {
-        r.values.push_back(std::to_string(DecodeValue(id)));
-      }
+  std::vector<const ValueId*> column(arity);
+  for (size_t i = 0; i < arity; ++i) column[i] = bag.Column(i);
+  char digits[20];
+  auto external = [&](size_t e, size_t i) -> std::string_view {
+    const ValueDictionary* d = slot_dict[i];
+    const ValueId id = column[i][e];
+    if (d != nullptr && id < d->size()) return d->ExternalOf(id);
+    return std::string_view(digits, std::to_chars(digits, digits + sizeof(digits),
+                                                  DecodeValue(id)).ptr - digits);
+  };
+  // Two passes over the cells: the first lays out every value's end
+  // offset, so the second copies the values into an exactly sized blob.
+  r.value_ends.resize(rows * arity);
+  uint64_t bytes = 0;
+  for (size_t e = 0, k = 0; e < rows; ++e) {
+    for (size_t i = 0; i < arity; ++i, ++k) {
+      bytes += external(e, i).size();
+      r.value_ends[k] = static_cast<uint32_t>(bytes);
     }
-    r.mults.push_back(bag.MultiplicityAt(e));
   }
+  if (bytes > std::numeric_limits<uint32_t>::max()) {
+    return Response::Err(WireError::kRange, "witness values exceed 4 GiB");
+  }
+  r.value_blob.resize(bytes);
+  char* p = r.value_blob.data();
+  for (size_t e = 0; e < rows; ++e) {
+    for (size_t i = 0; i < arity; ++i) {
+      const std::string_view value = external(e, i);
+      p = CopyShort(p, value.data(), value.size());
+    }
+  }
+  const uint64_t* mults = bag.MultiplicityData();
+  r.mults.assign(mults, mults + rows);
   return r;
 }
 

@@ -9,6 +9,7 @@
 #include "bag/bag.h"
 #include "bag/relation.h"
 #include "generators/workloads.h"
+#include "tuple/value_codec.h"
 #include "util/random.h"
 
 namespace bagc {
@@ -249,6 +250,66 @@ TEST(RelationTest, RelationsAreZeroOneBags) {
   for (size_t i = 0; i < b.SupportSize(); ++i) {
     EXPECT_EQ(b.MultiplicityAt(i), 1u);
   }
+}
+
+// BorrowColumnar over `rows` (row-major ids, `arity` per row) and `mults`:
+// OK, or the first failing row's message.
+std::string BorrowRows(size_t arity, const std::vector<ValueId>& rows,
+                       const std::vector<uint64_t>& mults) {
+  const size_t n = mults.size();
+  std::vector<AttrId> attrs(arity);
+  for (size_t c = 0; c < arity; ++c) attrs[c] = static_cast<AttrId>(c);
+  std::vector<ValueId> column_major(rows.size());
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < arity; ++c) column_major[c * n + r] = rows[r * arity + c];
+  }
+  Result<Bag> bag =
+      Bag::BorrowColumnar(Schema{attrs}, column_major.data(), mults.data(), n, nullptr);
+  return bag.ok() ? "OK" : bag.status().message();
+}
+
+TEST(BagTest, BorrowColumnarChecksTheFirstFailingRow) {
+  const std::string kDescent = "sealed columnar rows not strictly ascending at row ";
+  const std::string kZero = "sealed columnar bag carries a zero multiplicity at row ";
+  for (size_t arity = 1; arity <= 4; ++arity) {
+    SCOPED_TRACE("arity " + std::to_string(arity));
+    // Rows (0..0, r): only the last column moves.
+    auto rows = [&](const std::vector<ValueId>& last) {
+      std::vector<ValueId> ids;
+      for (ValueId v : last) {
+        ids.insert(ids.end(), arity - 1, 7);
+        ids.push_back(v);
+      }
+      return ids;
+    };
+    EXPECT_EQ(BorrowRows(arity, rows({1, 2, 3}), {1, 1, 1}), "OK");
+    EXPECT_EQ(BorrowRows(arity, rows({1, 2, 2}), {1, 1, 1}), kDescent + "2");
+    EXPECT_EQ(BorrowRows(arity, rows({1, 3, 2}), {1, 1, 1}), kDescent + "2");
+    EXPECT_EQ(BorrowRows(arity, rows({1, 1, 2}), {1, 1, 1}), kDescent + "1");
+    EXPECT_EQ(BorrowRows(arity, rows({1, 2, 3}), {0, 1, 1}), kZero + "0");
+    EXPECT_EQ(BorrowRows(arity, rows({1, 2, 3}), {1, 1, 0}), kZero + "2");
+    // Both faults at one row: the zero multiplicity is reported.
+    EXPECT_EQ(BorrowRows(arity, rows({1, 2, 2}), {1, 1, 0}), kZero + "2");
+    // A descent before a zero multiplicity is reported first.
+    EXPECT_EQ(BorrowRows(arity, rows({2, 1, 3}), {1, 1, 0}), kDescent + "1");
+    EXPECT_EQ(BorrowRows(arity, {}, {}), "OK");
+  }
+  // A descent in the first column beats an ascent in the later ones.
+  EXPECT_EQ(BorrowRows(2, {1, 9, 0, 10}, {1, 1}), kDescent + "1");
+  EXPECT_EQ(BorrowRows(3, {1, 1, 9, 1, 2, 0}, {1, 1}), "OK");
+  EXPECT_EQ(BorrowRows(3, {1, 2, 9, 1, 2, 8}, {1, 1}), kDescent + "1");
+  // Side-table ids order by value, not by raw id: 3000000123 is encoded
+  // before -777, so its id is the smaller one.
+  const ValueId big = EncodeValue(3000000123);
+  const ValueId negative = EncodeValue(-777);
+  ASSERT_LT(big, negative);
+  ASSERT_GE(negative, kDirectValueLimit);
+  EXPECT_EQ(BorrowRows(1, {negative, 0, 5, big}, {1, 1, 1, 1}), "OK");
+  EXPECT_EQ(BorrowRows(1, {big, negative}, {1, 1}), kDescent + "1");
+  EXPECT_EQ(BorrowRows(1, {0, negative}, {1, 1}), kDescent + "1");
+  EXPECT_EQ(BorrowRows(2, {3, negative, 3, big}, {1, 1}), "OK");
+  EXPECT_EQ(BorrowRows(2, {3, big, 3, negative}, {1, 1}), kDescent + "1");
+  EXPECT_EQ(BorrowRows(2, {3, big, 3, big}, {1, 1}), kDescent + "1");
 }
 
 }  // namespace

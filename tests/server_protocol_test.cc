@@ -27,6 +27,7 @@
 #include "server/session.h"
 #include "tuple/segment.h"
 #include "util/random.h"
+#include "witness_golden.h"
 
 #ifndef BAGC_REPO_ROOT
 #define BAGC_REPO_ROOT "."
@@ -1462,55 +1463,6 @@ uint64_t Fnv1a(const std::string& bytes) {
   return h;
 }
 
-// The WITNESS replies to `requests`, sent through a fresh text session and
-// a fresh binary session on `registry`'s default collection: {text bytes,
-// frame bytes}, each reply appended in request order.
-std::pair<std::string, std::string> WitnessReplies(
-    CollectionRegistry* registry, const std::vector<Request>& requests) {
-  std::pair<std::string, std::string> out;
-  ServerSession text(registry, nullptr);
-  ServerSession binary(registry, nullptr);
-  std::string upgraded;
-  binary.HandleData("UPGRADE BINARY\n", &upgraded);
-  EXPECT_EQ(upgraded, "OK UPGRADE BINARY\n");
-  for (const Request& request : requests) {
-    size_t before = out.first.size();
-    text.HandleData(EncodeTextRequest(request), &out.first);
-    EXPECT_EQ(out.first.compare(before, 11, "OK WITNESS "), 0)
-        << out.first.substr(before, 80);
-    Result<std::string> frame = EncodeRequestFrame(request);
-    EXPECT_TRUE(frame.ok());
-    binary.HandleData(*frame, &out.second);
-  }
-  return out;
-}
-
-Request WitnessRequest(size_t i, size_t j, bool minimal) {
-  Request request;
-  request.verb = Verb::kWitness;
-  request.bag_i = std::to_string(i);
-  request.bag_j = std::to_string(j);
-  request.minimal = minimal;
-  return request;
-}
-
-// Publishes two numeric-codec bags over attributes 0..2 (named a0..a2)
-// into `registry`'s default collection. No dictionaries: values print
-// through the codec.
-void PublishNumericPair(CollectionRegistry* registry, Bag r, Bag s) {
-  EngineSnapshot::BuildInputs inputs;
-  for (const char* name : {"a0", "a1", "a2"}) inputs.catalog.Intern(name);
-  inputs.names = {"r", "s"};
-  inputs.bags.push_back(std::move(r));
-  inputs.bags.push_back(std::move(s));
-  inputs.dicts = std::make_shared<DictionarySet>();
-  CollectionRegistry::Collection* c = registry->Default().get();
-  Result<std::shared_ptr<const EngineSnapshot>> snapshot =
-      EngineSnapshot::Build(std::move(inputs), c->NextSeq());
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  ASSERT_TRUE(registry->Publish(c, *snapshot, "", false).ok());
-}
-
 // A snapshot over four bags on C4's attributes a0..a3.
 std::shared_ptr<const EngineSnapshot> C4Snapshot(std::vector<Bag> bags) {
   EngineSnapshot::BuildInputs inputs;
@@ -1581,101 +1533,23 @@ TEST(EngineSnapshotTest, GlobalOverAWidePrefixJoinIsRefused) {
 // witness construction, the witness seal and both encoders may change how
 // they work, never what they send (a change to which witness is sent is a
 // declared wire change, and WitnessOracleTest.GoldenReplyInputs must
-// accept the new one). Four inputs: the 8-bag, 4,096-rows-per-bag path
-// the tenant_churn benchmark serves (dictionary values, loaded from a
-// segment); a pair whose cells do not enumerate in joined-tuple order
-// (R over {a0,a2}, S over {a1,a2}); a pair of codec side-table values
-// (negative and >= 2^31), whose order is value order, not id order; and a
-// dense pair with many witnesses.
+// accept the new one). The four inputs are tests/witness_golden.h's.
 TEST(ServerSessionTest, WitnessReplyBytesMatchGolden) {
-  {
-    Hypergraph path = *MakePath(9);
-    AttributeCatalog catalog;
-    DictionarySet dicts;
-    Schema all = Schema::UnionAll(path.edges());
-    for (AttrId a : all.attrs()) {
-      while (catalog.size() <= a) catalog.Intern("a" + std::to_string(catalog.size()));
-    }
-    Rng rng(2021);
-    BagGenOptions options;
-    options.support_size = 4096;
-    options.domain_size = 4096;
-    options.max_multiplicity = 8;
-    Bag numeric = *MakeRandomBag(all, options, &rng);
-    BagBuilder builder(all);
-    std::vector<std::string> tokens(all.arity());
-    for (size_t e = 0; e < numeric.SupportSize(); ++e) {
-      Tuple t = numeric.RowAt(e);
-      for (size_t c = 0; c < all.arity(); ++c) tokens[c] = "v" + std::to_string(t.at(c));
-      ASSERT_TRUE(builder.AddExternal(tokens, numeric.MultiplicityAt(e), &dicts).ok());
-    }
-    Bag witness = *builder.Build();
-    std::vector<std::string> names;
-    std::vector<Bag> bags;
-    for (const Schema& edge : path.edges()) {
-      names.push_back("b" + std::to_string(bags.size()));
-      bags.push_back(*witness.Marginal(edge));
-    }
-    std::string seg = testing::TempDir() + "witness_golden_path.seg";
-    ASSERT_TRUE(WriteSegmentFile(seg, names, bags, catalog, dicts).ok());
+  const std::pair<uint64_t, uint64_t> kHashes[witness_golden::kCases] = {
+      {2411353944748207146ull, 13679727823215944311ull},
+      {815611282524328913ull, 6124943409722371192ull},
+      {10945033963939489404ull, 8643410129829854531ull},
+      {11735254145539688515ull, 3181682457570518007ull},
+  };
+  for (size_t k = 0; k < witness_golden::kCases; ++k) {
+    SCOPED_TRACE("golden case " + std::to_string(k));
+    const std::string seg = testing::TempDir() + "witness_golden_path.seg";
     CollectionRegistry registry;
-    ServerSession loader(&registry, nullptr);
-    std::vector<std::string> sealed = loader.HandleScript("LOADSEG " + seg + "\nSEAL\n");
-    ASSERT_EQ(sealed.back(), "OK SEAL 8 bags");
-    std::vector<Request> requests;
-    for (size_t i = 0; i + 1 < bags.size(); ++i) {
-      requests.push_back(WitnessRequest(i, i + 1, false));
-    }
-    auto [text, frames] = WitnessReplies(&registry, requests);
-    EXPECT_EQ(Fnv1a(text), 2411353944748207146ull) << text.size() << " text bytes";
-    EXPECT_EQ(Fnv1a(frames), 13679727823215944311ull) << frames.size() << " frame bytes";
+    const std::vector<Request> requests = witness_golden::PublishCase(k, &registry, seg);
+    auto [text, frames] = witness_golden::WitnessReplies(&registry, requests);
+    EXPECT_EQ(Fnv1a(text), kHashes[k].first) << text.size() << " text bytes";
+    EXPECT_EQ(Fnv1a(frames), kHashes[k].second) << frames.size() << " frame bytes";
     std::remove(seg.c_str());
-  }
-  {
-    CollectionRegistry registry;
-    PublishNumericPair(
-        &registry,
-        *MakeBag(Schema{{0, 2}}, {{{0, 1}, 1}, {{0, 2}, 2}, {{1, 1}, 3}, {{2, 2}, 1}}),
-        *MakeBag(Schema{{1, 2}}, {{{5, 1}, 1}, {{3, 2}, 2}, {{7, 1}, 3}, {{4, 2}, 1}}));
-    auto [text, frames] = WitnessReplies(
-        &registry, {WitnessRequest(0, 1, false), WitnessRequest(0, 1, true),
-                    WitnessRequest(1, 0, false)});
-    EXPECT_EQ(Fnv1a(text), 815611282524328913ull) << text;
-    EXPECT_EQ(Fnv1a(frames), 6124943409722371192ull) << frames.size() << " frame bytes";
-  }
-  {
-    CollectionRegistry registry;
-    PublishNumericPair(
-        &registry,
-        *MakeBag(Schema{{0, 1}}, {{{-7, 3000000000}, 1},
-                                  {{5, -2}, 2},
-                                  {{3000000001, -2}, 1},
-                                  {{-1, 9}, 2}}),
-        *MakeBag(Schema{{1, 2}}, {{{3000000000, -1}, 1},
-                                  {{-2, 4}, 1},
-                                  {{-2, 4000000000}, 2},
-                                  {{9, -3}, 2}}));
-    auto [text, frames] = WitnessReplies(
-        &registry, {WitnessRequest(0, 1, false), WitnessRequest(0, 1, true),
-                    WitnessRequest(1, 0, false)});
-    EXPECT_EQ(Fnv1a(text), 10945033963939489404ull) << text;
-    EXPECT_EQ(Fnv1a(frames), 8643410129829854531ull) << frames.size() << " frame bytes";
-  }
-  {
-    // Few shared values with many rows each: P(R, S) has many vertices,
-    // so the bytes also pin which one the northwest-corner rule picks.
-    Rng rng(16);
-    BagGenOptions options;
-    options.support_size = 60;
-    options.domain_size = 4;
-    auto [r, s] = *MakeConsistentPair(Schema{{0, 1}}, Schema{{1, 2}}, options, &rng);
-    CollectionRegistry registry;
-    PublishNumericPair(&registry, std::move(r), std::move(s));
-    auto [text, frames] = WitnessReplies(
-        &registry, {WitnessRequest(0, 1, false), WitnessRequest(0, 1, true),
-                    WitnessRequest(1, 0, false)});
-    EXPECT_EQ(Fnv1a(text), 11735254145539688515ull) << text;
-    EXPECT_EQ(Fnv1a(frames), 3181682457570518007ull) << frames.size() << " frame bytes";
   }
 }
 
