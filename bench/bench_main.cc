@@ -27,11 +27,10 @@
 //   (Bag::Marginal on BagBuilder output of 4/16/32 rows onto |Z| = 2 and
 //   3 — the sizes the small-input grouping arm serves; 32 is the hashed
 //   control), a single marginal build (the engine cache-fill kernel), the
-//   hash-join matching phase (batch ColumnIndex::ProbeAll), then each
-//   SIMD kernel at kScalar vs the best host level, the cyclic GLOBAL at
-//   the perfbench write_global shape (global_c4: ConsistencyEngine::Global,
-//   the served path; global_c4_build: the CSR program's layout alone), the
-//   Tseitin H_7 GLOBAL (global_tseitin_h7: an empty join), and the serial
+//   hash-join matching phase (batch ColumnIndex::ProbeAll), the cyclic
+//   GLOBAL at the perfbench write_global shape (global_c4:
+//   ConsistencyEngine::Global, the served path; global_c4_build: the CSR
+//   program's layout alone), the Tseitin H_7 GLOBAL (global_tseitin_h7: an empty join), and the serial
 //   LP row builder. Run with --baseline against an older build's
 //   artifact to read every leg as a before/after ratio.
 //
@@ -98,7 +97,6 @@
 #include "server/engine_snapshot.h"
 #include "server/protocol.h"
 #include "server/session.h"
-#include "tuple/column_store.h"
 #include "tuple/segment.h"
 #include "tuple/column_index.h"
 #include "tuple/value_dictionary.h"
@@ -106,7 +104,6 @@
 #include "solver/integer_feasibility.h"
 #include "solver/lp.h"
 #include "util/random.h"
-#include "util/simd.h"
 
 // Injected by CMake so the artifact records how the binary was compiled.
 #ifndef BAGC_COMPILE_FLAGS
@@ -1145,79 +1142,6 @@ void RunColumnarProbeSuite(std::vector<BenchResult>* results) {
       }
       if (hits == 0) std::abort();
     }));
-  }
-
-  // SIMD-explicit kernel legs: each dispatched batch kernel at kScalar
-  // (the differential twin) vs the best level this host executes. Same
-  // inputs, bit-identical outputs — the artifact records the pure ISA
-  // speedup with the columnar layout held constant.
-  const simd::SimdLevel best = simd::Resolve(simd::SimdLevel::kAuto);
-  for (size_t support : {4096, 65536}) {
-    Rng rng(14000 + support);
-    std::vector<ValueId> data(support * 3);
-    for (ValueId& v : data) v = static_cast<ValueId>(rng.Next() % (1u << 16));
-    ColumnStore store =
-        ColumnStore::FromColumnMajor(std::move(data), support, 3);
-    std::vector<uint64_t> hashes;
-    BenchResult scalar = Measure("hash_rows_scalar", support, [&] {
-      store.View().HashRows(&hashes, simd::SimdLevel::kScalar);
-      if (hashes.empty()) std::abort();
-    });
-    BenchResult vec = Measure("hash_rows_simd", support, [&] {
-      store.View().HashRows(&hashes, best);
-      if (hashes.empty()) std::abort();
-    });
-    vec.baseline_ops_per_sec = scalar.ops_per_sec;
-    results->push_back(std::move(scalar));
-    results->push_back(std::move(vec));
-  }
-  for (size_t support : {4096, 65536}) {
-    Rng rng(15000 + support);
-    std::vector<ValueId> keys(support * 2), probes(support * 2);
-    for (ValueId& v : keys) v = static_cast<ValueId>(rng.Next() % (support / 8));
-    for (ValueId& v : probes) v = static_cast<ValueId>(rng.Next() % (support / 4));
-    ColumnStore key_store =
-        ColumnStore::FromColumnMajor(std::move(keys), support, 2);
-    ColumnStore probe_store =
-        ColumnStore::FromColumnMajor(std::move(probes), support, 2);
-    std::vector<uint32_t> matched;
-    ColumnIndex scalar_index(key_store.View(), simd::SimdLevel::kScalar);
-    ColumnIndex simd_index(key_store.View(), best);
-    BenchResult scalar = Measure("probe_all_scalar", support, [&] {
-      scalar_index.ProbeAll(probe_store.View(), &matched);
-      if (matched.size() != support) std::abort();
-    });
-    BenchResult vec = Measure("probe_all_simd", support, [&] {
-      simd_index.ProbeAll(probe_store.View(), &matched);
-      if (matched.size() != support) std::abort();
-    });
-    vec.baseline_ops_per_sec = scalar.ops_per_sec;
-    results->push_back(std::move(scalar));
-    results->push_back(std::move(vec));
-  }
-  for (size_t support : {4096, 65536}) {
-    Rng rng(16000 + support);
-    // Dense arity-2 keys: the radix group-by with SIMD max/pack against
-    // the scalar hash-group twin.
-    std::vector<ValueId> data(support * 2);
-    for (ValueId& v : data) v = static_cast<ValueId>(rng.Next() % 64);
-    ColumnStore store =
-        ColumnStore::FromColumnMajor(std::move(data), support, 2);
-    std::vector<uint64_t> mults(support);
-    for (uint64_t& m : mults) m = 1 + rng.Next() % 1000;
-    Schema z{{0, 1}};
-    BenchResult scalar = Measure("group_columns_scalar", support, [&] {
-      Bag m = *Bag::GroupColumns(z, store.View(), mults.data(), support,
-                                 simd::SimdLevel::kScalar);
-      if (m.SupportSize() == 0) std::abort();
-    });
-    BenchResult vec = Measure("group_columns_simd", support, [&] {
-      Bag m = *Bag::GroupColumns(z, store.View(), mults.data(), support, best);
-      if (m.SupportSize() == 0) std::abort();
-    });
-    vec.baseline_ops_per_sec = scalar.ops_per_sec;
-    results->push_back(std::move(scalar));
-    results->push_back(std::move(vec));
   }
 
   // The cyclic GLOBAL at the perfbench write_global shape (C4, 1,024 rows

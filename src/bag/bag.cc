@@ -260,41 +260,37 @@ Result<size_t> Bag::ApplyRowDeltas(
   return next.size();
 }
 
-Result<Bag> Bag::Marginal(const Schema& z, simd::SimdLevel level) const {
+Result<Bag> Bag::Marginal(const Schema& z) const {
   BAGC_ASSIGN_OR_RETURN(Projector proj, Projector::Make(schema_, z));
   return GroupColumns(z, Columns().Select(proj), MultiplicityData(),
-                      SupportSize(), level);
+                      SupportSize());
 }
 
 Result<Bag> Bag::GroupColumns(const Schema& z, const ColumnView& projected,
-                              const uint64_t* mults, size_t n,
-                              simd::SimdLevel level) {
+                              const uint64_t* mults, size_t n) {
   if (projected.arity() != z.arity() || projected.num_rows() != n) {
     return Status::InvalidArgument("projected columns do not match source rows");
   }
-  level = simd::Resolve(level);
   if (n == 0) return Bag(z);
   if (n < kSortGroupMaxRows) return GroupSorted(z, projected, mults, n);
   size_t arity = z.arity();
   // Radix-style dense path for the common shared-attribute arities: pack
   // the (<= 2) key ids into one integer and count into a flat table. Only
   // when every id is direct-range (so ascending packed key == ascending
-  // Tuple order) and the key space passed the density gate. kScalar
-  // deliberately skips this — it is the hash path's differential twin.
-  if (level != simd::SimdLevel::kScalar && arity >= 1 && arity <= 2) {
-    uint32_t max_a = simd::MaxU32(projected.column(0), n, level);
-    uint32_t max_b =
-        arity == 2 ? simd::MaxU32(projected.column(1), n, level) : 0;
+  // Tuple order) and the key space passed the density gate.
+  if (arity >= 1 && arity <= 2) {
+    ValueId max_a = projected.MaxId(0);
+    ValueId max_b = arity == 2 ? projected.MaxId(1) : 0;
     if (max_a < kDirectValueLimit && max_b < kDirectValueLimit) {
       uint64_t stride = static_cast<uint64_t>(max_b) + 1;
       uint64_t table = (static_cast<uint64_t>(max_a) + 1) * stride;
       uint64_t cap = std::max<uint64_t>(4096, 4 * static_cast<uint64_t>(n));
       if (table <= cap) {
-        return GroupDense(z, projected, mults, n, stride, table, level);
+        return GroupDense(z, projected, mults, n, stride, table);
       }
     }
   }
-  return GroupHashed(z, projected, mults, level);
+  return GroupHashed(z, projected, mults);
 }
 
 Result<Bag> Bag::GroupSorted(const Schema& z, const ColumnView& projected,
@@ -327,7 +323,7 @@ Result<Bag> Bag::GroupSorted(const Schema& z, const ColumnView& projected,
 
 Result<Bag> Bag::GroupDense(const Schema& z, const ColumnView& projected,
                             const uint64_t* mults, size_t n, uint64_t stride,
-                            uint64_t table, simd::SimdLevel level) {
+                            uint64_t table) {
   size_t arity = projected.arity();
   std::vector<uint64_t> acc(table, 0);
   size_t groups = 0;
@@ -341,11 +337,10 @@ Result<Bag> Bag::GroupDense(const Schema& z, const ColumnView& projected,
       BAGC_ASSIGN_OR_RETURN(slot, CheckedAdd(slot, mults[r]));
     }
   } else {
-    std::vector<uint64_t> keys(n);
-    simd::PackKeys2(projected.column(0), projected.column(1), stride, n,
-                    keys.data(), level);
+    const ValueId* a = projected.column(0);
+    const ValueId* b = projected.column(1);
     for (size_t r = 0; r < n; ++r) {
-      uint64_t& slot = acc[keys[r]];
+      uint64_t& slot = acc[static_cast<uint64_t>(a[r]) * stride + b[r]];
       if (slot == 0) ++groups;
       BAGC_ASSIGN_OR_RETURN(slot, CheckedAdd(slot, mults[r]));
     }
@@ -382,8 +377,8 @@ Result<Bag> Bag::GroupDense(const Schema& z, const ColumnView& projected,
 }
 
 Result<Bag> Bag::GroupHashed(const Schema& z, const ColumnView& projected,
-                             const uint64_t* mults, simd::SimdLevel level) {
-  ColumnIndex groups(projected, level);
+                             const uint64_t* mults) {
+  ColumnIndex groups(projected);
   size_t ng = groups.NumGroups();
   std::vector<uint64_t> sums(ng);
   for (size_t g = 0; g < ng; ++g) {

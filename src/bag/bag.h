@@ -28,7 +28,6 @@
 #include "tuple/tuple.h"
 #include "util/checked_math.h"
 #include "util/result.h"
-#include "util/simd.h"
 
 namespace bagc {
 
@@ -119,22 +118,19 @@ class Bag {
                                     std::shared_ptr<const void> keep_alive);
 
   /// Marginal R[Z] per Equation (2); requires Z ⊆ X. Selects the Z
-  /// columns (zero-copy) and groups them with GroupColumns at `level`.
-  Result<Bag> Marginal(const Schema& z,
-                       simd::SimdLevel level = simd::SimdLevel::kAuto) const;
+  /// columns (zero-copy) and groups them with GroupColumns.
+  Result<Bag> Marginal(const Schema& z) const;
 
   /// Columnar grouping core: `projected` holds Z-layout columns whose row
   /// i carries multiplicity mults[i] (> 0); both have n rows. Sums
   /// multiplicities of equal rows (overflow-checked, in ascending row
-  /// order) and returns the sorted marginal over z. Inputs under 32 rows
-  /// sort-merge their row indices; larger arity <= 2 key ranges that pass
-  /// the density gate use the radix (dense-key) group-by with SIMD
-  /// max/pack; everything else — and all of kScalar, the differential
-  /// twin — hash-groups via ColumnIndex. All paths produce bit-identical
-  /// bags.
+  /// order) and returns the sorted marginal over z. The input alone picks
+  /// the path: under 32 rows sort-merge their row indices; arity <= 2 keys
+  /// whose ids are all direct-range and pass the density gate use the
+  /// radix (dense-key) group-by; everything else hash-groups via
+  /// ColumnIndex. All paths produce bit-identical bags.
   static Result<Bag> GroupColumns(const Schema& z, const ColumnView& projected,
-                                  const uint64_t* mults, size_t n,
-                                  simd::SimdLevel level = simd::SimdLevel::kAuto);
+                                  const uint64_t* mults, size_t n);
 
   /// Bag join R ⋈_b S: support R' ⋈ S', multiplicity R(t[X]) * S(t[Y]).
   /// Columnar: ColumnJoinMatch pairs the rows and FromJoinPairs seals
@@ -219,16 +215,14 @@ class Bag {
   // one integer and accumulate into a flat table scanned in key order —
   // valid only when all ids are direct-range (ascending id == Tuple
   // order) and the key range passed the density gate. Hashed: the
-  // general path (ColumnIndex grouping + sort by lead row) and the
-  // scalar differential twin.
+  // general path (ColumnIndex grouping + sort by lead row).
   static Result<Bag> GroupSorted(const Schema& z, const ColumnView& projected,
                                  const uint64_t* mults, size_t n);
   static Result<Bag> GroupDense(const Schema& z, const ColumnView& projected,
                                 const uint64_t* mults, size_t n,
-                                uint64_t stride, uint64_t table,
-                                simd::SimdLevel level);
+                                uint64_t stride, uint64_t table);
   static Result<Bag> GroupHashed(const Schema& z, const ColumnView& projected,
-                                 const uint64_t* mults, simd::SimdLevel level);
+                                 const uint64_t* mults);
   // Emits one output row per group, in the given order: group g's key is
   // projected row leads[g], its multiplicity sums[g].
   static Bag EmitGroups(const Schema& z, const ColumnView& projected,

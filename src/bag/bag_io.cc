@@ -4,8 +4,6 @@
 #include <string_view>
 #include <sstream>
 
-#include "util/simd.h"
-
 namespace bagc {
 
 std::string_view StripCommentView(std::string_view line) {
@@ -277,12 +275,11 @@ Result<Bag> BagBorrowU32Columns(const std::vector<std::string>& attr_names,
       return Status::FailedPrecondition(
           "segment columns are not contiguous column-major");
     }
-    // Bounds check the whole column at once (SIMD max-reduce) instead of
+    // Bounds check the whole column at once (one max-reduce) instead of
     // per-row: every id a column carries must have been issued by its
     // dictionary.
     if (n > 0) {
-      uint32_t max_id = simd::MaxU32(columns.column(c), n,
-                                     simd::SimdLevel::kAuto);
+      ValueId max_id = columns.MaxId(c);
       if (max_id >= dict->size()) {
         return Status::OutOfRange(
             "row id " + std::to_string(max_id) +

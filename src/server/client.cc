@@ -48,6 +48,14 @@ Status ReadMore(int fd, std::string* inbuf) {
   return Status::OK();
 }
 
+// Line [begin, end) of `buf`, which ends in '\n', without the '\n' or a
+// '\r' before it.
+std::string_view LineOf(std::string_view buf, size_t begin, size_t end) {
+  std::string_view line = buf.substr(begin, end - begin - 1);
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  return line;
+}
+
 // "OK ..." passes through; "ERR ..." (or anything else) becomes an error
 // Status carrying the server's line.
 Status ExpectOk(const std::vector<std::string>& response) {
@@ -115,25 +123,20 @@ Status BagcdClient::SendLine(const std::string& line) {
   return WriteAll(fd_, line + "\n");
 }
 
-Result<std::string> BagcdClient::LineAt(size_t* pos) {
-  size_t scanned = *pos;
+Result<size_t> BagcdClient::LineEnd(size_t begin) {
+  size_t scanned = begin;
   while (true) {
     size_t nl = inbuf_.find('\n', scanned);
-    if (nl != std::string::npos) {
-      std::string line = inbuf_.substr(*pos, nl - *pos);
-      *pos = nl + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return line;
-    }
+    if (nl != std::string::npos) return nl + 1;
     scanned = inbuf_.size();
     BAGC_RETURN_NOT_OK(ReadMore(fd_, &inbuf_));
   }
 }
 
 Result<std::string> BagcdClient::ReadLine() {
-  size_t pos = 0;
-  BAGC_ASSIGN_OR_RETURN(std::string line, LineAt(&pos));
-  inbuf_.erase(0, pos);
+  BAGC_ASSIGN_OR_RETURN(size_t end, LineEnd(0));
+  std::string line(LineOf(inbuf_, 0, end));
+  inbuf_.erase(0, end);
   return line;
 }
 
@@ -161,19 +164,22 @@ Result<size_t> BagcdClient::BufferFrame() {
   }
 }
 
-Result<std::vector<std::string>> BagcdClient::ReadReplyLines() {
-  std::vector<std::string> lines;
-  size_t pos = 0;
-  BAGC_ASSIGN_OR_RETURN(std::string first, LineAt(&pos));
-  bool body = WireResponseHasBody(first);
-  lines.push_back(std::move(first));
+Result<size_t> BagcdClient::BufferReply() {
+  BAGC_ASSIGN_OR_RETURN(size_t end, LineEnd(0));
+  bool body = WireResponseHasBody(LineOf(inbuf_, 0, end));
   while (body) {
-    BAGC_ASSIGN_OR_RETURN(std::string line, LineAt(&pos));
-    body = line != kWireEnd;
-    lines.push_back(std::move(line));
+    const size_t begin = end;
+    BAGC_ASSIGN_OR_RETURN(end, LineEnd(begin));
+    body = LineOf(inbuf_, begin, end) != kWireEnd;
   }
-  inbuf_.erase(0, pos);
-  return lines;
+  return end;
+}
+
+Result<Response> BagcdClient::ReadReplyText() {
+  BAGC_ASSIGN_OR_RETURN(size_t size, BufferReply());
+  Result<Response> response = DecodeResponseLines(std::string_view(inbuf_).substr(0, size));
+  inbuf_.erase(0, size);
+  return response;
 }
 
 Result<Response> BagcdClient::ReadReplyFrame() {
@@ -213,7 +219,9 @@ Result<std::vector<std::string>> BagcdClient::Command(
     request += std::string(kWireEnd) + "\n";
   }
   BAGC_RETURN_NOT_OK(WriteAll(fd_, request));
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, ReadReplyLines());
+  BAGC_ASSIGN_OR_RETURN(size_t size, BufferReply());
+  std::vector<std::string> response = WireSplitLines(std::string_view(inbuf_).substr(0, size));
+  inbuf_.erase(0, size);
   // A successful text-mode UPGRADE flips this client to frames too.
   if (command == "UPGRADE BINARY" && response.front() == "OK UPGRADE BINARY") {
     binary_ = true;
@@ -229,8 +237,7 @@ Result<Response> BagcdClient::Call(const Request& request, Response::Kind expect
     BAGC_ASSIGN_OR_RETURN(response, ReadReplyFrame());
   } else {
     BAGC_RETURN_NOT_OK(WriteAll(fd_, EncodeTextRequest(request)));
-    BAGC_ASSIGN_OR_RETURN(std::vector<std::string> lines, ReadReplyLines());
-    BAGC_ASSIGN_OR_RETURN(response, DecodeResponseLines(lines));
+    BAGC_ASSIGN_OR_RETURN(response, ReadReplyText());
   }
   if (response.kind == expected) return response;
   std::string text;

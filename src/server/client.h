@@ -125,13 +125,14 @@ class BagcdClient {
   // `expected` — an Err above all — becomes the Status
   // "server said: <its first text line>".
   Result<Response> Call(const Request& request, Response::Kind expected);
-  // Reads one text response: the first line, through END for bodies.
-  // The lines are read at a cursor into inbuf_, which is trimmed once
-  // per reply, not once per line.
-  Result<std::vector<std::string>> ReadReplyLines();
-  // The line starting at inbuf_[*pos] (without its newline), reading
-  // more bytes as needed; advances *pos past it and erases nothing.
-  Result<std::string> LineAt(size_t* pos);
+  // Reads until the line starting at inbuf_[begin] is whole; returns
+  // the offset just past its '\n'.
+  Result<size_t> LineEnd(size_t begin);
+  // Reads until one whole text reply (its first line, through END for
+  // WITNESS/STATS) is at the front of inbuf_; returns its size.
+  Result<size_t> BufferReply();
+  // Reads one text reply and decodes it where it lies in inbuf_.
+  Result<Response> ReadReplyText();
   // Reads until one whole frame is at the front of inbuf_; returns its
   // payload length.
   Result<size_t> BufferFrame();

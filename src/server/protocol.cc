@@ -74,6 +74,16 @@ char* PutLittleEndian(char* p, T v) {
   return p;
 }
 
+// Splits the next line off the front of *text: through its '\n' (a last
+// line may lack one), returned without the '\n' or a '\r' before it.
+std::string_view PopLine(std::string_view* text) {
+  const size_t nl = std::min(text->find('\n'), text->size());
+  std::string_view line = text->substr(0, nl);
+  text->remove_prefix(std::min(nl + 1, text->size()));
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  return line;
+}
+
 }  // namespace
 
 std::vector<std::string> WireTokens(std::string_view line) {
@@ -84,14 +94,7 @@ std::vector<std::string> WireTokens(std::string_view line) {
 
 std::vector<std::string> WireSplitLines(std::string_view text) {
   std::vector<std::string> lines;
-  size_t begin = 0;
-  while (begin < text.size()) {
-    size_t nl = std::min(text.find('\n', begin), text.size());
-    std::string_view line = text.substr(begin, nl - begin);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    lines.emplace_back(line);
-    begin = nl + 1;
-  }
+  while (!text.empty()) lines.emplace_back(PopLine(&text));
   return lines;
 }
 
@@ -100,7 +103,7 @@ bool WireCommandHasBody(std::string_view command) {
          command == "INSERT" || command == "DELETE";
 }
 
-bool WireResponseHasBody(const std::string& first_line) {
+bool WireResponseHasBody(std::string_view first_line) {
   return first_line.rfind("OK WITNESS", 0) == 0 ||
          first_line.rfind("OK STATS", 0) == 0;
 }
@@ -461,6 +464,9 @@ Result<Request> DecodeTextRequest(const std::vector<std::string>& tokens,
         if (value.size() != 1) {
           return Status::InvalidArgument("dictionary values are one token per line");
         }
+        // A token can still hold a '\r' the line framing reserves; refuse
+        // what a DICT frame, LOADSEG and the client refuse.
+        BAGC_RETURN_NOT_OK(WireValidateValue(value[0]));
         r.lines.push_back(std::move(value[0]));
       }
       if (r.lines.size() != count) {
@@ -877,16 +883,21 @@ void AppendResponseFrame(const Response& r, std::string* out) {
   *p = static_cast<char>(opcode);
 }
 
-Result<Response> DecodeResponseLines(const std::vector<std::string>& lines) {
-  const std::string first = lines.empty() ? std::string() : lines.front();
-  const Status malformed = Status::Internal("malformed response: '" + first + "'");
+Result<Response> DecodeResponseLines(std::string_view text) {
+  // Lines as WireSplitLines counts them: the last may lack its '\n'.
+  const size_t num_lines = static_cast<size_t>(std::count(text.begin(), text.end(), '\n')) +
+                           (!text.empty() && text.back() != '\n');
+  const std::string_view first = PopLine(&text);
+  const Status malformed = Status::Internal("malformed response: '" + std::string(first) + "'");
   const std::vector<std::string> head = WireTokens(first);
   if (head.size() >= 2 && head[0] == "ERR") {
     for (uint8_t tag = 0; tag <= WireErrorTag(WireError::kInternal); ++tag) {
       const WireError error = static_cast<WireError>(tag);
       if (WireErrorCode(error) != head[1]) continue;
       const size_t space = first.find(' ', 4);
-      return Response::Err(error, space == std::string::npos ? "" : first.substr(space + 1));
+      return Response::Err(error, space == std::string_view::npos
+                                      ? ""
+                                      : std::string(first.substr(space + 1)));
     }
     return malformed;
   }
@@ -907,26 +918,22 @@ Result<Response> DecodeResponseLines(const std::vector<std::string>& lines) {
     if (!r.found) return r;
     // OK line, "bag <attrs...>", exactly the announced rows, "end", END.
     Result<uint64_t> rows = WireParseUint(head[2]);
-    if (lines.size() < 4 || !rows.ok() || *rows != lines.size() - 4 ||
-        lines[lines.size() - 2] != "end" || lines.back() != kWireEnd) {
-      return malformed;
-    }
+    if (num_lines < 4 || !rows.ok() || *rows != num_lines - 4) return malformed;
     std::vector<std::string_view> tokens;
-    SpanTokens(StripCommentView(lines[1]), &tokens);
+    SpanTokens(StripCommentView(PopLine(&text)), &tokens);
     if (tokens.empty() || tokens[0] != "bag") return malformed;
     r.attrs.assign(tokens.begin() + 1, tokens.end());
     const size_t arity = r.attrs.size();
-    // The row lines hold every value byte, so their total bounds the blob.
-    size_t row_bytes = 0;
-    for (size_t l = 2; l + 2 < lines.size(); ++l) row_bytes += lines[l].size();
-    if (row_bytes > std::numeric_limits<uint32_t>::max()) return malformed;
-    r.value_blob.resize(row_bytes);
+    // The rest of the reply holds every value byte, so its size bounds
+    // the blob.
+    if (text.size() > std::numeric_limits<uint32_t>::max()) return malformed;
+    r.value_blob.resize(text.size());
     r.value_ends.resize(*rows * arity);
     r.mults.resize(*rows);
     char* const blob = r.value_blob.data();
     char* p = blob;
     for (size_t row = 0, k = 0; row < *rows; ++row) {
-      SpanTokens(StripCommentView(lines[row + 2]), &tokens);
+      SpanTokens(StripCommentView(PopLine(&text)), &tokens);
       if (tokens.size() != arity + 2 || tokens[arity] != ":") return malformed;
       Result<uint64_t> mult = WireParseUint(tokens.back());
       if (!mult.ok()) return malformed;
@@ -937,21 +944,22 @@ Result<Response> DecodeResponseLines(const std::vector<std::string>& lines) {
       r.mults[row] = *mult;
     }
     r.value_blob.resize(p - blob);
+    if (PopLine(&text) != "end" || PopLine(&text) != kWireEnd) return malformed;
     return r;
   }
   if (first == "OK STATS") {
     r.kind = Response::Kind::kStats;
-    if (lines.back() != kWireEnd) return malformed;
-    for (size_t l = 1; l + 1 < lines.size(); ++l) {
-      std::vector<std::string> kv = WireTokens(lines[l]);
+    for (size_t l = 1; l + 1 < num_lines; ++l) {
+      std::vector<std::string> kv = WireTokens(PopLine(&text));
       if (kv.size() != 2) return malformed;
       Result<uint64_t> value = WireParseUint(kv[1]);
       if (!value.ok()) return malformed;
       r.stats.emplace_back(kv[0], *value);
     }
+    if (PopLine(&text) != kWireEnd) return malformed;
     return r;
   }
-  return Response::Ok(first.substr(3));
+  return Response::Ok(std::string(first.substr(3)));
 }
 
 Result<Response> DecodeResponseFrame(uint8_t opcode, std::string_view payload) {

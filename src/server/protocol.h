@@ -70,7 +70,7 @@ bool WireCommandHasBody(std::string_view command);
 
 /// True for response first-lines that open a body up to "END":
 /// "OK WITNESS ..." and "OK STATS".
-bool WireResponseHasBody(const std::string& first_line);
+bool WireResponseHasBody(std::string_view first_line);
 
 /// Parses a non-negative integer token (no sign, no suffix).
 Result<uint64_t> WireParseUint(std::string_view token);
@@ -292,8 +292,9 @@ std::vector<std::string> WitnessBagLines(const Response& response);
 /// Binary encoder: appends the response as one server frame.
 void AppendResponseFrame(const Response& response, std::string* out);
 
-/// Decodes one complete text response: its lines, first through END.
-Result<Response> DecodeResponseLines(const std::vector<std::string>& lines);
+/// Decodes one complete text response where it lies: its bytes, first
+/// line through END, split into lines as WireSplitLines splits them.
+Result<Response> DecodeResponseLines(std::string_view text);
 
 /// Decodes one server frame.
 Result<Response> DecodeResponseFrame(uint8_t opcode, std::string_view payload);

@@ -14,14 +14,13 @@ size_t NextPowerOfTwo(size_t n) {
 
 }  // namespace
 
-ColumnIndex::ColumnIndex(ColumnView keys, simd::SimdLevel level)
-    : keys_(std::move(keys)), level_(simd::Resolve(level)) {
+ColumnIndex::ColumnIndex(ColumnView keys) : keys_(std::move(keys)) {
   size_t n = keys_.num_rows();
   // All rows are inserted up front, so size the table once (load < ~0.7)
   // and never rehash.
   slots_.assign(NextPowerOfTwo(n + n / 2 + 1), 0);
   std::vector<uint64_t> hashes;
-  keys_.HashRows(&hashes, level_);
+  keys_.HashRows(&hashes);
   // Pass 1: each row's group.
   std::vector<uint32_t> group_of(n);
   for (size_t r = 0; r < n; ++r) {
@@ -69,21 +68,14 @@ void ColumnIndex::ProbeAll(const ColumnView& probes,
   out->assign(n, kNoGroup);
   if (n == 0) return;
   std::vector<uint64_t> hashes;
-  probes.HashRows(&hashes, level_);
+  probes.HashRows(&hashes);
   if (slots_.empty()) return;  // default-constructed index: no groups
-  // Gather indices are i32, so the batched first probe needs a table
-  // capacity <= 2^31; larger tables (would need > 1.4G keys) walk
-  // scalar. Both branches produce identical answers.
-  if (slots_.size() > (size_t{1} << 31)) {
-    for (size_t r = 0; r < n; ++r) (*out)[r] = Probe(probes, r, hashes[r]);
-    return;
-  }
-  // Load every probe's first slot in one batch: an empty slot is a
-  // definitive miss and a matching first slot a definitive hit, so the
-  // scalar walk only runs on genuine collisions.
+  // Load every probe's first slot in one pass, so the loads overlap: an
+  // empty slot is a definitive miss and a matching first slot a
+  // definitive hit, so the slot walk only runs on genuine collisions.
   std::vector<uint32_t> tags(n);
-  simd::GatherSlotTags(slots_.data(), slots_.size() - 1, hashes.data(), n,
-                       tags.data(), level_);
+  size_t mask = slots_.size() - 1;
+  for (size_t r = 0; r < n; ++r) tags[r] = slots_[hashes[r] & mask];
   for (size_t r = 0; r < n; ++r) {
     uint32_t tag = tags[r];
     if (tag == 0) continue;  // first slot empty: kNoGroup

@@ -15,7 +15,7 @@
 namespace bagc {
 
 /// \brief Hash grouping over the rows of a borrowed ColumnView, with a
-/// vectorizable batch probe.
+/// batch probe.
 ///
 /// Construction groups every key row (equal rows share a group; groups and
 /// their row lists are in first-appearance order, i.e. ascending row
@@ -41,11 +41,8 @@ class ColumnIndex {
   };
 
   ColumnIndex() = default;
-  /// Builds the grouping over all rows of `keys`. `level` selects the
-  /// SIMD variant of the batch hash and batch probe (kAuto = process
-  /// default); every level produces identical groups and probe answers.
-  explicit ColumnIndex(ColumnView keys,
-                       simd::SimdLevel level = simd::SimdLevel::kAuto);
+  /// Builds the grouping over all rows of `keys`.
+  explicit ColumnIndex(ColumnView keys);
 
   size_t NumGroups() const { return groups_.size(); }
   /// Rows of group g, ascending.
@@ -59,10 +56,9 @@ class ColumnIndex {
 
   /// For every row of `probes` (same arity as the keys), the matching
   /// group id or kNoGroup. Hashes the whole probe view column-wise, then
-  /// loads every probe's first slot in one batch (simd::GatherSlotTags —
-  /// hardware gather on AVX2) so the common cases (empty slot, or a
-  /// first-slot hit) never enter the scalar walk; only collisions do.
-  /// Bit-identical to per-row Probe at every dispatch level.
+  /// loads every probe's first slot in one pass so the common cases
+  /// (empty slot, or a first-slot hit) never enter the slot walk; only
+  /// collisions do. Answers exactly as per-row Probe.
   void ProbeAll(const ColumnView& probes, std::vector<uint32_t>* out) const;
 
   /// Single-row probe against an external view (same arity); kNoGroup
@@ -86,8 +82,6 @@ class ColumnIndex {
   std::vector<uint32_t> rows_;
   // Open-addressing table of group index + 1; 0 marks an empty slot.
   std::vector<uint32_t> slots_;
-  // Resolved dispatch level for batch hashing/probing (never kAuto).
-  simd::SimdLevel level_ = simd::SimdLevel::kScalar;
 };
 
 /// \brief Columnar hash-join matching phase, shared by the bag join, the
@@ -101,9 +95,8 @@ class ColumnJoinMatch {
   /// `left`/`right` select both sides onto the same shared layout; the
   /// views borrow their owners' storage, which must outlive this match
   /// object.
-  ColumnJoinMatch(ColumnView left, ColumnView right,
-                  simd::SimdLevel level = simd::SimdLevel::kAuto)
-      : index_(std::move(right), level) {
+  ColumnJoinMatch(ColumnView left, ColumnView right)
+      : index_(std::move(right)) {
     index_.ProbeAll(left, &match_);
   }
 

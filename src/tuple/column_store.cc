@@ -10,6 +10,13 @@ ColumnView ColumnView::Select(const Projector& proj) const {
   return ColumnView(std::move(cols), rows_);
 }
 
+ValueId ColumnView::MaxId(size_t c) const {
+  const ValueId* col = columns_[c];
+  ValueId best = 0;
+  for (size_t r = 0; r < rows_; ++r) best = col[r] > best ? col[r] : best;
+  return best;
+}
+
 Tuple ColumnView::RowAt(size_t r) const {
   std::vector<ValueId> ids(columns_.size());
   for (size_t c = 0; c < columns_.size(); ++c) ids[c] = columns_[c][r];
@@ -34,11 +41,14 @@ int ColumnView::CompareRows(size_t a, const ColumnView& other, size_t b) const {
   return 0;
 }
 
-void ColumnView::HashRows(std::vector<uint64_t>* out,
-                          simd::SimdLevel level) const {
-  out->resize(rows_);
-  simd::HashRowsKernel(columns_.data(), columns_.size(), rows_, out->data(),
-                       level);
+void ColumnView::HashRows(std::vector<uint64_t>* out) const {
+  out->assign(rows_, HashSeed(columns_.size()));
+  uint64_t* hashes = out->data();
+  for (const ValueId* col : columns_) {
+    for (size_t r = 0; r < rows_; ++r) {
+      HashCombine(&hashes[r], static_cast<uint64_t>(col[r]));
+    }
+  }
 }
 
 ColumnView ColumnStore::View() const {

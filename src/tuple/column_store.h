@@ -22,7 +22,6 @@
 
 #include "tuple/schema.h"
 #include "tuple/tuple.h"
-#include "util/simd.h"
 
 namespace bagc {
 
@@ -50,6 +49,9 @@ class ColumnView {
   /// Id at (row r, column c).
   ValueId at(size_t r, size_t c) const { return columns_[c][r]; }
 
+  /// Largest id in column c; 0 when the view has no rows.
+  ValueId MaxId(size_t c) const;
+
   /// Selects the columns of `proj` (this view's layout must be
   /// proj.from()'s). Pure pointer shuffle — no row is touched.
   ColumnView Select(const Projector& proj) const;
@@ -67,11 +69,8 @@ class ColumnView {
   int CompareRows(size_t a, const ColumnView& other, size_t b) const;
 
   /// Hashes every row into out[r] == RowAt(r).Hash() (same seed/combine
-  /// sequence as HashRange) via the dispatched batch kernel
-  /// (simd::HashRowsKernel); `level` selects the ISA variant, kAuto =
-  /// the process default. Every level is bit-identical.
-  void HashRows(std::vector<uint64_t>* out,
-                simd::SimdLevel level = simd::SimdLevel::kAuto) const;
+  /// sequence as HashRange), one column at a time.
+  void HashRows(std::vector<uint64_t>* out) const;
 
  private:
   std::vector<const ValueId*> columns_;

@@ -1,10 +1,10 @@
 // Hashing helpers for composite keys (tuples, schemas).
 //
 // The constants below are THE hash definition for the whole engine: the
-// row path (Tuple::Hash via HashRange), the columnar path
-// (ColumnView::HashRows), and the SIMD kernels (util/simd.h) all combine
-// with the same seed and mixer, so indexes built on one path answer
-// probes hashed on another. Change them here or nowhere.
+// row path (Tuple::Hash via HashRange) and the columnar path
+// (ColumnView::HashRows) combine with the same seed and mixer, so indexes
+// built on one path answer probes hashed on another. Change them here or
+// nowhere.
 #pragma once
 
 #include <cstddef>

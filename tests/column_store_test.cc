@@ -1,8 +1,9 @@
 // Regression suite for the columnar bag: ColumnStore/ColumnView round
-// trips, ColumnIndex grouping + batch probes against a std::map
-// oracle, and Bag::Marginal against a std::map oracle at every small
-// size, both dispatch levels, Tup(∅), empty projections, and
-// multiplicity-overflow rejection.
+// trips, batch row hashes against Tuple::Hash, ColumnIndex grouping +
+// batch probes against a std::map oracle and per-row probes, and
+// Bag::Marginal against a std::map oracle at every small size in every
+// GroupColumns arm (sorted, dense, hashed), Tup(∅), empty projections,
+// and multiplicity-overflow rejection in every arm.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -62,14 +63,16 @@ Bag RandomBag(const Schema& schema, size_t support, uint64_t domain,
   return *MakeRandomBag(schema, options, &rng);
 }
 
-// Exactly n distinct rows over `schema`, values in [-1, domain - 1) — the
-// -1 is a side-table id, so the ValueIdLess order is exercised too.
-Bag ExactBag(const Schema& schema, size_t n, int64_t domain, uint64_t seed) {
+// Exactly n distinct rows over `schema`, values in [lo, lo + domain). A
+// negative lo puts side-table ids in the rows, so the ValueIdLess order
+// is exercised too.
+Bag ExactBag(const Schema& schema, size_t n, Value lo, int64_t domain,
+             uint64_t seed) {
   Rng rng(seed);
   std::map<Tuple, uint64_t> rows;
   while (rows.size() < n) {
     std::vector<Value> values(schema.arity());
-    for (Value& v : values) v = static_cast<Value>(rng.Below(domain)) - 1;
+    for (Value& v : values) v = lo + static_cast<Value>(rng.Below(domain));
     rows[Tuple{values}] = rng.Range(1, 9);
   }
   BagBuilder builder(schema);
@@ -159,21 +162,105 @@ TEST(ColumnStoreTest, ColumnIndexMatchesMapOracle) {
 
 TEST(ColumnStoreTest, MarginalMatchesMapOracleAtEverySmallSize) {
   // Every n from 1 to 40 crosses the small sort-merge arm (< 32 rows)
-  // into the dense/hashed arms; kScalar pins the hashed arm above it.
+  // into the arm the rows' shape picks. At 32 rows and more: ids 0..3
+  // projected onto 1 or 2 attributes take the dense arm; ids spread to
+  // 2^20 fail its density gate and side-table ids (-1) its direct-range
+  // gate, so both hash-group, as does every projection onto 3 attributes.
+  struct Shape {
+    const char* name;
+    Value lo;
+    int64_t domain;
+  };
+  const Shape shapes[] = {
+      {"dense", 0, 4}, {"spread", 0, int64_t{1} << 20}, {"side-table", -1, 4}};
   Schema x{{0, 1, 2, 3}};
-  for (size_t n = 1; n <= 40; ++n) {
-    Bag bag = ExactBag(x, n, 4, 7000 + n);
-    ASSERT_EQ(bag.SupportSize(), n);
-    for (const Schema& z : {Schema{{1}}, Schema{{0, 2}}, Schema{{1, 2, 3}}}) {
-      std::map<Tuple, uint64_t> oracle = *MapMarginal(bag, z);
-      for (simd::SimdLevel level :
-           {simd::SimdLevel::kScalar, simd::SimdLevel::kAuto}) {
-        SCOPED_TRACE("n=" + std::to_string(n) + " z=" + z.ToString() +
-                     " level=" + simd::SimdLevelName(simd::Resolve(level)));
-        ExpectMatchesOracle(*bag.Marginal(z, level), oracle);
+  for (const Shape& shape : shapes) {
+    for (size_t n = 1; n <= 40; ++n) {
+      Bag bag = ExactBag(x, n, shape.lo, shape.domain, 7000 + n);
+      ASSERT_EQ(bag.SupportSize(), n);
+      for (const Schema& z : {Schema{{1}}, Schema{{0, 2}}, Schema{{1, 2, 3}}}) {
+        SCOPED_TRACE(std::string(shape.name) + " n=" + std::to_string(n) +
+                     " z=" + z.ToString());
+        ExpectMatchesOracle(*bag.Marginal(z), *MapMarginal(bag, z));
       }
     }
   }
+}
+
+TEST(ColumnStoreTest, HashRowsMatchesTupleHash) {
+  // Empty to 1,000 rows at arities 1-4 on random ids, and all-equal rows
+  // of 0, 1 and 2^32 - 1 (where a truncated or sign-extended id would
+  // still look plausible).
+  const size_t sizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 1000};
+  Rng rng(0x51D0001);
+  auto expect_tuple_hashes = [](const ColumnStore& store) {
+    std::vector<uint64_t> hashes(3, 0xDEAD);
+    store.View().HashRows(&hashes);
+    ASSERT_EQ(hashes.size(), store.num_rows());
+    for (size_t r = 0; r < store.num_rows(); ++r) {
+      ASSERT_EQ(hashes[r], store.RowAt(r).Hash()) << "row " << r;
+    }
+  };
+  for (size_t n : sizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    for (size_t arity = 1; arity <= 4; ++arity) {
+      std::vector<ValueId> data(n * arity);
+      for (ValueId& v : data) v = static_cast<ValueId>(rng.Next());
+      expect_tuple_hashes(ColumnStore::FromColumnMajor(std::move(data), n, arity));
+    }
+    for (ValueId value : {0u, 1u, std::numeric_limits<uint32_t>::max()}) {
+      expect_tuple_hashes(
+          ColumnStore::FromColumnMajor(std::vector<ValueId>(n, value), n, 1));
+    }
+  }
+}
+
+TEST(ColumnStoreTest, MaxIdIsTheColumnMaximum) {
+  // The dense group-by sizes its table, and a segment reload bounds-checks
+  // its ids, by MaxId: the maximum must count at the head, the tail and
+  // mid-column, and an empty view reads 0.
+  const ValueId top = std::numeric_limits<uint32_t>::max();
+  EXPECT_EQ(ColumnStore::FromColumnMajor({}, 0, 1).View().MaxId(0), 0u);
+  for (size_t n : {1, 2, 7, 8, 9, 33, 1000}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    for (size_t at : {size_t{0}, n / 2, n - 1}) {
+      std::vector<ValueId> data(2 * n, 3);
+      data[n + at] = top - 1;
+      ColumnStore store = ColumnStore::FromColumnMajor(std::move(data), n, 2);
+      EXPECT_EQ(store.View().MaxId(0), 3u);
+      EXPECT_EQ(store.View().MaxId(1), top - 1) << "max at row " << at;
+    }
+  }
+}
+
+TEST(ColumnStoreTest, ProbeAllMatchesPerRowProbe) {
+  // A small id domain forces dense groups and hash collisions; probes mix
+  // present and absent rows.
+  Rng rng(0x51D0006);
+  auto random_store = [&](size_t rows, uint32_t limit) {
+    std::vector<ValueId> data(rows * 2);
+    for (ValueId& v : data) v = static_cast<ValueId>(rng.Below(limit + 1));
+    return ColumnStore::FromColumnMajor(std::move(data), rows, 2);
+  };
+  ColumnStore keys = random_store(500, 12);
+  ColumnStore probes = random_store(700, 16);
+  ColumnIndex index(keys.View());
+  std::vector<uint32_t> match;
+  index.ProbeAll(probes.View(), &match);
+  std::vector<uint64_t> hashes;
+  probes.View().HashRows(&hashes);
+  ASSERT_EQ(match.size(), probes.num_rows());
+  size_t hits = 0;
+  for (size_t r = 0; r < probes.num_rows(); ++r) {
+    ASSERT_EQ(match[r], index.Probe(probes.View(), r, hashes[r])) << "row " << r;
+    hits += match[r] != ColumnIndex::kNoGroup;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, probes.num_rows());
+  // A default-constructed index has no groups: every probe misses.
+  ColumnIndex none;
+  none.ProbeAll(probes.View(), &match);
+  EXPECT_EQ(match, std::vector<uint32_t>(probes.num_rows(), ColumnIndex::kNoGroup));
 }
 
 TEST(ColumnStoreTest, EveryBagExposesItsColumns) {
@@ -195,7 +282,7 @@ TEST(ColumnStoreTest, EveryBagExposesItsColumns) {
   ASSERT_TRUE(scalar.Set(Tuple{}, 3).ok());
   expect_columns(scalar);
   for (size_t n : {1, 31, 32, 33, 100}) {
-    Bag bag = ExactBag(Schema{{0, 1}}, n, 12, n);
+    Bag bag = ExactBag(Schema{{0, 1}}, n, -1, 12, n);
     expect_columns(bag);
     expect_columns(*bag.Marginal(Schema{{1}}));
     expect_columns(*bag.Marginal(Schema{}));
@@ -215,40 +302,42 @@ TEST(ColumnStoreTest, EmptySchemaBags) {
   ExpectMatchesOracle(*empty_schema.Marginal(Schema{}),
                       *MapMarginal(empty_schema, Schema{}));
 
-  // A projection onto ∅ groups every row into the single empty tuple, on
-  // both sides of the small-input cutoff and at both levels.
+  // A projection onto ∅ groups every row into the single empty tuple, in
+  // the sorted arm (8 rows) and the hashed arm (64 rows: arity 0 never
+  // takes the dense arm).
   for (size_t support : {8, 64}) {
-    Bag bag = RandomBag(Schema{{0, 1}}, support, 4, 99);
-    for (simd::SimdLevel level :
-         {simd::SimdLevel::kScalar, simd::SimdLevel::kAuto}) {
-      Bag onto_empty = *bag.Marginal(Schema{}, level);
-      ASSERT_EQ(onto_empty.SupportSize(), 1u);
-      EXPECT_EQ(onto_empty.MultiplicityAt(0), *bag.UnarySize());
-    }
+    Bag bag = ExactBag(Schema{{0, 1}}, support, 0, 16, 99);
+    Bag onto_empty = *bag.Marginal(Schema{});
+    ASSERT_EQ(onto_empty.SupportSize(), 1u);
+    EXPECT_EQ(onto_empty.MultiplicityAt(0), *bag.UnarySize());
   }
 
   // And an empty bag stays empty.
   Bag none{Schema{{0, 1}}};
   EXPECT_TRUE(none.Marginal(Schema{{0}})->IsEmpty());
-  EXPECT_TRUE(none.Marginal(Schema{{0}}, simd::SimdLevel::kScalar)->IsEmpty());
 }
 
 TEST(ColumnStoreTest, MultiplicityOverflowRejected) {
   // Rows collapsing onto one marginal tuple with mults that overflow
-  // uint64 must fail (not wrap) at both levels, below and above the
-  // small-input cutoff.
-  Schema x{{0, 1}};
+  // uint64 must fail (not wrap) in every arm: 2 rows sort-merge; 40 rows
+  // keyed (1) or (1, 1) take the dense arm, and keyed (2^20) or
+  // (2^20, 2^20), past the density gate, the hashed arm.
+  Schema x{{0, 1, 2}};
   uint64_t huge = std::numeric_limits<uint64_t>::max() - 1;
   for (int64_t rows : {2, 40}) {
-    BagBuilder builder(x);
-    for (int64_t v = 0; v < rows; ++v) {
-      ASSERT_TRUE(builder.Add(Tuple{{1, v}}, v < 2 ? huge : 1).ok());
+    for (Value key : {Value{1}, Value{1} << 20}) {
+      BagBuilder builder(x);
+      for (int64_t v = 0; v < rows; ++v) {
+        ASSERT_TRUE(builder.Add(Tuple{{key, key, v}}, v < 2 ? huge : 1).ok());
+      }
+      Bag bag = *builder.Build();
+      for (const Schema& z : {Schema{{0}}, Schema{{0, 1}}}) {
+        SCOPED_TRACE("rows=" + std::to_string(rows) + " key=" +
+                     std::to_string(key) + " z=" + z.ToString());
+        EXPECT_FALSE(MapMarginal(bag, z).has_value());
+        EXPECT_FALSE(bag.Marginal(z).ok());
+      }
     }
-    Bag bag = *builder.Build();
-    Schema z{{0}};
-    EXPECT_FALSE(MapMarginal(bag, z).has_value());
-    EXPECT_FALSE(bag.Marginal(z, simd::SimdLevel::kScalar).ok());
-    EXPECT_FALSE(bag.Marginal(z).ok());
   }
 }
 

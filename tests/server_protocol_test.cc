@@ -161,6 +161,16 @@ TEST(ServerSessionTest, ErrorClasses) {
   ASSERT_GE(out.size(), 2u);
   EXPECT_EQ(out[0].rfind("ERR E_PARSE", 0), 0u) << out[0];
   EXPECT_EQ(out[1], "OK STATS");
+  // A value token holding a '\r' is one token to the line framing but no
+  // value the wire can carry: refused, its body consumed through END, and
+  // no dictionary installed.
+  out = Feed(&session, "DICT crlf 2\nx\ny\rz\nEND\nSTATS\n");
+  ASSERT_GE(out.size(), 2u);
+  EXPECT_EQ(out[0].rfind("ERR E_PARSE", 0), 0u) << out[0];
+  EXPECT_EQ(out[1], "OK STATS");
+  out = Feed(&session, "DICT crlf 2\nx\ny\nEND\n");
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], "OK DICT crlf 2");
 }
 
 TEST(ServerSessionTest, ResetKeepsDictionariesHardWipes) {
@@ -1345,6 +1355,8 @@ TEST(ServerSessionTest, ErrorClassesAgreeAcrossFramings) {
        Frame(kFrameInsert, RowsPayload("stock", {"item"}, {{0, 1}})), true},
       {"DICT count mismatch", "DICT color 3\nred\nblue\nEND\n",
        Frame(kFrameDict, Str("color") + U32(3) + Str("red") + Str("blue")), false},
+      {"DICT value holding a carriage return", "DICT color 2\nred\nbl\rue\nEND\n",
+       Frame(kFrameDict, Str("color") + U32(2) + Str("red") + Str("bl\rue")), false},
       {"duplicate bag name", "LOADU32 orders item store\n0 0 : 1\nEND\n",
        Frame(kFrameRows, RowsPayload("orders", cols, {{0, 0, 1}})), true},
       {"duplicate row, zero last", "LOADU32 dupz item store\n0 0 : 5\n0 0 : 0\nEND\n",

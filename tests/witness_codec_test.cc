@@ -42,10 +42,6 @@ Reply ReplyTo(CollectionRegistry* registry, const Request& request) {
   return {std::move(text), std::move(frame)};
 }
 
-Result<Response> DecodeText(std::string_view text) {
-  return DecodeResponseLines(WireSplitLines(text));
-}
-
 // Decodes a whole server frame (header included).
 Result<Response> DecodeFrame(std::string_view frame) {
   if (frame.size() < kWireFrameHeaderBytes) return Status::Internal("malformed: short header");
@@ -107,7 +103,7 @@ std::vector<size_t> TruncationPoints(size_t size) {
 void CheckHostileVariants(const Reply& reply, const std::vector<std::string>& lines,
                           uint64_t seed) {
   for (size_t t : TruncationPoints(reply.text.size())) {
-    Result<Response> r = DecodeText(std::string_view(reply.text).substr(0, t));
+    Result<Response> r = DecodeResponseLines(std::string_view(reply.text).substr(0, t));
     if (r.ok()) {
       if (r->kind == Response::Kind::kWitness) {
         EXPECT_EQ(WitnessBagLines(*r), lines) << "text cut at " << t;
@@ -129,7 +125,7 @@ void CheckHostileVariants(const Reply& reply, const std::vector<std::string>& li
   for (int flip = 0; flip < 64; ++flip) {
     std::string text = reply.text;
     text[rng.Below(text.size())] ^= static_cast<char>(1 + rng.Below(255));
-    Result<Response> r = DecodeText(text);
+    Result<Response> r = DecodeResponseLines(text);
     if (!r.ok()) {
       EXPECT_TRUE(IsMalformed(r.status())) << r.status().ToString();
     }
@@ -152,7 +148,7 @@ void CheckMisstatedCounts(const Reply& reply, const Response& decoded) {
   for (uint64_t stated : {rows + 1, rows - 1, rows * 2 + 1, uint64_t{1} << 63}) {
     if (stated == rows) continue;
     std::string text = "OK WITNESS " + std::to_string(stated) + reply.text.substr(newline);
-    Result<Response> r = DecodeText(text);
+    Result<Response> r = DecodeResponseLines(text);
     ASSERT_FALSE(r.ok()) << stated << " rows stated in text";
     EXPECT_TRUE(IsMalformed(r.status())) << r.status().ToString();
   }
@@ -194,7 +190,7 @@ void CheckReplies(CollectionRegistry* registry, const std::vector<Request>& requ
     SCOPED_TRACE("WITNESS " + request.bag_i + " " + request.bag_j +
                  (request.minimal ? " MINIMAL" : ""));
     const Reply reply = ReplyTo(registry, request);
-    Result<Response> text = DecodeText(reply.text);
+    Result<Response> text = DecodeResponseLines(reply.text);
     Result<Response> frame = DecodeFrame(reply.frame);
     ASSERT_TRUE(text.ok()) << text.status().ToString();
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
@@ -253,7 +249,7 @@ TEST(WitnessCodecTest, ValuesPastTheInlineStringBufferRoundTrip) {
   CollectionRegistry registry;
   witness_golden::PublishPair(&registry, std::move(long_r), std::move(long_s), dicts);
   const Reply reply = ReplyTo(&registry, WitnessRequest(0, 1, false));
-  Result<Response> decoded = DecodeText(reply.text);
+  Result<Response> decoded = DecodeResponseLines(reply.text);
   ASSERT_TRUE(decoded.ok());
   size_t longest = 0;
   for (size_t k = 0; k < decoded->value_ends.size(); ++k) {
@@ -268,12 +264,13 @@ TEST(WitnessCodecTest, BlankOrCommentBagHeaderIsMalformed) {
   // blank or comment-only line there is refused, not read past.
   for (const char* header : {"", "   # c", "#", "\t"}) {
     SCOPED_TRACE(std::string("header '") + header + "'");
-    Result<Response> r = DecodeResponseLines({"OK WITNESS 1", header, "1 : 1", "end", "END"});
+    Result<Response> r =
+        DecodeResponseLines("OK WITNESS 1\n" + std::string(header) + "\n1 : 1\nend\nEND\n");
     ASSERT_FALSE(r.ok());
     EXPECT_TRUE(IsMalformed(r.status())) << r.status().ToString();
   }
   // The same reply with a header decodes.
-  Result<Response> r = DecodeResponseLines({"OK WITNESS 1", "bag a", "1 : 1", "end", "END"});
+  Result<Response> r = DecodeResponseLines("OK WITNESS 1\nbag a\n1 : 1\nend\nEND\n");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(WitnessBagLines(*r), (std::vector<std::string>{"bag a", "1 : 1", "end"}));
 }
@@ -288,7 +285,7 @@ TEST(WitnessCodecTest, EmptyWitnessRoundTrips) {
   AppendResponseText(empty, &text);
   AppendResponseFrame(empty, &frame);
   EXPECT_EQ(text, "OK WITNESS 0\nbag a0 a1\nend\nEND\n");
-  Result<Response> from_text = DecodeText(text);
+  Result<Response> from_text = DecodeResponseLines(text);
   Result<Response> from_frame = DecodeFrame(frame);
   ASSERT_TRUE(from_text.ok() && from_frame.ok());
   EXPECT_EQ(WitnessBagLines(*from_text), (std::vector<std::string>{"bag a0 a1", "end"}));

@@ -38,10 +38,6 @@
 //                      record, and on startup (with --preload-seg) the
 //                      log is replayed over the base segment so
 //                      committed generations survive a crash or restart
-//   --simd LEVEL       force the SIMD dispatch level for every kernel
-//                      in the process: scalar, sse4.2, avx2, neon, or
-//                      auto (default; runtime cpuid). Levels the host
-//                      cannot run are refused at startup
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -55,7 +51,6 @@
 #include <thread>
 
 #include "server/bagcd_server.h"
-#include "util/simd.h"
 
 namespace {
 
@@ -113,32 +108,13 @@ int main(int argc, char** argv) {
           << 20;
     } else if (std::strcmp(argv[i], "--wal-dir") == 0) {
       options.registry.wal_dir = next("--wal-dir");
-    } else if (std::strcmp(argv[i], "--simd") == 0) {
-      const char* name = next("--simd");
-      bagc::simd::SimdLevel level;
-      if (!bagc::simd::ParseSimdLevel(name, &level)) {
-        std::fprintf(stderr,
-                     "bagcd: --simd must be scalar, sse4.2, avx2, neon, or "
-                     "auto, got '%s'\n",
-                     name);
-        return 2;
-      }
-      if (level != bagc::simd::SimdLevel::kAuto &&
-          !bagc::simd::LevelSupported(level)) {
-        std::fprintf(stderr, "bagcd: this host cannot execute --simd %s\n",
-                     bagc::simd::SimdLevelName(level));
-        return 2;
-      }
-      // Process-wide default: every kAuto kernel call in every session
-      // and seal resolves to this level.
-      bagc::simd::SetActiveSimdLevel(level);
     } else {
       std::fprintf(stderr,
                    "usage: bagcd [--host ADDR] [--port N] [--threads N] "
                    "[--port-file PATH] [--preload-seg PATH] "
                    "[--mem-budget-mb N] [--max-collections N] "
                    "[--max-collection-mb N] "
-                   "[--wal-dir PATH] [--simd LEVEL]\n");
+                   "[--wal-dir PATH]\n");
       return 2;
     }
   }
