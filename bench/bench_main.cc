@@ -50,8 +50,9 @@
 //   collection, propagating a change to k of 32 bags into a published
 //   generation three ways: INSERT/DELETE delta commits (incremental
 //   marginal maintenance — only dirty slots adjust, only dirty pairs
-//   re-compare), DROP + re-LOADU32 + plain SEAL (the SealReuse path:
-//   untouched bags adopted, touched bags rebuilt), and DROP +
+//   re-compare), DROP + re-LOADU32 + plain SEAL (incremental re-seal:
+//   bags still holding the previous generation's row stores adopted,
+//   re-loaded bags rebuilt), and DROP +
 //   re-LOADU32 + SEAL FULL (every store and marginal rebuilt). The
 //   reseal legs carry the FULL leg's ops/sec as their baseline. Two WAL
 //   legs measure what --wal-dir adds: wal_commit_fsync (one durable
@@ -321,19 +322,19 @@ void RunEngineBatchSuite(std::vector<BenchResult>* results) {
 
     // Seal + full pairwise sweep, single-threaded vs N workers (the sweep
     // memoizes, so each op builds a fresh engine — this measures the
-    // parallel marginal precompute plus the sharded compare; MakeView
-    // keeps the collection copy out of the timed op). Note the tN leg
+    // parallel marginal precompute plus the sharded compare; the
+    // collection copy is a refcount bump per bag). Note the tN leg
     // also pays N OS-thread spawns/joins per op (the pool lives in the
     // engine), so its ratio understates the steady-state sweep speedup.
     BenchResult sweep1 = Measure("pairwise_seal_sweep_t1", support, [&] {
-      ConsistencyEngine e = *ConsistencyEngine::MakeView(c);
+      ConsistencyEngine e = *ConsistencyEngine::Make(c);
       if (!(*e.PairwiseAll()).consistent) std::abort();
     });
     EngineOptions par;
     par.num_threads = n_threads;
     BenchResult sweepN =
         Measure("pairwise_seal_sweep_t" + std::to_string(n_threads), support, [&] {
-          ConsistencyEngine e = *ConsistencyEngine::MakeView(c, par);
+          ConsistencyEngine e = *ConsistencyEngine::Make(c, par);
           if (!(*e.PairwiseAll()).consistent) std::abort();
         });
     sweepN.baseline_ops_per_sec = sweep1.ops_per_sec;
@@ -461,7 +462,7 @@ void RunInternedRowsSuite(std::vector<BenchResult>* results) {
       }
     });
     BenchResult interned = Measure("pairwise_sweep_interned", support, [&] {
-      ConsistencyEngine e = *ConsistencyEngine::MakeView(w.interned);
+      ConsistencyEngine e = *ConsistencyEngine::Make(w.interned);
       if (!(*e.PairwiseAll()).consistent) std::abort();
     });
     interned.baseline_ops_per_sec = oracle.ops_per_sec;

@@ -161,6 +161,14 @@ class Bag {
   bool operator==(const Bag& o) const;
   bool operator!=(const Bag& o) const { return !(*this == o); }
 
+  /// Row identity: the same schema and the same immutable row store (one
+  /// bag is a copy of the other), or both empty. Implies *this == o in
+  /// O(1); equal rows sealed into separate stores do not match. An
+  /// incremental re-seal reuses sealed state for exactly these bags.
+  bool SharesRowsWith(const Bag& o) const {
+    return rep_ == o.rep_ && schema_ == o.schema_;
+  }
+
   // ---- Size measures of §5.2 ----
 
   /// ||R||_mu: the largest multiplicity (0 for the empty bag).

@@ -18,7 +18,7 @@ namespace bagc {
 Result<std::optional<Bag>> SolveGlobalConsistencyAcyclic(
     const BagCollection& collection) {
   BAGC_ASSIGN_OR_RETURN(ConsistencyEngine engine,
-                        ConsistencyEngine::MakeView(collection));
+                        ConsistencyEngine::Make(collection));
   return engine.SolveGlobalAcyclic();
 }
 
@@ -27,7 +27,7 @@ Result<std::optional<Bag>> SolveGlobalConsistencyExact(
   EngineOptions engine_options;
   engine_options.global = options;
   BAGC_ASSIGN_OR_RETURN(ConsistencyEngine engine,
-                        ConsistencyEngine::MakeView(collection, engine_options));
+                        ConsistencyEngine::Make(collection, engine_options));
   return engine.SolveGlobalExact();
 }
 
@@ -36,7 +36,7 @@ Result<bool> IsGloballyConsistent(const BagCollection& collection,
   EngineOptions engine_options;
   engine_options.global = options;
   BAGC_ASSIGN_OR_RETURN(ConsistencyEngine engine,
-                        ConsistencyEngine::MakeView(collection, engine_options));
+                        ConsistencyEngine::Make(collection, engine_options));
   return engine.Global();
 }
 

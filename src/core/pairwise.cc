@@ -6,12 +6,12 @@ namespace bagc {
 
 Result<bool> ArePairwiseConsistent(const BagCollection& collection,
                                    std::pair<size_t, size_t>* witness_pair) {
-  // Single-shot wrapper over the batch engine: borrow the collection into
-  // a throwaway engine, whose seal decides every pair and reports the
-  // lexicographically first failing one — the pair the historical double
-  // loop reported.
+  // Single-shot wrapper over the batch engine: copy the collection (a
+  // refcount bump per bag) into a throwaway engine, whose seal decides
+  // every pair and reports the lexicographically first failing one — the
+  // pair the historical double loop reported.
   BAGC_ASSIGN_OR_RETURN(ConsistencyEngine engine,
-                        ConsistencyEngine::MakeView(collection));
+                        ConsistencyEngine::Make(collection));
   BAGC_ASSIGN_OR_RETURN(PairwiseVerdict verdict, engine.PairwiseAll());
   if (!verdict.consistent && witness_pair != nullptr) {
     *witness_pair = verdict.witness_pair;
@@ -27,7 +27,7 @@ Result<bool> AreKWiseConsistent(const BagCollection& collection, size_t k,
   // C(m, k) subsets instead of once per throwaway engine-per-subset as
   // the historical implementation did.
   BAGC_ASSIGN_OR_RETURN(ConsistencyEngine engine,
-                        ConsistencyEngine::MakeView(collection));
+                        ConsistencyEngine::Make(collection));
   return engine.KWiseConsistent(k, failing_subset);
 }
 

@@ -54,53 +54,26 @@ Result<BagCollection> CanonicalizeCollection(const BagCollection& collection,
 
 Result<ConsistencyEngine> ConsistencyEngine::Make(BagCollection collection,
                                                   EngineOptions options,
-                                                  const SealReuse* reuse) {
-  auto owned = std::make_shared<const BagCollection>(std::move(collection));
-  const BagCollection* view = owned.get();
-  return MakeImpl(view, std::move(owned), options, reuse);
-}
-
-Result<ConsistencyEngine> ConsistencyEngine::MakeView(
-    const BagCollection& collection, EngineOptions options) {
-  return MakeImpl(&collection, nullptr, options, nullptr);
-}
-
-Result<ConsistencyEngine> ConsistencyEngine::MakeImpl(
-    const BagCollection* view, std::shared_ptr<const BagCollection> owned,
-    EngineOptions options, const SealReuse* reuse) {
+                                                  const ConsistencyEngine* previous) {
   ConsistencyEngine engine;
-  engine.collection_ = view;
-  engine.owned_ = std::move(owned);
   engine.options_ = options;
-  // A canonicalizing seal remaps every row id, so nothing from a previous
-  // generation is comparable: degrade to a full seal.
-  if (reuse != nullptr &&
-      (options.canonicalize_dictionaries || reuse->previous == nullptr)) {
-    reuse = nullptr;
-  }
   if (options.canonicalize_dictionaries) {
-    if (engine.owned_ == nullptr) {
-      return Status::InvalidArgument(
-          "canonicalize_dictionaries requires an owned collection; use Make");
-    }
     if (options.dictionaries == nullptr) {
       return Status::InvalidArgument(
           "canonicalize_dictionaries requires a dictionary set");
     }
     BAGC_ASSIGN_OR_RETURN(
-        BagCollection canonical,
-        CanonicalizeCollection(*engine.collection_, options.dictionaries.get()));
-    engine.owned_ = std::make_shared<const BagCollection>(std::move(canonical));
-    engine.collection_ = engine.owned_.get();
+        collection, CanonicalizeCollection(collection, options.dictionaries.get()));
   }
+  engine.collection_ = std::make_shared<const BagCollection>(std::move(collection));
   if (options.num_threads > 1) {
     engine.pool_ = std::make_unique<ThreadPool>(options.num_threads);
   }
-  BAGC_RETURN_NOT_OK(engine.Seal(reuse));
+  BAGC_RETURN_NOT_OK(engine.Seal(previous));
   return engine;
 }
 
-Status ConsistencyEngine::Seal(const SealReuse* reuse) {
+Status ConsistencyEngine::Seal(const ConsistencyEngine* previous) {
   size_t m = collection_->size();
   cache_.assign(m, {});
 
@@ -148,22 +121,27 @@ Status ConsistencyEngine::Seal(const SealReuse* reuse) {
     }
   }
 
-  // Incremental reuse: for every bag whose rows are unchanged since the
-  // previous generation, adopt every cached marginal of that generation
-  // whose shared schema survived. A slot whose schema is new (the partner
-  // bag changed shape) simply misses the lookup and is filled below, so a
-  // re-seal that touched k of m bags fills O(k·m) slots, not O(m²).
-  // Shared pointers keep the bags alive across either generation's
-  // destruction.
-  std::vector<size_t> prev_of(m, SealReuse::kNoPrev);
-  if (reuse != nullptr) {
-    const ConsistencyEngine& prev = *reuse->previous;
-    for (size_t i = 0; i < m && i < reuse->prev_index.size(); ++i) {
-      size_t p = reuse->prev_index[i];
-      if (p == SealReuse::kNoPrev || p >= prev.cache_.size()) continue;
-      prev_of[i] = p;
+  // Incremental reuse: a bag sharing its row store with a bag of the
+  // previous generation has that bag's marginals (Eq. (2) reads only the
+  // rows), so it adopts every cached slot whose shared schema survived. A
+  // slot whose schema is new (the partner bag changed shape) misses the
+  // lookup and is filled below, so a re-seal that changed k of m bags
+  // fills O(k·m) slots, not O(m²). Shared pointers keep the marginals
+  // alive across either generation's destruction.
+  constexpr size_t kFresh = static_cast<size_t>(-1);
+  std::vector<size_t> prev_of(m, kFresh);
+  if (previous != nullptr) {
+    const std::vector<Bag>& prev_bags = previous->collection_->bags();
+    for (size_t i = 0; i < m; ++i) {
+      const Bag& bag = collection_->bag(i);
+      auto match = std::find_if(prev_bags.begin(), prev_bags.end(),
+                                [&bag](const Bag& p) { return bag.SharesRowsWith(p); });
+      if (match == prev_bags.end()) continue;
+      prev_of[i] = static_cast<size_t>(match - prev_bags.begin());
+      ++reused_bags_;
       for (CachedProjection& slot : cache_[i]) {
-        const CachedProjection* prev_slot = prev.FindProjection(p, slot.schema);
+        const CachedProjection* prev_slot =
+            previous->FindProjection(prev_of[i], slot.schema);
         // Adopted slots are already filled: EnsureFilled skips them, so no
         // fresh fill is counted.
         if (prev_slot != nullptr) slot.marginal = prev_slot->marginal;
@@ -194,23 +172,22 @@ Status ConsistencyEngine::Seal(const SealReuse* reuse) {
   }
   for (const Status& st : statuses) BAGC_RETURN_NOT_OK(st);
 
-  // Pass 4: decide every pair. A pair whose two bags both come unchanged
+  // Pass 4: decide every pair. A pair whose two bags were both adopted
   // from the previous generation carries that generation's verdict (two
-  // bags mapped to one previous bag are equal, hence consistent); every
-  // other pair compares its two shared marginals (Lemma 2(2)).
+  // bags adopted from one previous bag are equal, hence consistent);
+  // every other pair compares its two shared marginals (Lemma 2(2)).
   pair_consistent_.assign(pairs_.size(), 0);
   std::vector<size_t> to_compare;
   to_compare.reserve(pairs_.size());
   for (size_t idx = 0; idx < pairs_.size(); ++idx) {
     size_t pi = prev_of[pairs_[idx].i];
     size_t pj = prev_of[pairs_[idx].j];
-    if (pi == SealReuse::kNoPrev || pj == SealReuse::kNoPrev) {
+    if (pi == kFresh || pj == kFresh) {
       to_compare.push_back(idx);
     } else if (pi == pj) {
       pair_consistent_[idx] = 1;
     } else {
-      const ConsistencyEngine& prev = *reuse->previous;
-      pair_consistent_[idx] = prev.pair_consistent_[prev.PairIndex(
+      pair_consistent_[idx] = previous->pair_consistent_[previous->PairIndex(
           std::min(pi, pj), std::max(pi, pj))];
     }
   }
@@ -542,8 +519,7 @@ Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
   // are unchanged; untouched bags are refcount bumps).
   BAGC_ASSIGN_OR_RETURN(BagCollection next_collection,
                         BagCollection::Make(std::move(bags)));
-  owned_ = std::make_shared<const BagCollection>(std::move(next_collection));
-  collection_ = owned_.get();
+  collection_ = std::make_shared<const BagCollection>(std::move(next_collection));
 
   // Minimal invalidation: exactly the pairs whose shared-attribute
   // marginal changed are re-compared (identified by the pre-resolved slot
@@ -576,19 +552,15 @@ Result<ConsistencyEngine> ConsistencyEngine::MakeDeltaBatch(
         "MakeDeltaBatch cannot apply deltas to a canonicalized generation: "
         "canonicalization remapped the row ids the delta speaks");
   }
-  // Adopt EVERY bag of the previous generation (identity reuse): zero
-  // marginal fills, zero pair compares, shared bags and marginal slots.
-  // The batch below then adjusts only the mutated bags' dirty slots, so
-  // marginal_fills() of the new engine lands on exactly that count.
-  SealReuse reuse;
-  reuse.previous = &previous;
-  reuse.prev_index.resize(previous.collection_->size());
-  for (size_t i = 0; i < reuse.prev_index.size(); ++i) reuse.prev_index[i] = i;
+  // Every bag of the copied collection shares its row store with
+  // `previous`, so the seal adopts them all: zero marginal fills, zero
+  // pair compares, shared marginal slots. The batch below then adjusts
+  // only the mutated bags' dirty slots, so marginal_fills() of the new
+  // engine lands on exactly that count.
   EngineOptions options = previous.options_;
   options.num_threads = 1;  // residual work is O(dirty pairs); no pool
-  BAGC_ASSIGN_OR_RETURN(
-      ConsistencyEngine engine,
-      Make(BagCollection(*previous.collection_), options, &reuse));
+  BAGC_ASSIGN_OR_RETURN(ConsistencyEngine engine,
+                        Make(previous.collection(), options, &previous));
   BAGC_ASSIGN_OR_RETURN(DeltaOutcome out, engine.ApplyDeltaBatch(batch));
   if (outcome != nullptr) *outcome = std::move(out);
   return engine;

@@ -16,6 +16,9 @@
 //   - Global() dispatches on schema acyclicity (Theorem 2) and, on a
 //     cyclic schema, runs the exact solver (the server's snapshots
 //     remember its verdict);
+//   - a Make handed the previous generation adopts the sealed state of
+//     every bag whose immutable row store it still holds, so a re-seal
+//     pays only for the bags that changed;
 //   - MakeDeltaBatch derives the next generation from row deltas,
 //     adjusting only the changed marginals and re-comparing only the
 //     pairs they touch.
@@ -56,14 +59,14 @@ struct EngineOptions {
   /// canonicalize_dictionaries, which rewrites the set at seal time.
   std::shared_ptr<DictionarySet> dictionaries;
   /// Canonicalize `dictionaries` at seal time (ValueDictionary::
-  /// Canonicalize per attribute) and rewrite the engine's owned copy of
-  /// the collection through the remaps, so id order == external sorted
+  /// Canonicalize per attribute) and rewrite the engine's copy of the
+  /// collection through the remaps, so id order == external sorted
   /// order: ordered entry scans then decode to lexicographically sorted
   /// external rows, enabling range queries over external values. Requires
-  /// Make (an owned collection), a non-null dictionary set, and a fully
-  /// dictionary-sealed collection (numeric-codec rows have no external
-  /// order to canonicalize to and are rejected); the set is mutated, so
-  /// it must not encode rows for bags outside this collection.
+  /// a non-null dictionary set and a fully dictionary-sealed collection
+  /// (numeric-codec rows have no external order to canonicalize to and
+  /// are rejected); the set is mutated, so it must not encode rows for
+  /// bags outside this collection.
   bool canonicalize_dictionaries = false;
 };
 
@@ -76,35 +79,6 @@ struct PairwiseVerdict {
 };
 
 class ConsistencyEngine;
-
-/// Incremental-seal input: reuse the sealed state of a previous engine
-/// generation for the bags that did not change. The cached marginals are
-/// immutable and shared by pointer, so a re-seal that touched k of m bags
-/// fills only the O(k·m) slots involving a changed bag instead of all
-/// O(m²).
-///
-/// The pair comparisons are reused the same way: a pair whose two bags
-/// both map into `previous` carries its verdict from there without a
-/// compare (two bags mapped to one previous bag are equal, hence
-/// consistent), so only pairs involving a changed bag are compared.
-///
-/// Correctness preconditions (the caller's responsibility — the engine
-/// can only check the structural ones):
-///   - `previous` outlives the Make call (the shared state itself
-///     survives it via shared_ptr);
-///   - neither generation canonicalized its dictionaries, and both were
-///     sealed through the same dictionary lineage (append-only growth is
-///     fine; any id remap invalidates every cached row). Make ignores the
-///     reuse hint when the new seal canonicalizes.
-struct SealReuse {
-  /// Sentinel for "this bag is new or changed; fill it from scratch".
-  static constexpr size_t kNoPrev = static_cast<size_t>(-1);
-  const ConsistencyEngine* previous = nullptr;
-  /// prev_index[i] = this bag's index in `previous`'s collection when its
-  /// rows are bit-identical there, else kNoPrev. Shorter-than-m vectors
-  /// treat missing entries as kNoPrev.
-  std::vector<size_t> prev_index;
-};
 
 /// One row-level mutation of one bag: `delta` > 0 inserts copies of the
 /// row, `delta` < 0 deletes them. A stream of these is a *delta*: the
@@ -156,21 +130,25 @@ struct DeltaOutcome {
 /// Movable, not copyable (owns the pool).
 class ConsistencyEngine {
  public:
-  /// Seals an owned copy of `collection`: computes the pairwise
-  /// shared-attribute marginals and every pair's verdict, in parallel
-  /// when options.num_threads > 1. Bags are already columnar
-  /// (BagBuilder seals straight to columns), so the seal adopts them
-  /// as-is. A non-null `reuse` seeds unchanged bags' slots and pair
-  /// verdicts from a previous generation (see SealReuse).
+  /// Seals `collection`: computes the pairwise shared-attribute marginals
+  /// and every pair's verdict, in parallel when options.num_threads > 1.
+  /// Bags are already columnar (BagBuilder seals straight to columns), so
+  /// the seal adopts them as-is; a copied collection shares its bags' row
+  /// stores.
+  ///
+  /// Incremental re-seal: with a non-null `previous` (which need only live
+  /// through this call), each bag that shares its row store with a bag of
+  /// `previous` (Bag::SharesRowsWith: a copy of it, or both empty over one
+  /// schema) adopts the first such bag's cached marginals — by Lemma 2(2)
+  /// and Eq. (2) they depend on the rows alone — and a pair of two adopted
+  /// bags carries its previous verdict (two bags adopted from one previous
+  /// bag are equal, hence consistent). So a re-seal that changed k of m
+  /// bags fills only the O(k·m) slots involving a changed bag and compares
+  /// only the pairs involving one. Equal rows in a new store do not match:
+  /// they are refilled. reused_bags() reports how many bags were adopted.
   static Result<ConsistencyEngine> Make(BagCollection collection,
                                         EngineOptions options = {},
-                                        const SealReuse* reuse = nullptr);
-
-  /// As Make, but borrows `collection` instead of copying it; the caller
-  /// must keep it alive for the engine's lifetime. This is the zero-copy
-  /// path for the single-shot wrappers in core/.
-  static Result<ConsistencyEngine> MakeView(const BagCollection& collection,
-                                            EngineOptions options = {});
+                                        const ConsistencyEngine* previous = nullptr);
 
   /// Builds the next generation of `previous` with an atomic multi-bag
   /// delta batch applied. Every untouched bag adopts the previous
@@ -222,6 +200,10 @@ class ConsistencyEngine {
   std::shared_ptr<const DictionarySet> shared_dictionaries() const {
     return options_.dictionaries;
   }
+
+  /// Number of bags whose sealed state Make adopted from `previous` (a
+  /// MakeDeltaBatch generation adopts every bag before its deltas apply).
+  size_t reused_bags() const { return reused_bags_; }
 
   /// Number of marginal computations performed by this engine (cache
   /// fills at seal, slot adjustments under MakeDeltaBatch). Queries never
@@ -304,15 +286,10 @@ class ConsistencyEngine {
 
   ConsistencyEngine() = default;
 
-  static Result<ConsistencyEngine> MakeImpl(const BagCollection* view,
-                                            std::shared_ptr<const BagCollection> owned,
-                                            EngineOptions options,
-                                            const SealReuse* reuse);
   // Builds cache_ and pairs_, computes the marginals and then every
-  // pair's verdict (both sharded over the pool). A non-null `reuse`
-  // pre-fills unchanged bags' slots and pair verdicts from the previous
-  // generation.
-  Status Seal(const SealReuse* reuse);
+  // pair's verdict (both sharded over the pool). A non-null `previous`
+  // pre-fills the slots and pair verdicts of bags sharing its row stores.
+  Status Seal(const ConsistencyEngine* previous);
   Status EnsureFilled(CachedProjection* slot, size_t bag_index);
   // Compares the two marginals of each listed pair (indices into pairs_)
   // and records the verdicts, sharded over the pool when there is one.
@@ -332,8 +309,7 @@ class ConsistencyEngine {
     return i * (2 * m - i - 1) / 2 + (j - i - 1);
   }
 
-  const BagCollection* collection_ = nullptr;  // owned_ or a borrowed view
-  std::shared_ptr<const BagCollection> owned_;
+  std::shared_ptr<const BagCollection> collection_;
   EngineOptions options_;
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
   std::vector<std::vector<CachedProjection>> cache_;  // per bag, schema-sorted
@@ -342,6 +318,7 @@ class ConsistencyEngine {
   // at seal. The parallel compare writes disjoint bytes.
   std::vector<uint8_t> pair_consistent_;
   PairwiseVerdict pairwise_verdict_;
+  size_t reused_bags_ = 0;
   // Counts actual cache fills (see marginal_fills()). Heap storage keeps
   // the engine movable while pool tasks increment it concurrently during
   // sealing.

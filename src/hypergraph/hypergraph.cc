@@ -31,16 +31,6 @@ std::vector<size_t> Graph::Neighbors(size_t v) const {
   return out;
 }
 
-Graph Graph::InducedSubgraph(const std::vector<size_t>& keep) const {
-  Graph out(keep.size());
-  for (size_t i = 0; i < keep.size(); ++i) {
-    for (size_t j = i + 1; j < keep.size(); ++j) {
-      if (HasEdge(keep[i], keep[j])) out.AddEdge(i, j);
-    }
-  }
-  return out;
-}
-
 bool Graph::IsConnected() const {
   if (n_ == 0) return true;
   std::vector<bool> seen(n_, false);

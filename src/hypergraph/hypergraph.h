@@ -32,10 +32,6 @@ class Graph {
   /// Neighbor indices of v in increasing order.
   std::vector<size_t> Neighbors(size_t v) const;
 
-  /// Induced subgraph on `keep` (indices into this graph, strictly
-  /// increasing). Vertex i of the result is keep[i].
-  Graph InducedSubgraph(const std::vector<size_t>& keep) const;
-
   /// True iff the graph is connected (n == 0 counts as connected).
   bool IsConnected() const;
 

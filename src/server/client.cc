@@ -311,28 +311,6 @@ Status BagcdClient::LoadBagU32(const std::string& name, const Bag& bag,
   return Call(request, Response::Kind::kOk).status();
 }
 
-Status BagcdClient::LoadBagText(const std::string& name, const Bag& bag,
-                                const AttributeCatalog& catalog,
-                                const DictionarySet& dicts) {
-  Request request;
-  request.verb = Verb::kLoad;
-  request.name = name;
-  for (AttrId attr : bag.schema().attrs()) request.columns.push_back(catalog.Name(attr));
-  request.lines.reserve(bag.SupportSize());
-  for (size_t e = 0; e < bag.SupportSize(); ++e) {
-    BAGC_ASSIGN_OR_RETURN(std::vector<std::string> tokens,
-                          dicts.DecodeRow(bag.schema(), bag.RowAt(e)));
-    std::string row;
-    for (const std::string& token : tokens) {
-      BAGC_RETURN_NOT_OK(WireValidateValue(token));
-      row += token + " ";
-    }
-    row += ": " + std::to_string(bag.MultiplicityAt(e));
-    request.lines.push_back(std::move(row));
-  }
-  return Call(request, Response::Kind::kOk).status();
-}
-
 Result<size_t> BagcdClient::Seal(bool canonical, size_t threads) {
   Request request;
   request.verb = Verb::kSeal;

@@ -93,11 +93,6 @@ class BagcdClient {
   Status LoadBagU32(const std::string& name, const Bag& bag,
                     const AttributeCatalog& catalog);
 
-  /// Streams `bag` as a LOAD block of external string rows, decoding each
-  /// id through `dicts` (the strings-every-query baseline path).
-  Status LoadBagText(const std::string& name, const Bag& bag,
-                     const AttributeCatalog& catalog, const DictionarySet& dicts);
-
   /// SEAL; returns the number of sealed bags.
   Result<size_t> Seal(bool canonical = false, size_t threads = 1);
 

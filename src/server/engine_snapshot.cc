@@ -39,16 +39,10 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::Build(
   options.num_threads = inputs.num_threads;
   options.dictionaries = inputs.dicts;
   options.canonicalize_dictionaries = inputs.canonicalize;
-  SealReuse reuse;
-  const SealReuse* reuse_ptr = nullptr;
-  if (inputs.previous != nullptr && !inputs.prev_bag.empty()) {
-    reuse.previous = inputs.previous->engine();
-    reuse.prev_index = std::move(inputs.prev_bag);
-    reuse_ptr = &reuse;  // Make() drops it again if canonicalizing
-  }
   BAGC_ASSIGN_OR_RETURN(
       ConsistencyEngine engine,
-      ConsistencyEngine::Make(std::move(collection), options, reuse_ptr));
+      ConsistencyEngine::Make(std::move(collection), options,
+                              inputs.previous ? inputs.previous->engine() : nullptr));
   snapshot->engine_.emplace(std::move(engine));
   // Make decided every pair; keep the pairwise verdict so every session
   // answers PAIRWISE from it.

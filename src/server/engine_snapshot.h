@@ -49,14 +49,12 @@ class EngineSnapshot {
     /// dictionaries — and hence the ids a client streams — are untouched.
     bool canonicalize = false;
     /// Incremental re-seal: the previous generation whose sealed state
-    /// this build may reuse, with prev_bag[i] the previous engine's index
-    /// of this build's bag i (SealReuse::kNoPrev = changed/new bag).
-    /// Reuse silently degrades to a full seal when canonicalizing (id
-    /// remaps invalidate prior rows). The previous generation only needs
-    /// to live through Build: reused bags and marginals are
-    /// shared_ptr slots the new engine then co-owns.
+    /// this build may reuse. Every bag still holding one of its row stores
+    /// adopts that bag's marginals and pair verdicts (ConsistencyEngine::
+    /// Make); the rest are sealed afresh. The previous generation only
+    /// needs to live through Build: adopted marginals are shared_ptr
+    /// slots the new engine then co-owns.
     std::shared_ptr<const EngineSnapshot> previous;
-    std::vector<size_t> prev_bag;
   };
 
   /// Seals the engine (every pair decided) and returns the snapshot ready

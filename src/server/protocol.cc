@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "bag/bag_io.h"
+#include "util/little_endian.h"
 #include "util/short_copy.h"
 
 namespace bagc {
@@ -65,13 +66,6 @@ char* Extend(std::string* out, size_t bytes) {
   const size_t at = out->size();
   out->resize(at + bytes);
   return out->data() + at;
-}
-
-// Writes v little-endian at p (unaligned); returns the end.
-template <typename T>
-char* PutLittleEndian(char* p, T v) {
-  for (size_t i = 0; i < sizeof(T); ++i) *p++ = static_cast<char>((v >> (8 * i)) & 0xff);
-  return p;
 }
 
 // Splits the next line off the front of *text: through its '\n' (a last
@@ -166,9 +160,9 @@ Result<WireError> WireErrorFromTag(uint8_t tag) {
   return static_cast<WireError>(tag);
 }
 
-void WireAppendU32(std::string* out, uint32_t v) { PutLittleEndian(Extend(out, 4), v); }
+void WireAppendU32(std::string* out, uint32_t v) { AppendLittleEndian(out, v); }
 
-void WireAppendU64(std::string* out, uint64_t v) { PutLittleEndian(Extend(out, 8), v); }
+void WireAppendU64(std::string* out, uint64_t v) { AppendLittleEndian(out, v); }
 
 void WireAppendString(std::string* out, std::string_view s) {
   WireAppendU32(out, static_cast<uint32_t>(s.size()));
@@ -183,21 +177,15 @@ void WireAppendFrame(std::string* out, uint8_t opcode, std::string_view payload)
 
 namespace {
 
-// memcpy + shift assembly, not pointer punning: payload integers are
-// unaligned and a reinterpret_cast load would be UB (and trap under
-// UBSan exactly where the segment tests look).
+// Bounds-checked: a short payload fails the cursor instead of loading.
 template <typename T>
 bool CursorLoad(std::string_view data, size_t* pos, bool* ok, T* v) {
   if (!*ok || data.size() - *pos < sizeof(T)) {
     *ok = false;
     return false;
   }
-  unsigned char raw[sizeof(T)];
-  std::memcpy(raw, data.data() + *pos, sizeof(T));
+  *v = LoadLittleEndian<T>(data.data() + *pos);
   *pos += sizeof(T);
-  uint64_t acc = 0;
-  for (size_t i = 0; i < sizeof(T); ++i) acc |= uint64_t{raw[i]} << (8 * i);
-  *v = static_cast<T>(acc);
   return true;
 }
 

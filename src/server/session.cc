@@ -481,19 +481,18 @@ Response ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
                                     const std::string& label) {
   const std::string verb = label.substr(0, label.find(' '));
   // Incremental-publish lineage: the bound collection's chain currently
-  // ends in the generation this session sealed, every loaded bag is
-  // bit-identical to it (epoch at or before that seal, same name), and
-  // no value was interned since — the generations then share one
-  // immutable dictionary clone, so the batch's ids mean the same thing
-  // in both. These are the SEAL reuse conditions demanded for ALL bags:
-  // the batch must be the only change the new generation carries.
-  bool lineage = last_sealed_ != nullptr && !last_seal_canonical_ &&
-                 last_seal_dicts_ != nullptr &&
+  // ends in the generation this session sealed, every loaded bag still
+  // holds the row store of the same-named bag at its index there, and no
+  // value was interned since — the generations then share one immutable
+  // dictionary clone, so the batch's ids mean the same thing in both.
+  // (A canonical seal leaves last_seal_dicts_ null, which breaks lineage.)
+  // The batch must be the only change the new generation carries.
+  bool lineage = last_sealed_ != nullptr && last_seal_dicts_ != nullptr &&
                  last_seal_dicts_->total_size() == dicts_->total_size() &&
                  bags_.size() == last_sealed_->num_bags();
   for (size_t b = 0; lineage && b < bags_.size(); ++b) {
-    lineage = bag_epochs_[b] <= last_seal_epoch_ &&
-              last_sealed_->bag_name(b) == bag_names_[b];
+    lineage = last_sealed_->bag_name(b) == bag_names_[b] &&
+              bags_[b].SharesRowsWith(last_sealed_->engine()->collection().bag(b));
   }
   if (lineage) {
     if (registry_->Peek(collection_.get()) == nullptr) {
@@ -533,12 +532,8 @@ Response ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
         mutated.push_back(bd.bag_index);
       }
     }
-    for (size_t bi : mutated) {
-      bags_[bi] = (*next)->engine()->collection().bag(bi);
-      bag_epochs_[bi] = ++epoch_counter_;
-    }
+    for (size_t bi : mutated) bags_[bi] = (*next)->engine()->collection().bag(bi);
     last_sealed_ = *next;
-    last_seal_epoch_ = epoch_counter_;
     // The published rows diverged from whatever segment staged them.
     staged_seg_path_.clear();
     registry_->RecordDelta();
@@ -553,7 +548,7 @@ Response ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
   // only, all-or-nothing across the whole batch. Each bag gets its
   // blocks' concatenated deltas in one ApplyRowDeltas call, which nets
   // them exactly as ApplyDeltaBatch does, so a bag listed twice behaves
-  // identically on both paths. The epoch bumps mark the changed bags, so
+  // identically on both paths. Each changed bag gets a new row store, so
   // the next SEAL refills exactly those.
   std::map<size_t, std::vector<std::pair<Tuple, int64_t>>> deltas;
   for (BagDeltas& bd : batch) {
@@ -568,10 +563,7 @@ Response ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
     if (!changed.ok()) return Response::Error(changed.status());
     if (*changed > 0) staged.emplace(bi, std::move(next_bag));
   }
-  for (auto& [bi, bag] : staged) {
-    bags_[bi] = std::move(bag);
-    bag_epochs_[bi] = ++epoch_counter_;
-  }
+  for (auto& [bi, bag] : staged) bags_[bi] = std::move(bag);
   staged_seg_path_.clear();
   registry_->RecordDelta();
   return Response::Ok(label + " " + std::to_string(rows) + " rows staged");
@@ -667,27 +659,11 @@ Response ServerSession::HandleSeal(const Request& request) {
   std::shared_ptr<DictionarySet> seal_dicts = inputs.dicts;
   inputs.num_threads = static_cast<size_t>(request.threads);
   inputs.canonicalize = canonical;
-  // Incremental re-seal: bags unchanged since the last generation this
-  // session sealed (epoch at or before that seal, same name then) reuse
-  // its marginal cache — a k-of-m touch refills O(k·m) pairs instead of
-  // O(m²). Canonical seals on either side remap ids and disqualify reuse;
-  // FULL opts out explicitly (benchmark baseline).
-  size_t reused = 0;
-  if (!request.full && !canonical && !last_seal_canonical_ && last_sealed_ != nullptr) {
-    inputs.prev_bag.assign(bags_.size(), SealReuse::kNoPrev);
-    for (size_t i = 0; i < bags_.size(); ++i) {
-      if (bag_epochs_[i] > last_seal_epoch_) continue;  // changed since
-      for (size_t p = 0; p < last_sealed_->num_bags(); ++p) {
-        if (last_sealed_->bag_name(p) == bag_names_[i]) {
-          inputs.prev_bag[i] = p;
-          ++reused;
-          break;
-        }
-      }
-    }
-    if (reused > 0) inputs.previous = last_sealed_;
-    else inputs.prev_bag.clear();
-  }
+  // Incremental re-seal: every bag still holding a row store of the last
+  // generation this session sealed reuses its marginal cache — a k-of-m
+  // touch refills O(k·m) pairs instead of O(m²). FULL opts out
+  // (benchmark baseline).
+  if (!request.full) inputs.previous = last_sealed_;
   Result<std::shared_ptr<const EngineSnapshot>> snapshot =
       EngineSnapshot::Build(std::move(inputs), collection_->NextSeq());
   if (!snapshot.ok()) return Response::Error(snapshot.status());
@@ -695,8 +671,6 @@ Response ServerSession::HandleSeal(const Request& request) {
                                         staged_seg_path_, canonical);
   if (!published.ok()) return Response::Error(published);
   last_sealed_ = *snapshot;
-  last_seal_epoch_ = epoch_counter_;
-  last_seal_canonical_ = canonical;
   // A canonical seal remapped the clone's ids in place; it can never
   // seed a later generation.
   last_seal_dicts_ = canonical ? nullptr : std::move(seal_dicts);
@@ -704,6 +678,7 @@ Response ServerSession::HandleSeal(const Request& request) {
   std::string rest = "SEAL " + std::to_string(bags_.size()) + " bags";
   // The suffix appears only on actual reuse, so full-seal responses stay
   // byte-identical to protocol v1.
+  const size_t reused = last_sealed_->engine()->reused_bags();
   if (reused > 0) rest += " " + std::to_string(reused) + " reused";
   return Response::Ok(rest);
 }
@@ -711,7 +686,6 @@ Response ServerSession::HandleSeal(const Request& request) {
 Response ServerSession::HandleReset(const Request& request) {
   bag_names_.clear();
   bags_.clear();
-  bag_epochs_.clear();
   ForgetSealLineage();
   // An open transaction dies with the bags it was staged against.
   EndTransaction();
@@ -751,10 +725,9 @@ Response ServerSession::HandleDrop(const Request& request) {
   }
   bag_names_.erase(bag_names_.begin() + i);
   bags_.erase(bags_.begin() + i);
-  bag_epochs_.erase(bag_epochs_.begin() + i);
-  // The loaded set no longer matches any one segment; re-LOADing the
-  // same name gets a fresh epoch, which is what marks it changed for the
-  // next incremental SEAL.
+  // The loaded set no longer matches any one segment. Re-LOADing the same
+  // name seals a new row store, which marks it changed for the next
+  // incremental SEAL.
   staged_seg_path_.clear();
   return Response::Ok("DROP " + request.name);
 }
@@ -877,15 +850,12 @@ size_t ServerSession::FindBag(const std::string& name) const {
 void ServerSession::AddBag(std::string name, Bag bag) {
   bag_names_.push_back(std::move(name));
   bags_.push_back(std::move(bag));
-  bag_epochs_.push_back(++epoch_counter_);
   // The loaded set grew past whatever segment staged it.
   staged_seg_path_.clear();
 }
 
 void ServerSession::ForgetSealLineage() {
   last_sealed_ = nullptr;
-  last_seal_epoch_ = 0;
-  last_seal_canonical_ = false;
   last_seal_dicts_ = nullptr;
   staged_seg_path_.clear();
 }

@@ -8,11 +8,12 @@
 // *collection* (ATTACH binds one; "default" before the first ATTACH), so
 // N sessions hammer one sealed engine concurrently and a RESET or re-SEAL
 // swaps generations under them without a pause. SEAL publishes into the
-// bound collection's chain; when the previous generation of that chain
-// was sealed by this session and only k of m bags changed since (DROP +
-// re-LOAD marks a bag changed), the seal reuses the untouched bags'
-// sealed state — O(k·m) marginal fills instead of O(m²) ("SEAL FULL" opts
-// out).
+// bound collection's chain, handing the engine the last generation this
+// session sealed there: every loaded bag that still holds the same row
+// store as a bag of that generation (untouched since, or empty in both)
+// reuses its sealed state, so changing k of m bags costs O(k·m) marginal
+// fills instead of O(m²). A DROP + re-LOAD seals a new store, so it
+// counts as changed even with identical rows ("SEAL FULL" opts out).
 //
 // The dictionary-aware hot path: a client ships each attribute's
 // dictionary once (DICT block, ids 0..n-1 in shipped order), then
@@ -141,7 +142,7 @@ class ServerSession {
   Status CheckNewBagName(const std::string& name) const;
   // The loaded bag named `name`, or bag_names_.size() when none is.
   size_t FindBag(const std::string& name) const;
-  // Registers a freshly loaded bag (name/bag/change-epoch in lockstep).
+  // Registers a freshly loaded bag (name and bag in lockstep).
   void AddBag(std::string name, Bag bag);
   // Invalidates the incremental-seal linkage and the staged segment
   // reload source (any change that breaks "bags == previous seal").
@@ -159,22 +160,16 @@ class ServerSession {
   AttributeCatalog catalog_;
   std::shared_ptr<DictionarySet> dicts_ = std::make_shared<DictionarySet>();
 
-  // Loaded, not-yet-sealed bags in LOAD order (the collection order),
-  // with the change epoch each was (re)loaded at — the incremental-seal
-  // dirtiness marker: a bag whose epoch postdates the last seal must be
-  // refilled; the rest reuse the previous generation's sealed state.
+  // Loaded, not-yet-sealed bags in LOAD order (the collection order). A
+  // bag that shares its row store with a bag of last_sealed_ is unchanged
+  // since that seal; every load or staged delta seals a new store.
   std::vector<std::string> bag_names_;
   std::vector<Bag> bags_;
-  std::vector<uint64_t> bag_epochs_;
-  uint64_t epoch_counter_ = 0;
 
-  // Incremental-seal linkage: the last generation THIS session sealed
-  // into the bound collection, and the epoch/CANONICAL flag it was
-  // sealed at. Cleared by RESET, ATTACH/DETACH, and canonical seals
-  // (canonicalization remaps ids, so prior sealed state is unusable).
+  // Incremental-seal linkage: the last generation THIS session sealed or
+  // published into the bound collection. Cleared by RESET and
+  // ATTACH/DETACH.
   std::shared_ptr<const EngineSnapshot> last_sealed_;
-  uint64_t last_seal_epoch_ = 0;
-  bool last_seal_canonical_ = false;
   // The dictionary clone the last seal was built against, shared with
   // the next generation when nothing was interned in between (session
   // dictionaries only ever grow, so an unchanged total value count means

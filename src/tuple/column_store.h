@@ -121,13 +121,6 @@ class ColumnStore {
                   [&rows](size_t r) -> const Tuple& { return rows[r].first; });
   }
 
-  /// As FromEntries, over a bare tuple vector (e.g. LP variables).
-  static ColumnStore FromTuples(const std::vector<Tuple>& rows,
-                                const Projector& proj) {
-    return Gather(rows.size(), proj,
-                  [&rows](size_t r) -> const Tuple& { return rows[r]; });
-  }
-
   /// Adopts an already column-major owned vector (column c occupies
   /// [c*num_rows, (c+1)*num_rows)); data.size() must be arity*num_rows.
   /// The emit path of the columnar group-by builds results directly in

@@ -11,50 +11,11 @@
 #include <cstring>
 
 #include "util/checksum.h"
+#include "util/little_endian.h"
 
 namespace bagc {
 
 namespace {
-
-void AppendU32(std::string* out, uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(b, sizeof(b));
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(b, sizeof(b));
-}
-
-void PutU32(std::string* out, size_t pos, uint32_t v) {
-  for (int i = 0; i < 4; ++i) (*out)[pos + i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void PutU64(std::string* out, size_t pos, uint64_t v) {
-  for (int i = 0; i < 8; ++i) (*out)[pos + i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-// All header/table fields are loaded with memcpy: offsets in a hostile
-// file are arbitrary, so no pointer into the mapping may be cast to a
-// wider type before its alignment has been validated.
-uint32_t LoadU32(const char* p) {
-  unsigned char b[4];
-  std::memcpy(b, p, 4);
-  return uint32_t{b[0]} | uint32_t{b[1]} << 8 | uint32_t{b[2]} << 16 |
-         uint32_t{b[3]} << 24;
-}
-
-uint64_t LoadU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    unsigned char byte;
-    std::memcpy(&byte, p + i, 1);
-    v |= uint64_t{byte} << (8 * i);
-  }
-  return v;
-}
 
 void AlignTo(std::string* out, size_t alignment) {
   while (out->size() % alignment != 0) out->push_back('\0');
@@ -163,15 +124,17 @@ Result<std::string> EncodeSegment(const std::vector<std::string>& names,
     AlignTo(&out, 4);
     // The dictionary's table is already the on-disk shape: copy it.
     size_t offsets_off = out.size();
-    for (size_t v = 0; v <= dict.size(); ++v) AppendU32(&out, dict.offsets()[v]);
+    for (size_t v = 0; v <= dict.size(); ++v) {
+      AppendLittleEndian<uint32_t>(&out, dict.offsets()[v]);
+    }
     size_t blob_off = out.size();
     out += dict.blob();
     size_t entry = attr_table + i * 32;
-    PutU64(&out, entry + 0, name_off);
-    PutU32(&out, entry + 8, static_cast<uint32_t>(name.size()));
-    PutU32(&out, entry + 12, static_cast<uint32_t>(dict.size()));
-    PutU64(&out, entry + 16, offsets_off);
-    PutU64(&out, entry + 24, blob_off);
+    PutLittleEndian<uint64_t>(&out[entry + 0], name_off);
+    PutLittleEndian<uint32_t>(&out[entry + 8], static_cast<uint32_t>(name.size()));
+    PutLittleEndian<uint32_t>(&out[entry + 12], static_cast<uint32_t>(dict.size()));
+    PutLittleEndian<uint64_t>(&out[entry + 16], offsets_off);
+    PutLittleEndian<uint64_t>(&out[entry + 24], blob_off);
   }
 
   for (size_t b = 0; b < bags.size(); ++b) {
@@ -182,39 +145,39 @@ Result<std::string> EncodeSegment(const std::vector<std::string>& names,
     out += names[b];
     AlignTo(&out, 4);
     size_t attrs_off = out.size();
-    for (AttrId a : schema.attrs()) AppendU32(&out, attr_index(a));
+    for (AttrId a : schema.attrs()) AppendLittleEndian<uint32_t>(&out, attr_index(a));
     AlignTo(&out, 4);
     size_t columns_off = out.size();
     for (size_t c = 0; c < schema.arity(); ++c) {
       for (size_t r = 0; r < rows; ++r) {
-        AppendU32(&out, bags[b].IdAt(r, c));
+        AppendLittleEndian<uint32_t>(&out, bags[b].IdAt(r, c));
       }
     }
     AlignTo(&out, 8);
     size_t mults_off = out.size();
     for (size_t r = 0; r < rows; ++r) {
-      AppendU64(&out, bags[b].MultiplicityAt(r));
+      AppendLittleEndian<uint64_t>(&out, bags[b].MultiplicityAt(r));
     }
     size_t entry = bag_table + b * 48;
-    PutU64(&out, entry + 0, name_off);
-    PutU32(&out, entry + 8, static_cast<uint32_t>(names[b].size()));
-    PutU32(&out, entry + 12, static_cast<uint32_t>(schema.arity()));
-    PutU64(&out, entry + 16, attrs_off);
-    PutU64(&out, entry + 24, columns_off);
-    PutU64(&out, entry + 32, mults_off);
-    PutU64(&out, entry + 40, rows);
+    PutLittleEndian<uint64_t>(&out[entry + 0], name_off);
+    PutLittleEndian<uint32_t>(&out[entry + 8], static_cast<uint32_t>(names[b].size()));
+    PutLittleEndian<uint32_t>(&out[entry + 12], static_cast<uint32_t>(schema.arity()));
+    PutLittleEndian<uint64_t>(&out[entry + 16], attrs_off);
+    PutLittleEndian<uint64_t>(&out[entry + 24], columns_off);
+    PutLittleEndian<uint64_t>(&out[entry + 32], mults_off);
+    PutLittleEndian<uint64_t>(&out[entry + 40], rows);
   }
 
   std::memcpy(out.data(), kSegmentMagic.data(), kSegmentMagic.size());
-  PutU32(&out, 8, kSegmentVersion);
-  PutU32(&out, 12, kSegmentHeaderBytes);
-  PutU64(&out, 16, out.size());
-  PutU32(&out, 32, static_cast<uint32_t>(used.size()));
-  PutU32(&out, 36, static_cast<uint32_t>(bags.size()));
-  PutU64(&out, 40, attr_table);
-  PutU64(&out, 48, bag_table);
-  PutU64(&out, 56, 0);
-  PutU64(&out, 24, Xxh64(out.data() + kSegmentHeaderBytes,
+  PutLittleEndian<uint32_t>(&out[8], kSegmentVersion);
+  PutLittleEndian<uint32_t>(&out[12], kSegmentHeaderBytes);
+  PutLittleEndian<uint64_t>(&out[16], out.size());
+  PutLittleEndian<uint32_t>(&out[32], static_cast<uint32_t>(used.size()));
+  PutLittleEndian<uint32_t>(&out[36], static_cast<uint32_t>(bags.size()));
+  PutLittleEndian<uint64_t>(&out[40], attr_table);
+  PutLittleEndian<uint64_t>(&out[48], bag_table);
+  PutLittleEndian<uint64_t>(&out[56], 0);
+  PutLittleEndian<uint64_t>(&out[24], Xxh64(out.data() + kSegmentHeaderBytes,
                          out.size() - kSegmentHeaderBytes));
   return out;
 }
@@ -293,31 +256,31 @@ Status SegmentReader::Init(std::string_view data) {
   if (std::memcmp(data_, kSegmentMagic.data(), kSegmentMagic.size()) != 0) {
     return Status::InvalidArgument("bad segment magic");
   }
-  uint32_t version = LoadU32(data_ + 8);
+  uint32_t version = LoadLittleEndian<uint32_t>(data_ + 8);
   if (version != kSegmentVersion) {
     return Status::InvalidArgument(
         "unsupported segment version " + std::to_string(version) +
         " (this build reads only version " + std::to_string(kSegmentVersion) +
         "; re-export the segment)");
   }
-  if (LoadU32(data_ + 12) != kSegmentHeaderBytes) {
+  if (LoadLittleEndian<uint32_t>(data_ + 12) != kSegmentHeaderBytes) {
     return Status::InvalidArgument("bad segment header size");
   }
-  uint64_t file_size = LoadU64(data_ + 16);
+  uint64_t file_size = LoadLittleEndian<uint64_t>(data_ + 16);
   if (file_size != size_) {
     return Status::InvalidArgument(
         "segment header claims " + std::to_string(file_size) +
         " bytes but the file has " + std::to_string(size_));
   }
-  uint64_t checksum = LoadU64(data_ + 24);
+  uint64_t checksum = LoadLittleEndian<uint64_t>(data_ + 24);
   if (checksum != Xxh64(data_ + kSegmentHeaderBytes,
                         size_ - kSegmentHeaderBytes)) {
     return Status::InvalidArgument("segment checksum mismatch");
   }
-  uint32_t num_attrs = LoadU32(data_ + 32);
-  uint32_t num_bags = LoadU32(data_ + 36);
-  uint64_t attr_table = LoadU64(data_ + 40);
-  uint64_t bag_table = LoadU64(data_ + 48);
+  uint32_t num_attrs = LoadLittleEndian<uint32_t>(data_ + 32);
+  uint32_t num_bags = LoadLittleEndian<uint32_t>(data_ + 36);
+  uint64_t attr_table = LoadLittleEndian<uint64_t>(data_ + 40);
+  uint64_t bag_table = LoadLittleEndian<uint64_t>(data_ + 48);
   BAGC_RETURN_NOT_OK(CheckRange(attr_table, num_attrs, 32, size_, "attribute table"));
   BAGC_RETURN_NOT_OK(CheckRange(bag_table, num_bags, 48, size_, "bag table"));
   if (num_bags == 0) {
@@ -328,11 +291,11 @@ Status SegmentReader::Init(std::string_view data) {
   for (uint32_t i = 0; i < num_attrs; ++i) {
     const char* e = data_ + attr_table + uint64_t{i} * 32;
     AttrMeta meta;
-    uint64_t name_off = LoadU64(e + 0);
-    uint32_t name_len = LoadU32(e + 8);
-    meta.count = LoadU32(e + 12);
-    uint64_t offsets_off = LoadU64(e + 16);
-    uint64_t blob_off = LoadU64(e + 24);
+    uint64_t name_off = LoadLittleEndian<uint64_t>(e + 0);
+    uint32_t name_len = LoadLittleEndian<uint32_t>(e + 8);
+    meta.count = LoadLittleEndian<uint32_t>(e + 12);
+    uint64_t offsets_off = LoadLittleEndian<uint64_t>(e + 16);
+    uint64_t blob_off = LoadLittleEndian<uint64_t>(e + 24);
     BAGC_RETURN_NOT_OK(CheckRange(name_off, name_len, 1, size_, "attribute name"));
     BAGC_RETURN_NOT_OK(CheckRange(offsets_off, uint64_t{meta.count} + 1, 4,
                                   size_, "value offsets"));
@@ -341,17 +304,17 @@ Status SegmentReader::Init(std::string_view data) {
     meta.offsets = data_ + offsets_off;
     // Offsets must be non-decreasing prefix sums starting at 0; the last
     // one is the blob length.
-    if (LoadU32(meta.offsets) != 0) {
+    if (LoadLittleEndian<uint32_t>(meta.offsets) != 0) {
       return Status::InvalidArgument("segment value offsets do not start at 0");
     }
     for (uint32_t v = 0; v < meta.count; ++v) {
-      if (LoadU32(meta.offsets + 4 * (uint64_t{v} + 1)) <
-          LoadU32(meta.offsets + 4 * uint64_t{v})) {
+      if (LoadLittleEndian<uint32_t>(meta.offsets + 4 * (uint64_t{v} + 1)) <
+          LoadLittleEndian<uint32_t>(meta.offsets + 4 * uint64_t{v})) {
         return Status::InvalidArgument(
             "segment value offsets are not non-decreasing");
       }
     }
-    meta.blob_len = LoadU32(meta.offsets + 4 * uint64_t{meta.count});
+    meta.blob_len = LoadLittleEndian<uint32_t>(meta.offsets + 4 * uint64_t{meta.count});
     BAGC_RETURN_NOT_OK(CheckRange(blob_off, meta.blob_len, 1, size_, "value blob"));
     meta.blob = data_ + blob_off;
     for (const AttrMeta& prior : attrs_) {
@@ -367,13 +330,13 @@ Status SegmentReader::Init(std::string_view data) {
   for (uint32_t i = 0; i < num_bags; ++i) {
     const char* e = data_ + bag_table + uint64_t{i} * 48;
     BagMeta meta;
-    uint64_t name_off = LoadU64(e + 0);
-    uint32_t name_len = LoadU32(e + 8);
-    meta.arity = LoadU32(e + 12);
-    uint64_t attrs_off = LoadU64(e + 16);
-    uint64_t columns_off = LoadU64(e + 24);
-    uint64_t mults_off = LoadU64(e + 32);
-    meta.rows = LoadU64(e + 40);
+    uint64_t name_off = LoadLittleEndian<uint64_t>(e + 0);
+    uint32_t name_len = LoadLittleEndian<uint32_t>(e + 8);
+    meta.arity = LoadLittleEndian<uint32_t>(e + 12);
+    uint64_t attrs_off = LoadLittleEndian<uint64_t>(e + 16);
+    uint64_t columns_off = LoadLittleEndian<uint64_t>(e + 24);
+    uint64_t mults_off = LoadLittleEndian<uint64_t>(e + 32);
+    meta.rows = LoadLittleEndian<uint64_t>(e + 40);
     BAGC_RETURN_NOT_OK(CheckRange(name_off, name_len, 1, size_, "bag name"));
     if (meta.arity == 0) {
       return Status::InvalidArgument("segment bag has arity 0");
@@ -395,7 +358,7 @@ Status SegmentReader::Init(std::string_view data) {
     meta.columns = data_ + columns_off;
     meta.mults = data_ + mults_off;
     for (uint32_t c = 0; c < meta.arity; ++c) {
-      if (LoadU32(meta.attrs + 4 * uint64_t{c}) >= num_attrs) {
+      if (LoadLittleEndian<uint32_t>(meta.attrs + 4 * uint64_t{c}) >= num_attrs) {
         return Status::OutOfRange(
             "segment bag references attribute index beyond the table");
       }
@@ -411,7 +374,7 @@ const uint32_t* SegmentReader::attr_offsets(size_t a) const {
 }
 
 size_t SegmentReader::bag_attr(size_t b, size_t c) const {
-  return LoadU32(bags_[b].attrs + 4 * c);
+  return LoadLittleEndian<uint32_t>(bags_[b].attrs + 4 * c);
 }
 
 ColumnStore SegmentReader::Columns(size_t b) const {

@@ -82,12 +82,6 @@ class Tuple {
     return at(idx);
   }
 
-  /// Raw id of attribute `a` under schema `x`; errors if a ∉ X.
-  Result<ValueId> IdOf(const Schema& x, AttrId a) const {
-    BAGC_ASSIGN_OR_RETURN(size_t idx, x.IndexOf(a));
-    return ids_[idx];
-  }
-
   bool operator==(const Tuple& o) const {
     return ids_.size() == o.ids_.size() &&
            (ids_.empty() ||

@@ -9,46 +9,16 @@
 
 #include "tuple/segment.h"
 #include "util/checksum.h"
+#include "util/little_endian.h"
 
 namespace bagc {
 
 namespace {
 
-void AppendU32(std::string* out, uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(b, sizeof(b));
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(b, sizeof(b));
-}
-
-// memcpy loads: record offsets are arbitrary, so nothing in the buffer
-// may be assumed aligned.
-uint32_t LoadU32(const char* p) {
-  unsigned char b[4];
-  std::memcpy(b, p, 4);
-  return uint32_t{b[0]} | uint32_t{b[1]} << 8 | uint32_t{b[2]} << 16 |
-         uint32_t{b[3]} << 24;
-}
-
-uint64_t LoadU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    unsigned char byte;
-    std::memcpy(&byte, p + i, 1);
-    v |= uint64_t{byte} << (8 * i);
-  }
-  return v;
-}
-
 std::string WalHeader() {
   std::string h(kWalMagic);
-  AppendU32(&h, kWalVersion);
-  AppendU32(&h, kWalHeaderBytes);
+  AppendLittleEndian<uint32_t>(&h, kWalVersion);
+  AppendLittleEndian<uint32_t>(&h, kWalHeaderBytes);
   return h;
 }
 
@@ -60,13 +30,13 @@ class PayloadCursor {
 
   bool TakeU32(uint32_t* out) {
     if (size_ - pos_ < 4) return false;
-    *out = LoadU32(data_ + pos_);
+    *out = LoadLittleEndian<uint32_t>(data_ + pos_);
     pos_ += 4;
     return true;
   }
   bool TakeU64(uint64_t* out) {
     if (size_ - pos_ < 8) return false;
-    *out = LoadU64(data_ + pos_);
+    *out = LoadLittleEndian<uint64_t>(data_ + pos_);
     pos_ += 8;
     return true;
   }
@@ -94,11 +64,11 @@ class PayloadCursor {
 bool HasValidRecordAfter(std::string_view data, size_t from) {
   for (size_t probe = from; probe + kWalRecordFrameBytes <= data.size();
        ++probe) {
-    uint64_t len = LoadU32(data.data() + probe);
+    uint64_t len = LoadLittleEndian<uint32_t>(data.data() + probe);
     if (len > kWalMaxRecordPayload) continue;
     if (probe + kWalRecordFrameBytes + len > data.size()) continue;
     const char* payload = data.data() + probe + kWalRecordFrameBytes;
-    if (LoadU64(data.data() + probe + 4) ==
+    if (LoadLittleEndian<uint64_t>(data.data() + probe + 4) ==
         Xxh64(payload, static_cast<size_t>(len))) {
       return true;
     }
@@ -150,10 +120,10 @@ Status DecodePayload(const char* data, size_t size, WalRecord* out) {
     for (uint32_t r = 0; r < rows; ++r) {
       const char* p = cur.cursor();
       for (uint32_t c = 0; c < block.arity; ++c) {
-        block.ids.push_back(LoadU32(p + 4 * uint64_t{c}));
+        block.ids.push_back(LoadLittleEndian<uint32_t>(p + 4 * uint64_t{c}));
       }
-      block.deltas.push_back(
-          static_cast<int64_t>(LoadU64(p + 4 * uint64_t{block.arity})));
+      block.deltas.push_back(static_cast<int64_t>(
+          LoadLittleEndian<uint64_t>(p + 4 * uint64_t{block.arity})));
       cur.Skip(static_cast<size_t>(row_bytes));
     }
     out->bags.push_back(std::move(block));
@@ -173,9 +143,9 @@ Result<std::string> EncodeWalRecord(const WalRecord& record) {
     return Status::InvalidArgument("refusing to log an empty delta batch");
   }
   std::string payload;
-  AppendU64(&payload, record.generation);
-  AppendU64(&payload, record.base_fingerprint);
-  AppendU32(&payload, static_cast<uint32_t>(record.bags.size()));
+  AppendLittleEndian<uint64_t>(&payload, record.generation);
+  AppendLittleEndian<uint64_t>(&payload, record.base_fingerprint);
+  AppendLittleEndian<uint32_t>(&payload, static_cast<uint32_t>(record.bags.size()));
   for (const WalBagBlock& block : record.bags) {
     if (block.arity == 0) {
       return Status::InvalidArgument("WAL bag block has arity 0");
@@ -190,14 +160,14 @@ Result<std::string> EncodeWalRecord(const WalRecord& record) {
     if (block.deltas.size() > UINT32_MAX) {
       return Status::OutOfRange("WAL bag block row count overflows u32");
     }
-    AppendU32(&payload, block.bag_index);
-    AppendU32(&payload, block.arity);
-    AppendU32(&payload, static_cast<uint32_t>(block.deltas.size()));
+    AppendLittleEndian<uint32_t>(&payload, block.bag_index);
+    AppendLittleEndian<uint32_t>(&payload, block.arity);
+    AppendLittleEndian<uint32_t>(&payload, static_cast<uint32_t>(block.deltas.size()));
     for (size_t r = 0; r < block.deltas.size(); ++r) {
       for (uint32_t c = 0; c < block.arity; ++c) {
-        AppendU32(&payload, block.ids[r * block.arity + c]);
+        AppendLittleEndian<uint32_t>(&payload, block.ids[r * block.arity + c]);
       }
-      AppendU64(&payload, static_cast<uint64_t>(block.deltas[r]));
+      AppendLittleEndian<uint64_t>(&payload, static_cast<uint64_t>(block.deltas[r]));
     }
   }
   if (payload.size() > kWalMaxRecordPayload) {
@@ -206,8 +176,8 @@ Result<std::string> EncodeWalRecord(const WalRecord& record) {
   }
   std::string out;
   out.reserve(kWalRecordFrameBytes + payload.size());
-  AppendU32(&out, static_cast<uint32_t>(payload.size()));
-  AppendU64(&out, Xxh64(payload.data(), payload.size()));
+  AppendLittleEndian<uint32_t>(&out, static_cast<uint32_t>(payload.size()));
+  AppendLittleEndian<uint64_t>(&out, Xxh64(payload.data(), payload.size()));
   out += payload;
   return out;
 }
@@ -230,13 +200,13 @@ Result<WalContents> ParseWal(std::string_view data) {
   if (std::memcmp(data.data(), kWalMagic.data(), kWalMagic.size()) != 0) {
     return Status::InvalidArgument("bad WAL magic");
   }
-  uint32_t version = LoadU32(data.data() + 8);
+  uint32_t version = LoadLittleEndian<uint32_t>(data.data() + 8);
   if (version != kWalVersion) {
     return Status::InvalidArgument("unsupported WAL version " +
                                    std::to_string(version) + " (expected " +
                                    std::to_string(kWalVersion) + ")");
   }
-  if (LoadU32(data.data() + 12) != kWalHeaderBytes) {
+  if (LoadLittleEndian<uint32_t>(data.data() + 12) != kWalHeaderBytes) {
     return Status::InvalidArgument("bad WAL header size");
   }
   contents.valid_bytes = kWalHeaderBytes;
@@ -247,11 +217,11 @@ Result<WalContents> ParseWal(std::string_view data) {
     if (remaining < kWalRecordFrameBytes) {
       break;  // torn frame at the tail
     }
-    uint64_t len = LoadU32(data.data() + off);
+    uint64_t len = LoadLittleEndian<uint32_t>(data.data() + off);
     const char* payload = data.data() + off + kWalRecordFrameBytes;
     bool frame_fits = kWalRecordFrameBytes + len <= remaining;
     if (!frame_fits ||
-        LoadU64(data.data() + off + 4) !=
+        LoadLittleEndian<uint64_t>(data.data() + off + 4) !=
             Xxh64(payload, static_cast<size_t>(len))) {
       // A damaged record: overrunning length or failing checksum. The
       // length field itself may be the damaged bytes, so the successor
@@ -359,13 +329,14 @@ Result<uint64_t> SegmentFingerprint(const std::string& path) {
   if (std::memcmp(header, kSegmentMagic.data(), kSegmentMagic.size()) != 0) {
     return Status::InvalidArgument("bad segment magic in " + path);
   }
-  if (uint32_t version = LoadU32(header + 8); version != kSegmentVersion) {
+  if (uint32_t version = LoadLittleEndian<uint32_t>(header + 8);
+      version != kSegmentVersion) {
     return Status::InvalidArgument(
         "unsupported segment version " + std::to_string(version) + " in " +
         path + " (this build reads only version " +
         std::to_string(kSegmentVersion) + ")");
   }
-  return LoadU64(header + 24);
+  return LoadLittleEndian<uint64_t>(header + 24);
 }
 
 Status SyncParentDir(const std::string& path) {

@@ -38,13 +38,6 @@ class Rational {
   /// a / b; errors when b is zero.
   static Result<Rational> Div(const Rational& a, const Rational& b);
 
-  Rational Negated() const {
-    Rational r;
-    r.num_ = -num_;
-    r.den_ = den_;
-    return r;
-  }
-
   /// Exact three-way comparison (never overflows: uses 128-bit cross
   /// products).
   static int Compare(const Rational& a, const Rational& b);

@@ -8,8 +8,9 @@
 //     engine and match uncached recomputation;
 //   - the seal decides every pair exactly like the two-bag solver, also
 //     past the first failing pair, and queries compute no marginal;
-//   - a SealReuse reseal (changed bags, two bags aliasing one previous
-//     bag) answers exactly like a fresh seal;
+//   - a re-seal against a previous generation (changed bags, two bags
+//     sharing one previous row store, or other stores in the same order)
+//     answers exactly like a fresh seal and adopts only shared stores;
 //   - regression: the sharded seal drains in-flight pool tasks before
 //     Make returns, so destroying the engine (or the caller's stack
 //     frame) immediately afterwards is safe. Run under ASan/UBSan in CI.
@@ -261,7 +262,7 @@ TEST(EnginePropertyTest, KWiseSweepReusesSealedMarginalsAndNeverReInterns) {
 
   EngineOptions engine_options;
   engine_options.dictionaries = dicts;
-  ConsistencyEngine engine = *ConsistencyEngine::MakeView(ic, engine_options);
+  ConsistencyEngine engine = *ConsistencyEngine::Make(ic, engine_options);
   ASSERT_EQ(engine.dictionaries(), dicts.get());
 
   uint64_t interns_before = dicts->total_intern_calls();
@@ -334,7 +335,7 @@ TEST(EnginePropertyTest, SealReuseWithChangedAndAliasedBagsMatchesFreshMake) {
   // The next generation lists the previous bags in reverse order (so
   // carried pairs map onto reversed previous pairs), changes the bag now
   // first, and appends a second copy of previous bag 0 — two new bags
-  // mapped to one previous bag, whose pair carries as consistent.
+  // adopted from one previous bag, whose pair carries as consistent.
   for (uint64_t seed = 0; seed < 20; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     BagCollection c = *MakeMixedCollection(seed, seed % 2 == 1);
@@ -342,12 +343,7 @@ TEST(EnginePropertyTest, SealReuseWithChangedAndAliasedBagsMatchesFreshMake) {
     ConsistencyEngine previous = *ConsistencyEngine::Make(c);
 
     std::vector<Bag> bags;
-    SealReuse reuse;
-    reuse.previous = &previous;
-    for (size_t k = m; k-- > 0;) {
-      bags.push_back(c.bag(k));
-      reuse.prev_index.push_back(k);
-    }
+    for (size_t k = m; k-- > 0;) bags.push_back(c.bag(k));
     Bag& changed = bags[0];
     if (changed.IsEmpty()) {
       std::vector<Value> zeros(changed.schema().arity(), 0);
@@ -356,9 +352,7 @@ TEST(EnginePropertyTest, SealReuseWithChangedAndAliasedBagsMatchesFreshMake) {
       ASSERT_TRUE(
           changed.Set(changed.RowAt(0), changed.MultiplicityAt(0) + 1).ok());
     }
-    reuse.prev_index[0] = SealReuse::kNoPrev;
     bags.push_back(c.bag(0));
-    reuse.prev_index.push_back(0);
     BagCollection next = *BagCollection::Make(std::move(bags));
 
     ConsistencyEngine fresh = *ConsistencyEngine::Make(next);
@@ -366,8 +360,8 @@ TEST(EnginePropertyTest, SealReuseWithChangedAndAliasedBagsMatchesFreshMake) {
     for (size_t workers : {size_t{1}, size_t{4}}) {
       EngineOptions options;
       options.num_threads = workers;
-      ConsistencyEngine resealed =
-          *ConsistencyEngine::Make(BagCollection(next), options, &reuse);
+      ConsistencyEngine resealed = *ConsistencyEngine::Make(next, options, &previous);
+      EXPECT_EQ(resealed.reused_bags(), m);  // all but the changed bag
       for (size_t i = 0; i < next.size(); ++i) {
         for (size_t j = 0; j < next.size(); ++j) {
           EXPECT_EQ(*resealed.TwoBag(i, j), *fresh.TwoBag(i, j))
@@ -379,6 +373,39 @@ TEST(EnginePropertyTest, SealReuseWithChangedAndAliasedBagsMatchesFreshMake) {
       EXPECT_EQ(v.consistent, expected.consistent);
       EXPECT_EQ(v.witness_pair, expected.witness_pair);
       EXPECT_LT(resealed.marginal_fills(), fresh.marginal_fills());
+    }
+  }
+}
+
+TEST(EnginePropertyTest, ResealAdoptsNothingFromOtherRowStoresInTheSameOrder) {
+  // Reuse follows row identity, not position or content: the previous
+  // generation has the same schemas in the same order, but every bag was
+  // sealed into its own store (equal rows, except one perturbed bag). The
+  // re-seal adopts nothing, fills as much as a fresh Make, and answers
+  // exactly like it — the perturbed bag's pairs are inconsistent although
+  // the previous generation's same-position pairs were not.
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    ConsistencyEngine previous =
+        *ConsistencyEngine::Make(*MakeMixedCollection(seed, false));
+    BagCollection next = *MakeMixedCollection(seed, true);
+    ASSERT_EQ(next.size(), previous.collection().size());
+    ConsistencyEngine fresh = *ConsistencyEngine::Make(next);
+    ASSERT_FALSE(fresh.PairwiseAll()->consistent);
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      EngineOptions options;
+      options.num_threads = workers;
+      ConsistencyEngine resealed = *ConsistencyEngine::Make(next, options, &previous);
+      EXPECT_EQ(resealed.reused_bags(), 0u);
+      EXPECT_EQ(resealed.marginal_fills(), fresh.marginal_fills());
+      for (size_t i = 0; i < next.size(); ++i) {
+        for (size_t j = 0; j < next.size(); ++j) {
+          EXPECT_EQ(*resealed.TwoBag(i, j), *fresh.TwoBag(i, j))
+              << i << "," << j << " at " << workers << " workers";
+        }
+      }
+      EXPECT_EQ(resealed.PairwiseAll()->witness_pair,
+                fresh.PairwiseAll()->witness_pair);
     }
   }
 }

@@ -345,13 +345,11 @@ TEST(InternDifferentialTest, CanonicalizedScansMatchSortedMapOracle) {
     EXPECT_EQ(*canon.Global(), global_before);
   }
 
-  // Guard rails: canonicalization needs an owned collection and a set.
+  // Guard rail: canonicalization needs a dictionary set.
   BagCollection c = *MakeWorkload(1);
   EngineOptions bad;
   bad.canonicalize_dictionaries = true;
   EXPECT_FALSE(ConsistencyEngine::Make(c, bad).ok());  // no dictionaries
-  bad.dictionaries = std::make_shared<DictionarySet>();
-  EXPECT_FALSE(ConsistencyEngine::MakeView(c, bad).ok());  // borrowed view
 }
 
 TEST(InternDifferentialTest, MixedNumericAndDictionaryFilesParse) {

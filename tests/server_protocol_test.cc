@@ -409,6 +409,23 @@ TEST(ServerSessionTest, IncrementalResealReusesUntouchedBags) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], "OK SEAL 2 bags");
   EXPECT_EQ(out[1], "OK SEAL 2 bags");
+
+  // Empty bags have no row store: re-loading the last bag with no rows
+  // counts as changed against a generation whose bag had rows, but as
+  // unchanged against one that held it empty over the same schema — its
+  // marginals are empty whatever was loaded.
+  const std::string reload_empty = "DROP orders\nLOADU32 orders item store\nEND\nSEAL\n";
+  out = Feed(&session, reload_empty);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[2], "OK SEAL 2 bags 1 reused");
+  uint64_t empty_fills = registry.Peek(registry.Default().get())->marginal_fills();
+  out = Feed(&session, reload_empty);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[2], "OK SEAL 2 bags 2 reused");
+  EXPECT_EQ(registry.Peek(registry.Default().get())->marginal_fills(), 0u);
+  EXPECT_GT(empty_fills, 0u);
+  out = Feed(&session, "PAIRWISE\n");
+  EXPECT_EQ(out, std::vector<std::string>{"OK INCONSISTENT 0 1"});
 }
 
 TEST(ServerSessionTest, InsertDeltaPublishesIncrementally) {
