@@ -193,6 +193,9 @@ class ConsistencyEngine {
   /// without a pool.
   void ReleaseWorkers() { pool_.reset(); }
 
+  /// The options the engine was sealed with (its dictionary set, and
+  /// whether the seal canonicalized it).
+  const EngineOptions& options() const { return options_; }
   /// The shared dictionary set the collection was interned through, or
   /// nullptr for numerically built collections.
   const DictionarySet* dictionaries() const { return options_.dictionaries.get(); }

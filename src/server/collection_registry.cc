@@ -270,6 +270,14 @@ Status CollectionRegistry::PublishChain(
     return Status::FailedPrecondition(
         "seal superseded by a newer generation; retry SEAL");
   }
+  // A delta means "its base plus these rows" (Eq. (2)); over any other
+  // head it would drop what that head added since.
+  if (snapshot->base_seq() != 0 &&
+      (c->current_ == nullptr || c->current_->seq() != snapshot->base_seq())) {
+    return Status::FailedPrecondition("delta superseded: generation " +
+                                      std::to_string(snapshot->base_seq()) +
+                                      " it was built on is no longer current; retry");
+  }
   c->published_high_water_ = snapshot->seq();
   if (segment_path != nullptr) {
     c->segment_path_ = *segment_path;
@@ -309,19 +317,14 @@ Status CollectionRegistry::Publish(
 Status CollectionRegistry::PublishDelta(
     Collection* c, std::shared_ptr<const EngineSnapshot> snapshot,
     const DeltaBatch& batch) {
-  // Without a WAL to make the delta chain replayable, the published
-  // rows silently diverge from any staged segment, so the reload source
-  // is DROPPED (a later eviction answers E_STATE instead of quietly
-  // reloading pre-delta state). With a WAL attached, the base segment
-  // stays the replay anchor of the whole chain.
-  const std::string no_reload_source;
-  if (options_.wal_dir.empty()) {
-    return PublishChain(c, std::move(snapshot), &no_reload_source, false);
-  }
   std::lock_guard<std::mutex> wal_lock(c->wal_mu_);
   if (c->wal_ == nullptr) {
-    // No segment base, no durability: the collection was sealed from
-    // session rows and has no replay anchor.
+    // No WAL (no wal_dir, or no segment base to replay over): the
+    // published rows silently diverge from any staged segment, so the
+    // reload source is DROPPED (a later eviction answers E_STATE instead
+    // of quietly reloading pre-delta state). With a WAL attached, the
+    // base segment stays the replay anchor of the whole chain.
+    const std::string no_reload_source;
     return PublishChain(c, std::move(snapshot), &no_reload_source, false);
   }
   if (c->wal_poisoned_) {

@@ -4,7 +4,9 @@
 // optional BAGCSEG segment it can be rebuilt from. Sessions bind to a
 // collection with ATTACH (every session starts on "default"), SEAL
 // publishes into the bound collection's chain, and queries read its
-// current snapshot.
+// current snapshot. The registry is the only owner of a generation:
+// sessions keep just the seq of the one they last produced, so dropping
+// the head (RESET, eviction) is what frees it.
 //
 // The registry enforces a global memory budget: when the resident bytes
 // of all published snapshots exceed it, the coldest collections (LRU by
@@ -23,7 +25,8 @@
 // lock) for that reload's result instead of rebuilding. Per-chain seq issuance is atomic and
 // lock-free, preserving the single-generation registry's race rule: a
 // SEAL that loses to a newer generation (or to a RESET that happened
-// after it took its seq) is refused at publish with a retryable error.
+// after it took its seq), and a delta whose base is no longer the head,
+// are refused at publish with a retryable error.
 #pragma once
 
 #include <atomic>
@@ -99,7 +102,7 @@ class CollectionRegistry {
 
     const std::string name_;
     std::atomic<uint64_t> next_seq_{1};
-    // ---- WAL state (wal_dir registries only) ----
+    // ---- WAL state (wal_ stays null without a wal_dir) ----
     // wal_mu_ serializes delta publishes (chain publish + record append,
     // so file order equals seq order), full-seal WAL resets, and replay.
     // Lock order: wal_mu_ is taken BEFORE the registry's mu_, never
@@ -173,7 +176,10 @@ class CollectionRegistry {
                  std::string segment_path, bool canonical);
 
   /// Publishes a delta generation (COMMIT / INSERT / DELETE): the same
-  /// chain rules as Publish. When a WAL is attached, the collection's
+  /// chain rules as Publish, and only while `snapshot`'s base (base_seq())
+  /// is still `c`'s current generation, checked under the lock — else
+  /// FailedPrecondition (retryable), nothing published or logged. When a
+  /// WAL is attached, the collection's
   /// existing reload source is PRESERVED (the delta chain is replayable
   /// on top of the base segment) and `batch` is appended as one durable
   /// record — fdatasynced before OK is returned, in publish order. The

@@ -63,6 +63,7 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::BuildDeltaBatch(
     const DeltaBatch& batch, uint64_t seq, DeltaOutcome* outcome) {
   auto snapshot = std::shared_ptr<EngineSnapshot>(new EngineSnapshot());
   snapshot->seq_ = seq;
+  snapshot->base_seq_ = previous->seq_;
   snapshot->names_ = previous->names_;
   snapshot->name_index_ = previous->name_index_;
   snapshot->catalog_ = previous->catalog_;

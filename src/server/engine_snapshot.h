@@ -126,6 +126,9 @@ class EngineSnapshot {
   std::string WriteBagText(const Bag& bag) const;
 
   uint64_t seq() const { return seq_; }
+  /// The seq of the generation BuildDeltaBatch derived this one from (0
+  /// for a seal): the registry publishes a delta only onto its base.
+  uint64_t base_seq() const { return base_seq_; }
   /// The catalog/dictionaries the snapshot decodes results through —
   /// for the session's witness responses, which mirror WriteBagText.
   const AttributeCatalog& catalog() const { return catalog_; }
@@ -152,6 +155,7 @@ class EngineSnapshot {
   EngineSnapshot() = default;
 
   uint64_t seq_ = 0;
+  uint64_t base_seq_ = 0;
   std::vector<std::string> names_;
   std::unordered_map<std::string, size_t> name_index_;
   AttributeCatalog catalog_;

@@ -5,6 +5,7 @@
 #include <future>
 #include <limits>
 #include <map>
+#include <set>
 #include <utility>
 
 #include "bag/bag_io.h"
@@ -111,6 +112,15 @@ Response WitnessResponse(const Bag& bag, const EngineSnapshot& snapshot) {
   const uint64_t* mults = bag.MultiplicityData();
   r.mults.assign(mults, mults + rows);
   return r;
+}
+
+// True when `head`, a generation the session produced, was sealed
+// against a dictionary clone equal to the session's `live` set: not
+// canonicalized, and nothing interned since (dictionaries only grow, so
+// an equal total count means equal content).
+bool SharesDictionaries(const EngineSnapshot& head, const DictionarySet& live) {
+  return !head.engine()->options().canonicalize_dictionaries &&
+         head.dict_values() == live.total_size();
 }
 
 }  // namespace
@@ -480,60 +490,49 @@ Response ServerSession::HandleMutate(const Request& request) {
 Response ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
                                     const std::string& label) {
   const std::string verb = label.substr(0, label.find(' '));
-  // Incremental-publish lineage: the bound collection's chain currently
-  // ends in the generation this session sealed, every loaded bag still
-  // holds the row store of the same-named bag at its index there, and no
-  // value was interned since — the generations then share one immutable
-  // dictionary clone, so the batch's ids mean the same thing in both.
-  // (A canonical seal leaves last_seal_dicts_ null, which breaks lineage.)
-  // The batch must be the only change the new generation carries.
-  bool lineage = last_sealed_ != nullptr && last_seal_dicts_ != nullptr &&
-                 last_seal_dicts_->total_size() == dicts_->total_size() &&
-                 bags_.size() == last_sealed_->num_bags();
-  for (size_t b = 0; lineage && b < bags_.size(); ++b) {
-    lineage = last_sealed_->bag_name(b) == bag_names_[b] &&
-              bags_[b].SharesRowsWith(last_sealed_->engine()->collection().bag(b));
+  std::shared_ptr<const EngineSnapshot> head = registry_->Peek(collection_.get());
+  if (head == nullptr && sealed_seq_ != 0 &&
+      registry_->Stats(collection_.get()).generation == sealed_seq_) {
+    // The session's generation was evicted under the memory budget. A
+    // commit must not reload (Peek semantics), and a reload would be a
+    // new generation anyway. Retryable: SEAL republishes the loaded bags.
+    return Response::Err(WireError::kState,
+                         "collection '" + collection_->name() +
+                             "' is not resident; SEAL, then retry the " + verb);
   }
-  if (lineage) {
-    if (registry_->Peek(collection_.get()) == nullptr) {
-      // Evicted under the memory budget: no resident generation to
-      // derive from, and a delta commit must not trigger a reload (Peek
-      // semantics). Retryable: any query reloads the collection from its
-      // segment, or SEAL republishes it fresh.
-      return Response::Err(WireError::kState,
-                           "collection '" + collection_->name() +
-                               "' is not resident; run a query (reload) or SEAL, "
-                               "then retry the " +
-                               verb);
-    }
-    DeltaOutcome outcome;
+  // Publish onto the head only when it is the session's generation and
+  // the batch is the only change the next one carries: the same
+  // dictionary clone (so the batch's ids mean the same in both), the same
+  // bag names, and every loaded bag holding the row store at its index.
+  bool publish = head != nullptr && head->seq() == sealed_seq_ &&
+                 SharesDictionaries(*head, *dicts_) && bags_.size() == head->num_bags();
+  for (size_t b = 0; publish && b < bags_.size(); ++b) {
+    publish = head->bag_name(b) == bag_names_[b] &&
+              bags_[b].SharesRowsWith(head->engine()->collection().bag(b));
+  }
+  if (publish) {
     Result<std::shared_ptr<const EngineSnapshot>> next =
-        EngineSnapshot::BuildDeltaBatch(last_sealed_, batch,
-                                        collection_->NextSeq(), &outcome);
+        EngineSnapshot::BuildDeltaBatch(head, batch, collection_->NextSeq());
     if (!next.ok()) {
       // A DELETE below zero multiplicity (E_RANGE) in ANY bag: nothing
-      // was mutated or published — every loaded bag, the lineage, and
-      // the served generation are all intact.
+      // was mutated or published — every loaded bag and the served
+      // generation are intact.
       return Response::Error(next.status());
     }
     Status published =
         registry_->PublishDelta(collection_.get(), *next, batch);
     if (!published.ok()) {
-      // A concurrent publication won the chain (retryable E_STATE);
-      // readers are on the newer generation, this session is untouched.
+      // Another publication replaced the head since the Peek (retryable
+      // E_STATE); readers are on the newer generation, this session is
+      // untouched, and the retry stages.
       return Response::Error(published);
     }
-    // The session's staged copies now match the published generation, so
-    // the next SEAL or delta keeps full reuse lineage.
-    std::vector<size_t> mutated;
-    for (const BagDeltas& bd : batch) {
-      if (std::find(mutated.begin(), mutated.end(), bd.bag_index) ==
-          mutated.end()) {
-        mutated.push_back(bd.bag_index);
-      }
-    }
+    // The session's loaded bags now match the published generation, so
+    // the next SEAL or delta builds on it.
+    std::set<size_t> mutated;
+    for (const BagDeltas& bd : batch) mutated.insert(bd.bag_index);
     for (size_t bi : mutated) bags_[bi] = (*next)->engine()->collection().bag(bi);
-    last_sealed_ = *next;
+    sealed_seq_ = (*next)->seq();
     // The published rows diverged from whatever segment staged them.
     staged_seg_path_.clear();
     registry_->RecordDelta();
@@ -543,13 +542,13 @@ Response ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
     if (reused > 0) rest += " " + std::to_string(reused) + " reused";
     return Response::Ok(rest);
   }
-  // No publishable lineage (nothing sealed yet, canonical seal,
-  // dictionary growth, or a changed bag set): mutate the loaded bags
-  // only, all-or-nothing across the whole batch. Each bag gets its
-  // blocks' concatenated deltas in one ApplyRowDeltas call, which nets
-  // them exactly as ApplyDeltaBatch does, so a bag listed twice behaves
-  // identically on both paths. Each changed bag gets a new row store, so
-  // the next SEAL refills exactly those.
+  // Nothing to publish onto (nothing sealed yet, another session's or a
+  // reloaded head, canonical seal, dictionary growth, or a changed bag
+  // set): mutate the loaded bags only, all-or-nothing across the whole
+  // batch. Each bag gets its blocks' concatenated deltas in one
+  // ApplyRowDeltas call, which nets them exactly as ApplyDeltaBatch does,
+  // so a bag listed twice behaves identically on both paths. Each changed
+  // bag gets a new row store, so the next SEAL refills exactly those.
   std::map<size_t, std::vector<std::pair<Tuple, int64_t>>> deltas;
   for (BagDeltas& bd : batch) {
     std::vector<std::pair<Tuple, int64_t>>& bag_deltas = deltas[bd.bag_index];
@@ -646,39 +645,34 @@ Response ServerSession::HandleSeal(const Request& request) {
   inputs.catalog = catalog_;
   // The snapshot seals through a private clone: the session's live set —
   // and every id a client has streamed or will stream — stays untouched,
-  // even under CANONICAL (which reorders only the clone). Re-seals skip
-  // the clone when no value was interned since the last one (dictionary
-  // growth is append-only, so an equal total count means identical
-  // content) — the generations then share one immutable DictionarySet.
-  if (!canonical && last_seal_dicts_ != nullptr &&
-      last_seal_dicts_->total_size() == dicts_->total_size()) {
-    inputs.dicts = last_seal_dicts_;
+  // even under CANONICAL (which reorders only the clone). A re-seal on
+  // the session's own head shares the head's clone when it still equals
+  // the live set: the generations then share one immutable DictionarySet.
+  std::shared_ptr<const EngineSnapshot> head = registry_->Peek(collection_.get());
+  if (head != nullptr && head->seq() != sealed_seq_) head = nullptr;
+  if (!canonical && head != nullptr && SharesDictionaries(*head, *dicts_)) {
+    inputs.dicts = head->engine()->options().dictionaries;
   } else {
     inputs.dicts = std::make_shared<DictionarySet>(dicts_->Clone());
   }
-  std::shared_ptr<DictionarySet> seal_dicts = inputs.dicts;
   inputs.num_threads = static_cast<size_t>(request.threads);
   inputs.canonicalize = canonical;
-  // Incremental re-seal: every bag still holding a row store of the last
-  // generation this session sealed reuses its marginal cache — a k-of-m
-  // touch refills O(k·m) pairs instead of O(m²). FULL opts out
-  // (benchmark baseline).
-  if (!request.full) inputs.previous = last_sealed_;
+  // Incremental re-seal: every bag still holding a row store of the head
+  // reuses its marginal cache — a k-of-m touch refills O(k·m) pairs
+  // instead of O(m²). FULL opts out (benchmark baseline).
+  if (!request.full) inputs.previous = std::move(head);
   Result<std::shared_ptr<const EngineSnapshot>> snapshot =
       EngineSnapshot::Build(std::move(inputs), collection_->NextSeq());
   if (!snapshot.ok()) return Response::Error(snapshot.status());
   Status published = registry_->Publish(collection_.get(), *snapshot,
                                         staged_seg_path_, canonical);
   if (!published.ok()) return Response::Error(published);
-  last_sealed_ = *snapshot;
-  // A canonical seal remapped the clone's ids in place; it can never
-  // seed a later generation.
-  last_seal_dicts_ = canonical ? nullptr : std::move(seal_dicts);
+  sealed_seq_ = (*snapshot)->seq();
   registry_->RecordSeal();
   std::string rest = "SEAL " + std::to_string(bags_.size()) + " bags";
   // The suffix appears only on actual reuse, so full-seal responses stay
   // byte-identical to protocol v1.
-  const size_t reused = last_sealed_->engine()->reused_bags();
+  const size_t reused = (*snapshot)->engine()->reused_bags();
   if (reused > 0) rest += " " + std::to_string(reused) + " reused";
   return Response::Ok(rest);
 }
@@ -855,8 +849,7 @@ void ServerSession::AddBag(std::string name, Bag bag) {
 }
 
 void ServerSession::ForgetSealLineage() {
-  last_sealed_ = nullptr;
-  last_seal_dicts_ = nullptr;
+  sealed_seq_ = 0;
   staged_seg_path_.clear();
 }
 

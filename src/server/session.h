@@ -7,13 +7,15 @@
 // shared immutable EngineSnapshot currently published for the session's
 // *collection* (ATTACH binds one; "default" before the first ATTACH), so
 // N sessions hammer one sealed engine concurrently and a RESET or re-SEAL
-// swaps generations under them without a pause. SEAL publishes into the
-// bound collection's chain, handing the engine the last generation this
-// session sealed there: every loaded bag that still holds the same row
-// store as a bag of that generation (untouched since, or empty in both)
-// reuses its sealed state, so changing k of m bags costs O(k·m) marginal
-// fills instead of O(m²). A DROP + re-LOAD seals a new store, so it
-// counts as changed even with identical rows ("SEAL FULL" opts out).
+// swaps generations under them without a pause. The registry owns every
+// generation; a session keeps only the seq of the one it last sealed or
+// published by delta. While the bound collection's head carries that seq,
+// SEAL hands the head to the engine (every loaded bag still holding one
+// of its row stores, or empty in both, reuses its sealed state: changing
+// k of m bags costs O(k·m) marginal fills, not O(m²)) and a delta commit
+// publishes onto it; otherwise SEAL reuses nothing and deltas stage, or
+// answer E_STATE while the session's own generation is evicted. A
+// DROP + re-LOAD seals a new store ("SEAL FULL" opts out of reuse).
 //
 // The dictionary-aware hot path: a client ships each attribute's
 // dictionary once (DICT block, ids 0..n-1 in shipped order), then
@@ -131,7 +133,8 @@ class ServerSession {
   Response HandleQuery(const Request& request);
 
   // The delta commit: publishes the whole batch as ONE generation (and
-  // one WAL record) when this session's seal lineage holds, or applies
+  // one WAL record) onto the collection's head when the head is this
+  // session's generation and the loaded bags still match it, or applies
   // it to the loaded bags otherwise ("staged") — all-or-nothing across
   // every bag either way (a failing delta in the last bag leaves every
   // bag untouched). `label` is the response prefix ("COMMIT",
@@ -144,8 +147,8 @@ class ServerSession {
   size_t FindBag(const std::string& name) const;
   // Registers a freshly loaded bag (name and bag in lockstep).
   void AddBag(std::string name, Bag bag);
-  // Invalidates the incremental-seal linkage and the staged segment
-  // reload source (any change that breaks "bags == previous seal").
+  // Forgets the session's generation and the staged segment reload
+  // source (any change that breaks "bags == previous seal").
   void ForgetSealLineage();
   // Closes the open transaction, discarding whatever it buffered.
   void EndTransaction();
@@ -161,21 +164,15 @@ class ServerSession {
   std::shared_ptr<DictionarySet> dicts_ = std::make_shared<DictionarySet>();
 
   // Loaded, not-yet-sealed bags in LOAD order (the collection order). A
-  // bag that shares its row store with a bag of last_sealed_ is unchanged
-  // since that seal; every load or staged delta seals a new store.
+  // bag sharing its row store with a bag of the session's generation is
+  // unchanged since; every load or staged delta seals a new store.
   std::vector<std::string> bag_names_;
   std::vector<Bag> bags_;
 
-  // Incremental-seal linkage: the last generation THIS session sealed or
-  // published into the bound collection. Cleared by RESET and
-  // ATTACH/DETACH.
-  std::shared_ptr<const EngineSnapshot> last_sealed_;
-  // The dictionary clone the last seal was built against, shared with
-  // the next generation when nothing was interned in between (session
-  // dictionaries only ever grow, so an unchanged total value count means
-  // unchanged content). Null after canonical seals: the engine remapped
-  // that clone's ids, so it no longer matches the session's id space.
-  std::shared_ptr<DictionarySet> last_seal_dicts_;
+  // The seq of the generation THIS session last sealed or published by
+  // delta into the bound collection (0 = none; cleared by RESET and
+  // ATTACH/DETACH). The generation itself lives only in the registry.
+  uint64_t sealed_seq_ = 0;
 
   // When every loaded bag came from one LOADSEG (and nothing was loaded
   // or dropped since), the segment path SEAL registers as the

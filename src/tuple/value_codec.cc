@@ -54,10 +54,4 @@ Value DecodeValue(ValueId id) {
   return table.values[idx];
 }
 
-size_t SideTableSizeForTest() {
-  SideTable& table = GlobalSideTable();
-  std::lock_guard<std::mutex> lock(table.mu);
-  return table.values.size();
-}
-
 }  // namespace bagc

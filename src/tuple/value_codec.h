@@ -55,9 +55,6 @@ ValueId EncodeValue(Value v);
 /// the raw id widened to Value — which keeps printing total.
 Value DecodeValue(ValueId id);
 
-/// Number of side-table entries interned so far (test/introspection).
-size_t SideTableSizeForTest();
-
 /// Strict total order on row ids by (DecodeValue(id), id) — numeric value
 /// order, independent of side-table encode order. For the direct range
 /// (dictionary ids and in-range numerics) this is the plain id compare,

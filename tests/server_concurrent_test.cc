@@ -468,25 +468,83 @@ TEST(ServerConcurrentTest, MutationOnEvictedCollectionIsRetryableEState) {
       "SEAL\n");
   ASSERT_EQ(out.back(), "OK SEAL 1 bags");
 
-  // The victim's lineage is intact but its generation is gone: the
-  // delta is refused with the documented retryable message.
+  // The victim's generation is gone: the delta is refused with the
+  // documented retryable message.
   out = victim.HandleScript("INSERT r item\n1 : 3\nEND\n");
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].rfind("ERR E_STATE", 0), 0u) << out[0];
   EXPECT_NE(out[0].find("not resident"), std::string::npos) << out[0];
 
   // The documented recovery: re-SEAL (which re-publishes and evicts
-  // tenant_b in turn), then the delta commits incrementally.
+  // tenant_b in turn; the evicted generation is gone, so nothing is
+  // reused), then the delta commits incrementally.
   out = victim.HandleScript("SEAL\nINSERT r item\n1 : 3\nEND\nTWOBAG r s\n");
   ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0], "OK SEAL 2 bags 2 reused");
+  EXPECT_EQ(out[0], "OK SEAL 2 bags");
   EXPECT_EQ(out[1], "OK INSERT r 1 rows 2 bags 1 reused");
   EXPECT_EQ(out[2], "OK INCONSISTENT");
 }
 
+// A delta publishes only onto the generation it was built from. Once
+// another session sealed the collection, a commit from the first session
+// stages into its loaded bags: publishing it would replace the newer
+// generation, and its rows, with the first session's.
+TEST(ServerConcurrentTest, CommitAfterAnotherSessionsSealStages) {
+  CollectionRegistry registry;
+  const std::string dict = "DICT item 2\napple\nbanana\nEND\n";
+  ServerSession a(&registry, nullptr);
+  ServerSession b(&registry, nullptr);
+  ASSERT_EQ(a.HandleScript(dict + "LOADU32 r item\n0 : 2\nEND\n"
+                                  "LOADU32 s item\n0 : 2\nEND\nSEAL\n")
+                .back(),
+            "OK SEAL 2 bags");
+  ASSERT_EQ(b.HandleScript(dict + "LOADU32 r item\n1 : 2\nEND\n"
+                                  "LOADU32 s item\n1 : 2\nEND\nSEAL\n")
+                .back(),
+            "OK SEAL 2 bags");
+
+  std::vector<std::string> out = a.HandleScript("INSERT r item\n0 : 3\nEND\n");
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], "OK INSERT r 1 rows staged");
+
+  ServerSession reader(&registry, nullptr);
+  EXPECT_EQ(reader.HandleScript("WITNESS r s\n"),
+            (std::vector<std::string>{"OK WITNESS 1", "bag item", "banana : 2", "end",
+                                      "END"}));
+}
+
+// Another session's generation lends nothing, even where row identity
+// cannot tell the sessions apart. Its dictionary clone can have as many
+// values as the session's, and its empty bags match empty bags over the
+// same schema. A re-SEAL still decodes through the session's own values,
+// and a commit stages rather than publish the session's ids into it.
+TEST(ServerConcurrentTest, AnotherSessionsGenerationLendsNothing) {
+  CollectionRegistry registry;
+  ServerSession a(&registry, nullptr);
+  ServerSession b(&registry, nullptr);
+  const std::string bags =
+      "LOADU32 r item\n0 : 2\nEND\nLOADU32 s item\n0 : 2\nEND\nSEAL\n";
+  ASSERT_EQ(a.HandleScript("DICT item 2\napple\nbanana\nEND\n" + bags).back(),
+            "OK SEAL 2 bags");
+  ASSERT_EQ(b.HandleScript("DICT item 2\ncherry\ndate\nEND\n" + bags).back(),
+            "OK SEAL 2 bags");
+  EXPECT_EQ(b.HandleScript("WITNESS r s\n"),
+            (std::vector<std::string>{"OK WITNESS 1", "bag item", "cherry : 2", "end",
+                                      "END"}));
+  EXPECT_EQ(a.HandleScript("SEAL\nWITNESS r s\n"),
+            (std::vector<std::string>{"OK SEAL 2 bags", "OK WITNESS 1", "bag item",
+                                      "apple : 2", "end", "END"}));
+
+  const std::string empty = "LOADU32 r item\nEND\nLOADU32 s item\nEND\nSEAL\n";
+  ASSERT_EQ(a.HandleScript("RESET\n" + empty).back(), "OK SEAL 2 bags");
+  ASSERT_EQ(b.HandleScript("RESET\n" + empty).back(), "OK SEAL 2 bags");
+  EXPECT_EQ(a.HandleScript("INSERT r item\n0 : 1\nEND\n"),
+            std::vector<std::string>{"OK INSERT r 1 rows staged"});
+}
+
 // A delta publish that loses the chain race answers the retryable
 // E_STATE and mutates nothing — the deterministic stand-in for a
-// concurrent seal winning between lineage check and publish.
+// concurrent seal winning between the head check and publish.
 TEST(ServerConcurrentTest, SupersededDeltaPublishIsRetryable) {
   CollectionRegistry registry;
   ServerSession session(&registry, nullptr);

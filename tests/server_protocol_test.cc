@@ -251,6 +251,14 @@ TEST(ServerSessionTest, CanonicalSealKeepsSessionIdsStable) {
   EXPECT_EQ(out[4], "end");
   EXPECT_EQ(out[5], kWireEnd);
 
+  // A plain re-SEAL on the canonical generation must not share its
+  // remapped clone: the session's ids still name the shipped order.
+  out = Feed(&session, "SEAL\nWITNESS r s\n");
+  ASSERT_EQ(out.size(), 7u);
+  EXPECT_EQ(out[0], "OK SEAL 2 bags");
+  EXPECT_EQ(out[3], "zebra : 4");
+  EXPECT_EQ(out[4], "apple : 1");
+
   // Session ids still refer to the shipped order (0 = zebra): stream
   // them again after the canonical seal and the verdicts line up.
   out = Feed(&session, "RESET\nLOADU32 r item\n0 : 1\nEND\n"
@@ -1479,6 +1487,101 @@ TEST(ServerSessionTest, HostileFrameBytesNeverCrashOrDesync) {
       probe(flipped, bit >= 32);
     }
   }
+}
+
+// The client requests of every docs/PROTOCOL.md transcript block, one
+// string per request: a command line, or a command line with its body
+// through END, each line newline-terminated.
+std::vector<std::vector<std::string>> TranscriptRequests() {
+  std::ifstream in(std::string(BAGC_REPO_ROOT) + "/docs/PROTOCOL.md");
+  EXPECT_TRUE(in.good()) << "docs/PROTOCOL.md not found under " << BAGC_REPO_ROOT;
+  std::vector<std::vector<std::string>> blocks;
+  bool in_fence = false;
+  bool in_body = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!in_fence) {
+      in_fence = line.rfind("```transcript", 0) == 0;
+      if (in_fence) blocks.emplace_back();
+      continue;
+    }
+    if (line.rfind("```", 0) == 0) {
+      in_fence = false;
+      continue;
+    }
+    if (line.rfind("C:", 0) != 0) continue;
+    std::string sent = line.substr(line.size() > 2 && line[2] == ' ' ? 3 : 2);
+    if (in_body) {
+      blocks.back().back() += sent + "\n";
+      in_body = StripCommentView(sent) != kWireEnd;
+      continue;
+    }
+    blocks.back().push_back(sent + "\n");
+    std::vector<std::string> tokens = WireTokens(sent);
+    in_body = !tokens.empty() && WireCommandHasBody(tokens[0]);
+  }
+  return blocks;
+}
+
+// Hostile bytes on the text framing, the twin of the frame test above.
+// Each request of the PROTOCOL.md transcripts is replayed after the
+// requests before it in its block, on a fresh session, truncated at
+// every byte and with every single bit of every byte flipped. The
+// session must never crash, must answer in whole lines and never with
+// E_INTERNAL, and must keep answering: after a line break and END
+// (which close whatever line or body the damage left open) a STATS
+// line is answered, and its reply ends the output, so nothing stays
+// buffered. Only a session that closed is exempt.
+TEST(ServerSessionTest, HostileTextBytesNeverCrashOrDesync) {
+  const std::vector<std::vector<std::string>> blocks = TranscriptRequests();
+  ASSERT_FALSE(blocks.empty());
+  auto check_replies = [](const std::string& out) {
+    ASSERT_TRUE(out.empty() || out.back() == '\n') << "partial reply line: " << out;
+    for (const std::string& line : WireSplitLines(out)) {
+      EXPECT_NE(line.rfind("ERR E_INTERNAL", 0), 0u) << line;
+    }
+  };
+  auto probe = [&](const std::string& prefix, const std::string& bytes) {
+    CollectionRegistry registry;
+    ServerSession session(&registry, nullptr);
+    std::string out;
+    ASSERT_EQ(session.HandleData(prefix, &out), ServerSession::Outcome::kContinue);
+    out.clear();
+    ServerSession::Outcome outcome = session.HandleData(bytes, &out);
+    check_replies(out);
+    if (outcome != ServerSession::Outcome::kContinue) return;
+    out.clear();
+    outcome = session.HandleData("\nEND\nSTATS\n", &out);
+    check_replies(out);
+    if (outcome != ServerSession::Outcome::kContinue) return;
+    ASSERT_FALSE(session.binary_mode());
+    std::vector<std::string> lines = WireSplitLines(out);
+    auto stats = std::find(lines.rbegin(), lines.rend(), "OK STATS");
+    ASSERT_NE(stats, lines.rend()) << "STATS went unanswered after hostile text";
+    EXPECT_EQ(std::find(lines.rbegin(), stats, "END"), lines.rbegin())
+        << "STATS reply is not last";
+  };
+  size_t probes = 0;
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    std::string prefix;
+    for (const std::string& request : blocks[b]) {
+      SCOPED_TRACE("block " + std::to_string(b) + ", request " + request);
+      for (size_t len = 0; len < request.size(); ++len) {
+        SCOPED_TRACE("truncated to " + std::to_string(len));
+        probe(prefix, request.substr(0, len));
+        ++probes;
+      }
+      for (size_t bit = 0; bit < request.size() * 8; ++bit) {
+        SCOPED_TRACE("bit " + std::to_string(bit));
+        std::string flipped = request;
+        flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+        probe(prefix, flipped);
+        ++probes;
+      }
+      prefix += request;
+    }
+  }
+  EXPECT_GT(probes, 1000u);
 }
 
 // ---- Witness reply golden ---------------------------------------------------

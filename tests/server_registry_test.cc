@@ -185,7 +185,8 @@ TEST(ServerRegistryTest, EvictedStreamOnlyCollectionAnswersEStateUntilResealed) 
             "budget and has no segment to reload from; SEAL it again");
 
   // The recovery works: the session still holds its bags, so SEAL
-  // republishes (reusing the lineage) and queries answer again.
+  // republishes them (reusing nothing: the evicted generation is gone)
+  // and queries answer again.
   out = session.HandleScript("SEAL\nTWOBAG r s\n");
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].rfind("OK SEAL 2 bags", 0), 0u) << out[0];
@@ -239,6 +240,41 @@ uint64_t StatsSealedBytes(ServerSession* session) {
   }
   ADD_FAILURE() << "STATS carried no sealed_bytes key";
   return 0;
+}
+
+// The registry is the only owner of a generation: evicting it frees it
+// even while the session that sealed it stays connected (and still
+// holds the bags it loaded).
+TEST(ServerRegistryTest, EvictionFreesTheGenerationOfAConnectedSession) {
+  CollectionRegistry::Options opts;
+  opts.mem_budget_bytes = 1;  // any second publish evicts the first
+  CollectionRegistry registry(opts);
+  ServerSession sealer(&registry, nullptr);
+  std::vector<std::string> out = sealer.HandleScript(
+      "ATTACH ta\n"
+      "DICT item 2\napple\nbanana\nEND\n"
+      "LOADU32 r item\n0 : 2\n1 : 1\nEND\n"
+      "LOADU32 s item\n0 : 2\n1 : 1\nEND\n"
+      "SEAL\n");
+  ASSERT_EQ(out.back(), "OK SEAL 2 bags");
+  std::shared_ptr<CollectionRegistry::Collection> ta = registry.Find("ta");
+  ASSERT_NE(ta, nullptr);
+  std::weak_ptr<const EngineSnapshot> generation = registry.Peek(ta.get());
+  ASSERT_FALSE(generation.expired());
+
+  ServerSession other(&registry, nullptr);
+  out = other.HandleScript(
+      "ATTACH tb\n"
+      "DICT item 1\napple\nEND\n"
+      "LOADU32 r item\n0 : 1\nEND\n"
+      "SEAL\n");
+  ASSERT_EQ(out.back(), "OK SEAL 1 bags");
+  ASSERT_EQ(registry.Peek(ta.get()), nullptr) << "ta was not evicted";
+  EXPECT_EQ(registry.Stats(ta.get()).evictions, 1u);
+  EXPECT_TRUE(generation.expired())
+      << "an evicted generation is still alive with use_count "
+      << generation.use_count();
+  EXPECT_EQ(StatsSealedBytes(&sealer), 0u);
 }
 
 // The columnar seal memory pin: every sealed bag is its columns, its

@@ -753,6 +753,72 @@ TEST(WalRecoveryTest, RestoreStatsMatchTheStartupSeal) {
   EXPECT_EQ(StatValue(&prober, "default", "reloadable"), 1u);
 }
 
+// The WAL replays "base plus every logged delta", so the served
+// generation must be exactly that. Two sessions seal the same segment
+// and B commits: A's delta was built on A's generation, which B's
+// replaced, so A's commit stages. Publishing it over B's would serve
+// base + A while a restart replays base + B + A.
+TEST(WalRecoveryTest, InterleavedSessionsRestoreTheLiveAnswer) {
+  std::string seg_path = WriteBaseSegment("wal_two_sessions.seg", 0);
+  CollectionRegistry::Options opts;
+  opts.wal_dir = MakeWalDir("wal_two_sessions");
+  const std::string seal = "LOADSEG " + seg_path + "\nSEAL\n";
+  std::vector<std::string> live_answer;
+  {
+    CollectionRegistry live(opts);
+    ServerSession a(&live, nullptr);
+    ServerSession b(&live, nullptr);
+    ASSERT_EQ(a.HandleScript(seal).back(), "OK SEAL 2 bags");
+    ASSERT_EQ(b.HandleScript(seal).back(), "OK SEAL 2 bags");
+    ASSERT_EQ(b.HandleScript("BEGIN\nINSERT left item store\n0 0 : 1\nEND\n"
+                             "INSERT right store region\n0 0 : 1\nEND\nCOMMIT\n")
+                  .back(),
+              "OK COMMIT 2 rows 2 bags");
+    EXPECT_EQ(a.HandleScript("BEGIN\nINSERT left item store\n1 1 : 1\nEND\n"
+                             "INSERT right store region\n1 0 : 1\nEND\nCOMMIT\n")
+                  .back(),
+              "OK COMMIT 2 rows staged");
+    EXPECT_EQ(live.wal_records_total(), 1u);
+    ServerSession prober(&live, nullptr);
+    live_answer = prober.HandleScript("WITNESS 0 1\n");
+  }
+  CollectionRegistry restored(opts);
+  Result<uint64_t> replayed = restored.Restore(restored.Default().get(), seg_path);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  ServerSession prober(&restored, nullptr);
+  EXPECT_EQ(prober.HandleScript("WITNESS 0 1\n"), live_answer);
+}
+
+// The base rule at the registry: a delta built on a generation that is
+// no longer the head is refused, with nothing published and no record
+// logged.
+TEST(WalRecoveryTest, DeltaOnAReplacedBaseIsRefusedAndNotLogged) {
+  std::string seg_path = WriteBaseSegment("wal_stale_base.seg", 0);
+  CollectionRegistry::Options opts;
+  opts.wal_dir = MakeWalDir("wal_stale_base");
+  CollectionRegistry registry(opts);
+  CollectionRegistry::Collection* c = registry.Default().get();
+  ServerSession session(&registry, nullptr);
+  ASSERT_EQ(session.HandleScript("LOADSEG " + seg_path + "\nSEAL\n").back(),
+            "OK SEAL 2 bags");
+  std::shared_ptr<const EngineSnapshot> base = registry.Peek(c);
+  DeltaBatch batch(1);
+  batch[0].deltas.push_back({Tuple::OfIds({0, 0}), 1});
+  Result<std::shared_ptr<const EngineSnapshot>> first =
+      EngineSnapshot::BuildDeltaBatch(base, batch, c->NextSeq());
+  Result<std::shared_ptr<const EngineSnapshot>> second =
+      EngineSnapshot::BuildDeltaBatch(base, batch, c->NextSeq());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_TRUE(registry.PublishDelta(c, *first, batch).ok());
+  ASSERT_EQ(registry.wal_records_total(), 1u);
+
+  Status refused = registry.PublishDelta(c, *second, batch);
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition) << refused.ToString();
+  EXPECT_EQ(registry.Peek(c).get(), first->get());
+  EXPECT_EQ(registry.wal_records_total(), 1u);
+}
+
 // A session whose catalog already held a segment attribute name seals a
 // different slot layout than the fresh-catalog restore rebuilds. Such a
 // collection must not journal against the segment: a restart serves the
