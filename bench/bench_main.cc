@@ -324,8 +324,9 @@ void RunEngineBatchSuite(std::vector<BenchResult>* results) {
     // memoizes, so each op builds a fresh engine — this measures the
     // parallel marginal precompute plus the sharded compare; the
     // collection copy is a refcount bump per bag). Note the tN leg
-    // also pays N OS-thread spawns/joins per op (the pool lives in the
-    // engine), so its ratio understates the steady-state sweep speedup.
+    // also pays OS-thread spawns/joins per op (the seal's threads live
+    // only for the seal), so its ratio understates the steady-state sweep
+    // speedup.
     BenchResult sweep1 = Measure("pairwise_seal_sweep_t1", support, [&] {
       ConsistencyEngine e = *ConsistencyEngine::Make(c);
       if (!(*e.PairwiseAll()).consistent) std::abort();

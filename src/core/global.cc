@@ -12,8 +12,7 @@ namespace bagc {
 // ConsistencyEngine (src/engine/): each call seals a throwaway engine —
 // every pair's shared marginals and verdict — and runs one query.
 // Server-style callers with many queries against one collection should
-// hold a ConsistencyEngine directly and let it amortize the seal and the
-// thread pool.
+// hold a ConsistencyEngine directly and let it amortize the seal.
 
 Result<std::optional<Bag>> SolveGlobalConsistencyAcyclic(
     const BagCollection& collection) {

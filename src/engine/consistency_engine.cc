@@ -4,6 +4,7 @@
 #include <atomic>
 #include <iterator>
 #include <map>
+#include <thread>
 
 #include "engine/two_bag_solver.h"
 #include "hypergraph/acyclicity.h"
@@ -13,6 +14,22 @@
 namespace bagc {
 
 namespace {
+
+// Runs fn(0), ..., fn(n - 1), each exactly once, on up to `num_threads`
+// threads, the caller's among them. Each thread claims the next index
+// from a shared counter; every thread is joined before this returns, so
+// `fn` may reference the caller's stack.
+template <typename Fn>
+void ParallelFor(size_t n, size_t num_threads, const Fn& fn) {
+  std::atomic<size_t> next{0};
+  auto run = [&next, n, &fn] {
+    for (size_t t = next++; t < n; t = next++) fn(t);
+  };
+  std::vector<std::thread> helpers;
+  for (size_t w = 1; w < std::min(num_threads, n); ++w) helpers.emplace_back(run);
+  run();
+  for (std::thread& h : helpers) h.join();
+}
 
 // Canonicalizes every dictionary of `dicts` (id order == sorted external
 // order) and rewrites the collection's rows through the remaps, re-sealing
@@ -66,9 +83,6 @@ Result<ConsistencyEngine> ConsistencyEngine::Make(BagCollection collection,
         collection, CanonicalizeCollection(collection, options.dictionaries.get()));
   }
   engine.collection_ = std::make_shared<const BagCollection>(std::move(collection));
-  if (options.num_threads > 1) {
-    engine.pool_ = std::make_unique<ThreadPool>(options.num_threads);
-  }
   BAGC_RETURN_NOT_OK(engine.Seal(previous));
   return engine;
 }
@@ -142,35 +156,34 @@ Status ConsistencyEngine::Seal(const ConsistencyEngine* previous) {
       for (CachedProjection& slot : cache_[i]) {
         const CachedProjection* prev_slot =
             previous->FindProjection(prev_of[i], slot.schema);
-        // Adopted slots are already filled: EnsureFilled skips them, so no
+        // Adopted slots are already filled: pass 3 skips them, so no
         // fresh fill is counted.
         if (prev_slot != nullptr) slot.marginal = prev_slot->marginal;
       }
     }
   }
 
-  // Pass 3: fill the slots. Each slot is written by exactly one task, so
-  // the parallel fill shares nothing but disjoint slots.
-  std::vector<std::pair<size_t, size_t>> slots;  // (bag, cache index)
+  // Pass 3: fill the slots no previous generation lent. Each slot is
+  // written by exactly one task, so the parallel fill shares nothing but
+  // disjoint slots; the fills are counted once they have all succeeded.
+  std::vector<std::pair<size_t, CachedProjection*>> slots;  // (bag, slot)
   for (size_t i = 0; i < m; ++i) {
-    for (size_t k = 0; k < cache_[i].size(); ++k) slots.emplace_back(i, k);
+    for (CachedProjection& slot : cache_[i]) {
+      if (slot.marginal == nullptr) slots.emplace_back(i, &slot);
+    }
   }
   std::vector<Status> statuses(slots.size());
-  if (pool_ != nullptr) {
-    for (size_t t = 0; t < slots.size(); ++t) {
-      pool_->Submit([this, &statuses, &slots, t] {
-        statuses[t] =
-            EnsureFilled(&cache_[slots[t].first][slots[t].second], slots[t].first);
-      });
+  ParallelFor(slots.size(), options_.num_threads, [this, &slots, &statuses](size_t t) {
+    auto [i, slot] = slots[t];
+    Result<Bag> marginal = collection_->bag(i).Marginal(slot->schema);
+    if (!marginal.ok()) {
+      statuses[t] = marginal.status();
+      return;
     }
-    pool_->WaitIdle();
-  } else {
-    for (size_t t = 0; t < slots.size(); ++t) {
-      statuses[t] =
-          EnsureFilled(&cache_[slots[t].first][slots[t].second], slots[t].first);
-    }
-  }
+    slot->marginal = std::make_shared<const Bag>(*std::move(marginal));
+  });
   for (const Status& st : statuses) BAGC_RETURN_NOT_OK(st);
+  marginal_fills_ += slots.size();
 
   // Pass 4: decide every pair. A pair whose two bags were both adopted
   // from the previous generation carries that generation's verdict (two
@@ -197,28 +210,14 @@ Status ConsistencyEngine::Seal(const ConsistencyEngine* previous) {
 }
 
 void ConsistencyEngine::ComparePairs(const std::vector<size_t>& pair_indices) {
-  auto compare = [this, &pair_indices](size_t lo, size_t hi) {
-    for (size_t t = lo; t < hi; ++t) {
-      const PairTask& p = pairs_[pair_indices[t]];
-      pair_consistent_[pair_indices[t]] = *p.left->marginal == *p.right->marginal;
-    }
-  };
-  if (pool_ == nullptr || pair_indices.size() < 2) {
-    compare(0, pair_indices.size());
-    return;
-  }
-  // Contiguous chunks write disjoint pair_consistent_ bytes. Every pair
-  // is compared (no early exit), so the verdicts — and the first failing
-  // pair DecidePairwise reads off them — are identical for every worker
+  // Each pair writes its own pair_consistent_ byte. Every pair is
+  // compared (no early exit), so the verdicts — and the first failing
+  // pair DecidePairwise reads off them — are identical for every thread
   // count.
-  size_t num_chunks = std::min(pair_indices.size(), 4 * pool_->num_threads());
-  size_t chunk = (pair_indices.size() + num_chunks - 1) / num_chunks;
-  for (size_t lo = 0; lo < pair_indices.size(); lo += chunk) {
-    size_t hi = std::min(pair_indices.size(), lo + chunk);
-    pool_->Submit([&compare, lo, hi] { compare(lo, hi); });
-  }
-  // Drain before returning: in-flight tasks reference this stack frame.
-  pool_->WaitIdle();
+  ParallelFor(pair_indices.size(), options_.num_threads, [this, &pair_indices](size_t t) {
+    const PairTask& p = pairs_[pair_indices[t]];
+    pair_consistent_[pair_indices[t]] = *p.left->marginal == *p.right->marginal;
+  });
 }
 
 void ConsistencyEngine::DecidePairwise() {
@@ -229,15 +228,6 @@ void ConsistencyEngine::DecidePairwise() {
     pairwise_verdict_.consistent = false;
     pairwise_verdict_.witness_pair = {p.i, p.j};
   }
-}
-
-Status ConsistencyEngine::EnsureFilled(CachedProjection* slot, size_t bag_index) {
-  if (slot->marginal != nullptr) return Status::OK();
-  BAGC_ASSIGN_OR_RETURN(Bag marginal,
-                        collection_->bag(bag_index).Marginal(slot->schema));
-  slot->marginal = std::make_shared<const Bag>(std::move(marginal));
-  marginal_fills_->fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
 }
 
 ConsistencyEngine::CachedProjection* ConsistencyEngine::FindProjection(
@@ -509,7 +499,7 @@ Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
       slot.marginal = std::make_shared<const Bag>(std::move(next));
       dirty_slots.push_back(&slot);
       // An in-place adjustment is this generation's fill of the slot.
-      marginal_fills_->fetch_add(1, std::memory_order_relaxed);
+      ++marginal_fills_;
     }
   }
   outcome.changed_slots = dirty_slots.size();
@@ -558,7 +548,7 @@ Result<ConsistencyEngine> ConsistencyEngine::MakeDeltaBatch(
   // only the mutated bags' dirty slots, so marginal_fills() of the new
   // engine lands on exactly that count.
   EngineOptions options = previous.options_;
-  options.num_threads = 1;  // residual work is O(dirty pairs); no pool
+  options.num_threads = 1;  // residual work is O(dirty pairs)
   BAGC_ASSIGN_OR_RETURN(ConsistencyEngine engine,
                         Make(previous.collection(), options, &previous));
   BAGC_ASSIGN_OR_RETURN(DeltaOutcome out, engine.ApplyDeltaBatch(batch));

@@ -6,8 +6,8 @@
 //
 //   - Make computes, for every pair of bags, the marginals on their shared
 //     attributes (deduplicated per bag and keyed by attribute set),
-//     optionally sharded across a work-stealing thread pool;
-//   - the same seal compares every pair's two marginals in one sharded
+//     optionally spread over threads that live only for the seal;
+//   - the same seal compares every pair's two marginals in one parallel
 //     pass and records each verdict, together with the lexicographically
 //     first inconsistent pair;
 //   - TwoBag, PairwiseAll, KWiseConsistent and Witness are then const
@@ -27,7 +27,6 @@
 // wrappers that seal a throwaway engine per call.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -39,14 +38,14 @@
 #include "core/global.h"
 #include "tuple/value_dictionary.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace bagc {
 
 /// Tuning for a ConsistencyEngine.
 struct EngineOptions {
-  /// Worker threads for sealing (marginal fills and pair comparisons);
-  /// 1 runs inline (no pool is created).
+  /// Threads for sealing (marginal fills and pair comparisons), the
+  /// caller's among them; they are joined before Make returns. 1 runs
+  /// inline.
   size_t num_threads = 1;
   /// Tuning for the exact (cyclic-schema) global path.
   GlobalSolveOptions global;
@@ -126,8 +125,8 @@ struct DeltaOutcome {
 /// safe for any number of concurrent callers on one engine — the
 /// substrate of the bagcd server's shared snapshots
 /// (src/server/engine_snapshot.h). Global, SolveGlobalAcyclic and
-/// SolveGlobalExact are const too; the pool serves only the seal.
-/// Movable, not copyable (owns the pool).
+/// SolveGlobalExact are const too. Threads serve only the seal and are
+/// joined before Make returns. Movable, not copyable.
 class ConsistencyEngine {
  public:
   /// Seals `collection`: computes the pairwise shared-attribute marginals
@@ -171,8 +170,8 @@ class ConsistencyEngine {
   /// yields an unchanged generation with an empty outcome. `previous` must
   /// not have canonicalized its dictionaries (the delta's ids would not be
   /// comparable) and must outlive this call. The new engine runs inline
-  /// (no worker pool): a delta generation's residual work is
-  /// O(dirty pairs), not O(m²).
+  /// (one thread): a delta generation's residual work is O(dirty
+  /// pairs), not O(m²).
   static Result<ConsistencyEngine> MakeDeltaBatch(
       const ConsistencyEngine& previous, const DeltaBatch& batch,
       DeltaOutcome* outcome = nullptr);
@@ -183,15 +182,6 @@ class ConsistencyEngine {
   ConsistencyEngine& operator=(const ConsistencyEngine&) = delete;
 
   const BagCollection& collection() const { return *collection_; }
-  /// Number of seal workers (1 when running inline).
-  size_t num_threads() const { return pool_ ? pool_->num_threads() : 1; }
-
-  /// Joins and destroys the worker pool. For owners that used threads
-  /// only for the seal and will serve the rest of the engine's life
-  /// through the const query surface (the server's snapshots): a
-  /// long-lived generation should not park N idle worker threads. No-op
-  /// without a pool.
-  void ReleaseWorkers() { pool_.reset(); }
 
   /// The options the engine was sealed with (its dictionary set, and
   /// whether the seal canonicalized it).
@@ -211,9 +201,7 @@ class ConsistencyEngine {
   /// Number of marginal computations performed by this engine (cache
   /// fills at seal, slot adjustments under MakeDeltaBatch). Queries never
   /// add to it, which regression tests assert.
-  uint64_t marginal_fills() const {
-    return marginal_fills_->load(std::memory_order_relaxed);
-  }
+  uint64_t marginal_fills() const { return marginal_fills_; }
 
   /// Approximate resident bytes of the sealed state: collection bags and
   /// cached marginals (dictionaries excluded — the owner accounts those). An upper bound under incremental reuse:
@@ -290,12 +278,12 @@ class ConsistencyEngine {
   ConsistencyEngine() = default;
 
   // Builds cache_ and pairs_, computes the marginals and then every
-  // pair's verdict (both sharded over the pool). A non-null `previous`
-  // pre-fills the slots and pair verdicts of bags sharing its row stores.
+  // pair's verdict (both spread over options_.num_threads). A non-null
+  // `previous` pre-fills the slots and pair verdicts of bags sharing its
+  // row stores.
   Status Seal(const ConsistencyEngine* previous);
-  Status EnsureFilled(CachedProjection* slot, size_t bag_index);
   // Compares the two marginals of each listed pair (indices into pairs_)
-  // and records the verdicts, sharded over the pool when there is one.
+  // and records the verdicts, spread over options_.num_threads.
   void ComparePairs(const std::vector<size_t>& pair_indices);
   // Sets pairwise_verdict_ from pair_consistent_.
   void DecidePairwise();
@@ -314,7 +302,6 @@ class ConsistencyEngine {
 
   std::shared_ptr<const BagCollection> collection_;
   EngineOptions options_;
-  std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
   std::vector<std::vector<CachedProjection>> cache_;  // per bag, schema-sorted
   std::vector<PairTask> pairs_;  // all (i, j), i < j, lexicographic
   // Per-pair verdict aligned with pairs_ (1 consistent, 0 not), decided
@@ -322,11 +309,8 @@ class ConsistencyEngine {
   std::vector<uint8_t> pair_consistent_;
   PairwiseVerdict pairwise_verdict_;
   size_t reused_bags_ = 0;
-  // Counts actual cache fills (see marginal_fills()). Heap storage keeps
-  // the engine movable while pool tasks increment it concurrently during
-  // sealing.
-  std::unique_ptr<std::atomic<uint64_t>> marginal_fills_ =
-      std::make_unique<std::atomic<uint64_t>>(0);
+  // Counts actual cache fills (see marginal_fills()).
+  uint64_t marginal_fills_ = 0;
 };
 
 }  // namespace bagc

@@ -3,8 +3,8 @@
 // connection feeds that client's ServerSession. That thread answers the
 // lookups of verdicts decided at seal itself (TWOBAG by Lemma 2(2),
 // PAIRWISE, GLOBAL by Theorem 2 or once solved); only search and witness
-// work (a cyclic GLOBAL's first solve, KWISE, WITNESS) fans out on one
-// shared work-stealing ThreadPool (util/thread_pool.h). All sessions
+// work (a cyclic GLOBAL's first solve, KWISE, WITNESS) is handed to one
+// shared FIFO ThreadPool (util/thread_pool.h). All sessions
 // share one CollectionRegistry: every named collection
 // serves from its own sealed engine generation, with cold tenants
 // evicted (and lazily reloaded from segments) under the configured

@@ -16,7 +16,8 @@ namespace {
 
 // Like Bag::ApproxBytes, charge only what the snapshot owns: a
 // dictionary borrowed from a mapped segment costs its index alone.
-size_t ApproxBytes(const ConsistencyEngine& engine, const DictionarySet* dicts) {
+size_t ApproxBytes(const ConsistencyEngine& engine) {
+  const DictionarySet* dicts = engine.dictionaries();
   return engine.ApproxSealedBytes() + (dicts == nullptr ? 0 : dicts->OwnedBytes());
 }
 
@@ -44,17 +45,10 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::Build(
       ConsistencyEngine::Make(std::move(collection), options,
                               inputs.previous ? inputs.previous->engine() : nullptr));
   snapshot->engine_.emplace(std::move(engine));
-  // Make decided every pair; keep the pairwise verdict so every session
-  // answers PAIRWISE from it.
-  BAGC_ASSIGN_OR_RETURN(snapshot->pairwise_, snapshot->engine_->PairwiseAll());
-  // The pool has done all it ever will for this generation (the seal);
-  // the snapshot serves the rest of its life through the const surface,
-  // so don't park idle worker threads per generation.
-  snapshot->engine_->ReleaseWorkers();
+  // Make decided every pair, so an acyclic schema's GLOBAL is known now.
   snapshot->acyclic_ = IsAcyclic(snapshot->engine_->collection().hypergraph());
-  if (snapshot->acyclic_) snapshot->known_global_ = snapshot->pairwise_.consistent;
-  snapshot->dicts_ = snapshot->engine_->shared_dictionaries();
-  snapshot->approx_bytes_ = ApproxBytes(*snapshot->engine_, snapshot->dicts_.get());
+  if (snapshot->acyclic_) snapshot->known_global_ = snapshot->Pairwise().consistent;
+  snapshot->approx_bytes_ = ApproxBytes(*snapshot->engine_);
   return std::shared_ptr<const EngineSnapshot>(std::move(snapshot));
 }
 
@@ -77,18 +71,16 @@ Result<std::shared_ptr<const EngineSnapshot>> EngineSnapshot::BuildDeltaBatch(
   snapshot->engine_.emplace(std::move(engine));
   // MakeDeltaBatch re-compared only the delta's dirty pairs; clean pairs
   // carried their verdicts.
-  BAGC_ASSIGN_OR_RETURN(snapshot->pairwise_, snapshot->engine_->PairwiseAll());
   snapshot->acyclic_ = previous->acyclic_;
   if (snapshot->acyclic_) {
-    snapshot->known_global_ = snapshot->pairwise_.consistent;
+    snapshot->known_global_ = snapshot->Pairwise().consistent;
   } else if (!outcome->rows_changed) {
     snapshot->known_global_ = previous->known_global_.load(std::memory_order_acquire);
   }
-  snapshot->dicts_ = snapshot->engine_->shared_dictionaries();
   for (const Bag& b : snapshot->engine_->collection().bags()) {
     snapshot->support_rows_ += b.SupportSize();
   }
-  snapshot->approx_bytes_ = ApproxBytes(*snapshot->engine_, snapshot->dicts_.get());
+  snapshot->approx_bytes_ = ApproxBytes(*snapshot->engine_);
   return std::shared_ptr<const EngineSnapshot>(std::move(snapshot));
 }
 
@@ -158,7 +150,7 @@ Result<std::optional<Bag>> EngineSnapshot::Witness(size_t i, size_t j,
 }
 
 std::string EngineSnapshot::WriteBagText(const Bag& bag) const {
-  return WriteBag(bag, catalog_, dicts_.get());
+  return WriteBag(bag, catalog_, dictionaries());
 }
 
 Result<SegmentBags> LoadSegmentBags(const std::string& path,

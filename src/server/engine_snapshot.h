@@ -88,7 +88,7 @@ class EngineSnapshot {
   Result<bool> TwoBag(size_t i, size_t j) const;
 
   /// The pairwise verdict (decided once at Build).
-  const PairwiseVerdict& Pairwise() const { return pairwise_; }
+  PairwiseVerdict Pairwise() const { return *engine_->PairwiseAll(); }
 
   /// Global consistency; the cyclic-schema decision runs at most once
   /// (under a mutex — concurrent callers block, later ones read). A
@@ -132,13 +132,15 @@ class EngineSnapshot {
   /// The catalog/dictionaries the snapshot decodes results through —
   /// for the session's witness responses, which mirror WriteBagText.
   const AttributeCatalog& catalog() const { return catalog_; }
-  const DictionarySet* dictionaries() const { return dicts_.get(); }
+  const DictionarySet* dictionaries() const { return engine_->dictionaries(); }
   size_t num_bags() const { return names_.size(); }
   const std::string& bag_name(size_t i) const { return names_[i]; }
   /// Total support rows across the sealed collection.
   size_t support_rows() const { return support_rows_; }
   /// Distinct dictionary values the snapshot can decode.
-  size_t dict_values() const { return dicts_ == nullptr ? 0 : dicts_->total_size(); }
+  size_t dict_values() const {
+    return dictionaries() == nullptr ? 0 : dictionaries()->total_size();
+  }
   uint64_t marginal_fills() const { return engine_->marginal_fills(); }
   /// Approximate resident bytes the snapshot owns: the sealed engine
   /// plus its dictionaries' owned bytes (registry budget / eviction
@@ -159,10 +161,8 @@ class EngineSnapshot {
   std::vector<std::string> names_;
   std::unordered_map<std::string, size_t> name_index_;
   AttributeCatalog catalog_;
-  std::shared_ptr<const DictionarySet> dicts_;
   size_t support_rows_ = 0;
   size_t approx_bytes_ = 0;
-  PairwiseVerdict pairwise_;
   std::optional<ConsistencyEngine> engine_;
   // Theorem 2 applies: GLOBAL is the pairwise verdict. Deltas never
   // change a schema, so a delta generation inherits it.

@@ -797,9 +797,9 @@ Response ServerSession::HandleQuery(const Request& request) {
     j = *rj;
   }
   if (request.verb == Verb::kWitness) {
-    // Protocol v1 touches the collection twice per WITNESS (operand
-    // resolution, then the flow run); the LRU tick count is visible in
-    // STATS <collection> and pinned by the docs/PROTOCOL.md transcript.
+    // This second Acquire exists only for the LRU tick: protocol v1
+    // counts two touches per WITNESS, visible in STATS <collection> and
+    // pinned by the docs/PROTOCOL.md transcript.
     (void)registry_->Acquire(collection_.get());
   }
   registry_->RecordQuery();

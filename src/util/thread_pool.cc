@@ -7,100 +7,41 @@ namespace bagc {
 
 ThreadPool::ThreadPool(size_t num_threads) {
   size_t n = std::max<size_t>(1, num_threads);
-  queues_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    queues_.push_back(std::make_unique<WorkQueue>());
-  }
   workers_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
+  for (size_t i = 0; i < n; ++i) workers_.emplace_back([this] { WorkerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    // Drain first: destruction must not strand submitted tasks, and no
-    // task may outlive the pool (tasks can reference submitter state).
-    idle_cv_.wait(lock, [this] { return queued_ == 0 && in_flight_ == 0; });
+    std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  work_cv_.notify_all();
+  cv_.notify_all();
+  // A worker leaves only once the queue is empty, so no submitted task is
+  // stranded (tasks can reference submitter state).
   for (std::thread& w : workers_) w.join();
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  // Publish the task before raising queued_: a reservation taken against
-  // queued_ must always find a task somewhere, so the push has to land
-  // first (Take() would otherwise spin until it did).
-  size_t q;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    q = next_queue_;
-    next_queue_ = (next_queue_ + 1) % queues_.size();
+    tasks_.push_back(std::move(task));
   }
-  {
-    std::lock_guard<std::mutex> qlock(queues_[q]->mu);
-    queues_[q]->tasks.push_back(std::move(task));
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++queued_;
-  }
-  work_cv_.notify_one();
+  cv_.notify_one();
 }
 
-std::function<void()> ThreadPool::Take(size_t self) {
-  size_t n = queues_.size();
-  // Own queue first (back = most recently pushed, cache-warm), then sweep
-  // siblings from the front (oldest first — classic stealing order).
-  // A task was reserved under mu_ before this call, tasks are published
-  // before they are reservable, and reserved tasks are only removed here,
-  // so a task is always present somewhere; the outer loop retries the
-  // sweep when concurrent removals make a single pass come up empty.
+void ThreadPool::WorkerLoop() {
   while (true) {
-    {
-      std::lock_guard<std::mutex> lock(queues_[self]->mu);
-      if (!queues_[self]->tasks.empty()) {
-        std::function<void()> task = std::move(queues_[self]->tasks.back());
-        queues_[self]->tasks.pop_back();
-        return task;
-      }
-    }
-    for (size_t k = 1; k < n; ++k) {
-      WorkQueue& victim = *queues_[(self + k) % n];
-      std::lock_guard<std::mutex> lock(victim.mu);
-      if (!victim.tasks.empty()) {
-        std::function<void()> task = std::move(victim.tasks.front());
-        victim.tasks.pop_front();
-        return task;
-      }
-    }
-  }
-}
-
-void ThreadPool::WorkerLoop(size_t self) {
-  while (true) {
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stop_ || queued_ > 0; });
-      if (queued_ == 0) return;  // stop_ set and nothing left to run
-      --queued_;  // reserve one task; Take() below is guaranteed to find it
-      ++in_flight_;
+      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // stop_ set and nothing left to run
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    std::function<void()> task = Take(self);
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (queued_ == 0 && in_flight_ == 0) idle_cv_.notify_all();
-    }
   }
-}
-
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queued_ == 0 && in_flight_ == 0; });
 }
 
 }  // namespace bagc

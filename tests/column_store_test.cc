@@ -430,7 +430,7 @@ TEST(ColumnStoreTest, EngineVerdictsMatchMapOracle) {
 }
 
 TEST(ColumnStoreTest, ParallelRipFoldMatchesSequential) {
-  // The Theorem 6 fold with pool-sharded next-marginal builds must return
+  // The Theorem 6 fold over an engine sealed on 8 threads must return
   // the exact witness the single-threaded fold does.
   for (uint64_t seed = 0; seed < 8; ++seed) {
     Rng rng(900 + seed);

@@ -2,8 +2,9 @@
 // seeded Rng so every run is reproducible:
 //   - pairwise consistency is invariant under bag reordering and under
 //     attribute renaming (both are isomorphisms of the instance);
-//   - the sharded sweep returns identical verdicts — including the
-//     lexicographically-first witness pair — for 1, 2, and 8 workers;
+//   - the parallel seal returns identical verdicts — including the
+//     lexicographically-first witness pair — and fills the same number
+//     of marginals for 1, 2, and 8 threads, down to a one-bag collection;
 //   - cached-marginal answers are stable across repeated queries on one
 //     engine and match uncached recomputation;
 //   - the seal decides every pair exactly like the two-bag solver, also
@@ -11,9 +12,9 @@
 //   - a re-seal against a previous generation (changed bags, two bags
 //     sharing one previous row store, or other stores in the same order)
 //     answers exactly like a fresh seal and adopts only shared stores;
-//   - regression: the sharded seal drains in-flight pool tasks before
-//     Make returns, so destroying the engine (or the caller's stack
-//     frame) immediately afterwards is safe. Run under ASan/UBSan in CI.
+//   - regression: the parallel seal joins its threads before Make
+//     returns, so destroying the engine (or the caller's stack frame)
+//     immediately afterwards is safe. Run under ASan/UBSan in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -146,6 +147,7 @@ TEST(EnginePropertyTest, VerdictIdenticalAcrossWorkerCounts) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     BagCollection c = *MakeMixedCollection(seed, seed % 2 == 1);
     std::optional<PairwiseVerdict> reference;
+    uint64_t reference_fills = 0;
     for (size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
       EngineOptions options;
       options.num_threads = workers;
@@ -153,13 +155,22 @@ TEST(EnginePropertyTest, VerdictIdenticalAcrossWorkerCounts) {
       PairwiseVerdict v = *engine.PairwiseAll();
       if (!reference.has_value()) {
         reference = v;
+        reference_fills = engine.marginal_fills();
       } else {
         EXPECT_EQ(reference->consistent, v.consistent);
         EXPECT_EQ(reference->witness_pair, v.witness_pair);
+        EXPECT_EQ(reference_fills, engine.marginal_fills());
       }
       EXPECT_EQ(reference->consistent, *engine.Global());
     }
   }
+  // One bag: no slots to fill and no pairs to compare, at any thread count.
+  BagCollection one = *BagCollection::Make({MakeMixedCollection(0, false)->bag(0)});
+  EngineOptions options;
+  options.num_threads = 8;
+  ConsistencyEngine engine = *ConsistencyEngine::Make(one, options);
+  EXPECT_TRUE(engine.PairwiseAll()->consistent);
+  EXPECT_EQ(engine.marginal_fills(), 0u);
 }
 
 TEST(EnginePropertyTest, CachedAnswersStableAcrossRepeatedQueries) {
@@ -200,7 +211,7 @@ TEST(EnginePropertyTest, CachedAnswersStableAcrossRepeatedQueries) {
 }
 
 TEST(EnginePropertyTest, EarlyExitDrainsPoolBeforeEngineDestruction) {
-  // Regression: the sharded seal must not return while pool tasks are
+  // Regression: the parallel seal must not return while its threads are
   // still touching the pair list or the compare pass's stack frame —
   // destroying the engine right after Make has to be safe. ASan (CI
   // sanitizer job) turns any straggler into a hard error.
@@ -223,7 +234,7 @@ TEST(EnginePropertyTest, EarlyExitDrainsPoolBeforeEngineDestruction) {
       engine_options.num_threads = 8;
       ConsistencyEngine engine = *ConsistencyEngine::Make(c, engine_options);
       verdict = *engine.PairwiseAll();
-    }  // engine (and its pool) destroyed immediately after the query
+    }  // engine destroyed immediately after the query
     EXPECT_FALSE(verdict.consistent);
     EXPECT_EQ(verdict.witness_pair.first, 0u);
   }

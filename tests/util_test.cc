@@ -1,10 +1,16 @@
 // Unit tests for the util substrate: Status/Result, checked arithmetic,
-// rationals, hashing, the XXH64 checksum, PRNG.
+// rationals, hashing, the XXH64 checksum, PRNG, the thread pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "util/checked_math.h"
 #include "util/checksum.h"
@@ -13,6 +19,7 @@
 #include "util/rational.h"
 #include "util/result.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace bagc {
 namespace {
@@ -249,6 +256,54 @@ TEST(RngTest, ShuffleKeepsElements) {
   rng.Shuffle(&v);
   std::multiset<int> a(v.begin(), v.end()), b(orig.begin(), orig.end());
   EXPECT_EQ(a, b);
+}
+
+TEST(ThreadPoolTest, EveryTaskFromConcurrentSubmittersRunsOnce) {
+  constexpr size_t kSubmitters = 4;
+  constexpr size_t kTasksEach = 500;
+  std::vector<std::atomic<int>> runs(kSubmitters * kTasksEach);
+  {
+    ThreadPool pool(3);
+    std::vector<std::thread> submitters;
+    for (size_t s = 0; s < kSubmitters; ++s) {
+      submitters.emplace_back([&pool, &runs, s] {
+        for (size_t t = 0; t < kTasksEach; ++t) {
+          pool.Submit([&runs, id = s * kTasksEach + t] { ++runs[id]; });
+        }
+      });
+    }
+    for (std::thread& s : submitters) s.join();
+  }  // the destructor runs whatever is still queued
+  for (size_t id = 0; id < runs.size(); ++id) EXPECT_EQ(runs[id].load(), 1) << id;
+}
+
+TEST(ThreadPoolTest, DestructorRunsEveryQueuedTaskInOrder) {
+  std::promise<void> all_queued;
+  std::vector<int> order;  // written by the pool's only worker
+  {
+    ThreadPool pool(1);
+    pool.Submit([queued = all_queued.get_future().share()] { queued.wait(); });
+    for (int t = 0; t < 100; ++t) pool.Submit([&order, t] { order.push_back(t); });
+    all_queued.set_value();
+  }
+  ASSERT_EQ(order.size(), 100u);
+  for (int t = 0; t < 100; ++t) EXPECT_EQ(order[t], t);
+}
+
+TEST(ThreadPoolTest, TaskSubmittedDuringDestructionRuns) {
+  std::atomic<bool> ran{false};
+  std::promise<void> destroying;
+  auto pool = std::make_unique<ThreadPool>(2);
+  ThreadPool* raw = pool.get();
+  raw->Submit([raw, &ran, started = destroying.get_future().share()] {
+    started.wait();
+    // Give the destructor time to stop the pool and retire the idle worker.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    raw->Submit([&ran] { ran = true; });
+  });
+  destroying.set_value();
+  pool.reset();
+  EXPECT_TRUE(ran.load());
 }
 
 }  // namespace
