@@ -216,8 +216,8 @@ void Bag::MergeRows(const std::vector<std::pair<Tuple, uint64_t>>& updates) {
                  std::move(mults));
 }
 
-Result<size_t> Bag::ApplyRowDeltas(
-    const std::vector<std::pair<Tuple, int64_t>>& deltas) {
+Result<size_t> Bag::ApplyRowDeltas(const RowDeltas& deltas,
+                                   RowDeltas* applied) {
   // Net the stream per tuple first so `insert x, delete x` cancels and a
   // repeated row accumulates once — validation then sees one signed net
   // per tuple, which is what all-or-nothing semantics must judge.
@@ -257,6 +257,12 @@ Result<size_t> Bag::ApplyRowDeltas(
   }
   // `net` is a sorted map, so `next` is strictly ascending.
   if (!next.empty()) MergeRows(next);
+  if (applied != nullptr) {
+    applied->clear();
+    for (const auto& [t, d] : net) {
+      if (d != 0) applied->emplace_back(t, d);
+    }
+  }
   return next.size();
 }
 

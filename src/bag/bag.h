@@ -33,6 +33,10 @@ namespace bagc {
 
 class BagBuilder;
 
+/// Signed row deltas: delta > 0 inserts copies of the row, delta < 0
+/// deletes them (Bag::ApplyRowDeltas).
+using RowDeltas = std::vector<std::pair<Tuple, int64_t>>;
+
 /// \brief A finite bag over a schema X: tuples with positive multiplicity.
 ///
 /// The multiplicity of any tuple not in the support is 0. All arithmetic on
@@ -63,9 +67,10 @@ class Bag {
   /// The validated rows merge into the columns in one pass; other bags
   /// sharing the old rep keep the pre-delta rows. Returns how many rows
   /// changed multiplicity (0 when the deltas net to nothing; the bag is
-  /// then untouched).
-  Result<size_t> ApplyRowDeltas(
-      const std::vector<std::pair<Tuple, int64_t>>& deltas);
+  /// then untouched); on success `applied`, when given, receives those
+  /// rows' non-zero nets in ascending row order.
+  Result<size_t> ApplyRowDeltas(const RowDeltas& deltas,
+                                RowDeltas* applied = nullptr);
 
   /// |Supp(R)| — the support size ||R||_supp of §5.2.
   size_t SupportSize() const { return rep_ ? rep_->columns.num_rows() : 0; }

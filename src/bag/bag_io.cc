@@ -179,10 +179,11 @@ Result<Bag> ParseBag(const std::vector<std::string>& lines, size_t* pos,
   return builder.BuildDistinct();
 }
 
-Result<Bag> BagFromU32Columns(const std::vector<std::string>& attr_names,
-                              const ColumnView& columns, const uint64_t* mults,
-                              AttributeCatalog* catalog,
-                              const DictionarySet& dicts) {
+Result<U32Block> ResolveU32Block(const std::vector<std::string>& attr_names,
+                                 const ColumnView& columns,
+                                 AttributeCatalog* catalog,
+                                 const DictionarySet& dicts,
+                                 const Schema* expected) {
   if (attr_names.size() != columns.arity()) {
     return Status::InvalidArgument("attribute names do not match column count");
   }
@@ -194,13 +195,15 @@ Result<Bag> BagFromU32Columns(const std::vector<std::string>& attr_names,
   for (const std::string& name : attr_names) {
     attrs.push_back(catalog->Intern(name));
   }
-  Schema schema{attrs};
-  if (schema.arity() != attrs.size()) {
+  U32Block block{Schema{attrs}, std::vector<size_t>(attrs.size())};
+  if (block.schema.arity() != attrs.size()) {
     return Status::InvalidArgument("duplicate attribute in bag header");
   }
-  // Every column's dictionary is resolved up front; ids are
-  // bounds-checked per row.
-  std::vector<const ValueDictionary*> column_dict(attrs.size(), nullptr);
+  if (expected != nullptr && block.schema != *expected) {
+    return Status::InvalidArgument(
+        "delta attributes do not match the bag's schema");
+  }
+  std::vector<const ValueDictionary*> column_dict(attrs.size());
   for (size_t c = 0; c < attrs.size(); ++c) {
     column_dict[c] = dicts.find_dict(attrs[c]);
     if (column_dict[c] == nullptr) {
@@ -208,26 +211,36 @@ Result<Bag> BagFromU32Columns(const std::vector<std::string>& attr_names,
           "u32 rows require a dictionary for attribute '" + attr_names[c] +
           "'; ship its DICT block first");
     }
+    block.slot_of_column[c] = *block.schema.IndexOf(attrs[c]);
   }
-  std::vector<size_t> slot_of_column(attrs.size());
-  for (size_t c = 0; c < attrs.size(); ++c) {
-    BAGC_ASSIGN_OR_RETURN(slot_of_column[c], schema.IndexOf(attrs[c]));
-  }
-  size_t n = columns.num_rows();
-  BagBuilder builder(schema);
-  builder.Reserve(n);
-  std::vector<ValueId> row(attrs.size());
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t c = 0; c < attrs.size(); ++c) {
-      ValueId id = columns.at(r, c);
-      if (id >= column_dict[c]->size()) {
-        return Status::OutOfRange(
-            "row id " + std::to_string(id) + " was never issued for attribute '" +
-            attr_names[c] + "' (dictionary has " +
-            std::to_string(column_dict[c]->size()) + " values)");
-      }
-      row[slot_of_column[c]] = id;
+  // One max-reduce per column instead of a per-row check: every id a
+  // column carries must have been issued by its dictionary.
+  for (size_t c = 0; c < attrs.size() && columns.num_rows() > 0; ++c) {
+    const ValueId max_id = columns.MaxId(c);
+    if (max_id >= column_dict[c]->size()) {
+      return Status::OutOfRange(
+          "row id " + std::to_string(max_id) +
+          " was never issued for attribute '" + attr_names[c] +
+          "' (dictionary has " + std::to_string(column_dict[c]->size()) +
+          " values)");
     }
+  }
+  return block;
+}
+
+Result<Bag> BagFromU32Columns(const std::vector<std::string>& attr_names,
+                              const ColumnView& columns, const uint64_t* mults,
+                              AttributeCatalog* catalog,
+                              const DictionarySet& dicts) {
+  BAGC_ASSIGN_OR_RETURN(U32Block block,
+                        ResolveU32Block(attr_names, columns, catalog, dicts));
+  const size_t n = columns.num_rows();
+  const size_t arity = columns.arity();
+  BagBuilder builder(block.schema);
+  builder.Reserve(n);
+  std::vector<ValueId> row(arity);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < arity; ++c) row[block.slot_of_column[c]] = columns.at(r, c);
     BAGC_RETURN_NOT_OK(builder.Add(Tuple::OfIds(row), mults[r]));
   }
   return builder.BuildDistinct();
@@ -239,35 +252,16 @@ Result<Bag> BagBorrowU32Columns(const std::vector<std::string>& attr_names,
                                 AttributeCatalog* catalog,
                                 const DictionarySet& dicts,
                                 std::shared_ptr<const void> keep_alive) {
-  if (attr_names.size() != columns.arity()) {
-    return Status::InvalidArgument("attribute names do not match column count");
-  }
-  if (attr_names.empty()) {
-    return Status::InvalidArgument("a bag needs at least one attribute");
-  }
-  std::vector<AttrId> attrs;
-  attrs.reserve(attr_names.size());
-  for (const std::string& name : attr_names) {
-    attrs.push_back(catalog->Intern(name));
-  }
-  Schema schema{attrs};
-  if (schema.arity() != attrs.size()) {
-    return Status::InvalidArgument("duplicate attribute in bag header");
-  }
-  // Borrowing cannot permute: the mapped columns are served exactly as
-  // written, so column c must already be schema slot c.
-  if (schema.attrs() != attrs) {
-    return Status::FailedPrecondition(
-        "segment columns are not in sorted-schema order; re-ingest by copy");
-  }
-  size_t n = columns.num_rows();
+  BAGC_ASSIGN_OR_RETURN(U32Block block,
+                        ResolveU32Block(attr_names, columns, catalog, dicts));
+  const size_t n = columns.num_rows();
   const ValueId* base = columns.column(0);
-  for (size_t c = 0; c < attrs.size(); ++c) {
-    const ValueDictionary* dict = dicts.find_dict(attrs[c]);
-    if (dict == nullptr) {
+  for (size_t c = 0; c < columns.arity(); ++c) {
+    // Borrowing cannot permute: the mapped columns are served exactly as
+    // written, so column c must already be schema slot c.
+    if (block.slot_of_column[c] != c) {
       return Status::FailedPrecondition(
-          "u32 rows require a dictionary for attribute '" + attr_names[c] +
-          "'; ship its DICT block first");
+          "segment columns are not in sorted-schema order; re-ingest by copy");
     }
     // BorrowColumnar wants one contiguous column-major block; segment
     // columns are laid out that way, anything else falls back to a copy.
@@ -275,23 +269,11 @@ Result<Bag> BagBorrowU32Columns(const std::vector<std::string>& attr_names,
       return Status::FailedPrecondition(
           "segment columns are not contiguous column-major");
     }
-    // Bounds check the whole column at once (one max-reduce) instead of
-    // per-row: every id a column carries must have been issued by its
-    // dictionary.
-    if (n > 0) {
-      ValueId max_id = columns.MaxId(c);
-      if (max_id >= dict->size()) {
-        return Status::OutOfRange(
-            "row id " + std::to_string(max_id) +
-            " was never issued for attribute '" + attr_names[c] +
-            "' (dictionary has " + std::to_string(dict->size()) + " values)");
-      }
-    }
   }
   // BorrowColumnar validates the remaining sealed invariants: rows
   // strictly ascending (which also rules out duplicates) and every
   // multiplicity positive.
-  return Bag::BorrowColumnar(std::move(schema), base, mults, n,
+  return Bag::BorrowColumnar(std::move(block.schema), base, mults, n,
                              std::move(keep_alive));
 }
 

@@ -15,6 +15,11 @@
 // or numbers alike) and every value is interned into the set's
 // per-attribute dictionary; writing decodes ids back to the original
 // external tokens, so the on-disk shape is identical either way.
+//
+// Rows that arrive as already-interned u32 ids — LOADU32 lines and ROWS
+// frames, INSERT/DELETE blocks, and the columns of a BAGCSEG segment —
+// pass one check, ResolveU32Block, so every entry point refuses a
+// malformed block with the same error class and message.
 #pragma once
 
 #include <iosfwd>
@@ -59,26 +64,45 @@ std::string WriteCollection(const std::vector<Bag>& bags,
 Result<Bag> ParseBag(const std::vector<std::string>& lines, size_t* pos,
                      AttributeCatalog* catalog, DictionarySet* dicts = nullptr);
 
-/// Validates and seals a bag whose value ids are already interned u32s —
-/// the LOADU32 rows of the bagcd session protocol (text or binary
-/// framing), or the mmap'd columns of a sealed-bag segment file
-/// (tuple/segment.h). The client ships its DictionarySet once and
-/// thereafter streams fixed-width id rows, so no interning (and no string
-/// hashing) happens here. `attr_names[c]` names `columns.column(c)`
-/// (header order; the sorted schema layout may permute it), and row r
-/// carries multiplicity `mults[r]`. Every attribute needs a dictionary in
-/// `dicts` (FailedPrecondition) and every id must be one it issued
-/// (OutOfRange), so a malformed stream is rejected at the boundary
-/// instead of producing rows that silently decode to nothing; a
-/// duplicate row is InvalidArgument, and zero-multiplicity rows are
-/// dropped.
+/// The schema a block of u32 id columns spells, and the schema slot of
+/// each of its columns (header order; the sorted schema may permute it).
+struct U32Block {
+  Schema schema;
+  std::vector<size_t> slot_of_column;
+};
+
+/// The one check of a u32 row block: `attr_names[c]` names
+/// `columns.column(c)`. Interns the names into `catalog`, then refuses,
+/// in this order: a name count that is not the column count, or zero
+/// names (InvalidArgument); a repeated attribute (InvalidArgument); when
+/// `expected` is given (a delta against a loaded bag), names that do not
+/// spell exactly that schema (InvalidArgument) — checked before any
+/// dictionary is looked at; a column with no dictionary in `dicts`
+/// (FailedPrecondition); and an id its dictionary never issued
+/// (OutOfRange). Ids are bounded by one max-reduce per column, so a bad
+/// block's message names the largest unissued id of the first offending
+/// column.
+Result<U32Block> ResolveU32Block(const std::vector<std::string>& attr_names,
+                                 const ColumnView& columns,
+                                 AttributeCatalog* catalog,
+                                 const DictionarySet& dicts,
+                                 const Schema* expected = nullptr);
+
+/// Seals a bag whose value ids are already interned u32s — the LOADU32
+/// rows of the bagcd session protocol (text or binary framing), or the
+/// mmap'd columns of a sealed-bag segment file (tuple/segment.h) the
+/// borrowing arm below refuses. The client ships its DictionarySet once
+/// and thereafter streams fixed-width id rows, so no interning (and no
+/// string hashing) happens here. The block passes ResolveU32Block; row r
+/// carries multiplicity `mults[r]`, a duplicate row is InvalidArgument,
+/// and zero-multiplicity rows are dropped.
 Result<Bag> BagFromU32Columns(const std::vector<std::string>& attr_names,
                               const ColumnView& columns, const uint64_t* mults,
                               AttributeCatalog* catalog,
                               const DictionarySet& dicts);
 
 /// Zero-copy twin of BagFromU32Columns for mmap'd sealed-bag segments:
-/// validates the columns in place and serves them through
+/// resolves the block (ResolveU32Block) in place and serves it through
 /// Bag::BorrowColumnar, so the bag holds no column copy — `keep_alive`
 /// (the shared SegmentReader) pins the mapping.
 /// Stricter than the copying arm by design: the columns must already be

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <iterator>
-#include <map>
 #include <thread>
 
 #include "engine/two_bag_solver.h"
@@ -408,93 +406,66 @@ Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalExact() const {
   return std::optional<Bag>(std::move(witness));
 }
 
+Result<std::vector<RowDeltas>> ApplyBatchToBags(const DeltaBatch& batch,
+                                                std::vector<Bag>* bags) {
+  std::vector<RowDeltas> streams(bags->size());
+  for (const BagDeltas& bd : batch) {
+    if (bd.bag_index >= bags->size()) {
+      return Status::OutOfRange("bag index out of range");
+    }
+    for (const BagDelta& d : bd.deltas) {
+      streams[bd.bag_index].emplace_back(d.row, d.delta);
+    }
+  }
+  // Copy-on-write: every bag of the copy shares its row store until its
+  // stream applies, so a failure in the last bag leaves `*bags` intact.
+  std::vector<Bag> next = *bags;
+  std::vector<RowDeltas> applied(bags->size());
+  for (size_t b = 0; b < next.size(); ++b) {
+    if (streams[b].empty()) continue;
+    BAGC_RETURN_NOT_OK(next[b].ApplyRowDeltas(streams[b], &applied[b]).status());
+  }
+  *bags = std::move(next);
+  return applied;
+}
+
 Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
     const DeltaBatch& batch) {
-  size_t m = collection_->size();
-
-  // Net change per bag per row, keyed in sorted tuple order. A bag
-  // listed twice nets as one stream, and opposed rows within the batch
-  // cancel before validation, so "insert x; delete x" is a structural
-  // no-op even when x was never in the bag.
-  std::map<size_t, std::map<Tuple, int64_t>> nets;
-  for (const BagDeltas& bd : batch) {
-    if (bd.bag_index >= m) return Status::OutOfRange("bag index out of range");
-    const size_t arity = collection_->bag(bd.bag_index).schema().arity();
-    std::map<Tuple, int64_t>& net = nets[bd.bag_index];
-    for (const BagDelta& d : bd.deltas) {
-      if (d.row.arity() != arity) {
-        return Status::InvalidArgument(
-            "delta row arity does not match the bag schema");
-      }
-      int64_t& acc = net[d.row];
-      if (__builtin_add_overflow(acc, d.delta, &acc)) {
-        return Status::OutOfRange("delta net overflows int64 for row " +
-                                  d.row.ToString());
-      }
-    }
-  }
-  for (auto bit = nets.begin(); bit != nets.end();) {
-    std::map<Tuple, int64_t>& net = bit->second;
-    for (auto it = net.begin(); it != net.end();) {
-      it = it->second == 0 ? net.erase(it) : std::next(it);
-    }
-    bit = net.empty() ? nets.erase(bit) : std::next(bit);
-  }
-  DeltaOutcome outcome;
-  if (nets.empty()) return outcome;
-  outcome.rows_changed = true;
-
   // This engine is a fresh generation that MakeDeltaBatch discards on any
   // error, and it shares bags and marginals with the previous generation
-  // only as immutable shared pointers. So each bag is mutated and its
-  // slots replaced as soon as they validate: a failure in the last bag
+  // only as immutable shared pointers, so a failure anywhere below
   // leaves nothing of the previous generation touched.
   std::vector<Bag> bags = collection_->bags();
+  BAGC_ASSIGN_OR_RETURN(std::vector<RowDeltas> nets,
+                        ApplyBatchToBags(batch, &bags));
+  DeltaOutcome outcome;
   std::vector<const CachedProjection*> dirty_slots;
-  for (const auto& [bag_index, net] : nets) {
-    const Bag& bag = collection_->bag(bag_index);
-    // Row-level validation (a delete below zero → OutOfRange, an insert
-    // overflow) is the bag layer's. COW: the previous generation keeps
-    // the old bag.
-    Bag& mutated = bags[bag_index];
-    BAGC_RETURN_NOT_OK(mutated
-                           .ApplyRowDeltas(std::vector<std::pair<Tuple, int64_t>>(
-                               net.begin(), net.end()))
-                           .status());
-
+  for (size_t bag_index = 0; bag_index < nets.size(); ++bag_index) {
+    const RowDeltas& net = nets[bag_index];
+    if (net.empty()) continue;
+    outcome.rows_changed = true;
+    const Bag& mutated = bags[bag_index];
     // Adjust each cached marginal of the bag from the *projected* nets
-    // (Equation (2) is linear in multiplicities): the marginal takes the
-    // projected net as row deltas — a known group's net is a multiplicity
-    // bump, a new group appends, an adjustment to zero removes the group.
-    // A projection under which the nets cancel is clean and keeps its
-    // slot untouched. Row nets fit in int64 but their projected sum may
-    // not; such a slot is refilled from the mutated bag instead.
+    // (Equation (2) is linear in multiplicities): the marginal takes them
+    // as row deltas, which ApplyRowDeltas nets per group — a known
+    // group's net is a multiplicity bump, a new group appends, an
+    // adjustment to zero removes the group. A projection under which the
+    // nets cancel is clean and keeps its slot untouched. Row nets fit in
+    // int64 but their projected sum may not; such a slot is refilled
+    // from the mutated bag instead.
     for (CachedProjection& slot : cache_[bag_index]) {
       BAGC_ASSIGN_OR_RETURN(Projector proj,
-                            Projector::Make(bag.schema(), slot.schema));
-      std::map<Tuple, int64_t> pnet;
-      bool refill = false;
-      for (const auto& [t, d] : net) {
-        int64_t& acc = pnet[t.Project(proj)];
-        if (__builtin_add_overflow(acc, d, &acc)) {
-          refill = true;
-          break;
-        }
-      }
-      Bag next;
-      if (refill) {
+                            Projector::Make(mutated.schema(), slot.schema));
+      RowDeltas projected;
+      projected.reserve(net.size());
+      for (const auto& [t, d] : net) projected.emplace_back(t.Project(proj), d);
+      Bag next = *slot.marginal;
+      Result<size_t> changed = next.ApplyRowDeltas(projected);
+      if (!changed.ok()) {
         BAGC_ASSIGN_OR_RETURN(next, mutated.Marginal(slot.schema));
         if (next == *slot.marginal) continue;
-      } else {
-        // A group cannot drop below zero: its new count is a sum of the
-        // new (validated, non-negative) row multiplicities.
-        // ApplyRowDeltas guards the invariant anyway.
-        next = *slot.marginal;
-        BAGC_ASSIGN_OR_RETURN(size_t changed,
-                              next.ApplyRowDeltas(
-                                  std::vector<std::pair<Tuple, int64_t>>(
-                                      pnet.begin(), pnet.end())));
-        if (changed == 0) continue;
+      } else if (*changed == 0) {
+        continue;
       }
       slot.marginal = std::make_shared<const Bag>(std::move(next));
       dirty_slots.push_back(&slot);
@@ -502,6 +473,7 @@ Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
       ++marginal_fills_;
     }
   }
+  if (!outcome.rows_changed) return outcome;
   outcome.changed_slots = dirty_slots.size();
 
   // Rebuild the owned collection around the mutated bags (schemas — and

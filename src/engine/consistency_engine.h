@@ -100,6 +100,17 @@ struct BagDeltas {
 /// is allowed — its deltas net as one stream.
 using DeltaBatch = std::vector<BagDeltas>;
 
+/// The one delta step, behind both MakeDeltaBatch and a session's staged
+/// commit: applies `batch` to `*bags` all-or-nothing. Each listed bag's
+/// blocks concatenate into one stream that Bag::ApplyRowDeltas nets, so
+/// a bag listed twice nets as one stream and opposed rows cancel before
+/// validation. Returns, per bag index, the non-zero nets applied
+/// (ascending; empty for a bag the batch leaves unchanged). A bag index
+/// out of range (OutOfRange) or any ApplyRowDeltas error leaves `*bags`
+/// untouched, and an unchanged bag keeps its row store.
+Result<std::vector<RowDeltas>> ApplyBatchToBags(const DeltaBatch& batch,
+                                                std::vector<Bag>* bags);
+
 /// What a delta actually touched: the pairs whose shared-attribute
 /// marginals changed (they were re-compared; every other pair kept its
 /// verdict) and the number of cached marginal slots that were adjusted.

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "tuple/segment.h"
+#include "util/sync_dir.h"
 
 namespace bagc {
 
@@ -103,11 +104,12 @@ Result<DeltaBatch> BatchFromRecord(const EngineSnapshot& snapshot,
 // (moved in, not cloned), so the snapshot decodes and orders results
 // bit-identically to a LOADSEG + SEAL of the segment in a fresh session.
 // `canonical` replays the original seal's CANONICAL flag for the same
-// reason.
+// reason. `*fingerprint` receives the fingerprint of the mapping.
 Result<std::shared_ptr<const EngineSnapshot>> BuildSnapshotFromSegment(
-    const std::string& path, bool canonical, uint64_t seq) {
+    const std::string& path, bool canonical, uint64_t seq, uint64_t* fingerprint) {
   EngineSnapshot::BuildInputs inputs;
   BAGC_ASSIGN_OR_RETURN(SegmentBags loaded, LoadSegmentBags(path, &inputs.catalog));
+  *fingerprint = loaded.fingerprint;
   inputs.names = std::move(loaded.names);
   inputs.bags = std::move(loaded.bags);
   inputs.dicts = std::make_shared<DictionarySet>(std::move(loaded.dicts));
@@ -154,7 +156,7 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Acquire(
   // pay for the promise's shared state.
   std::optional<std::promise<Result<std::shared_ptr<const EngineSnapshot>>>> flight;
   std::shared_future<Result<std::shared_ptr<const EngineSnapshot>>> running;
-  std::string path;
+  SegmentSource source;
   bool canonical = false;
   uint64_t seq = 0;
   {
@@ -171,13 +173,13 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Acquire(
     }
     if (c->reload_.valid()) {
       running = c->reload_;
-    } else if (c->segment_path_.empty()) {
+    } else if (c->segment_.path.empty()) {
       return Status::FailedPrecondition(
           "collection '" + c->name_ +
           "' was evicted under the memory budget and has no segment to "
           "reload from; SEAL it again");
     } else {
-      path = c->segment_path_;
+      source = c->segment_;
       canonical = c->reload_canonical_;
       // The reload is a publication in the chain: it takes a seq under the
       // same high-water rule, so a RESET racing the rebuild wins.
@@ -190,7 +192,7 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Acquire(
   if (running.valid()) return running.get();
   uint64_t replayed = 0;  // STATS counts it; only Restore reports it
   Result<std::shared_ptr<const EngineSnapshot>> reloaded =
-      Reload(c, path, canonical, seq, &replayed);
+      Reload(c, source, canonical, seq, &replayed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     c->reload_ = {};
@@ -201,15 +203,25 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Acquire(
 }
 
 Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Reload(
-    Collection* c, const std::string& path, bool canonical, uint64_t seq,
+    Collection* c, const SegmentSource& source, bool canonical, uint64_t seq,
     uint64_t* replayed) {
   // Build outside the lock — reloads are as slow as seals.
+  SegmentSource mapped{source.path, 0};
   Result<std::shared_ptr<const EngineSnapshot>> rebuilt =
-      BuildSnapshotFromSegment(path, canonical, seq);
+      BuildSnapshotFromSegment(source.path, canonical, seq, &mapped.fingerprint);
   if (!rebuilt.ok()) {
     return Status::FailedPrecondition("collection '" + c->name_ +
                                       "' reload from segment failed: " +
                                       rebuilt.status().message());
+  }
+  if (source.fingerprint != 0 && mapped.fingerprint != source.fingerprint) {
+    // The file at the path was replaced since the seal: its rows are not
+    // the base the served generations (and the WAL) were built on.
+    return Status::FailedPrecondition(
+        "collection '" + c->name_ + "' reload refused: segment " + source.path +
+        " was replaced since it was sealed (fingerprint " +
+        std::to_string(source.fingerprint) + ", now " +
+        std::to_string(mapped.fingerprint) + "); SEAL it again");
   }
   BAGC_RETURN_NOT_OK(CheckCeiling((*rebuilt)->approx_bytes()));
   if (!options_.wal_dir.empty()) {
@@ -220,7 +232,7 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Reload(
     // install below, this folded snapshot is simply discarded.
     std::lock_guard<std::mutex> wal_lock(c->wal_mu_);
     Result<std::shared_ptr<const EngineSnapshot>> folded =
-        FoldWalLocked(c, *std::move(rebuilt), path, replayed);
+        FoldWalLocked(c, *std::move(rebuilt), mapped, replayed);
     if (!folded.ok()) {
       return Status::FailedPrecondition(
           "collection '" + c->name_ +
@@ -244,6 +256,10 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::Reload(
   // generation actually installed.
   std::shared_ptr<const EngineSnapshot> installed = *std::move(rebuilt);
   c->published_high_water_ = std::max(seq, installed->seq());
+  // A lazy reload re-registers the source it read; Restore registers the
+  // mapping it built from.
+  c->segment_ = std::move(mapped);
+  c->reload_canonical_ = canonical;
   InstallLocked(c, installed, installed->approx_bytes());
   EvictToBudgetLocked(c);
   if (evict_after_reload_for_test_.load(std::memory_order_relaxed)) EvictLocked(c);
@@ -258,7 +274,7 @@ std::shared_ptr<const EngineSnapshot> CollectionRegistry::Peek(
 
 Status CollectionRegistry::PublishChain(
     Collection* c, std::shared_ptr<const EngineSnapshot> snapshot,
-    const std::string* segment_path, bool canonical) {
+    const SegmentSource* segment, bool canonical) {
   const uint64_t bytes = snapshot->approx_bytes();
   BAGC_RETURN_NOT_OK(CheckCeiling(bytes));
   std::lock_guard<std::mutex> lock(mu_);
@@ -279,8 +295,8 @@ Status CollectionRegistry::PublishChain(
                                       " it was built on is no longer current; retry");
   }
   c->published_high_water_ = snapshot->seq();
-  if (segment_path != nullptr) {
-    c->segment_path_ = *segment_path;
+  if (segment != nullptr) {
+    c->segment_ = *segment;
     c->reload_canonical_ = canonical;
   }
   InstallLocked(c, std::move(snapshot), bytes);
@@ -301,17 +317,16 @@ Status CollectionRegistry::CheckCeiling(uint64_t bytes) const {
 
 Status CollectionRegistry::Publish(
     Collection* c, std::shared_ptr<const EngineSnapshot> snapshot,
-    std::string segment_path, bool canonical) {
+    SegmentSource segment, bool canonical) {
   if (options_.wal_dir.empty()) {
-    return PublishChain(c, std::move(snapshot), &segment_path, canonical);
+    return PublishChain(c, std::move(snapshot), &segment, canonical);
   }
   // A full seal starts a new base epoch: any logged deltas speak the OLD
   // base and must not replay over the new one, so the WAL resets with
   // the publish (both under wal_mu_, so no delta commit interleaves).
   std::lock_guard<std::mutex> wal_lock(c->wal_mu_);
-  BAGC_RETURN_NOT_OK(PublishChain(c, std::move(snapshot), &segment_path,
-                                  canonical));
-  return ResetWalLocked(c, segment_path);
+  BAGC_RETURN_NOT_OK(PublishChain(c, std::move(snapshot), &segment, canonical));
+  return ResetWalLocked(c, segment);
 }
 
 Status CollectionRegistry::PublishDelta(
@@ -324,7 +339,7 @@ Status CollectionRegistry::PublishDelta(
     // reload source is DROPPED (a later eviction answers E_STATE instead
     // of quietly reloading pre-delta state). With a WAL attached, the
     // base segment stays the replay anchor of the whole chain.
-    const std::string no_reload_source;
+    const SegmentSource no_reload_source;
     return PublishChain(c, std::move(snapshot), &no_reload_source, false);
   }
   if (c->wal_poisoned_) {
@@ -391,13 +406,13 @@ void CollectionRegistry::Clear(Collection* c) {
     // RESET means "no engine until the next SEAL" — the reload source must
     // not resurrect the cleared generation, and generation_ = 0 marks the
     // chain empty (as opposed to evicted).
-    c->segment_path_.clear();
+    c->segment_ = {};
     c->reload_canonical_ = false;
     c->generation_ = 0;
   }
   if (wal_lock.owns_lock()) {
     // The logged deltas chain onto the cleared state; drop them with it.
-    ResetWalLocked(c, std::string());
+    ResetWalLocked(c, SegmentSource());
   }
 }
 
@@ -424,7 +439,7 @@ std::string CollectionRegistry::WalPathFor(const std::string& name) const {
 }
 
 Status CollectionRegistry::ResetWalLocked(Collection* c,
-                                          const std::string& segment_path) {
+                                          const SegmentSource& segment) {
   c->wal_.reset();
   c->wal_poisoned_ = false;  // a new epoch starts durable
   c->wal_fingerprint_ = 0;
@@ -437,13 +452,14 @@ Status CollectionRegistry::ResetWalLocked(Collection* c,
     // generations over the new base.
     BAGC_RETURN_NOT_OK(SyncParentDir(wal_path));
   }  // ENOENT is fine: no log yet
-  if (segment_path.empty()) {
+  if (segment.path.empty()) {
     // No segment base → no replay anchor → no WAL for this epoch.
     return Status::OK();
   }
-  BAGC_ASSIGN_OR_RETURN(uint64_t fingerprint, SegmentFingerprint(segment_path));
+  // Keyed to the mapping the sealed bags came from, not to whatever the
+  // path names now.
   BAGC_ASSIGN_OR_RETURN(WalWriter writer, WalWriter::Open(wal_path));
-  c->wal_fingerprint_ = fingerprint;
+  c->wal_fingerprint_ = segment.fingerprint;
   c->wal_records_.store(writer.records(), std::memory_order_relaxed);
   c->wal_bytes_.store(writer.bytes(), std::memory_order_relaxed);
   c->wal_ = std::make_unique<WalWriter>(std::move(writer));
@@ -452,7 +468,7 @@ Status CollectionRegistry::ResetWalLocked(Collection* c,
 
 Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::FoldWalLocked(
     Collection* c, std::shared_ptr<const EngineSnapshot> base,
-    const std::string& segment_path, uint64_t* replayed) {
+    const SegmentSource& segment, uint64_t* replayed) {
   if (c->wal_poisoned_) {
     // The published chain holds a generation the log is missing (an
     // append failed mid-epoch); folding the log would serve a state
@@ -462,7 +478,6 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::FoldWalLocked(
         "' lost WAL durability after an append failure; SEAL to start a "
         "new epoch before reloading");
   }
-  BAGC_ASSIGN_OR_RETURN(uint64_t fingerprint, SegmentFingerprint(segment_path));
   std::string wal_path = WalPathFor(c->name_);
   std::vector<WalRecord> records;
   auto read = ReadWalFile(wal_path);
@@ -479,12 +494,12 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::FoldWalLocked(
           "collection '" + c->name_ +
           "' has logged generations but no resident base to replay over");
     }
-    if (records.front().base_fingerprint != fingerprint) {
+    if (records.front().base_fingerprint != segment.fingerprint) {
       return Status::FailedPrecondition(
           "WAL " + wal_path + " was written against a different base segment "
           "(log fingerprint " +
           std::to_string(records.front().base_fingerprint) + ", segment " +
-          segment_path + " has " + std::to_string(fingerprint) +
+          segment.path + " has " + std::to_string(segment.fingerprint) +
           "); refusing to replay");
     }
     // Future appends must land past every logged generation; the logged
@@ -507,7 +522,7 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::FoldWalLocked(
   // Attach (and create, for an empty log) the writer; Open amputates a
   // torn tail so the file ends exactly at the last replayed record.
   BAGC_ASSIGN_OR_RETURN(WalWriter writer, WalWriter::Open(wal_path));
-  c->wal_fingerprint_ = fingerprint;
+  c->wal_fingerprint_ = segment.fingerprint;
   c->wal_records_.store(writer.records(), std::memory_order_relaxed);
   c->wal_bytes_.store(writer.bytes(), std::memory_order_relaxed);
   c->wal_ = std::make_unique<WalWriter>(std::move(writer));
@@ -516,14 +531,9 @@ Result<std::shared_ptr<const EngineSnapshot>> CollectionRegistry::FoldWalLocked(
 
 Result<uint64_t> CollectionRegistry::Restore(Collection* c,
                                              const std::string& segment_path) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    c->segment_path_ = segment_path;
-    c->reload_canonical_ = false;
-  }
   uint64_t replayed = 0;
   Result<std::shared_ptr<const EngineSnapshot>> restored =
-      Reload(c, segment_path, false, c->NextSeq(), &replayed);
+      Reload(c, SegmentSource{segment_path, 0}, false, c->NextSeq(), &replayed);
   if (!restored.ok()) return restored.status();
   RecordSeal();
   return replayed;
@@ -552,7 +562,7 @@ CollectionRegistry::CollectionStats CollectionRegistry::Stats(
   std::lock_guard<std::mutex> lock(mu_);
   CollectionStats s;
   s.resident = c->current_ != nullptr;
-  s.reloadable = !c->segment_path_.empty();
+  s.reloadable = !c->segment_.path.empty();
   s.bytes = c->bytes_;
   s.generation = c->generation_;
   s.last_access = c->last_access_;

@@ -47,6 +47,15 @@ namespace bagc {
 /// Name every session is bound to before its first ATTACH.
 inline constexpr const char* kDefaultCollectionName = "default";
 
+/// A collection's lazy reload source: the BAGCSEG file at `path` and the
+/// fingerprint (SegmentReader::fingerprint) of the mapping the served
+/// bags came from. The WAL is keyed to that fingerprint, and a reload
+/// that maps other bytes at `path` is refused. An empty path is none.
+struct SegmentSource {
+  std::string path;
+  uint64_t fingerprint = 0;
+};
+
 /// \brief Named multi-tenant registry of sealed engine generations, with
 /// LRU eviction under a global memory budget.
 class CollectionRegistry {
@@ -121,7 +130,7 @@ class CollectionRegistry {
     // ---- everything below is guarded by the registry's mu_ ----
     std::shared_ptr<const EngineSnapshot> current_;
     uint64_t published_high_water_ = 0;
-    std::string segment_path_;   // lazy reload source; empty = none
+    SegmentSource segment_;      // lazy reload source; empty path = none
     bool reload_canonical_ = false;
     uint64_t bytes_ = 0;
     uint64_t generation_ = 0;
@@ -169,11 +178,12 @@ class CollectionRegistry {
   /// ceiling, and with FailedPrecondition (retryable: take a new seq and
   /// rebuild) when a newer generation already won the chain — the same
   /// high-water rule as the single-generation registry. On success,
-  /// `segment_path` (empty = none) becomes the collection's lazy reload
-  /// source with `canonical` as its re-seal flag, and colder collections
-  /// are evicted until the global budget holds (never `c` itself).
+  /// `segment` (empty path = none) becomes the collection's lazy reload
+  /// source — and, with a wal_dir, the key of a fresh WAL — with
+  /// `canonical` as its re-seal flag, and colder collections are evicted
+  /// until the global budget holds (never `c` itself).
   Status Publish(Collection* c, std::shared_ptr<const EngineSnapshot> snapshot,
-                 std::string segment_path, bool canonical);
+                 SegmentSource segment, bool canonical);
 
   /// Publishes a delta generation (COMMIT / INSERT / DELETE): the same
   /// chain rules as Publish, and only while `snapshot`'s base (base_seq())
@@ -196,11 +206,11 @@ class CollectionRegistry {
                       std::shared_ptr<const EngineSnapshot> snapshot,
                       const DeltaBatch& batch);
 
-  /// Startup restore (bagcd --preload-seg): registers `segment_path` as
-  /// `c`'s reload source and runs the lazy-reload body on it — build
-  /// from the segment with a fresh catalog, fold the collection's WAL
-  /// (when the registry has a wal_dir), install — so a restart serves
-  /// exactly what a post-eviction reload would. `c` must never have been
+  /// Startup restore (bagcd --preload-seg): runs the lazy-reload body on
+  /// `segment_path` — build from the segment with a fresh catalog, fold
+  /// the collection's WAL (when the registry has a wal_dir), install —
+  /// and registers the mapping it built from as `c`'s reload source, so
+  /// a restart serves exactly what a post-eviction reload would. `c` must never have been
   /// published. Records one seal (not a reload) and returns the number
   /// of WAL generations replayed. A log written against a different
   /// base, or damaged mid-file, is refused with FailedPrecondition;
@@ -271,39 +281,42 @@ class CollectionRegistry {
   void EvictToBudgetLocked(const Collection* exempt);
   // Drops c's resident snapshot. Caller holds mu_.
   void EvictLocked(Collection* c);
-  // The body of a lazy reload and of Restore: rebuilds c from `path`
-  // outside mu_, folds its WAL (adding the replayed generations to
-  // `*replayed`), and installs the result under the chain rules. Returns
-  // the snapshot it installed (or the one a concurrent SEAL installed
+  // The body of a lazy reload and of Restore: rebuilds c from
+  // `source.path` outside mu_, folds its WAL (adding the replayed
+  // generations to `*replayed`), and installs the result under the chain
+  // rules, registering the mapping as c's reload source. A mapping whose
+  // fingerprint is not `source.fingerprint` is refused (FailedPrecondition);
+  // fingerprint 0 accepts the file as it is now (Restore). Returns the
+  // snapshot it installed (or the one a concurrent SEAL installed
   // first), null when a RESET won.
   Result<std::shared_ptr<const EngineSnapshot>> Reload(Collection* c,
-                                                       const std::string& path,
+                                                       const SegmentSource& source,
                                                        bool canonical, uint64_t seq,
                                                        uint64_t* replayed);
   // OutOfRange when one snapshot of `bytes` exceeds the per-collection
   // ceiling (max_collection_bytes).
   Status CheckCeiling(uint64_t bytes) const;
   // The shared publish body: chain rules + install + eviction, under
-  // mu_. A null `segment_path` keeps the existing reload source (delta
+  // mu_. A null `segment` keeps the existing reload source (delta
   // publishes); non-null replaces it (full seals).
   Status PublishChain(Collection* c,
                       std::shared_ptr<const EngineSnapshot> snapshot,
-                      const std::string* segment_path, bool canonical);
+                      const SegmentSource* segment, bool canonical);
   // c's WAL file path under options_.wal_dir (collection name encoded
   // filesystem-safe).
   std::string WalPathFor(const std::string& name) const;
-  // Drops and deletes c's WAL, then (unless `segment_path` is empty)
-  // starts a fresh one keyed to that segment's fingerprint. Caller
-  // holds c->wal_mu_.
-  Status ResetWalLocked(Collection* c, const std::string& segment_path);
-  // Reads c's WAL, validates it against `segment_path`'s fingerprint,
+  // Drops and deletes c's WAL, then (unless `segment.path` is empty)
+  // starts a fresh one keyed to `segment.fingerprint`. Caller holds
+  // c->wal_mu_.
+  Status ResetWalLocked(Collection* c, const SegmentSource& segment);
+  // Reads c's WAL, validates it against `segment.fingerprint`,
   // folds every record over `base`, attaches the writer, and bumps
   // next_seq_ past the logged generations. Returns the folded snapshot
   // (== base when the log is empty) and adds the replay count to
   // `*replayed`. Caller holds c->wal_mu_ and must NOT hold mu_.
   Result<std::shared_ptr<const EngineSnapshot>> FoldWalLocked(
       Collection* c, std::shared_ptr<const EngineSnapshot> base,
-      const std::string& segment_path, uint64_t* replayed);
+      const SegmentSource& segment, uint64_t* replayed);
 
   const Options options_;
   mutable std::mutex mu_;

@@ -161,6 +161,7 @@ Result<SegmentBags> LoadSegmentBags(const std::string& path,
   // reader dies with the last of them.
   auto reader = std::make_shared<SegmentReader>(std::move(mapped));
   SegmentBags out;
+  out.fingerprint = reader->fingerprint();
   out.attrs.reserve(reader->num_attrs());
   for (size_t a = 0; a < reader->num_attrs(); ++a) {
     std::string name(reader->attr_name(a));

@@ -176,9 +176,11 @@ class EngineSnapshot {
   mutable uint64_t global_solves_ = 0;
 };
 
-/// A BAGCSEG segment ingested for serving: its bags in segment order and
-/// the value dictionaries they were validated against.
+/// A BAGCSEG segment ingested for serving: its bags in segment order, the
+/// value dictionaries they were validated against, and the fingerprint
+/// of the mapping they came from (SegmentReader::fingerprint).
 struct SegmentBags {
+  uint64_t fingerprint = 0;
   /// attrs[a] is the catalog id segment attribute a interned to; `dicts`
   /// holds exactly those attributes' dictionaries.
   std::vector<AttrId> attrs;

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <future>
 #include <limits>
-#include <map>
 #include <set>
 #include <utility>
 
@@ -54,6 +53,15 @@ auto RunOn(ThreadPool* pool, Fn&& fn) -> decltype(fn()) {
   std::future<R> future = task->get_future();
   pool->Submit([task] { (*task)(); });
   return future.get();
+}
+
+// The request's u32 row block (ids column-major) as columns, for
+// ResolveU32Block and the loops that read it.
+ColumnView RequestColumns(const Request& request) {
+  const size_t rows = request.num_rows();
+  std::vector<const ValueId*> ptrs(request.columns.size());
+  for (size_t c = 0; c < ptrs.size(); ++c) ptrs[c] = request.ids.data() + c * rows;
+  return ColumnView(std::move(ptrs), rows);
 }
 
 Response VerdictOrError(const Result<bool>& verdict) {
@@ -371,10 +379,7 @@ Response ServerSession::HandleLoad(Request& request) {
     if (request.verb == Verb::kLoadU32) {
       // Raw u32 ids: the shared columnar ingest validates them against
       // the shipped dictionaries with no string work at all.
-      const size_t rows = request.num_rows();
-      std::vector<const ValueId*> ptrs(request.columns.size());
-      for (size_t c = 0; c < ptrs.size(); ++c) ptrs[c] = request.ids.data() + c * rows;
-      return BagFromU32Columns(request.columns, ColumnView(std::move(ptrs), rows),
+      return BagFromU32Columns(request.columns, RequestColumns(request),
                                request.counts.data(), &catalog_, *dicts_);
     }
     // External string rows: reassemble a bag IO block for the interning
@@ -410,54 +415,25 @@ Response ServerSession::HandleMutate(const Request& request) {
                              std::string(VerbName(request.verb)) +
                              " mutates loaded bags (LOAD, LOADU32, or LOADSEG it first)");
   }
-  // The header must spell exactly the bag's schema (any order), and every
-  // column needs a dictionary (the LOADU32 rule); slot_of_column[c] maps
-  // wire column c to its schema slot.
-  const size_t arity = request.columns.size();
-  std::vector<AttrId> attrs;
-  attrs.reserve(arity);
-  for (const std::string& col : request.columns) attrs.push_back(catalog_.Intern(col));
-  Schema schema{attrs};
-  if (schema.arity() != arity) {
-    return Response::Err(WireError::kParse, "duplicate attribute in delta header");
-  }
-  if (schema != bags_[bag_index].schema()) {
-    return Response::Err(WireError::kParse,
-                         "delta attributes do not match the bag's schema");
-  }
-  std::vector<const ValueDictionary*> column_dict(arity);
-  std::vector<size_t> slot_of_column(arity);
-  for (size_t c = 0; c < arity; ++c) {
-    column_dict[c] = dicts_->find_dict(attrs[c]);
-    if (column_dict[c] == nullptr) {
-      return Response::Err(WireError::kState,
-                           "u32 rows require a dictionary for attribute '" +
-                               request.columns[c] + "'; ship its DICT block first");
-    }
-    slot_of_column[c] = *schema.IndexOf(attrs[c]);
-  }
-  const size_t rows = request.num_rows();
+  // The LOADU32 check, plus: the header must spell exactly the bag's
+  // schema (any order).
+  const ColumnView columns = RequestColumns(request);
+  Result<U32Block> block = ResolveU32Block(request.columns, columns, &catalog_,
+                                           *dicts_, &bags_[bag_index].schema());
+  if (!block.ok()) return Response::Error(block.status());
+  const size_t arity = columns.arity();
+  const size_t rows = columns.num_rows();
   const int64_t sign = request.verb == Verb::kInsert ? 1 : -1;
   BagDeltas entry;
   entry.bag_index = bag_index;
   std::vector<ValueId> row(arity);
   for (size_t e = 0; e < rows; ++e) {
-    for (size_t c = 0; c < arity; ++c) {
-      const ValueId id = request.ids[c * rows + e];
-      if (id >= column_dict[c]->size()) {
-        return Response::Err(WireError::kRange,
-                             "row id " + std::to_string(id) +
-                                 " was never issued for attribute '" + request.columns[c] +
-                                 "' (dictionary has " +
-                                 std::to_string(column_dict[c]->size()) + " values)");
-      }
-      row[slot_of_column[c]] = id;
-    }
     const uint64_t count = request.counts[e];
     if (count > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
       return Response::Err(WireError::kRange, "delta count exceeds int64");
     }
     if (count == 0) continue;  // zero rows net nothing, as in LOADU32
+    for (size_t c = 0; c < arity; ++c) row[block->slot_of_column[c]] = columns.at(e, c);
     entry.deltas.push_back({Tuple::OfIds(row), sign * static_cast<int64_t>(count)});
   }
   if (!txn_active_) {
@@ -534,7 +510,7 @@ Response ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
     for (size_t bi : mutated) bags_[bi] = (*next)->engine()->collection().bag(bi);
     sealed_seq_ = (*next)->seq();
     // The published rows diverged from whatever segment staged them.
-    staged_seg_path_.clear();
+    staged_seg_ = {};
     registry_->RecordDelta();
     std::string rest = label + " " + std::to_string(rows) + " rows " +
                        std::to_string(bags_.size()) + " bags";
@@ -544,26 +520,13 @@ Response ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
   }
   // Nothing to publish onto (nothing sealed yet, another session's or a
   // reloaded head, canonical seal, dictionary growth, or a changed bag
-  // set): mutate the loaded bags only, all-or-nothing across the whole
-  // batch. Each bag gets its blocks' concatenated deltas in one
-  // ApplyRowDeltas call, which nets them exactly as ApplyDeltaBatch does,
-  // so a bag listed twice behaves identically on both paths. Each changed
-  // bag gets a new row store, so the next SEAL refills exactly those.
-  std::map<size_t, std::vector<std::pair<Tuple, int64_t>>> deltas;
-  for (BagDeltas& bd : batch) {
-    std::vector<std::pair<Tuple, int64_t>>& bag_deltas = deltas[bd.bag_index];
-    for (BagDelta& d : bd.deltas) bag_deltas.emplace_back(std::move(d.row), d.delta);
-  }
-  std::map<size_t, Bag> staged;
-  for (const auto& [bi, bag_deltas] : deltas) {
-    Bag next_bag = bags_[bi];
-    Result<size_t> changed = next_bag.ApplyRowDeltas(bag_deltas);
-    // All-or-nothing: every loaded bag is still intact.
-    if (!changed.ok()) return Response::Error(changed.status());
-    if (*changed > 0) staged.emplace(bi, std::move(next_bag));
-  }
-  for (auto& [bi, bag] : staged) bags_[bi] = std::move(bag);
-  staged_seg_path_.clear();
+  // set): mutate the loaded bags only, through the step BuildDeltaBatch
+  // takes, so a bag listed twice nets identically on both paths. Each
+  // changed bag gets a new row store, so the next SEAL refills exactly
+  // those.
+  Status applied = ApplyBatchToBags(batch, &bags_).status();
+  if (!applied.ok()) return Response::Error(applied);  // every bag is intact
+  staged_seg_ = {};
   registry_->RecordDelta();
   return Response::Ok(label + " " + std::to_string(rows) + " rows staged");
 }
@@ -629,7 +592,7 @@ Response ServerSession::HandleLoadSeg(const Request& request) {
   // interned before, so the reload's fresh catalog orders them — and
   // hence every bag's slot layout and logged delta row — the same way.
   // AddBag cleared any prior staging.
-  if (was_empty && fresh_attrs) staged_seg_path_ = request.name;
+  if (was_empty && fresh_attrs) staged_seg_ = {request.name, loaded->fingerprint};
   return Response::Ok("LOADSEG " + std::to_string(loaded->names.size()) + " bags " +
                       std::to_string(total_support) + " rows");
 }
@@ -665,7 +628,7 @@ Response ServerSession::HandleSeal(const Request& request) {
       EngineSnapshot::Build(std::move(inputs), collection_->NextSeq());
   if (!snapshot.ok()) return Response::Error(snapshot.status());
   Status published = registry_->Publish(collection_.get(), *snapshot,
-                                        staged_seg_path_, canonical);
+                                        staged_seg_, canonical);
   if (!published.ok()) return Response::Error(published);
   sealed_seq_ = (*snapshot)->seq();
   registry_->RecordSeal();
@@ -722,7 +685,7 @@ Response ServerSession::HandleDrop(const Request& request) {
   // The loaded set no longer matches any one segment. Re-LOADing the same
   // name seals a new row store, which marks it changed for the next
   // incremental SEAL.
-  staged_seg_path_.clear();
+  staged_seg_ = {};
   return Response::Ok("DROP " + request.name);
 }
 
@@ -845,12 +808,12 @@ void ServerSession::AddBag(std::string name, Bag bag) {
   bag_names_.push_back(std::move(name));
   bags_.push_back(std::move(bag));
   // The loaded set grew past whatever segment staged it.
-  staged_seg_path_.clear();
+  staged_seg_ = {};
 }
 
 void ServerSession::ForgetSealLineage() {
   sealed_seq_ = 0;
-  staged_seg_path_.clear();
+  staged_seg_ = {};
 }
 
 }  // namespace bagc

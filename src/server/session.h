@@ -175,9 +175,10 @@ class ServerSession {
   uint64_t sealed_seq_ = 0;
 
   // When every loaded bag came from one LOADSEG (and nothing was loaded
-  // or dropped since), the segment path SEAL registers as the
-  // collection's lazy reload source; empty otherwise.
-  std::string staged_seg_path_;
+  // or dropped since), that segment's path and the fingerprint of the
+  // mapping the bags came from: SEAL registers it as the collection's
+  // lazy reload source and WAL key. Empty path otherwise.
+  SegmentSource staged_seg_;
 
   // Open BEGIN/COMMIT transaction: INSERT/DELETE deltas buffer here and
   // publish as ONE atomic generation (and one WAL record) at COMMIT.

@@ -12,6 +12,7 @@
 
 #include "util/checksum.h"
 #include "util/little_endian.h"
+#include "util/sync_dir.h"
 
 namespace bagc {
 
@@ -190,24 +191,27 @@ Status WriteSegmentFile(const std::string& path,
   BAGC_ASSIGN_OR_RETURN(std::string bytes,
                         EncodeSegment(names, bags, catalog, dicts));
   // Temp-then-rename: a crashed or concurrent writer can never leave a
-  // half-written file where a LOADSEG will find it.
+  // half-written file where a LOADSEG will find it. The segment is the
+  // base a WAL replays onto, so its bytes are synced before the rename
+  // publishes them, and the rename is synced before this returns.
   std::string tmp = path + ".tmp";
   FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     return Status::Internal("cannot open " + tmp + ": " + std::strerror(errno));
   }
   size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  bool flushed = std::fclose(f) == 0;
-  if (written != bytes.size() || !flushed) {
+  bool synced = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
+  bool closed = std::fclose(f) == 0;
+  if (written != bytes.size() || !synced || !closed) {
     std::remove(tmp.c_str());
-    return Status::Internal("short write to " + tmp);
+    return Status::Internal("cannot write and sync " + tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return Status::Internal("cannot rename " + tmp + " to " + path + ": " +
                             std::strerror(errno));
   }
-  return Status::OK();
+  return SyncParentDir(path);
 }
 
 Result<SegmentReader> SegmentReader::Map(const std::string& path) {
@@ -272,9 +276,9 @@ Status SegmentReader::Init(std::string_view data) {
         "segment header claims " + std::to_string(file_size) +
         " bytes but the file has " + std::to_string(size_));
   }
-  uint64_t checksum = LoadLittleEndian<uint64_t>(data_ + 24);
-  if (checksum != Xxh64(data_ + kSegmentHeaderBytes,
-                        size_ - kSegmentHeaderBytes)) {
+  fingerprint_ = LoadLittleEndian<uint64_t>(data_ + 24);
+  if (fingerprint_ != Xxh64(data_ + kSegmentHeaderBytes,
+                            size_ - kSegmentHeaderBytes)) {
     return Status::InvalidArgument("segment checksum mismatch");
   }
   uint32_t num_attrs = LoadLittleEndian<uint32_t>(data_ + 32);
@@ -393,6 +397,7 @@ SegmentReader::SegmentReader(SegmentReader&& other) noexcept
     : data_(other.data_),
       size_(other.size_),
       mapping_(other.mapping_),
+      fingerprint_(other.fingerprint_),
       attrs_(std::move(other.attrs_)),
       bags_(std::move(other.bags_)) {
   other.mapping_ = nullptr;
@@ -406,6 +411,7 @@ SegmentReader& SegmentReader::operator=(SegmentReader&& other) noexcept {
     data_ = other.data_;
     size_ = other.size_;
     mapping_ = other.mapping_;
+    fingerprint_ = other.fingerprint_;
     attrs_ = std::move(other.attrs_);
     bags_ = std::move(other.bags_);
     other.mapping_ = nullptr;

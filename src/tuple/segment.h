@@ -85,7 +85,8 @@ Result<std::string> EncodeSegment(const std::vector<std::string>& names,
                                   const AttributeCatalog& catalog,
                                   const DictionarySet& dicts);
 
-/// EncodeSegment + atomic write (temp file, then rename) to `path`.
+/// EncodeSegment + durable atomic write to `path`: the temp file is
+/// fsynced, renamed over `path`, and the directory entry synced.
 Status WriteSegmentFile(const std::string& path,
                         const std::vector<std::string>& names,
                         const std::vector<Bag>& bags,
@@ -112,6 +113,10 @@ class SegmentReader {
   SegmentReader(const SegmentReader&) = delete;
   SegmentReader& operator=(const SegmentReader&) = delete;
   ~SegmentReader();
+
+  /// The header's XXH64 body checksum: the identity of the bytes this
+  /// reader validated, which a WAL keyed to the segment must carry.
+  uint64_t fingerprint() const { return fingerprint_; }
 
   size_t num_attrs() const { return attrs_.size(); }
   size_t num_bags() const { return bags_.size(); }
@@ -163,6 +168,7 @@ class SegmentReader {
   const char* data_ = nullptr;
   size_t size_ = 0;
   void* mapping_ = nullptr;  // non-null: Map() owns an mmap to release
+  uint64_t fingerprint_ = 0;
   std::vector<AttrMeta> attrs_;
   std::vector<BagMeta> bags_;
 };

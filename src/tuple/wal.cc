@@ -10,6 +10,7 @@
 #include "tuple/segment.h"
 #include "util/checksum.h"
 #include "util/little_endian.h"
+#include "util/sync_dir.h"
 
 namespace bagc {
 
@@ -305,55 +306,8 @@ Result<WalContents> ReadWalFile(const std::string& path) {
 }
 
 Result<uint64_t> SegmentFingerprint(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::NotFound("open(" + path + "): " + std::strerror(errno));
-  }
-  char header[kSegmentHeaderBytes];
-  size_t got = 0;
-  while (got < sizeof(header)) {
-    ssize_t n = ::pread(fd, header + got, sizeof(header) - got, got);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) {
-      ::close(fd);
-      return Status::Internal("read(" + path + "): " + std::strerror(errno));
-    }
-    if (n == 0) break;
-    got += static_cast<size_t>(n);
-  }
-  ::close(fd);
-  if (got < sizeof(header)) {
-    return Status::InvalidArgument("truncated segment file " + path + " (" +
-                                   std::to_string(got) + " bytes)");
-  }
-  if (std::memcmp(header, kSegmentMagic.data(), kSegmentMagic.size()) != 0) {
-    return Status::InvalidArgument("bad segment magic in " + path);
-  }
-  if (uint32_t version = LoadLittleEndian<uint32_t>(header + 8);
-      version != kSegmentVersion) {
-    return Status::InvalidArgument(
-        "unsupported segment version " + std::to_string(version) + " in " +
-        path + " (this build reads only version " +
-        std::to_string(kSegmentVersion) + ")");
-  }
-  return LoadLittleEndian<uint64_t>(header + 24);
-}
-
-Status SyncParentDir(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  std::string dir = (slash == std::string::npos) ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::Internal("open(" + dir + "): " + std::strerror(errno));
-  }
-  if (::fsync(fd) != 0) {
-    Status err = Status::Internal("fsync(" + dir + "): " + std::strerror(errno));
-    ::close(fd);
-    return err;
-  }
-  ::close(fd);
-  return Status::OK();
+  BAGC_ASSIGN_OR_RETURN(SegmentReader reader, SegmentReader::Map(path));
+  return reader.fingerprint();
 }
 
 Result<WalWriter> WalWriter::Open(const std::string& path) {

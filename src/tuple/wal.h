@@ -125,17 +125,11 @@ Result<WalContents> ParseWal(std::string_view data);
 /// empty or header-only file is a valid empty log.
 Result<WalContents> ReadWalFile(const std::string& path);
 
-/// Reads the base-segment fingerprint a WAL record must carry: the
-/// XXH64 body checksum stored at offset 24 of the BAGCSEG header at
-/// `path`. Validates magic and version but not the full file — this is
-/// the cheap identity probe run before deciding whether a WAL applies.
+/// The base-segment fingerprint a WAL record must carry: maps the
+/// BAGCSEG file at `path` (SegmentReader::Map, which validates it whole)
+/// and returns its SegmentReader::fingerprint(). The server keys its
+/// logs to the mapping its bags came from, never to a re-read path.
 Result<uint64_t> SegmentFingerprint(const std::string& path);
-
-/// fsyncs the directory containing `path`, making a just-created or
-/// just-unlinked directory entry durable. Without it, a power loss can
-/// drop the WAL file itself — and every fdatasync'd commit in it —
-/// even though each record append was synced.
-Status SyncParentDir(const std::string& path);
 
 /// \brief Appender for one collection's WAL.
 ///

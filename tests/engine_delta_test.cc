@@ -466,6 +466,41 @@ TEST(EngineDeltaTest, MakeDeltaBatchGuardRails) {
           .ok());
 }
 
+// The one delta step behind MakeDeltaBatch and a session's staged
+// commit: a bag listed twice nets as one stream, the applied nets come
+// back ascending with cancelled rows gone, an unlisted bag keeps its row
+// store, and a failure in any bag leaves every bag as it was.
+TEST(EngineDeltaTest, ApplyBatchToBagsNetsEachBagOnceAndIsAllOrNothing) {
+  Bag r(Schema{{0, 1}});
+  ASSERT_TRUE(r.Set(Tuple{{1, 1}}, 2).ok());
+  Bag s(Schema{{1}});
+  ASSERT_TRUE(s.Set(Tuple{{1}}, 2).ok());
+  std::vector<Bag> bags = {r, s};
+
+  DeltaBatch batch = {{0, {{Tuple{{2, 2}}, 1}, {Tuple{{1, 1}}, -1}}},
+                      {0, {{Tuple{{2, 2}}, -1}, {Tuple{{0, 3}}, 4}}}};
+  Result<std::vector<RowDeltas>> applied = ApplyBatchToBags(batch, &bags);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  ASSERT_EQ(applied->size(), 2u);
+  EXPECT_EQ((*applied)[0], (RowDeltas{{Tuple{{0, 3}}, 4}, {Tuple{{1, 1}}, -1}}));
+  EXPECT_TRUE((*applied)[1].empty());
+  EXPECT_EQ(bags[0].Multiplicity(Tuple{{0, 3}}), 4u);
+  EXPECT_EQ(bags[0].Multiplicity(Tuple{{1, 1}}), 1u);
+  EXPECT_EQ(bags[0].SupportSize(), 2u);
+  EXPECT_TRUE(bags[1].SharesRowsWith(s));
+
+  // The last bag's delete underflows, or a bag index is out of range:
+  // neither bag moves.
+  const std::vector<Bag> before = bags;
+  DeltaBatch underflow = {{0, {{Tuple{{2, 2}}, 5}}}, {1, {{Tuple{{1}}, -3}}}};
+  EXPECT_EQ(ApplyBatchToBags(underflow, &bags).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(ApplyBatchToBags({{2, {}}}, &bags).status().code(), StatusCode::kOutOfRange);
+  ASSERT_EQ(bags.size(), before.size());
+  for (size_t b = 0; b < bags.size(); ++b) {
+    EXPECT_TRUE(bags[b].SharesRowsWith(before[b])) << "bag " << b;
+  }
+}
+
 // The engine half of the COMMIT contract: a multi-bag batch whose LAST
 // entry is invalid builds nothing and leaves the previous generation's
 // bags, fills and verdict untouched even though the earlier bags' own

@@ -1418,6 +1418,120 @@ TEST(ServerSessionTest, ErrorClassesAgreeAcrossFramings) {
   }
 }
 
+// LOADU32 lines, ROWS frames, INSERT lines and INSERT frames all run the
+// one u32 block check (ResolveU32Block), so a malformed block gets one
+// answer at every entry point: the same error class and message. The
+// two-row case pins which id is named: the largest unissued id of the
+// first offending column, not the first bad id in row order.
+TEST(ServerSessionTest, MalformedBlocksAnswerAlikeAtEveryEntryPoint) {
+  struct Case {
+    const char* what;
+    std::string insert_into;  // a loaded bag over exactly `cols`
+    std::vector<std::string> cols;
+    std::vector<std::vector<uint64_t>> rows;
+    WireError error;
+    std::string message;
+  };
+  const std::string unissued_item =
+      "row id 9 was never issued for attribute 'item' (dictionary has 3 values)";
+  const std::vector<Case> cases = {
+      {"repeated attribute", "stock", {"item", "item"}, {{0, 0, 1}},
+       WireError::kParse, "duplicate attribute in bag header"},
+      {"column with no dictionary", "empty", {"nodict"}, {{0, 1}}, WireError::kState,
+       "u32 rows require a dictionary for attribute 'nodict'; ship its DICT block "
+       "first"},
+      {"unissued id", "stock", {"item", "store"}, {{9, 0, 1}}, WireError::kRange,
+       unissued_item},
+      {"unissued ids in two rows and columns", "stock", {"item", "store"},
+       {{0, 7, 1}, {9, 0, 1}}, WireError::kRange, unissued_item},
+  };
+  // "empty" is a loaded bag whose attribute never got a dictionary.
+  const std::string setup = std::string(kSetupScript) + "LOAD empty nodict\nEND\n";
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::string header;
+    for (const std::string& col : c.cols) header += " " + col;
+    std::string body;
+    for (const std::vector<uint64_t>& row : c.rows) {
+      for (size_t i = 0; i + 1 < row.size(); ++i) body += std::to_string(row[i]) + " ";
+      body += ": " + std::to_string(row.back()) + "\n";
+    }
+    body += "END\n";
+
+    CollectionRegistry text_registry;
+    CollectionRegistry binary_registry;
+    ServerSession text(&text_registry, nullptr);
+    ServerSession binary(&binary_registry, nullptr);
+    ASSERT_EQ(Feed(&text, setup).back(), "OK LOAD empty 0 rows");
+    ASSERT_EQ(Feed(&binary, setup).back(), "OK LOAD empty 0 rows");
+    std::string out;
+    binary.HandleData("UPGRADE BINARY\n", &out);
+    ASSERT_TRUE(binary.binary_mode());
+
+    std::vector<std::optional<ErrReply>> replies;
+    replies.push_back(LastTextErr(Feed(&text, "LOADU32 fresh" + header + "\n" + body)));
+    replies.push_back(
+        LastTextErr(Feed(&text, "INSERT " + c.insert_into + header + "\n" + body)));
+    for (const auto& [opcode, bag] : {std::pair<uint8_t, std::string>{kFrameRows, "fresh"},
+                                      {kFrameInsert, c.insert_into}}) {
+      out.clear();
+      binary.HandleData(Frame(opcode, RowsPayload(bag, c.cols, c.rows)), &out);
+      replies.push_back(LastFrameErr(out));
+    }
+    const char* entry[] = {"text LOADU32", "text INSERT", "ROWS frame", "INSERT frame"};
+    for (size_t i = 0; i < replies.size(); ++i) {
+      SCOPED_TRACE(entry[i]);
+      ASSERT_TRUE(replies[i].has_value());
+      EXPECT_EQ(replies[i]->error, c.error) << replies[i]->message;
+      EXPECT_EQ(replies[i]->message, c.message);
+    }
+  }
+}
+
+// A transaction that lists one bag twice, with an opposed pair across
+// its blocks (a row the bag never held, inserted then deleted), nets as
+// one stream whether it stages into the loaded bags (before SEAL) or
+// publishes as a delta generation (after SEAL): both paths leave the
+// same bags and the same verdicts.
+TEST(ServerSessionTest, BagListedTwiceStagesAndPublishesAlike) {
+  std::string load(kSetupScript);
+  load.erase(load.rfind("SEAL"));
+  const std::string txn =
+      "BEGIN\n"
+      "INSERT orders item store\n2 0 : 1\n1 1 : 1\nEND\n"
+      "DELETE stock item store\n0 0 : 1\nEND\n"
+      "DELETE orders item store\n2 0 : 1\n0 0 : 1\nEND\n"
+      "INSERT stock item store\n1 1 : 1\nEND\n"
+      "COMMIT\n";
+  const std::string queries =
+      "WITNESS orders orders\nWITNESS stock stock\nWITNESS orders stock\n"
+      "TWOBAG orders stock\nPAIRWISE\nGLOBAL\n";
+
+  CollectionRegistry staged_registry;
+  ServerSession staged(&staged_registry, nullptr);
+  Feed(&staged, load);
+  ASSERT_EQ(Feed(&staged, txn).back(), "OK COMMIT 6 rows staged");
+  ASSERT_EQ(Feed(&staged, "SEAL\n").back(), "OK SEAL 2 bags");
+  std::vector<std::string> staged_answers = Feed(&staged, queries);
+
+  CollectionRegistry published_registry;
+  ServerSession published(&published_registry, nullptr);
+  Feed(&published, load);
+  ASSERT_EQ(Feed(&published, "SEAL\n").back(), "OK SEAL 2 bags");
+  ASSERT_EQ(Feed(&published, txn).back(), "OK COMMIT 6 rows 2 bags");
+  std::vector<std::string> published_answers = Feed(&published, queries);
+
+  // orders: apple downtown 2 -> 1, banana uptown 1 -> 2, cherry downtown
+  // netted out; stock moved the same way, so the pair now agrees.
+  std::string joined;
+  for (const std::string& line : staged_answers) joined += line + "\n";
+  EXPECT_NE(joined.find("apple downtown : 1\nbanana uptown : 2\n"), std::string::npos)
+      << joined;
+  EXPECT_EQ(joined.find("cherry"), std::string::npos) << joined;
+  EXPECT_EQ(staged_answers.back(), "OK CONSISTENT");
+  EXPECT_EQ(published_answers, staged_answers);
+}
+
 // Hostile bytes on the frame decoder: one well-formed frame of every
 // client opcode, then every truncation of its payload (length restamped)
 // and every single-bit flip of its header and payload, each fed to a

@@ -393,6 +393,44 @@ TEST(ServerRegistryTest, SegmentReloadServesBorrowedColumns) {
   std::remove(t.seg_path.c_str());
 }
 
+// A reload maps the segment path again; when the file there was
+// replaced since the seal, its rows are not the sealed base, so the
+// reload is refused (E_STATE) instead of serving them.
+TEST(ServerRegistryTest, ReloadOfAReplacedSegmentIsRefused) {
+  Tenant t{"replaced", WriteTenantSegment(2), false, {}};
+  CollectionRegistry::Options opts;
+  opts.mem_budget_bytes = 1;  // evict everything not most-recent
+  CollectionRegistry registry(opts);
+  ASSERT_EQ(SealTenant(&registry, t).back().rfind("OK SEAL", 0), 0u);
+  {
+    // Same attributes and dictionaries, other multiplicities.
+    AttributeCatalog catalog;
+    DictionarySet dicts;
+    Result<std::vector<Bag>> bags = ParseCollection(TenantBagText(3), &catalog, &dicts);
+    ASSERT_TRUE(bags.ok()) << bags.status().ToString();
+    ASSERT_TRUE(WriteSegmentFile(t.seg_path, {"left", "right"}, *bags, catalog, dicts).ok());
+  }
+  ServerSession other(&registry, nullptr);
+  ASSERT_EQ(other
+                .HandleScript("DICT item 2\na\nb\nEND\n"
+                              "LOADU32 r item\n0 : 1\n1 : 1\nEND\nSEAL\n")
+                .back(),
+            "OK SEAL 1 bags");
+  std::shared_ptr<CollectionRegistry::Collection> c = registry.Find(t.name);
+  ASSERT_NE(c, nullptr);
+  ASSERT_EQ(registry.Peek(c.get()), nullptr) << "tenant was not evicted";
+  ServerSession session(&registry, nullptr);
+  std::vector<std::string> replies = session.HandleScript("ATTACH " + t.name + "\n" + kQueryScript);
+  ASSERT_EQ(replies.front(), "OK ATTACH " + t.name);
+  for (size_t i = 1; i < replies.size(); ++i) {
+    EXPECT_EQ(replies[i].rfind("ERR E_STATE", 0), 0u) << replies[i];
+    EXPECT_NE(replies[i].find("was replaced since it was sealed"), std::string::npos)
+        << replies[i];
+  }
+  EXPECT_EQ(registry.Stats(c.get()).reloads, 0u);
+  std::remove(t.seg_path.c_str());
+}
+
 // A session whose catalog already held a segment attribute name seals a
 // slot layout a fresh-catalog reload does not reproduce (region store
 // item here, against the segment's item store region). Its SEAL must not

@@ -819,6 +819,45 @@ TEST(WalRecoveryTest, DeltaOnAReplacedBaseIsRefusedAndNotLogged) {
   EXPECT_EQ(registry.wal_records_total(), 1u);
 }
 
+// The WAL is keyed to the segment the served bags were mapped from, not
+// to whatever the path names at SEAL. Here the file is replaced (same
+// dictionaries, other rows) between LOADSEG and SEAL: a restart over the
+// path must refuse the log rather than replay the commit onto the new
+// file's rows and answer differently from the live session.
+TEST(WalRecoveryTest, SegmentReplacedBeforeSealIsNeverReplayedOnto) {
+  std::string seg_path = WriteBaseSegment("wal_replaced.seg", 0);
+  CollectionRegistry::Options opts;
+  opts.wal_dir = MakeWalDir("wal_replaced");
+  std::vector<std::string> live_answer;
+  {
+    CollectionRegistry live(opts);
+    ServerSession writer(&live, nullptr);
+    ASSERT_EQ(writer.HandleScript("LOADSEG " + seg_path + "\n").back(),
+              "OK LOADSEG 2 bags 5 rows");
+    ASSERT_EQ(WriteBaseSegment("wal_replaced.seg", 5), seg_path);
+    // The commit balances the mapped base (store downtown 3 on both
+    // sides); over the replacement it would not.
+    ASSERT_EQ(writer
+                  .HandleScript("SEAL\nBEGIN\nINSERT left item store\n0 0 : 1\nEND\n"
+                                "INSERT right store region\n0 0 : 1\nEND\nCOMMIT\n")
+                  .back(),
+              "OK COMMIT 2 rows 2 bags");
+    ASSERT_EQ(live.wal_records_total(), 1u);
+    live_answer = writer.HandleScript(kQueryScript);
+    ASSERT_EQ(live_answer.front(), "OK CONSISTENT");
+  }
+  CollectionRegistry restored(opts);
+  Result<uint64_t> replayed = restored.Restore(restored.Default().get(), seg_path);
+  if (replayed.ok()) {
+    ServerSession prober(&restored, nullptr);
+    EXPECT_EQ(prober.HandleScript(kQueryScript), live_answer)
+        << "replayed the commit onto the replacement segment";
+  } else {
+    EXPECT_EQ(replayed.status().code(), StatusCode::kFailedPrecondition)
+        << replayed.status().ToString();
+  }
+}
+
 // A session whose catalog already held a segment attribute name seals a
 // different slot layout than the fresh-catalog restore rebuilds. Such a
 // collection must not journal against the segment: a restart serves the

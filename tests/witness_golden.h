@@ -82,7 +82,7 @@ inline void PublishPair(CollectionRegistry* registry, Bag r, Bag s,
   Result<std::shared_ptr<const EngineSnapshot>> snapshot =
       EngineSnapshot::Build(std::move(inputs), c->NextSeq());
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  ASSERT_TRUE(registry->Publish(c, *snapshot, "", false).ok());
+  ASSERT_TRUE(registry->Publish(c, *snapshot, {}, false).ok());
 }
 
 // Both directions of a pair, and the minimal witness of the first.
